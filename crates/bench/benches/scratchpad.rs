@@ -1,11 +1,13 @@
 //! Micro-benchmarks of ScratchPipe's cache-management structures: the
-//! \[Plan\] stage (Hit-Map query + Hold-mask update + victim selection)
-//! and the two Hold-mask implementations.
+//! \[Plan\] stage (Hit-Map query + Hold-mask update + victim selection),
+//! the victim pool's two orderings, and the two Hold-mask
+//! implementations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::holdmask::{HoldMask, NaiveHoldMask};
+use scratchpipe::policy::VictimPool;
 use scratchpipe::{EvictionPolicy, ScratchpadManager, WindowConfig};
 
 fn unique_ids(n: usize, rows: u64, seed: u64) -> Vec<u64> {
@@ -39,6 +41,51 @@ fn bench_plan_stage(c: &mut Criterion) {
     group.finish();
 }
 
+/// Steady-state victim-pool churn as \[Plan\] drives it: every cycle pops
+/// one batch of victims, touches them, and re-inserts the batch whose
+/// protection expired `HELD` cycles later — LRU's run queue against the
+/// ordered set LFU and Random keep, at `plan_bound`'s and the paper-scale
+/// workload's pool sizes.
+fn bench_victim_pool(c: &mut Criterion) {
+    const HELD: usize = 4;
+    let mut group = c.benchmark_group("victim_pool_churn");
+    for &slots in &[13_500usize, 200_000] {
+        let batch = slots / 7;
+        group.throughput(Throughput::Elements(2 * batch as u64));
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Lfu] {
+            let id = BenchmarkId::new(policy.name(), slots);
+            group.bench_with_input(id, &slots, |b, &slots| {
+                let mut pool = VictimPool::new(slots, policy);
+                for slot in 0..slots as u32 {
+                    pool.insert(slot);
+                }
+                let mut held: std::collections::VecDeque<Vec<u32>> = Default::default();
+                let mut cycle = 0u64;
+                b.iter(|| {
+                    cycle += 1;
+                    let mut victims = if held.len() > HELD {
+                        let mut expired = held.pop_front().expect("non-empty");
+                        for &slot in &expired {
+                            pool.insert(slot);
+                        }
+                        expired.clear();
+                        expired
+                    } else {
+                        Vec::with_capacity(batch)
+                    };
+                    for _ in 0..batch {
+                        let slot = pool.pop().expect("pool never runs dry");
+                        pool.touch(slot, cycle);
+                        victims.push(slot);
+                    }
+                    held.push_back(victims);
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_holdmask(c: &mut Criterion) {
     let slots = 100_000usize;
     let mut group = c.benchmark_group("holdmask_advance_and_set");
@@ -67,5 +114,5 @@ fn bench_holdmask(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_plan_stage, bench_holdmask);
+criterion_group!(benches, bench_plan_stage, bench_victim_pool, bench_holdmask);
 criterion_main!(benches);

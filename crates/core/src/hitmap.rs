@@ -58,15 +58,13 @@ impl HitMap {
         }
     }
 
-    /// Records a hit or miss for an ID the caller already resolved via
+    /// Records the hits and misses of IDs the caller already resolved via
     /// [`HitMap::peek`] — lets Plan probe each current ID once instead of
-    /// twice (peek for protection, query for planning).
-    pub(crate) fn record(&mut self, hit: bool) {
-        if hit {
-            self.lifetime_hits += 1;
-        } else {
-            self.lifetime_misses += 1;
-        }
+    /// twice (peek for protection, query for planning) and book the whole
+    /// batch in one step.
+    pub(crate) fn record(&mut self, hits: u64, misses: u64) {
+        self.lifetime_hits += hits;
+        self.lifetime_misses += misses;
     }
 
     /// Inserts a mapping (the new occupant of `slot`).

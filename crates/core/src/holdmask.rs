@@ -71,12 +71,20 @@ impl NaiveHoldMask {
     }
 }
 
+/// One slot's stamped mask: `mask` as it stood at cycle `stamp`. Mask and
+/// stamp are always read and written together, so they share a record
+/// (one cache line per slot touched, not two).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Stamped {
+    stamp: u64,
+    mask: u32,
+}
+
 /// Lazily-shifted Hold mask: O(1) `advance`, same observable behavior as
 /// [`NaiveHoldMask`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoldMask {
-    masks: Vec<u32>,
-    stamps: Vec<u64>,
+    slots: Vec<Stamped>,
     cycle: u64,
     width: u32,
 }
@@ -90,8 +98,7 @@ impl HoldMask {
     pub fn new(slots: usize, width: u32) -> Self {
         assert!(width > 0 && width <= 31, "width must be in 1..=31");
         HoldMask {
-            masks: vec![0; slots],
-            stamps: vec![0; slots],
+            slots: vec![Stamped::default(); slots],
             cycle: 0,
             width,
         }
@@ -109,12 +116,12 @@ impl HoldMask {
 
     /// The mask of `slot` as it stands at the current cycle.
     pub fn effective(&self, slot: u32) -> u32 {
-        let s = slot as usize;
-        let age = self.cycle - self.stamps[s];
+        let Stamped { stamp, mask } = self.slots[slot as usize];
+        let age = self.cycle - stamp;
         if age >= 32 {
             0
         } else {
-            self.masks[s] >> age
+            mask >> age
         }
     }
 
@@ -124,15 +131,31 @@ impl HoldMask {
     ///
     /// Panics if `k >= width`.
     pub fn set_bit(&mut self, slot: u32, k: u32) {
+        let _ = self.extend(slot, k);
+    }
+
+    /// [`HoldMask::set_bit`] that also reports whether the protection
+    /// horizon moved: `Some(first_clear_cycle)` if bit `k` lies beyond
+    /// every bit already set (the slot is now held longer than before),
+    /// `None` if the slot was already held at least that long. The
+    /// manager queues an expiry only in the first case, so a slot has one
+    /// queue entry per horizon it ever reached, not one per protection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= width`.
+    pub fn extend(&mut self, slot: u32, k: u32) -> Option<u64> {
         assert!(
             k < self.width,
             "bit {k} outside window width {}",
             self.width
         );
-        let eff = self.effective(slot);
-        let s = slot as usize;
-        self.masks[s] = eff | (1 << k);
-        self.stamps[s] = self.cycle;
+        let before = self.effective(slot);
+        self.slots[slot as usize] = Stamped {
+            stamp: self.cycle,
+            mask: before | (1 << k),
+        };
+        ((1u32 << k) > before).then_some(self.cycle + u64::from(k) + 1)
     }
 
     /// True if `slot` may be evicted (effective mask all-zero).
@@ -141,7 +164,7 @@ impl HoldMask {
     }
 
     /// The first plan cycle at which `slot` becomes evictable, assuming no
-    /// further protection — drives the manager's expiry buckets.
+    /// further protection — what the manager's expiry buckets are keyed by.
     pub fn first_clear_cycle(&self, slot: u32) -> u64 {
         let eff = self.effective(slot);
         self.cycle + (32 - eff.leading_zeros()) as u64
@@ -193,6 +216,18 @@ mod tests {
         assert_eq!(m.first_clear_cycle(0), 1 + 6);
         // Untouched slot is clear now.
         assert_eq!(m.first_clear_cycle(1), m.cycle());
+    }
+
+    #[test]
+    fn extend_reports_exactly_the_horizon_growth() {
+        let mut m = HoldMask::new(1, 6);
+        assert_eq!(m.extend(0, 3), Some(4), "clear slot: any bit grows it");
+        assert_eq!(m.extend(0, 3), None, "same bit again");
+        assert_eq!(m.extend(0, 1), None, "shorter protection");
+        m.advance();
+        // Bit 3 set at cycle 0 now reads as bit 2: bit 3 is new growth.
+        assert_eq!(m.extend(0, 3), Some(1 + 4));
+        assert_eq!(m.first_clear_cycle(0), 5);
     }
 
     #[test]
@@ -253,7 +288,12 @@ mod tests {
                     fast.advance();
                 } else {
                     naive.set_bit(slot, bit);
-                    fast.set_bit(slot, bit);
+                    // `extend` is `set_bit` plus a growth report that must
+                    // agree with the horizon before and after.
+                    let before = fast.first_clear_cycle(slot);
+                    let grew = fast.extend(slot, bit);
+                    let after = fast.first_clear_cycle(slot);
+                    proptest::prop_assert_eq!(grew, (after > before).then_some(after));
                 }
                 for s in 0..8u32 {
                     proptest::prop_assert_eq!(

@@ -16,12 +16,27 @@
 //!    (evictions), and the full ID→slot assignment the \[Train\] stage
 //!    will use.
 //!
-//! Victim selection is `O(log n)` via expiry buckets: whenever a slot is
-//! protected, the cycle at which its Hold mask clears is computed and the
-//! slot is queued in a bucket for that cycle; each `plan` drains the due
-//! buckets into the policy-ordered pool.
-
-use std::collections::VecDeque;
+//! # Cost of the metadata path
+//!
+//! Every per-slot operation is `O(1)` and every per-batch pass is linear.
+//!
+//! * **Expiry ring.** A Hold mask set at cycle `c` clears at `c + width`
+//!   at the latest, so pending expiries live in a ring of `width + 1`
+//!   buckets indexed by `cycle mod (width + 1)`; each `plan` drains
+//!   exactly the bucket of its own cycle into the victim pool and hands
+//!   the emptied `Vec` back to the ring (no allocation per cycle).
+//! * **Enqueue on growth.** A slot is queued only when a protection
+//!   actually moves its horizon ([`HoldMask::extend`]): a row registered
+//!   by the look-ahead at `k = 2`, again at `k = 1`, and finally planned
+//!   as the current batch reaches the same horizon three times but is
+//!   queued once. Invariant: a slot whose mask is not clear has an entry
+//!   in the bucket of its `first_clear_cycle`; an entry whose slot was
+//!   re-protected since is skipped when drained (its newer entry stands).
+//! * **Victim pool.** Draining inserts into the [`VictimPool`], whose LRU
+//!   order is a run queue with `O(1)` `insert` / `remove` / `pop` (see
+//!   [`crate::policy`]); LFU and Random keep an `O(log n)` ordered set.
+//! * **Output.** [`ScratchpadManager::plan_into`] fills a caller-owned
+//!   [`TablePlan`] in place, so a recycled plan costs no allocation.
 
 use crate::config::WindowConfig;
 use crate::error::ScratchError;
@@ -134,8 +149,9 @@ pub struct ScratchpadManager {
     slot_row: Vec<Option<u64>>,
     pool: VictimPool,
     free: Vec<u32>,
-    expiry: VecDeque<Vec<u32>>,
-    expiry_base: u64,
+    /// Expiry ring: `expiry[c % len]` holds the slots whose Hold mask
+    /// clears at cycle `c`, for the `len - 1` cycles after the current one.
+    expiry: Vec<Vec<u32>>,
     stats: ScratchpadStats,
     /// Reusable per-plan probe cache: the protection pass records each
     /// current ID's Hit-Map result here so the planning pass below never
@@ -170,8 +186,7 @@ impl ScratchpadManager {
             pool: VictimPool::new(slots, policy),
             // Stack of never-used slots, popped in ascending order.
             free: (0..slots as u32).rev().collect(),
-            expiry: VecDeque::new(),
-            expiry_base: 0,
+            expiry: vec![Vec::new(); window.width() as usize + 1],
             stats: ScratchpadStats::default(),
             probe: Vec::new(),
         })
@@ -220,42 +235,33 @@ impl ScratchpadManager {
         v
     }
 
-    /// Protects `slot` through the `bit`-th upcoming plan cycle and queues
-    /// its new expiry.
+    /// Protects `slot` through the `bit`-th upcoming plan cycle; if that
+    /// moves its horizon, takes it out of the victim pool and queues the
+    /// new expiry. (A slot whose horizon did not move was already held, so
+    /// it is not pooled and its queued expiry still stands.)
     fn protect(&mut self, slot: u32, bit: u32) {
-        self.hold.set_bit(slot, bit);
-        self.pool.remove(slot);
-        let expiry = self.hold.first_clear_cycle(slot);
-        self.queue_expiry(slot, expiry);
-    }
-
-    fn queue_expiry(&mut self, slot: u32, at_cycle: u64) {
-        debug_assert!(at_cycle >= self.expiry_base);
-        let idx = (at_cycle - self.expiry_base) as usize;
-        while self.expiry.len() <= idx {
-            self.expiry.push_back(Vec::new());
+        if let Some(clear_at) = self.hold.extend(slot, bit) {
+            self.pool.remove(slot);
+            let len = self.expiry.len() as u64;
+            self.expiry[(clear_at % len) as usize].push(slot);
         }
-        self.expiry[idx].push(slot);
     }
 
-    /// Drains due expiry buckets into the victim pool.
+    /// Drains the bucket of cycle `now` into the victim pool.
     fn refresh_pool(&mut self, now: u64) {
-        while self.expiry_base <= now {
-            let Some(bucket) = self.expiry.pop_front() else {
-                self.expiry_base = now + 1;
-                break;
-            };
-            self.expiry_base += 1;
-            for slot in bucket {
-                // A later re-protection may have superseded this entry.
-                if self.hold.is_clear(slot)
-                    && self.slot_row[slot as usize].is_some()
-                    && !self.pool.contains(slot)
-                {
-                    self.pool.insert(slot);
-                }
+        let idx = (now % self.expiry.len() as u64) as usize;
+        let mut bucket = std::mem::take(&mut self.expiry[idx]);
+        for &slot in &bucket {
+            // Only mapped slots are ever protected, and a mapped slot is
+            // only ever remapped, never unmapped.
+            debug_assert!(self.slot_row[slot as usize].is_some());
+            // A later re-protection may have superseded this entry.
+            if self.hold.is_clear(slot) {
+                self.pool.insert(slot);
             }
         }
+        bucket.clear();
+        self.expiry[idx] = bucket;
     }
 
     /// Pre-fills free slots with `rows` (hottest first), marking them
@@ -285,16 +291,47 @@ impl ScratchpadManager {
     /// * `futures` — unique row IDs of the next `window.future` batches,
     ///   nearest first (fewer are allowed near the end of a trace).
     ///
+    /// Allocates a fresh [`TablePlan`]; the pipeline uses
+    /// [`ScratchpadManager::plan_into`] to refill a recycled one.
+    ///
     /// # Errors
     ///
     /// Returns [`ScratchError::CapacityExhausted`] if a miss finds no free
     /// or evictable slot — the §VI-D provisioning rule was violated.
     pub fn plan(&mut self, current: &[u64], futures: &[&[u64]]) -> Result<TablePlan, ScratchError> {
+        let mut out = TablePlan::default();
+        self.plan_into(current, futures, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ScratchpadManager::plan`] into a caller-owned plan: `out` is
+    /// overwritten (its previous contents are discarded, its allocations
+    /// reused; `lookup_unique` is left empty for
+    /// [`crate::stages::index_lookups`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ScratchpadManager::plan`]. After an error `out` holds the
+    /// part of the batch planned before capacity ran out, the manager has
+    /// booked exactly that part (its statistics and the Hit-Map's agree),
+    /// and it remains usable.
+    pub fn plan_into(
+        &mut self,
+        current: &[u64],
+        futures: &[&[u64]],
+        out: &mut TablePlan,
+    ) -> Result<(), ScratchError> {
         self.hold.advance();
         let now = self.hold.cycle();
         self.refresh_pool(now);
 
-        let mut out = TablePlan::default();
+        out.unique_ids.clear();
+        out.unique_slots.clear();
+        out.lookup_unique.clear();
+        out.fills.clear();
+        out.evictions.clear();
+        out.hits = 0;
+        out.misses = 0;
         let past_bit = self.window.past;
 
         // Protection must precede any victim selection. The paper's
@@ -334,30 +371,48 @@ impl ScratchpadManager {
 
         out.unique_ids.extend_from_slice(current);
         out.unique_slots.reserve(current.len());
-        for (&id, &cached) in current.iter().zip(probe.iter()) {
+        let result = self.assign_slots(current, &probe, now, out);
+        // Booked on the error path too, so a failed plan leaves the probe
+        // buffer in place and the two hit/miss counters in agreement.
+        self.probe = probe;
+        self.hit_map.record(out.hits, out.misses);
+        self.stats.hits += out.hits;
+        self.stats.misses += out.misses;
+        self.stats.evictions += out.evictions.len() as u64;
+
+        let held = self.slots - self.free.len() - self.pool.len();
+        self.stats.peak_held = self.stats.peak_held.max(held);
+        result
+    }
+
+    /// The planning pass: resolves every current ID to a slot — the probed
+    /// one on a hit, a free slot or the policy's victim on a miss.
+    fn assign_slots(
+        &mut self,
+        current: &[u64],
+        probe: &[Option<u32>],
+        now: u64,
+        out: &mut TablePlan,
+    ) -> Result<(), ScratchError> {
+        let past_bit = self.window.past;
+        for (&id, &cached) in current.iter().zip(probe) {
             let slot = if let Some(slot) = cached {
-                self.hit_map.record(true);
                 out.hits += 1;
                 self.pool.touch(slot, now);
                 slot
             } else {
-                self.hit_map.record(false);
                 out.misses += 1;
-                let slot = match self.free.pop().or_else(|| self.pool.pop()) {
-                    Some(s) => s,
-                    None => {
-                        return Err(ScratchError::CapacityExhausted {
-                            table: usize::MAX, // caller contextualizes
-                            cycle: now,
-                            slots: self.slots,
-                        });
-                    }
+                let Some(slot) = self.free.pop().or_else(|| self.pool.pop()) else {
+                    return Err(ScratchError::CapacityExhausted {
+                        table: usize::MAX, // caller contextualizes
+                        cycle: now,
+                        slots: self.slots,
+                    });
                 };
                 if let Some(old_row) = self.slot_row[slot as usize] {
                     let removed = self.hit_map.remove(old_row);
                     debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
                     out.evictions.push(Evict { row: old_row, slot });
-                    self.stats.evictions += 1;
                 }
                 self.slot_row[slot as usize] = Some(id);
                 self.hit_map.insert(id, slot);
@@ -368,13 +423,7 @@ impl ScratchpadManager {
             };
             out.unique_slots.push(slot);
         }
-        self.probe = probe;
-        self.stats.hits += out.hits;
-        self.stats.misses += out.misses;
-
-        let held = self.slots - self.free.len() - self.pool.len();
-        self.stats.peak_held = self.stats.peak_held.max(held);
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -465,6 +514,113 @@ mod tests {
         // Batch 1 needs two new slots but slots 0, 1 are held (past window).
         let err = m.plan(&[3, 4], &[]).unwrap_err();
         assert!(matches!(err, ScratchError::CapacityExhausted { .. }));
+    }
+
+    #[test]
+    fn capacity_error_leaves_the_manager_consistent_and_usable() {
+        let mut m = mgr(3, WindowConfig::PAPER);
+        let _ = m.plan(&[1, 2], &[]).unwrap();
+        // Row 1 hits, row 3 takes the last free slot, row 4 finds nothing:
+        // slots 0, 1 are held by the past window.
+        let mut out = TablePlan::default();
+        let err = m.plan_into(&[1, 3, 4, 5], &[], &mut out).unwrap_err();
+        assert!(matches!(
+            err,
+            ScratchError::CapacityExhausted {
+                cycle: 2,
+                slots: 3,
+                ..
+            }
+        ));
+        // The part planned before the failure is booked, once, in both
+        // counters: 2 + 2 misses (the failing probe of row 4 included) and
+        // the one hit; row 5 was never reached.
+        assert_eq!((out.hits, out.misses), (1, 2));
+        assert_eq!(out.fills, vec![Fill { row: 3, slot: 2 }]);
+        let stats = m.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 4));
+        assert_eq!(m.hit_map.stats(), (stats.hits, stats.misses));
+        assert!(
+            m.probe.capacity() >= 4,
+            "the reusable probe buffer must survive the error"
+        );
+        assert_eq!(m.lookup(3), Some(2));
+        assert_eq!(m.lookup(4), None);
+
+        // The manager keeps working: once the window has moved on, the
+        // same rows plan fine and the books still balance.
+        for _ in 0..4 {
+            let _ = m.plan(&[], &[]).unwrap();
+        }
+        let plan = m.plan(&[4, 5], &[]).unwrap();
+        assert_eq!(plan.misses, 2);
+        assert_eq!(plan.evictions.len(), 2);
+        let stats = m.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 6, 2));
+        assert_eq!(m.hit_map.stats(), (stats.hits, stats.misses));
+        for (row, slot) in m.residents() {
+            assert_eq!(m.slot_row(slot), Some(row));
+        }
+    }
+
+    #[test]
+    fn plan_into_overwrites_a_recycled_plan() {
+        let batches: Vec<Vec<u64>> = (0..12u64)
+            .map(|i| (0..6).map(|k| (i * 7 + k * 5) % 40).collect::<Vec<_>>())
+            .map(|mut v| {
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        let mut fresh = mgr(40, WindowConfig::PAPER);
+        let mut reused = mgr(40, WindowConfig::PAPER);
+        let mut out = TablePlan::default();
+        for (i, b) in batches.iter().enumerate() {
+            let f1 = batches.get(i + 1).map_or(&[][..], Vec::as_slice);
+            let f2 = batches.get(i + 2).map_or(&[][..], Vec::as_slice);
+            let want = fresh.plan(b, &[f1, f2]).unwrap();
+            // Leftovers of the previous batch, plus a stale lookup index.
+            out.lookup_unique.push(99);
+            reused.plan_into(b, &[f1, f2], &mut out).unwrap();
+            assert_eq!(out.unique_ids, want.unique_ids);
+            assert_eq!(out.unique_slots, want.unique_slots);
+            assert_eq!(out.fills, want.fills);
+            assert_eq!(out.evictions, want.evictions);
+            assert_eq!((out.hits, out.misses), (want.hits, want.misses));
+            assert!(out.lookup_unique.is_empty());
+        }
+        assert_eq!(fresh.stats(), reused.stats());
+    }
+
+    #[test]
+    fn a_slot_is_queued_once_per_horizon_not_once_per_protection() {
+        let mut m = mgr(8, WindowConfig::PAPER);
+        let queued = |m: &ScratchpadManager, slot: u32| {
+            m.expiry.iter().flatten().filter(|&&s| s == slot).count()
+        };
+        // Row 7 is planned, then seen by the look-ahead at k=2 and k=1,
+        // then planned again: four protections, but the last three all
+        // reach the horizon the k=2 registration set.
+        let _ = m.plan(&[7], &[]).unwrap();
+        let slot = m.lookup(7).unwrap();
+        assert_eq!(queued(&m, slot), 1);
+        let _ = m.plan(&[1], &[&[], &[7]]).unwrap();
+        assert_eq!(queued(&m, slot), 2, "k=2 moved the horizon");
+        let _ = m.plan(&[2], &[&[7], &[]]).unwrap();
+        assert_eq!(queued(&m, slot), 2, "k=1 reaches the same cycle");
+        let plan = m.plan(&[7], &[]).unwrap();
+        assert_eq!(plan.hits, 1);
+        assert_eq!(queued(&m, slot), 2, "so does the current batch");
+        // The stale first entry drains without effect; the live one frees
+        // the slot exactly when the window says so (cycle 4 + past 3 + 1).
+        for cycle in 5..8 {
+            let _ = m.plan(&[], &[]).unwrap();
+            assert!(!m.pool.contains(slot), "held at cycle {cycle}");
+        }
+        let _ = m.plan(&[], &[]).unwrap();
+        assert!(m.pool.contains(slot));
+        assert_eq!(queued(&m, slot), 0);
     }
 
     #[test]

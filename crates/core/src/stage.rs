@@ -228,6 +228,9 @@ pub struct PlanStage {
     managers: Vec<ScratchpadManager>,
     future_depth: usize,
     check_hazards: bool,
+    /// Scratch of the victim-safety check: one table's evicted rows,
+    /// sorted.
+    evicted: Vec<u64>,
 }
 
 impl fmt::Debug for PlanStage {
@@ -249,6 +252,7 @@ impl PlanStage {
             managers,
             future_depth,
             check_hazards,
+            evicted: Vec::new(),
         }
     }
 
@@ -266,16 +270,51 @@ impl PlanStage {
     /// `[i-past, i-1] ∪ [i+1, i+future]` — otherwise a RAW-②/③ (pending
     /// scratchpad write) or RAW-④ (pending CPU write-back racing a
     /// re-fetch) would occur in the pipeline.
+    ///
+    /// Linear in the plan and the window: each table's evicted rows are
+    /// sorted once and merged against every window batch's (already
+    /// sorted) unique IDs. Only when an intersection exists does
+    /// [`PlanStage::find_victim_violation`] run to name it.
     fn check_victim_safety(
+        &mut self,
         i: usize,
         plans: &[TablePlan],
         uniq: &[Vec<Vec<u64>>],
     ) -> Result<(), ScratchError> {
-        let past = 3usize; // stage distance Train←Collect in this pipeline
-        let future = 2usize; // stage distance Insert→Collect
+        let lo = i.saturating_sub(HAZARD_PAST);
+        let hi = (i + HAZARD_FUTURE).min(uniq.len() - 1);
+        for (t, plan) in plans.iter().enumerate() {
+            if plan.evictions.is_empty() {
+                continue;
+            }
+            self.evicted.clear();
+            self.evicted.extend(plan.evictions.iter().map(|ev| ev.row));
+            self.evicted.sort_unstable();
+            let mut window: [&[u64]; HAZARD_WINDOW] = [&[]; HAZARD_WINDOW];
+            for (lane, j) in window.iter_mut().zip((lo..=hi).filter(|&j| j != i)) {
+                *lane = &uniq[j][t];
+            }
+            if intersects_any(&self.evicted, window) {
+                return Self::find_victim_violation(i, plans, uniq);
+            }
+        }
+        Ok(())
+    }
+
+    /// The victim-safety check one eviction at a time: binary-searches
+    /// every evicted row in every window batch and reports the first
+    /// violating eviction in plan order, RAW-2/3 before RAW-4. The slow
+    /// path behind [`PlanStage::check_victim_safety`] — it builds the
+    /// error message — and the reference the linear check is tested
+    /// against.
+    fn find_victim_violation(
+        i: usize,
+        plans: &[TablePlan],
+        uniq: &[Vec<Vec<u64>>],
+    ) -> Result<(), ScratchError> {
         for (t, plan) in plans.iter().enumerate() {
             for ev in &plan.evictions {
-                let lo = i.saturating_sub(past);
+                let lo = i.saturating_sub(HAZARD_PAST);
                 for (j, u) in uniq.iter().enumerate().skip(lo).take(i - lo) {
                     if u[t].binary_search(&ev.row).is_ok() {
                         return Err(ScratchError::HazardViolation {
@@ -287,7 +326,7 @@ impl PlanStage {
                         });
                     }
                 }
-                let hi = (i + future).min(uniq.len() - 1);
+                let hi = (i + HAZARD_FUTURE).min(uniq.len() - 1);
                 for (j, u) in uniq
                     .iter()
                     .enumerate()
@@ -310,6 +349,42 @@ impl PlanStage {
     }
 }
 
+/// Stage distance Train←Collect in this pipeline: how far back a batch
+/// may still be writing the scratchpad rows it references.
+const HAZARD_PAST: usize = 3;
+/// Stage distance Insert→Collect: how far ahead a batch may re-fetch a
+/// row whose write-back is still in flight.
+const HAZARD_FUTURE: usize = 2;
+
+/// Batches in the hazard window besides the planning one.
+const HAZARD_WINDOW: usize = HAZARD_PAST + HAZARD_FUTURE;
+
+/// Whether ascending `a` shares an element with any of the ascending
+/// `others`: one two-pointer merge per lane, all lanes stepped in the
+/// same loop. A merge step is branch-free (both cursors advance by
+/// comparison results) but its next loads depend on the previous step, so
+/// a single merge is latency-bound; stepping the independent lanes
+/// together keeps that many loads in flight.
+fn intersects_any(a: &[u64], others: [&[u64]; HAZARD_WINDOW]) -> bool {
+    let mut cursors = [(0usize, 0usize); HAZARD_WINDOW];
+    let mut hit = false;
+    loop {
+        let mut live = false;
+        for (cursor, b) in cursors.iter_mut().zip(others) {
+            let (i, j) = *cursor;
+            if i < a.len() && j < b.len() {
+                let (x, y) = (a[i], b[j]);
+                hit |= x == y;
+                *cursor = (i + usize::from(x <= y), j + usize::from(y <= x));
+                live = true;
+            }
+        }
+        if !live {
+            return hit;
+        }
+    }
+}
+
 impl Stage for PlanStage {
     fn name(&self) -> &'static str {
         "Plan"
@@ -320,18 +395,18 @@ impl Stage for PlanStage {
         ctx: &StageCtx<'_>,
         payload: &mut StagePayload,
     ) -> Result<(), ScratchError> {
-        let (plans, traffic) = stages::plan(
+        payload.rearm(ctx.index);
+        payload.traffic.plan = stages::plan(
             &mut self.managers,
             ctx.batch(),
             ctx.uniq,
             ctx.index,
             self.future_depth,
+            &mut payload.plans,
         )?;
         if self.check_hazards && ctx.pipelined {
-            Self::check_victim_safety(ctx.index, &plans, ctx.uniq)?;
+            self.check_victim_safety(ctx.index, &payload.plans, ctx.uniq)?;
         }
-        payload.rearm(ctx.index, plans);
-        payload.traffic.plan = traffic;
         Ok(())
     }
 }
@@ -828,5 +903,98 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
 
         payload.loss = step.loss;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scratchpad::Evict;
+    use proptest::prelude::*;
+
+    fn plan_evicting(rows: &[u64]) -> TablePlan {
+        TablePlan {
+            evictions: rows
+                .iter()
+                .enumerate()
+                .map(|(slot, &row)| Evict {
+                    row,
+                    slot: slot as u32,
+                })
+                .collect(),
+            ..TablePlan::default()
+        }
+    }
+
+    fn sorted_unique(mut ids: Vec<u64>) -> Vec<u64> {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    #[test]
+    fn intersects_any_finds_a_shared_element_in_any_lane() {
+        let a = [3, 8, 20, 41];
+        let none: [&[u64]; HAZARD_WINDOW] = [&[1, 2, 4], &[], &[9, 19, 21, 40, 42], &[50], &[0]];
+        assert!(!intersects_any(&a, none));
+        for lane in 0..HAZARD_WINDOW {
+            for shared in a {
+                let with = sorted_unique(vec![1, 30, shared, 60]);
+                let mut others = none;
+                others[lane] = &with;
+                assert!(intersects_any(&a, others), "lane {lane}, row {shared}");
+            }
+        }
+        assert!(!intersects_any(&[], none));
+    }
+
+    proptest! {
+        /// The linear check and the per-eviction search return the same
+        /// `Result` — verdict and detail string — on random plans and
+        /// windows, clean or with a RAW-2/3 or RAW-4 violation injected
+        /// at a random position of a random table's eviction list.
+        #[test]
+        fn linear_victim_check_matches_the_per_eviction_search(
+            uniq in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(0u64..150, 0..10), 2..3),
+                1..9),
+            evictions in proptest::collection::vec(
+                proptest::collection::vec(0u64..150, 0..8), 2..3),
+            at in 0usize..9,
+            kind in 0u8..3,
+            table in 0usize..2,
+            picks in (0usize..9, 0usize..9, 0usize..9),
+        ) {
+            let uniq: Vec<Vec<Vec<u64>>> = uniq
+                .into_iter()
+                .map(|batch| batch.into_iter().map(sorted_unique).collect())
+                .collect();
+            let i = at % uniq.len();
+            let mut evictions = evictions;
+            let (batch_pick, row_pick, position) = picks;
+            // The batches a violation of the requested kind can come from.
+            let window: Vec<usize> = match kind {
+                1 => (i.saturating_sub(HAZARD_PAST)..i).collect(),
+                2 => (i + 1..=(i + HAZARD_FUTURE).min(uniq.len() - 1)).collect(),
+                _ => Vec::new(),
+            };
+            if !window.is_empty() {
+                let ids = &uniq[window[batch_pick % window.len()]][table];
+                if !ids.is_empty() {
+                    let list = &mut evictions[table];
+                    list.insert(position % (list.len() + 1), ids[row_pick % ids.len()]);
+                }
+            }
+            let plans: Vec<TablePlan> = evictions.iter().map(|rows| plan_evicting(rows)).collect();
+
+            let slow = PlanStage::find_victim_violation(i, &plans, &uniq);
+            let mut stage = PlanStage::new(Vec::new(), HAZARD_FUTURE, true);
+            let fast = stage.check_victim_safety(i, &plans, &uniq);
+            prop_assert_eq!(&fast, &slow);
+            if let Err(ScratchError::HazardViolation { detail }) = &slow {
+                prop_assert!(detail.contains("RAW-2/3") || detail.contains("RAW-4"));
+            }
+        }
     }
 }

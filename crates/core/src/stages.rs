@@ -64,11 +64,6 @@ impl StagedRows {
         self.offsets.truncate(1);
     }
 
-    /// Pre-allocates space for `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.rows.reserve_rows(additional);
-    }
-
     /// Sizes and seals the arena for exactly `counts[t]` rows per table in
     /// one shot, so the per-table blocks can be filled *out of order* (or
     /// concurrently) through [`StagedRows::table_blocks_mut`]. The result
@@ -230,10 +225,12 @@ impl StagePayload {
         }
     }
 
-    /// Re-arms a (possibly recycled) payload for mini-batch `index`,
-    /// pre-reserving the staging arenas for exactly the rows the plans
-    /// will move so \[Collect\] never grows them mid-stage.
-    pub fn rearm(&mut self, index: usize, plans: Vec<TablePlan>) {
+    /// Re-arms a (possibly recycled) payload for mini-batch `index`.
+    /// `plans` keeps the previous mini-batch's entries: the \[Plan\] stage
+    /// overwrites them in place ([`plan`]) so their buffers are reused,
+    /// and \[Collect\] sizes the staging arenas from the new plans in one
+    /// shot ([`StagedRows::prepare`]).
+    pub fn rearm(&mut self, index: usize) {
         self.index = index;
         self.staged_miss.reset();
         self.staged_evict.reset();
@@ -243,17 +240,11 @@ impl StagePayload {
         self.stage_shards.clear();
         self.shard_nanos.clear();
         self.checksum = None;
-        let (fills, evicts) = plans.iter().fold((0, 0), |(f, e), p| {
-            (f + p.fills.len(), e + p.evictions.len())
-        });
-        self.staged_miss.reserve_rows(fills);
-        self.staged_evict.reserve_rows(evicts);
-        self.plans = plans;
     }
 }
 
 /// A free list of retired [`StagePayload`]s. The pipeline holds at most
-/// *depth* payloads in flight, so after warm-up every acquire is a reuse.
+/// *depth* payloads in flight, so after warm-up every take is a reuse.
 #[derive(Debug, Default)]
 pub struct PayloadPool {
     free: Vec<StagePayload>,
@@ -265,17 +256,9 @@ impl PayloadPool {
         Self::default()
     }
 
-    /// Takes a recycled payload (or allocates the pipeline's next one) and
-    /// re-arms it.
-    pub fn acquire(&mut self, dim: usize, index: usize, plans: Vec<TablePlan>) -> StagePayload {
-        let mut p = self.free.pop().unwrap_or_else(|| StagePayload::new(dim));
-        p.rearm(index, plans);
-        p
-    }
-
     /// Takes a recycled payload (or allocates the pipeline's next one)
-    /// **without** re-arming it — the \[Plan\] stage re-arms once it has
-    /// chosen the plans.
+    /// **without** re-arming it — the \[Plan\] stage re-arms it and
+    /// refills its plans in place.
     pub fn take(&mut self, dim: usize) -> StagePayload {
         self.free.pop().unwrap_or_else(|| StagePayload::new(dim))
     }
@@ -352,11 +335,21 @@ impl TrainArena {
     }
 }
 
+/// Deepest look-ahead [`plan`] hands a manager: a valid window is at most
+/// 31 batches wide ([`WindowConfig::validate`](crate::WindowConfig::validate)),
+/// one of which is the current batch, and a manager ignores futures beyond
+/// its own window anyway.
+const MAX_FUTURE_DEPTH: usize = 30;
+
 /// \[Plan\] — one mini-batch across all tables: advance each scratchpad
 /// manager, pick fills and victims, and charge the sparse-ID upload +
 /// Hit-Map probe traffic. `uniq[j][t]` are the sorted unique IDs of batch
 /// `j`, table `t`; the `future_depth` batches after `i` are registered so
 /// their rows cannot be evicted (the paper's look-*forward*).
+///
+/// `plans` is overwritten with one plan per table, in place: a recycled
+/// payload's plans keep their buffers, so the steady state plans without
+/// allocating.
 ///
 /// # Errors
 ///
@@ -368,24 +361,30 @@ pub fn plan(
     uniq: &[Vec<Vec<u64>>],
     i: usize,
     future_depth: usize,
-) -> Result<(Vec<TablePlan>, Traffic), ScratchError> {
+    plans: &mut Vec<TablePlan>,
+) -> Result<Traffic, ScratchError> {
     let mut traffic = Traffic::ZERO;
-    let mut plans = Vec::with_capacity(managers.len());
-    for (t, manager) in managers.iter_mut().enumerate() {
-        let futures: Vec<&[u64]> = (1..=future_depth)
-            .filter_map(|k| uniq.get(i + k).map(|per_table| per_table[t].as_slice()))
-            .collect();
-        let mut plan = manager.plan(&uniq[i][t], &futures).map_err(|e| match e {
-            ScratchError::CapacityExhausted { cycle, slots, .. } => {
-                ScratchError::CapacityExhausted {
-                    table: t,
-                    cycle,
-                    slots,
+    plans.resize_with(managers.len(), TablePlan::default);
+    let upcoming = uniq.get(i + 1..).unwrap_or(&[]);
+    let upcoming = &upcoming[..upcoming.len().min(future_depth).min(MAX_FUTURE_DEPTH)];
+    for (t, (manager, plan)) in managers.iter_mut().zip(plans.iter_mut()).enumerate() {
+        let mut futures: [&[u64]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
+        for (future, per_table) in futures.iter_mut().zip(upcoming) {
+            *future = &per_table[t];
+        }
+        manager
+            .plan_into(&uniq[i][t], &futures[..upcoming.len()], plan)
+            .map_err(|e| match e {
+                ScratchError::CapacityExhausted { cycle, slots, .. } => {
+                    ScratchError::CapacityExhausted {
+                        table: t,
+                        cycle,
+                        slots,
+                    }
                 }
-            }
-            other => other,
-        })?;
-        index_lookups(&mut plan, batch.bag(t));
+                other => other,
+            })?;
+        index_lookups(plan, batch.bag(t));
         // Deduplicated sparse-ID upload: one u32 slot per unique ID plus
         // the u32 per-lookup index into the unique set — what the Train
         // gather actually consumes — instead of the raw u64 per lookup.
@@ -395,10 +394,9 @@ pub fn plan(
         // Hit-Map probes: one per unique ID.
         traffic.gpu_random_read_bytes += uniques * 16;
         traffic.gpu_ops += 1;
-        plans.push(plan);
     }
     traffic.pcie_ops += 1;
-    Ok((plans, traffic))
+    Ok(traffic)
 }
 
 /// Fills [`TablePlan::lookup_unique`]: for every raw lookup of `bag` (in
@@ -744,14 +742,24 @@ mod tests {
     #[test]
     fn payload_pool_recycles_allocations() {
         let mut pool = PayloadPool::new();
-        let mut p = pool.acquire(4, 0, Vec::new());
+        let mut p = pool.take(4);
+        p.rearm(0);
         p.staged_miss.push_row(&[0.0; 4]);
         p.staged_miss.end_table();
+        p.plans.push(TablePlan {
+            unique_ids: Vec::with_capacity(64),
+            ..TablePlan::default()
+        });
         pool.release(p);
-        let p = pool.acquire(4, 7, Vec::new());
+        let mut p = pool.take(4);
+        p.rearm(7);
         assert_eq!(p.index, 7);
         assert_eq!(p.staged_miss.total_rows(), 0, "re-arm must reset arenas");
         assert_eq!(p.traffic, StageTraffic::default());
+        assert!(
+            p.plans[0].unique_ids.capacity() >= 64,
+            "plans ride along for [Plan] to refill in place"
+        );
     }
 
     #[test]
