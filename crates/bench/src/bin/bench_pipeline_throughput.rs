@@ -36,14 +36,21 @@
 //! as a drop in `*_iters_per_sec` against the artifact of the previous
 //! run, with everything else (shapes, seeds, trace) held fixed. The
 //! `auto_schedule` field records which schedule [`Schedule::Auto`] picks
-//! for the shape: small shapes fall back to the synchronous driver, whose
-//! per-iteration work is too little to amortize thread handoff, and large
-//! shapes upgrade to data-parallel when the worker pool is wider than one
-//! thread. The `speedup_*_vs_sync` fields are derived from the same
-//! audit-sourced throughputs (`audit_check --bench` re-verifies the
-//! arithmetic), and `parallelism` records the worker-pool width the
-//! data-parallel run actually used — on a single-core host it is 1 and
-//! the data-parallel schedule degrades to the sync register pipeline.
+//! for the shape (the overlapped `threaded` schedule on a host with at
+//! least two CPUs, `sync` otherwise or when an iteration is too small to
+//! pay for its channel hops), and the bench prints the *regret* of that
+//! pick — how far it fell short of the fastest schedule just measured —
+//! exiting non-zero above 25 % on a host with two or more CPUs. The
+//! `speedup_*_vs_sync` fields are derived from the same audit-sourced
+//! throughputs (`audit_check --bench` re-verifies the arithmetic), and
+//! `parallelism` records the worker-pool width the data-parallel run
+//! actually used — on a single-core host it is 1 and the data-parallel
+//! schedule degrades to the sync register pipeline.
+//!
+//! `--calibrate` runs the sweep `Auto`'s rule is derived from instead
+//! (docs/perf.md, "Schedule calibration"): iteration sizes from 16 to
+//! 32 768 lookups at two embedding widths, best of five runs per
+//! schedule, printed as a markdown table. It writes no file.
 
 use embeddings::EmbeddingTable;
 use scratchpipe::{
@@ -274,29 +281,47 @@ fn make_tables(shape: &Shape) -> Vec<EmbeddingTable> {
         .collect()
 }
 
-/// Runs one shape under `schedule` and returns the audit-derived numbers
-/// plus the raw audit lines.
+/// Runs of each (shape, schedule) cell; its throughput is the best of
+/// them. One un-warmed run of a few milliseconds is too noisy to judge
+/// `Auto`'s pick against.
+const REPS: usize = 3;
+
+/// Runs one shape under `schedule` [`REPS`] times and returns the
+/// audit-derived numbers plus the raw audit lines of the last run — the
+/// only one `telemetry` is attached to, so the trace and metrics describe
+/// exactly the run the audit artifact does. `elapsed_ns` is the smallest
+/// of the runs' (each read from its own audit stream); everything else is
+/// deterministic for the trace.
 fn run_schedule(
     shape: &Shape,
     batches: &[embeddings::SparseBatch],
     schedule: Schedule,
     telemetry: Option<&Telemetry>,
 ) -> (AuditNumbers, Vec<String>) {
-    let sink = MemorySink::new();
-    let mut builder = Pipeline::builder()
-        .config(PipelineConfig::functional(shape.dim, shape.slots_per_table))
-        .tables(make_tables(shape))
-        .backend(UnitBackend::new(0.01))
-        .schedule(schedule)
-        .audit(sink.clone())
-        .named(&format!("bench-{}-{}", shape.name, schedule.name()));
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
+    let mut best_ns = u64::MAX;
+    let mut last = None;
+    for rep in 0..REPS {
+        let sink = MemorySink::new();
+        let mut builder = Pipeline::builder()
+            .config(PipelineConfig::functional(shape.dim, shape.slots_per_table))
+            .tables(make_tables(shape))
+            .backend(UnitBackend::new(0.01))
+            .schedule(schedule)
+            .audit(sink.clone())
+            .named(&format!("bench-{}-{}", shape.name, schedule.name()));
+        if let (Some(t), true) = (telemetry, rep + 1 == REPS) {
+            builder = builder.telemetry(t.clone());
+        }
+        let mut rt = builder.build().expect("pipeline");
+        rt.run(batches).expect("run");
+        let lines = sink.lines();
+        let numbers = parse_audit(&lines);
+        best_ns = best_ns.min(numbers.elapsed_ns);
+        last = Some((numbers, lines));
     }
-    let mut rt = builder.build().expect("pipeline");
-    rt.run(batches).expect("run");
-    let lines = sink.lines();
-    (parse_audit(&lines), lines)
+    let (mut numbers, lines) = last.expect("at least one run");
+    numbers.elapsed_ns = best_ns;
+    (numbers, lines)
 }
 
 fn run_shape(
@@ -370,8 +395,109 @@ fn run_shape(
     }
 }
 
+/// `Auto`'s shortfall against the fastest schedule measured for a shape,
+/// as a fraction of the fastest (0 = `Auto` picked the winner).
+fn auto_regret(r: &ShapeResult) -> f64 {
+    let best = r
+        .sync_iters_per_sec
+        .max(r.threaded_iters_per_sec)
+        .max(r.parallel_iters_per_sec);
+    1.0 - r.auto_iters_per_sec / best
+}
+
+/// Regret above which `--quick` fails on a host with at least two CPUs.
+const MAX_AUTO_REGRET: f64 = 0.25;
+
+/// The calibration sweep behind `Auto`'s rule: µs per iteration under
+/// each schedule (best of `SWEEP_REPS` runs, dedup and flush on the clock) as
+/// the iteration grows, at two embedding widths.
+fn calibrate() {
+    const SWEEP_REPS: usize = 5;
+    const ITERATIONS: usize = 200;
+    // (samples per batch, lookups per sample) over four tables.
+    let sizes = [
+        (1, 4),
+        (4, 4),
+        (8, 4),
+        (16, 4),
+        (24, 4),
+        (32, 4),
+        (64, 4),
+        (128, 4),
+        (128, 8),
+        (1024, 8),
+    ];
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    println!("cpus: {cpus}, {ITERATIONS} iterations per run, best of {SWEEP_REPS}\n");
+    println!("| lookups/iter | dim | sync µs | threaded µs | data_parallel µs | fastest | `Auto` picks |");
+    println!("|---:|---:|---:|---:|---:|---|---|");
+    for dim in [8, 64] {
+        for (batch_size, lookups_per_sample) in sizes {
+            let shape = Shape {
+                name: "sweep",
+                num_tables: 4,
+                rows_per_table: 20_000,
+                dim,
+                lookups_per_sample,
+                batch_size,
+                // Six all-distinct batches fit: no shape can run out.
+                slots_per_table: 6 * batch_size * lookups_per_sample + 64,
+                full_only: false,
+            };
+            let batches = TraceGenerator::new(TraceConfig {
+                num_tables: shape.num_tables,
+                rows_per_table: shape.rows_per_table,
+                lookups_per_sample,
+                batch_size,
+                profile: LocalityProfile::Medium,
+                seed: 0xCA_11B,
+            })
+            .take_batches(ITERATIONS);
+            let build = |schedule: Schedule| {
+                Pipeline::builder()
+                    .config(PipelineConfig::functional(dim, shape.slots_per_table))
+                    .tables(make_tables(&shape))
+                    .backend(UnitBackend::new(0.01))
+                    .schedule(schedule)
+                    .build()
+                    .expect("pipeline")
+            };
+            let schedules = [Schedule::Sync, Schedule::Threaded, Schedule::DataParallel];
+            let micros = schedules.map(|schedule| {
+                (0..SWEEP_REPS)
+                    .map(|_| {
+                        let mut rt = build(schedule);
+                        let t0 = std::time::Instant::now();
+                        rt.run(&batches).expect("run");
+                        t0.elapsed().as_secs_f64() * 1e6 / ITERATIONS as f64
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            });
+            let fastest = (0..schedules.len())
+                .min_by(|&a, &b| micros[a].total_cmp(&micros[b]))
+                .expect("three schedules");
+            let picked = build(Schedule::Auto)
+                .effective_schedule(&batches)
+                .expect("resolve");
+            println!(
+                "| {} | {dim} | {:.1} | {:.1} | {:.1} | {} | {} |",
+                batches[0].total_lookups(),
+                micros[0],
+                micros[1],
+                micros[2],
+                schedules[fastest].name(),
+                picked.name()
+            );
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--calibrate") {
+        calibrate();
+        return;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let out_path = args
         .iter()
@@ -442,10 +568,25 @@ fn main() {
         shapes.push(r);
     }
 
+    let host = host_envelope(quick);
+    let cpus = host.cpus;
+    let mut worst_regret = 0.0f64;
+    println!();
+    for r in &shapes {
+        let regret = auto_regret(r);
+        worst_regret = worst_regret.max(regret);
+        println!(
+            "{:<8} auto = {:<13} regret vs fastest measured: {:>5.1} %",
+            r.name,
+            r.auto_schedule,
+            regret * 100.0
+        );
+    }
+
     let report = BenchReport {
         bench: "pipeline_throughput".to_owned(),
         mode: if quick { "quick" } else { "full" }.to_owned(),
-        host: host_envelope(quick),
+        host,
         shapes,
     };
     let json = serde_json::to_string(&report).expect("serialize");
@@ -476,5 +617,15 @@ fn main() {
             tel.write_prometheus(path).expect("write Prometheus text");
             println!("wrote {path}");
         }
+    }
+    // Last, so every artifact is written either way. One CPU has no
+    // overlap to get right; `Auto` is `sync` there by construction.
+    if cpus >= 2 && worst_regret > MAX_AUTO_REGRET {
+        eprintln!(
+            "Auto's pick is {:.1} % slower than the fastest schedule measured (limit {:.0} %)",
+            worst_regret * 100.0,
+            MAX_AUTO_REGRET * 100.0
+        );
+        std::process::exit(1);
     }
 }

@@ -312,7 +312,7 @@ impl AuditEmitter {
         record: &IterationRecord,
         stage_names: &[&str],
         nanos: &[u64],
-        shards: &[Vec<u64>],
+        shards: &[&[u64]],
     ) {
         if self.sink.is_none() {
             return;

@@ -39,11 +39,12 @@
 //! The five stage bodies live **once**: free kernels in [`stages`],
 //! wrapped by the [`Stage`] implementors of [`stage`]. The single generic
 //! driver, [`Pipeline`], executes them under a [`Schedule`] — the
-//! synchronous register pipeline ([`Schedule::Sync`]), one OS thread per
-//! stage ([`Schedule::Threaded`]), intra-stage data parallelism over a
+//! synchronous register pipeline ([`Schedule::Sync`]), the overlapped
+//! pipeline with lanes of stages on their own threads
+//! ([`Schedule::Threaded`]), intra-stage data parallelism over a
 //! [`WorkerPool`] ([`Schedule::DataParallel`]), the unpipelined straw-man
-//! ([`Schedule::Sequential`]), or work-based selection
-//! ([`Schedule::Auto`]) — so bit-exact equivalence with
+//! ([`Schedule::Sequential`]), or overlap wherever it pays
+//! ([`Schedule::Auto`], the default) — so bit-exact equivalence with
 //! [`runtime::train_direct`], and identical per-stage [`StageTraffic`]
 //! accounting between schedules, holds by construction. Pipelines are
 //! built with [`PipelineBuilder`], and every run can emit a structured

@@ -6,19 +6,21 @@
 //! * [`Schedule::Sync`] — the paper's Figure-10 register pipeline: one
 //!   cycle executes every occupied stage in reverse register order on one
 //!   thread, so at steady state five mini-batches are in flight.
-//! * [`Schedule::Threaded`] — one OS thread per stage connected by
-//!   bounded channels (the software analogue of CPU threads, DMA engines
-//!   and GPU streams running concurrently), with each stage's declared
-//!   [`StageBarrier`]s enforced as watermark waits.
+//! * [`Schedule::Threaded`] — the overlapped pipeline: stages of
+//!   *different* mini-batches run concurrently on lanes (OS threads; the
+//!   software analogue of CPU threads, DMA engines and GPU streams)
+//!   connected by depth-1 channels, with each stage's declared
+//!   [`StageBarrier`]s enforced as watermark waits. An iteration then
+//!   costs the slowest lane, not the sum of the stages.
 //! * [`Schedule::Sequential`] — the §IV-B straw-man: each mini-batch
 //!   passes through all five stages before the next is admitted.
 //! * [`Schedule::DataParallel`] — the register pipeline with intra-stage
 //!   data parallelism: Collect, Insert and the Train gather/scatter shard
 //!   their iteration over a [`WorkerPool`]
 //!   (width set by [`PipelineBuilder::parallelism`]).
-//! * [`Schedule::Auto`] — picks Sync, Threaded or DataParallel from the
-//!   per-iteration work (see [`Schedule::AUTO_THREADED_MIN_WORK`] and
-//!   [`Schedule::AUTO_PARALLEL_MIN_WORK`]).
+//! * [`Schedule::Auto`] — the overlapped pipeline wherever it pays (more
+//!   than one CPU, enough lookups per iteration, a run longer than the
+//!   pipeline is deep), otherwise Sync.
 //!
 //! Because every schedule drives the *same* stage objects, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -34,7 +36,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use embeddings::store::DenseStore;
 use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
 use memsim::Traffic;
@@ -54,7 +56,11 @@ use crate::stage::{
 };
 use crate::stages::{self, PayloadPool, StagePayload};
 use crate::telemetry::{Lane, RunTelemetry, Telemetry};
-use crate::workers::WorkerPool;
+use crate::workers::{self, WorkerPool};
+
+/// Stages in the pipeline (Plan / Collect / Exchange / Insert / Train) —
+/// also its depth: the most mini-batches the register schedule overlaps.
+const STAGES: usize = 5;
 
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,8 +70,11 @@ pub enum Schedule {
     /// The unpipelined straw-man: one batch finishes all stages before
     /// the next starts. No overlap, so no hazards can arise.
     Sequential,
-    /// One OS thread per stage, bounded channels, watermark barriers.
-    /// Requires functional mode.
+    /// The overlapped pipeline (paper §IV-C): lanes of adjacent stages —
+    /// `[Plan] [Collect, Exchange] [Insert] [Train]` — each on its own OS
+    /// thread, depth-1 channels between them, watermark barriers, and
+    /// exactly `stages + 1` payloads circulating. Requires functional
+    /// mode.
     Threaded,
     /// The synchronous register pipeline with intra-stage data
     /// parallelism: Collect and Insert shard by table, the Train gather
@@ -74,37 +83,17 @@ pub enum Schedule {
     /// worker count (shards own disjoint outputs; no floating-point
     /// reduction is ever split). Requires functional mode.
     DataParallel,
-    /// Chooses [`Schedule::Sync`], [`Schedule::Threaded`] or
-    /// [`Schedule::DataParallel`] per run from the per-iteration work
-    /// estimate and the configured worker-pool width.
+    /// Chooses [`Schedule::Threaded`] when overlap pays and
+    /// [`Schedule::Sync`] otherwise: see
+    /// [`Pipeline::effective_schedule`] for the rule. Never picks
+    /// [`Schedule::DataParallel`], which lost to both at every shape of
+    /// the calibration sweep (docs/perf.md, "Schedule calibration") on the
+    /// 2-CPU host it was run on; whether it wins on wider machines is
+    /// unmeasured, so it stays an explicit choice.
     Auto,
 }
 
 impl Schedule {
-    /// Per-iteration work (first-batch sparse lookups × embedding dim —
-    /// the f32 elements gathered per iteration) below which [`Auto`]
-    /// stays on the synchronous schedule: for small shapes the channel
-    /// hand-offs and lock traffic of the threaded schedule cost more
-    /// than the overlap wins (measured from the audit stage timings of
-    /// `BENCH_pipeline.json`'s small shape, which regressed threaded
-    /// 1755.8 vs sync 1762.9 iters/s at work = 16 384; the medium shape,
-    /// work = 131 072, gains ~17 %).
-    ///
-    /// [`Auto`]: Schedule::Auto
-    pub const AUTO_THREADED_MIN_WORK: u64 = 48_000;
-
-    /// Per-iteration work (same units as
-    /// [`Schedule::AUTO_THREADED_MIN_WORK`]) at or above which [`Auto`]
-    /// upgrades from [`Threaded`] to [`DataParallel`] when the worker
-    /// pool is wider than one thread: intra-stage sharding only pays once
-    /// each stage region clears [`WorkerPool::MIN_SHARD_WORK`] per worker,
-    /// so the crossover sits well above the threaded one.
-    ///
-    /// [`Auto`]: Schedule::Auto
-    /// [`Threaded`]: Schedule::Threaded
-    /// [`DataParallel`]: Schedule::DataParallel
-    pub const AUTO_PARALLEL_MIN_WORK: u64 = 96_000;
-
     /// Stable lower-case name, as used in audit events.
     pub fn name(self) -> &'static str {
         match self {
@@ -114,6 +103,38 @@ impl Schedule {
             Schedule::DataParallel => "data_parallel",
             Schedule::Auto => "auto",
         }
+    }
+}
+
+/// Sparse lookups per iteration (first batch, all tables) from which
+/// [`Schedule::Auto`] overlaps.
+///
+/// From the calibration sweep (`bench_pipeline_throughput --calibrate`,
+/// 2-CPU host, best of 5 runs of 200 iterations, µs per iteration; full
+/// table in docs/perf.md, "Schedule calibration"): the lanes' channel hops
+/// and barrier waits cost a fixed 20–30 µs per iteration (16 lookups:
+/// sync 8.6, threaded 26.7), which overlap wins back once Plan — whose
+/// cost follows the lookup count, not the embedding width — is long
+/// enough to hide the other lanes behind. At dim 8 / dim 64, sync vs
+/// threaded: 256 lookups 55 vs 72 / 80 vs 96 (sync ahead), 384 lookups
+/// 84 vs 78 / 122 vs 114 (a tie within run-to-run spread), 512 lookups
+/// 99 vs 93 / 153 vs 97, 4 096 lookups 700 vs 493 / 1 105 vs 724. 512 is
+/// the smallest size measured at which overlap won at both widths, and
+/// the width barely moves the crossover, so the floor is in lookups.
+const AUTO_OVERLAP_MIN_LOOKUPS: u64 = 512;
+
+/// The [`Schedule::Auto`] rule, as a function of everything it looks at:
+/// whether data moves at all, the CPUs this process may run on, the sparse
+/// lookups of one iteration and the iterations driven back to back (the
+/// whole trace for [`Pipeline::run`], one checkpointed segment for
+/// [`Pipeline::run_supervised`]). Lanes on one CPU only take turns, a
+/// small iteration is cheaper than its channel hops, and a run no longer
+/// than the pipeline is deep drains before it has overlapped anything.
+fn auto_schedule(functional: bool, cpus: usize, lookups: u64, segment: usize) -> Schedule {
+    if functional && cpus >= 2 && lookups >= AUTO_OVERLAP_MIN_LOOKUPS && segment > STAGES {
+        Schedule::Threaded
+    } else {
+        Schedule::Sync
     }
 }
 
@@ -148,8 +169,6 @@ pub struct PipelineBuilder<B> {
     backend: Option<B>,
     schedule: Schedule,
     parallelism: usize,
-    auto_threaded_min_work: u64,
-    auto_parallel_min_work: u64,
     sink: Option<Box<dyn AuditSink>>,
     name: String,
     faults: Option<FaultPlan>,
@@ -179,8 +198,6 @@ impl<B> Default for PipelineBuilder<B> {
             backend: None,
             schedule: Schedule::default(),
             parallelism: 0,
-            auto_threaded_min_work: Schedule::AUTO_THREADED_MIN_WORK,
-            auto_parallel_min_work: Schedule::AUTO_PARALLEL_MIN_WORK,
             sink: None,
             name: "pipeline".to_owned(),
             faults: None,
@@ -229,29 +246,11 @@ impl<B: DenseBackend> PipelineBuilder<B> {
     }
 
     /// Sets the intra-stage worker count used by
-    /// [`Schedule::DataParallel`] (and by [`Schedule::Auto`] when it
-    /// resolves there). `0` — the default — sizes the pool to the
-    /// machine's available parallelism. Any width produces bit-identical
-    /// training results; only the wall-clock changes.
+    /// [`Schedule::DataParallel`]. `0` — the default — sizes the pool to
+    /// the machine's available parallelism. Any width produces
+    /// bit-identical training results; only the wall-clock changes.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
-        self
-    }
-
-    /// Overrides the per-iteration work floor (f32 elements gathered) at
-    /// which [`Schedule::Auto`] leaves the synchronous schedule (default
-    /// [`Schedule::AUTO_THREADED_MIN_WORK`]).
-    pub fn auto_threaded_min_work(mut self, work_elems: u64) -> Self {
-        self.auto_threaded_min_work = work_elems;
-        self
-    }
-
-    /// Overrides the per-iteration work floor at which
-    /// [`Schedule::Auto`] upgrades to [`Schedule::DataParallel`] (default
-    /// [`Schedule::AUTO_PARALLEL_MIN_WORK`]; only reached when the worker
-    /// pool is wider than one thread).
-    pub fn auto_parallel_min_work(mut self, work_elems: u64) -> Self {
-        self.auto_parallel_min_work = work_elems;
         self
     }
 
@@ -397,8 +396,6 @@ impl<B: DenseBackend> PipelineBuilder<B> {
             } else {
                 WorkerPool::new(self.parallelism)
             },
-            auto_threaded_min_work: self.auto_threaded_min_work,
-            auto_parallel_min_work: self.auto_parallel_min_work,
             config,
             pool: PayloadPool::new(),
             audit,
@@ -416,8 +413,6 @@ pub struct Pipeline<B> {
     config: PipelineConfig,
     schedule: Schedule,
     workers: WorkerPool,
-    auto_threaded_min_work: u64,
-    auto_parallel_min_work: u64,
     table_rows: u64,
     shared: Arc<SharedState>,
     plan: PlanStage,
@@ -556,8 +551,14 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// The schedule a run over `batches` would actually execute:
     /// [`Schedule::Auto`] resolves here, and [`Schedule::Threaded`] /
     /// [`Schedule::DataParallel`] are rejected in analytic mode (there is
-    /// no data for the stage threads or worker shards to move, and the
-    /// sync schedule counts identical cache events).
+    /// no data for the lanes or worker shards to move, and the sync
+    /// schedule counts identical cache events).
+    ///
+    /// `Auto` overlaps ([`Schedule::Threaded`]) when the pipeline is
+    /// functional, this process may run on at least two CPUs, the first
+    /// batch carries enough sparse lookups to outweigh the lanes' channel
+    /// hops, and the trace is longer than the pipeline is deep; otherwise
+    /// it is [`Schedule::Sync`].
     ///
     /// # Errors
     ///
@@ -565,43 +566,124 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// [`Schedule::Threaded`] or [`Schedule::DataParallel`] on a
     /// non-functional pipeline.
     pub fn effective_schedule(&self, batches: &[SparseBatch]) -> Result<Schedule, ScratchError> {
+        self.resolve_schedule(batches, batches.len())
+    }
+
+    /// [`Pipeline::effective_schedule`] for a run that drives `segment`
+    /// iterations at a time (only `Auto` cares).
+    fn resolve_schedule(
+        &self,
+        batches: &[SparseBatch],
+        segment: usize,
+    ) -> Result<Schedule, ScratchError> {
         match self.schedule {
-            Schedule::Sync => Ok(Schedule::Sync),
-            Schedule::Sequential => Ok(Schedule::Sequential),
-            Schedule::Threaded => {
-                if self.config.functional {
-                    Ok(Schedule::Threaded)
-                } else {
-                    Err(ScratchError::InvalidConfig {
-                        detail: "threaded schedule requires functional mode".to_owned(),
-                    })
-                }
-            }
-            Schedule::DataParallel => {
-                if self.config.functional {
-                    Ok(Schedule::DataParallel)
-                } else {
-                    Err(ScratchError::InvalidConfig {
-                        detail: "data-parallel schedule requires functional mode".to_owned(),
-                    })
-                }
+            Schedule::Threaded | Schedule::DataParallel if !self.config.functional => {
+                Err(ScratchError::InvalidConfig {
+                    detail: format!("{} schedule requires functional mode", self.schedule.name()),
+                })
             }
             Schedule::Auto => {
-                if !self.config.functional {
-                    return Ok(Schedule::Sync);
-                }
-                let work = batches
-                    .first()
-                    .map_or(0, |b| b.total_lookups() as u64 * self.config.dim as u64);
-                if self.workers.threads() > 1 && work >= self.auto_parallel_min_work {
-                    Ok(Schedule::DataParallel)
-                } else if work >= self.auto_threaded_min_work {
-                    Ok(Schedule::Threaded)
-                } else {
-                    Ok(Schedule::Sync)
-                }
+                let lookups = batches.first().map_or(0, |b| b.total_lookups() as u64);
+                Ok(auto_schedule(
+                    self.config.functional,
+                    workers::available_cpus(),
+                    lookups,
+                    segment,
+                ))
             }
+            explicit => Ok(explicit),
         }
+    }
+
+    fn stage_names(&self) -> [&'static str; STAGES] {
+        [
+            self.plan.name(),
+            self.collect.name(),
+            self.exchange.name(),
+            self.insert.name(),
+            self.train.name(),
+        ]
+    }
+
+    /// Worker-pool width a run under `schedule` shards over.
+    fn pool_width(&self, schedule: Schedule) -> usize {
+        match schedule {
+            Schedule::DataParallel => self.workers.threads(),
+            _ => 1,
+        }
+    }
+
+    /// Drives iterations `range` of `batches` through the stages under the
+    /// (resolved) `schedule`, retiring each finished iteration into `log`.
+    fn drive(
+        &mut self,
+        schedule: Schedule,
+        batches: &[SparseBatch],
+        range: Range<usize>,
+        telemetry: Option<&RunTelemetry>,
+        log: &mut RunLog,
+    ) -> Result<(), ScratchError> {
+        let mut stages: [&mut dyn Stage; STAGES] = [
+            &mut self.plan,
+            &mut self.collect,
+            &mut self.exchange,
+            &mut self.insert,
+            &mut self.train,
+        ];
+        let env = RunEnv {
+            batches,
+            dim: self.config.dim,
+            faults: self.faults.as_ref(),
+            telemetry,
+        };
+        let pool = &mut self.pool;
+        match schedule {
+            Schedule::Sequential => drive_sequential(&mut stages, pool, &env, range, log),
+            Schedule::Sync => drive_sync(&mut stages, pool, WorkerPool::inline(), &env, range, log),
+            // Data parallelism rides the register pipeline: the same
+            // driver, but stages see the real worker pool.
+            Schedule::DataParallel => drive_sync(&mut stages, pool, self.workers, &env, range, log),
+            Schedule::Threaded => drive_threaded(&mut stages, pool, &env, range, log),
+            Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
+        }
+    }
+
+    /// The tail every completed run shares: flush, assemble the report,
+    /// emit the iteration events and the closing event, close telemetry.
+    fn complete(
+        &mut self,
+        mut log: RunLog,
+        schedule: Schedule,
+        elapsed_ns: u64,
+        telemetry: Option<&RunTelemetry>,
+    ) -> PipelineReport {
+        let flush_traffic = self.flush();
+        let n = log.records.len();
+        let names = self.stage_names();
+        log.emit(&mut self.audit, &names, n);
+        let report = PipelineReport {
+            iterations: n,
+            records: std::mem::take(&mut log.records),
+            flush_traffic,
+            peak_held_slots: self
+                .plan
+                .managers()
+                .iter()
+                .map(|m| m.stats().peak_held)
+                .collect(),
+        };
+        self.audit
+            .run_completed(&report, elapsed_ns, schedule.name());
+        if let Some(tel) = telemetry {
+            tel.finish_run(
+                elapsed_ns,
+                n,
+                self.pool_width(schedule),
+                self.config.slots_per_table,
+                self.plan.managers(),
+            );
+        }
+        report
     }
 
     /// Runs the pipeline over `batches` under the configured schedule,
@@ -620,20 +702,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         self.validate_batches(batches)?;
         let schedule = self.effective_schedule(batches)?;
         let n = batches.len();
-        // Sorted unique IDs per (batch, table): used by Plan, future
-        // registration and the hazard checker.
-        let uniq: Vec<Vec<Vec<u64>>> = batches
-            .iter()
-            .map(|b| b.bags().map(|(_, bag)| bag.unique_ids()).collect())
-            .collect();
-        let mut records: Vec<IterationRecord> = (0..n)
-            .map(|i| IterationRecord {
-                index: i,
-                ..IterationRecord::default()
-            })
-            .collect();
-        let mut timings: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut shard_timings: Vec<Vec<Vec<u64>>> = vec![Vec::new(); n];
+        let mut log = RunLog::new(n);
 
         self.audit
             .run_started(schedule.name(), n, self.plan.managers().len(), &self.config);
@@ -642,125 +711,21 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             .as_ref()
             .map(|t| t.begin_run(&self.name, schedule.name()));
         let started = Instant::now();
-        let dim = self.config.dim;
+        self.plan.begin_run();
         // Plain runs are attempt 0 forever: armed faults fire raw, with
         // no supervisor to catch them.
         if let Some(inj) = &self.faults {
             inj.begin_attempt(0);
             let _ = inj.drain_log();
         }
-        let names: Vec<&'static str>;
-        {
-            let mut stages: [&mut dyn Stage; 5] = [
-                &mut self.plan,
-                &mut self.collect,
-                &mut self.exchange,
-                &mut self.insert,
-                &mut self.train,
-            ];
-            names = stages.iter().map(|s| s.name()).collect();
-            let faults = self.faults.as_ref();
-            let telemetry = run_tel.as_ref();
-            match schedule {
-                Schedule::Sequential => drive_sequential(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    WorkerPool::inline(),
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                Schedule::Sync => drive_sync(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    WorkerPool::inline(),
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                // Data parallelism rides the register pipeline: the same
-                // driver, but stages see the real worker pool.
-                Schedule::DataParallel => drive_sync(
-                    &mut stages,
-                    &mut self.pool,
-                    dim,
-                    self.workers,
-                    batches,
-                    &uniq,
-                    0..n,
-                    faults,
-                    telemetry,
-                    &mut records,
-                    &mut timings,
-                    &mut shard_timings,
-                )?,
-                Schedule::Threaded => {
-                    drive_threaded(
-                        &mut stages,
-                        dim,
-                        batches,
-                        &uniq,
-                        0..n,
-                        faults,
-                        telemetry,
-                        &mut records,
-                        &mut timings,
-                        &mut shard_timings,
-                    )?;
-                }
-                Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-            }
-        }
+        self.drive(schedule, batches, 0..n, run_tel.as_ref(), &mut log)?;
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         if let Some(inj) = &self.faults {
             for rec in inj.drain_log() {
                 self.audit.fault_injected(&rec);
             }
         }
-
-        let flush_traffic = self.flush();
-        let report = PipelineReport {
-            iterations: n,
-            records,
-            flush_traffic,
-            peak_held_slots: self
-                .plan
-                .managers()
-                .iter()
-                .map(|m| m.stats().peak_held)
-                .collect(),
-        };
-        for ((rec, nanos), shards) in report.records.iter().zip(&timings).zip(&shard_timings) {
-            self.audit.iteration(rec, &names, nanos, shards);
-        }
-        self.audit
-            .run_completed(&report, elapsed_ns, schedule.name());
-        if let Some(tel) = &run_tel {
-            let pool_width = match schedule {
-                Schedule::DataParallel => self.workers.threads(),
-                _ => 1,
-            };
-            tel.finish_run(
-                elapsed_ns,
-                n,
-                pool_width,
-                self.config.slots_per_table,
-                self.plan.managers(),
-            );
-        }
-        Ok(report)
+        Ok(self.complete(log, schedule, elapsed_ns, run_tel.as_ref()))
     }
 
     /// Runs the pipeline under supervision: the trace executes in
@@ -772,6 +737,11 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// its [`RecoveryPolicy::retry_budget`] degrades down the ladder
     /// `DataParallel → Threaded → Sync` (monotonically — a degraded run
     /// never climbs back) before the run aborts.
+    ///
+    /// [`Schedule::Auto`] resolves from the *segment* length, not the
+    /// trace length: every segment drains the pipeline, so overlap only
+    /// exists inside one, and at the default interval of 1 `Auto` is
+    /// [`Schedule::Sync`]. Explicit schedules are taken as given.
     ///
     /// Recovery is deterministic: with an armed seeded [`FaultPlan`]
     /// whose faults are all recoverable, the returned report and the
@@ -800,7 +770,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             });
         }
         self.validate_batches(batches)?;
-        let base = self.effective_schedule(batches)?;
+        let n = batches.len();
+        let base = self.resolve_schedule(batches, policy.checkpoint_interval.min(n))?;
         let ladder: Vec<Schedule> = match base {
             Schedule::DataParallel => {
                 vec![Schedule::DataParallel, Schedule::Threaded, Schedule::Sync]
@@ -808,19 +779,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             Schedule::Threaded => vec![Schedule::Threaded, Schedule::Sync],
             other => vec![other],
         };
-        let n = batches.len();
-        let uniq: Vec<Vec<Vec<u64>>> = batches
-            .iter()
-            .map(|b| b.bags().map(|(_, bag)| bag.unique_ids()).collect())
-            .collect();
-        let mut records: Vec<IterationRecord> = (0..n)
-            .map(|i| IterationRecord {
-                index: i,
-                ..IterationRecord::default()
-            })
-            .collect();
-        let mut timings: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut shard_timings: Vec<Vec<Vec<u64>>> = vec![Vec::new(); n];
+        let mut log = RunLog::new(n);
         let mut stats = RecoveryStats::default();
 
         self.audit.run_started(
@@ -834,17 +793,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             .as_ref()
             .map(|t| t.begin_run(&self.name, ladder[0].name()));
         let started = Instant::now();
-        let dim = self.config.dim;
-        let names: Vec<&'static str> = {
-            let stage_refs: [&dyn Stage; 5] = [
-                &self.plan,
-                &self.collect,
-                &self.exchange,
-                &self.insert,
-                &self.train,
-            ];
-            stage_refs.iter().map(|s| s.name()).collect()
-        };
+        self.plan.begin_run();
         if let Some(inj) = &self.faults {
             let _ = inj.drain_log();
         }
@@ -862,74 +811,13 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 if let Some(inj) = &self.faults {
                     inj.begin_attempt(attempt);
                 }
-                let result = {
-                    let mut stages: [&mut dyn Stage; 5] = [
-                        &mut self.plan,
-                        &mut self.collect,
-                        &mut self.exchange,
-                        &mut self.insert,
-                        &mut self.train,
-                    ];
-                    let faults = self.faults.as_ref();
-                    let telemetry = run_tel.as_ref();
-                    match ladder[rung] {
-                        Schedule::Sequential => drive_sequential(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            WorkerPool::inline(),
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Sync => drive_sync(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            WorkerPool::inline(),
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::DataParallel => drive_sync(
-                            &mut stages,
-                            &mut self.pool,
-                            dim,
-                            self.workers,
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Threaded => drive_threaded(
-                            &mut stages,
-                            dim,
-                            batches,
-                            &uniq,
-                            seg_start..seg_end,
-                            faults,
-                            telemetry,
-                            &mut records,
-                            &mut timings,
-                            &mut shard_timings,
-                        ),
-                        Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-                    }
-                };
+                let result = self.drive(
+                    ladder[rung],
+                    batches,
+                    seg_start..seg_end,
+                    run_tel.as_ref(),
+                    &mut log,
+                );
                 if let Some(inj) = &self.faults {
                     for rec in inj.drain_log() {
                         stats.faults_injected += 1;
@@ -966,13 +854,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                                 // checkpoint, then abort with provenance.
                                 self.shared.end_undo();
                                 let _ = self.flush();
-                                for ((rec, nanos), shards) in records[..seg_start]
-                                    .iter()
-                                    .zip(&timings)
-                                    .zip(&shard_timings)
-                                {
-                                    self.audit.iteration(rec, &names, nanos, shards);
-                                }
+                                let names = self.stage_names();
+                                log.emit(&mut self.audit, &names, seg_start);
                                 self.audit.run_aborted(
                                     seg_start,
                                     attempt,
@@ -981,14 +864,10 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                                 );
                                 if let Some(tel) = &run_tel {
                                     publish_recovery_counters(tel, &stats, true);
-                                    let pool_width = match ladder[rung] {
-                                        Schedule::DataParallel => self.workers.threads(),
-                                        _ => 1,
-                                    };
                                     tel.finish_run(
                                         started.elapsed().as_nanos() as u64,
                                         seg_start,
-                                        pool_width,
+                                        self.pool_width(ladder[rung]),
                                         self.config.slots_per_table,
                                         self.plan.managers(),
                                     );
@@ -1013,37 +892,10 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         self.shared.end_undo();
         let elapsed_ns = started.elapsed().as_nanos() as u64;
 
-        let flush_traffic = self.flush();
-        let report = PipelineReport {
-            iterations: n,
-            records,
-            flush_traffic,
-            peak_held_slots: self
-                .plan
-                .managers()
-                .iter()
-                .map(|m| m.stats().peak_held)
-                .collect(),
-        };
-        for ((rec, nanos), shards) in report.records.iter().zip(&timings).zip(&shard_timings) {
-            self.audit.iteration(rec, &names, nanos, shards);
-        }
-        self.audit
-            .run_completed(&report, elapsed_ns, ladder[rung].name());
         if let Some(tel) = &run_tel {
             publish_recovery_counters(tel, &stats, false);
-            let pool_width = match ladder[rung] {
-                Schedule::DataParallel => self.workers.threads(),
-                _ => 1,
-            };
-            tel.finish_run(
-                elapsed_ns,
-                n,
-                pool_width,
-                self.config.slots_per_table,
-                self.plan.managers(),
-            );
         }
+        let report = self.complete(log, ladder[rung], elapsed_ns, run_tel.as_ref());
         stats.final_schedule = Some(ladder[rung]);
         Ok(SupervisedRun { report, stats })
     }
@@ -1115,26 +967,108 @@ fn publish_recovery_counters(tel: &RunTelemetry, stats: &RecoveryStats, aborted:
     tel.set_run_counter("sp_recovery_aborts_total", u64::from(aborted));
 }
 
-/// Fills one finished iteration's record from its retired payload.
-fn finalize_record(
-    rec: &mut IterationRecord,
-    p: &StagePayload,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
-) {
-    rec.index = p.index;
-    rec.hits = p.plans.iter().map(|t| t.hits).sum();
-    rec.misses = p.plans.iter().map(|t| t.misses).sum();
-    rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
-    rec.total_lookups = batches[p.index].total_lookups() as u64;
-    rec.unique_rows = uniq[p.index].iter().map(|u| u.len() as u64).sum();
-    rec.loss = p.loss;
-    rec.traffic = p.traffic;
+/// What a driver needs to know about the run it is driving a slice of.
+#[derive(Clone, Copy)]
+struct RunEnv<'a> {
+    batches: &'a [SparseBatch],
+    dim: usize,
+    faults: Option<&'a FaultInjector>,
+    telemetry: Option<&'a RunTelemetry>,
+}
+
+impl<'a> RunEnv<'a> {
+    fn ctx(&self, index: usize, pipelined: bool, workers: WorkerPool, lane: Lane) -> StageCtx<'a> {
+        StageCtx {
+            batches: self.batches,
+            index,
+            pipelined,
+            workers,
+            faults: self.faults,
+            telemetry: self.telemetry,
+            lane,
+        }
+    }
+}
+
+/// Everything a run records per iteration: the report's records and the
+/// audit stream's timings, in flat arrays sized once per run and filled
+/// by copy as payloads retire — a recycled payload keeps its own buffers.
+struct RunLog {
+    records: Vec<IterationRecord>,
+    /// `stage_nanos[i * STAGES + s]`: wall-clock nanos of stage `s` on
+    /// iteration `i`.
+    stage_nanos: Vec<u64>,
+    /// `shard_spans[i * STAGES + s]`: where in `shard_nanos` that stage's
+    /// per-shard nanos sit, as `(offset, len)`.
+    shard_spans: Vec<(usize, usize)>,
+    /// Per-shard nanos of every retirement, in retirement order (an
+    /// iteration a supervisor rolled back retires again; only its last
+    /// entry is referenced).
+    shard_nanos: Vec<u64>,
+}
+
+impl RunLog {
+    fn new(iterations: usize) -> Self {
+        RunLog {
+            records: (0..iterations)
+                .map(|i| IterationRecord {
+                    index: i,
+                    ..IterationRecord::default()
+                })
+                .collect(),
+            stage_nanos: vec![0; iterations * STAGES],
+            shard_spans: vec![(0, 0); iterations * STAGES],
+            shard_nanos: Vec::new(),
+        }
+    }
+
+    /// Records one finished iteration from its retiring payload.
+    fn retire(&mut self, p: &StagePayload, batch: &SparseBatch) {
+        let rec = &mut self.records[p.index];
+        rec.index = p.index;
+        rec.hits = p.plans.iter().map(|t| t.hits).sum();
+        rec.misses = p.plans.iter().map(|t| t.misses).sum();
+        rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
+        rec.total_lookups = batch.total_lookups() as u64;
+        rec.unique_rows = p.plans.iter().map(|t| t.num_unique() as u64).sum();
+        rec.loss = p.loss;
+        rec.traffic = p.traffic;
+
+        let base = p.index * STAGES;
+        self.stage_nanos[base..base + STAGES].copy_from_slice(&p.stage_nanos);
+        let mut from = 0;
+        for (span, &to) in self.shard_spans[base..base + STAGES]
+            .iter_mut()
+            .zip(&p.shard_ends)
+        {
+            *span = (self.shard_nanos.len(), to - from);
+            self.shard_nanos.extend_from_slice(&p.shard_nanos[from..to]);
+            from = to;
+        }
+    }
+
+    /// Emits the `iteration` events of the first `upto` iterations.
+    fn emit(&self, audit: &mut AuditEmitter, names: &[&str], upto: usize) {
+        if !audit.enabled() {
+            return;
+        }
+        let mut shards: Vec<&[u64]> = Vec::with_capacity(STAGES);
+        for (i, rec) in self.records[..upto].iter().enumerate() {
+            let stages = i * STAGES..(i + 1) * STAGES;
+            shards.clear();
+            shards.extend(
+                self.shard_spans[stages.clone()]
+                    .iter()
+                    .map(|&(at, len)| &self.shard_nanos[at..at + len]),
+            );
+            audit.iteration(rec, names, &self.stage_nanos[stages], &shards);
+        }
+    }
 }
 
 /// Executes `stage` on `payload`, appending the wall-clock nanoseconds to
-/// the payload's timing trail and the per-shard nanos the stage reported
-/// (empty for unsharded stages) to its shard trail. With telemetry
+/// the payload's timing trail and sealing the per-shard nanos the stage
+/// reported (none for unsharded stages) in its shard trail. With telemetry
 /// attached, the *same* duration integer that lands in the audit stream's
 /// `stage_nanos` is recorded as the stage span and histogram observation
 /// — that shared integer is what makes `audit_check --metrics` reconcile
@@ -1149,7 +1083,6 @@ fn timed_execute(
             return Err(e);
         }
     }
-    payload.shard_nanos.clear();
     let span_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
     let t0 = Instant::now();
     stage.execute(ctx, payload)?;
@@ -1158,59 +1091,42 @@ fn timed_execute(
     if let Some(tel) = ctx.telemetry {
         tel.stage_span(ctx.lane, ctx.index, stage.name(), span_start, dur_ns);
     }
-    let mut shard = std::mem::take(&mut payload.shard_nanos);
+    // Read after `execute`: [Plan] re-arms the payload, which empties the
+    // trail left by the batch the payload carried before.
+    let from = payload.shard_ends.last().copied().unwrap_or(0);
     if let Some(inj) = ctx.faults {
         // Artificial slowdowns are logical time: they land in the shard
         // trail (and thus the audit stream) without sleeping.
         for (s, nanos) in inj.slowdowns(ctx.index, stage.name()) {
-            if shard.is_empty() {
-                shard.push(nanos);
+            let shards = payload.shard_nanos.len() - from;
+            if shards == 0 {
+                payload.shard_nanos.push(nanos);
             } else {
-                let len = shard.len();
-                shard[s % len] += nanos;
+                payload.shard_nanos[from + s % shards] += nanos;
             }
         }
     }
-    payload.stage_shards.push(shard);
+    payload.shard_ends.push(payload.shard_nanos.len());
     Ok(())
 }
 
 /// The straw-man schedule: every batch runs all stages to completion
 /// before the next is admitted (`pipelined = false`, so victim-safety
 /// distances don't apply).
-#[allow(clippy::too_many_arguments)]
 fn drive_sequential(
     stages: &mut [&mut dyn Stage],
     pool: &mut PayloadPool,
-    dim: usize,
-    workers: WorkerPool,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
+    env: &RunEnv<'_>,
     range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
+    log: &mut RunLog,
 ) -> Result<(), ScratchError> {
     for i in range {
-        let ctx = StageCtx {
-            batches,
-            uniq,
-            index: i,
-            pipelined: false,
-            workers,
-            faults,
-            telemetry,
-            lane: Lane::Main,
-        };
-        let mut p = pool.take(dim);
+        let ctx = env.ctx(i, false, WorkerPool::inline(), Lane::Main);
+        let mut p = pool.take(env.dim);
         for stage in stages.iter_mut() {
             timed_execute(*stage, &ctx, &mut p)?;
         }
-        finalize_record(&mut records[i], &p, batches, uniq);
-        timings[i] = std::mem::take(&mut p.stage_nanos);
-        shard_timings[i] = std::mem::take(&mut p.stage_shards);
+        log.retire(&p, &env.batches[i]);
         pool.release(p);
     }
     Ok(())
@@ -1220,20 +1136,13 @@ fn drive_sequential(
 /// the stage registers in reverse order — so at steady state stage `s`
 /// processes batch `c - s` in cycle `c` — then admits the next batch at
 /// \[Plan\]. Implicitly satisfies every [`StageBarrier`].
-#[allow(clippy::too_many_arguments)]
 fn drive_sync(
     stages: &mut [&mut dyn Stage],
     pool: &mut PayloadPool,
-    dim: usize,
     workers: WorkerPool,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
+    env: &RunEnv<'_>,
     range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
+    log: &mut RunLog,
 ) -> Result<(), ScratchError> {
     let k = stages.len();
     // regs[s] holds the payload that stage s produced last cycle.
@@ -1242,21 +1151,10 @@ fn drive_sync(
     loop {
         for s in (1..k).rev() {
             if let Some(mut p) = regs[s - 1].take() {
-                let ctx = StageCtx {
-                    batches,
-                    uniq,
-                    index: p.index,
-                    pipelined: true,
-                    workers,
-                    faults,
-                    telemetry,
-                    lane: Lane::Main,
-                };
+                let ctx = env.ctx(p.index, true, workers, Lane::Main);
                 timed_execute(stages[s], &ctx, &mut p)?;
                 if s == k - 1 {
-                    finalize_record(&mut records[p.index], &p, batches, uniq);
-                    timings[p.index] = std::mem::take(&mut p.stage_nanos);
-                    shard_timings[p.index] = std::mem::take(&mut p.stage_shards);
+                    log.retire(&p, &env.batches[p.index]);
                     pool.release(p);
                 } else {
                     regs[s] = Some(p);
@@ -1264,17 +1162,8 @@ fn drive_sync(
             }
         }
         if next < range.end {
-            let ctx = StageCtx {
-                batches,
-                uniq,
-                index: next,
-                pipelined: true,
-                workers,
-                faults,
-                telemetry,
-                lane: Lane::Main,
-            };
-            let mut p = pool.take(dim);
+            let ctx = env.ctx(next, true, workers, Lane::Main);
+            let mut p = pool.take(env.dim);
             timed_execute(stages[0], &ctx, &mut p)?;
             regs[0] = Some(p);
             next += 1;
@@ -1285,36 +1174,141 @@ fn drive_sync(
     Ok(())
 }
 
-/// The concurrent schedule: one OS thread per stage, bounded data
-/// channels between adjacent stages, retired payloads recycled back to
-/// the first stage, and each stage's declared [`StageBarrier`]s enforced
-/// as watermark waits (a watched stage broadcasts each completed batch
-/// index; the waiter blocks until `completed >= i - lag`).
+/// The lanes of the overlapped schedule, as how many adjacent stages each
+/// runs back to back on its thread: `[Plan] [Collect, Exchange] [Insert]
+/// [Train]`. \[Exchange\] is one traffic assignment; it rides with the
+/// stage that hands it the payload rather than paying for a thread and a
+/// channel hop of its own.
+const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
+
+/// A barrier wait of one stage: the watched stage's completions, the
+/// batch lag, and the watched stage's name (for the stall span).
+type Watermark = (Receiver<usize>, i64, &'static str);
+
+/// One lane of the overlapped schedule: a thread's worth of adjacent
+/// stages plus the channel ends that connect it to its neighbours.
+struct LaneTask<'s, 'd> {
+    /// Pipeline index of the lane's first stage.
+    first: usize,
+    stages: &'s mut [&'d mut dyn Stage],
+    /// Per stage of the lane: the barriers it waits on …
+    waits: Vec<Vec<Watermark>>,
+    /// … and the waiters it tells about each batch it completes.
+    signals: Vec<Vec<Sender<usize>>>,
+    /// Where payloads come from: the upstream lane, or — on the source
+    /// lane — the recycle path.
+    rx: Receiver<StagePayload>,
+    /// Where they go: the downstream lane, or — on the sink lane — back
+    /// onto the recycle path.
+    tx: Sender<StagePayload>,
+    /// First stage of the downstream lane (labels the channel-depth
+    /// gauge); `None` on the sink lane.
+    downstream: Option<&'static str>,
+    /// Where finished iterations retire; `Some` on the sink lane only.
+    log: Option<&'s mut RunLog>,
+}
+
+impl LaneTask<'_, '_> {
+    /// Runs the lane over `range`. `Ok` covers both completion and a
+    /// quiet shutdown because a neighbour went away (it reported why).
+    fn run(
+        mut self,
+        env: &RunEnv<'_>,
+        range: Range<usize>,
+        watermark_floor: i64,
+    ) -> Result<(), ScratchError> {
+        let mut done: Vec<Vec<i64>> = self
+            .waits
+            .iter()
+            .map(|w| vec![watermark_floor; w.len()])
+            .collect();
+        for i in range {
+            // On the source lane this is also the back-pressure: a batch
+            // is admitted only when a payload has come back round.
+            let mut p = match self.rx.recv() {
+                Ok(p) => p,
+                Err(_) if self.first > 0 => return Ok(()),
+                // A lost recycle path means the sink died early; that must
+                // surface as an error even if the sink reported none.
+                Err(_) => {
+                    return Err(ScratchError::ChannelDisconnected {
+                        stage: self.stages[0].name().to_owned(),
+                    })
+                }
+            };
+            for (s, stage) in self.stages.iter_mut().enumerate() {
+                let lane = Lane::Stage((self.first + s) as u8);
+                for (w, (completions, lag, watched)) in self.waits[s].iter().enumerate() {
+                    let need = i as i64 - lag;
+                    if done[s][w] >= need {
+                        continue;
+                    }
+                    // Only waits that actually block become stall spans —
+                    // a satisfied watermark costs nothing.
+                    let stall_start = env.telemetry.map(RunTelemetry::now_ns);
+                    while done[s][w] < need {
+                        match completions.recv() {
+                            Ok(completed) => done[s][w] = completed as i64,
+                            Err(_) => return Ok(()),
+                        }
+                    }
+                    if let (Some(tel), Some(start)) = (env.telemetry, stall_start) {
+                        tel.barrier_stall(lane, i, stage.name(), watched, start);
+                    }
+                }
+                let ctx = env.ctx(i, true, WorkerPool::inline(), lane);
+                timed_execute(&mut **stage, &ctx, &mut p)?;
+                for waiter in &self.signals[s] {
+                    let _ = waiter.send(i);
+                }
+            }
+            if let Some(log) = self.log.as_deref_mut() {
+                log.retire(&p, &env.batches[i]);
+            }
+            if self.tx.send(p).is_err() {
+                return Ok(());
+            }
+            if let (Some(tel), Some(receiver)) = (env.telemetry, self.downstream) {
+                tel.channel_depth(receiver, self.tx.len() as u64);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The overlapped schedule: one OS thread per lane of [`LANE_STAGES`],
+/// depth-1 data channels between adjacent lanes, and each stage's declared
+/// [`StageBarrier`]s enforced as watermark waits (a watched stage
+/// broadcasts each completed batch index; the waiter blocks until
+/// `completed >= i - lag`).
+///
+/// Exactly `stages + 1` payloads exist for the whole call: they are taken
+/// from `pool` here, on the calling thread, and circulate — the sink lane
+/// hands each retired payload back to the source lane, which blocks until
+/// one arrives. No lane ever allocates a payload, and whatever comes back
+/// is returned to `pool` for the next call.
 ///
 /// Any stage error is stored (first wins) and shuts the pipeline down
 /// through channel disconnection.
-#[allow(clippy::too_many_arguments)]
 fn drive_threaded(
     stages: &mut [&mut dyn Stage],
-    dim: usize,
-    batches: &[SparseBatch],
-    uniq: &[Vec<Vec<u64>>],
+    pool: &mut PayloadPool,
+    env: &RunEnv<'_>,
     range: Range<usize>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&RunTelemetry>,
-    records: &mut [IterationRecord],
-    timings: &mut [Vec<u64>],
-    shard_timings: &mut [Vec<Vec<u64>>],
+    log: &mut RunLog,
 ) -> Result<(), ScratchError> {
     let k = stages.len();
-    assert!(k >= 2, "threaded schedule needs at least two stages");
+    assert_eq!(
+        LANE_STAGES.iter().sum::<usize>(),
+        k,
+        "the lanes must cover every stage exactly once"
+    );
 
     // Resolve barrier names to stage indices and wire one watermark
     // channel per (waiter, watched) pair. Each wait keeps the watched
     // stage's name so a blocking wait can be recorded as a stall span.
     let names: Vec<&'static str> = stages.iter().map(|s| s.name()).collect();
-    let mut waits: Vec<Vec<(Receiver<usize>, i64, &'static str)>> =
-        (0..k).map(|_| Vec::new()).collect();
+    let mut waits: Vec<Vec<Watermark>> = (0..k).map(|_| Vec::new()).collect();
     let mut signals: Vec<Vec<Sender<usize>>> = (0..k).map(|_| Vec::new()).collect();
     for s in 0..k {
         for barrier in stages[s].barriers() {
@@ -1333,170 +1327,65 @@ fn drive_threaded(
         }
     }
 
-    // Data channels between adjacent stages (depth 2, like the register
-    // file's one-in-flight-plus-one-ready occupancy), plus the recycle
-    // path from the last stage back to the first.
-    let mut txs: Vec<Option<Sender<StagePayload>>> = (0..k).map(|_| None).collect();
-    let mut rxs: Vec<Option<Receiver<StagePayload>>> = (0..k).map(|_| None).collect();
-    for s in 0..k - 1 {
-        let (tx, rx) = bounded::<StagePayload>(2);
-        txs[s] = Some(tx);
-        rxs[s + 1] = Some(rx);
+    let in_flight = k + 1;
+    let (recycle_tx, recycle_rx) = bounded::<StagePayload>(in_flight);
+    for _ in 0..in_flight {
+        recycle_tx
+            .send(pool.take(env.dim))
+            .expect("the recycle path has room for every payload");
     }
-    let (recycle_tx, recycle_rx) = unbounded::<StagePayload>();
+    // Kept so the payloads can be collected once the lanes are gone.
+    let returned = recycle_rx.clone();
 
-    let error: Arc<Mutex<Option<ScratchError>>> = Arc::new(Mutex::new(None));
-    let store_error = |slot: &Arc<Mutex<Option<ScratchError>>>, e: ScratchError| {
-        let mut guard = slot.lock();
-        if guard.is_none() {
-            *guard = Some(e);
-        }
-    };
-
+    let error: Mutex<Option<ScratchError>> = Mutex::new(None);
+    // Batches before the driven range committed in earlier segments, so
+    // their watermarks are already satisfied.
     let watermark_floor = range.start as i64 - 1;
     std::thread::scope(|scope| {
-        let mut sink = Some((records, timings, shard_timings));
-        let mut recycle_rx = Some(recycle_rx);
+        let mut rest = stages;
+        let mut waits = waits.into_iter();
+        let mut signals = signals.into_iter();
+        let mut upstream = Some(recycle_rx);
         let mut recycle_tx = Some(recycle_tx);
-        let stage_iter = stages
-            .iter_mut()
-            .zip(rxs)
-            .zip(txs)
-            .zip(waits)
-            .zip(signals)
-            .enumerate();
-        for (s, ((((stage, rx), tx), stage_waits), stage_signals)) in stage_iter {
-            let err_slot = Arc::clone(&error);
-            // Copy the downstream stage's name out of `names` so the
-            // `move` closure captures one `&'static str`, not the Vec.
-            let downstream = (s + 1 < k).then(|| names[s + 1]);
-            let lane = Lane::Stage(s as u8);
-            if s == 0 {
-                // First stage: source loop over the trace, reusing
-                // recycled payloads.
-                let recycle_rx = recycle_rx.take().expect("one source stage");
-                let tx = tx.expect("source stage has a downstream");
-                let range = range.clone();
-                scope.spawn(move || {
-                    for i in range {
-                        // An empty recycle path just mints a payload; a
-                        // disconnected one means the sink died early and
-                        // must surface as an explicit error, not silent
-                        // fresh-payload churn.
-                        let mut p = match recycle_rx.try_recv() {
-                            Ok(p) => p,
-                            Err(TryRecvError::Empty) => StagePayload::new(dim),
-                            Err(TryRecvError::Disconnected) => {
-                                store_error(
-                                    &err_slot,
-                                    ScratchError::ChannelDisconnected {
-                                        stage: stage.name().to_owned(),
-                                    },
-                                );
-                                return;
-                            }
-                        };
-                        let ctx = StageCtx {
-                            batches,
-                            uniq,
-                            index: i,
-                            pipelined: true,
-                            workers: WorkerPool::inline(),
-                            faults,
-                            telemetry,
-                            lane,
-                        };
-                        if let Err(e) = timed_execute(*stage, &ctx, &mut p) {
-                            store_error(&err_slot, e);
-                            return;
-                        }
-                        if tx.send(p).is_err() {
-                            return;
-                        }
-                        if let (Some(tel), Some(receiver)) = (telemetry, downstream) {
-                            tel.channel_depth(receiver, tx.len() as u64);
-                        }
-                        for sig in &stage_signals {
-                            let _ = sig.send(i);
-                        }
-                    }
-                });
+        let mut log = Some(log);
+        let mut first = 0;
+        for (l, &len) in LANE_STAGES.iter().enumerate() {
+            let (lane_stages, tail) = rest.split_at_mut(len);
+            rest = tail;
+            let is_sink = l + 1 == LANE_STAGES.len();
+            let (tx, next) = if is_sink {
+                (recycle_tx.take().expect("one sink lane"), None)
             } else {
-                let rx = rx.expect("non-source stage has an upstream");
-                let last_sink = if s == k - 1 { sink.take() } else { None };
-                let recycle = if s == k - 1 { recycle_tx.take() } else { None };
-                scope.spawn(move || {
-                    let mut last_sink = last_sink;
-                    // Batches before the driven range committed in earlier
-                    // segments, so their watermarks are already satisfied.
-                    let mut done: Vec<i64> = vec![watermark_floor; stage_waits.len()];
-                    for mut p in rx.iter() {
-                        let i = p.index;
-                        for (w, (wrx, lag, watched)) in stage_waits.iter().enumerate() {
-                            if done[w] >= i as i64 - lag {
-                                continue;
-                            }
-                            // Only waits that actually block become stall
-                            // spans — a satisfied watermark costs nothing.
-                            let stall_start = telemetry.map(RunTelemetry::now_ns);
-                            while done[w] < i as i64 - lag {
-                                match wrx.recv() {
-                                    Ok(completed) => done[w] = completed as i64,
-                                    Err(_) => return,
-                                }
-                            }
-                            if let (Some(tel), Some(start)) = (telemetry, stall_start) {
-                                tel.barrier_stall(lane, i, stage.name(), watched, start);
-                            }
-                        }
-                        let ctx = StageCtx {
-                            batches,
-                            uniq,
-                            index: i,
-                            pipelined: true,
-                            workers: WorkerPool::inline(),
-                            faults,
-                            telemetry,
-                            lane,
-                        };
-                        if let Err(e) = timed_execute(*stage, &ctx, &mut p) {
-                            store_error(&err_slot, e);
-                            return;
-                        }
-                        if let Some(tx) = &tx {
-                            if tx.send(p).is_err() {
-                                return;
-                            }
-                            if let (Some(tel), Some(receiver)) = (telemetry, downstream) {
-                                tel.channel_depth(receiver, tx.len() as u64);
-                            }
-                            for sig in &stage_signals {
-                                let _ = sig.send(i);
-                            }
-                        } else {
-                            // Sink stage: retire the payload.
-                            let (records, timings, shard_timings) =
-                                last_sink.as_mut().expect("one sink stage");
-                            finalize_record(&mut records[i], &p, batches, uniq);
-                            timings[i] = std::mem::take(&mut p.stage_nanos);
-                            shard_timings[i] = std::mem::take(&mut p.stage_shards);
-                            for sig in &stage_signals {
-                                let _ = sig.send(i);
-                            }
-                            if let Some(recycle) = &recycle {
-                                let _ = recycle.send(p);
-                            }
-                        }
-                    }
-                });
-            }
+                let (tx, rx) = bounded::<StagePayload>(1);
+                (tx, Some(rx))
+            };
+            let lane = LaneTask {
+                first,
+                stages: lane_stages,
+                waits: waits.by_ref().take(len).collect(),
+                signals: signals.by_ref().take(len).collect(),
+                rx: upstream.take().expect("every lane has an upstream"),
+                tx,
+                downstream: (!is_sink).then(|| names[first + len]),
+                log: if is_sink { log.take() } else { None },
+            };
+            upstream = next;
+            first += len;
+            let (error, range) = (&error, range.clone());
+            scope.spawn(move || {
+                if let Err(e) = lane.run(env, range, watermark_floor) {
+                    error.lock().get_or_insert(e);
+                }
+            });
         }
     });
 
-    // All stage threads joined at scope exit; take the first stored error
-    // without assuming exclusive ownership of the slot.
-    let first = error.lock().take();
-    match first {
+    // All lanes joined at scope exit. On the error path some payloads went
+    // down with their channels; the pool mints replacements next time.
+    while let Ok(p) = returned.try_recv() {
+        pool.release(p);
+    }
+    match error.into_inner() {
         Some(e) => Err(e),
         None => Ok(()),
     }
@@ -1507,7 +1396,7 @@ mod tests {
     use super::*;
     use crate::backend::UnitBackend;
     use crate::config::WindowConfig;
-    use crate::runtime::train_direct;
+    use crate::runtime::{train_direct, StageTraffic};
     use embeddings::TableBag;
     use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
@@ -2002,35 +1891,42 @@ mod tests {
         }
     }
 
-    fn auto_pipe(parallelism: usize) -> (Pipeline<UnitBackend>, Vec<SparseBatch>) {
-        // Big shape: 256 samples × 8 lookups × 4 tables × dim 32
-        // = 262 144 elements per iteration — above both default floors.
-        let cfg = TraceConfig {
+    #[test]
+    fn auto_rule_overlaps_only_where_it_pays() {
+        let floor = AUTO_OVERLAP_MIN_LOOKUPS;
+        let long = STAGES + 1;
+        // Either side of the lookup floor.
+        assert_eq!(auto_schedule(true, 2, floor, long), Schedule::Threaded);
+        assert_eq!(auto_schedule(true, 2, floor - 1, long), Schedule::Sync);
+        // One CPU never overlaps, however much work there is; any count
+        // from two up does.
+        assert_eq!(auto_schedule(true, 1, u64::MAX, long), Schedule::Sync);
+        assert_eq!(auto_schedule(true, 64, floor, long), Schedule::Threaded);
+        // A run no longer than the pipeline is deep has nothing to overlap.
+        assert_eq!(auto_schedule(true, 2, u64::MAX, STAGES), Schedule::Sync);
+        assert_eq!(auto_schedule(true, 2, u64::MAX, 0), Schedule::Sync);
+        // Analytic pipelines move no data.
+        assert_eq!(auto_schedule(false, 2, u64::MAX, long), Schedule::Sync);
+    }
+
+    #[test]
+    fn auto_resolves_from_the_first_batch_and_the_trace_length() {
+        let cpus = workers::available_cpus();
+        // 8 samples × 4 lookups × 3 tables = 96 lookups: under the floor.
+        let (_, small) = trace(LocalityProfile::Medium, 12);
+        // 256 samples × 8 lookups × 4 tables = 8 192 lookups: over it.
+        let big = TraceGenerator::new(TraceConfig {
             num_tables: 4,
             rows_per_table: 5_000,
             lookups_per_sample: 8,
             batch_size: 256,
             profile: LocalityProfile::Medium,
             seed: 9,
-        };
-        let big = TraceGenerator::new(cfg).take_batches(1);
-        let pipe = Pipeline::builder()
-            .config(PipelineConfig::functional(32, 4_000))
-            .tables(make_tables(4, 5_000, 32))
-            .backend(UnitBackend::new(0.05))
-            .schedule(Schedule::Auto)
-            .parallelism(parallelism)
-            .build()
-            .unwrap();
-        (pipe, big)
-    }
+        })
+        .take_batches(STAGES + 1);
+        assert!((small[0].total_lookups() as u64) < AUTO_OVERLAP_MIN_LOOKUPS);
+        assert!(big[0].total_lookups() as u64 >= AUTO_OVERLAP_MIN_LOOKUPS);
 
-    #[test]
-    fn auto_schedule_scales_with_per_iteration_work() {
-        // Small shape: 8 samples × 4 lookups × 3 tables × dim 8 = 768
-        // f32 elements per iteration — far below the crossover, so Auto
-        // stays synchronous regardless of pool width.
-        let (_, small) = trace(LocalityProfile::Medium, 2);
         let pipe = functional(
             PipelineConfig::functional(8, 150),
             make_tables(3, 400, 8),
@@ -2039,17 +1935,27 @@ mod tests {
         assert_eq!(pipe.effective_schedule(&small).unwrap(), Schedule::Sync);
         assert_eq!(pipe.effective_schedule(&[]).unwrap(), Schedule::Sync);
 
-        // Big shape with a width-1 pool: Auto goes threaded — data
-        // parallelism has nothing to shard over.
-        let (pipe, big) = auto_pipe(1);
-        assert_eq!(pipe.effective_schedule(&big).unwrap(), Schedule::Threaded);
-
-        // Same shape with a wider pool: Auto upgrades to data-parallel.
-        let (pipe, big) = auto_pipe(4);
-        assert_eq!(
-            pipe.effective_schedule(&big).unwrap(),
-            Schedule::DataParallel
-        );
+        // The pool width is not part of the rule: Auto never resolves to
+        // DataParallel, and what it does resolve to depends on this host's
+        // CPUs only through `auto_schedule`.
+        for parallelism in [1, 4] {
+            let pipe = Pipeline::builder()
+                .config(PipelineConfig::functional(32, 4_000))
+                .tables(make_tables(4, 5_000, 32))
+                .backend(UnitBackend::new(0.05))
+                .parallelism(parallelism)
+                .build()
+                .unwrap();
+            assert_eq!(pipe.schedule(), Schedule::Auto);
+            assert_eq!(
+                pipe.effective_schedule(&big).unwrap(),
+                auto_schedule(true, cpus, big[0].total_lookups() as u64, big.len())
+            );
+            assert_eq!(
+                pipe.effective_schedule(&big[..STAGES]).unwrap(),
+                Schedule::Sync
+            );
+        }
 
         // Analytic pipelines always resolve to sync.
         let analytic = Pipeline::<UnitBackend>::builder()
@@ -2061,48 +1967,66 @@ mod tests {
         assert_eq!(analytic.effective_schedule(&big).unwrap(), Schedule::Sync);
     }
 
+    /// The overlapped driver mints its payloads up front, on the calling
+    /// thread, and only circulates those: however long the run and however
+    /// often it is repeated, the pool has allocated `stages + 1`.
     #[test]
-    fn auto_thresholds_are_overridable_on_both_sides() {
-        // Work for this shape: 256 × 8 × 4 × 32 = 262 144 elements.
-        let work = 262_144u64;
+    fn overlapped_driver_circulates_exactly_stages_plus_one_payloads() {
+        let (_, batches) = trace(LocalityProfile::Medium, 40);
+        let mut pipe = functional(
+            PipelineConfig::functional(8, 192),
+            make_tables(3, 400, 8),
+            Schedule::Threaded,
+        );
+        assert_eq!(pipe.pool.minted(), 0);
+        let _ = pipe.run(&batches).unwrap();
+        assert_eq!(pipe.pool.minted(), STAGES + 1);
+        let _ = pipe.run(&batches[..3]).unwrap();
+        assert_eq!(pipe.pool.minted(), STAGES + 1, "second run reuses them");
 
-        // Threaded floor, width-1 pool. Exactly at the floor → Threaded;
-        // one element above the work → Sync.
-        let mk = |parallelism: usize, threaded: u64, parallel: u64| {
-            let cfg = TraceConfig {
-                num_tables: 4,
-                rows_per_table: 5_000,
-                lookups_per_sample: 8,
-                batch_size: 256,
-                profile: LocalityProfile::Medium,
-                seed: 9,
-            };
-            let big = TraceGenerator::new(cfg).take_batches(1);
-            let pipe = Pipeline::builder()
-                .config(PipelineConfig::functional(32, 4_000))
-                .tables(make_tables(4, 5_000, 32))
+        // The register pipeline holds at most one payload per stage.
+        let mut sync = functional(
+            PipelineConfig::functional(8, 192),
+            make_tables(3, 400, 8),
+            Schedule::Sync,
+        );
+        let _ = sync.run(&batches).unwrap();
+        assert!(sync.pool.minted() <= STAGES);
+    }
+
+    /// An error on any lane — first, middle or last — stops every other
+    /// lane (the run returns instead of hanging) and is the error
+    /// reported, not the disconnections it causes.
+    #[test]
+    fn a_stage_error_on_any_lane_shuts_the_overlapped_pipeline_down() {
+        use crate::faults::{Fault, FaultKind};
+        let (_, batches) = trace(LocalityProfile::Medium, 30);
+        for stage in StageTraffic::STAGE_NAMES {
+            let mut pipe = Pipeline::builder()
+                .config(PipelineConfig::functional(8, 192))
+                .tables(make_tables(3, 400, 8))
                 .backend(UnitBackend::new(0.05))
-                .schedule(Schedule::Auto)
-                .parallelism(parallelism)
-                .auto_threaded_min_work(threaded)
-                .auto_parallel_min_work(parallel)
+                .schedule(Schedule::Threaded)
+                .faults(FaultPlan::new(vec![Fault {
+                    iteration: 11,
+                    stage: stage.to_owned(),
+                    shard: 0,
+                    kind: FaultKind::StageError,
+                    fires: 1,
+                    slow_nanos: 0,
+                }]))
                 .build()
                 .unwrap();
-            pipe.effective_schedule(&big).unwrap()
-        };
-        assert_eq!(mk(1, work, u64::MAX), Schedule::Threaded);
-        assert_eq!(mk(1, work + 1, u64::MAX), Schedule::Sync);
-
-        // Parallel floor, width-4 pool. At the floor → DataParallel; one
-        // above → falls back to the threaded decision.
-        assert_eq!(mk(4, 0, work), Schedule::DataParallel);
-        assert_eq!(mk(4, 0, work + 1), Schedule::Threaded);
-        assert_eq!(mk(4, work + 1, work + 1), Schedule::Sync);
-
-        // A wide pool never matters below the parallel floor with a
-        // width-1 pool equivalent: parallel floor met but width 1 → the
-        // threaded path decides.
-        assert_eq!(mk(1, 0, work), Schedule::Threaded);
+            let err = pipe.run(&batches).unwrap_err();
+            assert_eq!(
+                err,
+                ScratchError::Injected {
+                    iteration: 11,
+                    stage: stage.to_owned(),
+                },
+                "fault at {stage}"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::error::ScratchError;
 use crate::faults::FaultInjector;
 use crate::recovery::TableUndo;
 use crate::scratchpad::{ScratchpadManager, TablePlan};
-use crate::stages::{self, StagePayload, TrainArena};
+use crate::stages::{self, StagePayload, TrainArena, UniqueWindow};
 use crate::telemetry::{Lane, RunTelemetry};
 use crate::workers::WorkerPool;
 
@@ -44,8 +44,6 @@ use crate::workers::WorkerPool;
 pub struct StageCtx<'a> {
     /// The full trace of mini-batches.
     pub batches: &'a [embeddings::SparseBatch],
-    /// Sorted unique IDs per `(batch, table)` — `uniq[j][t]`.
-    pub uniq: &'a [Vec<Vec<u64>>],
     /// Mini-batch index this execution processes.
     pub index: usize,
     /// Whether stages of different mini-batches overlap (true for the
@@ -222,12 +220,18 @@ impl SharedState {
 
 /// \[Plan\] — owns the per-table scratchpad managers: advances the
 /// Hit-Map, assigns slots, picks victims (Hold-mask permitting) and
-/// registers the look-ahead window. Also runs the victim-safety half of
-/// the hazard checker, which is a *plan-time* property.
+/// registers the look-ahead window. Also owns the [`UniqueWindow`] — the
+/// only copy of the trace's deduplicated IDs, bounded by the window — and
+/// runs the victim-safety half of the hazard checker, which is a
+/// *plan-time* property.
 pub struct PlanStage {
     managers: Vec<ScratchpadManager>,
     future_depth: usize,
     check_hazards: bool,
+    /// Sorted unique IDs of batches `i - HAZARD_PAST ..= i +
+    /// max(future_depth, HAZARD_FUTURE)`: everything planning and the
+    /// victim-safety check read.
+    window: UniqueWindow,
     /// Scratch of the victim-safety check: one table's evicted rows,
     /// sorted.
     evicted: Vec<u64>,
@@ -252,6 +256,7 @@ impl PlanStage {
             managers,
             future_depth,
             check_hazards,
+            window: UniqueWindow::new(HAZARD_PAST, future_depth.max(HAZARD_FUTURE)),
             evicted: Vec::new(),
         }
     }
@@ -265,6 +270,12 @@ impl PlanStage {
         &mut self.managers
     }
 
+    /// Forgets the deduplicated window: batch indices are about to refer
+    /// to a (possibly) different trace. Called at every run entry.
+    pub(crate) fn begin_run(&mut self) {
+        self.window.reset();
+    }
+
     /// Asserts the paper's sliding-window guarantee: an evicted row must
     /// not be referenced by any batch in the hazard window
     /// `[i-past, i-1] ∪ [i+1, i+future]` — otherwise a RAW-②/③ (pending
@@ -275,14 +286,7 @@ impl PlanStage {
     /// sorted once and merged against every window batch's (already
     /// sorted) unique IDs. Only when an intersection exists does
     /// [`PlanStage::find_victim_violation`] run to name it.
-    fn check_victim_safety(
-        &mut self,
-        i: usize,
-        plans: &[TablePlan],
-        uniq: &[Vec<Vec<u64>>],
-    ) -> Result<(), ScratchError> {
-        let lo = i.saturating_sub(HAZARD_PAST);
-        let hi = (i + HAZARD_FUTURE).min(uniq.len() - 1);
+    fn check_victim_safety(&mut self, i: usize, plans: &[TablePlan]) -> Result<(), ScratchError> {
         for (t, plan) in plans.iter().enumerate() {
             if plan.evictions.is_empty() {
                 continue;
@@ -290,12 +294,16 @@ impl PlanStage {
             self.evicted.clear();
             self.evicted.extend(plan.evictions.iter().map(|ev| ev.row));
             self.evicted.sort_unstable();
-            let mut window: [&[u64]; HAZARD_WINDOW] = [&[]; HAZARD_WINDOW];
-            for (lane, j) in window.iter_mut().zip((lo..=hi).filter(|&j| j != i)) {
-                *lane = &uniq[j][t];
+            // Batches past either end of the trace are not in the window.
+            let neighbours = (i.saturating_sub(HAZARD_PAST)..=i + HAZARD_FUTURE)
+                .filter(|&j| j != i)
+                .filter_map(|j| self.window.get(j));
+            let mut lanes: [&[u64]; HAZARD_WINDOW] = [&[]; HAZARD_WINDOW];
+            for (lane, per_table) in lanes.iter_mut().zip(neighbours) {
+                *lane = &per_table[t];
             }
-            if intersects_any(&self.evicted, window) {
-                return Self::find_victim_violation(i, plans, uniq);
+            if intersects_any(&self.evicted, lanes) {
+                return Self::find_victim_violation(i, plans, &self.window);
             }
         }
         Ok(())
@@ -310,13 +318,17 @@ impl PlanStage {
     fn find_victim_violation(
         i: usize,
         plans: &[TablePlan],
-        uniq: &[Vec<Vec<u64>>],
+        window: &UniqueWindow,
     ) -> Result<(), ScratchError> {
+        let references = |j: usize, t: usize, row: u64| {
+            window
+                .get(j)
+                .is_some_and(|per_table| per_table[t].binary_search(&row).is_ok())
+        };
         for (t, plan) in plans.iter().enumerate() {
             for ev in &plan.evictions {
-                let lo = i.saturating_sub(HAZARD_PAST);
-                for (j, u) in uniq.iter().enumerate().skip(lo).take(i - lo) {
-                    if u[t].binary_search(&ev.row).is_ok() {
+                for j in i.saturating_sub(HAZARD_PAST)..i {
+                    if references(j, t, ev.row) {
                         return Err(ScratchError::HazardViolation {
                             detail: format!(
                                 "plan {i} evicts row {} of table {t}, still referenced by \
@@ -326,14 +338,8 @@ impl PlanStage {
                         });
                     }
                 }
-                let hi = (i + HAZARD_FUTURE).min(uniq.len() - 1);
-                for (j, u) in uniq
-                    .iter()
-                    .enumerate()
-                    .skip(i + 1)
-                    .take(hi.saturating_sub(i))
-                {
-                    if u[t].binary_search(&ev.row).is_ok() {
+                for j in i + 1..=i + HAZARD_FUTURE {
+                    if references(j, t, ev.row) {
                         return Err(ScratchError::HazardViolation {
                             detail: format!(
                                 "plan {i} evicts row {} of table {t}, needed by upcoming \
@@ -396,16 +402,19 @@ impl Stage for PlanStage {
         payload: &mut StagePayload,
     ) -> Result<(), ScratchError> {
         payload.rearm(ctx.index);
+        // The one sort/dedup per (batch, table) of the whole run happens
+        // here, as each batch enters the window.
+        self.window.advance(ctx.batches, ctx.index);
         payload.traffic.plan = stages::plan(
             &mut self.managers,
             ctx.batch(),
-            ctx.uniq,
+            &self.window,
             ctx.index,
             self.future_depth,
             &mut payload.plans,
         )?;
         if self.check_hazards && ctx.pipelined {
-            self.check_victim_safety(ctx.index, &payload.plans, ctx.uniq)?;
+            self.check_victim_safety(ctx.index, &payload.plans)?;
         }
         Ok(())
     }
@@ -798,6 +807,13 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
             }
         }
 
+        // The per-lookup fan-out index is a pure function of the plan and
+        // the bag, and the gather/scatter below are its only readers, so
+        // it is built on their lane rather than on [Plan]'s.
+        for (plan, (_, bag)) in payload.plans.iter_mut().zip(batch.bags()) {
+            stages::index_lookups(plan, bag);
+        }
+
         // Functional training from the scratchpad, through the flat
         // pooled/gradient arenas.
         let dim = self.shared.dim;
@@ -988,9 +1004,11 @@ mod tests {
             }
             let plans: Vec<TablePlan> = evictions.iter().map(|rows| plan_evicting(rows)).collect();
 
-            let slow = PlanStage::find_victim_violation(i, &plans, &uniq);
+            let batches: Vec<_> = uniq.iter().map(|tables| stages::batch_of(tables)).collect();
             let mut stage = PlanStage::new(Vec::new(), HAZARD_FUTURE, true);
-            let fast = stage.check_victim_safety(i, &plans, &uniq);
+            stage.window.advance(&batches, i);
+            let slow = PlanStage::find_victim_violation(i, &plans, &stage.window);
+            let fast = stage.check_victim_safety(i, &plans);
             prop_assert_eq!(&fast, &slow);
             if let Err(ScratchError::HazardViolation { detail }) = &slow {
                 prop_assert!(detail.contains("RAW-2/3") || detail.contains("RAW-4"));

@@ -24,6 +24,10 @@
 //! * [`StagePayload`] / [`PayloadPool`] — the per-mini-batch pipeline
 //!   register; retired payloads are recycled, so a steady-state run keeps
 //!   exactly *pipeline-depth* payloads alive and allocates none.
+//! * [`UniqueWindow`] — the sorted unique IDs of the few mini-batches
+//!   \[Plan\] can see (hazard past + current + look-ahead), deduplicated
+//!   once as each batch enters and held in recycled buffers, so dedup
+//!   memory is bounded by the window and not by the trace.
 
 use embeddings::store::DenseStore;
 use embeddings::{ops, EmbeddingTable, SparseBatch, TableBag, VectorStore};
@@ -193,14 +197,15 @@ pub struct StagePayload {
     /// Wall-clock nanoseconds per executed stage, in execution order
     /// (recorded by the pipeline driver for the audit log).
     pub stage_nanos: Vec<u64>,
-    /// Per-shard wall-clock nanoseconds of each executed stage's parallel
-    /// regions, aligned with [`StagePayload::stage_nanos`] (empty for
-    /// stages that ran no shardable region).
-    pub stage_shards: Vec<Vec<u64>>,
-    /// Scratch the *currently executing* stage appends its parallel
-    /// regions' per-shard nanos to; the driver moves it into
-    /// [`StagePayload::stage_shards`] after each stage.
+    /// Per-shard wall-clock nanoseconds of every executed stage's parallel
+    /// regions, all stages back to back: the *currently executing* stage
+    /// appends its regions' per-shard nanos, and the driver seals the
+    /// stage's run in [`StagePayload::shard_ends`] afterwards.
     pub shard_nanos: Vec<u64>,
+    /// End offset into [`StagePayload::shard_nanos`] of each executed
+    /// stage's shards, aligned with [`StagePayload::stage_nanos`] (a stage
+    /// that ran no shardable region repeats the previous end).
+    pub shard_ends: Vec<usize>,
     /// Integrity checksum of the staged arenas, recorded at \[Collect\]
     /// and verified at \[Insert\] — `None` (the default) skips both
     /// sides. Only populated when an armed fault plan contains
@@ -219,8 +224,8 @@ impl StagePayload {
             traffic: StageTraffic::default(),
             loss: 0.0,
             stage_nanos: Vec::new(),
-            stage_shards: Vec::new(),
             shard_nanos: Vec::new(),
+            shard_ends: Vec::new(),
             checksum: None,
         }
     }
@@ -237,17 +242,19 @@ impl StagePayload {
         self.traffic = StageTraffic::default();
         self.loss = 0.0;
         self.stage_nanos.clear();
-        self.stage_shards.clear();
         self.shard_nanos.clear();
+        self.shard_ends.clear();
         self.checksum = None;
     }
 }
 
-/// A free list of retired [`StagePayload`]s. The pipeline holds at most
-/// *depth* payloads in flight, so after warm-up every take is a reuse.
+/// A free list of retired [`StagePayload`]s, and the only place a
+/// pipeline mints one. Every schedule holds a bounded number of payloads
+/// in flight, so after warm-up every take is a reuse.
 #[derive(Debug, Default)]
 pub struct PayloadPool {
     free: Vec<StagePayload>,
+    minted: usize,
 }
 
 impl PayloadPool {
@@ -260,7 +267,17 @@ impl PayloadPool {
     /// **without** re-arming it — the \[Plan\] stage re-arms it and
     /// refills its plans in place.
     pub fn take(&mut self, dim: usize) -> StagePayload {
-        self.free.pop().unwrap_or_else(|| StagePayload::new(dim))
+        self.free.pop().unwrap_or_else(|| {
+            self.minted += 1;
+            StagePayload::new(dim)
+        })
+    }
+
+    /// Payloads this pool has allocated since it was created — the
+    /// pipeline's payload footprint (takes served from the free list do
+    /// not count).
+    pub fn minted(&self) -> usize {
+        self.minted
     }
 
     /// Returns a retired payload to the free list.
@@ -335,6 +352,94 @@ impl TrainArena {
     }
 }
 
+/// The sorted unique IDs of the mini-batches around the one \[Plan\] is
+/// working on: `past` batches behind it (the hazard checker's look-back),
+/// the batch itself and `ahead` batches in front (look-ahead registration
+/// and the checker's look-forward).
+///
+/// A ring of `past + 1 + ahead` slots keyed by batch index: batch `j`
+/// lives in slot `j % len` and is deduplicated — one sort per table, into
+/// the slot's recycled buffers — when [`UniqueWindow::advance`] first
+/// finds it missing, which evicts the batch `len` positions behind it.
+/// Moving forward one batch therefore costs one dedup; repeating an index
+/// costs none; rewinding re-deduplicates exactly the batches that had been
+/// overwritten.
+#[derive(Debug)]
+pub struct UniqueWindow {
+    slots: Vec<WindowSlot>,
+    past: usize,
+    ahead: usize,
+}
+
+#[derive(Debug, Default)]
+struct WindowSlot {
+    /// The batch whose IDs `tables` holds, if any.
+    batch: Option<usize>,
+    /// Sorted unique IDs per table.
+    tables: Vec<Vec<u64>>,
+}
+
+impl UniqueWindow {
+    /// Creates an empty window reaching `past` batches back and `ahead`
+    /// batches forward.
+    pub fn new(past: usize, ahead: usize) -> Self {
+        UniqueWindow {
+            slots: (0..past + 1 + ahead)
+                .map(|_| WindowSlot::default())
+                .collect(),
+            past,
+            ahead,
+        }
+    }
+
+    /// Batches currently held, and the most there is room for.
+    #[cfg(test)]
+    fn held_and_capacity(&self) -> (usize, usize) {
+        let held = self.slots.iter().filter(|s| s.batch.is_some()).count();
+        (held, self.slots.len())
+    }
+
+    /// Forgets every batch (keeping the buffers). Batch indices only mean
+    /// something within one trace, so every run starts with this.
+    pub fn reset(&mut self) {
+        for slot in &mut self.slots {
+            slot.batch = None;
+        }
+    }
+
+    /// Makes batches `i - past ..= i + ahead` of `batches` (clipped to the
+    /// trace) available through [`UniqueWindow::get`].
+    pub fn advance(&mut self, batches: &[SparseBatch], i: usize) {
+        let len = self.slots.len();
+        let lo = i.saturating_sub(self.past);
+        let in_reach = batches
+            .iter()
+            .enumerate()
+            .skip(lo)
+            .take(i + self.ahead + 1 - lo);
+        for (j, batch) in in_reach {
+            let slot = &mut self.slots[j % len];
+            if slot.batch == Some(j) {
+                continue;
+            }
+            slot.batch = Some(j);
+            slot.tables.resize_with(batch.num_tables(), Vec::new);
+            for (ids, (_, bag)) in slot.tables.iter_mut().zip(batch.bags()) {
+                bag.unique_ids_into(ids);
+            }
+        }
+    }
+
+    /// Per-table sorted unique IDs of batch `j`: `Some` for every batch in
+    /// reach of the last [`advance`](UniqueWindow::advance) (and for an
+    /// older one whose slot has not been reused yet), `None` otherwise —
+    /// always for an index past the end of the trace.
+    pub fn get(&self, j: usize) -> Option<&[Vec<u64>]> {
+        let slot = &self.slots[j % self.slots.len()];
+        (slot.batch == Some(j)).then_some(slot.tables.as_slice())
+    }
+}
+
 /// Deepest look-ahead [`plan`] hands a manager: a valid window is at most
 /// 31 batches wide ([`WindowConfig::validate`](crate::WindowConfig::validate)),
 /// one of which is the current batch, and a manager ignores futures beyond
@@ -343,37 +448,53 @@ const MAX_FUTURE_DEPTH: usize = 30;
 
 /// \[Plan\] — one mini-batch across all tables: advance each scratchpad
 /// manager, pick fills and victims, and charge the sparse-ID upload +
-/// Hit-Map probe traffic. `uniq[j][t]` are the sorted unique IDs of batch
-/// `j`, table `t`; the `future_depth` batches after `i` are registered so
-/// their rows cannot be evicted (the paper's look-*forward*).
+/// Hit-Map probe traffic. `window` holds the sorted unique IDs of batch
+/// `i` and of the batches after it; up to `future_depth` of those are
+/// registered so their rows cannot be evicted (the paper's
+/// look-*forward*).
 ///
 /// `plans` is overwritten with one plan per table, in place: a recycled
 /// payload's plans keep their buffers, so the steady state plans without
-/// allocating.
+/// allocating. [`TablePlan::lookup_unique`] is left empty — it is a pure
+/// function of the plan and the bag that only the \[Train\]
+/// gather/scatter reads, so \[Train\] builds it ([`index_lookups`]) and
+/// the managers' critical path does not pay for it.
 ///
 /// # Errors
 ///
 /// Returns [`ScratchError::CapacityExhausted`] (tagged with the failing
 /// table) if a scratchpad cannot hold the window's working set.
+///
+/// # Panics
+///
+/// Panics if `window` was not [`UniqueWindow::advance`]d to `i`.
 pub fn plan(
     managers: &mut [ScratchpadManager],
     batch: &SparseBatch,
-    uniq: &[Vec<Vec<u64>>],
+    window: &UniqueWindow,
     i: usize,
     future_depth: usize,
     plans: &mut Vec<TablePlan>,
 ) -> Result<Traffic, ScratchError> {
     let mut traffic = Traffic::ZERO;
     plans.resize_with(managers.len(), TablePlan::default);
-    let upcoming = uniq.get(i + 1..).unwrap_or(&[]);
-    let upcoming = &upcoming[..upcoming.len().min(future_depth).min(MAX_FUTURE_DEPTH)];
+    let current = window.get(i).expect("window advanced to the planned batch");
+    let mut upcoming: [&[Vec<u64>]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
+    let mut depth = 0;
+    while depth < future_depth.min(MAX_FUTURE_DEPTH) {
+        let Some(ahead) = window.get(i + 1 + depth) else {
+            break;
+        };
+        upcoming[depth] = ahead;
+        depth += 1;
+    }
     for (t, (manager, plan)) in managers.iter_mut().zip(plans.iter_mut()).enumerate() {
         let mut futures: [&[u64]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
-        for (future, per_table) in futures.iter_mut().zip(upcoming) {
+        for (future, per_table) in futures.iter_mut().zip(&upcoming[..depth]) {
             *future = &per_table[t];
         }
         manager
-            .plan_into(&uniq[i][t], &futures[..upcoming.len()], plan)
+            .plan_into(&current[t], &futures[..depth], plan)
             .map_err(|e| match e {
                 ScratchError::CapacityExhausted { cycle, slots, .. } => {
                     ScratchError::CapacityExhausted {
@@ -384,12 +505,11 @@ pub fn plan(
                 }
                 other => other,
             })?;
-        index_lookups(plan, batch.bag(t));
         // Deduplicated sparse-ID upload: one u32 slot per unique ID plus
         // the u32 per-lookup index into the unique set — what the Train
         // gather actually consumes — instead of the raw u64 per lookup.
         let lookups = batch.bag(t).total_lookups() as u64;
-        let uniques = uniq[i][t].len() as u64;
+        let uniques = current[t].len() as u64;
         traffic.pcie_h2d_bytes += (uniques + lookups) * 4;
         // Hit-Map probes: one per unique ID.
         traffic.gpu_random_read_bytes += uniques * 16;
@@ -668,9 +788,131 @@ pub fn flush_rows(
     }
 }
 
+/// A one-sample batch whose lookups in table `t` are `tables[t]` (shared
+/// by this module's and [`crate::stage`]'s window tests).
+#[cfg(test)]
+pub(crate) fn batch_of(tables: &[Vec<u64>]) -> SparseBatch {
+    SparseBatch::new(
+        tables
+            .iter()
+            .map(|ids| TableBag::from_samples(std::slice::from_ref(ids)))
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn arb_trace() -> impl Strategy<Value = Vec<SparseBatch>> {
+        proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u64..40, 0..12), 2..3),
+            0..14,
+        )
+        .prop_map(|trace| trace.iter().map(|tables| batch_of(tables)).collect())
+    }
+
+    /// Everything [Plan] and the victim-safety check may ask the window
+    /// for after `advance(i)` — batches `i - past ..= i + ahead`, clipped
+    /// to the trace — is there; whatever else it still answers for is
+    /// right too; and nothing past the end of the trace ever is.
+    fn assert_window_matches(
+        window: &UniqueWindow,
+        batches: &[SparseBatch],
+        i: usize,
+        past: usize,
+        ahead: usize,
+    ) {
+        for j in 0..batches.len() + ahead + 2 {
+            let in_reach = (i.saturating_sub(past)..=i + ahead).contains(&j) && j < batches.len();
+            match window.get(j) {
+                Some(per_table) => {
+                    assert!(j < batches.len(), "batch {j} is past the trace");
+                    for (t, bag) in batches[j].bags() {
+                        assert_eq!(per_table[t], bag.unique_ids(), "batch {j} table {t}");
+                    }
+                }
+                None => assert!(!in_reach, "batch {j} missing at i = {i}"),
+            }
+        }
+        let (held, capacity) = window.held_and_capacity();
+        assert!(held <= capacity);
+        assert_eq!(capacity, past + 1 + ahead, "the ring never grows");
+    }
+
+    proptest! {
+        /// The window returns exactly `TableBag::unique_ids` for every
+        /// `(j, t)` in reach of the index it was advanced to — walking
+        /// forward, repeating an index (a supervised retry), rewinding (a
+        /// rolled-back segment) and across two runs over different traces
+        /// — and never holds more batches than `past + 1 + ahead`.
+        #[test]
+        fn unique_window_serves_exactly_the_batches_in_reach(
+            first in arb_trace(),
+            second in arb_trace(),
+            past in 0usize..4,
+            ahead in 0usize..4,
+            hops in proptest::collection::vec((0usize..14, 0usize..3), 0..24),
+        ) {
+            let mut window = UniqueWindow::new(past, ahead);
+            for trace in [&first, &second] {
+                // What `run` does on entry; without it, the second trace
+                // would be served the first one's IDs.
+                window.reset();
+                prop_assert_eq!(window.held_and_capacity().0, 0);
+                for i in 0..trace.len() {
+                    window.advance(trace, i);
+                    assert_window_matches(&window, trace, i, past, ahead);
+                }
+                // Arbitrary jumps: back, forward, and on the spot.
+                for &(at, repeats) in &hops {
+                    if trace.is_empty() {
+                        break;
+                    }
+                    let i = at % trace.len();
+                    for _ in 0..=repeats {
+                        window.advance(trace, i);
+                        assert_window_matches(&window, trace, i, past, ahead);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unique_window_dedups_each_batch_once_going_forward() {
+        // Walking forward, a batch already in the window is not touched
+        // again: poison the buffers behind the window's back and check the
+        // poison survives until the batch leaves.
+        let trace: Vec<SparseBatch> = (0..8u64).map(|i| batch_of(&[vec![i, i, i + 1]])).collect();
+        let mut window = UniqueWindow::new(1, 2);
+        window.advance(&trace, 0);
+        for slot in &mut window.slots {
+            if slot.batch == Some(2) {
+                slot.tables[0] = vec![777];
+            }
+        }
+        window.advance(&trace, 1);
+        window.advance(&trace, 2);
+        assert_eq!(
+            window.get(2).unwrap()[0],
+            vec![777],
+            "batch 2 was re-deduplicated"
+        );
+        window.advance(&trace, 2);
+        assert_eq!(
+            window.get(2).unwrap()[0],
+            vec![777],
+            "a repeated index is free"
+        );
+        // Once batch 6 takes its slot (6 % 4 == 2) the poison is gone, and
+        // rewinding rebuilds batch 2 from the trace.
+        window.advance(&trace, 4);
+        assert!(window.get(2).is_none());
+        window.advance(&trace, 2);
+        assert_eq!(window.get(2).unwrap()[0], vec![2, 3]);
+    }
 
     #[test]
     fn staged_rows_round_trip() {

@@ -12,8 +12,7 @@
 //! * [`Telemetry::write_chrome_trace`] — Chrome trace-event JSON
 //!   (`trace.json`), loadable in Perfetto or `chrome://tracing`. Each run
 //!   is a process; lane 0 is the driver thread, lanes 1–5 are the
-//!   threaded schedule's stage threads, lanes 100+ are
-//!   `DataParallel` workers.
+//!   threaded schedule's stages, lanes 100+ are `DataParallel` workers.
 //! * [`Telemetry::write_metrics_json`] — machine-readable `METRICS.json`
 //!   (consumed by `audit_check --metrics` for exact reconciliation
 //!   against the audit stream's `stage_nanos`).
@@ -60,7 +59,9 @@ use crate::workers::ShardTiming;
 pub enum Lane {
     /// The driver thread (sync / sequential / data-parallel schedules).
     Main,
-    /// Stage thread `s` (0 = Plan … 4 = Train) of the threaded schedule.
+    /// Stage `s` (0 = Plan … 4 = Train) of the threaded schedule. Stages
+    /// that share a thread there (Collect and Exchange) keep their own
+    /// lanes, so a trace reads the same whatever the grouping.
     Stage(u8),
     /// Worker `w` of a data-parallel shard region (0 = the thread that
     /// entered the region).

@@ -53,6 +53,15 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// CPUs this process may run on — affinity masks and cgroup quotas
+/// included, so under `taskset -c 0` this is 1 — or 1 if that cannot be
+/// determined.
+pub(crate) fn available_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// A fixed-width fork-join worker pool.
 ///
 /// Width 1 (the [`WorkerPool::inline`] pool) executes tasks on the calling
@@ -71,7 +80,20 @@ impl WorkerPool {
     /// Work floor (in f32 elements touched) below which
     /// [`WorkerPool::for_work`] degrades to inline execution: under it,
     /// the per-region thread-launch cost outweighs any parallel gain.
-    pub const MIN_SHARD_WORK: u64 = 32_768;
+    ///
+    /// Derivation (`cargo bench -p sp-bench --bench worker_pool`, 2-CPU
+    /// host; table in docs/perf.md): a region pays one scoped-thread
+    /// launch and join, 58–95 µs once the workers touch real data (an
+    /// empty region costs 16–53 µs). Width 2 at best halves a region's
+    /// inline time `T`, so it wins only when `T / 2` exceeds that, i.e.
+    /// `T` ≳ 150–200 µs. Row gathers and scatters run at 2–3 k elements
+    /// per µs, which puts the break-even near 400 k elements; measured,
+    /// the width-2 pool first ties the inline one at 2¹⁹ elements
+    /// (232 vs 235 µs) and loses below it (139 vs 133 µs at 2¹⁸, 144 vs
+    /// 43 µs at 2¹⁷). The previous floor of 32 768 elements — 8 µs of
+    /// work — made `Schedule::DataParallel` slower than `Schedule::Sync`
+    /// at every shape whose regions sat between the two floors.
+    pub const MIN_SHARD_WORK: u64 = 524_288;
 
     /// A pool of exactly `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
@@ -88,10 +110,7 @@ impl WorkerPool {
     /// A pool sized to the machine's available parallelism (1 if that
     /// cannot be determined).
     pub fn auto() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        WorkerPool::new(threads)
+        WorkerPool::new(available_cpus())
     }
 
     /// Pool width.

@@ -92,10 +92,19 @@ impl TableBag {
 
     /// The sorted, deduplicated set of IDs this bag touches.
     pub fn unique_ids(&self) -> Vec<u64> {
-        let mut v = self.ids.clone();
-        v.sort_unstable();
-        v.dedup();
+        let mut v = Vec::new();
+        self.unique_ids_into(&mut v);
         v
+    }
+
+    /// [`TableBag::unique_ids`] into a caller-owned buffer, which is
+    /// overwritten and keeps its allocation — the form a sliding window
+    /// over a trace recycles its buffers through.
+    pub fn unique_ids_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.ids);
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// `total_lookups / unique_ids` — the gradient-duplication factor that
@@ -216,6 +225,9 @@ mod tests {
     fn unique_ids_are_sorted_and_deduped() {
         let b = bag();
         assert_eq!(b.unique_ids(), vec![0, 2, 4, 5]);
+        let mut recycled = vec![9, 9, 9];
+        b.unique_ids_into(&mut recycled);
+        assert_eq!(recycled, b.unique_ids());
         // Row 0 is looked up twice: duplication ratio 5/4.
         assert!((b.duplication_ratio() - 1.25).abs() < 1e-12);
         assert_eq!(b.max_id(), Some(5));
