@@ -1,21 +1,44 @@
 //! Micro-benchmarks of the dense DLRM training step (bottom MLP →
-//! interaction → top MLP → BCE, forward + backward + SGD).
+//! interaction → top MLP → BCE, forward + backward + SGD), whole and per
+//! layer.
+//!
+//! The `linear_*` groups annotate each case with its FLOP count, so the
+//! printed `Melem/s` is MFLOP/s (÷ 1000 = GFLOP/s) — the number
+//! `docs/perf.md` "Dense step" sets against the host's measured ceiling
+//! for separate multiply + add under baseline x86-64 codegen.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dlrm::{DlrmConfig, DlrmModel, DlrmScratch};
+use dlrm::{DlrmConfig, DlrmModel, DlrmScratch, Mlp, MlpActivations};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A small model, and the benchmark's `train_bound` model
+/// (benchmark/src/workloads.rs) at its batch.
+fn step_cases() -> [(&'static str, DlrmConfig, usize); 3] {
+    let small = DlrmConfig {
+        dense_dim: 13,
+        bottom_widths: vec![13, 128, 32],
+        top_widths: vec![dlrm::interaction::output_dim(4, 32), 128, 1],
+        emb_dim: 32,
+        num_tables: 4,
+    };
+    let train_bound = DlrmConfig {
+        dense_dim: 13,
+        bottom_widths: vec![13, 128, 64, 64],
+        top_widths: vec![dlrm::interaction::output_dim(4, 64), 256, 128, 1],
+        emb_dim: 64,
+        num_tables: 4,
+    };
+    [
+        ("small/16", small.clone(), 16),
+        ("small/64", small, 64),
+        ("train_bound/256", train_bound, 256),
+    ]
+}
+
 fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("dlrm_train_step");
-    for &batch in &[16usize, 64] {
-        let cfg = DlrmConfig {
-            dense_dim: 13,
-            bottom_widths: vec![13, 128, 32],
-            top_widths: vec![dlrm::interaction::output_dim(4, 32), 128, 1],
-            emb_dim: 32,
-            num_tables: 4,
-        };
+    for (name, cfg, batch) in step_cases() {
         let mut model = DlrmModel::seeded(&cfg, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let dense: Vec<f32> = (0..batch * cfg.dense_dim)
@@ -28,13 +51,66 @@ fn bench_train_step(c: &mut Criterion) {
         let mut scratch = DlrmScratch::new();
         let labels: Vec<f32> = (0..batch).map(|_| f32::from(rng.gen_bool(0.5))).collect();
         group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &batch, |b, _| {
             b.iter(|| {
                 model.train_step_with(&mut scratch, &dense, &pooled, &labels, 0.01, &mut grads)
             });
         });
     }
     group.finish();
+}
+
+/// `train_bound`'s six layers, each as the one-layer ReLU `Mlp` the model
+/// runs it as (forward = kernel + activation epilogue; backward = ReLU
+/// mask + `dx` + SGD update, at `lr = 0` so every iteration sees the same
+/// weights), batch 256, over reused buffers.
+fn bench_layers(c: &mut Criterion) {
+    const BATCH: usize = 256;
+    const SHAPES: [(usize, usize); 6] = [
+        (13, 128),
+        (128, 64),
+        (64, 64),
+        (74, 256),
+        (256, 128),
+        (128, 1),
+    ];
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut forward = c.benchmark_group("linear_forward");
+    for (in_dim, out_dim) in SHAPES {
+        let mlp = Mlp::seeded(&[in_dim, out_dim], true, 5);
+        let x: Vec<f32> = (0..BATCH * in_dim)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let mut acts = MlpActivations::new();
+        forward.throughput(Throughput::Elements((2 * BATCH * in_dim * out_dim) as u64));
+        forward.bench_function(format!("{in_dim}x{out_dim}"), |b| {
+            b.iter(|| mlp.forward_into(&x, &mut acts));
+        });
+    }
+    forward.finish();
+
+    let mut backward = c.benchmark_group("linear_backward");
+    for (in_dim, out_dim) in SHAPES {
+        let mut mlp = Mlp::seeded(&[in_dim, out_dim], true, 5);
+        let x: Vec<f32> = (0..BATCH * in_dim)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let acts = mlp.forward(&x);
+        let dy: Vec<f32> = (0..BATCH * out_dim)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let (mut grad, mut spare) = (Vec::new(), Vec::new());
+        // dx and the weight update: two multiply-adds per weight per sample.
+        backward.throughput(Throughput::Elements((4 * BATCH * in_dim * out_dim) as u64));
+        backward.bench_function(format!("{in_dim}x{out_dim}"), |b| {
+            b.iter(|| {
+                grad.clear();
+                grad.extend_from_slice(&dy);
+                mlp.backward_into(&acts, 0.0, &mut grad, &mut spare);
+            });
+        });
+    }
+    backward.finish();
 }
 
 fn bench_interaction(c: &mut Criterion) {
@@ -61,5 +137,5 @@ fn bench_interaction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_train_step, bench_interaction);
+criterion_group!(benches, bench_train_step, bench_layers, bench_interaction);
 criterion_main!(benches);

@@ -100,6 +100,34 @@ pub fn backward(
     dout: &[f32],
     d_pooled: &mut [f32],
 ) -> Vec<f32> {
+    let mut d_bottom = Vec::new();
+    backward_into(
+        bottom,
+        pooled,
+        num_tables,
+        dim,
+        dout,
+        d_pooled,
+        &mut d_bottom,
+    );
+    d_bottom
+}
+
+/// [`backward`] writing `d_bottom` into a reusable buffer (resized in
+/// place and overwritten).
+///
+/// # Panics
+///
+/// Panics if buffer shapes disagree.
+pub fn backward_into(
+    bottom: &[f32],
+    pooled: &[f32],
+    num_tables: usize,
+    dim: usize,
+    dout: &[f32],
+    d_pooled: &mut [f32],
+    d_bottom: &mut Vec<f32>,
+) {
     let batch = bottom.len() / dim;
     let t = num_tables;
     let out_dim = output_dim(t, dim);
@@ -110,7 +138,8 @@ pub fn backward(
     );
     assert_eq!(dout.len(), batch * out_dim, "output gradient shape");
     assert_eq!(d_pooled.len(), pooled.len(), "pooled gradient buffer shape");
-    let mut d_bottom = vec![0.0f32; batch * dim];
+    // Every sample's pass-through copy below overwrites its whole row.
+    d_bottom.resize(batch * dim, 0.0);
     d_pooled.fill(0.0);
     for s in 0..batch {
         let vector = |v: usize| -> &[f32] {
@@ -151,7 +180,6 @@ pub fn backward(
             }
         }
     }
-    d_bottom
 }
 
 #[cfg(test)]

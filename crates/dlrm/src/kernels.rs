@@ -2,12 +2,17 @@
 //!
 //! Every hot loop in `linear`, `mlp`, and `interaction` funnels through
 //! these helpers. Each one asserts exact slice-length equality up front so
-//! LLVM can drop the per-element bounds checks and autovectorize, while
-//! keeping the floating-point accumulation order *identical* to the
-//! open-coded loops they replaced — dot products fold strictly left to
-//! right from their initial value, and axpy is elementwise. That order is
-//! load-bearing: the pipeline's bit-exactness suites compare results
-//! across schedules and worker counts down to the last ulp.
+//! LLVM can drop the per-element bounds checks and autovectorize.
+//!
+//! The contract the bit-exactness suites (and `tests/golden_dense.rs`)
+//! rest on is **per output element**: every reduction starts from its
+//! initial value and adds its terms in ascending index order, and every
+//! term is a rounded multiply followed by a separate rounded add (never
+//! fused). Which *other* elements are computed alongside is free —
+//! [`dot_from`] folds one chain at a time, `Linear`'s forward carries a
+//! register tile of independent chains through the same `k` order, and
+//! [`axpy`] is elementwise. No schedule, worker count or batch width ever
+//! splits a reduction, so none of them can change a bit.
 
 /// Sequential dot product folded onto an initial value: `init + Σ a·b`,
 /// accumulated strictly left to right (NOT reassociated — bit-compatible
@@ -47,6 +52,20 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 #[inline]
 pub fn relu_extend(dst: &mut Vec<f32>, src: &[f32]) {
     dst.extend(src.iter().map(|&v| v.max(0.0)));
+}
+
+/// Writes `max(v, 0)` of every element of `src` to the same position of
+/// `dst` — [`relu_extend`] over a buffer that is already sized.
+///
+/// # Panics
+///
+/// Panics if `dst.len() != src.len()`.
+#[inline]
+pub fn relu_into(dst: &mut [f32], src: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "relu operand width mismatch");
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v.max(0.0);
+    }
 }
 
 /// Zeroes every gradient whose pre-activation was non-positive — the ReLU

@@ -4,6 +4,14 @@ use crate::kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Samples per register tile of the forward kernel.
+const SB: usize = 4;
+/// Outputs per register tile, and the lane width of a packed weight panel.
+/// `SB × OB` = 4 × 8 accumulators fill eight of baseline x86-64's sixteen
+/// 4-lane registers, leaving room for a panel row and the broadcast input
+/// (4 × 16 spills); the other shapes tried are in `docs/perf.md`.
+const OB: usize = 8;
+
 /// A dense layer `y = x·Wᵀ + b` over row-major batches.
 ///
 /// Weights are stored `out_dim × in_dim`. The layer owns no optimizer
@@ -75,27 +83,98 @@ impl Linear {
         y
     }
 
-    /// Forward pass writing into a reusable output buffer (cleared and
-    /// resized in place, so repeated calls don't reallocate).
+    /// Forward pass writing into a reusable output buffer (resized in
+    /// place and overwritten, so repeated calls don't reallocate it). The
+    /// packed weight copy is allocated per call; layers inside an
+    /// [`Mlp`](crate::Mlp) reuse the one in its activation cache instead.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of `in_dim`.
     pub fn forward_into(&self, x: &[f32], y: &mut Vec<f32>) {
+        y.resize(self.batch_of(x) * self.out_dim, 0.0);
+        self.forward_tiles(x, &mut Vec::new(), |at, vals| {
+            y[at..at + vals.len()].copy_from_slice(vals);
+        });
+    }
+
+    /// Rows in the batch `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not a multiple of `in_dim`.
+    pub(crate) fn batch_of(&self, x: &[f32]) -> usize {
         assert_eq!(x.len() % self.in_dim, 0, "ragged input batch");
-        let batch = x.len() / self.in_dim;
-        y.clear();
-        y.resize(batch * self.out_dim, 0.0);
-        for (xs, ys) in x
-            .chunks_exact(self.in_dim)
-            .zip(y.chunks_exact_mut(self.out_dim))
-        {
-            for ((yo, w), &b) in ys
-                .iter_mut()
-                .zip(self.weights.chunks_exact(self.in_dim))
-                .zip(&self.bias)
-            {
-                *yo = kernels::dot_from(b, xs, w);
+        x.len() / self.in_dim
+    }
+
+    /// The forward kernel: computes `y = x·Wᵀ + b` one `SB × OB` register
+    /// tile at a time and hands each finished run of one sample's
+    /// consecutive outputs to `store(offset into y, values)`; every
+    /// element of `y` is stored exactly once.
+    ///
+    /// Each output is `((b + x₀w₀) + x₁w₁) + …` — the chain a scalar
+    /// left-to-right dot product folds — but a tile carries `SB × OB`
+    /// such chains through `k` together, and the `OB` chains of one sample
+    /// read one contiguous row of `packed`, so the inner loop is an
+    /// independent-lane multiply-then-add the compiler vectorises. The
+    /// speed comes from vectorising *across* outputs; the order *within*
+    /// an output never changes, so no bit does.
+    ///
+    /// `x` must be whole rows: callers size `y` from [`Linear::batch_of`],
+    /// which rejects a ragged batch.
+    pub(crate) fn forward_tiles(
+        &self,
+        x: &[f32],
+        packed: &mut Vec<f32>,
+        mut store: impl FnMut(usize, &[f32]),
+    ) {
+        debug_assert_eq!(x.len() % self.in_dim, 0, "ragged input batch");
+        self.pack_panels(packed);
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        for (p, panel) in packed.chunks_exact(in_dim * OB).enumerate() {
+            let o = p * OB;
+            let n = OB.min(out_dim - o);
+            let mut bias = [0.0f32; OB];
+            bias[..n].copy_from_slice(&self.bias[o..o + n]);
+            let mut at = o;
+            let mut emit = |row: &[f32; OB]| {
+                // A full panel stores a compile-time width.
+                if n == OB {
+                    store(at, row);
+                } else {
+                    store(at, &row[..n]);
+                }
+                at += out_dim;
+            };
+            let mut blocks = x.chunks_exact(SB * in_dim);
+            for block in &mut blocks {
+                tile::<SB>(block, in_dim, panel, &bias)
+                    .iter()
+                    .for_each(&mut emit);
+            }
+            for xs in blocks.remainder().chunks_exact(in_dim) {
+                tile::<1>(xs, in_dim, panel, &bias)
+                    .iter()
+                    .for_each(&mut emit);
+            }
+        }
+    }
+
+    /// Rebuilds the k-major copy of the weights the tiles stream: panel
+    /// `p` holds outputs `p·OB..(p+1)·OB` as `in_dim` rows of `OB` lanes
+    /// (`packed[(p·in_dim + k)·OB + j] = W[(p·OB + j)·in_dim + k]`), the
+    /// last panel zero-padded, so lanes past `out_dim` compute on zeros and
+    /// are never stored. `in·out` moves against the forward's
+    /// `batch·in·out` multiply-adds.
+    fn pack_panels(&self, packed: &mut Vec<f32>) {
+        let panel_len = self.in_dim * OB;
+        packed.clear();
+        packed.resize(self.out_dim.div_ceil(OB) * panel_len, 0.0);
+        for (o, w) in self.weights.chunks_exact(self.in_dim).enumerate() {
+            let lane = &mut packed[o / OB * panel_len + o % OB..];
+            for (dst, &v) in lane.iter_mut().step_by(OB).zip(w) {
+                *dst = v;
             }
         }
     }
@@ -108,10 +187,22 @@ impl Linear {
     ///
     /// Panics if shapes are inconsistent.
     pub fn backward(&mut self, x: &[f32], dy: &[f32], lr: f32) -> Vec<f32> {
-        assert_eq!(x.len() % self.in_dim, 0, "ragged input batch");
-        let batch = x.len() / self.in_dim;
+        let mut dx = Vec::new();
+        self.backward_into(x, dy, lr, &mut dx);
+        dx
+    }
+
+    /// [`Linear::backward`] writing `dx` into a reusable buffer (cleared
+    /// and refilled in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes are inconsistent.
+    pub fn backward_into(&mut self, x: &[f32], dy: &[f32], lr: f32, dx: &mut Vec<f32>) {
+        let batch = self.batch_of(x);
         assert_eq!(dy.len(), batch * self.out_dim, "gradient shape mismatch");
-        let mut dx = vec![0.0f32; batch * self.in_dim];
+        dx.clear();
+        dx.resize(batch * self.in_dim, 0.0);
         // dx = dy · W
         for (dys, dxs) in dy
             .chunks_exact(self.out_dim)
@@ -136,7 +227,6 @@ impl Linear {
                 *b -= step;
             }
         }
-        dx
     }
 
     /// Exact bitwise equality of parameters (see
@@ -155,6 +245,28 @@ impl Linear {
                 .zip(&other.bias)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
+}
+
+/// One register tile: `R` samples (`xs`, `R × in_dim`) against one packed
+/// panel (`in_dim × OB`), every accumulator row starting from `bias`.
+#[inline]
+fn tile<const R: usize>(
+    xs: &[f32],
+    in_dim: usize,
+    panel: &[f32],
+    bias: &[f32; OB],
+) -> [[f32; OB]; R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &xs[r * in_dim..(r + 1) * in_dim]);
+    let mut acc = [*bias; R];
+    for (k, w) in panel.chunks_exact(OB).enumerate() {
+        for (row, acc) in rows.iter().zip(&mut acc) {
+            let xv = row[k];
+            for (a, &wv) in acc.iter_mut().zip(w) {
+                *a += xv * wv;
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -253,5 +365,103 @@ mod tests {
     fn bad_gradient_shape_rejected() {
         let mut l = Linear::seeded(2, 2, 0);
         let _ = l.backward(&[1.0, 2.0], &[1.0; 3], 0.1);
+    }
+
+    /// The per-output scalar forward the tiled kernel replaced: one
+    /// left-to-right `dot_from` chain per output element.
+    fn forward_reference(l: &Linear, x: &[f32]) -> Vec<f32> {
+        x.chunks_exact(l.in_dim)
+            .flat_map(|xs| {
+                l.weights
+                    .chunks_exact(l.in_dim)
+                    .zip(&l.bias)
+                    .map(move |(w, &b)| kernels::dot_from(b, xs, w))
+            })
+            .collect()
+    }
+
+    fn assert_forward_matches_reference(l: &Linear, x: &[f32]) {
+        let want = forward_reference(l, x);
+        let mut got = vec![f32::NAN; 3]; // dirty, wrong-sized
+        l.forward_into(x, &mut got);
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "output {i}: {g} vs {w}");
+        }
+    }
+
+    /// A layer and a batch whose every operand is `pick(rng)`.
+    fn layer_and_batch(
+        in_dim: usize,
+        out_dim: usize,
+        batch: usize,
+        rng: &mut StdRng,
+        pick: impl Fn(&mut StdRng) -> f32,
+    ) -> (Linear, Vec<f32>) {
+        let mut l = Linear::seeded(in_dim, out_dim, 0);
+        l.weights.iter_mut().for_each(|w| *w = pick(rng));
+        l.bias.iter_mut().for_each(|b| *b = pick(rng));
+        let x = (0..batch * in_dim).map(|_| pick(rng)).collect();
+        (l, x)
+    }
+
+    proptest::proptest! {
+        /// Shapes straddle both tile dimensions: `out = 1`, `in = 1`, a
+        /// batch smaller than a tile, an empty batch.
+        #[test]
+        fn tiled_forward_is_bit_identical_to_the_scalar_reference(
+            in_dim in 1usize..=80,
+            out_dim in 1usize..=40,
+            batch in 0usize..=9,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Signed, spread over 2⁻⁴..2³, never denormal.
+            let pick = |rng: &mut StdRng| {
+                let magnitude = rng.gen_range(0.5f32..1.0) * [0.125, 1.0, 8.0][rng.gen_range(0..3usize)];
+                if rng.gen_bool(0.5) { magnitude } else { -magnitude }
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (l, x) = layer_and_batch(in_dim, out_dim, batch, &mut rng, pick);
+            assert_forward_matches_reference(&l, &x);
+        }
+    }
+
+    #[test]
+    fn tiled_forward_keeps_the_sign_of_zero() {
+        // Products and sums of signed zeros: -0.0 survives only if every
+        // term of a chain is -0.0, so any reordering or a +0.0 padding
+        // lane leaking into a sum would flip bits here.
+        let pick = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.5,
+            _ => -1.5,
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        for (in_dim, out_dim, batch) in [(1, 1, 1), (3, 9, 5), (17, 8, 4), (9, 23, 7)] {
+            let (mut l, x) = layer_and_batch(in_dim, out_dim, batch, &mut rng, pick);
+            assert_forward_matches_reference(&l, &x);
+            l.bias.fill(-0.0);
+            l.weights.fill(0.0);
+            assert_forward_matches_reference(&l, &x);
+        }
+    }
+
+    #[test]
+    fn tiled_forward_reproduces_cancellation() {
+        // ±2²⁴ terms swamp and then cancel around small ones, so each
+        // output depends on exactly where in the chain every add happens.
+        let pick = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+            0 => 4096.0,
+            1 => -4096.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        };
+        let mut rng = StdRng::seed_from_u64(6);
+        for (in_dim, out_dim, batch) in [(40, 11, 6), (64, 16, 8), (80, 40, 9)] {
+            let (l, x) = layer_and_batch(in_dim, out_dim, batch, &mut rng, pick);
+            let y = forward_reference(&l, &x);
+            assert!(y.iter().any(|v| v.abs() < 4096.0), "nothing cancelled");
+            assert_forward_matches_reference(&l, &x);
+        }
     }
 }

@@ -24,6 +24,18 @@ pub fn sigmoid(z: f32) -> f32 {
 /// Panics if `logits` and `labels` differ in length or labels are outside
 /// `[0, 1]`.
 pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
+    let mut grads = Vec::new();
+    let loss = bce_with_logits_into(logits, labels, &mut grads);
+    (loss, grads)
+}
+
+/// [`bce_with_logits`] writing the logit gradients into a reusable buffer
+/// (cleared and refilled in place); returns the mean loss.
+///
+/// # Panics
+///
+/// Same conditions as [`bce_with_logits`].
+pub fn bce_with_logits_into(logits: &[f32], labels: &[f32], grads: &mut Vec<f32>) -> f32 {
     assert_eq!(logits.len(), labels.len(), "batch size mismatch");
     assert!(
         labels.iter().all(|&y| (0.0..=1.0).contains(&y)),
@@ -31,12 +43,13 @@ pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
     );
     let n = logits.len().max(1) as f32;
     let mut loss = 0.0f32;
-    let mut grads = Vec::with_capacity(logits.len());
+    grads.clear();
+    grads.reserve(logits.len());
     for (&z, &y) in logits.iter().zip(labels) {
         loss += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
         grads.push((sigmoid(z) - y) / n);
     }
-    (loss / n, grads)
+    loss / n
 }
 
 #[cfg(test)]

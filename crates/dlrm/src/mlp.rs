@@ -28,6 +28,9 @@ pub struct MlpActivations {
     inputs: Vec<Vec<f32>>,
     /// Pre-activation outputs of each layer (needed for the ReLU mask).
     pre_act: Vec<Vec<f32>>,
+    /// The k-major weight copy the forward kernel streams, rebuilt by each
+    /// layer in turn (sized by the largest).
+    packed: Vec<f32>,
 }
 
 impl MlpActivations {
@@ -44,6 +47,11 @@ impl MlpActivations {
     /// Panics if no forward pass has filled the cache yet.
     pub fn output(&self) -> &[f32] {
         self.inputs.last().expect("at least one layer")
+    }
+
+    /// [`MlpActivations::output`], or nothing before the first forward.
+    pub(crate) fn output_or_empty(&self) -> &[f32] {
+        self.inputs.last().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -105,15 +113,23 @@ impl Mlp {
         acts.inputs[0].extend_from_slice(x);
         for (l, layer) in self.layers.iter().enumerate() {
             let (head, tail) = acts.inputs.split_at_mut(l + 1);
-            layer.forward_into(&head[l], &mut acts.pre_act[l]);
-            let is_last = l + 1 == n;
-            let post = &mut tail[0];
-            post.clear();
-            if !is_last || self.relu_last {
-                kernels::relu_extend(post, &acts.pre_act[l]);
-            } else {
-                post.extend_from_slice(&acts.pre_act[l]);
-            }
+            let (x, post) = (&head[l], &mut tail[0]);
+            let pre = &mut acts.pre_act[l];
+            let len = layer.batch_of(x) * layer.out_dim();
+            pre.resize(len, 0.0);
+            post.resize(len, 0.0);
+            // The kernel's epilogue writes the pre-activation and the
+            // activation while the tile is still in registers.
+            let relu = l + 1 < n || self.relu_last;
+            layer.forward_tiles(x, &mut acts.packed, |at, vals| {
+                let to = at + vals.len();
+                pre[at..to].copy_from_slice(vals);
+                if relu {
+                    kernels::relu_into(&mut post[at..to], vals);
+                } else {
+                    post[at..to].copy_from_slice(vals);
+                }
+            });
         }
     }
 
@@ -125,15 +141,34 @@ impl Mlp {
     /// Panics if `dy` does not match the cached activation shapes.
     pub fn backward(&mut self, acts: &MlpActivations, dy: &[f32], lr: f32) -> Vec<f32> {
         let mut grad = dy.to_vec();
+        self.backward_into(acts, lr, &mut grad, &mut Vec::new());
+        grad
+    }
+
+    /// [`Mlp::backward`] over two reusable ping-pong buffers: `grad` holds
+    /// the output gradient on entry and the gradient w.r.t. the MLP input
+    /// on return; `spare` is overwritten. Allocates nothing once both have
+    /// grown to the widest layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` does not match the cached activation shapes.
+    pub fn backward_into(
+        &mut self,
+        acts: &MlpActivations,
+        lr: f32,
+        grad: &mut Vec<f32>,
+        spare: &mut Vec<f32>,
+    ) {
         for (l, layer) in self.layers.iter_mut().enumerate().rev() {
             let is_last = l + 1 == acts.pre_act.len();
             if !is_last || self.relu_last {
                 // ReLU mask from the pre-activation values.
-                kernels::relu_mask(&mut grad, &acts.pre_act[l]);
+                kernels::relu_mask(grad, &acts.pre_act[l]);
             }
-            grad = layer.backward(&acts.inputs[l], &grad, lr);
+            layer.backward_into(&acts.inputs[l], grad, lr, spare);
+            std::mem::swap(grad, spare);
         }
-        grad
     }
 
     /// Exact bitwise equality of all parameters.

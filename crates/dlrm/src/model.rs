@@ -13,8 +13,8 @@
 //! `s` of table `t` at `t·batch·dim + s·dim`): the caller gathers into a
 //! reusable arena, the model writes gradients back into a second arena,
 //! and no per-table `Vec`s are allocated on the training hot path.
-//! [`DlrmScratch`] extends the same discipline to the large MLP
-//! activation buffers.
+//! [`DlrmScratch`] extends the same discipline to everything else a step
+//! touches, so a steady-state step performs no heap allocation at all.
 
 use crate::config::DlrmConfig;
 use crate::interaction;
@@ -30,27 +30,35 @@ pub struct DlrmModel {
 }
 
 /// Result of one dense-side training step. The pooled-embedding gradients
-/// are written into the caller's flat buffer rather than returned, so the
-/// steady-state training loop allocates nothing per step.
+/// are written into the caller's flat buffer rather than returned.
 #[derive(Debug, Clone)]
 pub struct TrainStepOutput {
     /// Mean binary cross-entropy of the batch.
     pub loss: f32,
     /// The batch's raw logits (pre-sigmoid), for evaluation metrics.
+    /// Filled by [`DlrmModel::train_step`]; the allocation-free
+    /// [`DlrmModel::train_step_with`] leaves it empty and the logits in
+    /// [`DlrmScratch::logits`].
     pub logits: Vec<f32>,
 }
 
-/// Reusable forward/backward scratch buffers for [`DlrmModel`] training:
-/// MLP activation caches and the interaction output — the large,
-/// layer-width×batch buffers of a step. Allocate once and pass to every
-/// [`DlrmModel::train_step_with`] call; only small per-step vectors
-/// (logits, the BCE gradient seed, and the backward chain's intermediate
-/// gradients) are still allocated per iteration.
-#[derive(Debug, Clone, Default)]
+/// Every buffer a [`DlrmModel`] training step needs besides its inputs
+/// and outputs: MLP activation caches (with the forward kernel's packed
+/// weight copy), the interaction output, and the two ping-pong buffers the
+/// backward chain's gradients alternate between. Allocate once and pass to
+/// every [`DlrmModel::train_step_with`] call: buffers grow to steady-state
+/// size on the first step, after which a step allocates nothing.
+///
+/// The contents are scratch, not state — every step overwrites what it
+/// reads — so a *clone* starts empty instead of copying megabytes of
+/// stale activations.
+#[derive(Debug, Default)]
 pub struct DlrmScratch {
     acts_bottom: MlpActivations,
     acts_top: MlpActivations,
     z: Vec<f32>,
+    grad: Vec<f32>,
+    spare: Vec<f32>,
 }
 
 impl DlrmScratch {
@@ -58,6 +66,18 @@ impl DlrmScratch {
     /// first step and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The logits of the last [`DlrmModel::train_step_with`] call through
+    /// this scratch (empty before the first).
+    pub fn logits(&self) -> &[f32] {
+        self.acts_top.output_or_empty()
+    }
+}
+
+impl Clone for DlrmScratch {
+    fn clone(&self) -> Self {
+        Self::new()
     }
 }
 
@@ -119,14 +139,18 @@ impl DlrmModel {
         emb_grads: &mut [f32],
     ) -> TrainStepOutput {
         let mut scratch = DlrmScratch::new();
-        self.train_step_with(&mut scratch, dense, pooled, labels, lr, emb_grads)
+        let mut out = self.train_step_with(&mut scratch, dense, pooled, labels, lr, emb_grads);
+        out.logits = scratch.logits().to_vec();
+        out
     }
 
     /// One full dense-side training step with SGD at learning rate `lr`:
     /// forward through bottom MLP → interaction → top MLP → BCE, backward
     /// all the way, update both MLPs, and write the pooled-embedding
     /// gradients into `emb_grads` (same flat layout as `pooled`,
-    /// overwritten — a dirty reused arena is fine).
+    /// overwritten — a dirty reused arena is fine). Once `scratch` has
+    /// seen this batch size the step performs no heap allocation; the
+    /// logits stay in [`DlrmScratch::logits`].
     ///
     /// # Panics
     ///
@@ -167,26 +191,32 @@ impl DlrmModel {
             &mut scratch.z,
         );
         self.top.forward_into(&scratch.z, &mut scratch.acts_top);
-        let logits = scratch.acts_top.output().to_vec();
-        let (loss_val, dlogits) = loss::bce_with_logits(&logits, labels);
+        let loss = loss::bce_with_logits_into(scratch.acts_top.output(), labels, &mut scratch.grad);
 
-        // Backward.
-        let dz = self.top.backward(&scratch.acts_top, &dlogits, lr);
-        let d_bottom_out = interaction::backward(
+        // Backward: `grad` carries the running gradient (dlogits → dz),
+        // the interaction hands d_bottom to `spare`, and the bottom MLP
+        // runs the same ping-pong the other way round.
+        self.top
+            .backward_into(&scratch.acts_top, lr, &mut scratch.grad, &mut scratch.spare);
+        interaction::backward_into(
             scratch.acts_bottom.output(),
             pooled,
             c.num_tables,
             c.emb_dim,
-            &dz,
+            &scratch.grad,
             emb_grads,
+            &mut scratch.spare,
         );
-        let _d_dense = self
-            .bottom
-            .backward(&scratch.acts_bottom, &d_bottom_out, lr);
+        self.bottom.backward_into(
+            &scratch.acts_bottom,
+            lr,
+            &mut scratch.spare,
+            &mut scratch.grad,
+        );
 
         TrainStepOutput {
-            loss: loss_val,
-            logits,
+            loss,
+            logits: Vec::new(),
         }
     }
 

@@ -14,21 +14,42 @@ use scratchpipe::backend::{DenseBackend, PooledView, StepResult};
 /// interaction *without copying* — both sides use the same
 /// `num_tables × batch × dim` stride-indexed layout — and the model writes
 /// the embedding gradients straight into the runtime's gradient arena.
-/// The backend holds a [`DlrmScratch`], so the large MLP activation
-/// buffers are reused across steps too.
+/// The backend holds a [`DlrmScratch`] and its own input buffers, so after
+/// the first step [`DenseBackend::step`] performs no heap allocation.
 ///
 /// Dense inputs and click labels are generated *deterministically from the
 /// iteration index*, so two systems training the same trace see the same
 /// samples — the requirement for the cross-system bit-equality tests. In a
 /// production system these would come from the dataset loader alongside
 /// the sparse IDs.
-#[derive(Debug, Clone)]
+///
+/// A *clone* carries the model and the input-stream seed but starts with
+/// empty buffers: `run_supervised` snapshots the backend once per
+/// checkpointed segment, and the buffers hold nothing a step reads before
+/// overwriting.
+#[derive(Debug)]
 pub struct DlrmBackend {
     model: DlrmModel,
     config: DlrmConfig,
     lr: f32,
     seed: u64,
     scratch: DlrmScratch,
+    dense: Vec<f32>,
+    labels: Vec<f32>,
+}
+
+impl Clone for DlrmBackend {
+    fn clone(&self) -> Self {
+        DlrmBackend {
+            model: self.model.clone(),
+            config: self.config.clone(),
+            lr: self.lr,
+            seed: self.seed,
+            scratch: DlrmScratch::new(),
+            dense: Vec::new(),
+            labels: Vec::new(),
+        }
+    }
 }
 
 impl DlrmBackend {
@@ -44,6 +65,8 @@ impl DlrmBackend {
             lr,
             seed,
             scratch: DlrmScratch::new(),
+            dense: Vec::new(),
+            labels: Vec::new(),
         }
     }
 
@@ -54,15 +77,34 @@ impl DlrmBackend {
 
     /// Deterministic dense features and labels for iteration `i`.
     pub fn inputs_for(&self, i: usize, batch_size: usize) -> (Vec<f32>, Vec<f32>) {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (0xDA7A_0000 + i as u64));
-        let dense = (0..batch_size * self.config.dense_dim)
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect();
-        let labels = (0..batch_size)
-            .map(|_| f32::from(rng.gen_bool(0.5)))
-            .collect();
+        let (mut dense, mut labels) = (Vec::new(), Vec::new());
+        fill_inputs(
+            self.seed,
+            i,
+            batch_size * self.config.dense_dim,
+            batch_size,
+            &mut dense,
+            &mut labels,
+        );
         (dense, labels)
     }
+}
+
+/// Refills `dense` with `dense_len` features and `labels` with
+/// `batch_size` clicks, drawn in that order from iteration `i`'s stream.
+fn fill_inputs(
+    seed: u64,
+    i: usize,
+    dense_len: usize,
+    batch_size: usize,
+    dense: &mut Vec<f32>,
+    labels: &mut Vec<f32>,
+) {
+    let mut rng = StdRng::seed_from_u64(seed ^ (0xDA7A_0000 + i as u64));
+    dense.clear();
+    dense.extend((0..dense_len).map(|_| rng.gen_range(-1.0f32..1.0)));
+    labels.clear();
+    labels.extend((0..batch_size).map(|_| f32::from(rng.gen_bool(0.5))));
 }
 
 impl DenseBackend for DlrmBackend {
@@ -73,12 +115,20 @@ impl DenseBackend for DlrmBackend {
         pooled: PooledView<'_>,
         grads: &mut [f32],
     ) -> StepResult {
-        let (dense, labels) = self.inputs_for(iteration, batch.batch_size());
+        let batch_size = batch.batch_size();
+        fill_inputs(
+            self.seed,
+            iteration,
+            batch_size * self.config.dense_dim,
+            batch_size,
+            &mut self.dense,
+            &mut self.labels,
+        );
         let out = self.model.train_step_with(
             &mut self.scratch,
-            &dense,
+            &self.dense,
             pooled.as_flat(),
-            &labels,
+            &self.labels,
             self.lr,
             grads,
         );
@@ -155,6 +205,35 @@ mod tests {
             }
         }
         assert!(a.model().bit_eq(b.model()));
+    }
+
+    #[test]
+    fn a_clone_drops_the_buffers_and_trains_identically() {
+        let cfg = DlrmConfig::tiny();
+        let mut source = DlrmBackend::new(&cfg, 0.05, 9);
+        let batch = SparseBatch::from_rows(
+            cfg.num_tables,
+            &[vec![vec![0], vec![1]], vec![vec![2], vec![3]]],
+        );
+        let pooled = vec![0.2f32; cfg.num_tables * 2 * cfg.emb_dim];
+        let mut gs = vec![0.0f32; pooled.len()];
+        let mut gc = vec![0.0f32; pooled.len()];
+        let view = PooledView::new(&pooled, cfg.num_tables, 2, cfg.emb_dim);
+        // Warm the source's buffers, then fork it mid-training.
+        source.step(0, &batch, view, &mut gs);
+        assert!(!source.dense.is_empty() && !source.scratch.logits().is_empty());
+        let mut copy = source.clone();
+        assert!(copy.dense.is_empty() && copy.labels.is_empty());
+        assert!(copy.scratch.logits().is_empty());
+        for i in 1..=4 {
+            let rs = source.step(i, &batch, view, &mut gs);
+            let rc = copy.step(i, &batch, view, &mut gc);
+            assert_eq!(rs.loss.to_bits(), rc.loss.to_bits(), "step {i}");
+            for (x, y) in gs.iter().zip(&gc) {
+                assert_eq!(x.to_bits(), y.to_bits(), "step {i}");
+            }
+        }
+        assert!(source.model().bit_eq(copy.model()));
     }
 
     #[test]

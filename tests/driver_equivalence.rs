@@ -308,6 +308,54 @@ fn supervised_auto_resolves_from_the_segment_length() {
     }
 }
 
+/// `run_supervised` snapshots the backend once per checkpointed segment,
+/// and a `DlrmBackend` snapshot drops its scratch buffers instead of
+/// copying them; the supervised run must still end byte-identical to the
+/// plain one, dense model included.
+#[test]
+fn supervised_run_matches_plain_run_with_full_dlrm_backend() {
+    let tc = TraceConfig {
+        num_tables: 2,
+        rows_per_table: 300,
+        lookups_per_sample: 4,
+        batch_size: 8,
+        profile: LocalityProfile::Medium,
+        seed: 5,
+    };
+    let batches = TraceGenerator::new(tc).take_batches(15);
+    let dlrm_cfg = dlrm::DlrmConfig::tiny_with_tables(2);
+    let dim = dlrm_cfg.emb_dim;
+    let build = || {
+        Pipeline::builder()
+            .config(PipelineConfig::functional(dim, 192))
+            .tables(make_tables(2, 300, dim, 40))
+            .backend(DlrmBackend::new(&dlrm_cfg, 0.05, 7))
+            .schedule(Schedule::Sync)
+            .build()
+            .expect("pipeline")
+    };
+    let mut plain = build();
+    let plain_report = plain.run(&batches).expect("run");
+    let plain_model = plain.backend().model().clone();
+    let plain_tables = plain.into_tables();
+
+    for checkpoint_interval in [1, 4] {
+        let policy = RecoveryPolicy {
+            checkpoint_interval,
+            ..RecoveryPolicy::default()
+        };
+        let label = format!("interval {checkpoint_interval}");
+        let mut rt = build();
+        let run = rt.run_supervised(&batches, policy).expect("supervised run");
+        assert_eq!(run.stats.rollbacks, 0, "{label}");
+        assert_reports_identical(&plain_report, &run.report, &label);
+        assert!(rt.backend().model().bit_eq(&plain_model), "{label}: model");
+        for (a, b) in plain_tables.iter().zip(&rt.into_tables()) {
+            assert!(a.bit_eq(b), "{label}: tables diverged");
+        }
+    }
+}
+
 /// Data parallelism at a shape whose gather and scatter regions clear
 /// `WorkerPool::MIN_SHARD_WORK` (256 × 8 × 4 tables × dim 64 = 524 288
 /// elements), so the wide pools really spawn workers — against `Sync`.
