@@ -1,91 +1,51 @@
-//! Audit-JSONL sanity checker — the CI gate on the audit contract.
+//! Audit-JSONL sanity checker — the CI gate on the audit schema.
 //!
-//! Reads one or more audit JSONL files (as written by
-//! `bench_pipeline_throughput --audit` or any [`FileSink`] run) and
-//! verifies, without any external tooling:
+//! Reads one or more audit JSONL files (as written by any [`FileSink`]
+//! run, `telemetry_overhead` or `chaos_run`) and verifies, without any
+//! external tooling:
 //!
 //! * every line parses as a JSON object carrying the documented envelope
 //!   (`event`, `run_id`, `run`, `seq`);
 //! * `seq` numbers each run's lines consecutively from 0;
-//! * each run is well-formed: `run_started` first, `run_completed` last,
-//!   and the number of `iteration` events equals the `iterations` field
-//!   claimed by *both* bracketing events;
+//! * each run is well-formed: `run_started` first, `run_completed` or
+//!   `run_aborted` last, and the number of `iteration` events equals the
+//!   `iterations` field claimed by *both* bracketing events;
 //! * each `iteration` event deserializes as an
 //!   [`IterationRecord`](scratchpipe::IterationRecord) and carries a
 //!   five-stage `stage_nanos` map;
 //! * when an `iteration` event carries a `stage_shards` map (the
-//!   data-parallel shard-timing breakdown), every key names a stage from
-//!   `stage_nanos` and every value is a non-empty sequence of unsigned
-//!   shard nanos;
+//!   shard-timing breakdown), every key names a stage from `stage_nanos`
+//!   and every value is a non-empty sequence of unsigned shard nanos;
 //! * the hit rate recomputed from the iteration events matches the
 //!   `run_completed.hit_rate` within 1e-9;
 //! * the recovery events (`fault_injected`, `iteration_rolled_back`,
 //!   `stage_retried`, `schedule_degraded`, `run_aborted`) carry their
 //!   documented fields, and an aborted run's `iteration` events equal its
-//!   `run_aborted.committed` count.
+//!   `run_aborted.committed` count;
+//! * each run tells a consistent recovery story: every rollback is
+//!   answered by exactly one retry, degradation or abort
+//!   (`rollbacks == retries + degradations + aborted`). A run that
+//!   aborted without a single rollback is a plain `Pipeline::run` whose
+//!   error propagated; it must have committed nothing.
 //!
-//! With `--faults` the file must additionally tell a *consistent
-//! recovery story*: at least one `fault_injected` event exists, and for
-//! every run each rollback is answered by exactly one retry, degradation
-//! or abort (`rollbacks == retries + degradations + aborted`). CI runs
-//! this over the chaos suite's artifact.
+//! With `--faults` the file must additionally contain at least one
+//! `fault_injected` event. CI runs this over the chaos suite's artifact.
 //!
-//! With `--bench BENCH_pipeline.json` it additionally cross-checks the
-//! benchmark artifact: each shape's `speedup_threaded_vs_sync` and
-//! `speedup_parallel_vs_sync` must equal the ratio of the raw
-//! `*_iters_per_sec` fields (relative tolerance 1e-6), and `parallelism`
-//! must be at least 1. `--parallel-floor <shape>:<ratio>` then gates a
-//! shape: the check fails if that shape's `speedup_parallel_vs_sync`
-//! falls below the ratio (CI uses `medium:0.9` — data-parallel must not
-//! regress materially below sync even on narrow hosts).
-//!
-//! When the audit JSONL of the same bench run is also on the command
-//! line, the dedup-accounting fields are **re-derived** from that
-//! shape's `bench-<shape>-sync` audit aggregate and the check fails if
-//! the artifact disagrees:
-//!
-//! * `unique_lookup_ratio` must equal Σ`unique_rows` / Σ`total_lookups`
-//!   over the sync run's iteration events (relative tolerance 1e-6);
-//! * `bytes_staged` must equal the summed Exchange-stage PCIe bytes and
-//!   `bytes_staged_dedup` must equal that plus the summed Plan-stage
-//!   H2D bytes — **exactly**, both sides summed the same integers;
-//! * the Plan-stage H2D bytes themselves must obey the dedup upload
-//!   contract, 4 bytes per unique slot + 4 per raw-lookup index:
-//!   `plan_h2d == 4 * (unique_rows + total_lookups)`.
-//!
-//! With `--metrics METRICS.json` it reconciles the telemetry registry
-//! (written by [`Telemetry::write_metrics_json`]) against the audit
-//! stream, joined on the run label. The pipeline records **one integer**
-//! per stage execution and reports it to both the audit `stage_nanos`
-//! map and the `sp_stage_latency_ns` histogram, so for every
-//! `(run, stage)`:
-//!
-//! * `sp_stage_latency_ns.sum` equals the summed `stage_nanos` and
-//!   `.count` equals the iteration-event count — **exactly**, no
-//!   tolerance; a supervised run with `iteration_rolled_back` events
-//!   also recorded the failed attempts, so there equality relaxes to
-//!   `>=`;
-//! * `sp_run_iterations_total` equals the committed iteration events;
-//! * the `sp_recovery_*_total` counters equal the corresponding audit
-//!   event counts (`fault_injected`, `iteration_rolled_back`,
-//!   `stage_retried`, `schedule_degraded`, `run_aborted`);
-//! * `sp_scratchpad_{hits,misses}_total` summed over tables equal the
-//!   summed iteration-event hits/misses (rollback-free runs only —
-//!   replayed iterations re-plan).
+//! That the stream agrees with the metrics registry and the trace is not
+//! checked here: all three are folds over one event log
+//! (`scratchpipe::telemetry`), and `tests/telemetry_determinism.rs`
+//! asserts the agreement in-process.
 //!
 //! ```bash
-//! cargo run --release -p sp-bench --bin audit_check -- BENCH_pipeline_audit.jsonl
-//! cargo run --release -p sp-bench --bin audit_check -- \
-//!     --bench BENCH_pipeline.json --parallel-floor medium:0.9 \
-//!     --metrics METRICS.json \
-//!     BENCH_pipeline_audit.jsonl BENCH_pipeline_audit_parallel.jsonl
+//! cargo run --release -p sp-bench --bin audit_check -- TELEMETRY_audit.jsonl
+//! cargo run --release -p sp-bench --bin audit_check -- --faults BENCH_chaos_audit.jsonl
 //! ```
 //!
 //! Exits non-zero on the first violated file, printing every violation.
 //!
-//! [`Telemetry::write_metrics_json`]: scratchpipe::Telemetry::write_metrics_json
+//! [`FileSink`]: scratchpipe::FileSink
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 use scratchpipe::IterationRecord;
@@ -124,40 +84,10 @@ fn get_u64(event: &Value, key: &str) -> Result<u64, String> {
     }
 }
 
-/// Audit facts accumulated per run **label** (the telemetry join key),
-/// across every checked file: what `--metrics` reconciles against.
-#[derive(Default)]
-struct LabelAgg {
-    /// Summed `stage_nanos` per stage over the committed iterations.
-    stage_ns: BTreeMap<String, u64>,
-    /// Iteration events that carried each stage (== committed iterations).
-    stage_iters: BTreeMap<String, u64>,
-    iterations: u64,
-    hits: u64,
-    misses: u64,
-    /// Σ raw sparse lookups over the committed iterations.
-    total_lookups: u64,
-    /// Σ unique rows per (table, batch) over the committed iterations.
-    unique_rows: u64,
-    /// Σ Plan-stage PCIe H2D bytes (the compact dedup-index upload).
-    plan_h2d_bytes: u64,
-    /// Σ Exchange-stage PCIe bytes, both directions (== bytes staged).
-    exchange_pcie_bytes: u64,
-    rollbacks: u64,
-    retries: u64,
-    degradations: u64,
-    faults_injected: u64,
-    aborts: u64,
-}
-
-fn check_line(
-    event: &Value,
-    runs: &mut HashMap<String, RunState>,
-    labels: &mut BTreeMap<String, LabelAgg>,
-) -> Result<(), String> {
+fn check_line(event: &Value, runs: &mut HashMap<String, RunState>) -> Result<(), String> {
     let kind = get_str(event, "event")?;
     let run_id = get_str(event, "run_id")?.to_owned();
-    let label = get_str(event, "run")?.to_owned();
+    get_str(event, "run")?;
     let seq = get_u64(event, "seq")?;
 
     let state = runs.entry(run_id).or_default();
@@ -196,23 +126,12 @@ fn check_line(
             state.iteration_events += 1;
             state.hits += rec.hits;
             state.misses += rec.misses;
-            let agg = labels.entry(label).or_default();
-            agg.iterations += 1;
-            agg.hits += rec.hits;
-            agg.misses += rec.misses;
-            agg.total_lookups += rec.total_lookups;
-            agg.unique_rows += rec.unique_rows;
-            agg.plan_h2d_bytes += rec.traffic.plan.pcie_h2d_bytes;
-            agg.exchange_pcie_bytes +=
-                rec.traffic.exchange.pcie_h2d_bytes + rec.traffic.exchange.pcie_d2h_bytes;
             let stage_names: Vec<&str> = match event.get("stage_nanos") {
                 Some(Value::Map(entries)) if entries.len() == 5 => {
                     for (stage, v) in entries {
-                        let Value::UInt(ns) = v else {
+                        if !matches!(v, Value::UInt(_)) {
                             return Err(format!("stage_nanos.{stage}: expected UInt, got {v:?}"));
-                        };
-                        *agg.stage_ns.entry(stage.clone()).or_default() += ns;
-                        *agg.stage_iters.entry(stage.clone()).or_default() += 1;
+                        }
                     }
                     entries.iter().map(|(k, _)| k.as_str()).collect()
                 }
@@ -274,7 +193,6 @@ fn check_line(
                 return Err("fault_injected before run_started".to_owned());
             }
             state.faults_injected += 1;
-            labels.entry(label).or_default().faults_injected += 1;
             get_u64(event, "iteration")?;
             get_u64(event, "attempt")?;
             get_str(event, "stage")?;
@@ -295,21 +213,18 @@ fn check_line(
                 return Err("iteration_rolled_back before run_started".to_owned());
             }
             state.rollbacks += 1;
-            labels.entry(label).or_default().rollbacks += 1;
             get_u64(event, "iteration")?;
             get_u64(event, "attempt")?;
             get_str(event, "cause")?;
         }
         "stage_retried" => {
             state.retries += 1;
-            labels.entry(label).or_default().retries += 1;
             get_u64(event, "iteration")?;
             get_u64(event, "attempt")?;
             get_str(event, "schedule")?;
         }
         "schedule_degraded" => {
             state.degradations += 1;
-            labels.entry(label).or_default().degradations += 1;
             get_u64(event, "iteration")?;
             let from = get_str(event, "from")?;
             let to = get_str(event, "to")?;
@@ -324,7 +239,6 @@ fn check_line(
             state.completed = true;
             state.aborted = true;
             state.aborted_committed = Some(get_u64(event, "committed")?);
-            labels.entry(label).or_default().aborts += 1;
             get_u64(event, "iteration")?;
             get_u64(event, "attempts")?;
             get_str(event, "schedule")?;
@@ -335,11 +249,7 @@ fn check_line(
     Ok(())
 }
 
-fn check_file(
-    path: &str,
-    faults_mode: bool,
-    labels: &mut BTreeMap<String, LabelAgg>,
-) -> Result<(), Vec<String>> {
+fn check_file(path: &str, faults_mode: bool) -> Result<(), Vec<String>> {
     let body = match std::fs::read_to_string(path) {
         Ok(b) => b,
         Err(e) => return Err(vec![format!("cannot read: {e}")]),
@@ -357,7 +267,7 @@ fn check_file(
                 continue;
             }
         };
-        if let Err(e) = check_line(&event, &mut runs, labels) {
+        if let Err(e) = check_line(&event, &mut runs) {
             errors.push(format!("line {}: {e}", i + 1));
         }
     }
@@ -393,6 +303,15 @@ fn check_file(
                 ));
             }
         }
+        if state.aborted && state.rollbacks == 0 {
+            // No supervisor: a plain run's error propagated.
+            if state.aborted_committed != Some(0) {
+                errors.push(format!(
+                    "run {run_id}: aborted without a rollback, yet claims committed iterations"
+                ));
+            }
+            continue;
+        }
         // Every rollback must be answered by exactly one retry,
         // degradation or abort — the supervisor's decision invariant.
         let answered = state.retries + state.degradations + u64::from(state.aborted);
@@ -416,366 +335,27 @@ fn check_file(
     }
 }
 
-/// Reconciles `METRICS.json` against the audit facts aggregated per run
-/// label — the exactness contract: both sides summed the *same
-/// integers*, so equality is `==`, not a tolerance (relaxed to `>=` for
-/// labels that rolled iterations back, whose failed attempts were
-/// metered but never audited).
-fn check_metrics(path: &str, labels: &BTreeMap<String, LabelAgg>) -> Result<(), Vec<String>> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => return Err(vec![format!("cannot read: {e}")]),
-    };
-    let doc: Value = match serde_json::from_str(&body) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("invalid JSON: {e}")]),
-    };
-    let Some(Value::Seq(metrics)) = doc.get("metrics") else {
-        return Err(vec!["metrics: expected a sequence".to_owned()]);
-    };
-    let mut errors = Vec::new();
-    let mut stage_entries = 0usize;
-    // (label -> summed-over-tables) scratchpad totals.
-    let mut hits: BTreeMap<String, u64> = BTreeMap::new();
-    let mut misses: BTreeMap<String, u64> = BTreeMap::new();
-    for m in metrics {
-        let checked = (|| -> Result<(), String> {
-            let name = get_str(m, "name")?;
-            let Some(Value::Map(label_entries)) = m.get("labels") else {
-                return Err("labels: expected a map".to_owned());
-            };
-            let label_of = |key: &str| -> Result<String, String> {
-                label_entries
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| match v {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .ok_or_else(|| format!("{name}: missing {key} label"))
-            };
-            let run = label_of("run")?;
-            let Some(agg) = labels.get(&run) else {
-                return Err(format!("{name}: run {run:?} not in the audit stream"));
-            };
-            // `==` for clean runs, `>=` once iterations were replayed.
-            let reconcile = |what: &str, metered: u64, audited: u64| -> Result<(), String> {
-                let ok = if agg.rollbacks > 0 {
-                    metered >= audited
-                } else {
-                    metered == audited
-                };
-                if ok {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "{name} run {run:?}: {what} {metered} {} audit {audited}",
-                        if agg.rollbacks > 0 { "<" } else { "!=" }
-                    ))
-                }
-            };
-            let exact = |what: &str, metered: u64, audited: u64| -> Result<(), String> {
-                if metered == audited {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "{name} run {run:?}: {what} {metered} != audit {audited}"
-                    ))
-                }
-            };
-            match name {
-                "sp_stage_latency_ns" => {
-                    stage_entries += 1;
-                    let stage = label_of("stage")?;
-                    let audited_ns = agg.stage_ns.get(&stage).copied().unwrap_or(0);
-                    let audited_n = agg.stage_iters.get(&stage).copied().unwrap_or(0);
-                    reconcile(
-                        &format!("stage {stage} sum"),
-                        get_u64(m, "sum")?,
-                        audited_ns,
-                    )?;
-                    reconcile(
-                        &format!("stage {stage} count"),
-                        get_u64(m, "count")?,
-                        audited_n,
-                    )?;
-                }
-                "sp_run_iterations_total" => {
-                    // finish_run reports the *committed* count even for
-                    // aborted runs, so this one is always exact.
-                    exact("iterations", get_u64(m, "value")?, agg.iterations)?;
-                }
-                "sp_recovery_rollbacks_total" => {
-                    exact("rollbacks", get_u64(m, "value")?, agg.rollbacks)?;
-                }
-                "sp_recovery_retries_total" => {
-                    exact("retries", get_u64(m, "value")?, agg.retries)?;
-                }
-                "sp_recovery_degradations_total" => {
-                    exact("degradations", get_u64(m, "value")?, agg.degradations)?;
-                }
-                "sp_recovery_faults_injected_total" => {
-                    exact("faults_injected", get_u64(m, "value")?, agg.faults_injected)?;
-                }
-                "sp_recovery_aborts_total" => {
-                    exact("aborts", get_u64(m, "value")?, agg.aborts)?;
-                }
-                "sp_scratchpad_hits_total" => {
-                    *hits.entry(run.clone()).or_default() += get_u64(m, "value")?;
-                }
-                "sp_scratchpad_misses_total" => {
-                    *misses.entry(run.clone()).or_default() += get_u64(m, "value")?;
-                }
-                _ => {}
-            }
-            Ok(())
-        })();
-        if let Err(e) = checked {
-            errors.push(e);
-        }
-    }
-    let mut check_totals =
-        |kind: &str, totals: &BTreeMap<String, u64>, audited: fn(&LabelAgg) -> u64| {
-            for (run, &metered) in totals {
-                let Some(agg) = labels.get(run) else {
-                    continue; // already reported above
-                };
-                // Replayed iterations re-plan, recounting cache traffic.
-                if agg.rollbacks == 0 && metered != audited(agg) {
-                    errors.push(format!(
-                        "sp_scratchpad_{kind}_total run {run:?}: {metered} != audit {}",
-                        audited(agg)
-                    ));
-                }
-            }
-        };
-    check_totals("hits", &hits, |a| a.hits);
-    check_totals("misses", &misses, |a| a.misses);
-    if stage_entries == 0 {
-        errors.push("no sp_stage_latency_ns entries to reconcile".to_owned());
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-fn get_f64(event: &Value, key: &str) -> Result<f64, String> {
-    match event.get(key) {
-        Some(Value::Float(x)) => Ok(*x),
-        Some(Value::UInt(n)) => Ok(*n as f64),
-        other => Err(format!("field {key}: expected number, got {other:?}")),
-    }
-}
-
-/// Validates `BENCH_pipeline.json`: the `speedup_*_vs_sync` fields must
-/// reproduce from the raw throughputs, `parallelism` must be ≥ 1, and
-/// every `--parallel-floor <shape>:<ratio>` gate must hold. When the
-/// same run's audit stream was checked first (so `labels` holds a
-/// `bench-<shape>-sync` aggregate), the dedup-accounting fields
-/// (`unique_lookup_ratio`, `bytes_staged`, `bytes_staged_dedup`) are
-/// re-derived from the audit facts and must agree.
-fn check_bench(
-    path: &str,
-    floors: &[(String, f64)],
-    labels: &BTreeMap<String, LabelAgg>,
-) -> Result<(), Vec<String>> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => return Err(vec![format!("cannot read: {e}")]),
-    };
-    let report: Value = match serde_json::from_str(&body) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("invalid JSON: {e}")]),
-    };
-    let mut errors = Vec::new();
-    let Some(Value::Seq(shapes)) = report.get("shapes") else {
-        return Err(vec!["shapes: expected a sequence".to_owned()]);
-    };
-    let mut seen = Vec::new();
-    for shape in shapes {
-        let name = match get_str(shape, "name") {
-            Ok(n) => n.to_owned(),
-            Err(e) => {
-                errors.push(e);
-                continue;
-            }
-        };
-        let checks = (|| -> Result<(), String> {
-            let sync = get_f64(shape, "sync_iters_per_sec")?;
-            let threaded = get_f64(shape, "threaded_iters_per_sec")?;
-            let parallel = get_f64(shape, "parallel_iters_per_sec")?;
-            let sp_threaded = get_f64(shape, "speedup_threaded_vs_sync")?;
-            let sp_parallel = get_f64(shape, "speedup_parallel_vs_sync")?;
-            if get_u64(shape, "parallelism")? < 1 {
-                return Err("parallelism below 1".to_owned());
-            }
-            let rel = |claimed: f64, derived: f64| {
-                (claimed - derived).abs() > 1e-6 * derived.abs().max(1e-12)
-            };
-            if rel(sp_threaded, threaded / sync) {
-                return Err(format!(
-                    "speedup_threaded_vs_sync {sp_threaded} != {threaded}/{sync}"
-                ));
-            }
-            if rel(sp_parallel, parallel / sync) {
-                return Err(format!(
-                    "speedup_parallel_vs_sync {sp_parallel} != {parallel}/{sync}"
-                ));
-            }
-            for (floor_shape, ratio) in floors {
-                if *floor_shape == name && sp_parallel < *ratio {
-                    return Err(format!(
-                        "speedup_parallel_vs_sync {sp_parallel} below floor {ratio}"
-                    ));
-                }
-            }
-            let ratio = get_f64(shape, "unique_lookup_ratio")?;
-            if !(ratio > 0.0 && ratio <= 1.0) {
-                return Err(format!("unique_lookup_ratio {ratio} outside (0, 1]"));
-            }
-            let staged = get_u64(shape, "bytes_staged")?;
-            let staged_dedup = get_u64(shape, "bytes_staged_dedup")?;
-            if staged_dedup < staged {
-                return Err(format!(
-                    "bytes_staged_dedup {staged_dedup} below bytes_staged {staged}"
-                ));
-            }
-            // Re-derive the dedup accounting from the sync run's audit
-            // aggregate whenever the audit stream was supplied alongside.
-            if let Some(agg) = labels.get(&format!("bench-{name}-sync")) {
-                let derived_ratio = agg.unique_rows as f64 / agg.total_lookups as f64;
-                if rel(ratio, derived_ratio) {
-                    return Err(format!(
-                        "unique_lookup_ratio {ratio} != audit {}/{} = {derived_ratio}",
-                        agg.unique_rows, agg.total_lookups
-                    ));
-                }
-                if staged != agg.exchange_pcie_bytes {
-                    return Err(format!(
-                        "bytes_staged {staged} != audit exchange PCIe {}",
-                        agg.exchange_pcie_bytes
-                    ));
-                }
-                let derived_dedup = agg.plan_h2d_bytes + agg.exchange_pcie_bytes;
-                if staged_dedup != derived_dedup {
-                    return Err(format!(
-                        "bytes_staged_dedup {staged_dedup} != audit plan H2D {} \
-                         + exchange PCIe {}",
-                        agg.plan_h2d_bytes, agg.exchange_pcie_bytes
-                    ));
-                }
-                // The Plan upload contract: one u32 slot per unique row
-                // plus one u32 index per raw lookup.
-                let contract = 4 * (agg.unique_rows + agg.total_lookups);
-                if agg.plan_h2d_bytes != contract {
-                    return Err(format!(
-                        "plan H2D {} != 4 * (unique {} + lookups {}) = {contract}",
-                        agg.plan_h2d_bytes, agg.unique_rows, agg.total_lookups
-                    ));
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = checks {
-            errors.push(format!("shape {name}: {e}"));
-        }
-        seen.push(name);
-    }
-    for (floor_shape, _) in floors {
-        if !seen.contains(floor_shape) {
-            errors.push(format!(
-                "--parallel-floor names shape {floor_shape}, not in the report"
-            ));
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut bench_path = None;
-    let mut metrics_path = None;
-    let mut faults_mode = false;
-    let mut floors: Vec<(String, f64)> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--faults" => faults_mode = true,
-            "--bench" => match it.next() {
-                Some(p) => bench_path = Some(p),
-                None => {
-                    eprintln!("--bench needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(p) => metrics_path = Some(p),
-                None => {
-                    eprintln!("--metrics needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--parallel-floor" => {
-                let Some(spec) = it.next() else {
-                    eprintln!("--parallel-floor needs <shape>:<ratio>");
-                    return ExitCode::FAILURE;
-                };
-                let Some((shape, ratio)) = spec.split_once(':') else {
-                    eprintln!("--parallel-floor: malformed spec {spec:?}");
-                    return ExitCode::FAILURE;
-                };
-                let Ok(ratio) = ratio.parse::<f64>() else {
-                    eprintln!("--parallel-floor: bad ratio in {spec:?}");
-                    return ExitCode::FAILURE;
-                };
-                floors.push((shape.to_owned(), ratio));
-            }
-            _ => paths.push(arg),
-        }
-    }
-    if paths.is_empty() && bench_path.is_none() {
-        eprintln!(
-            "usage: audit_check [--faults] [--bench BENCH_pipeline.json] \
-             [--metrics METRICS.json] [--parallel-floor shape:ratio] \
-             <audit.jsonl> [more.jsonl ...]"
-        );
+    let (flags, paths): (Vec<String>, Vec<String>) = std::env::args()
+        .skip(1)
+        .partition(|arg| arg.starts_with("--"));
+    if paths.is_empty() || flags.iter().any(|flag| flag != "--faults") {
+        eprintln!("usage: audit_check [--faults] <audit.jsonl> [more.jsonl ...]");
         return ExitCode::FAILURE;
     }
-    if !floors.is_empty() && bench_path.is_none() {
-        eprintln!("--parallel-floor requires --bench");
-        return ExitCode::FAILURE;
-    }
-    if metrics_path.is_some() && paths.is_empty() {
-        eprintln!("--metrics needs at least one audit JSONL to reconcile against");
-        return ExitCode::FAILURE;
-    }
+    let faults_mode = !flags.is_empty();
     let mut failed = false;
-    let mut report = |path: &str, result: Result<(), Vec<String>>| match result {
-        Ok(()) => println!("{path}: OK"),
-        Err(errors) => {
-            failed = true;
-            eprintln!("{path}: {} violation(s)", errors.len());
-            for e in &errors {
-                eprintln!("  {e}");
+    for path in &paths {
+        match check_file(path, faults_mode) {
+            Ok(()) => println!("{path}: OK"),
+            Err(errors) => {
+                failed = true;
+                eprintln!("{path}: {} violation(s)", errors.len());
+                for e in &errors {
+                    eprintln!("  {e}");
+                }
             }
         }
-    };
-    let mut labels: BTreeMap<String, LabelAgg> = BTreeMap::new();
-    for path in &paths {
-        report(path, check_file(path, faults_mode, &mut labels));
-    }
-    if let Some(path) = &bench_path {
-        report(path, check_bench(path, &floors, &labels));
-    }
-    if let Some(path) = &metrics_path {
-        report(path, check_metrics(path, &labels));
     }
     if failed {
         ExitCode::FAILURE

@@ -11,14 +11,18 @@
 //! `--max-overhead` (default 2%).
 //!
 //! The **disabled** side of the contract is structural, not measured: a
-//! pipeline without a handle pays exactly one `Option` check per hook —
-//! the same pattern as fault injection — so the disabled arm *is* the
-//! pre-telemetry code path. What this bench bounds is the **enabled**
-//! side: span pushes, histogram observations and the shard-region
-//! arithmetic, all of it off the mutex except one lock per record.
+//! pipeline with no observer pays exactly one `Option` check per
+//! recording site — the same pattern as fault injection — and never reads
+//! the clock. What this bench bounds is the **enabled** side: one clock
+//! read and one event pushed under the run's lock per recording, plus
+//! handing the log to the collector when the run closes.
 //!
 //! Writes `TELEMETRY_overhead.json` with both arms' raw trial times so a
-//! regression is diagnosable from the artifact alone.
+//! regression is diagnosable from the artifact alone. The enabled arm's
+//! warm-up run — outside the measurement — also attaches an audit sink
+//! and leaves the three views of its event log behind for `audit_check`
+//! and `trace_report`: `TELEMETRY_audit.jsonl`, `TELEMETRY_metrics.json`
+//! and `TELEMETRY_trace.json`.
 //!
 //! ```bash
 //! cargo run --release -p sp-bench --bin telemetry_overhead -- --quick
@@ -29,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use embeddings::EmbeddingTable;
-use scratchpipe::{Pipeline, PipelineConfig, Schedule, Telemetry, UnitBackend};
+use scratchpipe::{FileSink, Pipeline, PipelineConfig, Schedule, Telemetry, UnitBackend};
 use serde::Serialize;
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
@@ -63,7 +67,11 @@ fn median(samples: &[u64]) -> u64 {
 
 /// One timed run over `batches`; only `run()` is measured — building the
 /// pipeline (table seeding, arena allocation) is setup, not pipeline.
-fn timed_run(batches: &[embeddings::SparseBatch], telemetry: Option<&Telemetry>) -> u64 {
+fn timed_run(
+    batches: &[embeddings::SparseBatch],
+    telemetry: Option<&Telemetry>,
+    audit: Option<FileSink>,
+) -> u64 {
     let tables: Vec<EmbeddingTable> = (0..NUM_TABLES)
         .map(|t| EmbeddingTable::seeded(ROWS_PER_TABLE as usize, DIM, t as u64))
         .collect();
@@ -75,6 +83,9 @@ fn timed_run(batches: &[embeddings::SparseBatch], telemetry: Option<&Telemetry>)
         .named("telemetry-overhead");
     if let Some(t) = telemetry {
         builder = builder.telemetry(t.clone());
+    }
+    if let Some(sink) = audit {
+        builder = builder.audit(sink);
     }
     let mut rt = builder.build().expect("pipeline");
     let t0 = Instant::now();
@@ -108,15 +119,24 @@ fn main() -> ExitCode {
     let batches = TraceGenerator::new(tc).take_batches(iterations);
 
     // Warm both arms once (page-in, branch predictors) before measuring.
-    timed_run(&batches, None);
-    timed_run(&batches, Some(&Telemetry::new()));
+    // The enabled arm's warm-up is also the observed run CI inspects.
+    timed_run(&batches, None, None);
+    let observed = Telemetry::new();
+    let sink = FileSink::create("TELEMETRY_audit.jsonl").expect("create TELEMETRY_audit.jsonl");
+    timed_run(&batches, Some(&observed), Some(sink));
+    observed
+        .write_metrics_json("TELEMETRY_metrics.json")
+        .expect("write TELEMETRY_metrics.json");
+    observed
+        .write_chrome_trace("TELEMETRY_trace.json")
+        .expect("write TELEMETRY_trace.json");
 
     let mut disabled_ns = Vec::with_capacity(trials);
     let mut enabled_ns = Vec::with_capacity(trials);
     for trial in 0..trials {
-        let off = timed_run(&batches, None);
+        let off = timed_run(&batches, None, None);
         // A fresh collector per run: steady-state cost, no accumulation.
-        let on = timed_run(&batches, Some(&Telemetry::new()));
+        let on = timed_run(&batches, Some(&Telemetry::new()), None);
         disabled_ns.push(off);
         enabled_ns.push(on);
         println!(

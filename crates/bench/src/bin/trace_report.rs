@@ -2,8 +2,7 @@
 //! do I shard next?" from artifacts alone.
 //!
 //! Consumes the Chrome trace-event JSON written by
-//! [`Telemetry::write_chrome_trace`] (and, optionally, the matching
-//! audit JSONL) and prints, per run:
+//! [`Telemetry::write_chrome_trace`] and prints, per run:
 //!
 //! * the wall-clock critical path (the run span) and total stage work;
 //! * **overlap %** — how much concurrent stage work exceeded wall-clock
@@ -14,24 +13,15 @@
 //! * a verdict naming the **dominant stage** — the one to shard or
 //!   optimize next — with its share of total stage work.
 //!
-//! With `--audit <jsonl>` it also reconciles the trace against the audit
-//! stream: per stage and run label, the summed stage-span nanoseconds
-//! must equal the summed `stage_nanos` from the iteration events —
-//! **exactly**, because both numbers are the same integer recorded once
-//! per stage execution. A supervised run that rolled iterations back
-//! records spans for the failed attempts too, so the trace total may
-//! exceed the audit total there (reported, not failed).
-//!
 //! ```bash
-//! cargo run --release -p sp-bench --bin bench_pipeline_throughput -- \
-//!     --quick --trace trace.json --audit audit.jsonl
-//! cargo run --release -p sp-bench --bin trace_report -- trace.json --audit audit.jsonl
+//! cargo run --release -p sp-bench --bin telemetry_overhead -- --quick
+//! cargo run --release -p sp-bench --bin trace_report -- TELEMETRY_trace.json
 //! ```
 //!
-//! Exits non-zero on unreadable or structurally empty inputs, or when
-//! `--audit` reconciliation finds a trace total *below* its audit total
-//! (spans lost); it never fails on slow runs — it is a profiler, not a
-//! perf gate.
+//! Exits non-zero on unreadable or structurally empty inputs; it never
+//! fails on slow runs — it is a profiler, not a perf gate. (The trace
+//! needs no reconciling against the audit stream: both are folds over the
+//! run's one event log.)
 //!
 //! [`Telemetry::write_chrome_trace`]: scratchpipe::Telemetry::write_chrome_trace
 
@@ -198,55 +188,6 @@ fn parse_trace(body: &str, top_k: usize) -> Result<Vec<RunReport>, String> {
     Ok(runs.into_values().collect())
 }
 
-/// Per-(run label, stage) summed `stage_nanos` from the audit stream,
-/// plus whether the label saw any rollback (which relaxes equality).
-struct AuditTotals {
-    stage_ns: BTreeMap<(String, String), u64>,
-    rolled_back: BTreeMap<String, bool>,
-}
-
-fn parse_audit(body: &str) -> Result<AuditTotals, String> {
-    let mut totals = AuditTotals {
-        stage_ns: BTreeMap::new(),
-        rolled_back: BTreeMap::new(),
-    };
-    for (i, line) in body.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let Some(kind) = get_str(&event, "event") else {
-            return Err(format!("line {}: no event field", i + 1));
-        };
-        let label = get_str(&event, "run").unwrap_or_default();
-        match kind.as_str() {
-            "iteration" => {
-                let Some(Value::Map(nanos)) = event.get("stage_nanos") else {
-                    return Err(format!("line {}: iteration lacks stage_nanos", i + 1));
-                };
-                for (stage, v) in nanos {
-                    let Value::UInt(ns) = v else {
-                        return Err(format!("line {}: stage_nanos.{stage} not UInt", i + 1));
-                    };
-                    *totals
-                        .stage_ns
-                        .entry((label.clone(), stage.clone()))
-                        .or_default() += ns;
-                }
-            }
-            "iteration_rolled_back" => {
-                totals.rolled_back.insert(label, true);
-            }
-            _ => {}
-        }
-    }
-    if totals.stage_ns.is_empty() {
-        return Err("no iteration events in the audit stream".to_owned());
-    }
-    Ok(totals)
-}
-
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
@@ -316,18 +257,10 @@ fn print_run(run: &RunReport) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut trace_path = None;
-    let mut audit_path = None;
     let mut top_k = 5usize;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--audit" => match it.next() {
-                Some(p) => audit_path = Some(p),
-                None => {
-                    eprintln!("--audit needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--top" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(k) => top_k = k,
                 None => {
@@ -343,7 +276,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(trace_path) = trace_path else {
-        eprintln!("usage: trace_report <trace.json> [--audit audit.jsonl] [--top K]");
+        eprintln!("usage: trace_report <trace.json> [--top K]");
         return ExitCode::FAILURE;
     };
     let body = match std::fs::read_to_string(&trace_path) {
@@ -363,58 +296,5 @@ fn main() -> ExitCode {
     for run in &runs {
         print_run(run);
     }
-
-    let Some(audit_path) = audit_path else {
-        return ExitCode::SUCCESS;
-    };
-    let audit_body = match std::fs::read_to_string(&audit_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{audit_path}: cannot read: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let totals = match parse_audit(&audit_body) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{audit_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Trace vs audit: same integers, summed two ways.
-    let mut failed = false;
-    let mut checked = 0usize;
-    for run in &runs {
-        let retried = totals.rolled_back.get(&run.label).copied().unwrap_or(false);
-        for (stage, st) in &run.stages {
-            let Some(&audit_ns) = totals.stage_ns.get(&(run.label.clone(), stage.clone())) else {
-                continue; // trace-only run, or stage absent from the stream
-            };
-            checked += 1;
-            let ok = if retried {
-                st.self_ns >= audit_ns
-            } else {
-                st.self_ns == audit_ns
-            };
-            if !ok {
-                failed = true;
-                eprintln!(
-                    "reconcile FAIL: run {:?} stage {stage}: trace {} ns {} audit {} ns",
-                    run.label,
-                    st.self_ns,
-                    if retried { "<" } else { "!=" },
-                    audit_ns
-                );
-            }
-        }
-    }
-    if checked == 0 {
-        eprintln!("reconcile: no (run, stage) pair appears in both trace and audit");
-        return ExitCode::FAILURE;
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("reconcile OK: {checked} (run, stage) totals match the audit stream");
     ExitCode::SUCCESS
 }

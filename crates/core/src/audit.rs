@@ -3,9 +3,15 @@
 //! Every [`Pipeline`](crate::pipeline::Pipeline) run can emit a JSONL
 //! audit stream — one JSON object per line — to an [`AuditSink`]. The
 //! stream is the run's ground truth: per-iteration stage timings and
-//! [`StageTraffic`](crate::runtime::StageTraffic), hit/evict counts, and
-//! a closing summary from which the benchmark numbers (iterations/sec,
-//! bytes staged, hit rate) are reproducible without re-running.
+//! [`StageTraffic`], hit/evict counts, and a closing summary from which
+//! the benchmark numbers (iterations/sec, bytes staged, hit rate) are
+//! reproducible without re-running.
+//!
+//! The stream is a fold over the run's event log
+//! ([`crate::telemetry::Event`]), written when the run closes — on
+//! success, on a supervised abort and on a plain run's failure alike, so
+//! every stream that starts also ends. The telemetry views are folds over
+//! the same log; the integers here are the integers there.
 //!
 //! # Event schema
 //!
@@ -15,14 +21,14 @@
 //!
 //! * `run_started` — schedule, iteration count and the pipeline
 //!   configuration.
-//! * `iteration` — one per mini-batch: the serialized
-//!   [`IterationRecord`](crate::runtime::IterationRecord) (index, hits,
-//!   misses, evictions, total_lookups, unique_rows, loss, per-stage
-//!   `traffic`) plus `stage_nanos`, a map of per-stage wall-clock
-//!   nanoseconds, and — when a stage sharded work over a
-//!   [`WorkerPool`](crate::workers::WorkerPool) — `stage_shards`, a map
-//!   from stage name to the per-shard wall-clock nanoseconds of every
-//!   shard task that stage ran (omitted entirely when no stage sharded).
+//! * `iteration` — one per committed mini-batch: the serialized
+//!   [`IterationRecord`] (index, hits, misses, evictions, total_lookups,
+//!   unique_rows, loss, per-stage `traffic`) plus `stage_nanos`, a map of
+//!   per-stage wall-clock nanoseconds, and `stage_shards`, a map from
+//!   stage name to the wall-clock nanoseconds of every shard task that
+//!   stage handed to its [`WorkerPool`](crate::workers::WorkerPool)
+//!   (stages that ran none are left out; the map is omitted when no stage
+//!   ran any).
 //! * `run_completed` — elapsed nanoseconds, flush traffic, peak held
 //!   slots, hit rate and mean loss.
 //!
@@ -37,11 +43,13 @@
 //!   schedule rung (iteration, attempt, schedule).
 //! * `schedule_degraded` — a rung exhausted its retry budget and the run
 //!   degraded down the ladder (iteration, `from`, `to`).
-//! * `run_aborted` — terminal event of a failed supervised run:
-//!   iteration (first uncommitted), committed count, attempts on the
-//!   final rung, schedule and cause. Replaces `run_completed`.
+//! * `run_aborted` — terminal event of a failed run: iteration (first
+//!   uncommitted), committed count, attempts on the final rung, schedule
+//!   and cause. Replaces `run_completed`. A plain
+//!   [`Pipeline::run`](crate::pipeline::Pipeline::run) that fails commits
+//!   nothing and tries once: `committed: 0`, `attempts: 1`.
 //!
-//! Events serialize through the same [`serde::Serialize`] path as
+//! Records serialize through the same [`serde::Serialize`] path as
 //! [`PipelineReport`](crate::runtime::PipelineReport), so the audit
 //! stream and report JSON never disagree on field names.
 
@@ -55,8 +63,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
-use crate::faults::InjectionRecord;
-use crate::runtime::{IterationRecord, PipelineReport};
+use crate::faults::FaultKind;
+use crate::runtime::{IterationRecord, StageTraffic};
+use crate::telemetry::Event;
 
 /// Destination for audit JSONL lines. Implementors must tolerate being
 /// handed one complete JSON object per `write_line` call and must not
@@ -69,10 +78,10 @@ pub trait AuditSink: Send {
     fn flush(&mut self) {}
 
     /// Lines this sink failed to deliver so far. Lossless sinks (the
-    /// default) report 0; [`FileSink`] counts failed writes. The emitter
-    /// samples this just before the terminal `run_completed` /
-    /// `run_aborted` event, so truncation is detectable *from the stream
-    /// itself*, not only in-process.
+    /// default) report 0; [`FileSink`] counts failed writes. Sampled just
+    /// before the terminal `run_completed` / `run_aborted` event is
+    /// written, so truncation is detectable *from the stream itself*, not
+    /// only in-process.
     fn dropped_lines(&self) -> u64 {
         0
     }
@@ -198,276 +207,272 @@ impl RunDescriptor {
     }
 }
 
-/// Emits the audit event stream for one pipeline. Holds the optional
-/// sink; with no sink every emit is a no-op.
-pub struct AuditEmitter {
-    sink: Option<Box<dyn AuditSink>>,
+/// One run's JSONL stream while the audit fold writes it.
+struct Stream<'s> {
+    sink: &'s mut dyn AuditSink,
     descriptor: RunDescriptor,
     seq: u64,
 }
 
-impl fmt::Debug for AuditEmitter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AuditEmitter")
-            .field("enabled", &self.sink.is_some())
-            .field("descriptor", &self.descriptor)
-            .field("seq", &self.seq)
-            .finish()
-    }
-}
-
-impl AuditEmitter {
-    /// An emitter writing to `sink` under `descriptor`'s identity.
-    pub fn new(sink: Box<dyn AuditSink>, descriptor: RunDescriptor) -> Self {
-        AuditEmitter {
-            sink: Some(sink),
-            descriptor,
-            seq: 0,
-        }
-    }
-
-    /// An emitter that drops every event.
-    pub fn disabled() -> Self {
-        AuditEmitter {
-            sink: None,
-            descriptor: RunDescriptor {
-                run_id: String::new(),
-                name: String::new(),
-            },
-            seq: 0,
-        }
-    }
-
-    /// Whether a sink is attached.
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Serializes one event: the envelope (`event`, `run_id`, `run`,
-    /// `seq`) followed by `fields`, as a single JSON line.
-    fn emit(&mut self, event: &str, fields: Vec<(String, Value)>) {
-        let Some(sink) = self.sink.as_mut() else {
-            return;
-        };
+impl Stream<'_> {
+    /// Writes one event: the envelope (`event`, `run_id`, `run`, `seq`)
+    /// followed by `fields`, as a single JSON line.
+    fn emit<K: Into<String>>(&mut self, event: &str, fields: Vec<(K, Value)>) {
         let mut entries = vec![
-            ("event".to_owned(), Value::Str(event.to_owned())),
-            (
-                "run_id".to_owned(),
-                Value::Str(self.descriptor.run_id.clone()),
-            ),
-            ("run".to_owned(), Value::Str(self.descriptor.name.clone())),
+            ("event".to_owned(), text(event)),
+            ("run_id".to_owned(), text(&self.descriptor.run_id)),
+            ("run".to_owned(), text(&self.descriptor.name)),
             ("seq".to_owned(), Value::UInt(self.seq)),
         ];
-        entries.extend(fields);
+        entries.extend(fields.into_iter().map(|(k, v)| (k.into(), v)));
         if let Ok(line) = serde_json::to_string(&Value::Map(entries)) {
-            sink.write_line(&line);
+            self.sink.write_line(&line);
             self.seq += 1;
         }
     }
+}
 
-    /// Emits the `run_started` event.
-    pub fn run_started(
-        &mut self,
-        schedule: &str,
-        iterations: usize,
-        num_tables: usize,
-        config: &crate::config::PipelineConfig,
-    ) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.emit(
-            "run_started",
-            vec![
-                ("schedule".to_owned(), Value::Str(schedule.to_owned())),
-                ("iterations".to_owned(), Value::UInt(iterations as u64)),
-                ("num_tables".to_owned(), Value::UInt(num_tables as u64)),
-                ("dim".to_owned(), Value::UInt(config.dim as u64)),
-                (
-                    "slots_per_table".to_owned(),
-                    Value::UInt(config.slots_per_table as u64),
-                ),
-                (
-                    "policy".to_owned(),
-                    Value::Str(config.policy.name().to_owned()),
-                ),
-                (
-                    "window".to_owned(),
-                    Value::Seq(vec![
-                        Value::UInt(u64::from(config.window.past)),
-                        Value::UInt(u64::from(config.window.future)),
-                    ]),
-                ),
-                ("functional".to_owned(), Value::Bool(config.functional)),
-            ],
-        );
-    }
+fn uint(n: usize) -> Value {
+    Value::UInt(n as u64)
+}
 
-    /// Emits one `iteration` event: the serialized record plus the
-    /// per-stage wall-clock timings and, for stages that sharded work
-    /// over a worker pool, the per-shard timing breakdown (`shards[s]`
-    /// aligns with `stage_names[s]`; empty entries are omitted).
-    pub fn iteration(
-        &mut self,
-        record: &IterationRecord,
-        stage_names: &[&str],
-        nanos: &[u64],
-        shards: &[&[u64]],
-    ) {
-        if self.sink.is_none() {
-            return;
-        }
+fn text(s: &str) -> Value {
+    Value::Str(s.to_owned())
+}
+
+fn stage_index(stage: &str) -> usize {
+    StageTraffic::STAGE_NAMES
+        .iter()
+        .position(|name| *name == stage)
+        .expect("the pipeline runs the five canonical stages")
+}
+
+/// What the log says about one iteration, as of the latest attempt at it.
+#[derive(Default)]
+struct IterationTrail<'a> {
+    record: Option<&'a IterationRecord>,
+    /// Wall-clock nanoseconds per stage.
+    nanos: [u64; 5],
+    /// Per stage, the nanoseconds of every shard task it ran, regions
+    /// back to back.
+    shards: [Vec<u64>; 5],
+}
+
+impl IterationTrail<'_> {
+    /// The fields of the `iteration` line: the serialized record, plus
+    /// `stage_nanos`, plus — when any stage ran shard tasks — the
+    /// `stage_shards` breakdown of those that did.
+    fn fields(&self) -> Vec<(String, Value)> {
+        let record = self.record.expect("a committed iteration retired");
         let mut fields = match record.to_value() {
             Value::Map(entries) => entries,
             other => vec![("record".to_owned(), other)],
         };
-        let timing: Vec<(String, Value)> = stage_names
+        let named = StageTraffic::STAGE_NAMES
             .iter()
-            .zip(nanos)
-            .map(|(name, &ns)| ((*name).to_owned(), Value::UInt(ns)))
-            .collect();
-        fields.push(("stage_nanos".to_owned(), Value::Map(timing)));
-        let shard_map: Vec<(String, Value)> = stage_names
-            .iter()
-            .zip(shards)
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(name, s)| {
-                (
-                    (*name).to_owned(),
-                    Value::Seq(s.iter().map(|&ns| Value::UInt(ns)).collect()),
-                )
+            .map(|name| (*name).to_owned());
+        fields.push((
+            "stage_nanos".to_owned(),
+            Value::Map(
+                named
+                    .clone()
+                    .zip(self.nanos.iter().map(|&ns| Value::UInt(ns)))
+                    .collect(),
+            ),
+        ));
+        let sharded: Vec<(String, Value)> = named
+            .zip(&self.shards)
+            .filter(|(_, shards)| !shards.is_empty())
+            .map(|(name, shards)| {
+                let nanos = shards.iter().map(|&ns| Value::UInt(ns)).collect();
+                (name, Value::Seq(nanos))
             })
             .collect();
-        if !shard_map.is_empty() {
-            fields.push(("stage_shards".to_owned(), Value::Map(shard_map)));
+        if !sharded.is_empty() {
+            fields.push(("stage_shards".to_owned(), Value::Map(sharded)));
         }
-        self.emit("iteration", fields);
+        fields
     }
+}
 
-    /// Emits the closing `run_completed` event and flushes the sink.
-    /// `dropped_lines` is the sink's drop counter sampled just before
-    /// this line is written — lines lost *before* the summary; whether
-    /// the summary itself lands is the reader's to observe.
-    pub fn run_completed(&mut self, report: &PipelineReport, elapsed_ns: u64, schedule: &str) {
-        let Some(sink) = self.sink.as_ref() else {
-            return;
-        };
-        let dropped = sink.dropped_lines();
-        self.emit(
-            "run_completed",
-            vec![
-                ("dropped_lines".to_owned(), Value::UInt(dropped)),
-                (
-                    "iterations".to_owned(),
-                    Value::UInt(report.iterations as u64),
-                ),
-                ("elapsed_ns".to_owned(), Value::UInt(elapsed_ns)),
-                ("schedule".to_owned(), Value::Str(schedule.to_owned())),
-                ("flush_traffic".to_owned(), report.flush_traffic.to_value()),
-                (
-                    "peak_held_slots".to_owned(),
-                    report.peak_held_slots.to_value(),
-                ),
-                ("hit_rate".to_owned(), Value::Float(report.hit_rate())),
-                (
-                    "mean_loss".to_owned(),
-                    Value::Float(f64::from(report.mean_loss())),
-                ),
-            ],
-        );
-        if let Some(sink) = self.sink.as_mut() {
-            sink.flush();
-        }
-    }
+/// The audit fold: writes one closed run's event log to `sink` as JSONL,
+/// under a fresh [`RunDescriptor`], and flushes it.
+///
+/// Line order: `run_started`; the fault and recovery events in log order;
+/// one `iteration` line per committed iteration, in index order, carrying
+/// the stage and shard timings of the attempt that committed it (a
+/// `RolledBack` voids what earlier attempts left); the terminal
+/// `run_completed` / `run_aborted`. Its `dropped_lines` is the
+/// sink's drop counter sampled just before that line is written — lines
+/// lost *before* the summary; whether the summary itself lands is the
+/// reader's to observe.
+pub(crate) fn write_run(sink: &mut dyn AuditSink, events: &[Event]) {
+    let Some(Event::RunStarted {
+        label,
+        schedule,
+        iterations,
+        num_tables,
+        config,
+        ..
+    }) = events.first()
+    else {
+        return;
+    };
+    let mut out = Stream {
+        sink,
+        descriptor: RunDescriptor::fresh(label),
+        seq: 0,
+    };
+    out.emit(
+        "run_started",
+        vec![
+            ("schedule", text(schedule)),
+            ("iterations", uint(*iterations)),
+            ("num_tables", uint(*num_tables)),
+            ("dim", uint(config.dim)),
+            ("slots_per_table", uint(config.slots_per_table)),
+            ("policy", text(config.policy.name())),
+            (
+                "window",
+                Value::Seq(vec![
+                    Value::UInt(u64::from(config.window.past)),
+                    Value::UInt(u64::from(config.window.future)),
+                ]),
+            ),
+            ("functional", Value::Bool(config.functional)),
+        ],
+    );
 
-    /// Emits one `fault_injected` event for a fault the injector fired.
-    pub fn fault_injected(&mut self, record: &InjectionRecord) {
-        if self.sink.is_none() {
-            return;
+    let mut trails: Vec<IterationTrail<'_>> = Vec::new();
+    trails.resize_with(*iterations, IterationTrail::default);
+    for event in &events[1..] {
+        match event {
+            Event::Stage {
+                iteration,
+                stage,
+                dur_ns,
+                ..
+            } => trails[*iteration].nanos[stage_index(stage)] = *dur_ns,
+            Event::Shards {
+                iteration,
+                stage,
+                timings,
+                ..
+            } => trails[*iteration].shards[stage_index(stage)]
+                .extend(timings.iter().map(|t| t.dur_ns)),
+            Event::Retired(record) => trails[record.index].record = Some(record),
+            Event::Fault(record) => {
+                out.emit(
+                    "fault_injected",
+                    vec![
+                        ("iteration", uint(record.iteration)),
+                        ("attempt", Value::UInt(u64::from(record.attempt))),
+                        ("stage", text(&record.stage)),
+                        ("kind", text(record.kind.name())),
+                        ("shard", uint(record.shard)),
+                    ],
+                );
+                // An injected slowdown is logical time: it is added to
+                // the shard it names here, never slept.
+                if record.kind == FaultKind::SlowShard {
+                    let shards = &mut trails[record.iteration].shards[stage_index(&record.stage)];
+                    match shards.len() {
+                        0 => shards.push(record.slow_nanos),
+                        n => shards[record.shard % n] += record.slow_nanos,
+                    }
+                }
+            }
+            Event::RolledBack {
+                iteration,
+                attempt,
+                cause,
+            } => {
+                trails[*iteration..].fill_with(IterationTrail::default);
+                out.emit(
+                    "iteration_rolled_back",
+                    vec![
+                        ("iteration", uint(*iteration)),
+                        ("attempt", Value::UInt(u64::from(*attempt))),
+                        ("cause", text(cause)),
+                    ],
+                );
+            }
+            Event::Retried {
+                iteration,
+                attempt,
+                schedule,
+            } => out.emit(
+                "stage_retried",
+                vec![
+                    ("iteration", uint(*iteration)),
+                    ("attempt", Value::UInt(u64::from(*attempt))),
+                    ("schedule", text(schedule)),
+                ],
+            ),
+            Event::Degraded {
+                iteration,
+                from,
+                to,
+            } => out.emit(
+                "schedule_degraded",
+                vec![
+                    ("iteration", uint(*iteration)),
+                    ("from", text(from)),
+                    ("to", text(to)),
+                ],
+            ),
+            Event::Completed {
+                elapsed_ns,
+                schedule,
+                tables,
+                iterations,
+                flush_traffic,
+                hit_rate,
+                mean_loss,
+                ..
+            } => {
+                for trail in &trails[..*iterations] {
+                    out.emit("iteration", trail.fields());
+                }
+                let peaks = tables.iter().map(|(_, stats)| uint(stats.peak_held));
+                out.emit(
+                    "run_completed",
+                    vec![
+                        ("dropped_lines", Value::UInt(out.sink.dropped_lines())),
+                        ("iterations", uint(*iterations)),
+                        ("elapsed_ns", Value::UInt(*elapsed_ns)),
+                        ("schedule", text(schedule)),
+                        ("flush_traffic", flush_traffic.to_value()),
+                        ("peak_held_slots", Value::Seq(peaks.collect())),
+                        ("hit_rate", Value::Float(*hit_rate)),
+                        ("mean_loss", Value::Float(f64::from(*mean_loss))),
+                    ],
+                );
+            }
+            Event::Aborted {
+                schedule,
+                committed,
+                attempts,
+                cause,
+                ..
+            } => {
+                for trail in &trails[..*committed] {
+                    out.emit("iteration", trail.fields());
+                }
+                out.emit(
+                    "run_aborted",
+                    vec![
+                        ("dropped_lines", Value::UInt(out.sink.dropped_lines())),
+                        ("iteration", uint(*committed)),
+                        ("committed", uint(*committed)),
+                        ("attempts", Value::UInt(u64::from(*attempts))),
+                        ("schedule", text(schedule)),
+                        ("cause", text(cause)),
+                    ],
+                );
+            }
+            Event::RunStarted { .. } | Event::Stall { .. } | Event::ChannelDepth { .. } => {}
         }
-        self.emit(
-            "fault_injected",
-            vec![
-                ("iteration".to_owned(), Value::UInt(record.iteration as u64)),
-                ("attempt".to_owned(), Value::UInt(u64::from(record.attempt))),
-                ("stage".to_owned(), Value::Str(record.stage.clone())),
-                ("kind".to_owned(), Value::Str(record.kind.name().to_owned())),
-                ("shard".to_owned(), Value::UInt(record.shard as u64)),
-            ],
-        );
     }
-
-    /// Emits one `iteration_rolled_back` event: the segment starting at
-    /// `iteration` failed its `attempt`-th attempt and was restored to
-    /// the checkpoint.
-    pub fn iteration_rolled_back(&mut self, iteration: usize, attempt: u32, cause: &str) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.emit(
-            "iteration_rolled_back",
-            vec![
-                ("iteration".to_owned(), Value::UInt(iteration as u64)),
-                ("attempt".to_owned(), Value::UInt(u64::from(attempt))),
-                ("cause".to_owned(), Value::Str(cause.to_owned())),
-            ],
-        );
-    }
-
-    /// Emits one `stage_retried` event: the rolled-back segment will run
-    /// again on the same schedule rung.
-    pub fn stage_retried(&mut self, iteration: usize, attempt: u32, schedule: &str) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.emit(
-            "stage_retried",
-            vec![
-                ("iteration".to_owned(), Value::UInt(iteration as u64)),
-                ("attempt".to_owned(), Value::UInt(u64::from(attempt))),
-                ("schedule".to_owned(), Value::Str(schedule.to_owned())),
-            ],
-        );
-    }
-
-    /// Emits one `schedule_degraded` event: `from` exhausted its retry
-    /// budget and the run moves down the ladder to `to`.
-    pub fn schedule_degraded(&mut self, iteration: usize, from: &str, to: &str) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.emit(
-            "schedule_degraded",
-            vec![
-                ("iteration".to_owned(), Value::UInt(iteration as u64)),
-                ("from".to_owned(), Value::Str(from.to_owned())),
-                ("to".to_owned(), Value::Str(to.to_owned())),
-            ],
-        );
-    }
-
-    /// Emits the terminal `run_aborted` event (instead of
-    /// `run_completed`) and flushes the sink. `iteration` is the first
-    /// uncommitted iteration — everything before it committed and was
-    /// flushed to the CPU tables.
-    pub fn run_aborted(&mut self, iteration: usize, attempts: u32, schedule: &str, cause: &str) {
-        let Some(sink) = self.sink.as_ref() else {
-            return;
-        };
-        let dropped = sink.dropped_lines();
-        self.emit(
-            "run_aborted",
-            vec![
-                ("dropped_lines".to_owned(), Value::UInt(dropped)),
-                ("iteration".to_owned(), Value::UInt(iteration as u64)),
-                ("committed".to_owned(), Value::UInt(iteration as u64)),
-                ("attempts".to_owned(), Value::UInt(u64::from(attempts))),
-                ("schedule".to_owned(), Value::Str(schedule.to_owned())),
-                ("cause".to_owned(), Value::Str(cause.to_owned())),
-            ],
-        );
-        if let Some(sink) = self.sink.as_mut() {
-            sink.flush();
-        }
-    }
+    out.sink.flush();
 }

@@ -16,8 +16,9 @@
 //!   panics; the pool catches it (`catch_unwind`) and converts it to
 //!   [`ScratchError::WorkerPanic`].
 //! * [`FaultKind::SlowShard`] — adds logical nanoseconds to one of the
-//!   stage's per-shard timings (surfaced via the audit stream's
-//!   `stage_shards`); never fails the stage.
+//!   stage's per-shard timings in the audit stream's `stage_shards`
+//!   (nothing sleeps, and no measured timing changes); never fails the
+//!   stage.
 //! * [`FaultKind::CorruptPayload`] — flips bits in the rows staged at
 //!   \[Collect\]; the payload checksum catches the corruption at
 //!   \[Insert\] as [`ScratchError::PayloadCorrupted`] before any state is
@@ -309,11 +310,14 @@ pub struct InjectionRecord {
     pub kind: FaultKind,
     /// Shard coordinate (0 for whole-stage faults).
     pub shard: usize,
+    /// Logical nanoseconds a [`FaultKind::SlowShard`] firing adds to that
+    /// shard (0 for other kinds).
+    pub slow_nanos: u64,
 }
 
 /// The armed, thread-safe form of a [`FaultPlan`]: stages consult it at
 /// their hook points, the supervised runtime advances its attempt counter
-/// and drains its firing log into the audit stream.
+/// and drains its firing log into the run's event log.
 ///
 /// Triggering is a pure predicate (see the [module docs](self)), so the
 /// injector is safely shared by concurrently executing stage threads.
@@ -396,6 +400,7 @@ impl FaultInjector {
             } else {
                 fault.shard
             },
+            slow_nanos: 0,
         });
         Some(fault)
     }
@@ -418,15 +423,15 @@ impl FaultInjector {
             .map(|f| f.shard)
     }
 
-    /// Consulted by the driver after a stage completes: every firing
-    /// [`FaultKind::SlowShard`] yields `(shard, logical nanos)` to add to
-    /// the stage's per-shard timings.
-    pub fn slowdowns(&self, iteration: usize, stage: &str) -> Vec<(usize, u64)> {
+    /// Consulted by the driver after a stage completes: logs every
+    /// [`FaultKind::SlowShard`] firing on it. The slowdown itself is
+    /// logical time, applied where the firing is read back — the audit
+    /// fold adds [`InjectionRecord::slow_nanos`] to the named shard.
+    pub fn fire_slowdowns(&self, iteration: usize, stage: &str) {
         let attempt = self.attempt();
         let Some(faults) = self.by_iter.get(&iteration) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         for f in faults {
             if f.kind == FaultKind::SlowShard
                 && attempt < f.fires
@@ -438,11 +443,10 @@ impl FaultInjector {
                     stage: stage.to_owned(),
                     kind: FaultKind::SlowShard,
                     shard: f.shard,
+                    slow_nanos: f.slow_nanos,
                 });
-                out.push((f.shard, f.slow_nanos));
             }
         }
-        out
     }
 
     /// Whether a [`FaultKind::CorruptPayload`] fault targets `iteration`
@@ -466,6 +470,7 @@ impl FaultInjector {
             stage: "Collect".to_owned(),
             kind: FaultKind::CorruptPayload,
             shard: 0,
+            slow_nanos: 0,
         });
     }
 
@@ -614,8 +619,15 @@ mod tests {
         assert!(inj.checksums_enabled());
         assert_eq!(inj.worker_panic(0, "Collect"), Some(1));
         assert_eq!(inj.worker_panic(0, "Insert"), None);
-        assert_eq!(inj.slowdowns(0, "Train"), vec![(1, 500)]);
-        assert!(inj.slowdowns(0, "Collect").is_empty());
+        inj.fire_slowdowns(0, "Collect");
+        inj.fire_slowdowns(0, "Train");
+        let slow: Vec<_> = inj
+            .drain_log()
+            .into_iter()
+            .filter(|r| r.kind == FaultKind::SlowShard)
+            .map(|r| (r.stage, r.shard, r.slow_nanos))
+            .collect();
+        assert_eq!(slow, vec![("Train".to_owned(), 1, 500)]);
         assert!(inj.should_corrupt(1));
         assert!(!inj.should_corrupt(0));
         inj.begin_attempt(1);

@@ -110,7 +110,7 @@ pub mod stages;
 pub mod telemetry;
 pub mod workers;
 
-pub use audit::{AuditEmitter, AuditSink, FileSink, MemorySink, RunDescriptor};
+pub use audit::{AuditSink, FileSink, MemorySink, RunDescriptor};
 pub use backend::{DenseBackend, PooledView, StepResult, UnitBackend};
 pub use config::{PipelineConfig, WindowConfig};
 pub use error::ScratchError;
@@ -125,5 +125,5 @@ pub use runtime::{IterationRecord, PipelineReport, StageTraffic};
 pub use scratchpad::{ScratchpadManager, TablePlan};
 pub use stage::{Stage, StageBarrier, StageCtx};
 pub use stages::{PayloadPool, StagePayload, StagedRows, TrainArena};
-pub use telemetry::{Lane, RunTelemetry, Telemetry};
+pub use telemetry::{Event, Lane, RunTelemetry, Telemetry};
 pub use workers::{ShardTiming, WorkerPool};

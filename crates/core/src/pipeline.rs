@@ -27,8 +27,13 @@
 //! construction — the driver-equivalence suite asserts it.
 //!
 //! Construction goes through [`PipelineBuilder`] (no positional
-//! constructors), and every run can emit a structured JSONL audit stream
-//! via [`AuditSink`] — see [`crate::audit`].
+//! constructors). A run with an [`AuditSink`] or a [`Telemetry`] collector
+//! attached records one event log ([`crate::telemetry`]) through one
+//! handle: [`Pipeline::run`] and [`Pipeline::run_supervised`] open it the
+//! same way and leave — completed, aborted or failed — through the same
+//! close, which writes the terminal event and hands the log to the audit
+//! stream and the collector. With neither attached there is no log, and
+//! the drivers do not read the clock.
 
 use std::fmt;
 use std::ops::Range;
@@ -43,7 +48,7 @@ use memsim::Traffic;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{AuditEmitter, AuditSink, RunDescriptor};
+use crate::audit::AuditSink;
 use crate::backend::DenseBackend;
 use crate::config::PipelineConfig;
 use crate::error::ScratchError;
@@ -55,7 +60,7 @@ use crate::stage::{
     CollectStage, ExchangeStage, InsertStage, PlanStage, SharedState, Stage, StageCtx, TrainStage,
 };
 use crate::stages::{self, PayloadPool, StagePayload};
-use crate::telemetry::{Lane, RunTelemetry, Telemetry};
+use crate::telemetry::{self, Event, Lane, RunTelemetry, Telemetry};
 use crate::workers::{self, WorkerPool};
 
 /// Stages in the pipeline (Plan / Collect / Exchange / Insert / Train) —
@@ -109,7 +114,7 @@ impl Schedule {
 /// Sparse lookups per iteration (first batch, all tables) from which
 /// [`Schedule::Auto`] overlaps.
 ///
-/// From the calibration sweep (`bench_pipeline_throughput --calibrate`,
+/// From the calibration sweep (the `calibrate_schedule` bench bin,
 /// 2-CPU host, best of 5 runs of 200 iterations, µs per iteration; full
 /// table in docs/perf.md, "Schedule calibration"): the lanes' channel hops
 /// and barrier waits cost a fixed 20–30 µs per iteration (16 lookups:
@@ -266,14 +271,15 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         self
     }
 
-    /// Attaches a [`Telemetry`] collector: every run records a span tree
-    /// (run → iteration → stage → shard, plus barrier stalls) and the
-    /// metric catalog into it, keyed by the pipeline's audit name
-    /// ([`PipelineBuilder::named`]). One collector may be shared across
-    /// pipelines — it is a cheap `Arc` clone — so several runs land in one
-    /// `trace.json` / `METRICS.json` snapshot. Without this call no
-    /// collector exists and every recording hook is a single `None`
-    /// check, the same contract as [`PipelineBuilder::faults`].
+    /// Attaches a [`Telemetry`] collector: it keeps the event log of
+    /// every run, from which it renders the span tree (run → iteration →
+    /// stage → shard, plus barrier stalls) and the metric catalog, keyed
+    /// by the pipeline's audit name ([`PipelineBuilder::named`]). One
+    /// collector may be shared across pipelines — it is a cheap `Arc`
+    /// clone — so several runs land in one `trace.json` / `METRICS.json`
+    /// snapshot. With neither this nor [`PipelineBuilder::audit`] no log
+    /// exists and every recording site is a single `None` check, the same
+    /// contract as [`PipelineBuilder::faults`].
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -372,11 +378,6 @@ impl<B: DenseBackend> PipelineBuilder<B> {
                 .collect(),
         });
 
-        let audit = match self.sink {
-            Some(sink) => AuditEmitter::new(sink, RunDescriptor::fresh(&self.name)),
-            None => AuditEmitter::disabled(),
-        };
-
         Ok(Pipeline {
             name: self.name,
             plan: PlanStage::new(
@@ -398,7 +399,7 @@ impl<B: DenseBackend> PipelineBuilder<B> {
             },
             config,
             pool: PayloadPool::new(),
-            audit,
+            sink: self.sink,
             faults: self.faults.map(FaultInjector::new),
             telemetry: self.telemetry,
         })
@@ -421,7 +422,7 @@ pub struct Pipeline<B> {
     insert: InsertStage,
     train: TrainStage<B>,
     pool: PayloadPool,
-    audit: AuditEmitter,
+    sink: Option<Box<dyn AuditSink>>,
     faults: Option<FaultInjector>,
     telemetry: Option<Telemetry>,
 }
@@ -432,7 +433,7 @@ impl<B> fmt::Debug for Pipeline<B> {
             .field("config", &self.config)
             .field("schedule", &self.schedule)
             .field("tables", &self.plan.managers().len())
-            .field("audit", &self.audit.enabled())
+            .field("audit", &self.sink.is_some())
             .finish()
     }
 }
@@ -595,16 +596,6 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         }
     }
 
-    fn stage_names(&self) -> [&'static str; STAGES] {
-        [
-            self.plan.name(),
-            self.collect.name(),
-            self.exchange.name(),
-            self.insert.name(),
-            self.train.name(),
-        ]
-    }
-
     /// Worker-pool width a run under `schedule` shards over.
     fn pool_width(&self, schedule: Schedule) -> usize {
         match schedule {
@@ -613,15 +604,48 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         }
     }
 
+    /// Opens a run: its event log if anyone observes it, its clock, and a
+    /// blank record per iteration. Armed faults start at attempt 0 with an
+    /// empty firing log.
+    fn open(&mut self, schedule: Schedule, iterations: usize, supervised: bool) -> Run {
+        let observer = (self.sink.is_some() || self.telemetry.is_some()).then(|| {
+            let observer = telemetry::open_run(self.telemetry.as_ref());
+            observer.record(Event::RunStarted {
+                label: self.name.clone(),
+                start_ns: observer.now_ns(),
+                schedule: schedule.name(),
+                iterations,
+                num_tables: self.plan.managers().len(),
+                config: self.config.clone(),
+                supervised,
+            });
+            observer
+        });
+        self.plan.begin_run();
+        if let Some(inj) = &self.faults {
+            inj.begin_attempt(0);
+            let _ = inj.drain_log();
+        }
+        Run {
+            observer,
+            started: Instant::now(),
+            records: (0..iterations)
+                .map(|index| IterationRecord {
+                    index,
+                    ..IterationRecord::default()
+                })
+                .collect(),
+        }
+    }
+
     /// Drives iterations `range` of `batches` through the stages under the
-    /// (resolved) `schedule`, retiring each finished iteration into `log`.
+    /// (resolved) `schedule`, retiring each finished iteration into `run`.
     fn drive(
         &mut self,
         schedule: Schedule,
         batches: &[SparseBatch],
         range: Range<usize>,
-        telemetry: Option<&RunTelemetry>,
-        log: &mut RunLog,
+        run: &mut Run,
     ) -> Result<(), ScratchError> {
         let mut stages: [&mut dyn Stage; STAGES] = [
             &mut self.plan,
@@ -634,61 +658,116 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             batches,
             dim: self.config.dim,
             faults: self.faults.as_ref(),
-            telemetry,
+            observer: run.observer.as_ref(),
         };
-        let pool = &mut self.pool;
+        let (pool, records) = (&mut self.pool, &mut run.records[..]);
         match schedule {
-            Schedule::Sequential => drive_sequential(&mut stages, pool, &env, range, log),
-            Schedule::Sync => drive_sync(&mut stages, pool, WorkerPool::inline(), &env, range, log),
+            Schedule::Sequential => drive_sequential(&mut stages, pool, &env, range, records),
+            Schedule::Sync => drive_sync(
+                &mut stages,
+                pool,
+                WorkerPool::inline(),
+                &env,
+                range,
+                records,
+            ),
             // Data parallelism rides the register pipeline: the same
             // driver, but stages see the real worker pool.
-            Schedule::DataParallel => drive_sync(&mut stages, pool, self.workers, &env, range, log),
-            Schedule::Threaded => drive_threaded(&mut stages, pool, &env, range, log),
+            Schedule::DataParallel => {
+                drive_sync(&mut stages, pool, self.workers, &env, range, records)
+            }
+            Schedule::Threaded => drive_threaded(&mut stages, pool, &env, range, records),
             Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
         }
     }
 
-    /// The tail every completed run shares: flush, assemble the report,
-    /// emit the iteration events and the closing event, close telemetry.
-    fn complete(
+    /// Moves the injector's firing log into the run's event log; returns
+    /// how many faults fired.
+    fn drain_faults(&self, run: &Run) -> u64 {
+        let fired = self
+            .faults
+            .as_ref()
+            .map_or_else(Vec::new, |inj| inj.drain_log());
+        let count = fired.len() as u64;
+        if let Some(observer) = &run.observer {
+            fired
+                .into_iter()
+                .for_each(|record| observer.record(Event::Fault(record)));
+        }
+        count
+    }
+
+    /// The one way out of a run, whatever became of it. A completed run
+    /// (`Ok`) is flushed and reported; a failed one (`Err`: iterations
+    /// committed, attempts made, cause) gets its cause back. Either way
+    /// the faults still pending and the terminal event go into the log,
+    /// which is then folded into the audit stream and handed to the
+    /// collector.
+    fn close(
         &mut self,
-        mut log: RunLog,
+        run: Run,
         schedule: Schedule,
-        elapsed_ns: u64,
-        telemetry: Option<&RunTelemetry>,
-    ) -> PipelineReport {
-        let flush_traffic = self.flush();
-        let n = log.records.len();
-        let names = self.stage_names();
-        log.emit(&mut self.audit, &names, n);
-        let report = PipelineReport {
-            iterations: n,
-            records: std::mem::take(&mut log.records),
-            flush_traffic,
+        outcome: Result<(), (usize, u32, ScratchError)>,
+    ) -> Result<PipelineReport, ScratchError> {
+        let elapsed_ns = run.started.elapsed().as_nanos() as u64;
+        self.drain_faults(&run);
+        let Run {
+            observer, records, ..
+        } = run;
+        let outcome = outcome.map(|()| PipelineReport {
+            iterations: records.len(),
+            records,
+            flush_traffic: self.flush(),
             peak_held_slots: self
                 .plan
                 .managers()
                 .iter()
                 .map(|m| m.stats().peak_held)
                 .collect(),
-        };
-        self.audit
-            .run_completed(&report, elapsed_ns, schedule.name());
-        if let Some(tel) = telemetry {
-            tel.finish_run(
-                elapsed_ns,
-                n,
-                self.pool_width(schedule),
-                self.config.slots_per_table,
-                self.plan.managers(),
-            );
+        });
+        if let Some(observer) = observer {
+            let end_ns = observer.now_ns();
+            let schedule_name = schedule.name();
+            let pool_width = self.pool_width(schedule);
+            let tables = self
+                .plan
+                .managers()
+                .iter()
+                .map(|m| (m.occupancy(), m.stats()))
+                .collect();
+            observer.record(match &outcome {
+                Ok(report) => Event::Completed {
+                    end_ns,
+                    elapsed_ns,
+                    schedule: schedule_name,
+                    pool_width,
+                    tables,
+                    iterations: report.iterations,
+                    flush_traffic: report.flush_traffic,
+                    hit_rate: report.hit_rate(),
+                    mean_loss: report.mean_loss(),
+                },
+                Err((committed, attempts, cause)) => Event::Aborted {
+                    end_ns,
+                    elapsed_ns,
+                    schedule: schedule_name,
+                    pool_width,
+                    tables,
+                    committed: *committed,
+                    attempts: *attempts,
+                    cause: cause.to_string(),
+                },
+            });
+            observer.close(self.sink.as_deref_mut());
         }
-        report
+        outcome.map_err(|(_, _, cause)| cause)
     }
 
     /// Runs the pipeline over `batches` under the configured schedule,
     /// then flushes the scratchpad back to the CPU tables. Emits the
-    /// audit event stream if a sink is attached.
+    /// audit event stream if a sink is attached — ending in
+    /// `run_completed`, or in `run_aborted` (nothing committed, one
+    /// attempt) if the run fails.
     ///
     /// # Errors
     ///
@@ -702,30 +781,11 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         self.validate_batches(batches)?;
         let schedule = self.effective_schedule(batches)?;
         let n = batches.len();
-        let mut log = RunLog::new(n);
-
-        self.audit
-            .run_started(schedule.name(), n, self.plan.managers().len(), &self.config);
-        let run_tel = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.begin_run(&self.name, schedule.name()));
-        let started = Instant::now();
-        self.plan.begin_run();
         // Plain runs are attempt 0 forever: armed faults fire raw, with
         // no supervisor to catch them.
-        if let Some(inj) = &self.faults {
-            inj.begin_attempt(0);
-            let _ = inj.drain_log();
-        }
-        self.drive(schedule, batches, 0..n, run_tel.as_ref(), &mut log)?;
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        if let Some(inj) = &self.faults {
-            for rec in inj.drain_log() {
-                self.audit.fault_injected(&rec);
-            }
-        }
-        Ok(self.complete(log, schedule, elapsed_ns, run_tel.as_ref()))
+        let mut run = self.open(schedule, n, false);
+        let driven = self.drive(schedule, batches, 0..n, &mut run);
+        self.close(run, schedule, driven.map_err(|cause| (0, 1, cause)))
     }
 
     /// Runs the pipeline under supervision: the trace executes in
@@ -779,24 +839,9 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             Schedule::Threaded => vec![Schedule::Threaded, Schedule::Sync],
             other => vec![other],
         };
-        let mut log = RunLog::new(n);
         let mut stats = RecoveryStats::default();
 
-        self.audit.run_started(
-            ladder[0].name(),
-            n,
-            self.plan.managers().len(),
-            &self.config,
-        );
-        let run_tel = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.begin_run(&self.name, ladder[0].name()));
-        let started = Instant::now();
-        self.plan.begin_run();
-        if let Some(inj) = &self.faults {
-            let _ = inj.drain_log();
-        }
+        let mut run = self.open(ladder[0], n, true);
         self.shared.begin_undo();
         let mut rung = 0usize;
         let mut seg_start = 0usize;
@@ -811,91 +856,60 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 if let Some(inj) = &self.faults {
                     inj.begin_attempt(attempt);
                 }
-                let result = self.drive(
-                    ladder[rung],
-                    batches,
-                    seg_start..seg_end,
-                    run_tel.as_ref(),
-                    &mut log,
-                );
-                if let Some(inj) = &self.faults {
-                    for rec in inj.drain_log() {
-                        stats.faults_injected += 1;
-                        self.audit.fault_injected(&rec);
-                    }
-                }
-                match result {
-                    Ok(()) => {
-                        self.shared.commit_undo();
-                        break;
-                    }
-                    Err(cause) => {
-                        self.shared.rollback_undo();
-                        self.plan
-                            .managers_mut()
-                            .clone_from_slice(&managers_snapshot);
-                        *self.train.backend_mut() = backend_snapshot.clone();
-                        stats.rollbacks += 1;
-                        attempt += 1;
-                        self.audit
-                            .iteration_rolled_back(seg_start, attempt, &cause.to_string());
-                        if attempt % policy.retry_budget == 0 {
-                            if rung + 1 < ladder.len() {
-                                self.audit.schedule_degraded(
-                                    seg_start,
-                                    ladder[rung].name(),
-                                    ladder[rung + 1].name(),
-                                );
-                                rung += 1;
-                                stats.degradations += 1;
-                            } else {
-                                // Ladder exhausted: flush what committed so
-                                // the tables land exactly on the last
-                                // checkpoint, then abort with provenance.
-                                self.shared.end_undo();
-                                let _ = self.flush();
-                                let names = self.stage_names();
-                                log.emit(&mut self.audit, &names, seg_start);
-                                self.audit.run_aborted(
-                                    seg_start,
-                                    attempt,
-                                    ladder[rung].name(),
-                                    &cause.to_string(),
-                                );
-                                if let Some(tel) = &run_tel {
-                                    publish_recovery_counters(tel, &stats, true);
-                                    tel.finish_run(
-                                        started.elapsed().as_nanos() as u64,
-                                        seg_start,
-                                        self.pool_width(ladder[rung]),
-                                        self.config.slots_per_table,
-                                        self.plan.managers(),
-                                    );
-                                }
-                                return Err(ScratchError::Aborted {
-                                    iteration: seg_start,
-                                    attempts: attempt,
-                                    schedule: ladder[rung].name().to_owned(),
-                                    cause: Box::new(cause),
-                                });
-                            }
-                        } else {
-                            stats.retries += 1;
-                            self.audit
-                                .stage_retried(seg_start, attempt, ladder[rung].name());
-                        }
-                    }
+                let driven = self.drive(ladder[rung], batches, seg_start..seg_end, &mut run);
+                stats.faults_injected += self.drain_faults(&run);
+                let Err(cause) = driven else {
+                    self.shared.commit_undo();
+                    break;
+                };
+                self.shared.rollback_undo();
+                self.plan
+                    .managers_mut()
+                    .clone_from_slice(&managers_snapshot);
+                *self.train.backend_mut() = backend_snapshot.clone();
+                stats.rollbacks += 1;
+                attempt += 1;
+                run.record(|| Event::RolledBack {
+                    iteration: seg_start,
+                    attempt,
+                    cause: cause.to_string(),
+                });
+                if attempt % policy.retry_budget != 0 {
+                    stats.retries += 1;
+                    run.record(|| Event::Retried {
+                        iteration: seg_start,
+                        attempt,
+                        schedule: ladder[rung].name(),
+                    });
+                } else if rung + 1 < ladder.len() {
+                    run.record(|| Event::Degraded {
+                        iteration: seg_start,
+                        from: ladder[rung].name(),
+                        to: ladder[rung + 1].name(),
+                    });
+                    rung += 1;
+                    stats.degradations += 1;
+                } else {
+                    // Ladder exhausted: flush what committed so the
+                    // tables land exactly on the last checkpoint, then
+                    // abort with provenance.
+                    self.shared.end_undo();
+                    let _ = self.flush();
+                    let cause = self
+                        .close(run, ladder[rung], Err((seg_start, attempt, cause)))
+                        .expect_err("a failed run closes with its cause");
+                    return Err(ScratchError::Aborted {
+                        iteration: seg_start,
+                        attempts: attempt,
+                        schedule: ladder[rung].name().to_owned(),
+                        cause: Box::new(cause),
+                    });
                 }
             }
             seg_start = seg_end;
         }
         self.shared.end_undo();
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-
-        if let Some(tel) = &run_tel {
-            publish_recovery_counters(tel, &stats, false);
-        }
-        let report = self.complete(log, ladder[rung], elapsed_ns, run_tel.as_ref());
+        let report = self.close(run, ladder[rung], Ok(()))?;
         stats.final_schedule = Some(ladder[rung]);
         Ok(SupervisedRun { report, stats })
     }
@@ -956,15 +970,21 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     }
 }
 
-/// Publishes the supervisor's [`RecoveryStats`] as run-labelled absolute
-/// counters, once, at run end — which is exactly what makes them equal
-/// the audit stream's fault/recovery event counts.
-fn publish_recovery_counters(tel: &RunTelemetry, stats: &RecoveryStats, aborted: bool) {
-    tel.set_run_counter("sp_recovery_rollbacks_total", stats.rollbacks);
-    tel.set_run_counter("sp_recovery_retries_total", stats.retries);
-    tel.set_run_counter("sp_recovery_degradations_total", stats.degradations);
-    tel.set_run_counter("sp_recovery_faults_injected_total", stats.faults_injected);
-    tel.set_run_counter("sp_recovery_aborts_total", u64::from(aborted));
+/// One run in progress: its event log (if anyone observes it), its
+/// clock, and the per-iteration records the report is made of.
+struct Run {
+    observer: Option<RunTelemetry>,
+    started: Instant,
+    records: Vec<IterationRecord>,
+}
+
+impl Run {
+    /// Records the event `make` builds, if the run is observed.
+    fn record(&self, make: impl FnOnce() -> Event) {
+        if let Some(observer) = &self.observer {
+            observer.record(make());
+        }
+    }
 }
 
 /// What a driver needs to know about the run it is driving a slice of.
@@ -973,7 +993,7 @@ struct RunEnv<'a> {
     batches: &'a [SparseBatch],
     dim: usize,
     faults: Option<&'a FaultInjector>,
-    telemetry: Option<&'a RunTelemetry>,
+    observer: Option<&'a RunTelemetry>,
 }
 
 impl<'a> RunEnv<'a> {
@@ -984,95 +1004,33 @@ impl<'a> RunEnv<'a> {
             pipelined,
             workers,
             faults: self.faults,
-            telemetry: self.telemetry,
+            observer: self.observer,
             lane,
-        }
-    }
-}
-
-/// Everything a run records per iteration: the report's records and the
-/// audit stream's timings, in flat arrays sized once per run and filled
-/// by copy as payloads retire — a recycled payload keeps its own buffers.
-struct RunLog {
-    records: Vec<IterationRecord>,
-    /// `stage_nanos[i * STAGES + s]`: wall-clock nanos of stage `s` on
-    /// iteration `i`.
-    stage_nanos: Vec<u64>,
-    /// `shard_spans[i * STAGES + s]`: where in `shard_nanos` that stage's
-    /// per-shard nanos sit, as `(offset, len)`.
-    shard_spans: Vec<(usize, usize)>,
-    /// Per-shard nanos of every retirement, in retirement order (an
-    /// iteration a supervisor rolled back retires again; only its last
-    /// entry is referenced).
-    shard_nanos: Vec<u64>,
-}
-
-impl RunLog {
-    fn new(iterations: usize) -> Self {
-        RunLog {
-            records: (0..iterations)
-                .map(|i| IterationRecord {
-                    index: i,
-                    ..IterationRecord::default()
-                })
-                .collect(),
-            stage_nanos: vec![0; iterations * STAGES],
-            shard_spans: vec![(0, 0); iterations * STAGES],
-            shard_nanos: Vec::new(),
         }
     }
 
     /// Records one finished iteration from its retiring payload.
-    fn retire(&mut self, p: &StagePayload, batch: &SparseBatch) {
-        let rec = &mut self.records[p.index];
+    fn retire(&self, records: &mut [IterationRecord], p: &StagePayload) {
+        let rec = &mut records[p.index];
         rec.index = p.index;
         rec.hits = p.plans.iter().map(|t| t.hits).sum();
         rec.misses = p.plans.iter().map(|t| t.misses).sum();
         rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
-        rec.total_lookups = batch.total_lookups() as u64;
+        rec.total_lookups = self.batches[p.index].total_lookups() as u64;
         rec.unique_rows = p.plans.iter().map(|t| t.num_unique() as u64).sum();
         rec.loss = p.loss;
         rec.traffic = p.traffic;
-
-        let base = p.index * STAGES;
-        self.stage_nanos[base..base + STAGES].copy_from_slice(&p.stage_nanos);
-        let mut from = 0;
-        for (span, &to) in self.shard_spans[base..base + STAGES]
-            .iter_mut()
-            .zip(&p.shard_ends)
-        {
-            *span = (self.shard_nanos.len(), to - from);
-            self.shard_nanos.extend_from_slice(&p.shard_nanos[from..to]);
-            from = to;
-        }
-    }
-
-    /// Emits the `iteration` events of the first `upto` iterations.
-    fn emit(&self, audit: &mut AuditEmitter, names: &[&str], upto: usize) {
-        if !audit.enabled() {
-            return;
-        }
-        let mut shards: Vec<&[u64]> = Vec::with_capacity(STAGES);
-        for (i, rec) in self.records[..upto].iter().enumerate() {
-            let stages = i * STAGES..(i + 1) * STAGES;
-            shards.clear();
-            shards.extend(
-                self.shard_spans[stages.clone()]
-                    .iter()
-                    .map(|&(at, len)| &self.shard_nanos[at..at + len]),
-            );
-            audit.iteration(rec, names, &self.stage_nanos[stages], &shards);
+        if let Some(observer) = self.observer {
+            observer.record(Event::Retired(Box::new(rec.clone())));
         }
     }
 }
 
-/// Executes `stage` on `payload`, appending the wall-clock nanoseconds to
-/// the payload's timing trail and sealing the per-shard nanos the stage
-/// reported (none for unsharded stages) in its shard trail. With telemetry
-/// attached, the *same* duration integer that lands in the audit stream's
-/// `stage_nanos` is recorded as the stage span and histogram observation
-/// — that shared integer is what makes `audit_check --metrics` reconcile
-/// exactly.
+/// Executes `stage` on `payload`. An observed run records the execution —
+/// when it started, how long it took — as one [`Event::Stage`]; the audit
+/// stream's `stage_nanos`, the stage-latency histogram and the trace's
+/// stage span are all read from it. An unobserved run does not read the
+/// clock.
 fn timed_execute(
     stage: &mut dyn Stage,
     ctx: &StageCtx<'_>,
@@ -1083,30 +1041,23 @@ fn timed_execute(
             return Err(e);
         }
     }
-    let span_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
-    let t0 = Instant::now();
-    stage.execute(ctx, payload)?;
-    let dur_ns = t0.elapsed().as_nanos() as u64;
-    payload.stage_nanos.push(dur_ns);
-    if let Some(tel) = ctx.telemetry {
-        tel.stage_span(ctx.lane, ctx.index, stage.name(), span_start, dur_ns);
-    }
-    // Read after `execute`: [Plan] re-arms the payload, which empties the
-    // trail left by the batch the payload carried before.
-    let from = payload.shard_ends.last().copied().unwrap_or(0);
-    if let Some(inj) = ctx.faults {
-        // Artificial slowdowns are logical time: they land in the shard
-        // trail (and thus the audit stream) without sleeping.
-        for (s, nanos) in inj.slowdowns(ctx.index, stage.name()) {
-            let shards = payload.shard_nanos.len() - from;
-            if shards == 0 {
-                payload.shard_nanos.push(nanos);
-            } else {
-                payload.shard_nanos[from + s % shards] += nanos;
-            }
+    match ctx.observer {
+        None => stage.execute(ctx, payload)?,
+        Some(observer) => {
+            let start_ns = observer.now_ns();
+            stage.execute(ctx, payload)?;
+            observer.record(Event::Stage {
+                iteration: ctx.index,
+                stage: stage.name(),
+                lane: ctx.lane,
+                start_ns,
+                dur_ns: observer.now_ns().saturating_sub(start_ns),
+            });
         }
     }
-    payload.shard_ends.push(payload.shard_nanos.len());
+    if let Some(inj) = ctx.faults {
+        inj.fire_slowdowns(ctx.index, stage.name());
+    }
     Ok(())
 }
 
@@ -1118,7 +1069,7 @@ fn drive_sequential(
     pool: &mut PayloadPool,
     env: &RunEnv<'_>,
     range: Range<usize>,
-    log: &mut RunLog,
+    records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
     for i in range {
         let ctx = env.ctx(i, false, WorkerPool::inline(), Lane::Main);
@@ -1126,7 +1077,7 @@ fn drive_sequential(
         for stage in stages.iter_mut() {
             timed_execute(*stage, &ctx, &mut p)?;
         }
-        log.retire(&p, &env.batches[i]);
+        env.retire(records, &p);
         pool.release(p);
     }
     Ok(())
@@ -1142,7 +1093,7 @@ fn drive_sync(
     workers: WorkerPool,
     env: &RunEnv<'_>,
     range: Range<usize>,
-    log: &mut RunLog,
+    records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
     let k = stages.len();
     // regs[s] holds the payload that stage s produced last cycle.
@@ -1154,7 +1105,7 @@ fn drive_sync(
                 let ctx = env.ctx(p.index, true, workers, Lane::Main);
                 timed_execute(stages[s], &ctx, &mut p)?;
                 if s == k - 1 {
-                    log.retire(&p, &env.batches[p.index]);
+                    env.retire(records, &p);
                     pool.release(p);
                 } else {
                     regs[s] = Some(p);
@@ -1181,8 +1132,21 @@ fn drive_sync(
 /// channel hop of its own.
 const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
 
+/// The lane of [`LANE_STAGES`] the calling thread runs itself — `[Collect,
+/// Exchange]` — instead of sleeping until the other three join. It is the
+/// lane that grows the payloads' staging arenas, most of what a run
+/// allocates after start-up. On the calling thread that memory comes from
+/// the allocator arena the payloads were minted in and are later freed to,
+/// so a process that builds, runs and drops pipelines one after another
+/// gets it back each time. Memory grown on a spawned lane thread stays in
+/// whichever per-thread arena that short-lived thread was dealt, and the
+/// next run's lanes are dealt the arenas in another order, so such a
+/// process's resident set creeps up by a different amount every time
+/// (docs/perf.md, "The overlapped driver").
+const CALLER_LANE: usize = 1;
+
 /// A barrier wait of one stage: the watched stage's completions, the
-/// batch lag, and the watched stage's name (for the stall span).
+/// batch lag, and the watched stage's name (for the stall event).
 type Watermark = (Receiver<usize>, i64, &'static str);
 
 /// One lane of the overlapped schedule: a thread's worth of adjacent
@@ -1201,11 +1165,11 @@ struct LaneTask<'s, 'd> {
     /// Where they go: the downstream lane, or — on the sink lane — back
     /// onto the recycle path.
     tx: Sender<StagePayload>,
-    /// First stage of the downstream lane (labels the channel-depth
-    /// gauge); `None` on the sink lane.
+    /// First stage of the downstream lane (names the channel whose depth
+    /// is recorded); `None` on the sink lane.
     downstream: Option<&'static str>,
     /// Where finished iterations retire; `Some` on the sink lane only.
-    log: Option<&'s mut RunLog>,
+    records: Option<&'s mut [IterationRecord]>,
 }
 
 impl LaneTask<'_, '_> {
@@ -1243,17 +1207,24 @@ impl LaneTask<'_, '_> {
                     if done[s][w] >= need {
                         continue;
                     }
-                    // Only waits that actually block become stall spans —
-                    // a satisfied watermark costs nothing.
-                    let stall_start = env.telemetry.map(RunTelemetry::now_ns);
+                    // Only waits that actually block are recorded as stalls
+                    // — a satisfied watermark costs nothing.
+                    let start_ns = env.observer.map_or(0, |observer| observer.now_ns());
                     while done[s][w] < need {
                         match completions.recv() {
                             Ok(completed) => done[s][w] = completed as i64,
                             Err(_) => return Ok(()),
                         }
                     }
-                    if let (Some(tel), Some(start)) = (env.telemetry, stall_start) {
-                        tel.barrier_stall(lane, i, stage.name(), watched, start);
+                    if let Some(observer) = env.observer {
+                        observer.record(Event::Stall {
+                            iteration: i,
+                            stage: stage.name(),
+                            watched,
+                            lane,
+                            start_ns,
+                            dur_ns: observer.now_ns().saturating_sub(start_ns),
+                        });
                     }
                 }
                 let ctx = env.ctx(i, true, WorkerPool::inline(), lane);
@@ -1262,21 +1233,25 @@ impl LaneTask<'_, '_> {
                     let _ = waiter.send(i);
                 }
             }
-            if let Some(log) = self.log.as_deref_mut() {
-                log.retire(&p, &env.batches[i]);
+            if let Some(records) = self.records.as_deref_mut() {
+                env.retire(records, &p);
             }
             if self.tx.send(p).is_err() {
                 return Ok(());
             }
-            if let (Some(tel), Some(receiver)) = (env.telemetry, self.downstream) {
-                tel.channel_depth(receiver, self.tx.len() as u64);
+            if let (Some(observer), Some(receiver)) = (env.observer, self.downstream) {
+                observer.record(Event::ChannelDepth {
+                    receiver,
+                    depth: self.tx.len() as u64,
+                });
             }
         }
         Ok(())
     }
 }
 
-/// The overlapped schedule: one OS thread per lane of [`LANE_STAGES`],
+/// The overlapped schedule: one thread per lane of [`LANE_STAGES`] — three
+/// spawned here, the calling thread taking [`CALLER_LANE`] — with
 /// depth-1 data channels between adjacent lanes, and each stage's declared
 /// [`StageBarrier`]s enforced as watermark waits (a watched stage
 /// broadcasts each completed batch index; the waiter blocks until
@@ -1295,7 +1270,7 @@ fn drive_threaded(
     pool: &mut PayloadPool,
     env: &RunEnv<'_>,
     range: Range<usize>,
-    log: &mut RunLog,
+    records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
     let k = stages.len();
     assert_eq!(
@@ -1306,7 +1281,7 @@ fn drive_threaded(
 
     // Resolve barrier names to stage indices and wire one watermark
     // channel per (waiter, watched) pair. Each wait keeps the watched
-    // stage's name so a blocking wait can be recorded as a stall span.
+    // stage's name so a blocking wait can be recorded as a stall.
     let names: Vec<&'static str> = stages.iter().map(|s| s.name()).collect();
     let mut waits: Vec<Vec<Watermark>> = (0..k).map(|_| Vec::new()).collect();
     let mut signals: Vec<Vec<Sender<usize>>> = (0..k).map(|_| Vec::new()).collect();
@@ -1347,8 +1322,9 @@ fn drive_threaded(
         let mut signals = signals.into_iter();
         let mut upstream = Some(recycle_rx);
         let mut recycle_tx = Some(recycle_tx);
-        let mut log = Some(log);
+        let mut records = Some(records);
         let mut first = 0;
+        let mut on_caller = None;
         for (l, &len) in LANE_STAGES.iter().enumerate() {
             let (lane_stages, tail) = rest.split_at_mut(len);
             rest = tail;
@@ -1367,17 +1343,23 @@ fn drive_threaded(
                 rx: upstream.take().expect("every lane has an upstream"),
                 tx,
                 downstream: (!is_sink).then(|| names[first + len]),
-                log: if is_sink { log.take() } else { None },
+                records: if is_sink { records.take() } else { None },
             };
             upstream = next;
             first += len;
             let (error, range) = (&error, range.clone());
-            scope.spawn(move || {
+            let run = move || {
                 if let Err(e) = lane.run(env, range, watermark_floor) {
                     error.lock().get_or_insert(e);
                 }
-            });
+            };
+            if l == CALLER_LANE {
+                on_caller = Some(run);
+            } else {
+                scope.spawn(run);
+            }
         }
+        on_caller.expect("the caller's lane is one of the lanes")();
     });
 
     // All lanes joined at scope exit. On the error path some payloads went

@@ -34,7 +34,7 @@ use crate::faults::FaultInjector;
 use crate::recovery::TableUndo;
 use crate::scratchpad::{ScratchpadManager, TablePlan};
 use crate::stages::{self, StagePayload, TrainArena, UniqueWindow};
-use crate::telemetry::{Lane, RunTelemetry};
+use crate::telemetry::{Event, Lane, RunTelemetry};
 use crate::workers::WorkerPool;
 
 /// Per-execution context handed to every [`Stage::execute`] call: the
@@ -60,16 +60,14 @@ pub struct StageCtx<'a> {
     /// default — makes every injection hook a single branch, so the
     /// fault-free hot path is untouched.
     pub faults: Option<&'a FaultInjector>,
-    /// The run's telemetry session, when a [`Telemetry`] handle is
-    /// attached. Same pattern as `faults`: `None` — the default — makes
-    /// every recording hook a single branch.
-    ///
-    /// [`Telemetry`]: crate::telemetry::Telemetry
-    pub telemetry: Option<&'a RunTelemetry>,
-    /// The lane spans from this execution render on: [`Lane::Main`] for
-    /// the single-driver schedules, the stage's own [`Lane::Stage`] under
-    /// the threaded schedule. Shard spans override this with worker lanes
-    /// when a region actually runs pooled.
+    /// The run's event log, when an audit sink or a telemetry collector
+    /// is attached. Same pattern as `faults`: `None` — the default —
+    /// makes every recording site a single branch.
+    pub observer: Option<&'a RunTelemetry>,
+    /// Where this execution runs: [`Lane::Main`] for the single-driver
+    /// schedules, the stage's own [`Lane::Stage`] under the threaded
+    /// schedule. Recorded with every event of the execution; shard spans
+    /// render on worker lanes instead when a region actually runs pooled.
     pub lane: Lane,
 }
 
@@ -88,6 +86,29 @@ impl<'a> StageCtx<'a> {
     pub fn batch(&self) -> &'a embeddings::SparseBatch {
         &self.batches[self.index]
     }
+}
+
+/// Runs one shard region of `stage` — `tasks`, fanned out over `pool` —
+/// and records it in the run's event log.
+fn run_region<F: FnOnce() + Send>(
+    ctx: &StageCtx<'_>,
+    stage: &'static str,
+    pool: WorkerPool,
+    tasks: Vec<F>,
+) -> Result<(), ScratchError> {
+    let start_ns = ctx.observer.map_or(0, |observer| observer.now_ns());
+    let (_, timings) = pool.run_tasks(tasks)?;
+    if let Some(observer) = ctx.observer {
+        observer.record(Event::Shards {
+            iteration: ctx.index,
+            stage,
+            lane: ctx.lane,
+            start_ns,
+            timings,
+            pooled: !pool.is_inline(),
+        });
+    }
+    Ok(())
 }
 
 /// A cross-batch ordering a stage requires from a concurrent schedule:
@@ -536,19 +557,7 @@ impl Stage for CollectStage {
                 }
             })
             .collect();
-        let region_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
-        let (_, timings) = pool.run_tasks(tasks)?;
-        if let Some(tel) = ctx.telemetry {
-            tel.shard_region(
-                ctx.lane,
-                ctx.index,
-                "Collect",
-                region_start,
-                &timings,
-                !pool.is_inline(),
-            );
-        }
-        payload.shard_nanos.extend(timings.iter().map(|t| t.dur_ns));
+        run_region(ctx, "Collect", pool, tasks)?;
         // Payload integrity: checksum the staged rows so corruption in
         // flight (injected or real) is caught at [Insert] before any
         // model state is touched. Only armed when the fault plan contains
@@ -714,20 +723,7 @@ impl Stage for InsertStage {
                 }
             })
             .collect();
-        let region_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
-        let (_, timings) = pool.run_tasks(tasks)?;
-        if let Some(tel) = ctx.telemetry {
-            tel.shard_region(
-                ctx.lane,
-                ctx.index,
-                "Insert",
-                region_start,
-                &timings,
-                !pool.is_inline(),
-            );
-        }
-        payload.shard_nanos.extend(timings.iter().map(|t| t.dur_ns));
-        Ok(())
+        run_region(ctx, "Insert", pool, tasks)
     }
 }
 
@@ -843,19 +839,7 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
                     tasks.push(move || stages::gather_pooled_range(store, bag, plan, lo, hi, head));
                 }
             }
-            let region_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
-            let (_, timings) = gather_pool.run_tasks(tasks)?;
-            if let Some(tel) = ctx.telemetry {
-                tel.shard_region(
-                    ctx.lane,
-                    ctx.index,
-                    "Train",
-                    region_start,
-                    &timings,
-                    !gather_pool.is_inline(),
-                );
-            }
-            payload.shard_nanos.extend(timings.iter().map(|t| t.dur_ns));
+            run_region(ctx, "Train", gather_pool, tasks)?;
         }
 
         // The dense step stays single-shard: its batch-wide weight-update
@@ -903,19 +887,7 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
                 }
             })
             .collect();
-        let region_start = ctx.telemetry.map_or(0, RunTelemetry::now_ns);
-        let (_, timings) = scatter_pool.run_tasks(tasks)?;
-        if let Some(tel) = ctx.telemetry {
-            tel.shard_region(
-                ctx.lane,
-                ctx.index,
-                "Train",
-                region_start,
-                &timings,
-                !scatter_pool.is_inline(),
-            );
-        }
-        payload.shard_nanos.extend(timings.iter().map(|t| t.dur_ns));
+        run_region(ctx, "Train", scatter_pool, tasks)?;
 
         payload.loss = step.loss;
         Ok(())

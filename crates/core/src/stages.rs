@@ -194,18 +194,6 @@ pub struct StagePayload {
     pub traffic: StageTraffic,
     /// Training loss of this mini-batch, filled at \[Train\].
     pub loss: f32,
-    /// Wall-clock nanoseconds per executed stage, in execution order
-    /// (recorded by the pipeline driver for the audit log).
-    pub stage_nanos: Vec<u64>,
-    /// Per-shard wall-clock nanoseconds of every executed stage's parallel
-    /// regions, all stages back to back: the *currently executing* stage
-    /// appends its regions' per-shard nanos, and the driver seals the
-    /// stage's run in [`StagePayload::shard_ends`] afterwards.
-    pub shard_nanos: Vec<u64>,
-    /// End offset into [`StagePayload::shard_nanos`] of each executed
-    /// stage's shards, aligned with [`StagePayload::stage_nanos`] (a stage
-    /// that ran no shardable region repeats the previous end).
-    pub shard_ends: Vec<usize>,
     /// Integrity checksum of the staged arenas, recorded at \[Collect\]
     /// and verified at \[Insert\] — `None` (the default) skips both
     /// sides. Only populated when an armed fault plan contains
@@ -223,9 +211,6 @@ impl StagePayload {
             staged_evict: StagedRows::new(dim),
             traffic: StageTraffic::default(),
             loss: 0.0,
-            stage_nanos: Vec::new(),
-            shard_nanos: Vec::new(),
-            shard_ends: Vec::new(),
             checksum: None,
         }
     }
@@ -241,9 +226,6 @@ impl StagePayload {
         self.staged_evict.reset();
         self.traffic = StageTraffic::default();
         self.loss = 0.0;
-        self.stage_nanos.clear();
-        self.shard_nanos.clear();
-        self.shard_ends.clear();
         self.checksum = None;
     }
 }

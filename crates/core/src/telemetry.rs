@@ -1,22 +1,33 @@
-//! Telemetry for pipeline runs: hierarchical span tracing and a
-//! deterministic metrics registry.
+//! The per-run event log, and telemetry as folds over it.
 //!
-//! A [`Telemetry`] handle is attached to a pipeline with
-//! [`PipelineBuilder::telemetry`] and shared (it is a cheap `Arc` clone)
-//! across as many pipelines as should land in one snapshot. Every run
-//! then records a **span tree** — run → iteration → stage → shard, plus
-//! barrier-stall spans under the threaded schedule — and a set of
-//! **metrics** (counters, gauges, log₂-bucketed histograms). Both are
-//! snapshotted on demand:
+//! A pipeline run with any observer attached — an audit sink
+//! ([`PipelineBuilder::audit`]), a [`Telemetry`] collector
+//! ([`PipelineBuilder::telemetry`]), or both — records **one** typed,
+//! append-only log of [`Event`]s through one handle, the run's
+//! [`RunTelemetry`]: what started, every stage execution and shard
+//! region with its clock readings, every barrier stall and channel
+//! depth, every retired iteration, every fault and recovery decision, and
+//! one terminal [`Event::Completed`] or [`Event::Aborted`]. Nothing else
+//! is recorded anywhere. When the run closes, the log is handed to its
+//! consumers, each of which is a fold over it:
 //!
-//! * [`Telemetry::write_chrome_trace`] — Chrome trace-event JSON
-//!   (`trace.json`), loadable in Perfetto or `chrome://tracing`. Each run
-//!   is a process; lane 0 is the driver thread, lanes 1–5 are the
-//!   threaded schedule's stages, lanes 100+ are `DataParallel` workers.
-//! * [`Telemetry::write_metrics_json`] — machine-readable `METRICS.json`
-//!   (consumed by `audit_check --metrics` for exact reconciliation
-//!   against the audit stream's `stage_nanos`).
-//! * [`Telemetry::write_prometheus`] — Prometheus-style text exposition.
+//! * the audit JSONL stream ([`crate::audit`]), written to the sink;
+//! * the **metrics registry** — counters, gauges, log₂-bucketed
+//!   histograms — rendered by [`Telemetry::write_metrics_json`]
+//!   (`METRICS.json`) and [`Telemetry::write_prometheus`];
+//! * the **span tree** — run → iteration → stage → shard, plus barrier
+//!   stalls — rendered by [`Telemetry::write_chrome_trace`] as Chrome
+//!   trace-event JSON (`trace.json`), loadable in Perfetto or
+//!   `chrome://tracing`. Each run is a process; lane 0 is the driver
+//!   thread, lanes 1–5 are the threaded schedule's stages, lanes 100+ are
+//!   `DataParallel` workers.
+//!
+//! A [`Telemetry`] handle is a cheap `Arc` clone; attach one to every
+//! pipeline whose runs should land in the same snapshot. It keeps the
+//! logs of those runs and folds them each time a view is asked for, so
+//! the audit stream's `stage_nanos`, the `sp_stage_latency_ns` histogram
+//! and the trace's stage spans are the same recorded integers by
+//! construction — there is no second copy to reconcile.
 //!
 //! # Determinism
 //!
@@ -31,13 +42,16 @@
 //!
 //! # Overhead contract
 //!
-//! A pipeline without a telemetry handle pays one `Option` check per
-//! hook — the same pattern as fault injection — so the disabled hot path
-//! is byte-for-byte the pre-telemetry code path. The
-//! `telemetry_overhead` bench bin asserts the enabled path stays within
-//! a few percent. See `docs/observability.md` for the full contract and
-//! metric catalog.
+//! A pipeline with neither a sink nor a collector has no
+//! [`RunTelemetry`]: every recording site is one `Option` check — the
+//! same pattern as fault injection — and the driver does not read the
+//! clock. With an observer attached, a recording is one clock read and
+//! one `Vec` push under the run's own lock; labels, histograms and JSON
+//! are built by the folds, after the run. The `telemetry_overhead` bench
+//! bin asserts the enabled path stays within a few percent. See
+//! `docs/observability.md` for the event table and the metric catalog.
 //!
+//! [`PipelineBuilder::audit`]: crate::pipeline::PipelineBuilder::audit
 //! [`PipelineBuilder::telemetry`]: crate::pipeline::PipelineBuilder::telemetry
 
 use std::collections::BTreeMap;
@@ -47,10 +61,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use memsim::Traffic;
 use parking_lot::Mutex;
 use serde::Value;
 
-use crate::scratchpad::ScratchpadManager;
+use crate::audit::{self, AuditSink};
+use crate::config::PipelineConfig;
+use crate::faults::InjectionRecord;
+use crate::runtime::IterationRecord;
+use crate::scratchpad::ScratchpadStats;
 use crate::workers::ShardTiming;
 
 /// The lane (Chrome-trace `tid`) a span renders on: which thread-like
@@ -76,6 +95,232 @@ impl Lane {
             Lane::Stage(s) => 1 + u64::from(s),
             Lane::Worker(w) => 100 + u64::from(w),
         }
+    }
+}
+
+/// One entry of a run's event log. Timestamps (`*_ns`) are
+/// [`RunTelemetry::now_ns`] readings. The log is in order of occurrence
+/// as far as recovery goes: everything a failed attempt recorded precedes
+/// the [`Event::RolledBack`] that voids it.
+///
+/// See `docs/observability.md` for which fold consumes which event.
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// First event of every log.
+    RunStarted {
+        /// The pipeline's name ([`PipelineBuilder::named`]) — the audit
+        /// `run` field and the `run` label of every metric.
+        ///
+        /// [`PipelineBuilder::named`]: crate::pipeline::PipelineBuilder::named
+        label: String,
+        /// When the run opened.
+        start_ns: u64,
+        /// Name of the schedule the run starts on.
+        schedule: &'static str,
+        /// Mini-batches in the trace.
+        iterations: usize,
+        /// Embedding tables.
+        num_tables: usize,
+        /// The pipeline configuration.
+        config: PipelineConfig,
+        /// Whether the run is driven by `run_supervised` (only those
+        /// publish the `sp_recovery_*` counters).
+        supervised: bool,
+    },
+    /// One stage execution that returned `Ok`.
+    Stage {
+        /// Mini-batch index.
+        iteration: usize,
+        /// Stage name.
+        stage: &'static str,
+        /// Where it ran.
+        lane: Lane,
+        /// When it started.
+        start_ns: u64,
+        /// How long it took.
+        dur_ns: u64,
+    },
+    /// One worker-pool region of a stage execution.
+    Shards {
+        /// Mini-batch index.
+        iteration: usize,
+        /// Stage name.
+        stage: &'static str,
+        /// Lane of the stage that entered the region.
+        lane: Lane,
+        /// When the region was entered; the timings are relative to it.
+        start_ns: u64,
+        /// Per task, in submission order.
+        timings: Vec<ShardTiming>,
+        /// Whether the tasks ran on pool workers (otherwise inline, on
+        /// `lane`).
+        pooled: bool,
+    },
+    /// One watermark-barrier wait that actually blocked (threaded
+    /// schedule).
+    Stall {
+        /// Mini-batch the waiter was about to process.
+        iteration: usize,
+        /// The waiting stage.
+        stage: &'static str,
+        /// The stage it waited on.
+        watched: &'static str,
+        /// The waiter's lane.
+        lane: Lane,
+        /// When the wait began.
+        start_ns: u64,
+        /// How long it lasted.
+        dur_ns: u64,
+    },
+    /// Depth of an inter-lane channel right after a send (threaded
+    /// schedule).
+    ChannelDepth {
+        /// First stage of the receiving lane.
+        receiver: &'static str,
+        /// Payloads queued.
+        depth: u64,
+    },
+    /// An iteration left the last stage. A rolled-back iteration retires
+    /// again on the retry; the last retirement is the committed one.
+    Retired(Box<IterationRecord>),
+    /// The injector fired a fault (recorded once the attempt it fired in
+    /// has been driven).
+    Fault(InjectionRecord),
+    /// A segment attempt failed and its state was restored: whatever the
+    /// log holds about this iteration and later ones is void.
+    RolledBack {
+        /// First iteration of the segment.
+        iteration: usize,
+        /// Attempts made so far.
+        attempt: u32,
+        /// The error, rendered.
+        cause: String,
+    },
+    /// The rolled-back segment runs again on the same schedule.
+    Retried {
+        /// First iteration of the segment.
+        iteration: usize,
+        /// Attempts made so far.
+        attempt: u32,
+        /// The schedule it retries on.
+        schedule: &'static str,
+    },
+    /// A schedule exhausted its retry budget; the run moves down the
+    /// ladder.
+    Degraded {
+        /// First iteration of the segment.
+        iteration: usize,
+        /// The exhausted schedule.
+        from: &'static str,
+        /// The next one down.
+        to: &'static str,
+    },
+    /// Terminal event of a run that finished its trace.
+    Completed {
+        /// When the run closed.
+        end_ns: u64,
+        /// Wall-clock of the drive (without the final flush).
+        elapsed_ns: u64,
+        /// Name of the schedule the run ended on.
+        schedule: &'static str,
+        /// Worker-pool width that schedule shards over.
+        pool_width: usize,
+        /// Per table: rows resident at run end, and the cache statistics.
+        tables: Vec<(usize, ScratchpadStats)>,
+        /// Iterations committed (all of them).
+        iterations: usize,
+        /// Traffic of the final flush.
+        flush_traffic: Traffic,
+        /// Unique-ID hit rate over the committed iterations.
+        hit_rate: f64,
+        /// Mean loss over the committed iterations.
+        mean_loss: f32,
+    },
+    /// Terminal event of a run that failed: a supervised run whose ladder
+    /// ran out, or a plain run whose error propagated.
+    Aborted {
+        /// When the run closed.
+        end_ns: u64,
+        /// Wall-clock until the failure was final.
+        elapsed_ns: u64,
+        /// Name of the schedule the run ended on.
+        schedule: &'static str,
+        /// Worker-pool width that schedule shards over.
+        pool_width: usize,
+        /// Per table: rows resident at run end, and the cache statistics.
+        tables: Vec<(usize, ScratchpadStats)>,
+        /// Iterations committed — also the first uncommitted index.
+        committed: usize,
+        /// Attempts made on the final schedule.
+        attempts: u32,
+        /// The error, rendered.
+        cause: String,
+    },
+}
+
+/// One pipeline run's event log — the single observer handle of the
+/// runtime, created by the pipeline when a sink or a collector is
+/// attached and carried through [`StageCtx`](crate::stage::StageCtx) as
+/// `Option<&RunTelemetry>` (`None` keeps every recording site a single
+/// branch). Stage implementors may record events of their own.
+#[derive(Debug)]
+pub struct RunTelemetry {
+    epoch: Instant,
+    events: Mutex<Vec<Event>>,
+    /// The collector that keeps the log, and this run's slot in it.
+    collector: Option<(Telemetry, usize)>,
+}
+
+/// Opens a run's log. With a collector, timestamps count from its epoch
+/// (so runs sharing it share a timeline) and the run's slot is reserved
+/// now, in opening order.
+pub(crate) fn open_run(collector: Option<&Telemetry>) -> RunTelemetry {
+    RunTelemetry {
+        epoch: collector.map_or_else(Instant::now, |t| t.inner.epoch),
+        events: Mutex::new(Vec::new()),
+        collector: collector.map(|t| {
+            let mut runs = t.inner.runs.lock();
+            runs.push(Vec::new());
+            (t.clone(), runs.len() - 1)
+        }),
+    }
+}
+
+impl RunTelemetry {
+    /// Nanoseconds since the log's epoch.
+    pub fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Appends one event.
+    pub fn record(&self, event: Event) {
+        self.events.lock().push(event);
+    }
+
+    /// Closes the log: folds it into the audit stream on `sink`, then
+    /// hands it to the collector.
+    pub(crate) fn close(self, sink: Option<&mut (dyn AuditSink + 'static)>) {
+        let events = self.events.into_inner();
+        if let Some(sink) = sink {
+            audit::write_run(sink, &events);
+        }
+        if let Some((telemetry, run)) = self.collector {
+            telemetry.inner.runs.lock()[run] = events;
+        }
+    }
+}
+
+/// The head of a closed run's log; `None` for a run still open.
+fn run_started(events: &[Event]) -> Option<(&str, &'static str, &PipelineConfig, bool)> {
+    match events.first() {
+        Some(Event::RunStarted {
+            label,
+            schedule,
+            config,
+            supervised,
+            ..
+        }) => Some((label, schedule, config, *supervised)),
+        _ => None,
     }
 }
 
@@ -119,6 +364,101 @@ struct SpanRecord {
     worker: u16,
     start_ns: u64,
     dur_ns: u64,
+}
+
+/// The span fold: every stage execution, shard task, barrier stall and
+/// run of `runs`, sorted for stable output. Failed attempts of a
+/// supervised run are in the log, so their spans are here too.
+fn spans(runs: &[Vec<Event>]) -> Vec<SpanRecord> {
+    let mut spans = Vec::new();
+    for (run, events) in runs.iter().enumerate() {
+        let run = run as u32;
+        let mut run_start = 0;
+        let span = |kind, lane, iteration: usize, stage, start_ns, dur_ns| SpanRecord {
+            run,
+            kind,
+            lane,
+            iteration: iteration as u32,
+            stage,
+            aux: "",
+            worker: 0,
+            start_ns,
+            dur_ns,
+        };
+        for event in events {
+            match *event {
+                Event::RunStarted { start_ns, .. } => run_start = start_ns,
+                Event::Stage {
+                    iteration,
+                    stage,
+                    lane,
+                    start_ns,
+                    dur_ns,
+                    ..
+                } => spans.push(span(
+                    SpanKind::Stage,
+                    lane,
+                    iteration,
+                    stage,
+                    start_ns,
+                    dur_ns,
+                )),
+                Event::Shards {
+                    iteration,
+                    stage,
+                    lane,
+                    start_ns,
+                    ref timings,
+                    pooled,
+                    ..
+                } => spans.extend(timings.iter().map(|t| SpanRecord {
+                    worker: t.worker,
+                    ..span(
+                        SpanKind::Shard,
+                        if pooled { Lane::Worker(t.worker) } else { lane },
+                        iteration,
+                        stage,
+                        start_ns + t.start_ns,
+                        t.dur_ns,
+                    )
+                })),
+                Event::Stall {
+                    iteration,
+                    stage,
+                    watched,
+                    lane,
+                    start_ns,
+                    dur_ns,
+                } => spans.push(SpanRecord {
+                    aux: watched,
+                    ..span(SpanKind::Stall, lane, iteration, stage, start_ns, dur_ns)
+                }),
+                Event::Completed { end_ns, .. } | Event::Aborted { end_ns, .. } => {
+                    spans.push(span(
+                        SpanKind::Run,
+                        Lane::Main,
+                        0,
+                        "",
+                        run_start,
+                        end_ns.saturating_sub(run_start),
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+    spans.sort_by_key(|s| {
+        (
+            s.run,
+            s.iteration,
+            s.kind,
+            s.stage,
+            s.lane.tid(),
+            s.worker,
+            s.start_ns,
+        )
+    });
+    spans
 }
 
 /// Fixed log₂ histogram: bucket `i` has upper bound `2^i` nanoseconds
@@ -202,7 +542,7 @@ fn meta(name: &str) -> MetricMeta {
         "sp_stage_latency_ns" => m(
             "histogram",
             "ns",
-            "Per-iteration wall-clock latency of one stage (sum reconciles exactly with the audit stream's stage_nanos)",
+            "Per-iteration wall-clock latency of one stage (the same integers as the audit stream's stage_nanos)",
             false,
         ),
         "sp_shard_latency_ns" => m(
@@ -268,18 +608,154 @@ fn meta(name: &str) -> MetricMeta {
     }
 }
 
-#[derive(Debug)]
-struct RunInfo {
-    label: String,
-    schedule: String,
+/// The metrics registry while a fold fills it. Counters and histograms
+/// accumulate across runs that share a label; `set_*` overwrites.
+#[derive(Default)]
+struct Registry(BTreeMap<MetricKey, MetricValue>);
+
+impl Registry {
+    fn add(&mut self, key: MetricKey, v: u64) {
+        match self.0.entry(key).or_insert(MetricValue::Counter(0)) {
+            MetricValue::Counter(c) => *c += v,
+            _ => unreachable!("metric kind is fixed per name"),
+        }
+    }
+
+    fn set_counter(&mut self, key: MetricKey, v: u64) {
+        self.0.insert(key, MetricValue::Counter(v));
+    }
+
+    fn set_gauge(&mut self, key: MetricKey, v: f64) {
+        self.0.insert(key, MetricValue::Gauge(v));
+    }
+
+    fn observe(&mut self, key: MetricKey, v: u64) {
+        match self
+            .0
+            .entry(key)
+            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
+        {
+            MetricValue::Histogram(h) => h.observe(v),
+            _ => unreachable!("metric kind is fixed per name"),
+        }
+    }
+}
+
+/// The metrics fold: the whole `sp_*` catalog from the logs of `runs`.
+/// The recovery counters are counts of the very events the audit fold
+/// writes out as lines, published for supervised runs only.
+fn registry(runs: &[Vec<Event>]) -> BTreeMap<MetricKey, MetricValue> {
+    let mut reg = Registry::default();
+    for events in runs {
+        let Some((label, _, config, supervised)) = run_started(events) else {
+            continue;
+        };
+        let run = || vec![("run", label.to_owned())];
+        let staged = |stage: &str| vec![("run", label.to_owned()), ("stage", stage.to_owned())];
+        let (mut faults, mut rollbacks, mut retries, mut degradations) = (0, 0, 0, 0);
+        for event in events {
+            match event {
+                Event::Stage { stage, dur_ns, .. } => {
+                    reg.observe(("sp_stage_latency_ns", staged(stage)), *dur_ns);
+                }
+                Event::Shards { stage, timings, .. } if !timings.is_empty() => {
+                    let (mut busy, mut region_end, mut max_worker) = (0u64, 0u64, 0u16);
+                    for t in timings {
+                        reg.observe(("sp_shard_latency_ns", staged(stage)), t.dur_ns);
+                        busy += t.dur_ns;
+                        region_end = region_end.max(t.start_ns + t.dur_ns);
+                        max_worker = max_worker.max(t.worker);
+                    }
+                    let width = u64::from(max_worker) + 1;
+                    reg.add(
+                        ("sp_shard_tasks_total", staged(stage)),
+                        timings.len() as u64,
+                    );
+                    reg.add(("sp_worker_busy_ns_total", staged(stage)), busy);
+                    reg.add(
+                        ("sp_worker_idle_ns_total", staged(stage)),
+                        (width * region_end).saturating_sub(busy),
+                    );
+                }
+                Event::Stall { stage, dur_ns, .. } => {
+                    reg.add(("sp_barrier_stalls_total", staged(stage)), 1);
+                    reg.add(("sp_barrier_stall_ns_total", staged(stage)), *dur_ns);
+                }
+                Event::ChannelDepth { receiver, depth } => {
+                    reg.observe(("sp_channel_queue_depth", staged(receiver)), *depth);
+                }
+                Event::Fault(_) => faults += 1,
+                Event::RolledBack { .. } => rollbacks += 1,
+                Event::Retried { .. } => retries += 1,
+                Event::Degraded { .. } => degradations += 1,
+                Event::Completed {
+                    elapsed_ns,
+                    pool_width,
+                    tables,
+                    iterations: committed,
+                    ..
+                }
+                | Event::Aborted {
+                    elapsed_ns,
+                    pool_width,
+                    tables,
+                    committed,
+                    ..
+                } => {
+                    let aborted = matches!(event, Event::Aborted { .. });
+                    if supervised {
+                        for (name, count) in [
+                            ("sp_recovery_rollbacks_total", rollbacks),
+                            ("sp_recovery_retries_total", retries),
+                            ("sp_recovery_degradations_total", degradations),
+                            ("sp_recovery_faults_injected_total", faults),
+                            ("sp_recovery_aborts_total", u64::from(aborted)),
+                        ] {
+                            reg.set_counter((name, run()), count);
+                        }
+                    }
+                    reg.set_counter(("sp_run_iterations_total", run()), *committed as u64);
+                    reg.set_gauge(("sp_run_elapsed_ns", run()), *elapsed_ns as f64);
+                    reg.set_gauge(("sp_worker_pool_width", run()), *pool_width as f64);
+                    let (mut hits, mut misses) = (0u64, 0u64);
+                    for (t, (occupancy, stats)) in tables.iter().enumerate() {
+                        hits += stats.hits;
+                        misses += stats.misses;
+                        let table = || vec![("run", label.to_owned()), ("table", t.to_string())];
+                        for (name, gauge) in [
+                            ("sp_scratchpad_occupancy_rows", *occupancy),
+                            ("sp_scratchpad_slots", config.slots_per_table),
+                            ("sp_scratchpad_peak_held_rows", stats.peak_held),
+                        ] {
+                            reg.set_gauge((name, table()), gauge as f64);
+                        }
+                        for (name, counter) in [
+                            ("sp_scratchpad_hits_total", stats.hits),
+                            ("sp_scratchpad_misses_total", stats.misses),
+                            ("sp_scratchpad_evictions_total", stats.evictions),
+                        ] {
+                            reg.set_counter((name, table()), counter);
+                        }
+                    }
+                    let hit_rate = if hits + misses == 0 {
+                        0.0
+                    } else {
+                        hits as f64 / (hits + misses) as f64
+                    };
+                    reg.set_gauge(("sp_scratchpad_hit_rate", run()), hit_rate);
+                }
+                _ => {}
+            }
+        }
+    }
+    reg.0
 }
 
 #[derive(Debug)]
 struct Inner {
     epoch: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
-    runs: Mutex<Vec<RunInfo>>,
-    metrics: Mutex<BTreeMap<MetricKey, MetricValue>>,
+    /// One log per run, in opening order; empty while the run is open.
+    runs: Mutex<Vec<Vec<Event>>>,
 }
 
 /// A shared telemetry collector. Cloning is cheap (`Arc`); attach one
@@ -302,87 +778,9 @@ impl Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
-                spans: Mutex::new(Vec::new()),
                 runs: Mutex::new(Vec::new()),
-                metrics: Mutex::new(BTreeMap::new()),
             }),
         }
-    }
-
-    /// Nanoseconds since the collector's epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Opens a per-run recording session. Called by the pipeline at the
-    /// start of every run; the session's run label is the pipeline's
-    /// audit name, which is what joins metrics to audit events.
-    pub(crate) fn begin_run(&self, label: &str, schedule: &str) -> RunTelemetry {
-        let run = {
-            let mut runs = self.inner.runs.lock();
-            runs.push(RunInfo {
-                label: label.to_owned(),
-                schedule: schedule.to_owned(),
-            });
-            (runs.len() - 1) as u32
-        };
-        RunTelemetry {
-            telemetry: self.clone(),
-            run,
-            label: label.to_owned(),
-            start_ns: self.now_ns(),
-        }
-    }
-
-    fn push_span(&self, span: SpanRecord) {
-        self.inner.spans.lock().push(span);
-    }
-
-    fn add_counter(&self, key: MetricKey, v: u64) {
-        let mut metrics = self.inner.metrics.lock();
-        match metrics.entry(key).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c += v,
-            _ => unreachable!("metric kind is fixed per name"),
-        }
-    }
-
-    fn set_counter(&self, key: MetricKey, v: u64) {
-        self.inner
-            .metrics
-            .lock()
-            .insert(key, MetricValue::Counter(v));
-    }
-
-    fn set_gauge(&self, key: MetricKey, v: f64) {
-        self.inner.metrics.lock().insert(key, MetricValue::Gauge(v));
-    }
-
-    fn observe(&self, key: MetricKey, v: u64) {
-        let mut metrics = self.inner.metrics.lock();
-        match metrics
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
-            MetricValue::Histogram(h) => h.observe(v),
-            _ => unreachable!("metric kind is fixed per name"),
-        }
-    }
-
-    /// A snapshot of the recorded spans, sorted for stable output.
-    fn span_snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans = self.inner.spans.lock().clone();
-        spans.sort_by_key(|s| {
-            (
-                s.run,
-                s.iteration,
-                s.kind,
-                s.stage,
-                s.lane.tid(),
-                s.worker,
-                s.start_ns,
-            )
-        });
-        spans
     }
 
     /// Renders the span tree as Chrome trace-event JSON (the
@@ -391,8 +789,8 @@ impl Telemetry {
     /// are derived from their stage spans and rendered on round-robin
     /// side lanes so overlapping in-flight iterations stay readable.
     pub fn chrome_trace_json(&self) -> String {
-        let spans = self.span_snapshot();
         let runs = self.inner.runs.lock();
+        let spans = spans(&runs);
         let mut events: Vec<Value> = Vec::new();
         let str_v = |s: &str| Value::Str(s.to_owned());
         let map = |entries: Vec<(&str, Value)>| {
@@ -418,10 +816,13 @@ impl Telemetry {
 
         // Process metadata: one process per run, named by the run label
         // (exactly the audit `run` field, so traces join to the stream).
-        for (run, info) in runs.iter().enumerate() {
+        for (run, events_of) in runs.iter().enumerate() {
+            let Some((label, schedule, ..)) = run_started(events_of) else {
+                continue;
+            };
             let pid = run as u64 + 1;
-            events.push(metadata("process_name", pid, None, str_v(&info.label)));
-            events.push(metadata("process_labels", pid, None, str_v(&info.schedule)));
+            events.push(metadata("process_name", pid, None, str_v(label)));
+            events.push(metadata("process_labels", pid, None, str_v(schedule)));
         }
         // Thread metadata for every lane that actually appears.
         let mut lanes: BTreeMap<(u64, u64), String> = BTreeMap::new();
@@ -433,22 +834,13 @@ impl Telemetry {
                         .entry((pid, LANE_RUN))
                         .or_insert_with(|| "run".to_owned());
                 }
-                SpanKind::Stage | SpanKind::Stall => {
+                SpanKind::Stage | SpanKind::Stall | SpanKind::Shard => {
                     lanes
                         .entry((pid, s.lane.tid()))
                         .or_insert_with(|| match s.lane {
                             Lane::Main => "driver".to_owned(),
                             Lane::Stage(_) => format!("stage {}", s.stage),
                             Lane::Worker(w) => format!("worker {w}"),
-                        });
-                }
-                SpanKind::Shard => {
-                    lanes
-                        .entry((pid, s.lane.tid()))
-                        .or_insert_with(|| match s.lane {
-                            Lane::Worker(w) => format!("worker {w}"),
-                            Lane::Main => "driver".to_owned(),
-                            Lane::Stage(_) => format!("stage {}", s.stage),
                         });
                 }
             }
@@ -552,7 +944,7 @@ impl Telemetry {
     /// `count`/`sum`/`buckets` (non-empty buckets as `[le, count]`
     /// pairs, `le` the power-of-two upper bound or `"+Inf"`).
     pub fn metrics_json(&self) -> String {
-        let metrics = self.inner.metrics.lock();
+        let metrics = registry(&self.inner.runs.lock());
         let mut out: Vec<Value> = Vec::new();
         for ((name, labels), value) in metrics.iter() {
             let info = meta(name);
@@ -609,7 +1001,7 @@ impl Telemetry {
     /// (`# HELP` / `# TYPE` comments, cumulative histogram buckets,
     /// `_sum` / `_count` series).
     pub fn prometheus_text(&self) -> String {
-        let metrics = self.inner.metrics.lock();
+        let metrics = registry(&self.inner.runs.lock());
         let mut out = String::new();
         let mut last_name = "";
         let render_labels = |labels: &[(&'static str, String)], extra: Option<(&str, &str)>| {
@@ -684,18 +1076,14 @@ impl Telemetry {
     /// observation *count*). Two same-seed runs at the same pool width
     /// produce identical digests, whatever the machine is doing.
     pub fn deterministic_digest(&self) -> String {
+        let runs = self.inner.runs.lock();
         let mut out = String::new();
-        {
-            let runs = self.inner.runs.lock();
-            for (i, info) in runs.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "run {i} label={} schedule={}",
-                    info.label, info.schedule
-                );
+        for (i, events) in runs.iter().enumerate() {
+            if let Some((label, schedule, ..)) = run_started(events) {
+                let _ = writeln!(out, "run {i} label={label} schedule={schedule}");
             }
         }
-        let spans = self.span_snapshot();
+        let spans = spans(&runs);
         let mut i = 0;
         while i < spans.len() {
             let s = &spans[i];
@@ -742,8 +1130,7 @@ impl Telemetry {
                 }
             }
         }
-        let metrics = self.inner.metrics.lock();
-        for ((name, labels), value) in metrics.iter() {
+        for ((name, labels), value) in registry(&runs).iter() {
             let info = meta(name);
             let labels_s: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let labels_s = labels_s.join(",");
@@ -774,225 +1161,6 @@ fn write_file(path: impl AsRef<Path>, content: &str) -> std::io::Result<()> {
     f.flush()
 }
 
-/// One pipeline run's recording session, created internally by the
-/// pipeline from its attached [`Telemetry`] handle and carried through
-/// [`StageCtx`](crate::stage::StageCtx) (as `Option<&RunTelemetry>` —
-/// `None` keeps every hook a single branch). Stage implementors may use
-/// it to record extra spans or shard regions of their own.
-#[derive(Debug)]
-pub struct RunTelemetry {
-    telemetry: Telemetry,
-    run: u32,
-    label: String,
-    start_ns: u64,
-}
-
-impl RunTelemetry {
-    /// Nanoseconds since the collector's epoch (span timestamps).
-    pub fn now_ns(&self) -> u64 {
-        self.telemetry.now_ns()
-    }
-
-    /// The run label (the pipeline's audit name).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run_labels(&self) -> Vec<(&'static str, String)> {
-        vec![("run", self.label.clone())]
-    }
-
-    fn stage_labels(&self, stage: &'static str) -> Vec<(&'static str, String)> {
-        vec![("run", self.label.clone()), ("stage", stage.to_owned())]
-    }
-
-    /// Records one stage execution: a span on `lane` plus an observation
-    /// in the `sp_stage_latency_ns` histogram. `dur_ns` must be exactly
-    /// the value reported to the audit stream's `stage_nanos`, which is
-    /// what makes `audit_check --metrics` reconcile exactly.
-    pub fn stage_span(
-        &self,
-        lane: Lane,
-        iteration: usize,
-        stage: &'static str,
-        start_ns: u64,
-        dur_ns: u64,
-    ) {
-        self.telemetry.push_span(SpanRecord {
-            run: self.run,
-            kind: SpanKind::Stage,
-            lane,
-            iteration: iteration as u32,
-            stage,
-            aux: "",
-            worker: 0,
-            start_ns,
-            dur_ns,
-        });
-        self.telemetry
-            .observe(("sp_stage_latency_ns", self.stage_labels(stage)), dur_ns);
-    }
-
-    /// Records one worker-pool shard region: a span per shard task (on
-    /// worker lanes when the region ran pooled, on `lane` when it ran
-    /// inline), shard-latency observations, task counts and the region's
-    /// busy/idle nanoseconds. `region_start_ns` is [`RunTelemetry::now_ns`]
-    /// sampled just before `run_tasks`; `timings` is what `run_tasks`
-    /// returned.
-    pub fn shard_region(
-        &self,
-        lane: Lane,
-        iteration: usize,
-        stage: &'static str,
-        region_start_ns: u64,
-        timings: &[ShardTiming],
-        pooled: bool,
-    ) {
-        if timings.is_empty() {
-            return;
-        }
-        let mut busy = 0u64;
-        let mut region_end = 0u64;
-        let mut max_worker = 0u16;
-        for t in timings {
-            self.telemetry.push_span(SpanRecord {
-                run: self.run,
-                kind: SpanKind::Shard,
-                lane: if pooled { Lane::Worker(t.worker) } else { lane },
-                iteration: iteration as u32,
-                stage,
-                aux: "",
-                worker: t.worker,
-                start_ns: region_start_ns + t.start_ns,
-                dur_ns: t.dur_ns,
-            });
-            self.telemetry
-                .observe(("sp_shard_latency_ns", self.stage_labels(stage)), t.dur_ns);
-            busy += t.dur_ns;
-            region_end = region_end.max(t.start_ns + t.dur_ns);
-            max_worker = max_worker.max(t.worker);
-        }
-        let labels = self.stage_labels(stage);
-        self.telemetry.add_counter(
-            ("sp_shard_tasks_total", labels.clone()),
-            timings.len() as u64,
-        );
-        self.telemetry
-            .add_counter(("sp_worker_busy_ns_total", labels.clone()), busy);
-        let width = u64::from(max_worker) + 1;
-        let idle = (width * region_end).saturating_sub(busy);
-        self.telemetry
-            .add_counter(("sp_worker_idle_ns_total", labels), idle);
-    }
-
-    /// Records one watermark-barrier wait that actually blocked:
-    /// `stage`'s thread waited from `start_ns` until now for `watched`
-    /// to reach its lagged batch index.
-    pub fn barrier_stall(
-        &self,
-        lane: Lane,
-        iteration: usize,
-        stage: &'static str,
-        watched: &'static str,
-        start_ns: u64,
-    ) {
-        let dur_ns = self.now_ns().saturating_sub(start_ns);
-        self.telemetry.push_span(SpanRecord {
-            run: self.run,
-            kind: SpanKind::Stall,
-            lane,
-            iteration: iteration as u32,
-            stage,
-            aux: watched,
-            worker: 0,
-            start_ns,
-            dur_ns,
-        });
-        let labels = self.stage_labels(stage);
-        self.telemetry
-            .add_counter(("sp_barrier_stalls_total", labels.clone()), 1);
-        self.telemetry
-            .add_counter(("sp_barrier_stall_ns_total", labels), dur_ns);
-    }
-
-    /// Observes the bounded inter-stage channel's depth at a send
-    /// (threaded schedule), labelled by the receiving stage.
-    pub fn channel_depth(&self, receiver: &'static str, depth: u64) {
-        self.telemetry.observe(
-            ("sp_channel_queue_depth", self.stage_labels(receiver)),
-            depth,
-        );
-    }
-
-    /// Sets a run-labelled counter to an absolute value (recovery
-    /// counters are published once, at run end, from the supervisor's
-    /// stats — so they equal the audit stream's event counts exactly).
-    pub(crate) fn set_run_counter(&self, name: &'static str, value: u64) {
-        self.telemetry.set_counter((name, self.run_labels()), value);
-    }
-
-    /// Closes the run: records the run span, run-level gauges and the
-    /// end-of-run scratchpad stats.
-    pub(crate) fn finish_run(
-        &self,
-        elapsed_ns: u64,
-        iterations: usize,
-        pool_width: usize,
-        slots_per_table: usize,
-        managers: &[ScratchpadManager],
-    ) {
-        self.telemetry.push_span(SpanRecord {
-            run: self.run,
-            kind: SpanKind::Run,
-            lane: Lane::Main,
-            iteration: 0,
-            stage: "",
-            aux: "",
-            worker: 0,
-            start_ns: self.start_ns,
-            dur_ns: self.now_ns().saturating_sub(self.start_ns),
-        });
-        let run = self.run_labels();
-        self.telemetry
-            .set_counter(("sp_run_iterations_total", run.clone()), iterations as u64);
-        self.telemetry
-            .set_gauge(("sp_run_elapsed_ns", run.clone()), elapsed_ns as f64);
-        self.telemetry
-            .set_gauge(("sp_worker_pool_width", run.clone()), pool_width as f64);
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (t, manager) in managers.iter().enumerate() {
-            let stats = manager.stats();
-            hits += stats.hits;
-            misses += stats.misses;
-            let labels = || vec![("run", self.label.clone()), ("table", t.to_string())];
-            self.telemetry.set_gauge(
-                ("sp_scratchpad_occupancy_rows", labels()),
-                manager.occupancy() as f64,
-            );
-            self.telemetry
-                .set_gauge(("sp_scratchpad_slots", labels()), slots_per_table as f64);
-            self.telemetry.set_gauge(
-                ("sp_scratchpad_peak_held_rows", labels()),
-                stats.peak_held as f64,
-            );
-            self.telemetry
-                .set_counter(("sp_scratchpad_hits_total", labels()), stats.hits);
-            self.telemetry
-                .set_counter(("sp_scratchpad_misses_total", labels()), stats.misses);
-            self.telemetry
-                .set_counter(("sp_scratchpad_evictions_total", labels()), stats.evictions);
-        }
-        let total = hits + misses;
-        let hit_rate = if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        };
-        self.telemetry
-            .set_gauge(("sp_scratchpad_hit_rate", run), hit_rate);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,12 +1185,56 @@ mod tests {
         assert_eq!(h.buckets[Histogram::BUCKETS], 1, "overflow lands in +Inf");
     }
 
+    /// A collector holding one closed run with the given events between
+    /// its `RunStarted` and a `Completed`.
+    fn collected(label: &str, schedule: &'static str, events: Vec<Event>) -> Telemetry {
+        let tel = Telemetry::new();
+        let run = open_run(Some(&tel));
+        run.record(Event::RunStarted {
+            label: label.to_owned(),
+            start_ns: 0,
+            schedule,
+            iterations: 1,
+            num_tables: 0,
+            config: PipelineConfig::functional(8, 16),
+            supervised: false,
+        });
+        events.into_iter().for_each(|e| run.record(e));
+        run.record(Event::Completed {
+            end_ns: 2_000,
+            elapsed_ns: 2_000,
+            schedule,
+            pool_width: 1,
+            tables: Vec::new(),
+            iterations: 1,
+            flush_traffic: Traffic::ZERO,
+            hit_rate: 0.0,
+            mean_loss: 0.0,
+        });
+        run.close(None);
+        tel
+    }
+
+    fn stage(stage: &'static str, lane: Lane, start_ns: u64, dur_ns: u64) -> Event {
+        Event::Stage {
+            iteration: 0,
+            stage,
+            lane,
+            start_ns,
+            dur_ns,
+        }
+    }
+
     #[test]
     fn metrics_render_in_stable_order() {
-        let tel = Telemetry::new();
-        let run = tel.begin_run("t", "sync");
-        run.stage_span(Lane::Main, 0, "Plan", 0, 100);
-        run.stage_span(Lane::Main, 0, "Train", 10, 50);
+        let tel = collected(
+            "t",
+            "sync",
+            vec![
+                stage("Plan", Lane::Main, 0, 100),
+                stage("Train", Lane::Main, 10, 50),
+            ],
+        );
         let a = tel.prometheus_text();
         let b = tel.prometheus_text();
         assert_eq!(a, b);
@@ -1036,9 +1248,7 @@ mod tests {
 
     #[test]
     fn digest_excludes_wall_clock_values() {
-        let tel = Telemetry::new();
-        let run = tel.begin_run("d", "sync");
-        run.stage_span(Lane::Main, 0, "Plan", 0, 12345);
+        let tel = collected("d", "sync", vec![stage("Plan", Lane::Main, 0, 12345)]);
         let digest = tel.deterministic_digest();
         assert!(digest.contains("span stage r0 i0 Plan lane=0"));
         assert!(digest.contains("metric sp_stage_latency_ns{run=d,stage=Plan} count=1"));
@@ -1050,28 +1260,39 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_lanes() {
-        let tel = Telemetry::new();
-        let run = tel.begin_run("trace-me", "threaded");
-        run.stage_span(Lane::Stage(1), 0, "Collect", 100, 500);
-        run.barrier_stall(Lane::Stage(1), 1, "Collect", "Train", 700);
-        run.shard_region(
-            Lane::Main,
-            0,
-            "Train",
-            1000,
-            &[
-                ShardTiming {
-                    start_ns: 0,
-                    dur_ns: 10,
-                    worker: 0,
+        let tel = collected(
+            "trace-me",
+            "threaded",
+            vec![
+                stage("Collect", Lane::Stage(1), 100, 500),
+                Event::Stall {
+                    iteration: 1,
+                    stage: "Collect",
+                    watched: "Train",
+                    lane: Lane::Stage(1),
+                    start_ns: 700,
+                    dur_ns: 40,
                 },
-                ShardTiming {
-                    start_ns: 2,
-                    dur_ns: 8,
-                    worker: 1,
+                Event::Shards {
+                    iteration: 0,
+                    stage: "Train",
+                    lane: Lane::Main,
+                    start_ns: 1000,
+                    timings: vec![
+                        ShardTiming {
+                            start_ns: 0,
+                            dur_ns: 10,
+                            worker: 0,
+                        },
+                        ShardTiming {
+                            start_ns: 2,
+                            dur_ns: 8,
+                            worker: 1,
+                        },
+                    ],
+                    pooled: true,
                 },
             ],
-            true,
         );
         let json = tel.chrome_trace_json();
         let parsed = serde_json::from_str(&json).expect("trace must parse");
@@ -1082,5 +1303,28 @@ mod tests {
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("stall:Collect<-Train"));
         assert!(json.contains("\"worker 1\""));
+    }
+
+    #[test]
+    fn an_open_run_keeps_its_slot_and_renders_nothing() {
+        let tel = Telemetry::new();
+        let open = open_run(Some(&tel));
+        let closed = open_run(Some(&tel));
+        closed.record(Event::RunStarted {
+            label: "closed".to_owned(),
+            start_ns: 0,
+            schedule: "sync",
+            iterations: 0,
+            num_tables: 0,
+            config: PipelineConfig::functional(8, 16),
+            supervised: false,
+        });
+        closed.close(None);
+        assert_eq!(
+            tel.deterministic_digest(),
+            "run 1 label=closed schedule=sync\n",
+            "runs are numbered in opening order"
+        );
+        drop(open);
     }
 }

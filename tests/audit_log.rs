@@ -9,8 +9,8 @@
 //! the benchmark reproduce its numbers from the log alone.
 
 use scratchpipe::{
-    FileSink, IterationRecord, MemorySink, Pipeline, PipelineConfig, Schedule, StageTraffic,
-    UnitBackend,
+    Fault, FaultKind, FaultPlan, FileSink, IterationRecord, MemorySink, Pipeline, PipelineConfig,
+    RecoveryPolicy, Schedule, ScratchError, StageTraffic, Telemetry, UnitBackend,
 };
 use serde::{Deserialize as _, Value};
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
@@ -118,6 +118,14 @@ fn iteration_events_reconcile_with_the_report() {
             assert_eq!(rec.unique_rows, reference.unique_rows);
             assert_eq!(rec.loss.to_bits(), reference.loss.to_bits());
             assert_eq!(rec.traffic, reference.traffic);
+            // The Plan upload contract: one u32 slot per unique row plus
+            // one u32 index per raw lookup.
+            assert_eq!(
+                rec.traffic.plan.pcie_h2d_bytes,
+                4 * (rec.unique_rows + rec.total_lookups),
+                "{schedule:?}: iteration {} Plan upload",
+                rec.index
+            );
             summed += rec.traffic;
             indices.push(rec.index);
             // Per-stage wall-clock timings exist for all five stages.
@@ -338,4 +346,170 @@ fn run_completed_reports_dropped_lines_in_the_stream_itself() {
     );
     // seq still counts every *attempted* line, exposing the gaps.
     assert_eq!(uint_field(&last, "seq"), batches.len() as u64 + 1);
+}
+
+/// The two-table trace and tables of the failure-path tests below.
+fn small_trace(iterations: usize) -> Vec<embeddings::SparseBatch> {
+    TraceGenerator::new(TraceConfig {
+        num_tables: 2,
+        rows_per_table: 200,
+        lookups_per_sample: 4,
+        batch_size: 8,
+        profile: LocalityProfile::Medium,
+        seed: 9,
+    })
+    .take_batches(iterations)
+}
+
+fn small_tables() -> Vec<embeddings::EmbeddingTable> {
+    (0..2)
+        .map(|t| embeddings::EmbeddingTable::seeded(200, 8, t))
+        .collect()
+}
+
+#[test]
+fn a_failing_plain_run_still_ends_its_stream() {
+    // `Pipeline::run` has no supervisor: the first error propagates. The
+    // observers must still be told how the run ended — the fault that
+    // fired, a terminal `run_aborted` with nothing committed after one
+    // attempt, a flushed sink, a closed telemetry run — and the caller
+    // must get the error unchanged.
+    let batches = small_trace(10);
+    let injected = FaultPlan::new(vec![Fault {
+        iteration: 4,
+        stage: "Insert".to_owned(),
+        shard: 0,
+        kind: FaultKind::StageError,
+        fires: 1,
+        slow_nanos: 0,
+    }]);
+    // (schedule, slots per table, armed plan, expected fault_injected lines)
+    let cases = [
+        (Schedule::Sync, 192, Some(injected.clone()), 1),
+        (Schedule::Threaded, 192, Some(injected), 1),
+        // Four slots cannot hold one batch's working set.
+        (Schedule::Sync, 4, None, 0),
+    ];
+    for (schedule, slots, plan, faults) in cases {
+        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let telemetry = Telemetry::new();
+        let mut builder = Pipeline::builder()
+            .config(PipelineConfig::functional(8, slots))
+            .tables(small_tables())
+            .backend(UnitBackend::new(0.05))
+            .schedule(schedule)
+            .audit(FileSink::from_writer(std::io::BufWriter::new(
+                FlakyWriter {
+                    failures: 0,
+                    buf: buf.clone(),
+                },
+            )))
+            .telemetry(telemetry.clone())
+            .named("doomed");
+        if let Some(plan) = plan {
+            builder = builder.faults(plan);
+        }
+        let err = builder
+            .build()
+            .expect("pipeline")
+            .run(&batches)
+            .expect_err("the run must fail");
+        match faults {
+            1 => assert_eq!(
+                err,
+                ScratchError::Injected {
+                    iteration: 4,
+                    stage: "Insert".to_owned(),
+                }
+            ),
+            _ => assert!(matches!(err, ScratchError::CapacityExhausted { .. })),
+        }
+
+        // Everything reached the writer: the sink was flushed.
+        let written = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8");
+        let events: Vec<Value> = written
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("parse"))
+            .collect();
+        let kinds: Vec<&str> = events.iter().map(|e| str_field(e, "event")).collect();
+        let mut expected = vec!["run_started"];
+        expected.extend(std::iter::repeat("fault_injected").take(faults));
+        expected.push("run_aborted");
+        assert_eq!(kinds, expected, "{schedule:?} / {slots} slots");
+        let last = events.last().expect("nonempty");
+        assert_eq!(uint_field(last, "seq"), events.len() as u64 - 1);
+        assert_eq!(uint_field(last, "iteration"), 0);
+        assert_eq!(uint_field(last, "committed"), 0);
+        assert_eq!(uint_field(last, "attempts"), 1);
+        assert_eq!(uint_field(last, "dropped_lines"), 0);
+        assert_eq!(str_field(last, "schedule"), schedule.name());
+        assert_eq!(str_field(last, "cause"), err.to_string());
+
+        // The telemetry run was closed: a run span and the end-of-run
+        // scratchpad gauges exist, and nothing committed.
+        let digest = telemetry.deterministic_digest();
+        assert!(digest.contains("span run r0"), "{digest}");
+        assert!(digest.contains("metric sp_run_iterations_total{run=doomed} 0"));
+        assert!(digest.contains("metric sp_scratchpad_slots{run=doomed,table=1}"));
+    }
+}
+
+#[test]
+fn an_injected_slowdown_lands_on_the_shard_it_names_once() {
+    // A slow-shard fault adds logical nanoseconds — far more than the
+    // whole test takes — to one `stage_shards` entry of the attempt that
+    // committed. Here that is the retry: a stage error voids the first
+    // attempt at iteration 3, and the slowdown (fires = 2) fires again.
+    const SLOW: u64 = 3_600_000_000_000;
+    let fault = |stage: &str, shard, kind, fires, slow_nanos| Fault {
+        iteration: 3,
+        stage: stage.to_owned(),
+        shard,
+        kind,
+        fires,
+        slow_nanos,
+    };
+    let sink = MemorySink::new();
+    let mut rt = Pipeline::builder()
+        .config(PipelineConfig::functional(8, 192))
+        .tables(small_tables())
+        .backend(UnitBackend::new(0.05))
+        .schedule(Schedule::Sync)
+        .faults(FaultPlan::new(vec![
+            fault("Insert", 5, FaultKind::SlowShard, 2, SLOW),
+            fault("Train", 0, FaultKind::StageError, 1, 0),
+        ]))
+        .audit(sink.clone())
+        .build()
+        .expect("pipeline");
+    rt.run_supervised(&small_trace(6), RecoveryPolicy::default())
+        .expect("recoverable");
+    let mut slowed = Vec::new();
+    for line in sink.lines() {
+        let event: Value = serde_json::from_str(&line).expect("parse");
+        if str_field(&event, "event") != "iteration" {
+            continue;
+        }
+        let Some(Value::Map(shards)) = event.get("stage_shards") else {
+            panic!("iteration event lacks stage_shards map");
+        };
+        for (stage, entry) in shards {
+            let Value::Seq(items) = entry else {
+                panic!("stage_shards.{stage}: expected a sequence");
+            };
+            // Insert runs one task per table.
+            assert!(stage != "Insert" || items.len() == 2);
+            for (shard, ns) in items.iter().enumerate() {
+                match ns {
+                    Value::UInt(ns) if *ns >= SLOW => {
+                        assert!(*ns < 2 * SLOW, "added once, not per attempt");
+                        slowed.push((uint_field(&event, "index"), stage.clone(), shard));
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    // Shard 5 of 2 tasks is task 1.
+    assert_eq!(slowed, [(3, "Insert".to_owned(), 1)]);
 }

@@ -10,14 +10,20 @@
 //! the wall-clock-stripped view of METRICS.json plus the span tree.
 //!
 //! **Reconciliation:** the pipeline records one integer per stage
-//! execution and hands it to both the audit stream (`stage_nanos`) and
-//! the `sp_stage_latency_ns` histogram, so the histogram's `sum` equals
-//! the summed audit nanos **exactly** — the same check
-//! `audit_check --metrics` runs over artifacts, here without any file
-//! round-trip.
+//! execution, in one event log, and the audit stream (`stage_nanos`),
+//! the `sp_stage_latency_ns` histogram and the trace's stage spans are
+//! all folds over that log — so the histogram's `sum` and the summed span
+//! durations equal the summed audit nanos **exactly**, and the recovery
+//! counters equal the audit stream's event counts. A supervised run that
+//! rolled iterations back also metered the failed attempts, which the
+//! audit stream (committed iterations only) leaves out: there the stage
+//! totals relax to `>=`, everything else stays exact.
 
 use proptest::prelude::*;
-use scratchpipe::{MemorySink, Pipeline, PipelineConfig, Schedule, Telemetry, UnitBackend};
+use scratchpipe::{
+    Fault, FaultKind, FaultPlan, MemorySink, Pipeline, PipelineConfig, RecoveryPolicy, Schedule,
+    Telemetry, UnitBackend,
+};
 use serde::Value;
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
@@ -41,12 +47,24 @@ fn batches(seed: u64) -> Vec<embeddings::SparseBatch> {
 
 /// One audited, metered run; returns the collector and the audit lines.
 fn run_once(seed: u64, schedule: Schedule, width: usize, label: &str) -> (Telemetry, Vec<String>) {
+    observed(seed, schedule, width, label, None)
+}
+
+/// [`run_once`], or — with a fault plan — the same trace under
+/// `run_supervised` with that plan armed.
+fn observed(
+    seed: u64,
+    schedule: Schedule,
+    width: usize,
+    label: &str,
+    faults: Option<FaultPlan>,
+) -> (Telemetry, Vec<String>) {
     let tables: Vec<embeddings::EmbeddingTable> = (0..NUM_TABLES)
         .map(|t| embeddings::EmbeddingTable::seeded(ROWS as usize, DIM, 40 + t as u64))
         .collect();
     let telemetry = Telemetry::new();
     let sink = MemorySink::new();
-    let mut rt = Pipeline::builder()
+    let mut builder = Pipeline::builder()
         .config(PipelineConfig::functional(DIM, SLOTS))
         .tables(tables)
         .backend(UnitBackend::new(0.05))
@@ -54,11 +72,43 @@ fn run_once(seed: u64, schedule: Schedule, width: usize, label: &str) -> (Teleme
         .parallelism(width)
         .telemetry(telemetry.clone())
         .audit(sink.clone())
-        .named(label)
-        .build()
-        .expect("pipeline");
-    rt.run(&batches(seed)).expect("run");
+        .named(label);
+    let supervised = faults.is_some();
+    if let Some(plan) = faults {
+        builder = builder.faults(plan);
+    }
+    let mut rt = builder.build().expect("pipeline");
+    if supervised {
+        rt.run_supervised(&batches(seed), RecoveryPolicy::default())
+            .expect("every fault is recoverable");
+    } else {
+        rt.run(&batches(seed)).expect("run");
+    }
     (telemetry, sink.lines())
+}
+
+/// One recoverable fault of every kind, spread over the trace; every
+/// `fires` stays below the default retry budget of 3.
+fn recoverable_plan() -> FaultPlan {
+    let fault = |iteration, stage: &str, shard, kind, fires| Fault {
+        iteration,
+        stage: stage.to_owned(),
+        shard,
+        kind,
+        fires,
+        slow_nanos: if kind == FaultKind::SlowShard {
+            7_777
+        } else {
+            0
+        },
+    };
+    FaultPlan::new(vec![
+        fault(2, "Plan", 0, FaultKind::StageError, 2),
+        fault(5, "Collect", 1, FaultKind::WorkerPanic, 1),
+        fault(7, "Collect", 0, FaultKind::CorruptPayload, 1),
+        fault(3, "Train", 2, FaultKind::SlowShard, 1),
+        fault(9, "Insert", 0, FaultKind::StageError, 1),
+    ])
 }
 
 proptest! {
@@ -108,23 +158,31 @@ fn label<'v>(metric: &'v Value, key: &str) -> Option<&'v str> {
 
 #[test]
 fn stage_histograms_reconcile_exactly_with_the_audit_stream() {
-    for (schedule, width) in [
-        (Schedule::Sync, 1),
-        (Schedule::Threaded, 1),
-        (Schedule::DataParallel, 2),
+    for (schedule, width, faults) in [
+        (Schedule::Sync, 1, None),
+        (Schedule::Threaded, 1, None),
+        (Schedule::DataParallel, 2, None),
+        (Schedule::DataParallel, 2, Some(recoverable_plan())),
     ] {
-        let name = format!("reconcile-{}", schedule.name());
-        let (telemetry, lines) = run_once(7, schedule, width, &name);
+        let name = format!("reconcile-{}-{}", schedule.name(), faults.is_some());
+        let (telemetry, lines) = observed(7, schedule, width, &name, faults);
 
-        // Audit side: per-stage sums and counts over iteration events.
+        // Audit side: per-stage sums over iteration events, cache totals,
+        // and a count of every event kind.
         let mut audit_ns: std::collections::BTreeMap<String, u64> = Default::default();
-        let mut iterations = 0u64;
+        let mut kinds: std::collections::BTreeMap<String, u64> = Default::default();
+        let (mut hits, mut misses) = (0u64, 0u64);
         for line in &lines {
             let event: Value = serde_json::from_str(line).expect("audit line parses");
-            if !matches!(event.get("event"), Some(Value::Str(k)) if k == "iteration") {
+            let Some(Value::Str(kind)) = event.get("event") else {
+                panic!("audit line lacks an event kind");
+            };
+            *kinds.entry(kind.clone()).or_default() += 1;
+            if kind != "iteration" {
                 continue;
             }
-            iterations += 1;
+            hits += uint(&event, "hits");
+            misses += uint(&event, "misses");
             let Some(Value::Map(nanos)) = event.get("stage_nanos") else {
                 panic!("iteration lacks stage_nanos");
             };
@@ -135,37 +193,120 @@ fn stage_histograms_reconcile_exactly_with_the_audit_stream() {
                 *audit_ns.entry(stage.clone()).or_default() += ns;
             }
         }
+        let count = |kind: &str| kinds.get(kind).copied().unwrap_or(0);
+        let iterations = count("iteration");
         assert_eq!(iterations, ITERS as u64);
+        let rolled_back = count("iteration_rolled_back") > 0;
+        // Failed attempts were metered but never audited: `==` for clean
+        // runs, `>=` once iterations were replayed.
+        let reconcile = |what: &str, metered: u64, audited: u64| {
+            if rolled_back {
+                assert!(
+                    metered >= audited,
+                    "{name}: {what} {metered} < audit {audited}"
+                );
+            } else {
+                assert_eq!(metered, audited, "{name}: {what}");
+            }
+        };
 
-        // Telemetry side: the sp_stage_latency_ns histograms.
+        // Telemetry side: the metrics registry.
         let doc: Value =
             serde_json::from_str(&telemetry.metrics_json()).expect("METRICS.json parses");
         let Some(Value::Seq(metrics)) = doc.get("metrics") else {
             panic!("metrics: expected a sequence");
         };
         let mut stages_checked = 0;
+        let mut recovery_checked = 0;
+        let (mut table_hits, mut table_misses) = (0u64, 0u64);
         for m in metrics {
-            match m.get("name") {
-                Some(Value::Str(n)) if n == "sp_stage_latency_ns" => {}
-                _ => continue,
-            }
+            let Some(Value::Str(metric)) = m.get("name") else {
+                panic!("metric lacks a name");
+            };
             assert_eq!(label(m, "run"), Some(name.as_str()));
-            let stage = label(m, "stage").expect("stage label").to_owned();
-            // The heart of the contract: both sides summed the *same*
-            // integers, so equality is exact - no tolerance.
+            let recovery_event = match metric.as_str() {
+                "sp_stage_latency_ns" => {
+                    let stage = label(m, "stage").expect("stage label").to_owned();
+                    // The heart of the contract: both sides summed the
+                    // *same* integers, so equality is exact - no tolerance.
+                    reconcile(
+                        &format!("stage {stage} histogram sum vs summed stage_nanos"),
+                        uint(m, "sum"),
+                        audit_ns[&stage],
+                    );
+                    reconcile(
+                        &format!("stage {stage} count"),
+                        uint(m, "count"),
+                        iterations,
+                    );
+                    stages_checked += 1;
+                    continue;
+                }
+                "sp_run_iterations_total" => {
+                    assert_eq!(uint(m, "value"), iterations, "{name}: committed iterations");
+                    continue;
+                }
+                "sp_scratchpad_hits_total" => {
+                    table_hits += uint(m, "value");
+                    continue;
+                }
+                "sp_scratchpad_misses_total" => {
+                    table_misses += uint(m, "value");
+                    continue;
+                }
+                "sp_recovery_rollbacks_total" => "iteration_rolled_back",
+                "sp_recovery_retries_total" => "stage_retried",
+                "sp_recovery_degradations_total" => "schedule_degraded",
+                "sp_recovery_faults_injected_total" => "fault_injected",
+                "sp_recovery_aborts_total" => "run_aborted",
+                _ => continue,
+            };
             assert_eq!(
-                uint(m, "sum"),
-                audit_ns[&stage],
-                "{schedule:?}: stage {stage} histogram sum != summed stage_nanos"
+                uint(m, "value"),
+                count(recovery_event),
+                "{name}: {metric} vs {recovery_event} events"
             );
-            assert_eq!(
-                uint(m, "count"),
-                iterations,
-                "{schedule:?}: stage {stage} count"
-            );
-            stages_checked += 1;
+            recovery_checked += 1;
         }
         assert_eq!(stages_checked, 5, "{schedule:?}: all five stages metered");
+        // A rollback restores the managers, statistics included, so the
+        // per-table totals count the committed iterations only.
+        assert_eq!(table_hits, hits, "{name}: summed table hits");
+        assert_eq!(table_misses, misses, "{name}: summed table misses");
+        if rolled_back {
+            assert_eq!(recovery_checked, 5, "{name}: every recovery counter");
+            assert_eq!(count("fault_injected"), 6);
+            assert_eq!(count("iteration_rolled_back"), 5);
+            assert_eq!(count("stage_retried"), 5);
+        } else {
+            assert_eq!(recovery_checked, 0, "{name}: plain runs publish none");
+        }
+
+        // Trace side: the stage spans carry the same integers in `args`.
+        let trace: Value =
+            serde_json::from_str(&telemetry.chrome_trace_json()).expect("trace.json parses");
+        let Some(Value::Seq(events)) = trace.get("traceEvents") else {
+            panic!("traceEvents: expected a sequence");
+        };
+        let mut span_ns: std::collections::BTreeMap<String, u64> = Default::default();
+        for ev in events {
+            if !matches!(ev.get("cat"), Some(Value::Str(cat)) if cat == "stage") {
+                continue;
+            }
+            let args = ev.get("args").expect("span args");
+            let Some(Value::Str(stage)) = args.get("stage") else {
+                panic!("stage span lacks args.stage");
+            };
+            *span_ns.entry(stage.clone()).or_default() += uint(args, "dur_ns");
+        }
+        assert_eq!(span_ns.len(), 5, "{name}: all five stages traced");
+        for (stage, &traced) in &span_ns {
+            reconcile(
+                &format!("stage {stage} span total vs summed stage_nanos"),
+                traced,
+                audit_ns[stage],
+            );
+        }
     }
 }
 
