@@ -162,3 +162,19 @@ fn observers_match_the_recorded_digests() {
         "observer output moved; computed digests:\n{actual:#x?}"
     );
 }
+
+/// `[telemetry digest, masked audit stream]` of the unpipelined straw-man
+/// (`Schedule::Sequential`: every batch through all five stages before
+/// the next is admitted). Recorded at the commit before its driver was
+/// folded into the register driver, so that fold reproduces the event
+/// order byte for byte.
+const GOLDEN_SEQUENTIAL: [u64; 2] = [0x223df7398a935926, 0xa977fa661e35434a];
+
+#[test]
+fn sequential_observers_match_the_recorded_digests() {
+    let actual = observe(Schedule::Sequential, 1, None);
+    assert_eq!(
+        actual, GOLDEN_SEQUENTIAL,
+        "observer output moved; computed digests:\n{actual:#x?}"
+    );
+}
