@@ -11,7 +11,7 @@
 //!   `run_aborted` last, and the number of `iteration` events equals the
 //!   `iterations` field claimed by *both* bracketing events;
 //! * each `iteration` event deserializes as an
-//!   [`IterationRecord`](scratchpipe::IterationRecord) and carries a
+//!   [`IterationRecord`] and carries a
 //!   five-stage `stage_nanos` map;
 //! * when an `iteration` event carries a `stage_shards` map (the
 //!   shard-timing breakdown), every key names a stage from `stage_nanos`

@@ -1,7 +1,7 @@
 //! Chaos harness — CI's executable proof of the recovery contract.
 //!
 //! For every seed in the matrix this binary arms a seeded
-//! [`FaultPlan`](scratchpipe::FaultPlan) against a supervised
+//! [`FaultPlan`] against a supervised
 //! data-parallel pipeline run and verifies the headline chaos property:
 //!
 //! * the recovered `PipelineReport` serializes **byte-identically** to a

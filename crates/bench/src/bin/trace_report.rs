@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use scratchpipe::StageId;
 use serde::Value;
 
 /// One duration span pulled out of the trace (`ph == "X"` events carry
@@ -79,16 +80,10 @@ fn get_u64(v: &Value, key: &str) -> Option<u64> {
     }
 }
 
-/// The five pipeline stages in execution order, for stable tables.
-const STAGE_ORDER: [&str; 5] = ["Plan", "Collect", "Exchange", "Insert", "Train"];
-/// Stages that already run sharded over the worker pool.
-const SHARDED: [&str; 3] = ["Collect", "Insert", "Train"];
-
+/// Position of stage `name` in pipeline order, for stable tables;
+/// anything else sorts last.
 fn stage_sort_key(name: &str) -> usize {
-    STAGE_ORDER
-        .iter()
-        .position(|s| *s == name)
-        .unwrap_or(STAGE_ORDER.len())
+    StageId::from_name(name).map_or(StageId::COUNT, StageId::index)
 }
 
 fn parse_trace(body: &str, top_k: usize) -> Result<Vec<RunReport>, String> {
@@ -242,7 +237,7 @@ fn print_run(run: &RunReport) {
         } else {
             0.0
         };
-        let advice = if SHARDED.contains(&name.as_str()) {
+        let advice = if StageId::from_name(name).is_some_and(StageId::shards) {
             "already sharded - widen the pool or split its shards finer"
         } else {
             "not yet sharded - add data parallelism to it next"

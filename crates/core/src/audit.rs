@@ -64,7 +64,7 @@ use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
 use crate::faults::FaultKind;
-use crate::runtime::{IterationRecord, StageTraffic};
+use crate::runtime::{IterationRecord, StageId, StageTraffic};
 use crate::telemetry::Event;
 
 /// Destination for audit JSONL lines. Implementors must tolerate being
@@ -241,10 +241,9 @@ fn text(s: &str) -> Value {
 }
 
 fn stage_index(stage: &str) -> usize {
-    StageTraffic::STAGE_NAMES
-        .iter()
-        .position(|name| *name == stage)
-        .expect("the pipeline runs the five canonical stages")
+    StageId::from_name(stage)
+        .expect("events name the stages of the table")
+        .index()
 }
 
 /// What the log says about one iteration, as of the latest attempt at it.
@@ -252,10 +251,10 @@ fn stage_index(stage: &str) -> usize {
 struct IterationTrail<'a> {
     record: Option<&'a IterationRecord>,
     /// Wall-clock nanoseconds per stage.
-    nanos: [u64; 5],
+    nanos: [u64; StageId::COUNT],
     /// Per stage, the nanoseconds of every shard task it ran, regions
     /// back to back.
-    shards: [Vec<u64>; 5],
+    shards: [Vec<u64>; StageId::COUNT],
 }
 
 impl IterationTrail<'_> {

@@ -4,13 +4,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ScratchError;
 use crate::policy::EvictionPolicy;
+use crate::runtime::StageId;
 
 /// The sliding-window geometry of the Hold mask (paper §IV-C).
 ///
 /// At steady state `past + 1 + future` mini-batches are in flight. The
-/// paper derives `past = 3` (the stage distance from \[Train\] back to
-/// \[Collect\], protecting against RAW-②/③) and `future = 2` (the distance
-/// from \[Insert\] forward to \[Collect\], protecting against RAW-④).
+/// paper derives `past` as the stage distance from \[Train\] back to
+/// \[Collect\] (3, protecting against RAW-②/③) and `future` as the
+/// distance from \[Insert\] back to \[Collect\] (2, protecting against
+/// RAW-④); [`WindowConfig::PAPER`] computes both from the [`StageId`]
+/// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowConfig {
     /// Previous mini-batches whose slots may not be evicted.
@@ -21,7 +24,10 @@ pub struct WindowConfig {
 
 impl WindowConfig {
     /// The paper's pipelined configuration: 3 past + 2 future.
-    pub const PAPER: WindowConfig = WindowConfig { past: 3, future: 2 };
+    pub const PAPER: WindowConfig = WindowConfig {
+        past: StageId::Train.after(StageId::Collect) as u32,
+        future: StageId::Insert.after(StageId::Collect) as u32,
+    };
 
     /// The straw-man (sequential, unpipelined) configuration: with no
     /// overlap between mini-batches, only the current batch needs

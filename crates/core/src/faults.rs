@@ -1,12 +1,12 @@
-//! Deterministic fault injection for the Stage pipeline.
+//! Deterministic fault injection for the stage pipeline.
 //!
 //! A [`FaultPlan`] is a replayable list of faults pinned to precise
 //! `(iteration, stage, shard)` coordinates — no wall-clock, no global
 //! state — so a chaos run is exactly reproducible from the plan's seed or
 //! its JSON spec. The plan is armed on a pipeline with
-//! [`PipelineBuilder::faults`], which threads a [`FaultInjector`] through
-//! every [`StageCtx`](crate::stage::StageCtx); without it the hook is a
-//! `None` check and the fault-free hot path is untouched.
+//! [`PipelineBuilder::faults`], which hands a [`FaultInjector`] to every
+//! stage execution; without it the hook is a `None` check and the
+//! fault-free hot path is untouched.
 //!
 //! # Fault kinds
 //!
@@ -53,9 +53,7 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use crate::audit::AuditSink;
 use crate::error::ScratchError;
-
-/// The canonical stage names a fault may target.
-pub const STAGE_NAMES: [&str; 5] = ["Plan", "Collect", "Exchange", "Insert", "Train"];
+use crate::runtime::StageId;
 
 /// What a [`Fault`] does when it fires. See the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -106,7 +104,7 @@ impl fmt::Display for FaultKind {
 pub struct Fault {
     /// Mini-batch index the fault targets.
     pub iteration: usize,
-    /// Stage name the fault targets (one of [`STAGE_NAMES`]; matched
+    /// Stage name the fault targets (a [`StageId::name`]; matched
     /// case-insensitively). Ignored by [`FaultKind::CorruptPayload`],
     /// which always strikes between \[Collect\] and \[Insert\].
     pub stage: String,
@@ -206,6 +204,7 @@ impl FaultPlan {
     pub fn seeded(seed: u64, iterations: usize, count: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut faults = Vec::with_capacity(count);
+        let sharded: Vec<StageId> = StageId::ALL.into_iter().filter(|s| s.shards()).collect();
         if iterations > 0 {
             for _ in 0..count {
                 let iteration = rng.gen_range(0..iterations as u64) as usize;
@@ -216,11 +215,13 @@ impl FaultPlan {
                     _ => FaultKind::CorruptPayload,
                 };
                 let stage = match kind {
-                    FaultKind::StageError => STAGE_NAMES[rng.gen_range(0..5u64) as usize],
-                    FaultKind::WorkerPanic | FaultKind::SlowShard => {
-                        ["Collect", "Insert", "Train"][rng.gen_range(0..3u64) as usize]
+                    FaultKind::StageError => {
+                        StageId::ALL[rng.gen_range(0..StageId::COUNT as u64) as usize]
                     }
-                    FaultKind::CorruptPayload => "Collect",
+                    FaultKind::WorkerPanic | FaultKind::SlowShard => {
+                        sharded[rng.gen_range(0..sharded.len() as u64) as usize]
+                    }
+                    FaultKind::CorruptPayload => StageId::Collect,
                 };
                 let slow_nanos = if kind == FaultKind::SlowShard {
                     rng.gen_range(1_000..1_000_000u64)
@@ -229,7 +230,7 @@ impl FaultPlan {
                 };
                 faults.push(Fault {
                     iteration,
-                    stage: stage.to_owned(),
+                    stage: stage.name().to_owned(),
                     shard: rng.gen_range(0..4u64) as usize,
                     kind,
                     fires: 1 + rng.gen_range(0..2u64) as u32,
@@ -467,7 +468,7 @@ impl FaultInjector {
         self.log.lock().push(InjectionRecord {
             iteration,
             attempt: self.attempt(),
-            stage: "Collect".to_owned(),
+            stage: StageId::Collect.name().to_owned(),
             kind: FaultKind::CorruptPayload,
             shard: 0,
             slow_nanos: 0,

@@ -17,7 +17,7 @@
 //!   for a whole run and churns every batch) never degrade.
 //!
 //! Keys and values live in two parallel flat arrays; an empty bucket is
-//! marked by the value sentinel [`EMPTY`], so lookups touch exactly one
+//! marked by the value sentinel `EMPTY`, so lookups touch exactly one
 //! `u64` lane and one `u32` lane. Values must therefore be below
 //! `u32::MAX`, which holds by construction for scratchpad slot indices.
 //!

@@ -15,7 +15,7 @@
 //! prefetches exactly the rows each upcoming mini-batch needs into a GPU
 //! *scratchpad* before its training step begins:
 //!
-//! * **\[Plan\]** ([`ScratchpadManager::plan`]) queries the [`HitMap`],
+//! * **\[Plan\]** ([`ScratchpadManager::plan`]) queries the Hit-Map,
 //!   assigns scratchpad slots to missed rows, and picks eviction victims —
 //!   but only among slots whose [`HoldMask`] is clear. The Hold mask
 //!   implements the paper's sliding window (3 past + current + 2 future
@@ -34,18 +34,22 @@
 //! ScratchPipe "does not change the algorithmic properties of SGD",
 //! which this crate's tests verify literally.
 //!
-//! # One stage layer, one driver, pluggable schedules
+//! # Five fixed stages, one driver, pluggable schedules
 //!
-//! The five stage bodies live **once**: free kernels in [`stages`],
-//! wrapped by the [`Stage`] implementors of [`stage`]. The single generic
-//! driver, [`Pipeline`], executes them under a [`Schedule`] — the
-//! synchronous register pipeline ([`Schedule::Sync`]), the overlapped
-//! pipeline with lanes of stages on their own threads
-//! ([`Schedule::Threaded`]), intra-stage data parallelism over a
-//! [`WorkerPool`] ([`Schedule::DataParallel`]), the unpipelined straw-man
-//! ([`Schedule::Sequential`]), or overlap wherever it pays
-//! ([`Schedule::Auto`], the default) — so bit-exact equivalence with
-//! [`runtime::train_direct`], and identical per-stage [`StageTraffic`]
+//! The pipeline's shape is stated **once**, in the [`StageId`] table
+//! (order, names, simulated resources); the Hold-mask window
+//! ([`WindowConfig::PAPER`]), the hazard checker's reach and the barrier
+//! lags are distances in that table. The five stage bodies live once too:
+//! free kernels in [`stages`], run against the model state the
+//! [`Pipeline`] owns. The stages are not an extension point: the single
+//! driver, [`Pipeline`], executes exactly these five under a
+//! [`Schedule`] — the synchronous register pipeline
+//! ([`Schedule::Sync`]), the overlapped pipeline with lanes of stages on
+//! their own threads ([`Schedule::Threaded`]), intra-stage data
+//! parallelism over a [`WorkerPool`] ([`Schedule::DataParallel`]), the
+//! unpipelined straw-man ([`Schedule::Sequential`]), or overlap wherever
+//! it pays ([`Schedule::Auto`], the default) — so bit-exact equivalence
+//! with [`runtime::train_direct`], and identical per-stage [`StageTraffic`]
 //! accounting between schedules, holds by construction. Pipelines are
 //! built with [`PipelineBuilder`], and every run can emit a structured
 //! JSONL audit stream ([`audit`]).
@@ -97,7 +101,6 @@ pub mod backend;
 pub mod config;
 pub mod error;
 pub mod faults;
-pub mod hitmap;
 pub mod holdmask;
 pub mod index;
 pub mod pipeline;
@@ -105,7 +108,7 @@ pub mod policy;
 pub mod recovery;
 pub mod runtime;
 pub mod scratchpad;
-pub mod stage;
+mod stage;
 pub mod stages;
 pub mod telemetry;
 pub mod workers;
@@ -115,15 +118,13 @@ pub use backend::{DenseBackend, PooledView, StepResult, UnitBackend};
 pub use config::{PipelineConfig, WindowConfig};
 pub use error::ScratchError;
 pub use faults::{Fault, FaultInjector, FaultKind, FaultPlan, FaultySink, InjectionRecord};
-pub use hitmap::HitMap;
 pub use holdmask::{HoldMask, NaiveHoldMask};
 pub use index::SlotIndex;
 pub use pipeline::{Pipeline, PipelineBuilder, Schedule};
 pub use policy::EvictionPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryStats, SupervisedRun};
-pub use runtime::{IterationRecord, PipelineReport, StageTraffic};
+pub use runtime::{IterationRecord, PipelineReport, StageId, StageTraffic};
 pub use scratchpad::{ScratchpadManager, TablePlan};
-pub use stage::{Stage, StageBarrier, StageCtx};
-pub use stages::{PayloadPool, StagePayload, StagedRows, TrainArena};
+pub use stages::{StagedRows, TrainArena};
 pub use telemetry::{Event, Lane, RunTelemetry, Telemetry};
 pub use workers::{ShardTiming, WorkerPool};

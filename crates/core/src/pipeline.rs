@@ -1,28 +1,13 @@
-//! The single generic pipeline driver.
+//! The single pipeline driver.
 //!
-//! [`Pipeline`] owns five [`Stage`] implementors (Plan / Collect /
-//! Exchange / Insert / Train) and drives them under a [`Schedule`]:
+//! [`Pipeline`] owns the model state and the two stateful stages, and
+//! drives the five stage bodies (Plan / Collect / Exchange / Insert /
+//! Train, the rows of [`StageId`]) under a [`Schedule`]: one register
+//! file on the calling thread — pipelined, pipelined over a wider
+//! [`WorkerPool`], or admitting one batch at a time — or lanes of stages
+//! on their own threads.
 //!
-//! * [`Schedule::Sync`] — the paper's Figure-10 register pipeline: one
-//!   cycle executes every occupied stage in reverse register order on one
-//!   thread, so at steady state five mini-batches are in flight.
-//! * [`Schedule::Threaded`] — the overlapped pipeline: stages of
-//!   *different* mini-batches run concurrently on lanes (OS threads; the
-//!   software analogue of CPU threads, DMA engines and GPU streams)
-//!   connected by depth-1 channels, with each stage's declared
-//!   [`StageBarrier`]s enforced as watermark waits. An iteration then
-//!   costs the slowest lane, not the sum of the stages.
-//! * [`Schedule::Sequential`] — the §IV-B straw-man: each mini-batch
-//!   passes through all five stages before the next is admitted.
-//! * [`Schedule::DataParallel`] — the register pipeline with intra-stage
-//!   data parallelism: Collect, Insert and the Train gather/scatter shard
-//!   their iteration over a [`WorkerPool`]
-//!   (width set by [`PipelineBuilder::parallelism`]).
-//! * [`Schedule::Auto`] — the overlapped pipeline wherever it pays (more
-//!   than one CPU, enough lookups per iteration, a run longer than the
-//!   pipeline is deep), otherwise Sync.
-//!
-//! Because every schedule drives the *same* stage objects, bit-exact
+//! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
 //! construction — the driver-equivalence suite asserts it.
 //!
@@ -38,7 +23,6 @@
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -54,37 +38,41 @@ use crate::config::PipelineConfig;
 use crate::error::ScratchError;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::recovery::{RecoveryPolicy, RecoveryStats, SupervisedRun, TableUndo};
-use crate::runtime::{IterationRecord, PipelineReport};
+use crate::runtime::{IterationRecord, PipelineReport, StageId};
 use crate::scratchpad::ScratchpadManager;
-use crate::stage::{
-    CollectStage, ExchangeStage, InsertStage, PlanStage, SharedState, Stage, StageCtx, TrainStage,
-};
+use crate::stage::{self, Barrier, Body, PlanStage, SharedState, StageCtx, TrainStage};
 use crate::stages::{self, PayloadPool, StagePayload};
 use crate::telemetry::{self, Event, Lane, RunTelemetry, Telemetry};
 use crate::workers::{self, WorkerPool};
 
-/// Stages in the pipeline (Plan / Collect / Exchange / Insert / Train) —
-/// also its depth: the most mini-batches the register schedule overlaps.
-const STAGES: usize = 5;
+/// Stages in the pipeline — also its depth: the most mini-batches the
+/// register schedule overlaps.
+const STAGES: usize = StageId::COUNT;
 
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Schedule {
-    /// Register-order synchronous pipeline on one thread (paper Fig. 10).
+    /// The paper's Figure-10 register pipeline on one thread: a cycle
+    /// executes every occupied stage in reverse register order, so at
+    /// steady state five mini-batches are in flight.
     Sync,
-    /// The unpipelined straw-man: one batch finishes all stages before
-    /// the next starts. No overlap, so no hazards can arise.
+    /// The §IV-B straw-man: the same register file, but a mini-batch is
+    /// admitted only once it is empty, so one batch finishes all stages
+    /// before the next starts. No overlap, so no hazards can arise.
     Sequential,
     /// The overlapped pipeline (paper §IV-C): lanes of adjacent stages —
     /// `[Plan] [Collect, Exchange] [Insert] [Train]` — each on its own OS
-    /// thread, depth-1 channels between them, watermark barriers, and
-    /// exactly `stages + 1` payloads circulating. Requires functional
-    /// mode.
+    /// thread (the software analogue of CPU threads, DMA engines and GPU
+    /// streams), depth-1 channels between them, \[Collect\]'s two
+    /// cross-batch barriers as watermark waits, and exactly `stages + 1`
+    /// payloads circulating. An iteration costs the slowest lane, not the
+    /// sum of the stages. Requires functional mode.
     Threaded,
     /// The synchronous register pipeline with intra-stage data
     /// parallelism: Collect and Insert shard by table, the Train gather
     /// shards by (table × sample range) and its scatter by table, all over
-    /// one [`WorkerPool`]. Bit-identical to every other schedule at any
+    /// one [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide).
+    /// Bit-identical to every other schedule at any
     /// worker count (shards own disjoint outputs; no floating-point
     /// reduction is ever split). Requires functional mode.
     DataParallel,
@@ -319,56 +307,46 @@ impl<B: DenseBackend> PipelineBuilder<B> {
             });
         }
 
-        let (num_tables, table_rows, cpu_tables, storages, data_resident);
-        if let Some((tables, rows)) = self.analytic {
+        if self.analytic.is_some() {
             config.functional = false;
             config.check_hazards = false;
-            config.validate()?;
-            if tables == 0 {
-                return Err(ScratchError::InvalidConfig {
-                    detail: "need at least one embedding table".to_owned(),
-                });
-            }
-            num_tables = tables;
-            table_rows = rows;
-            cpu_tables = Vec::new();
-            storages = Vec::new();
-            data_resident = (0..num_tables).map(|_| Mutex::new(Vec::new())).collect();
-        } else {
-            config.validate()?;
-            if self.tables.is_empty() {
-                return Err(ScratchError::InvalidConfig {
-                    detail: "need at least one embedding table".to_owned(),
-                });
-            }
-            if self.tables.iter().any(|t| t.dim() != config.dim) {
-                return Err(ScratchError::InvalidConfig {
-                    detail: "table dim mismatch with config".to_owned(),
-                });
-            }
-            num_tables = self.tables.len();
-            table_rows = self.tables[0].rows() as u64;
-            storages = if config.functional {
-                (0..num_tables)
-                    .map(|_| Mutex::new(DenseStore::zeros(config.slots_per_table, config.dim)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            data_resident = (0..num_tables)
-                .map(|_| Mutex::new(vec![None; config.slots_per_table]))
-                .collect();
-            cpu_tables = self.tables.into_iter().map(Mutex::new).collect();
+        }
+        config.validate()?;
+        if self.tables.iter().any(|t| t.dim() != config.dim) {
+            return Err(ScratchError::InvalidConfig {
+                detail: "table dim mismatch with config".to_owned(),
+            });
+        }
+        let table_rows: Vec<u64> = match self.analytic {
+            Some((tables, rows)) => vec![rows; tables],
+            None => self.tables.iter().map(|t| t.rows() as u64).collect(),
+        };
+        let num_tables = table_rows.len();
+        if num_tables == 0 {
+            return Err(ScratchError::InvalidConfig {
+                detail: "need at least one embedding table".to_owned(),
+            });
         }
 
         let managers: Vec<ScratchpadManager> = (0..num_tables)
             .map(|_| ScratchpadManager::new(config.slots_per_table, config.window, config.policy))
             .collect::<Result<_, _>>()?;
 
-        let shared = Arc::new(SharedState {
-            storages,
-            cpu_tables,
-            data_resident,
+        // Scratchpad storage and its residency shadow exist only where data
+        // moves; an analytic pipeline keeps the per-table shells.
+        let (stores, slots) = if config.functional {
+            (num_tables, config.slots_per_table)
+        } else {
+            (0, 0)
+        };
+        let shared = SharedState {
+            storages: (0..stores)
+                .map(|_| Mutex::new(DenseStore::zeros(slots, config.dim)))
+                .collect(),
+            cpu_tables: self.tables.into_iter().map(Mutex::new).collect(),
+            data_resident: (0..num_tables)
+                .map(|_| Mutex::new(vec![None; slots]))
+                .collect(),
             functional: config.functional,
             check_hazards: config.check_hazards,
             dim: config.dim,
@@ -376,19 +354,12 @@ impl<B: DenseBackend> PipelineBuilder<B> {
             undo: (0..num_tables)
                 .map(|_| Mutex::new(TableUndo::default()))
                 .collect(),
-        });
+        };
 
         Ok(Pipeline {
             name: self.name,
-            plan: PlanStage::new(
-                managers,
-                config.window.future as usize,
-                config.check_hazards,
-            ),
-            collect: CollectStage::new(Arc::clone(&shared), config.window),
-            exchange: ExchangeStage::new(config.dim as u64 * 4),
-            insert: InsertStage::new(Arc::clone(&shared)),
-            train: TrainStage::new(Arc::clone(&shared), backend),
+            plan: PlanStage::new(managers, config.window.future as usize),
+            train: TrainStage::new(backend),
             shared,
             table_rows,
             schedule: self.schedule,
@@ -398,7 +369,7 @@ impl<B: DenseBackend> PipelineBuilder<B> {
                 WorkerPool::new(self.parallelism)
             },
             config,
-            pool: PayloadPool::new(),
+            pool: PayloadPool::default(),
             sink: self.sink,
             faults: self.faults.map(FaultInjector::new),
             telemetry: self.telemetry,
@@ -406,20 +377,18 @@ impl<B: DenseBackend> PipelineBuilder<B> {
     }
 }
 
-/// The generic five-stage ScratchPipe pipeline — the single driver behind
-/// every schedule. See the [module docs](self) and the
+/// The five-stage ScratchPipe pipeline — the single driver behind every
+/// schedule, and the single owner of the model state the stages work on. See the [module docs](self) and the
 /// [crate-level documentation](crate) for an end-to-end example.
 pub struct Pipeline<B> {
     name: String,
     config: PipelineConfig,
     schedule: Schedule,
     workers: WorkerPool,
-    table_rows: u64,
-    shared: Arc<SharedState>,
+    /// Height of every table: what each bag's IDs are checked against.
+    table_rows: Vec<u64>,
+    shared: SharedState,
     plan: PlanStage,
-    collect: CollectStage,
-    exchange: ExchangeStage,
-    insert: InsertStage,
     train: TrainStage<B>,
     pool: PayloadPool,
     sink: Option<Box<dyn AuditSink>>,
@@ -432,7 +401,7 @@ impl<B> fmt::Debug for Pipeline<B> {
         f.debug_struct("Pipeline")
             .field("config", &self.config)
             .field("schedule", &self.schedule)
-            .field("tables", &self.plan.managers().len())
+            .field("tables", &self.plan.managers.len())
             .field("audit", &self.sink.is_some())
             .finish()
     }
@@ -462,12 +431,12 @@ impl<B: DenseBackend + Send> Pipeline<B> {
 
     /// The per-table scratchpad managers (for cache statistics).
     pub fn managers(&self) -> &[ScratchpadManager] {
-        self.plan.managers()
+        &self.plan.managers
     }
 
     /// The dense backend.
     pub fn backend(&self) -> &B {
-        self.train.backend()
+        &self.train.backend
     }
 
     /// Consumes the pipeline and returns the trained CPU tables (call
@@ -477,26 +446,9 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     ///
     /// Panics in analytic mode, which has no tables.
     pub fn into_tables(self) -> Vec<EmbeddingTable> {
-        let Pipeline {
-            shared,
-            collect,
-            insert,
-            train,
-            ..
-        } = self;
-        drop((collect, insert, train));
-        let Ok(shared) = Arc::try_unwrap(shared) else {
-            unreachable!("all stage handles dropped");
-        };
-        assert!(
-            !shared.cpu_tables.is_empty(),
-            "into_tables on an analytic pipeline"
-        );
-        shared
-            .cpu_tables
-            .into_iter()
-            .map(Mutex::into_inner)
-            .collect()
+        let tables = self.shared.cpu_tables;
+        assert!(!tables.is_empty(), "into_tables on an analytic pipeline");
+        tables.into_iter().map(Mutex::into_inner).collect()
     }
 
     /// Pre-fills every table's scratchpad with the given rows (hottest
@@ -507,36 +459,44 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`ScratchError::InvalidConfig`] if the table count differs
-    /// or a row is out of range.
+    /// Returns [`ScratchError::InvalidConfig`] if the table count differs,
+    /// a row is out of range for its table, or a table's list names a row
+    /// twice; no scratchpad has been touched when it does.
     ///
     /// # Panics
     ///
     /// Panics if called after training has started.
     pub fn prewarm(&mut self, hot_rows: &[Vec<u64>]) -> Result<(), ScratchError> {
-        if hot_rows.len() != self.plan.managers().len() {
+        if hot_rows.len() != self.plan.managers.len() {
             return Err(ScratchError::InvalidConfig {
                 detail: format!(
                     "prewarm covers {} tables, pipeline has {}",
                     hot_rows.len(),
-                    self.plan.managers().len()
+                    self.plan.managers.len()
                 ),
             });
         }
-        for rows in hot_rows {
-            if rows.iter().any(|&r| r >= self.table_rows) {
+        for (t, (rows, &height)) in hot_rows.iter().zip(&self.table_rows).enumerate() {
+            if let Some(row) = rows.iter().find(|&&r| r >= height) {
                 return Err(ScratchError::InvalidConfig {
-                    detail: "prewarm row out of range".to_owned(),
+                    detail: format!("prewarm: table {t}: row {row} exceeds {height} rows"),
+                });
+            }
+            let mut sorted = rows.clone();
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(ScratchError::InvalidConfig {
+                    detail: format!("prewarm: table {t}: row {} listed twice", pair[0]),
                 });
             }
         }
         for (t, rows) in hot_rows.iter().enumerate() {
             let take = rows.len().min(self.config.slots_per_table);
-            let managers = self.plan.managers_mut();
-            managers[t].prewarm(&rows[..take]);
+            let manager = &mut self.plan.managers[t];
+            manager.prewarm(&rows[..take]);
             if self.config.functional {
                 for &row in &rows[..take] {
-                    let slot = managers[t].lookup(row).expect("just prewarmed");
+                    let slot = manager.lookup(row).expect("just prewarmed");
                     {
                         let mut store = self.shared.storages[t].lock();
                         let table = self.shared.cpu_tables[t].lock();
@@ -596,11 +556,13 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         }
     }
 
-    /// Worker-pool width a run under `schedule` shards over.
-    fn pool_width(&self, schedule: Schedule) -> usize {
+    /// The worker pool a run under `schedule` shards over. Data parallelism
+    /// rides the register pipeline: the same driver, but stages see the
+    /// real pool.
+    fn pool_for(&self, schedule: Schedule) -> WorkerPool {
         match schedule {
-            Schedule::DataParallel => self.workers.threads(),
-            _ => 1,
+            Schedule::DataParallel => self.workers,
+            _ => WorkerPool::inline(),
         }
     }
 
@@ -615,7 +577,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 start_ns: observer.now_ns(),
                 schedule: schedule.name(),
                 iterations,
-                num_tables: self.plan.managers().len(),
+                num_tables: self.plan.managers.len(),
                 config: self.config.clone(),
                 supervised,
             });
@@ -647,37 +609,35 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         range: Range<usize>,
         run: &mut Run,
     ) -> Result<(), ScratchError> {
-        let mut stages: [&mut dyn Stage; STAGES] = [
-            &mut self.plan,
-            &mut self.collect,
-            &mut self.exchange,
-            &mut self.insert,
-            &mut self.train,
-        ];
-        let env = RunEnv {
+        let ctx = StageCtx {
+            shared: &self.shared,
             batches,
-            dim: self.config.dim,
+            index: range.start,
+            // The straw-man never has two batches in flight, so
+            // victim-safety distances don't apply to it.
+            pipelined: schedule != Schedule::Sequential,
+            workers: self.pool_for(schedule),
             faults: self.faults.as_ref(),
             observer: run.observer.as_ref(),
+            lane: Lane::Main,
         };
+        let (plan, train) = (&mut self.plan, &mut self.train);
+        // In table order: `bodies[s]` is the body of `StageId::ALL[s]`.
+        let mut bodies: [&mut Body<'_>; STAGES] = [
+            &mut |ctx, payload| plan.execute(ctx, payload),
+            &mut stage::collect,
+            &mut stage::exchange,
+            &mut stage::insert,
+            &mut |ctx, payload| train.execute(ctx, payload),
+        ];
         let (pool, records) = (&mut self.pool, &mut run.records[..]);
         match schedule {
-            Schedule::Sequential => drive_sequential(&mut stages, pool, &env, range, records),
-            Schedule::Sync => drive_sync(
-                &mut stages,
-                pool,
-                WorkerPool::inline(),
-                &env,
-                range,
-                records,
-            ),
-            // Data parallelism rides the register pipeline: the same
-            // driver, but stages see the real worker pool.
-            Schedule::DataParallel => {
-                drive_sync(&mut stages, pool, self.workers, &env, range, records)
+            Schedule::Threaded => {
+                let barriers = stage::barriers(self.config.window);
+                drive_lanes(&mut bodies, pool, &ctx, &barriers, range, records)
             }
-            Schedule::Threaded => drive_threaded(&mut stages, pool, &env, range, records),
             Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
+            _ => drive_registers(&mut bodies, pool, &ctx, range, records),
         }
     }
 
@@ -720,7 +680,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             flush_traffic: self.flush(),
             peak_held_slots: self
                 .plan
-                .managers()
+                .managers
                 .iter()
                 .map(|m| m.stats().peak_held)
                 .collect(),
@@ -728,10 +688,10 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         if let Some(observer) = observer {
             let end_ns = observer.now_ns();
             let schedule_name = schedule.name();
-            let pool_width = self.pool_width(schedule);
+            let pool_width = self.pool_for(schedule).threads();
             let tables = self
                 .plan
-                .managers()
+                .managers
                 .iter()
                 .map(|m| (m.occupancy(), m.stats()))
                 .collect();
@@ -849,8 +809,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             let seg_end = (seg_start + policy.checkpoint_interval).min(n);
             // Cheap global snapshots; per-row pre-images ride the
             // first-touch undo log instead.
-            let managers_snapshot = self.plan.managers().to_vec();
-            let backend_snapshot = self.train.backend().clone();
+            let managers_snapshot = self.plan.managers.to_vec();
+            let backend_snapshot = self.train.backend.clone();
             let mut attempt: u32 = 0;
             loop {
                 if let Some(inj) = &self.faults {
@@ -863,10 +823,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     break;
                 };
                 self.shared.rollback_undo();
-                self.plan
-                    .managers_mut()
-                    .clone_from_slice(&managers_snapshot);
-                *self.train.backend_mut() = backend_snapshot.clone();
+                self.plan.managers.clone_from_slice(&managers_snapshot);
+                self.train.backend = backend_snapshot.clone();
                 stats.rollbacks += 1;
                 attempt += 1;
                 run.record(|| Event::RolledBack {
@@ -920,7 +878,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     pub fn flush(&mut self) -> Traffic {
         let mut traffic = Traffic::ZERO;
         let rb = self.shared.row_bytes();
-        for (t, manager) in self.plan.managers().iter().enumerate() {
+        for (t, manager) in self.plan.managers.iter().enumerate() {
             let residents = manager.residents();
             traffic += stages::flush_traffic(residents.len() as u64, rb);
             if self.config.functional {
@@ -941,7 +899,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     }
 
     fn validate_batches(&self, batches: &[SparseBatch]) -> Result<(), ScratchError> {
-        let num_tables = self.plan.managers().len();
+        let num_tables = self.plan.managers.len();
         for (i, b) in batches.iter().enumerate() {
             if b.batch_size() == 0 {
                 return Err(ScratchError::InvalidConfig {
@@ -957,12 +915,11 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 });
             }
             for (t, bag) in b.bags() {
-                if let Some(max) = bag.max_id() {
-                    if max >= self.table_rows {
-                        return Err(ScratchError::InvalidConfig {
-                            detail: format!("table {t}: id {max} exceeds {} rows", self.table_rows),
-                        });
-                    }
+                let height = self.table_rows[t];
+                if let Some(max) = bag.max_id().filter(|&max| max >= height) {
+                    return Err(ScratchError::InvalidConfig {
+                        detail: format!("table {t}: id {max} exceeds {height} rows"),
+                    });
                 }
             }
         }
@@ -987,52 +944,30 @@ impl Run {
     }
 }
 
-/// What a driver needs to know about the run it is driving a slice of.
-#[derive(Clone, Copy)]
-struct RunEnv<'a> {
-    batches: &'a [SparseBatch],
-    dim: usize,
-    faults: Option<&'a FaultInjector>,
-    observer: Option<&'a RunTelemetry>,
-}
-
-impl<'a> RunEnv<'a> {
-    fn ctx(&self, index: usize, pipelined: bool, workers: WorkerPool, lane: Lane) -> StageCtx<'a> {
-        StageCtx {
-            batches: self.batches,
-            index,
-            pipelined,
-            workers,
-            faults: self.faults,
-            observer: self.observer,
-            lane,
-        }
-    }
-
-    /// Records one finished iteration from its retiring payload.
-    fn retire(&self, records: &mut [IterationRecord], p: &StagePayload) {
-        let rec = &mut records[p.index];
-        rec.index = p.index;
-        rec.hits = p.plans.iter().map(|t| t.hits).sum();
-        rec.misses = p.plans.iter().map(|t| t.misses).sum();
-        rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
-        rec.total_lookups = self.batches[p.index].total_lookups() as u64;
-        rec.unique_rows = p.plans.iter().map(|t| t.num_unique() as u64).sum();
-        rec.loss = p.loss;
-        rec.traffic = p.traffic;
-        if let Some(observer) = self.observer {
-            observer.record(Event::Retired(Box::new(rec.clone())));
-        }
+/// Records one finished iteration from its retiring payload.
+fn retire(ctx: &StageCtx<'_>, records: &mut [IterationRecord], p: &StagePayload) {
+    let rec = &mut records[p.index];
+    rec.index = p.index;
+    rec.hits = p.plans.iter().map(|t| t.hits).sum();
+    rec.misses = p.plans.iter().map(|t| t.misses).sum();
+    rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
+    rec.total_lookups = ctx.batches[p.index].total_lookups() as u64;
+    rec.unique_rows = p.plans.iter().map(|t| t.num_unique() as u64).sum();
+    rec.loss = p.loss;
+    rec.traffic = p.traffic;
+    if let Some(observer) = ctx.observer {
+        observer.record(Event::Retired(Box::new(rec.clone())));
     }
 }
 
-/// Executes `stage` on `payload`. An observed run records the execution —
-/// when it started, how long it took — as one [`Event::Stage`]; the audit
-/// stream's `stage_nanos`, the stage-latency histogram and the trace's
-/// stage span are all read from it. An unobserved run does not read the
-/// clock.
+/// Executes the body of `stage` on `payload`. An observed run records the
+/// execution — when it started, how long it took — as one
+/// [`Event::Stage`]; the audit stream's `stage_nanos`, the stage-latency
+/// histogram and the trace's stage span are all read from it. An
+/// unobserved run does not read the clock.
 fn timed_execute(
-    stage: &mut dyn Stage,
+    stage: StageId,
+    body: &mut Body<'_>,
     ctx: &StageCtx<'_>,
     payload: &mut StagePayload,
 ) -> Result<(), ScratchError> {
@@ -1041,19 +976,16 @@ fn timed_execute(
             return Err(e);
         }
     }
-    match ctx.observer {
-        None => stage.execute(ctx, payload)?,
-        Some(observer) => {
-            let start_ns = observer.now_ns();
-            stage.execute(ctx, payload)?;
-            observer.record(Event::Stage {
-                iteration: ctx.index,
-                stage: stage.name(),
-                lane: ctx.lane,
-                start_ns,
-                dur_ns: observer.now_ns().saturating_sub(start_ns),
-            });
-        }
+    let start_ns = ctx.observer.map_or(0, |observer| observer.now_ns());
+    body(ctx, payload)?;
+    if let Some(observer) = ctx.observer {
+        observer.record(Event::Stage {
+            iteration: ctx.index,
+            stage: stage.name(),
+            lane: ctx.lane,
+            start_ns,
+            dur_ns: observer.now_ns().saturating_sub(start_ns),
+        });
     }
     if let Some(inj) = ctx.faults {
         inj.fire_slowdowns(ctx.index, stage.name());
@@ -1061,64 +993,44 @@ fn timed_execute(
     Ok(())
 }
 
-/// The straw-man schedule: every batch runs all stages to completion
-/// before the next is admitted (`pipelined = false`, so victim-safety
-/// distances don't apply).
-fn drive_sequential(
-    stages: &mut [&mut dyn Stage],
+/// The register pipeline (paper Fig. 10), on the calling thread: each
+/// cycle consumes the stage registers in reverse order — so at steady
+/// state stage `s` processes batch `c - s` in cycle `c` — then admits the
+/// next batch at \[Plan\]. Implicitly satisfies every [`Barrier`].
+///
+/// With `ctx.pipelined` unset this is the §IV-B straw-man: a batch is
+/// admitted only into an empty register file, so it runs all stages to
+/// completion before the next one starts.
+fn drive_registers(
+    bodies: &mut [&mut Body<'_>; STAGES],
     pool: &mut PayloadPool,
-    env: &RunEnv<'_>,
+    ctx: &StageCtx<'_>,
     range: Range<usize>,
     records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
-    for i in range {
-        let ctx = env.ctx(i, false, WorkerPool::inline(), Lane::Main);
-        let mut p = pool.take(env.dim);
-        for stage in stages.iter_mut() {
-            timed_execute(*stage, &ctx, &mut p)?;
-        }
-        env.retire(records, &p);
-        pool.release(p);
-    }
-    Ok(())
-}
-
-/// The synchronous register pipeline (paper Fig. 10): each cycle consumes
-/// the stage registers in reverse order — so at steady state stage `s`
-/// processes batch `c - s` in cycle `c` — then admits the next batch at
-/// \[Plan\]. Implicitly satisfies every [`StageBarrier`].
-fn drive_sync(
-    stages: &mut [&mut dyn Stage],
-    pool: &mut PayloadPool,
-    workers: WorkerPool,
-    env: &RunEnv<'_>,
-    range: Range<usize>,
-    records: &mut [IterationRecord],
-) -> Result<(), ScratchError> {
-    let k = stages.len();
     // regs[s] holds the payload that stage s produced last cycle.
-    let mut regs: Vec<Option<StagePayload>> = (0..k).map(|_| None).collect();
+    let mut regs: [Option<StagePayload>; STAGES] = std::array::from_fn(|_| None);
     let mut next = range.start;
     loop {
-        for s in (1..k).rev() {
+        for s in (1..STAGES).rev() {
             if let Some(mut p) = regs[s - 1].take() {
-                let ctx = env.ctx(p.index, true, workers, Lane::Main);
-                timed_execute(stages[s], &ctx, &mut p)?;
-                if s == k - 1 {
-                    env.retire(records, &p);
+                let at = ctx.at(p.index, Lane::Main);
+                timed_execute(StageId::ALL[s], bodies[s], &at, &mut p)?;
+                if s == STAGES - 1 {
+                    retire(ctx, records, &p);
                     pool.release(p);
                 } else {
                     regs[s] = Some(p);
                 }
             }
         }
-        if next < range.end {
-            let ctx = env.ctx(next, true, workers, Lane::Main);
-            let mut p = pool.take(env.dim);
-            timed_execute(stages[0], &ctx, &mut p)?;
+        let drained = regs.iter().all(Option::is_none);
+        if next < range.end && (ctx.pipelined || drained) {
+            let mut p = pool.take(ctx.shared.dim);
+            timed_execute(StageId::Plan, bodies[0], &ctx.at(next, Lane::Main), &mut p)?;
             regs[0] = Some(p);
             next += 1;
-        } else if regs.iter().all(Option::is_none) {
+        } else if drained {
             break;
         }
     }
@@ -1131,6 +1043,18 @@ fn drive_sync(
 /// stage that hands it the payload rather than paying for a thread and a
 /// channel hop of its own.
 const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
+
+const _: () = {
+    let (mut covered, mut lane) = (0, 0);
+    while lane < LANE_STAGES.len() {
+        covered += LANE_STAGES[lane];
+        lane += 1;
+    }
+    assert!(
+        covered == STAGES,
+        "the lanes must cover every stage exactly once"
+    );
+};
 
 /// The lane of [`LANE_STAGES`] the calling thread runs itself — `[Collect,
 /// Exchange]` — instead of sleeping until the other three join. It is the
@@ -1146,15 +1070,15 @@ const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
 const CALLER_LANE: usize = 1;
 
 /// A barrier wait of one stage: the watched stage's completions, the
-/// batch lag, and the watched stage's name (for the stall event).
-type Watermark = (Receiver<usize>, i64, &'static str);
+/// batch lag, and the watched stage (for the stall event).
+type Watermark = (Receiver<usize>, i64, StageId);
 
 /// One lane of the overlapped schedule: a thread's worth of adjacent
 /// stages plus the channel ends that connect it to its neighbours.
 struct LaneTask<'s, 'd> {
     /// Pipeline index of the lane's first stage.
     first: usize,
-    stages: &'s mut [&'d mut dyn Stage],
+    bodies: &'s mut [&'d mut Body<'d>],
     /// Per stage of the lane: the barriers it waits on …
     waits: Vec<Vec<Watermark>>,
     /// … and the waiters it tells about each batch it completes.
@@ -1165,9 +1089,6 @@ struct LaneTask<'s, 'd> {
     /// Where they go: the downstream lane, or — on the sink lane — back
     /// onto the recycle path.
     tx: Sender<StagePayload>,
-    /// First stage of the downstream lane (names the channel whose depth
-    /// is recorded); `None` on the sink lane.
-    downstream: Option<&'static str>,
     /// Where finished iterations retire; `Some` on the sink lane only.
     records: Option<&'s mut [IterationRecord]>,
 }
@@ -1177,7 +1098,7 @@ impl LaneTask<'_, '_> {
     /// quiet shutdown because a neighbour went away (it reported why).
     fn run(
         mut self,
-        env: &RunEnv<'_>,
+        ctx: &StageCtx<'_>,
         range: Range<usize>,
         watermark_floor: i64,
     ) -> Result<(), ScratchError> {
@@ -1196,12 +1117,13 @@ impl LaneTask<'_, '_> {
                 // surface as an error even if the sink reported none.
                 Err(_) => {
                     return Err(ScratchError::ChannelDisconnected {
-                        stage: self.stages[0].name().to_owned(),
+                        stage: StageId::ALL[self.first].name().to_owned(),
                     })
                 }
             };
-            for (s, stage) in self.stages.iter_mut().enumerate() {
-                let lane = Lane::Stage((self.first + s) as u8);
+            for (s, body) in self.bodies.iter_mut().enumerate() {
+                let stage = StageId::ALL[self.first + s];
+                let at = ctx.at(i, Lane::Stage(stage.index() as u8));
                 for (w, (completions, lag, watched)) in self.waits[s].iter().enumerate() {
                     let need = i as i64 - lag;
                     if done[s][w] >= need {
@@ -1209,39 +1131,41 @@ impl LaneTask<'_, '_> {
                     }
                     // Only waits that actually block are recorded as stalls
                     // — a satisfied watermark costs nothing.
-                    let start_ns = env.observer.map_or(0, |observer| observer.now_ns());
+                    let start_ns = ctx.observer.map_or(0, |observer| observer.now_ns());
                     while done[s][w] < need {
                         match completions.recv() {
                             Ok(completed) => done[s][w] = completed as i64,
                             Err(_) => return Ok(()),
                         }
                     }
-                    if let Some(observer) = env.observer {
+                    if let Some(observer) = ctx.observer {
                         observer.record(Event::Stall {
                             iteration: i,
                             stage: stage.name(),
-                            watched,
-                            lane,
+                            watched: watched.name(),
+                            lane: at.lane,
                             start_ns,
                             dur_ns: observer.now_ns().saturating_sub(start_ns),
                         });
                     }
                 }
-                let ctx = env.ctx(i, true, WorkerPool::inline(), lane);
-                timed_execute(&mut **stage, &ctx, &mut p)?;
+                timed_execute(stage, &mut **body, &at, &mut p)?;
                 for waiter in &self.signals[s] {
                     let _ = waiter.send(i);
                 }
             }
             if let Some(records) = self.records.as_deref_mut() {
-                env.retire(records, &p);
+                retire(ctx, records, &p);
             }
             if self.tx.send(p).is_err() {
                 return Ok(());
             }
-            if let (Some(observer), Some(receiver)) = (env.observer, self.downstream) {
+            // The hand-off channel is named after the stage it feeds; the
+            // sink lane's recycle path feeds none.
+            let downstream = StageId::ALL.get(self.first + self.bodies.len());
+            if let (Some(observer), Some(receiver)) = (ctx.observer, downstream) {
                 observer.record(Event::ChannelDepth {
-                    receiver,
+                    receiver: receiver.name(),
                     depth: self.tx.len() as u64,
                 });
             }
@@ -1250,12 +1174,10 @@ impl LaneTask<'_, '_> {
     }
 }
 
-/// The overlapped schedule: one thread per lane of [`LANE_STAGES`] — three
-/// spawned here, the calling thread taking [`CALLER_LANE`] — with
-/// depth-1 data channels between adjacent lanes, and each stage's declared
-/// [`StageBarrier`]s enforced as watermark waits (a watched stage
-/// broadcasts each completed batch index; the waiter blocks until
-/// `completed >= i - lag`).
+/// The overlapped schedule: one thread per lane of [`LANE_STAGES`] (the
+/// calling thread takes [`CALLER_LANE`]), and every [`Barrier`] enforced
+/// as a watermark wait: the watched stage broadcasts each completed batch
+/// index; the waiter blocks until `completed >= i - lag`.
 ///
 /// Exactly `stages + 1` payloads exist for the whole call: they are taken
 /// from `pool` here, on the calling thread, and circulate — the sink lane
@@ -1265,91 +1187,66 @@ impl LaneTask<'_, '_> {
 ///
 /// Any stage error is stored (first wins) and shuts the pipeline down
 /// through channel disconnection.
-fn drive_threaded(
-    stages: &mut [&mut dyn Stage],
+fn drive_lanes<'d>(
+    bodies: &mut [&'d mut Body<'d>; STAGES],
     pool: &mut PayloadPool,
-    env: &RunEnv<'_>,
+    ctx: &StageCtx<'_>,
+    barriers: &[Barrier],
     range: Range<usize>,
     records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
-    let k = stages.len();
-    assert_eq!(
-        LANE_STAGES.iter().sum::<usize>(),
-        k,
-        "the lanes must cover every stage exactly once"
-    );
-
-    // Resolve barrier names to stage indices and wire one watermark
-    // channel per (waiter, watched) pair. Each wait keeps the watched
-    // stage's name so a blocking wait can be recorded as a stall.
-    let names: Vec<&'static str> = stages.iter().map(|s| s.name()).collect();
-    let mut waits: Vec<Vec<Watermark>> = (0..k).map(|_| Vec::new()).collect();
-    let mut signals: Vec<Vec<Sender<usize>>> = (0..k).map(|_| Vec::new()).collect();
-    for s in 0..k {
-        for barrier in stages[s].barriers() {
-            let watched = names
-                .iter()
-                .position(|&nm| nm == barrier.after)
-                .ok_or_else(|| ScratchError::InvalidConfig {
-                    detail: format!(
-                        "stage {} declares a barrier on unknown stage {}",
-                        names[s], barrier.after
-                    ),
-                })?;
-            let (tx, rx) = unbounded::<usize>();
-            signals[watched].push(tx);
-            waits[s].push((rx, barrier.lag as i64, names[watched]));
-        }
+    // One watermark channel per barrier, from the watched stage to the
+    // waiting one.
+    let mut waits: [Vec<Watermark>; STAGES] = Default::default();
+    let mut signals: [Vec<Sender<usize>>; STAGES] = Default::default();
+    for barrier in barriers {
+        let (tx, rx) = unbounded::<usize>();
+        signals[barrier.watched.index()].push(tx);
+        waits[barrier.waiter.index()].push((rx, barrier.lag as i64, barrier.watched));
     }
 
-    let in_flight = k + 1;
-    let (recycle_tx, recycle_rx) = bounded::<StagePayload>(in_flight);
+    // Channel `l` feeds lane `l`: the recycle path, with room for every
+    // payload, feeds the source lane; depth-1 hand-offs feed the others.
+    let (in_flight, lanes) = (STAGES + 1, LANE_STAGES.len());
+    let (mut txs, rxs): (Vec<_>, Vec<_>) = (0..lanes)
+        .map(|l| bounded::<StagePayload>(if l == 0 { in_flight } else { 1 }))
+        .unzip();
     for _ in 0..in_flight {
-        recycle_tx
-            .send(pool.take(env.dim))
+        txs[0]
+            .send(pool.take(ctx.shared.dim))
             .expect("the recycle path has room for every payload");
     }
     // Kept so the payloads can be collected once the lanes are gone.
-    let returned = recycle_rx.clone();
+    let returned = rxs[0].clone();
+    // Lane `l` sends on channel `l + 1`; the sink lane wraps around.
+    txs.rotate_left(1);
 
     let error: Mutex<Option<ScratchError>> = Mutex::new(None);
     // Batches before the driven range committed in earlier segments, so
     // their watermarks are already satisfied.
     let watermark_floor = range.start as i64 - 1;
     std::thread::scope(|scope| {
-        let mut rest = stages;
-        let mut waits = waits.into_iter();
-        let mut signals = signals.into_iter();
-        let mut upstream = Some(recycle_rx);
-        let mut recycle_tx = Some(recycle_tx);
+        let mut rest = &mut bodies[..];
+        let (mut waits, mut signals) = (waits.into_iter(), signals.into_iter());
         let mut records = Some(records);
-        let mut first = 0;
-        let mut on_caller = None;
-        for (l, &len) in LANE_STAGES.iter().enumerate() {
-            let (lane_stages, tail) = rest.split_at_mut(len);
+        let (mut first, mut on_caller) = (0, None);
+        for (l, ((&len, rx), tx)) in LANE_STAGES.iter().zip(rxs).zip(txs).enumerate() {
+            let (lane_bodies, tail) = rest.split_at_mut(len);
             rest = tail;
-            let is_sink = l + 1 == LANE_STAGES.len();
-            let (tx, next) = if is_sink {
-                (recycle_tx.take().expect("one sink lane"), None)
-            } else {
-                let (tx, rx) = bounded::<StagePayload>(1);
-                (tx, Some(rx))
-            };
+            let is_sink = l + 1 == lanes;
             let lane = LaneTask {
                 first,
-                stages: lane_stages,
+                bodies: lane_bodies,
                 waits: waits.by_ref().take(len).collect(),
                 signals: signals.by_ref().take(len).collect(),
-                rx: upstream.take().expect("every lane has an upstream"),
+                rx,
                 tx,
-                downstream: (!is_sink).then(|| names[first + len]),
                 records: if is_sink { records.take() } else { None },
             };
-            upstream = next;
             first += len;
             let (error, range) = (&error, range.clone());
             let run = move || {
-                if let Err(e) = lane.run(env, range, watermark_floor) {
+                if let Err(e) = lane.run(ctx, range, watermark_floor) {
                     error.lock().get_or_insert(e);
                 }
             };

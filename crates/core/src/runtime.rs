@@ -1,8 +1,10 @@
-//! Run reports and the sequential reference trainer.
+//! The stage table, run reports and the sequential reference trainer.
 //!
-//! The pipeline *driver* lives in [`crate::pipeline`] (the generic
-//! [`Pipeline`](crate::pipeline::Pipeline) over [`Stage`](crate::stage::Stage)
-//! implementors); this module holds what a run *produces*: per-stage
+//! [`StageId`] is the one statement of the pipeline's shape — which five
+//! stages there are, in which order, under which names and on which
+//! simulated resource — and everything else that depends on that shape is
+//! derived from it. The pipeline *driver* lives in [`crate::pipeline`];
+//! this module also holds what a run *produces*: per-stage
 //! [`StageTraffic`], per-iteration [`IterationRecord`]s and the
 //! aggregate [`PipelineReport`] — plus [`train_direct`], the cache-less
 //! sequential reference implementation every pipelined schedule must
@@ -15,11 +17,103 @@
 //! events reproduces [`PipelineReport::total_traffic`].
 
 use embeddings::{ops, EmbeddingTable, SparseBatch, VectorStore};
-use memsim::Traffic;
+use memsim::{Resource, Traffic};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::DenseBackend;
 use crate::stages::TrainArena;
+
+/// The five pipeline stages (paper §IV-C, Fig. 10), in register order.
+///
+/// This is the only place the pipeline's shape is written down. A
+/// mini-batch occupies one register per stage, so the distance between
+/// two stages *is* the number of mini-batches in flight between them:
+/// [`StageId::after`] gives the Hold-mask window
+/// ([`WindowConfig::PAPER`](crate::WindowConfig::PAPER) — \[Train\] is 3
+/// registers after \[Collect\], \[Insert\] is 2), the hazard checker's
+/// reach, \[Collect\]'s barrier lags and the §VI-D provisioning window.
+/// \[Exchange\] does nothing but account the PCIe hop, yet it keeps its
+/// register: without it both distances, and with them the window, would
+/// shrink by one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StageId {
+    /// Advance the Hit-Map, assign slots, pick victims.
+    Plan,
+    /// Gather missed rows from the CPU tables and victim rows from the
+    /// scratchpad.
+    Collect,
+    /// The duplex PCIe hop.
+    Exchange,
+    /// Land fills in the scratchpad and write-backs in the CPU tables.
+    Insert,
+    /// Embedding forward/backward and the dense step, all on the GPU.
+    Train,
+}
+
+impl StageId {
+    /// Every stage, in pipeline order.
+    pub const ALL: [StageId; 5] = [
+        StageId::Plan,
+        StageId::Collect,
+        StageId::Exchange,
+        StageId::Insert,
+        StageId::Train,
+    ];
+
+    /// Number of stages — also the pipeline's depth, the most
+    /// mini-batches the register schedule overlaps.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// Position in pipeline order (`ALL[s.index()] == s`).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable name, as used in audit events, telemetry and fault plans.
+    pub const fn name(self) -> &'static str {
+        match self {
+            StageId::Plan => "Plan",
+            StageId::Collect => "Collect",
+            StageId::Exchange => "Exchange",
+            StageId::Insert => "Insert",
+            StageId::Train => "Train",
+        }
+    }
+
+    /// The stage called `name`, if any.
+    pub fn from_name(name: &str) -> Option<StageId> {
+        Self::ALL.into_iter().find(|stage| stage.name() == name)
+    }
+
+    /// The hardware resource the stage occupies in the simulated system.
+    pub const fn resource(self) -> Resource {
+        match self {
+            StageId::Plan | StageId::Train => Resource::Gpu,
+            StageId::Collect | StageId::Insert => Resource::CpuMem,
+            StageId::Exchange => Resource::PcieH2D,
+        }
+    }
+
+    /// Whether the stage splits its iteration into shard tasks (and so
+    /// can be the target of a shard fault or of a wider worker pool).
+    pub const fn shards(self) -> bool {
+        matches!(self, StageId::Collect | StageId::Insert | StageId::Train)
+    }
+
+    /// How many registers this stage sits after `earlier` (which must not
+    /// come later in the pipeline).
+    pub const fn after(self, earlier: StageId) -> usize {
+        self.index() - earlier.index()
+    }
+}
+
+const _: () = {
+    let mut s = 0;
+    while s < StageId::COUNT {
+        assert!(StageId::ALL[s].index() == s, "ALL is in pipeline order");
+        s += 1;
+    }
+};
 
 /// Per-stage traffic of one iteration (or the sum over a run).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -39,10 +133,18 @@ pub struct StageTraffic {
 
 impl StageTraffic {
     /// Stage names in pipeline order (matching the struct fields).
-    pub const STAGE_NAMES: [&'static str; 5] = ["Plan", "Collect", "Exchange", "Insert", "Train"];
+    pub const STAGE_NAMES: [&'static str; StageId::COUNT] = {
+        let mut names = [""; StageId::COUNT];
+        let mut s = 0;
+        while s < StageId::COUNT {
+            names[s] = StageId::ALL[s].name();
+            s += 1;
+        }
+        names
+    };
 
     /// Per-stage traffic in pipeline order.
-    pub fn stages(&self) -> [Traffic; 5] {
+    pub fn stages(&self) -> [Traffic; StageId::COUNT] {
         [
             self.plan,
             self.collect,
@@ -52,22 +154,28 @@ impl StageTraffic {
         ]
     }
 
+    /// The inverse of [`StageTraffic::stages`].
+    fn from_stages([plan, collect, exchange, insert, train]: [Traffic; StageId::COUNT]) -> Self {
+        StageTraffic {
+            plan,
+            collect,
+            exchange,
+            insert,
+            train,
+        }
+    }
+
     /// Sum of all stages.
     pub fn total(&self) -> Traffic {
-        self.plan + self.collect + self.exchange + self.insert + self.train
+        self.stages().into_iter().sum()
     }
 }
 
 impl std::ops::Add for StageTraffic {
     type Output = StageTraffic;
     fn add(self, rhs: StageTraffic) -> StageTraffic {
-        StageTraffic {
-            plan: self.plan + rhs.plan,
-            collect: self.collect + rhs.collect,
-            exchange: self.exchange + rhs.exchange,
-            insert: self.insert + rhs.insert,
-            train: self.train + rhs.train,
-        }
+        let (lhs, rhs) = (self.stages(), rhs.stages());
+        StageTraffic::from_stages(std::array::from_fn(|s| lhs[s] + rhs[s]))
     }
 }
 
@@ -164,13 +272,7 @@ impl PipelineReport {
             cpu_ops: (t.cpu_ops as u64 / n) as u32,
             pcie_ops: (t.pcie_ops as u64 / n) as u32,
         };
-        StageTraffic {
-            plan: div(sum.plan),
-            collect: div(sum.collect),
-            exchange: div(sum.exchange),
-            insert: div(sum.insert),
-            train: div(sum.train),
-        }
+        StageTraffic::from_stages(sum.stages().map(div))
     }
 
     /// Aggregate unique-ID hit rate across the run.

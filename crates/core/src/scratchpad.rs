@@ -6,7 +6,7 @@
 //! Algorithm 1:
 //!
 //! 1. advance the sliding window by one plan cycle,
-//! 2. query the [`HitMap`] for every unique ID of the current mini-batch;
+//! 2. query the Hit-Map for every unique ID of the current mini-batch;
 //!    hits are re-protected, misses are assigned a slot (a never-used free
 //!    slot, or an evictable victim chosen by the [`VictimPool`]),
 //! 3. register the next `future` mini-batches' cached IDs so upcoming
@@ -40,8 +40,8 @@
 
 use crate::config::WindowConfig;
 use crate::error::ScratchError;
-use crate::hitmap::HitMap;
 use crate::holdmask::HoldMask;
+use crate::index::SlotIndex;
 use crate::policy::{EvictionPolicy, VictimPool};
 
 /// A scheduled fill: fetch `row` from the CPU table into scratchpad `slot`.
@@ -144,7 +144,11 @@ pub struct ScratchpadStats {
 pub struct ScratchpadManager {
     slots: usize,
     window: WindowConfig,
-    hit_map: HitMap,
+    /// The Hit-Map (paper §IV-D): sparse feature ID → the slot caching it.
+    /// Updated at \[Plan\] time, four pipeline cycles before the Storage
+    /// array holds the data, so every plan sees the state the scratchpad
+    /// will have by the time its batch trains.
+    hit_map: SlotIndex,
     hold: HoldMask,
     slot_row: Vec<Option<u64>>,
     pool: VictimPool,
@@ -180,7 +184,7 @@ impl ScratchpadManager {
         Ok(ScratchpadManager {
             slots,
             window,
-            hit_map: HitMap::with_capacity(slots),
+            hit_map: SlotIndex::with_capacity(slots),
             hold: HoldMask::new(slots, window.width()),
             slot_row: vec![None; slots],
             pool: VictimPool::new(slots, policy),
@@ -224,7 +228,18 @@ impl ScratchpadManager {
 
     /// The slot currently mapped to `row`, if cached.
     pub fn lookup(&self, row: u64) -> Option<u32> {
-        self.hit_map.peek(row)
+        self.hit_map.get(row)
+    }
+
+    /// Maps `row` to `slot` in the Hit-Map and the slot table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is already mapped — Plan never caches a row twice.
+    fn map(&mut self, row: u64, slot: u32) {
+        let prev = self.hit_map.insert(row, slot);
+        assert!(prev.is_none(), "row {row} already cached in slot {prev:?}");
+        self.slot_row[slot as usize] = Some(row);
     }
 
     /// All `(row, slot)` pairs currently resident, sorted by row (used by
@@ -278,8 +293,7 @@ impl ScratchpadManager {
         // slot index) evicts the coldest prewarmed rows first.
         for &row in rows.iter().rev() {
             let Some(slot) = self.free.pop() else { break };
-            self.hit_map.insert(row, slot);
-            self.slot_row[slot as usize] = Some(row);
+            self.map(row, slot);
             self.pool.insert(slot);
         }
     }
@@ -313,8 +327,7 @@ impl ScratchpadManager {
     ///
     /// As [`ScratchpadManager::plan`]. After an error `out` holds the
     /// part of the batch planned before capacity ran out, the manager has
-    /// booked exactly that part (its statistics and the Hit-Map's agree),
-    /// and it remains usable.
+    /// booked exactly that part in its statistics, and it remains usable.
     pub fn plan_into(
         &mut self,
         current: &[u64],
@@ -355,7 +368,7 @@ impl ScratchpadManager {
         // still a hit (in the same slot) in the planning pass below.
         let mut probe = std::mem::take(&mut self.probe);
         probe.clear();
-        probe.extend(current.iter().map(|&id| self.hit_map.peek(id)));
+        probe.extend(current.iter().map(|&id| self.hit_map.get(id)));
         for cached in probe.iter().flatten() {
             self.protect(*cached, past_bit);
         }
@@ -363,7 +376,7 @@ impl ScratchpadManager {
         for k in 1..=max_k {
             let bit = past_bit + k;
             for &id in futures[(k - 1) as usize] {
-                if let Some(slot) = self.hit_map.peek(id) {
+                if let Some(slot) = self.hit_map.get(id) {
                     self.protect(slot, bit);
                 }
             }
@@ -373,9 +386,8 @@ impl ScratchpadManager {
         out.unique_slots.reserve(current.len());
         let result = self.assign_slots(current, &probe, now, out);
         // Booked on the error path too, so a failed plan leaves the probe
-        // buffer in place and the two hit/miss counters in agreement.
+        // buffer in place and the part it did plan in the statistics.
         self.probe = probe;
-        self.hit_map.record(out.hits, out.misses);
         self.stats.hits += out.hits;
         self.stats.misses += out.misses;
         self.stats.evictions += out.evictions.len() as u64;
@@ -414,8 +426,7 @@ impl ScratchpadManager {
                     debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
                     out.evictions.push(Evict { row: old_row, slot });
                 }
-                self.slot_row[slot as usize] = Some(id);
-                self.hit_map.insert(id, slot);
+                self.map(id, slot);
                 self.pool.touch(slot, now);
                 self.protect(slot, past_bit);
                 out.fills.push(Fill { row: id, slot });
@@ -458,6 +469,28 @@ mod tests {
         assert_eq!(plan.misses, 1);
         assert_eq!(plan.slot_of(10), Some(0));
         assert!((m.hit_rate() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn figure11_second_cycle_scenario() {
+        // Paper Figure 11(b): after batch 1 planned {7089, 2021}, the
+        // second batch of IDs 3010/7089 must see miss/hit even though no
+        // data has reached the Storage array yet — the Hit-Map is
+        // deliberately ahead of Storage by the pipeline depth.
+        let mut m = mgr(8, WindowConfig::PAPER);
+        let first = m.plan(&[2021, 7089], &[]).unwrap();
+        let second = m.plan(&[3010, 7089], &[]).unwrap();
+        assert_eq!((second.hits, second.misses), (1, 1));
+        assert_eq!(second.slot_of(7089), first.slot_of(7089));
+        assert_eq!(second.fills.len(), 1);
+        assert_eq!(second.fills[0].row, 3010);
+    }
+
+    #[test]
+    #[should_panic(expected = "already cached")]
+    fn mapping_a_row_twice_is_rejected() {
+        let mut m = mgr(4, WindowConfig::PAPER);
+        m.prewarm(&[5, 5]);
     }
 
     #[test]
@@ -532,14 +565,13 @@ mod tests {
                 ..
             }
         ));
-        // The part planned before the failure is booked, once, in both
-        // counters: 2 + 2 misses (the failing probe of row 4 included) and
-        // the one hit; row 5 was never reached.
+        // The part planned before the failure is booked, once: 2 + 2
+        // misses (the failing probe of row 4 included) and the one hit;
+        // row 5 was never reached.
         assert_eq!((out.hits, out.misses), (1, 2));
         assert_eq!(out.fills, vec![Fill { row: 3, slot: 2 }]);
         let stats = m.stats();
         assert_eq!((stats.hits, stats.misses), (1, 4));
-        assert_eq!(m.hit_map.stats(), (stats.hits, stats.misses));
         assert!(
             m.probe.capacity() >= 4,
             "the reusable probe buffer must survive the error"
@@ -557,7 +589,6 @@ mod tests {
         assert_eq!(plan.evictions.len(), 2);
         let stats = m.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 6, 2));
-        assert_eq!(m.hit_map.stats(), (stats.hits, stats.misses));
         for (row, slot) in m.residents() {
             assert_eq!(m.slot_row(slot), Some(row));
         }

@@ -1,98 +1,96 @@
-//! The [`Stage`] trait and the five canonical ScratchPipe stage
-//! implementors.
+//! The five stage bodies and the state they run against.
 //!
-//! The paper describes one five-stage pipeline — Plan / Collect /
-//! Exchange / Insert / Train — and this module gives each stage a first-
-//! class object: a [`Stage`] processes one in-flight [`StagePayload`] per
-//! mini-batch, records its own [`Traffic`] into the payload, and declares
-//! (via [`Stage::barriers`]) the cross-batch orderings it needs when
-//! stages of *different* mini-batches execute concurrently. A single
-//! generic driver — [`Pipeline`](crate::pipeline::Pipeline) — owns the
-//! schedule; it never knows what a stage does, only the order payloads
-//! flow. That is what makes the two schedules (register-order sync and
-//! per-stage threads) bit-identical *by construction*: they drive the
-//! same five objects.
+//! What each row of the [`StageId`] table does to the in-flight
+//! [`StagePayload`] of one mini-batch. [`PlanStage`] and [`TrainStage`]
+//! keep state between mini-batches (the scratchpad managers and the
+//! deduplicated window; the dense backend and its arena); \[Collect\],
+//! \[Exchange\] and \[Insert\] own nothing. The model state they all work
+//! on ([`SharedState`]) is owned by the
+//! [`Pipeline`](crate::pipeline::Pipeline) and lent to every execution
+//! through the [`StageCtx`], behind per-table locks because the overlapped
+//! schedule runs different stages (of different mini-batches) at once;
+//! [`barriers`] lists the only orderings that schedule has to add.
 //!
-//! The heavy lifting still lives in the free kernels of [`crate::stages`];
-//! a stage implementor is the thin stateful shell around them: the Plan
-//! stage owns the per-table [`ScratchpadManager`]s, the Train stage owns
-//! the dense backend and its [`TrainArena`], and Collect/Insert/Train
-//! share the mutable model state ([`SharedState`]) behind per-table locks
-//! so the threaded schedule can interleave them safely.
+//! The set of stages is fixed — this is not an extension point — and every
+//! schedule runs exactly these five bodies, which is what makes the
+//! schedules bit-identical by construction. The heavy lifting lives in the
+//! free kernels of [`crate::stages`].
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use embeddings::store::DenseStore;
-use embeddings::{EmbeddingTable, VectorStore};
+use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
 use parking_lot::Mutex;
 
 use crate::backend::DenseBackend;
+use crate::config::WindowConfig;
 use crate::error::ScratchError;
 use crate::faults::FaultInjector;
 use crate::recovery::TableUndo;
+use crate::runtime::StageId;
 use crate::scratchpad::{ScratchpadManager, TablePlan};
 use crate::stages::{self, StagePayload, TrainArena, UniqueWindow};
 use crate::telemetry::{Event, Lane, RunTelemetry};
 use crate::workers::WorkerPool;
 
-/// Per-execution context handed to every [`Stage::execute`] call: the
-/// whole trace (stages look ahead and behind), the payload's mini-batch
-/// index, and whether mini-batches overlap in flight.
+/// Everything a stage body is lent for one execution: the run it belongs
+/// to (trace, model state, worker pool, hooks) and where in that run it
+/// sits (mini-batch, lane). A driver builds one per call and re-points it
+/// with [`StageCtx::at`].
 #[derive(Clone, Copy)]
-pub struct StageCtx<'a> {
-    /// The full trace of mini-batches.
-    pub batches: &'a [embeddings::SparseBatch],
+pub(crate) struct StageCtx<'a> {
+    /// The model state every stage reads and writes; owned by the
+    /// pipeline.
+    pub shared: &'a SharedState,
+    /// The full trace of mini-batches (stages look ahead and behind).
+    pub batches: &'a [SparseBatch],
     /// Mini-batch index this execution processes.
     pub index: usize,
-    /// Whether stages of different mini-batches overlap (true for the
-    /// sync and threaded schedules, false for the sequential straw-man).
-    /// Victim-safety distances only exist under overlap.
+    /// Whether stages of different mini-batches overlap (false only for
+    /// the sequential straw-man). Victim-safety distances only exist
+    /// under overlap.
     pub pipelined: bool,
-    /// Worker pool for intra-stage data parallelism. Width 1 (the
-    /// default) runs every shard inline; the data-parallel schedule hands
-    /// stages a wider pool. Sharding never changes results — only where
-    /// the disjoint pieces are computed.
+    /// Worker pool for intra-stage data parallelism (width 1 runs every
+    /// shard inline). Sharding never changes results — only where the
+    /// disjoint pieces are computed.
     pub workers: WorkerPool,
-    /// The armed fault injector, when a
-    /// [`FaultPlan`](crate::faults::FaultPlan) is attached. `None` — the
-    /// default — makes every injection hook a single branch, so the
-    /// fault-free hot path is untouched.
+    /// The armed fault injector, if a fault plan is attached. `None` —
+    /// the default — makes every injection hook a single branch.
     pub faults: Option<&'a FaultInjector>,
-    /// The run's event log, when an audit sink or a telemetry collector
-    /// is attached. Same pattern as `faults`: `None` — the default —
-    /// makes every recording site a single branch.
+    /// The run's event log, if anyone observes the run. Same pattern.
     pub observer: Option<&'a RunTelemetry>,
-    /// Where this execution runs: [`Lane::Main`] for the single-driver
-    /// schedules, the stage's own [`Lane::Stage`] under the threaded
-    /// schedule. Recorded with every event of the execution; shard spans
-    /// render on worker lanes instead when a region actually runs pooled.
+    /// Where this execution runs: [`Lane::Main`], or the stage's own
+    /// [`Lane::Stage`] under the overlapped schedule. Recorded with every
+    /// event of the execution.
     pub lane: Lane,
 }
 
-impl fmt::Debug for StageCtx<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StageCtx")
-            .field("index", &self.index)
-            .field("pipelined", &self.pipelined)
-            .field("batches", &self.batches.len())
-            .finish()
-    }
-}
-
 impl<'a> StageCtx<'a> {
+    /// The same run, seen from mini-batch `index` on `lane`.
+    pub(crate) fn at(&self, index: usize, lane: Lane) -> Self {
+        StageCtx {
+            index,
+            lane,
+            ..*self
+        }
+    }
+
     /// The mini-batch this execution processes.
-    pub fn batch(&self) -> &'a embeddings::SparseBatch {
+    fn batch(&self) -> &'a SparseBatch {
         &self.batches[self.index]
     }
 }
+
+/// A stage body as the drivers hold it; `bodies[s]` belongs to
+/// `StageId::ALL[s]`.
+pub(crate) type Body<'a> =
+    dyn FnMut(&StageCtx<'_>, &mut StagePayload) -> Result<(), ScratchError> + Send + 'a;
 
 /// Runs one shard region of `stage` — `tasks`, fanned out over `pool` —
 /// and records it in the run's event log.
 fn run_region<F: FnOnce() + Send>(
     ctx: &StageCtx<'_>,
-    stage: &'static str,
+    stage: StageId,
     pool: WorkerPool,
     tasks: Vec<F>,
 ) -> Result<(), ScratchError> {
@@ -101,7 +99,7 @@ fn run_region<F: FnOnce() + Send>(
     if let Some(observer) = ctx.observer {
         observer.record(Event::Shards {
             iteration: ctx.index,
-            stage,
+            stage: stage.name(),
             lane: ctx.lane,
             start_ns,
             timings,
@@ -111,61 +109,68 @@ fn run_region<F: FnOnce() + Send>(
     Ok(())
 }
 
-/// A cross-batch ordering a stage requires from a concurrent schedule:
-/// before this stage runs batch `i`, the stage named `after` must have
-/// completed batch `i - lag`. The synchronous schedule satisfies every
-/// such barrier implicitly (registers advance one batch per cycle); the
-/// threaded schedule turns each barrier into a watermark wait.
+/// Runs a region of `stage` that is sharded per table — task `t` takes
+/// only table `t`'s locks — over the pool that `work` f32 elements
+/// justify. An armed worker-panic fault makes the task of the shard it
+/// names panic instead of running.
+fn run_table_shards<F: FnOnce() + Send>(
+    ctx: &StageCtx<'_>,
+    stage: StageId,
+    work: usize,
+    tasks: impl ExactSizeIterator<Item = F>,
+) -> Result<(), ScratchError> {
+    let panic_task = ctx
+        .faults
+        .and_then(|f| f.worker_panic(ctx.index, stage.name()))
+        .map(|shard| shard % tasks.len().max(1));
+    let (index, name) = (ctx.index, stage.name());
+    let tasks = tasks
+        .enumerate()
+        .map(|(t, task)| {
+            move || {
+                if panic_task == Some(t) {
+                    panic!("injected worker panic (iteration {index}, stage {name}, shard {t})");
+                }
+                task()
+            }
+        })
+        .collect();
+    run_region(ctx, stage, ctx.workers.for_work(work as u64), tasks)
+}
+
+/// A cross-batch ordering the overlapped schedule must enforce: before
+/// `waiter` runs batch `i`, `watched` must have completed batch
+/// `i - lag`. The register schedules satisfy it implicitly (registers
+/// advance one batch per cycle); the lanes turn it into a watermark wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageBarrier {
-    /// Name of the downstream stage whose completion is awaited.
-    pub after: &'static str,
-    /// Batch-index lag: batch `i` may start once `after` finished `i - lag`.
+pub(crate) struct Barrier {
+    pub waiter: StageId,
+    pub watched: StageId,
     pub lag: usize,
 }
 
-/// One pipeline stage: a stateful processor of in-flight mini-batch
-/// payloads.
+/// Every [`Barrier`] of the pipeline — the only cross-batch orderings a
+/// stage needs beyond "payloads arrive in batch order"; everything they
+/// do not cover is made disjoint by the Hold-mask `window` itself. Both
+/// are \[Collect\]'s (see the paper's §IV-C hazard analysis):
 ///
-/// # Contract
-///
-/// * `execute` processes exactly one payload for `ctx.index`, records the
-///   stage's [`Traffic`](memsim::Traffic) into the payload's per-stage
-///   slot, and must be deterministic: the report a run produces may not
-///   depend on the schedule driving the stages.
-/// * A stage may hold mutable state across calls (cache managers, model
-///   storage, arenas), but any state shared with *other* stages must be
-///   behind locks, because the threaded schedule executes different
-///   stages concurrently (on different mini-batches).
-/// * `barriers` declares the only cross-batch orderings the stage needs
-///   beyond "payloads arrive in batch order". Lags are what make the
-///   Hold-mask window sufficient: everything not covered by a barrier
-///   must be made disjoint by the window itself.
-pub trait Stage: Send {
-    /// Stable stage name — used in audit events, progress displays and to
-    /// resolve [`StageBarrier::after`] references.
-    fn name(&self) -> &'static str;
-
-    /// Cross-batch orderings this stage requires from concurrent
-    /// schedules. Default: none.
-    fn barriers(&self) -> Vec<StageBarrier> {
-        Vec::new()
-    }
-
-    /// Processes the payload for mini-batch `ctx.index`.
-    ///
-    /// # Errors
-    ///
-    /// Stage-specific: capacity exhaustion at \[Plan\], hazard violations
-    /// at \[Collect\]/\[Train\] when checking is enabled.
-    fn execute(
-        &mut self,
-        ctx: &StageCtx<'_>,
-        payload: &mut StagePayload,
-    ) -> Result<(), ScratchError>;
+/// * a victim slot chosen at Plan(i) may belong to batch i-(past+1),
+///   whose final Train update must land before the slot is read out;
+/// * a row missed by batch i may have been evicted by batch
+///   i-(future+1), whose CPU write-back must land before the re-read.
+pub(crate) fn barriers(window: WindowConfig) -> [Barrier; 2] {
+    let collect_after = |watched, distance: u32| Barrier {
+        waiter: StageId::Collect,
+        watched,
+        lag: distance as usize + 1,
+    };
+    [
+        collect_after(StageId::Train, window.past),
+        collect_after(StageId::Insert, window.future),
+    ]
 }
 
-/// Mutable model state shared by the Collect, Insert and Train stages
+/// Mutable model state worked on by the Collect, Insert and Train stages
 /// (and the final flush): the GPU scratchpad storage, the CPU tables, and
 /// the data-residency shadow that backs the hazard checker. Each table's
 /// state sits behind its own lock so the threaded schedule can interleave
@@ -212,9 +217,7 @@ impl SharedState {
     /// Stops recording undo deltas and drops any pending log.
     pub(crate) fn end_undo(&self) {
         self.undo_active.store(false, Ordering::SeqCst);
-        for undo in &self.undo {
-            undo.lock().clear();
-        }
+        self.commit_undo();
     }
 
     /// Commits the current segment: the deltas are dropped, the mutated
@@ -245,10 +248,10 @@ impl SharedState {
 /// only copy of the trace's deduplicated IDs, bounded by the window — and
 /// runs the victim-safety half of the hazard checker, which is a
 /// *plan-time* property.
-pub struct PlanStage {
-    managers: Vec<ScratchpadManager>,
+pub(crate) struct PlanStage {
+    /// The per-table scratchpad managers.
+    pub managers: Vec<ScratchpadManager>,
     future_depth: usize,
-    check_hazards: bool,
     /// Sorted unique IDs of batches `i - HAZARD_PAST ..= i +
     /// max(future_depth, HAZARD_FUTURE)`: everything planning and the
     /// victim-safety check read.
@@ -258,43 +261,44 @@ pub struct PlanStage {
     evicted: Vec<u64>,
 }
 
-impl fmt::Debug for PlanStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanStage")
-            .field("tables", &self.managers.len())
-            .field("future_depth", &self.future_depth)
-            .finish()
-    }
-}
-
 impl PlanStage {
-    pub(crate) fn new(
-        managers: Vec<ScratchpadManager>,
-        future_depth: usize,
-        check_hazards: bool,
-    ) -> Self {
+    pub(crate) fn new(managers: Vec<ScratchpadManager>, future_depth: usize) -> Self {
         PlanStage {
             managers,
             future_depth,
-            check_hazards,
             window: UniqueWindow::new(HAZARD_PAST, future_depth.max(HAZARD_FUTURE)),
             evicted: Vec::new(),
         }
-    }
-
-    /// The per-table scratchpad managers (for cache statistics).
-    pub fn managers(&self) -> &[ScratchpadManager] {
-        &self.managers
-    }
-
-    pub(crate) fn managers_mut(&mut self) -> &mut [ScratchpadManager] {
-        &mut self.managers
     }
 
     /// Forgets the deduplicated window: batch indices are about to refer
     /// to a (possibly) different trace. Called at every run entry.
     pub(crate) fn begin_run(&mut self) {
         self.window.reset();
+    }
+
+    /// The \[Plan\] body.
+    pub(crate) fn execute(
+        &mut self,
+        ctx: &StageCtx<'_>,
+        payload: &mut StagePayload,
+    ) -> Result<(), ScratchError> {
+        payload.rearm(ctx.index);
+        // The one sort/dedup per (batch, table) of the whole run happens
+        // here, as each batch enters the window.
+        self.window.advance(ctx.batches, ctx.index);
+        payload.traffic.plan = stages::plan(
+            &mut self.managers,
+            ctx.batch(),
+            &self.window,
+            ctx.index,
+            self.future_depth,
+            &mut payload.plans,
+        )?;
+        if ctx.shared.check_hazards && ctx.pipelined {
+            self.check_victim_safety(ctx.index, &payload.plans)?;
+        }
+        Ok(())
     }
 
     /// Asserts the paper's sliding-window guarantee: an evicted row must
@@ -376,12 +380,12 @@ impl PlanStage {
     }
 }
 
-/// Stage distance Train←Collect in this pipeline: how far back a batch
-/// may still be writing the scratchpad rows it references.
-const HAZARD_PAST: usize = 3;
-/// Stage distance Insert→Collect: how far ahead a batch may re-fetch a
+/// Stage distance Train←Collect: how far back a batch may still be
+/// writing the scratchpad rows it references.
+const HAZARD_PAST: usize = StageId::Train.after(StageId::Collect);
+/// Stage distance Insert←Collect: how far ahead a batch may re-fetch a
 /// row whose write-back is still in flight.
-const HAZARD_FUTURE: usize = 2;
+const HAZARD_FUTURE: usize = StageId::Insert.after(StageId::Collect);
 
 /// Batches in the hazard window besides the planning one.
 const HAZARD_WINDOW: usize = HAZARD_PAST + HAZARD_FUTURE;
@@ -412,383 +416,203 @@ fn intersects_any(a: &[u64], others: [&[u64]; HAZARD_WINDOW]) -> bool {
     }
 }
 
-impl Stage for PlanStage {
-    fn name(&self) -> &'static str {
-        "Plan"
-    }
-
-    fn execute(
-        &mut self,
-        ctx: &StageCtx<'_>,
-        payload: &mut StagePayload,
-    ) -> Result<(), ScratchError> {
-        payload.rearm(ctx.index);
-        // The one sort/dedup per (batch, table) of the whole run happens
-        // here, as each batch enters the window.
-        self.window.advance(ctx.batches, ctx.index);
-        payload.traffic.plan = stages::plan(
-            &mut self.managers,
-            ctx.batch(),
-            &self.window,
-            ctx.index,
-            self.future_depth,
-            &mut payload.plans,
-        )?;
-        if self.check_hazards && ctx.pipelined {
-            self.check_victim_safety(ctx.index, &payload.plans)?;
-        }
-        Ok(())
-    }
-}
-
 /// \[Collect\] — gathers missed rows from the CPU tables and victim rows
 /// from the scratchpad into the payload's staging arenas. Runs the
 /// victim-residency (RAW-3) half of the hazard checker.
-pub struct CollectStage {
-    shared: Arc<SharedState>,
-    barriers: Vec<StageBarrier>,
-}
-
-impl fmt::Debug for CollectStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CollectStage")
-            .field("barriers", &self.barriers)
-            .finish()
+pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
+    let shared = ctx.shared;
+    payload.traffic.collect = stages::collect_traffic(&payload.plans, shared.row_bytes());
+    if !shared.functional {
+        return Ok(());
     }
-}
-
-impl CollectStage {
-    pub(crate) fn new(shared: Arc<SharedState>, window: crate::config::WindowConfig) -> Self {
-        // The two orderings the synchronous register file provides
-        // implicitly (see the paper's §IV-C hazard analysis):
-        // * a victim slot chosen at Plan(i) may belong to batch i-(past+1),
-        //   whose final Train update must land before the slot is read out;
-        // * a row missed by batch i may have been evicted by batch
-        //   i-(future+1), whose CPU write-back must land before the re-read.
-        let barriers = vec![
-            StageBarrier {
-                after: "Train",
-                lag: window.past as usize + 1,
-            },
-            StageBarrier {
-                after: "Insert",
-                lag: window.future as usize + 1,
-            },
-        ];
-        CollectStage { shared, barriers }
-    }
-}
-
-impl Stage for CollectStage {
-    fn name(&self) -> &'static str {
-        "Collect"
-    }
-
-    fn barriers(&self) -> Vec<StageBarrier> {
-        self.barriers.clone()
-    }
-
-    fn execute(
-        &mut self,
-        ctx: &StageCtx<'_>,
-        payload: &mut StagePayload,
-    ) -> Result<(), ScratchError> {
-        payload.traffic.collect = stages::collect_traffic(&payload.plans, self.shared.row_bytes());
-        if !self.shared.functional {
-            return Ok(());
-        }
-        // The RAW-3 residency check stays serial: it is cheap, and a
-        // deterministic error (first failing table wins) is part of the
-        // schedule-equivalence contract.
-        if self.shared.check_hazards {
-            for (t, plan) in payload.plans.iter().enumerate() {
-                let resident = self.shared.data_resident[t].lock();
-                for ev in &plan.evictions {
-                    if resident[ev.slot as usize] != Some(ev.row) {
-                        return Err(ScratchError::HazardViolation {
-                            detail: format!(
-                                "collect {}: victim slot {} of table {t} holds {:?}, \
-                                 expected row {} (RAW-3)",
-                                payload.index, ev.slot, resident[ev.slot as usize], ev.row
-                            ),
-                        });
-                    }
+    // The RAW-3 residency check stays serial: it is cheap, and a
+    // deterministic error (first failing table wins) is part of the
+    // schedule-equivalence contract.
+    if shared.check_hazards {
+        for (t, plan) in payload.plans.iter().enumerate() {
+            let resident = shared.data_resident[t].lock();
+            for ev in &plan.evictions {
+                if resident[ev.slot as usize] != Some(ev.row) {
+                    return Err(ScratchError::HazardViolation {
+                        detail: format!(
+                            "collect {}: victim slot {} of table {t} holds {:?}, \
+                             expected row {} (RAW-3)",
+                            payload.index, ev.slot, resident[ev.slot as usize], ev.row
+                        ),
+                    });
                 }
             }
         }
-        // Shard per table: each worker owns one table's pre-sized miss and
-        // evict blocks and takes only that table's locks.
-        let miss_counts: Vec<usize> = payload.plans.iter().map(|p| p.fills.len()).collect();
-        let evict_counts: Vec<usize> = payload.plans.iter().map(|p| p.evictions.len()).collect();
-        let staged_rows: usize = miss_counts.iter().chain(&evict_counts).sum();
-        payload.staged_miss.prepare(&miss_counts);
-        payload.staged_evict.prepare(&evict_counts);
-        let pool = ctx.workers.for_work((staged_rows * self.shared.dim) as u64);
-        let shared = &*self.shared;
-        let plans = &payload.plans;
-        let num_tables = plans.len();
-        let panic_task = ctx
-            .faults
-            .and_then(|f| f.worker_panic(ctx.index, "Collect"))
-            .map(|shard| shard % num_tables.max(1));
-        let index = ctx.index;
-        let tasks: Vec<_> = payload
-            .staged_miss
-            .table_blocks_mut()
-            .into_iter()
-            .zip(payload.staged_evict.table_blocks_mut())
-            .zip(plans)
-            .enumerate()
-            .map(|(t, ((miss_block, evict_block), plan))| {
-                move || {
-                    if panic_task == Some(t) {
-                        panic!(
-                            "injected worker panic (iteration {index}, stage Collect, shard {t})"
-                        );
-                    }
-                    {
-                        let table = shared.cpu_tables[t].lock();
-                        stages::stage_misses_into(plan, &table, miss_block);
-                    }
-                    {
-                        let store = shared.storages[t].lock();
-                        stages::stage_evictions_into(plan, &store, evict_block);
-                    }
-                }
-            })
-            .collect();
-        run_region(ctx, "Collect", pool, tasks)?;
-        // Payload integrity: checksum the staged rows so corruption in
-        // flight (injected or real) is caught at [Insert] before any
-        // model state is touched. Only armed when the fault plan contains
-        // CorruptPayload faults — checksumming every payload would tax
-        // the fault-free path.
-        if let Some(inj) = ctx.faults {
-            if inj.checksums_enabled() {
-                payload.checksum = Some(stages::staged_checksum(
-                    &payload.staged_miss,
-                    &payload.staged_evict,
-                ));
-                if inj.should_corrupt(ctx.index)
-                    && (payload.staged_miss.corrupt_first_row()
-                        || payload.staged_evict.corrupt_first_row())
+    }
+    // Shard per table: each worker owns one table's pre-sized miss and
+    // evict blocks.
+    let miss_counts: Vec<usize> = payload.plans.iter().map(|p| p.fills.len()).collect();
+    let evict_counts: Vec<usize> = payload.plans.iter().map(|p| p.evictions.len()).collect();
+    let staged_rows: usize = miss_counts.iter().chain(&evict_counts).sum();
+    payload.staged_miss.prepare(&miss_counts);
+    payload.staged_evict.prepare(&evict_counts);
+    let tasks = payload
+        .staged_miss
+        .table_blocks_mut()
+        .into_iter()
+        .zip(payload.staged_evict.table_blocks_mut())
+        .zip(&payload.plans)
+        .enumerate()
+        .map(|(t, ((miss_block, evict_block), plan))| {
+            move || {
                 {
-                    inj.record_corruption(ctx.index);
+                    let table = shared.cpu_tables[t].lock();
+                    stages::stage_misses_into(plan, &table, miss_block);
+                }
+                {
+                    let store = shared.storages[t].lock();
+                    stages::stage_evictions_into(plan, &store, evict_block);
                 }
             }
+        });
+    run_table_shards(ctx, StageId::Collect, staged_rows * shared.dim, tasks)?;
+    // Payload integrity: checksum the staged rows so corruption in
+    // flight (injected or real) is caught at [Insert] before any
+    // model state is touched. Only armed when the fault plan contains
+    // CorruptPayload faults — checksumming every payload would tax
+    // the fault-free path.
+    if let Some(inj) = ctx.faults {
+        if inj.checksums_enabled() {
+            payload.checksum = Some(stages::staged_checksum(
+                &payload.staged_miss,
+                &payload.staged_evict,
+            ));
+            if inj.should_corrupt(ctx.index)
+                && (payload.staged_miss.corrupt_first_row()
+                    || payload.staged_evict.corrupt_first_row())
+            {
+                inj.record_corruption(ctx.index);
+            }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// \[Exchange\] — the duplex PCIe hop. The data movement itself is the
 /// staging arenas changing owner inside the payload, so this stage only
 /// accounts the transfer traffic.
-#[derive(Debug)]
-pub struct ExchangeStage {
-    row_bytes: u64,
-}
-
-impl ExchangeStage {
-    pub(crate) fn new(row_bytes: u64) -> Self {
-        ExchangeStage { row_bytes }
-    }
-}
-
-impl Stage for ExchangeStage {
-    fn name(&self) -> &'static str {
-        "Exchange"
-    }
-
-    fn execute(
-        &mut self,
-        _ctx: &StageCtx<'_>,
-        payload: &mut StagePayload,
-    ) -> Result<(), ScratchError> {
-        payload.traffic.exchange = stages::exchange_traffic(&payload.plans, self.row_bytes);
-        Ok(())
-    }
+pub(crate) fn exchange(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
+    payload.traffic.exchange = stages::exchange_traffic(&payload.plans, ctx.shared.row_bytes());
+    Ok(())
 }
 
 /// \[Insert\] — lands staged missed rows in their scratchpad slots and
 /// staged victim rows back in the CPU tables, then advances the
 /// data-residency shadow (the hazard checker's ground truth).
-pub struct InsertStage {
-    shared: Arc<SharedState>,
-}
-
-impl fmt::Debug for InsertStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InsertStage").finish()
+pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
+    let shared = ctx.shared;
+    payload.traffic.insert = stages::insert_traffic(&payload.plans, shared.row_bytes());
+    if !shared.functional {
+        return Ok(());
     }
-}
-
-impl InsertStage {
-    pub(crate) fn new(shared: Arc<SharedState>) -> Self {
-        InsertStage { shared }
-    }
-}
-
-impl Stage for InsertStage {
-    fn name(&self) -> &'static str {
-        "Insert"
-    }
-
-    fn execute(
-        &mut self,
-        ctx: &StageCtx<'_>,
-        payload: &mut StagePayload,
-    ) -> Result<(), ScratchError> {
-        payload.traffic.insert = stages::insert_traffic(&payload.plans, self.shared.row_bytes());
-        if !self.shared.functional {
-            return Ok(());
+    // Verify the staged rows against the checksum [Collect] recorded
+    // — BEFORE any model state is mutated, so a corrupted payload
+    // fails the iteration cleanly instead of landing garbage.
+    if let Some(expected) = payload.checksum {
+        let actual = stages::staged_checksum(&payload.staged_miss, &payload.staged_evict);
+        if actual != expected {
+            return Err(ScratchError::PayloadCorrupted {
+                iteration: payload.index,
+                expected,
+                actual,
+            });
         }
-        // Verify the staged rows against the checksum [Collect] recorded
-        // — BEFORE any model state is mutated, so a corrupted payload
-        // fails the iteration cleanly instead of landing garbage.
-        if let Some(expected) = payload.checksum {
-            let actual = stages::staged_checksum(&payload.staged_miss, &payload.staged_evict);
-            if actual != expected {
-                return Err(ScratchError::PayloadCorrupted {
-                    iteration: payload.index,
-                    expected,
-                    actual,
-                });
-            }
-        }
-        // Shard per table: each worker lands one table's fills and
-        // write-backs and advances its residency shadow, taking only that
-        // table's locks.
-        let moved_rows: usize = payload
-            .plans
-            .iter()
-            .map(|p| p.fills.len() + p.evictions.len())
-            .sum();
-        let pool = ctx.workers.for_work((moved_rows * self.shared.dim) as u64);
-        let shared = &*self.shared;
-        let staged_miss = &payload.staged_miss;
-        let staged_evict = &payload.staged_evict;
-        let num_tables = payload.plans.len();
-        let panic_task = ctx
-            .faults
-            .and_then(|f| f.worker_panic(ctx.index, "Insert"))
-            .map(|shard| shard % num_tables.max(1));
-        let index = ctx.index;
-        let undo_on = shared.undo_active.load(Ordering::Relaxed);
-        let tasks: Vec<_> = payload
-            .plans
-            .iter()
-            .enumerate()
-            .map(|(t, plan)| {
-                move || {
-                    if panic_task == Some(t) {
-                        panic!(
-                            "injected worker panic (iteration {index}, stage Insert, shard {t})"
-                        );
-                    }
-                    {
-                        let mut table = shared.cpu_tables[t].lock();
-                        if undo_on {
-                            // Undo lock strictly inside the resource lock
-                            // (see the SharedState lock-ordering rule).
-                            let mut undo = shared.undo[t].lock();
-                            for ev in &plan.evictions {
-                                undo.save_cpu_row(ev.row, table.row(ev.row as usize));
-                            }
-                        }
-                        stages::insert_evictions(t, plan, staged_evict, &mut table);
-                    }
-                    {
-                        let mut store = shared.storages[t].lock();
-                        if undo_on {
-                            let mut undo = shared.undo[t].lock();
-                            for f in &plan.fills {
-                                undo.save_store_row(f.slot, store.row(f.slot as usize));
-                            }
-                        }
-                        stages::insert_fills(t, plan, staged_miss, &mut store);
-                    }
-                    {
-                        let mut resident = shared.data_resident[t].lock();
-                        if undo_on {
-                            let mut undo = shared.undo[t].lock();
-                            for f in &plan.fills {
-                                undo.save_resident(f.slot, resident[f.slot as usize]);
-                            }
-                        }
-                        for f in &plan.fills {
-                            resident[f.slot as usize] = Some(f.row);
-                        }
+    }
+    // Shard per table: each worker lands one table's fills and
+    // write-backs and advances its residency shadow.
+    let moved_rows: usize = payload
+        .plans
+        .iter()
+        .map(|p| p.fills.len() + p.evictions.len())
+        .sum();
+    let (staged_miss, staged_evict) = (&payload.staged_miss, &payload.staged_evict);
+    let undo_on = shared.undo_active.load(Ordering::Relaxed);
+    let tasks = payload.plans.iter().enumerate().map(|(t, plan)| {
+        move || {
+            {
+                let mut table = shared.cpu_tables[t].lock();
+                if undo_on {
+                    // Undo lock strictly inside the resource lock
+                    // (see the SharedState lock-ordering rule).
+                    let mut undo = shared.undo[t].lock();
+                    for ev in &plan.evictions {
+                        undo.save_cpu_row(ev.row, table.row(ev.row as usize));
                     }
                 }
-            })
-            .collect();
-        run_region(ctx, "Insert", pool, tasks)
-    }
+                stages::insert_evictions(t, plan, staged_evict, &mut table);
+            }
+            {
+                let mut store = shared.storages[t].lock();
+                if undo_on {
+                    let mut undo = shared.undo[t].lock();
+                    for f in &plan.fills {
+                        undo.save_store_row(f.slot, store.row(f.slot as usize));
+                    }
+                }
+                stages::insert_fills(t, plan, staged_miss, &mut store);
+            }
+            {
+                let mut resident = shared.data_resident[t].lock();
+                if undo_on {
+                    let mut undo = shared.undo[t].lock();
+                    for f in &plan.fills {
+                        undo.save_resident(f.slot, resident[f.slot as usize]);
+                    }
+                }
+                for f in &plan.fills {
+                    resident[f.slot as usize] = Some(f.row);
+                }
+            }
+        }
+    });
+    run_table_shards(ctx, StageId::Insert, moved_rows * shared.dim, tasks)
 }
 
 /// \[Train\] — owns the dense backend and the flat pooled/gradient
 /// arenas: gathers pooled embeddings from the scratchpad, steps the dense
 /// model, scatters embedding gradients back. Runs the always-hit half of
 /// the hazard checker and records the iteration's loss into the payload.
-pub struct TrainStage<B> {
-    shared: Arc<SharedState>,
-    backend: B,
+pub(crate) struct TrainStage<B> {
+    /// The dense backend.
+    pub backend: B,
     arena: TrainArena,
 }
 
-impl<B> fmt::Debug for TrainStage<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrainStage").finish()
-    }
-}
-
 impl<B: DenseBackend> TrainStage<B> {
-    pub(crate) fn new(shared: Arc<SharedState>, backend: B) -> Self {
+    pub(crate) fn new(backend: B) -> Self {
         TrainStage {
-            shared,
             backend,
             arena: TrainArena::new(),
         }
     }
 
-    /// The dense backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Mutable access for the supervised runtime's snapshot/restore.
-    pub(crate) fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-}
-
-impl<B: DenseBackend + Send> Stage for TrainStage<B> {
-    fn name(&self) -> &'static str {
-        "Train"
-    }
-
-    fn execute(
+    /// The \[Train\] body.
+    pub(crate) fn execute(
         &mut self,
         ctx: &StageCtx<'_>,
         payload: &mut StagePayload,
     ) -> Result<(), ScratchError> {
-        let batch = ctx.batch();
+        let (shared, batch) = (ctx.shared, ctx.batch());
         // Traffic: embedding forward + backward entirely on GPU memory,
         // plus the dense backend's own contribution.
-        let mut traffic = stages::train_traffic(&payload.plans, batch, self.shared.dim);
+        let mut traffic = stages::train_traffic(&payload.plans, batch, shared.dim);
         traffic += self.backend.traffic(batch.batch_size());
         payload.traffic.train = traffic;
         payload.loss = 0.0;
-        if !self.shared.functional {
+        if !shared.functional {
             return Ok(());
         }
 
         // Always-hit assertion: every row's data is resident before the
         // train step gathers it (the paper's core guarantee).
-        if self.shared.check_hazards {
+        if shared.check_hazards {
             for (t, plan) in payload.plans.iter().enumerate() {
-                let resident = self.shared.data_resident[t].lock();
+                let resident = shared.data_resident[t].lock();
                 for (id, slot) in plan.assignments() {
                     if resident[slot as usize] != Some(id) {
                         return Err(ScratchError::HazardViolation {
@@ -812,7 +636,7 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
 
         // Functional training from the scratchpad, through the flat
         // pooled/gradient arenas.
-        let dim = self.shared.dim;
+        let dim = shared.dim;
         let batch_size = batch.batch_size();
         self.arena.prepare(payload.plans.len(), batch_size, dim);
 
@@ -825,7 +649,7 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
         let ranges = gather_pool.split_ranges(batch_size);
         {
             let plans = &payload.plans;
-            let guards: Vec<_> = self.shared.storages.iter().map(|m| m.lock()).collect();
+            let guards: Vec<_> = shared.storages.iter().map(|m| m.lock()).collect();
             let mut tasks = Vec::with_capacity(plans.len() * ranges.len());
             for (t, block) in self.arena.pooled_blocks_mut().enumerate() {
                 let plan = &plans[t];
@@ -839,7 +663,7 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
                     tasks.push(move || stages::gather_pooled_range(store, bag, plan, lo, hi, head));
                 }
             }
-            run_region(ctx, "Train", gather_pool, tasks)?;
+            run_region(ctx, StageId::Train, gather_pool, tasks)?;
         }
 
         // The dense step stays single-shard: its batch-wide weight-update
@@ -852,42 +676,24 @@ impl<B: DenseBackend + Send> Stage for TrainStage<B> {
         // Backward scatter, sharded per table: the duplicate → coalesce →
         // scatter chain of a table is one unsplittable reduction, but
         // different tables touch disjoint storages.
-        let scatter_pool = ctx
-            .workers
-            .for_work((batch.total_lookups() * dim * 2) as u64);
-        let shared = &*self.shared;
         let arena = &self.arena;
-        let num_tables = payload.plans.len();
-        let panic_task = ctx
-            .faults
-            .and_then(|f| f.worker_panic(ctx.index, "Train"))
-            .map(|shard| shard % num_tables.max(1));
-        let index = ctx.index;
         let undo_on = shared.undo_active.load(Ordering::Relaxed);
-        let tasks: Vec<_> = payload
-            .plans
-            .iter()
-            .enumerate()
-            .map(|(t, plan)| {
-                let bag = batch.bag(t);
-                move || {
-                    if panic_task == Some(t) {
-                        panic!("injected worker panic (iteration {index}, stage Train, shard {t})");
+        let tasks = payload.plans.iter().enumerate().map(|(t, plan)| {
+            let bag = batch.bag(t);
+            move || {
+                let mut store = shared.storages[t].lock();
+                if undo_on {
+                    // Undo lock strictly inside the storage lock (see
+                    // the SharedState lock-ordering rule).
+                    let mut undo = shared.undo[t].lock();
+                    for &slot in &plan.unique_slots {
+                        undo.save_store_row(slot, store.row(slot as usize));
                     }
-                    let mut store = shared.storages[t].lock();
-                    if undo_on {
-                        // Undo lock strictly inside the storage lock (see
-                        // the SharedState lock-ordering rule).
-                        let mut undo = shared.undo[t].lock();
-                        for &slot in &plan.unique_slots {
-                            undo.save_store_row(slot, store.row(slot as usize));
-                        }
-                    }
-                    stages::scatter_grads(&mut store, bag, arena.grads_table(t), lr, plan);
                 }
-            })
-            .collect();
-        run_region(ctx, "Train", scatter_pool, tasks)?;
+                stages::scatter_grads(&mut store, bag, arena.grads_table(t), lr, plan);
+            }
+        });
+        run_table_shards(ctx, StageId::Train, batch.total_lookups() * dim * 2, tasks)?;
 
         payload.loss = step.loss;
         Ok(())
@@ -918,6 +724,33 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// Everything that encodes the window is the same two distances in
+    /// the stage table: Train is 3 registers after Collect, Insert 2.
+    #[test]
+    fn the_window_is_two_distances_in_the_stage_table() {
+        use StageId::{Collect, Insert, Train};
+        let (past, future) = (Train.after(Collect), Insert.after(Collect));
+        assert_eq!((past, future), (3, 2));
+        assert_eq!(WindowConfig::PAPER, WindowConfig { past: 3, future: 2 });
+        assert_eq!((HAZARD_PAST, HAZARD_FUTURE), (past, future));
+        assert_eq!(
+            barriers(WindowConfig::PAPER),
+            [
+                Barrier {
+                    waiter: Collect,
+                    watched: Train,
+                    lag: past + 1,
+                },
+                Barrier {
+                    waiter: Collect,
+                    watched: Insert,
+                    lag: future + 1,
+                },
+            ]
+        );
+        assert_eq!(barriers(WindowConfig::PAPER).map(|b| b.lag), [4, 3]);
     }
 
     #[test]
@@ -977,7 +810,7 @@ mod tests {
             let plans: Vec<TablePlan> = evictions.iter().map(|rows| plan_evicting(rows)).collect();
 
             let batches: Vec<_> = uniq.iter().map(|tables| stages::batch_of(tables)).collect();
-            let mut stage = PlanStage::new(Vec::new(), HAZARD_FUTURE, true);
+            let mut stage = PlanStage::new(Vec::new(), HAZARD_FUTURE);
             stage.window.advance(&batches, i);
             let slow = PlanStage::find_victim_violation(i, &plans, &stage.window);
             let fast = stage.check_victim_safety(i, &plans);

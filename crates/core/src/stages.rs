@@ -1,9 +1,9 @@
-//! The shared stage-kernel layer: one implementation of the five
-//! Plan/Collect/Exchange/Insert/Train stage bodies, wrapped by the
-//! [`Stage`](crate::stage::Stage) implementors of [`crate::stage`] and
-//! driven under every [`Schedule`](crate::pipeline::Schedule) by the
-//! generic [`Pipeline`](crate::pipeline::Pipeline). The paper describes
-//! one pipeline; this module is its single source of truth, so bit-exact
+//! The shared stage-kernel layer: one implementation of what the five
+//! Plan/Collect/Exchange/Insert/Train stages do to rows and plans, called
+//! by the (crate-private) stage bodies that the
+//! [`Pipeline`](crate::pipeline::Pipeline) drives under every
+//! [`Schedule`](crate::pipeline::Schedule). The paper describes one
+//! pipeline; this module is its single source of truth, so bit-exact
 //! equivalence between schedules — and identical per-stage
 //! [`StageTraffic`] accounting — holds by construction rather than by
 //! copy-paste discipline.
@@ -21,9 +21,9 @@
 //! * [`TrainArena`] — the \[Train\] stage's pooled-embedding and
 //!   embedding-gradient buffers, `num_tables × batch × dim` each, handed
 //!   to the dense backend as a [`PooledView`].
-//! * [`StagePayload`] / [`PayloadPool`] — the per-mini-batch pipeline
-//!   register; retired payloads are recycled, so a steady-state run keeps
-//!   exactly *pipeline-depth* payloads alive and allocates none.
+//! * `StagePayload` / `PayloadPool` (crate-private) — the per-mini-batch
+//!   pipeline register; retired payloads are recycled, so a steady-state
+//!   run keeps exactly *pipeline-depth* payloads alive and allocates none.
 //! * [`UniqueWindow`] — the sorted unique IDs of the few mini-batches
 //!   \[Plan\] can see (hazard past + current + look-ahead), deduplicated
 //!   once as each batch enters and held in recycled buffers, so dedup
@@ -181,7 +181,7 @@ pub fn staged_checksum(miss: &StagedRows, evict: &StagedRows) -> u64 {
 /// rows staged at \[Collect\], and the per-stage traffic accumulated as
 /// the payload flows through the pipeline.
 #[derive(Debug)]
-pub struct StagePayload {
+pub(crate) struct StagePayload {
     /// Mini-batch index.
     pub index: usize,
     /// Per-table \[Plan\] output.
@@ -203,7 +203,7 @@ pub struct StagePayload {
 
 impl StagePayload {
     /// Creates a payload with empty arenas for `dim`-wide rows.
-    pub fn new(dim: usize) -> Self {
+    fn new(dim: usize) -> Self {
         StagePayload {
             index: 0,
             plans: Vec::new(),
@@ -220,7 +220,7 @@ impl StagePayload {
     /// overwrites them in place ([`plan`]) so their buffers are reused,
     /// and \[Collect\] sizes the staging arenas from the new plans in one
     /// shot ([`StagedRows::prepare`]).
-    pub fn rearm(&mut self, index: usize) {
+    pub(crate) fn rearm(&mut self, index: usize) {
         self.index = index;
         self.staged_miss.reset();
         self.staged_evict.reset();
@@ -234,21 +234,16 @@ impl StagePayload {
 /// pipeline mints one. Every schedule holds a bounded number of payloads
 /// in flight, so after warm-up every take is a reuse.
 #[derive(Debug, Default)]
-pub struct PayloadPool {
+pub(crate) struct PayloadPool {
     free: Vec<StagePayload>,
     minted: usize,
 }
 
 impl PayloadPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Takes a recycled payload (or allocates the pipeline's next one)
     /// **without** re-arming it — the \[Plan\] stage re-arms it and
     /// refills its plans in place.
-    pub fn take(&mut self, dim: usize) -> StagePayload {
+    pub(crate) fn take(&mut self, dim: usize) -> StagePayload {
         self.free.pop().unwrap_or_else(|| {
             self.minted += 1;
             StagePayload::new(dim)
@@ -258,12 +253,13 @@ impl PayloadPool {
     /// Payloads this pool has allocated since it was created — the
     /// pipeline's payload footprint (takes served from the free list do
     /// not count).
-    pub fn minted(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn minted(&self) -> usize {
         self.minted
     }
 
     /// Returns a retired payload to the free list.
-    pub fn release(&mut self, payload: StagePayload) {
+    pub(crate) fn release(&mut self, payload: StagePayload) {
         self.free.push(payload);
     }
 }
@@ -965,7 +961,7 @@ mod tests {
 
     #[test]
     fn payload_pool_recycles_allocations() {
-        let mut pool = PayloadPool::new();
+        let mut pool = PayloadPool::default();
         let mut p = pool.take(4);
         p.rearm(0);
         p.staged_miss.push_row(&[0.0; 4]);

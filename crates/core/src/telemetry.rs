@@ -260,9 +260,8 @@ pub enum Event {
 
 /// One pipeline run's event log — the single observer handle of the
 /// runtime, created by the pipeline when a sink or a collector is
-/// attached and carried through [`StageCtx`](crate::stage::StageCtx) as
-/// `Option<&RunTelemetry>` (`None` keeps every recording site a single
-/// branch). Stage implementors may record events of their own.
+/// attached and lent to every stage execution as `Option<&RunTelemetry>`
+/// (`None` keeps every recording site a single branch).
 #[derive(Debug)]
 pub struct RunTelemetry {
     epoch: Instant,

@@ -48,21 +48,6 @@ fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Gathers `store` rows at `indices` into a new `indices.len() × dim`
-/// buffer.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds.
-pub fn gather_rows<S: VectorStore + ?Sized>(store: &S, indices: &[usize]) -> Vec<f32> {
-    let dim = store.dim();
-    let mut out = Vec::with_capacity(indices.len() * dim);
-    for &idx in indices {
-        out.extend_from_slice(store.row(idx));
-    }
-    out
-}
-
 /// Forward pass for one table, writing into a caller-provided flat
 /// `batch_size × dim` slice (the hot-path variant: the pipeline allocates
 /// one pooled arena per run and refills it every iteration). The slice is
@@ -475,13 +460,6 @@ mod tests {
         let bag = TableBag::from_samples(&[vec![0]]);
         let mut out = vec![0.0; 3];
         gather_reduce_into(&t, &bag, |id| id as usize, &mut out);
-    }
-
-    #[test]
-    fn gather_rows_copies_rows() {
-        let t = ramp_table(5, 2);
-        let g = gather_rows(&t, &[3, 1, 3]);
-        assert_eq!(g, vec![3.0, 3.0, 1.0, 1.0, 3.0, 3.0]);
     }
 
     #[test]

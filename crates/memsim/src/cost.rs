@@ -2,7 +2,7 @@
 //!
 //! A stage's time is computed per *resource* (CPU memory system, GPU, PCIe
 //! up/down, NVLink fabric). Work on distinct resources within one stage is
-//! assumed to overlap perfectly (e.g. the [Collect] stage reads missed rows
+//! assumed to overlap perfectly (e.g. the \[Collect\] stage reads missed rows
 //! from CPU DRAM while the GPU reads victim rows from the scratchpad), so the
 //! stage time is the **max** of the per-resource times. Work on the *same*
 //! resource serializes, so per-resource time is the **sum** of its

@@ -3,7 +3,7 @@
 //! The paper measures socket power with `pcm-power` and GPU power with
 //! `nvidia-smi`, then multiplies average power by execution time. We model
 //! each device with an idle floor plus an active increment, integrate over
-//! the per-resource busy times of a [`Schedule`](crate::pipeline::Schedule)
+//! the per-resource busy times of a [`Schedule`]
 //! (or over explicitly supplied busy times), and report Joules.
 
 use serde::{Deserialize, Serialize};

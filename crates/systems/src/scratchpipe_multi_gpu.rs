@@ -28,9 +28,8 @@
 //! winner, exactly as §VI-G predicts.
 
 use embeddings::{SparseBatch, TableBag};
-use memsim::pipeline::Resource;
 use memsim::{CostModel, PowerModel, SimTime, SystemSpec, Traffic};
-use scratchpipe::{EvictionPolicy, Pipeline, PipelineConfig, Schedule};
+use scratchpipe::{EvictionPolicy, Pipeline, PipelineConfig, Schedule, StageId};
 
 use crate::report::{SystemError, SystemReport, TrainingSystem};
 use crate::scratchpipe_sys::ScratchPipeSystem;
@@ -203,30 +202,21 @@ impl TrainingSystem for ScratchPipeMultiGpu {
                     + self.cost.traffic_time(&dense)
                     + self.sync_overhead
                     + timing::contention_time(max_dup, self.shape.dim);
-                vec![
-                    plan,
-                    self.cost.traffic_time(&collect),
-                    self.cost.traffic_time(&exchange),
-                    self.cost.traffic_time(&insert),
-                    train,
-                ]
+                let mut times = vec![SimTime::ZERO; StageId::COUNT];
+                times[StageId::Plan.index()] = plan;
+                times[StageId::Collect.index()] = self.cost.traffic_time(&collect);
+                times[StageId::Exchange.index()] = self.cost.traffic_time(&exchange);
+                times[StageId::Insert.index()] = self.cost.traffic_time(&insert);
+                times[StageId::Train.index()] = train;
+                times
             })
             .collect();
 
         let skip = (batches.len() / 3).min(10);
         let mut report = SystemReport::from_pipelined_stages(
             self.name(),
-            ["Plan", "Collect", "Exchange", "Insert", "Train"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-            vec![
-                Resource::Gpu,
-                Resource::CpuMem,
-                Resource::PcieH2D,
-                Resource::CpuMem,
-                Resource::Gpu,
-            ],
+            ScratchPipeSystem::stage_names(),
+            ScratchPipeSystem::stage_resources(),
             times,
             &self.power,
             skip,

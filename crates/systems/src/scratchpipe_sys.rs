@@ -16,7 +16,10 @@ use embeddings::{EmbeddingTable, SparseBatch};
 use memsim::pipeline::Resource;
 use memsim::{CostModel, PowerModel, SimTime, SystemSpec, Traffic};
 use scratchpipe::backend::{DenseBackend, PooledView, StepResult};
-use scratchpipe::{EvictionPolicy, Pipeline, PipelineConfig, PipelineReport, Schedule};
+use scratchpipe::{
+    EvictionPolicy, Pipeline, PipelineConfig, PipelineReport, Schedule, StageId, StageTraffic,
+    WindowConfig,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::DlrmBackend;
@@ -117,8 +120,9 @@ impl ScratchPipeSystem {
     /// way).
     pub fn slots_per_table(&self) -> usize {
         let want = (self.cache_fraction * self.shape.rows_per_table as f64).floor() as usize;
-        let window_batches = 4; // past(3) + current — future rows are only
-                                // held when already cached
+        // The past window plus the current batch — future rows are only
+        // held when already cached.
+        let window_batches = WindowConfig::PAPER.past as usize + 1;
         let per_batch = self.shape.batch_size * self.shape.lookups_per_sample;
         let floor = (window_batches * per_batch * 21 / 20).max(per_batch) + 8;
         want.max(floor).min(self.shape.rows_per_table as usize)
@@ -137,22 +141,16 @@ impl ScratchPipeSystem {
         }
     }
 
-    /// Stage names shared by both modes.
-    fn stage_names() -> Vec<String> {
-        ["Plan", "Collect", "Exchange", "Insert", "Train"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect()
+    /// The pipeline's stage names, in order, as a [`SystemReport`] takes
+    /// them.
+    pub(crate) fn stage_names() -> Vec<String> {
+        StageTraffic::STAGE_NAMES.map(str::to_owned).to_vec()
     }
 
-    fn stage_resources() -> Vec<Resource> {
-        vec![
-            Resource::Gpu,
-            Resource::CpuMem,
-            Resource::PcieH2D,
-            Resource::CpuMem,
-            Resource::Gpu,
-        ]
+    /// The simulated resource of each stage, aligned with
+    /// [`ScratchPipeSystem::stage_names`].
+    pub(crate) fn stage_resources() -> Vec<Resource> {
+        StageId::ALL.map(StageId::resource).to_vec()
     }
 
     /// Trains real tables functionally (used by the equivalence tests and
@@ -232,15 +230,14 @@ impl TrainingSystem for ScratchPipeSystem {
                     .map(|(_, bag)| timing::max_dup_count(bag))
                     .max()
                     .unwrap_or(0);
-                let st = &rec.traffic;
-                vec![
-                    self.cost.traffic_time(&st.plan),
-                    self.cost.traffic_time(&st.collect),
-                    self.cost.traffic_time(&st.exchange),
-                    self.cost.traffic_time(&st.insert),
-                    self.cost.traffic_time(&st.train)
-                        + timing::contention_time(max_dup, self.shape.dim),
-                ]
+                let mut times: Vec<SimTime> = rec
+                    .traffic
+                    .stages()
+                    .iter()
+                    .map(|traffic| self.cost.traffic_time(traffic))
+                    .collect();
+                times[StageId::Train.index()] += timing::contention_time(max_dup, self.shape.dim);
+                times
             })
             .collect();
 

@@ -1,7 +1,7 @@
 //! Driver equivalence — one driver, interchangeable schedules.
 //!
-//! The [`Pipeline`] drives the same five [`Stage`](scratchpipe::Stage)
-//! implementors under every [`Schedule`]; this suite pins down that the
+//! The [`Pipeline`] drives the same five stage bodies under every
+//! [`Schedule`]; this suite pins down that the
 //! synchronous register schedule, the per-stage-thread schedule and the
 //! intra-stage data-parallel schedule are
 //! observably *identical*: bit-identical tables, and

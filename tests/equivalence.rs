@@ -151,3 +151,49 @@ fn prewarmed_scratchpad_preserves_equivalence() {
         assert!(a.bit_eq(b), "prewarmed run diverged");
     }
 }
+
+#[test]
+fn ragged_tables_train_identically_to_direct_training() {
+    // Tables need not be equally tall: every bag is checked against its
+    // own table, so an ID past the first table's height is fine in a
+    // taller second one — including when it is prewarmed.
+    use embeddings::{EmbeddingTable, SparseBatch};
+    use scratchpipe::UnitBackend;
+    let make_tables = || {
+        vec![
+            EmbeddingTable::seeded(50, 4, 1),
+            EmbeddingTable::seeded(100, 4, 2),
+        ]
+    };
+    let batches: Vec<SparseBatch> = (0..12u64)
+        .map(|i| {
+            SparseBatch::from_rows(
+                2,
+                &[
+                    vec![vec![i % 50, 49], vec![70, 50 + i]],
+                    vec![vec![(i * 7) % 50], vec![99, (i * 13) % 100]],
+                ],
+            )
+        })
+        .collect();
+    let mut reference = make_tables();
+    let ref_losses = train_direct(&mut reference, &batches, &mut UnitBackend::new(0.05));
+
+    for schedule in [Schedule::Sync, Schedule::Threaded] {
+        let mut rt = Pipeline::builder()
+            .config(PipelineConfig::functional(4, 32))
+            .tables(make_tables())
+            .backend(UnitBackend::new(0.05))
+            .schedule(schedule)
+            .build()
+            .expect("pipeline");
+        rt.prewarm(&[vec![49, 3], vec![99, 70]]).expect("prewarm");
+        let report = rt.run(&batches).expect("ragged run");
+        for (a, r) in ref_losses.iter().zip(&report.records) {
+            assert_eq!(a.to_bits(), r.loss.to_bits());
+        }
+        for (t, (a, b)) in reference.iter().zip(&rt.into_tables()).enumerate() {
+            assert!(a.bit_eq(b), "{schedule:?}: table {t} diverged");
+        }
+    }
+}

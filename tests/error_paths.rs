@@ -154,3 +154,55 @@ fn supervised_rejects_zero_budget_and_zero_interval() {
         }
     }
 }
+
+/// One table of `rows[t]` rows per entry.
+fn ragged(rows: &[usize]) -> Pipeline<UnitBackend> {
+    let tables = (rows.iter().enumerate())
+        .map(|(t, &rows)| EmbeddingTable::seeded(rows, 4, t as u64))
+        .collect();
+    Pipeline::builder()
+        .config(PipelineConfig::functional(4, 8))
+        .tables(tables)
+        .backend(UnitBackend::new(0.1))
+        .schedule(Schedule::Sync)
+        .build()
+        .expect("pipeline")
+}
+
+#[test]
+fn run_checks_each_bag_against_its_own_table() {
+    // ID 70 exists in a 100-row table and not in a 50-row one, whichever
+    // of the two comes first.
+    let bags = |first: u64, second: u64| {
+        SparseBatch::new(vec![
+            TableBag::from_samples(&[vec![first]]),
+            TableBag::from_samples(&[vec![second]]),
+        ])
+    };
+    let result = ragged(&[100, 50]).run(&[bags(70, 70)]);
+    assert_invalid_config(result, "table 1: id 70 exceeds 50 rows");
+    let result = ragged(&[50, 100]).run(&[bags(70, 70)]);
+    assert_invalid_config(result, "table 0: id 70 exceeds 50 rows");
+    ragged(&[50, 100])
+        .run(&[bags(49, 70)])
+        .expect("70 is a row of the second table");
+}
+
+#[test]
+fn prewarm_rejects_bad_lists_before_touching_a_scratchpad() {
+    let mut rt = ragged(&[100, 50]);
+    assert_invalid_config(rt.prewarm(&[vec![1]]), "covers 1 tables, pipeline has 2");
+    assert_invalid_config(
+        rt.prewarm(&[vec![1, 2], vec![3, 70]]),
+        "table 1: row 70 exceeds 50 rows",
+    );
+    assert_invalid_config(
+        rt.prewarm(&[vec![1, 2], vec![5, 6, 5]]),
+        "table 1: row 5 listed twice",
+    );
+    // Nothing was cached by the rejected calls — table 0's rows included —
+    // so the same rows prewarm fine afterwards.
+    assert!(rt.managers().iter().all(|m| m.occupancy() == 0));
+    rt.prewarm(&[vec![1, 2, 70], vec![5, 6]]).expect("valid");
+    assert_eq!(rt.managers()[0].occupancy(), 3);
+}

@@ -3,8 +3,9 @@
 //! load-bearing:
 //!
 //! * with the paper window, training is always correct;
-//! * shrinking either side admits real RAW hazards, caught by the hazard
-//!   checker and visible as numeric corruption when the checker is off.
+//! * shrinking either side — by as little as one batch — admits real RAW
+//!   hazards, caught by the hazard checker and visible as numeric
+//!   corruption when the checker is off.
 
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
 use scratchpipe::runtime::train_direct;
@@ -69,6 +70,70 @@ fn zero_future_window_is_detected_as_raw4() {
         matches!(err, ScratchError::HazardViolation { .. }),
         "got {err}"
     );
+}
+
+/// One fresh row per batch, then row 1 again in the batch at `again` (if
+/// any): with as many slots as batches before the first eviction, row 1 —
+/// the oldest — is the victim as soon as its Hold mask lets go.
+fn one_row_per_batch(len: u64, again: Option<usize>) -> Vec<SparseBatch> {
+    let mut trace: Vec<SparseBatch> = (1..=len).map(|row| mk(&[row])).collect();
+    if let Some(at) = again {
+        trace[at] = mk(&[1]);
+    }
+    trace
+}
+
+fn run_with(window: WindowConfig, slots: usize, trace: &[SparseBatch]) -> Result<(), ScratchError> {
+    let config = PipelineConfig::functional(4, slots).with_window(window);
+    pipeline(config, tables()).run(trace).map(|_| ())
+}
+
+fn assert_hazard(result: Result<(), ScratchError>, needle: &str) {
+    match result {
+        Err(ScratchError::HazardViolation { detail }) => {
+            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+        }
+        other => panic!("expected a {needle} violation, got {other:?}"),
+    }
+}
+
+#[test]
+fn one_batch_less_past_is_a_raw23_hazard() {
+    // [Train] is three registers after [Collect]: when batch 3 is planned,
+    // batch 0 has not trained yet. A past window of 2 lets go of batch 0's
+    // row one batch early, and plan 3 picks it as its victim.
+    let trace = one_row_per_batch(4, None);
+    let short = WindowConfig { past: 2, future: 2 };
+    assert_hazard(
+        run_with(short, 3, &trace),
+        "plan 3 evicts row 1 of table 0, still referenced by in-flight batch 0 (RAW-2/3)",
+    );
+    // The paper window still holds the row, so the same scratchpad is
+    // simply too small: it refuses, it does not corrupt.
+    assert!(matches!(
+        run_with(WindowConfig::PAPER, 3, &trace),
+        Err(ScratchError::CapacityExhausted { .. })
+    ));
+    run_with(WindowConfig::PAPER, 4, &trace).expect("one more slot and it fits");
+}
+
+#[test]
+fn one_batch_less_future_is_a_raw4_hazard() {
+    // [Insert] is two registers after [Collect]: the write-back of a row
+    // evicted by plan 4 lands when batch 6 is already collecting. A future
+    // window of 1 only sees batch 5, so plan 4 evicts the row batch 6
+    // re-fetches.
+    let trace = one_row_per_batch(7, Some(6));
+    let short = WindowConfig { past: 3, future: 1 };
+    assert_hazard(
+        run_with(short, 4, &trace),
+        "plan 4 evicts row 1 of table 0, needed by upcoming batch 6 (RAW-4)",
+    );
+    assert!(matches!(
+        run_with(WindowConfig::PAPER, 4, &trace),
+        Err(ScratchError::CapacityExhausted { .. })
+    ));
+    run_with(WindowConfig::PAPER, 5, &trace).expect("one more slot and it fits");
 }
 
 #[test]
