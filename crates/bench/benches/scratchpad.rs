@@ -101,7 +101,7 @@ fn bench_holdmask(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("stamped_lazy", |b| {
+    group.bench_function("horizon", |b| {
         let mut m = HoldMask::new(slots, 6);
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| {

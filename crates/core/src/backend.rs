@@ -132,11 +132,6 @@ impl UnitBackend {
     pub fn new(lr: f32) -> Self {
         UnitBackend { lr, scale: 0.5 }
     }
-
-    /// Creates a backend with an explicit gradient scale.
-    pub fn with_scale(lr: f32, scale: f32) -> Self {
-        UnitBackend { lr, scale }
-    }
 }
 
 impl DenseBackend for UnitBackend {
@@ -166,7 +161,10 @@ mod tests {
 
     #[test]
     fn unit_backend_scales_pooled_values() {
-        let mut b = UnitBackend::with_scale(0.1, 2.0);
+        let mut b = UnitBackend {
+            lr: 0.1,
+            scale: 2.0,
+        };
         let batch = SparseBatch::from_rows(1, &[vec![vec![0]]]);
         let pooled = [1.0, -3.0];
         let mut grads = [f32::NAN; 2]; // dirty reused arena

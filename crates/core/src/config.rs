@@ -39,11 +39,6 @@ impl WindowConfig {
         self.past + 1 + self.future
     }
 
-    /// Highest Hold-mask bit position used (`width - 1`).
-    pub fn max_bit(self) -> u32 {
-        self.width() - 1
-    }
-
     /// Validates that the window fits the 32-bit Hold-mask words.
     pub fn validate(self) -> Result<(), ScratchError> {
         if self.width() > 31 {
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(w.past, 3);
         assert_eq!(w.future, 2);
         assert_eq!(w.width(), 6);
-        assert_eq!(w.max_bit(), 5);
         w.validate().expect("paper window valid");
     }
 

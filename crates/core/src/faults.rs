@@ -6,7 +6,11 @@
 //! its JSON spec. The plan is armed on a pipeline with
 //! [`PipelineBuilder::faults`], which hands a [`FaultInjector`] to every
 //! stage execution; without it the hook is a `None` check and the
-//! fault-free hot path is untouched.
+//! fault-free hot path is untouched. Arming resolves every fault's stage
+//! name against the [`StageId`] table, so a fault that could never fire —
+//! a misspelt stage, a worker panic on a stage that runs no shard tasks —
+//! fails [`PipelineBuilder::build`] instead of passing a chaos run
+//! vacuously.
 //!
 //! # Fault kinds
 //!
@@ -37,6 +41,7 @@
 //!
 //! [`Pipeline::run`]: crate::pipeline::Pipeline::run
 //! [`PipelineBuilder::faults`]: crate::pipeline::PipelineBuilder::faults
+//! [`PipelineBuilder::build`]: crate::pipeline::PipelineBuilder::build
 //! [`ScratchError::Injected`]: crate::error::ScratchError::Injected
 //! [`ScratchError::WorkerPanic`]: crate::error::ScratchError::WorkerPanic
 //! [`ScratchError::PayloadCorrupted`]: crate::error::ScratchError::PayloadCorrupted
@@ -105,8 +110,9 @@ pub struct Fault {
     /// Mini-batch index the fault targets.
     pub iteration: usize,
     /// Stage name the fault targets (a [`StageId::name`]; matched
-    /// case-insensitively). Ignored by [`FaultKind::CorruptPayload`],
-    /// which always strikes between \[Collect\] and \[Insert\].
+    /// case-insensitively, and resolved when the plan is armed). Ignored
+    /// by [`FaultKind::CorruptPayload`], which always strikes between
+    /// \[Collect\] and \[Insert\].
     pub stage: String,
     /// Shard coordinate for [`FaultKind::WorkerPanic`] /
     /// [`FaultKind::SlowShard`] (taken modulo the stage's shard count, so
@@ -323,7 +329,8 @@ pub struct InjectionRecord {
 /// Triggering is a pure predicate (see the [module docs](self)), so the
 /// injector is safely shared by concurrently executing stage threads.
 pub struct FaultInjector {
-    by_iter: HashMap<usize, Vec<Fault>>,
+    /// Each fault with the stage its name resolved to.
+    by_iter: HashMap<usize, Vec<(StageId, Fault)>>,
     attempt: AtomicU32,
     log: Mutex<Vec<InjectionRecord>>,
     checksums: bool,
@@ -344,21 +351,45 @@ impl fmt::Debug for FaultInjector {
 
 impl FaultInjector {
     /// Arms a plan.
-    pub fn new(plan: FaultPlan) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScratchError::InvalidConfig`], naming the fault, if it
+    /// could never fire: its stage is not a [`StageId::name`], or it is a
+    /// [`FaultKind::WorkerPanic`] on a stage that runs no shard tasks
+    /// ([`StageId::shards`]).
+    pub fn new(plan: FaultPlan) -> Result<Self, ScratchError> {
         let checksums = plan
             .faults
             .iter()
             .any(|f| f.kind == FaultKind::CorruptPayload);
-        let mut by_iter: HashMap<usize, Vec<Fault>> = HashMap::new();
-        for fault in plan.faults {
-            by_iter.entry(fault.iteration).or_default().push(fault);
+        let mut by_iter: HashMap<usize, Vec<(StageId, Fault)>> = HashMap::new();
+        for (n, fault) in plan.faults.into_iter().enumerate() {
+            let inert = |why: String| ScratchError::InvalidConfig {
+                detail: format!(
+                    "fault {n} ({} at iteration {}) can never fire: {why}",
+                    fault.kind, fault.iteration
+                ),
+            };
+            let stage = match fault.kind {
+                FaultKind::CorruptPayload => StageId::Collect,
+                _ => StageId::from_name(&fault.stage)
+                    .ok_or_else(|| inert(format!("no stage is named {:?}", fault.stage)))?,
+            };
+            if fault.kind == FaultKind::WorkerPanic && !stage.shards() {
+                return Err(inert(format!("[{}] runs no shard tasks", stage.name())));
+            }
+            by_iter
+                .entry(fault.iteration)
+                .or_default()
+                .push((stage, fault));
         }
-        FaultInjector {
+        Ok(FaultInjector {
             by_iter,
             attempt: AtomicU32::new(0),
             log: Mutex::new(Vec::new()),
             checksums,
-        }
+        })
     }
 
     /// Whether \[Collect\] should checksum staged payloads (true iff the
@@ -379,22 +410,17 @@ impl FaultInjector {
         self.attempt.load(Ordering::SeqCst)
     }
 
-    fn fire<'s>(
-        &'s self,
-        iteration: usize,
-        kind: FaultKind,
-        stage: Option<&str>,
-    ) -> Option<&'s Fault> {
+    fn fire(&self, iteration: usize, kind: FaultKind, stage: StageId) -> Option<&Fault> {
         let attempt = self.attempt();
-        let fault = self.by_iter.get(&iteration)?.iter().find(|f| {
-            f.kind == kind
-                && attempt < f.fires
-                && stage.map_or(true, |s| f.stage.eq_ignore_ascii_case(s))
-        })?;
+        let (_, fault) = self
+            .by_iter
+            .get(&iteration)?
+            .iter()
+            .find(|(at, f)| f.kind == kind && attempt < f.fires && *at == stage)?;
         self.log.lock().push(InjectionRecord {
             iteration,
             attempt,
-            stage: stage.unwrap_or(&fault.stage).to_owned(),
+            stage: stage.name().to_owned(),
             kind,
             shard: if kind == FaultKind::StageError {
                 0
@@ -408,19 +434,19 @@ impl FaultInjector {
 
     /// Consulted by the driver before executing `stage` on `iteration`:
     /// a firing [`FaultKind::StageError`] yields the error to fail with.
-    pub fn stage_error(&self, iteration: usize, stage: &str) -> Option<ScratchError> {
-        self.fire(iteration, FaultKind::StageError, Some(stage))
+    pub fn stage_error(&self, iteration: usize, stage: StageId) -> Option<ScratchError> {
+        self.fire(iteration, FaultKind::StageError, stage)
             .map(|_| ScratchError::Injected {
                 iteration,
-                stage: stage.to_owned(),
+                stage: stage.name().to_owned(),
             })
     }
 
     /// Consulted by sharding stages before spawning their worker tasks: a
     /// firing [`FaultKind::WorkerPanic`] yields the shard coordinate whose
     /// task must panic (callers reduce it modulo their task count).
-    pub fn worker_panic(&self, iteration: usize, stage: &str) -> Option<usize> {
-        self.fire(iteration, FaultKind::WorkerPanic, Some(stage))
+    pub fn worker_panic(&self, iteration: usize, stage: StageId) -> Option<usize> {
+        self.fire(iteration, FaultKind::WorkerPanic, stage)
             .map(|f| f.shard)
     }
 
@@ -428,20 +454,17 @@ impl FaultInjector {
     /// [`FaultKind::SlowShard`] firing on it. The slowdown itself is
     /// logical time, applied where the firing is read back — the audit
     /// fold adds [`InjectionRecord::slow_nanos`] to the named shard.
-    pub fn fire_slowdowns(&self, iteration: usize, stage: &str) {
+    pub fn fire_slowdowns(&self, iteration: usize, stage: StageId) {
         let attempt = self.attempt();
         let Some(faults) = self.by_iter.get(&iteration) else {
             return;
         };
-        for f in faults {
-            if f.kind == FaultKind::SlowShard
-                && attempt < f.fires
-                && f.stage.eq_ignore_ascii_case(stage)
-            {
+        for (at, f) in faults {
+            if f.kind == FaultKind::SlowShard && attempt < f.fires && *at == stage {
                 self.log.lock().push(InjectionRecord {
                     iteration,
                     attempt,
-                    stage: stage.to_owned(),
+                    stage: stage.name().to_owned(),
                     kind: FaultKind::SlowShard,
                     shard: f.shard,
                     slow_nanos: f.slow_nanos,
@@ -459,7 +482,7 @@ impl FaultInjector {
         self.by_iter.get(&iteration).is_some_and(|faults| {
             faults
                 .iter()
-                .any(|f| f.kind == FaultKind::CorruptPayload && attempt < f.fires)
+                .any(|(_, f)| f.kind == FaultKind::CorruptPayload && attempt < f.fires)
         })
     }
 
@@ -586,42 +609,43 @@ mod tests {
         assert!(FaultPlan::seeded(9, 0, 6).is_empty());
     }
 
+    fn armed(faults: Vec<Fault>) -> FaultInjector {
+        FaultInjector::new(FaultPlan::new(faults)).expect("every fault can fire")
+    }
+
     #[test]
     fn attempt_predicate_gates_firing() {
-        let inj = FaultInjector::new(FaultPlan::new(vec![fault(
-            2,
-            "Insert",
-            FaultKind::StageError,
-            2,
-        )]));
-        assert!(inj.stage_error(2, "Insert").is_some());
-        assert!(inj.stage_error(2, "insert").is_some(), "case-insensitive");
-        assert!(inj.stage_error(2, "Train").is_none());
-        assert!(inj.stage_error(1, "Insert").is_none());
+        // The name is resolved once, at arming, whatever its case.
+        let inj = armed(vec![fault(2, "inSERT", FaultKind::StageError, 2)]);
+        assert!(inj.stage_error(2, StageId::Insert).is_some());
+        assert!(inj.stage_error(2, StageId::Train).is_none());
+        assert!(inj.stage_error(1, StageId::Insert).is_none());
         inj.begin_attempt(1);
-        assert!(inj.stage_error(2, "Insert").is_some());
+        assert!(inj.stage_error(2, StageId::Insert).is_some());
         inj.begin_attempt(2);
-        assert!(inj.stage_error(2, "Insert").is_none(), "fires exhausted");
+        assert!(
+            inj.stage_error(2, StageId::Insert).is_none(),
+            "fires exhausted"
+        );
         let log = inj.drain_log();
-        assert_eq!(log.len(), 3);
-        assert_eq!(log[0].attempt, 0);
-        assert_eq!(log[1].attempt, 0);
-        assert_eq!(log[2].attempt, 1);
+        assert_eq!(log.len(), 2);
+        assert_eq!((log[0].attempt, log[1].attempt), (0, 1));
+        assert_eq!(log[0].stage, "Insert", "logged under the table's name");
         assert!(inj.drain_log().is_empty(), "drain clears");
     }
 
     #[test]
     fn kind_specific_consults() {
-        let inj = FaultInjector::new(FaultPlan::new(vec![
+        let inj = armed(vec![
             fault(0, "Collect", FaultKind::WorkerPanic, 1),
             fault(0, "Train", FaultKind::SlowShard, 1),
-            fault(1, "Collect", FaultKind::CorruptPayload, 1),
-        ]));
+            fault(1, "anywhere", FaultKind::CorruptPayload, 1),
+        ]);
         assert!(inj.checksums_enabled());
-        assert_eq!(inj.worker_panic(0, "Collect"), Some(1));
-        assert_eq!(inj.worker_panic(0, "Insert"), None);
-        inj.fire_slowdowns(0, "Collect");
-        inj.fire_slowdowns(0, "Train");
+        assert_eq!(inj.worker_panic(0, StageId::Collect), Some(1));
+        assert_eq!(inj.worker_panic(0, StageId::Insert), None);
+        inj.fire_slowdowns(0, StageId::Collect);
+        inj.fire_slowdowns(0, StageId::Train);
         let slow: Vec<_> = inj
             .drain_log()
             .into_iter()
@@ -634,12 +658,7 @@ mod tests {
         inj.begin_attempt(1);
         assert!(!inj.should_corrupt(1));
 
-        let no_corruption = FaultInjector::new(FaultPlan::new(vec![fault(
-            0,
-            "Plan",
-            FaultKind::StageError,
-            1,
-        )]));
+        let no_corruption = armed(vec![fault(0, "Plan", FaultKind::StageError, 1)]);
         assert!(!no_corruption.checksums_enabled());
     }
 

@@ -7,14 +7,33 @@
 //! slot from eviction through plan-cycle `c + k`. The \[Plan\] stage may
 //! only evict slots whose mask is all-zero.
 //!
-//! Two implementations are provided:
+//! # The mask is one number, written in unary
+//!
+//! \[Plan\] asks a mask two things: *is it all-zero* (may the slot be
+//! evicted?) and *did this protection reach further than every earlier
+//! one* (must a new expiry be queued?). Both are functions of the mask's
+//! **highest set bit** alone. Call `h` the number of cycles until the mask
+//! reads zero — the position of the highest set bit plus one, 0 for an
+//! empty mask — and follow it through Algorithm 1's two operations:
+//!
+//! * setting bit `k` gives `h' = max(h, k + 1)`, whatever the lower bits;
+//! * the per-cycle shift gives `h' = h - 1`, stopping at 0.
+//!
+//! So `h` evolves as a function of `h` only, and the bits below the top
+//! one are never read. Stored as an absolute cycle, `clear_at = cycle +
+//! h`, the shift disappears as well: advancing `cycle` by one *is* `h -
+//! 1`, and "stopping at 0" is the comparison `clear_at <= cycle`. That is
+//! all [`HoldMask`] keeps — one `u64` per slot:
 //!
 //! * [`NaiveHoldMask`] — the paper's Algorithm 1 verbatim: every plan cycle
-//!   shifts **every** slot's mask right by one (`O(slots)` per cycle).
-//! * [`HoldMask`] — an equivalent *stamped* representation: each slot
-//!   stores `(mask, stamp)` and the shift happens lazily at query time
-//!   (`mask >> (now − stamp)`), making `advance` O(1). A property test
-//!   proves both implementations agree on random schedules.
+//!   shifts **every** slot's mask right by one (`O(slots)` per cycle). It
+//!   is the reference the tests and the `scratchpad` bench compare against.
+//! * [`HoldMask`] — the horizon: `extend(slot, k)` is `clear_at =
+//!   max(clear_at, cycle + k + 1)`, `is_clear` is `clear_at <= cycle`,
+//!   `advance` is `cycle += 1`. The differential property test below steps
+//!   both under arbitrary interleavings and checks, after every operation
+//!   and for every slot, that they agree on `is_clear` and that
+//!   `first_clear_cycle - cycle` equals the naive mask's `h`.
 
 /// The paper's Algorithm-1 bitmask array with an explicit global shift.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,20 +90,12 @@ impl NaiveHoldMask {
     }
 }
 
-/// One slot's stamped mask: `mask` as it stood at cycle `stamp`. Mask and
-/// stamp are always read and written together, so they share a record
-/// (one cache line per slot touched, not two).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Stamped {
-    stamp: u64,
-    mask: u32,
-}
-
-/// Lazily-shifted Hold mask: O(1) `advance`, same observable behavior as
-/// [`NaiveHoldMask`].
+/// The Hold mask as a per-slot protection horizon: O(1) `advance`, same
+/// observable behavior as [`NaiveHoldMask`] (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoldMask {
-    slots: Vec<Stamped>,
+    /// First plan cycle at which each slot is evictable again.
+    clear_at: Vec<u64>,
     cycle: u64,
     width: u32,
 }
@@ -98,7 +109,7 @@ impl HoldMask {
     pub fn new(slots: usize, width: u32) -> Self {
         assert!(width > 0 && width <= 31, "width must be in 1..=31");
         HoldMask {
-            slots: vec![Stamped::default(); slots],
+            clear_at: vec![0; slots],
             cycle: 0,
             width,
         }
@@ -112,17 +123,6 @@ impl HoldMask {
     /// Advances the window by one plan cycle — O(1).
     pub fn advance(&mut self) {
         self.cycle += 1;
-    }
-
-    /// The mask of `slot` as it stands at the current cycle.
-    pub fn effective(&self, slot: u32) -> u32 {
-        let Stamped { stamp, mask } = self.slots[slot as usize];
-        let age = self.cycle - stamp;
-        if age >= 32 {
-            0
-        } else {
-            mask >> age
-        }
     }
 
     /// Sets protection bit `k` on `slot` at the current cycle.
@@ -150,24 +150,23 @@ impl HoldMask {
             "bit {k} outside window width {}",
             self.width
         );
-        let before = self.effective(slot);
-        self.slots[slot as usize] = Stamped {
-            stamp: self.cycle,
-            mask: before | (1 << k),
-        };
-        ((1u32 << k) > before).then_some(self.cycle + u64::from(k) + 1)
+        let horizon = self.cycle + u64::from(k) + 1;
+        let clear_at = &mut self.clear_at[slot as usize];
+        (horizon > *clear_at).then(|| {
+            *clear_at = horizon;
+            horizon
+        })
     }
 
-    /// True if `slot` may be evicted (effective mask all-zero).
+    /// True if `slot` may be evicted (its horizon has passed).
     pub fn is_clear(&self, slot: u32) -> bool {
-        self.effective(slot) == 0
+        self.clear_at[slot as usize] <= self.cycle
     }
 
     /// The first plan cycle at which `slot` becomes evictable, assuming no
     /// further protection — what the manager's expiry buckets are keyed by.
     pub fn first_clear_cycle(&self, slot: u32) -> u64 {
-        let eff = self.effective(slot);
-        self.cycle + (32 - eff.leading_zeros()) as u64
+        self.clear_at[slot as usize].max(self.cycle)
     }
 }
 
@@ -253,7 +252,7 @@ mod tests {
             m.advance();
         }
         assert!(m.is_clear(0));
-        assert_eq!(m.effective(0), 0);
+        assert_eq!(m.first_clear_cycle(0), m.cycle());
         // Re-protect after the gap.
         m.set_bit(0, 2);
         assert!(!m.is_clear(0));
@@ -273,11 +272,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Differential test: the stamped implementation is observationally
-        /// equivalent to the paper's Algorithm-1 global-shift masks under
-        /// arbitrary interleavings of advances and bit-sets.
+        /// Differential test: the horizon is observationally equivalent to
+        /// the paper's Algorithm-1 global-shift masks under arbitrary
+        /// interleavings of advances and bit-sets.
         #[test]
-        fn stamped_equals_naive(ops in proptest::collection::vec(
+        fn horizon_equals_naive(ops in proptest::collection::vec(
             (0u32..8, 0u32..6, proptest::bool::ANY), 1..200)
         ) {
             let mut naive = NaiveHoldMask::new(8, 6);
@@ -298,10 +297,13 @@ mod tests {
                 for s in 0..8u32 {
                     proptest::prop_assert_eq!(
                         naive.is_clear(s), fast.is_clear(s),
-                        "slot {} diverged (naive raw {:b}, fast eff {:b})",
-                        s, naive.raw(s), fast.effective(s)
+                        "slot {} diverged (naive raw {:b}, horizon {})",
+                        s, naive.raw(s), fast.first_clear_cycle(s)
                     );
-                    proptest::prop_assert_eq!(naive.raw(s), fast.effective(s));
+                    proptest::prop_assert_eq!(
+                        u64::from(32 - naive.raw(s).leading_zeros()),
+                        fast.first_clear_cycle(s) - fast.cycle()
+                    );
                 }
             }
         }

@@ -289,8 +289,9 @@ impl<B: DenseBackend> PipelineBuilder<B> {
     /// # Errors
     ///
     /// Returns [`ScratchError::InvalidConfig`] if the configuration is
-    /// missing, inconsistent with the tables, or both [`tables`] and
-    /// [`analytic_tables`] were given.
+    /// missing, inconsistent with the tables, both [`tables`] and
+    /// [`analytic_tables`] were given, or the armed [`FaultPlan`] holds a
+    /// fault that could never fire (see [`FaultInjector::new`]).
     ///
     /// [`tables`]: PipelineBuilder::tables
     /// [`analytic_tables`]: PipelineBuilder::analytic_tables
@@ -327,6 +328,7 @@ impl<B: DenseBackend> PipelineBuilder<B> {
                 detail: "need at least one embedding table".to_owned(),
             });
         }
+        let faults = self.faults.map(FaultInjector::new).transpose()?;
 
         let managers: Vec<ScratchpadManager> = (0..num_tables)
             .map(|_| ScratchpadManager::new(config.slots_per_table, config.window, config.policy))
@@ -371,7 +373,7 @@ impl<B: DenseBackend> PipelineBuilder<B> {
             config,
             pool: PayloadPool::default(),
             sink: self.sink,
-            faults: self.faults.map(FaultInjector::new),
+            faults,
             telemetry: self.telemetry,
         })
     }
@@ -459,14 +461,17 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`ScratchError::InvalidConfig`] if the table count differs,
-    /// a row is out of range for its table, or a table's list names a row
-    /// twice; no scratchpad has been touched when it does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after training has started.
+    /// Returns [`ScratchError::InvalidConfig`] if a run has already
+    /// planned, the table count differs, a row is out of range for its
+    /// table, a table's list names a row twice, or a row is already
+    /// resident (an earlier prewarm listed it); no scratchpad has been
+    /// touched when it does.
     pub fn prewarm(&mut self, hot_rows: &[Vec<u64>]) -> Result<(), ScratchError> {
+        if self.plan.managers.iter().any(|m| m.cycle() != 0) {
+            return Err(ScratchError::InvalidConfig {
+                detail: "prewarm must precede planning: this pipeline has already run".to_owned(),
+            });
+        }
         if hot_rows.len() != self.plan.managers.len() {
             return Err(ScratchError::InvalidConfig {
                 detail: format!(
@@ -480,6 +485,15 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             if let Some(row) = rows.iter().find(|&&r| r >= height) {
                 return Err(ScratchError::InvalidConfig {
                     detail: format!("prewarm: table {t}: row {row} exceeds {height} rows"),
+                });
+            }
+            // Only a second prewarm can meet a resident row; the first (the
+            // paper-scale one) skips the probe per row.
+            let manager = &self.plan.managers[t];
+            let resident = |r: &&u64| manager.occupancy() > 0 && manager.lookup(**r).is_some();
+            if let Some(row) = rows.iter().find(resident) {
+                return Err(ScratchError::InvalidConfig {
+                    detail: format!("prewarm: table {t}: row {row} is already resident"),
                 });
             }
             let mut sorted = rows.clone();
@@ -972,7 +986,7 @@ fn timed_execute(
     payload: &mut StagePayload,
 ) -> Result<(), ScratchError> {
     if let Some(inj) = ctx.faults {
-        if let Some(e) = inj.stage_error(ctx.index, stage.name()) {
+        if let Some(e) = inj.stage_error(ctx.index, stage) {
             return Err(e);
         }
     }
@@ -988,7 +1002,7 @@ fn timed_execute(
         });
     }
     if let Some(inj) = ctx.faults {
-        inj.fire_slowdowns(ctx.index, stage.name());
+        inj.fire_slowdowns(ctx.index, stage);
     }
     Ok(())
 }
@@ -1589,8 +1603,7 @@ mod tests {
         );
         let report = pipe.run(&batches).unwrap();
         assert_eq!(report.records.len(), 10);
-        let steady = report.steady_traffic(4);
-        assert!(steady.train.gpu_bytes() > 0);
+        assert!(report.total_traffic().train.gpu_bytes() > 0);
         assert!(report.records[0].dup_ratio() >= 1.0);
         assert_eq!(report.peak_held_slots.len(), 3);
         assert!(report.peak_held_slots.iter().all(|&p| p > 0));

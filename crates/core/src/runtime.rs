@@ -80,9 +80,11 @@ impl StageId {
         }
     }
 
-    /// The stage called `name`, if any.
+    /// The stage called `name` (ASCII case ignored), if any.
     pub fn from_name(name: &str) -> Option<StageId> {
-        Self::ALL.into_iter().find(|stage| stage.name() == name)
+        Self::ALL
+            .into_iter()
+            .find(|stage| stage.name().eq_ignore_ascii_case(name))
     }
 
     /// The hardware resource the stage occupies in the simulated system.
@@ -238,41 +240,6 @@ impl PipelineReport {
         self.records
             .iter()
             .fold(StageTraffic::default(), |acc, r| acc + r.traffic)
-    }
-
-    /// Mean per-iteration stage traffic over the steady-state portion
-    /// (skipping the first `skip` cold-cache iterations).
-    pub fn steady_traffic(&self, skip: usize) -> StageTraffic {
-        let tail: Vec<_> = self.records.iter().skip(skip).collect();
-        if tail.is_empty() {
-            return StageTraffic::default();
-        }
-        let sum = tail
-            .iter()
-            .fold(StageTraffic::default(), |acc, r| acc + r.traffic);
-        // Scale down via integer division on bytes: implemented by scaling
-        // each Traffic through f64 would lose exactness; instead divide the
-        // u64 fields.
-        let n = tail.len() as u64;
-        let div = |t: Traffic| Traffic {
-            cpu_random_read_bytes: t.cpu_random_read_bytes / n,
-            cpu_random_write_bytes: t.cpu_random_write_bytes / n,
-            cpu_stream_read_bytes: t.cpu_stream_read_bytes / n,
-            cpu_stream_write_bytes: t.cpu_stream_write_bytes / n,
-            gpu_random_read_bytes: t.gpu_random_read_bytes / n,
-            gpu_random_write_bytes: t.gpu_random_write_bytes / n,
-            gpu_stream_read_bytes: t.gpu_stream_read_bytes / n,
-            gpu_stream_write_bytes: t.gpu_stream_write_bytes / n,
-            pcie_h2d_bytes: t.pcie_h2d_bytes / n,
-            pcie_d2h_bytes: t.pcie_d2h_bytes / n,
-            nvlink_bytes: t.nvlink_bytes / n,
-            gpu_flops: t.gpu_flops / n,
-            cpu_flops: t.cpu_flops / n,
-            gpu_ops: (t.gpu_ops as u64 / n) as u32,
-            cpu_ops: (t.cpu_ops as u64 / n) as u32,
-            pcie_ops: (t.pcie_ops as u64 / n) as u32,
-        };
-        StageTraffic::from_stages(sum.stages().map(div))
     }
 
     /// Aggregate unique-ID hit rate across the run.

@@ -19,6 +19,11 @@
 //! # Cost of the metadata path
 //!
 //! Every per-slot operation is `O(1)` and every per-batch pass is linear.
+//! Per slot the manager stores only what some operation reads back: the
+//! row it caches (`slot_row`), the cycle its Hold mask clears
+//! ([`HoldMask`], one `u64`) and the pool's `{priority, pooled}` record
+//! ([`VictimPool`]). Never-used slots are handed out in ascending order,
+//! so they are a counter (`next_free`), not a list.
 //!
 //! * **Expiry ring.** A Hold mask set at cycle `c` clears at `c + width`
 //!   at the latest, so pending expiries live in a ring of `width + 1`
@@ -152,7 +157,9 @@ pub struct ScratchpadManager {
     hold: HoldMask,
     slot_row: Vec<Option<u64>>,
     pool: VictimPool,
-    free: Vec<u32>,
+    /// Slots `next_free..slots` have never been used; they are handed out
+    /// in ascending order before any victim is chosen.
+    next_free: u32,
     /// Expiry ring: `expiry[c % len]` holds the slots whose Hold mask
     /// clears at cycle `c`, for the `len - 1` cycles after the current one.
     expiry: Vec<Vec<u32>>,
@@ -168,8 +175,9 @@ impl ScratchpadManager {
     ///
     /// # Errors
     ///
-    /// Returns [`ScratchError::InvalidConfig`] for zero slots or an
-    /// oversized window.
+    /// Returns [`ScratchError::InvalidConfig`] for zero slots, more slots
+    /// than a `u32` slot index can name, or an oversized window — before
+    /// anything is allocated.
     pub fn new(
         slots: usize,
         window: WindowConfig,
@@ -180,6 +188,11 @@ impl ScratchpadManager {
                 detail: "scratchpad needs at least one slot".to_owned(),
             });
         }
+        if u32::try_from(slots).is_err() {
+            return Err(ScratchError::InvalidConfig {
+                detail: format!("{slots} slots exceed the u32 slot index"),
+            });
+        }
         window.validate()?;
         Ok(ScratchpadManager {
             slots,
@@ -188,8 +201,7 @@ impl ScratchpadManager {
             hold: HoldMask::new(slots, window.width()),
             slot_row: vec![None; slots],
             pool: VictimPool::new(slots, policy),
-            // Stack of never-used slots, popped in ascending order.
-            free: (0..slots as u32).rev().collect(),
+            next_free: 0,
             expiry: vec![Vec::new(); window.width() as usize + 1],
             stats: ScratchpadStats::default(),
             probe: Vec::new(),
@@ -204,6 +216,11 @@ impl ScratchpadManager {
     /// Number of rows currently mapped.
     pub fn occupancy(&self) -> usize {
         self.hit_map.len()
+    }
+
+    /// Plan cycles executed so far.
+    pub(crate) fn cycle(&self) -> u64 {
+        self.hold.cycle()
     }
 
     /// Cumulative statistics.
@@ -240,6 +257,14 @@ impl ScratchpadManager {
         let prev = self.hit_map.insert(row, slot);
         assert!(prev.is_none(), "row {row} already cached in slot {prev:?}");
         self.slot_row[slot as usize] = Some(row);
+    }
+
+    /// The lowest never-used slot, if any is left.
+    fn take_free(&mut self) -> Option<u32> {
+        (self.next_free as usize != self.slots).then(|| {
+            self.next_free += 1;
+            self.next_free - 1
+        })
     }
 
     /// All `(row, slot)` pairs currently resident, sorted by row (used by
@@ -292,7 +317,7 @@ impl ScratchpadManager {
         // Fill coldest-first so that the victim pool's tie-breaking (by
         // slot index) evicts the coldest prewarmed rows first.
         for &row in rows.iter().rev() {
-            let Some(slot) = self.free.pop() else { break };
+            let Some(slot) = self.take_free() else { break };
             self.map(row, slot);
             self.pool.insert(slot);
         }
@@ -392,7 +417,7 @@ impl ScratchpadManager {
         self.stats.misses += out.misses;
         self.stats.evictions += out.evictions.len() as u64;
 
-        let held = self.slots - self.free.len() - self.pool.len();
+        let held = self.next_free as usize - self.pool.len();
         self.stats.peak_held = self.stats.peak_held.max(held);
         result
     }
@@ -414,7 +439,7 @@ impl ScratchpadManager {
                 slot
             } else {
                 out.misses += 1;
-                let Some(slot) = self.free.pop().or_else(|| self.pool.pop()) else {
+                let Some(slot) = self.take_free().or_else(|| self.pool.pop()) else {
                     return Err(ScratchError::CapacityExhausted {
                         table: usize::MAX, // caller contextualizes
                         cycle: now,
@@ -721,6 +746,23 @@ mod tests {
     #[test]
     fn zero_slots_rejected() {
         assert!(ScratchpadManager::new(0, WindowConfig::PAPER, EvictionPolicy::Lru).is_err());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn slot_counts_beyond_u32_are_rejected_before_allocating() {
+        // 2^32 slots of metadata would be > 100 GiB: reaching an
+        // allocation aborts the test process rather than failing it.
+        let err = ScratchpadManager::new(
+            u32::MAX as usize + 1,
+            WindowConfig::PAPER,
+            EvictionPolicy::Lru,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, ScratchError::InvalidConfig { detail } if detail.contains("u32")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn run_table_shards<F: FnOnce() + Send>(
 ) -> Result<(), ScratchError> {
     let panic_task = ctx
         .faults
-        .and_then(|f| f.worker_panic(ctx.index, stage.name()))
+        .and_then(|f| f.worker_panic(ctx.index, stage))
         .map(|shard| shard % tasks.len().max(1));
     let (index, name) = (ctx.index, stage.name());
     let tasks = tasks

@@ -70,10 +70,7 @@ impl StagedRows {
 
     /// Sizes and seals the arena for exactly `counts[t]` rows per table in
     /// one shot, so the per-table blocks can be filled *out of order* (or
-    /// concurrently) through [`StagedRows::table_blocks_mut`]. The result
-    /// is indistinguishable from pushing every row through
-    /// [`StagedRows::push_row`] + [`StagedRows::end_table`] in table order
-    /// once all blocks are written.
+    /// concurrently) through [`StagedRows::table_blocks_mut`].
     pub fn prepare(&mut self, counts: &[usize]) {
         self.rows.clear_rows();
         self.offsets.truncate(1);
@@ -101,20 +98,6 @@ impl StagedRows {
         out
     }
 
-    /// Appends one row to the table currently being staged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != dim`.
-    pub fn push_row(&mut self, row: &[f32]) {
-        self.rows.push_row(row);
-    }
-
-    /// Seals the current table: subsequent rows belong to the next table.
-    pub fn end_table(&mut self) {
-        self.offsets.push(self.rows.len());
-    }
-
     /// Row `k` of (sealed) table `t`.
     ///
     /// # Panics
@@ -134,11 +117,6 @@ impl StagedRows {
     /// Total rows staged across all tables.
     pub fn total_rows(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Total staged bytes (fp32 payload).
-    pub fn staged_bytes(&self) -> u64 {
-        (self.rows.len() * self.rows.dim() * 4) as u64
     }
 
     /// Folds this arena's table boundaries and row bits into an FNV-1a
@@ -895,19 +873,25 @@ mod tests {
     #[test]
     fn staged_rows_round_trip() {
         let mut s = StagedRows::new(2);
-        s.push_row(&[1.0, 2.0]);
-        s.push_row(&[3.0, 4.0]);
-        s.end_table();
-        s.end_table(); // empty table 1
-        s.push_row(&[5.0, 6.0]);
-        s.end_table();
+        s.prepare(&[1]);
+        s.table_blocks_mut()[0].copy_from_slice(&[9.0, 9.0]); // a previous iteration
+        s.prepare(&[2, 0, 1]);
+        let mut blocks = s.table_blocks_mut().into_iter();
+        let (b0, b1, b2) = (
+            blocks.next().unwrap(),
+            blocks.next().unwrap(),
+            blocks.next().unwrap(),
+        );
+        assert!(blocks.next().is_none());
+        assert!(b1.is_empty());
+        b2.copy_from_slice(&[5.0, 6.0]); // out of order on purpose
+        b0.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.table_rows(0), 2);
         assert_eq!(s.table_rows(1), 0);
         assert_eq!(s.table_rows(2), 1);
         assert_eq!(s.row(0, 1), &[3.0, 4.0]);
         assert_eq!(s.row(2, 0), &[5.0, 6.0]);
         assert_eq!(s.total_rows(), 3);
-        assert_eq!(s.staged_bytes(), 3 * 2 * 4);
         s.reset();
         assert_eq!(s.total_rows(), 0);
     }
@@ -916,47 +900,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn staged_rows_bounds_checked_per_table() {
         let mut s = StagedRows::new(2);
-        s.push_row(&[1.0, 2.0]);
-        s.end_table();
-        s.push_row(&[3.0, 4.0]);
-        s.end_table();
+        s.prepare(&[1, 1]);
         let _ = s.row(0, 1); // row 1 belongs to table 1, not table 0
-    }
-
-    #[test]
-    fn prepared_blocks_match_the_push_path() {
-        // Filling pre-sized blocks (in any order) must be indistinguishable
-        // from pushing rows table by table.
-        let mut pushed = StagedRows::new(2);
-        pushed.push_row(&[1.0, 2.0]);
-        pushed.push_row(&[3.0, 4.0]);
-        pushed.end_table();
-        pushed.end_table(); // empty table 1
-        pushed.push_row(&[5.0, 6.0]);
-        pushed.end_table();
-
-        let mut prepared = StagedRows::new(2);
-        prepared.push_row(&[9.0, 9.0]); // dirty from a previous iteration
-        prepared.end_table();
-        prepared.prepare(&[2, 0, 1]);
-        let blocks = prepared.table_blocks_mut();
-        assert_eq!(blocks.len(), 3);
-        let mut blocks = blocks.into_iter();
-        let b0 = blocks.next().unwrap();
-        let b1 = blocks.next().unwrap();
-        let b2 = blocks.next().unwrap();
-        assert!(b1.is_empty());
-        b2.copy_from_slice(&[5.0, 6.0]); // out of order on purpose
-        b0.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-
-        assert_eq!(prepared.total_rows(), pushed.total_rows());
-        assert_eq!(prepared.staged_bytes(), pushed.staged_bytes());
-        for t in 0..3 {
-            assert_eq!(prepared.table_rows(t), pushed.table_rows(t));
-            for k in 0..pushed.table_rows(t) {
-                assert_eq!(prepared.row(t, k), pushed.row(t, k));
-            }
-        }
     }
 
     #[test]
@@ -964,8 +909,7 @@ mod tests {
         let mut pool = PayloadPool::default();
         let mut p = pool.take(4);
         p.rearm(0);
-        p.staged_miss.push_row(&[0.0; 4]);
-        p.staged_miss.end_table();
+        p.staged_miss.prepare(&[1]);
         p.plans.push(TablePlan {
             unique_ids: Vec::with_capacity(64),
             ..TablePlan::default()

@@ -14,7 +14,7 @@
 //! * the audit JSONL stream ([`crate::audit`]), written to the sink;
 //! * the **metrics registry** — counters, gauges, log₂-bucketed
 //!   histograms — rendered by [`Telemetry::write_metrics_json`]
-//!   (`METRICS.json`) and [`Telemetry::write_prometheus`];
+//!   (`METRICS.json`);
 //! * the **span tree** — run → iteration → stage → shard, plus barrier
 //!   stalls — rendered by [`Telemetry::write_chrome_trace`] as Chrome
 //!   trace-event JSON (`trace.json`), loadable in Perfetto or
@@ -517,93 +517,46 @@ enum MetricValue {
 /// Registry key: metric name plus labels sorted by label name.
 type MetricKey = (&'static str, Vec<(&'static str, String)>);
 
-/// Static metric metadata: exposition type/unit/help and whether the
-/// *value* is deterministic across same-seed runs (wall-clock-valued
-/// metrics and timing-dependent ones are not).
+/// Static metric metadata: type, unit and whether the *value* is
+/// deterministic across same-seed runs (wall-clock-valued metrics and
+/// timing-dependent ones are not). docs/observability.md describes each
+/// metric.
 struct MetricMeta {
     kind: &'static str,
     unit: &'static str,
-    help: &'static str,
     deterministic: bool,
 }
 
 fn meta(name: &str) -> MetricMeta {
-    let m = |kind, unit, help, deterministic| MetricMeta {
+    let (kind, unit, deterministic) = match name {
+        "sp_run_iterations_total" => ("counter", "iterations", true),
+        "sp_run_elapsed_ns" => ("gauge", "ns", false),
+        "sp_worker_pool_width" => ("gauge", "workers", true),
+        "sp_stage_latency_ns" | "sp_shard_latency_ns" => ("histogram", "ns", false),
+        "sp_shard_tasks_total" => ("counter", "tasks", true),
+        "sp_worker_busy_ns_total" | "sp_worker_idle_ns_total" | "sp_barrier_stall_ns_total" => {
+            ("counter", "ns", false)
+        }
+        "sp_barrier_stalls_total" => ("counter", "stalls", false),
+        "sp_channel_queue_depth" => ("histogram", "payloads", false),
+        "sp_scratchpad_occupancy_rows" | "sp_scratchpad_slots" | "sp_scratchpad_peak_held_rows" => {
+            ("gauge", "rows", true)
+        }
+        "sp_scratchpad_hits_total"
+        | "sp_scratchpad_misses_total"
+        | "sp_scratchpad_evictions_total" => ("counter", "rows", true),
+        "sp_scratchpad_hit_rate" => ("gauge", "ratio", true),
+        "sp_recovery_rollbacks_total"
+        | "sp_recovery_retries_total"
+        | "sp_recovery_degradations_total"
+        | "sp_recovery_faults_injected_total"
+        | "sp_recovery_aborts_total" => ("counter", "events", true),
+        _ => ("gauge", "", false),
+    };
+    MetricMeta {
         kind,
         unit,
-        help,
         deterministic,
-    };
-    match name {
-        "sp_run_iterations_total" => m("counter", "iterations", "Iterations the run committed", true),
-        "sp_run_elapsed_ns" => m("gauge", "ns", "Wall-clock duration of the run", false),
-        "sp_worker_pool_width" => m("gauge", "workers", "Configured worker-pool width", true),
-        "sp_stage_latency_ns" => m(
-            "histogram",
-            "ns",
-            "Per-iteration wall-clock latency of one stage (the same integers as the audit stream's stage_nanos)",
-            false,
-        ),
-        "sp_shard_latency_ns" => m(
-            "histogram",
-            "ns",
-            "Wall-clock latency of one worker-pool shard task",
-            false,
-        ),
-        "sp_shard_tasks_total" => m("counter", "tasks", "Shard tasks run through the worker pool", true),
-        "sp_worker_busy_ns_total" => m("counter", "ns", "Nanoseconds workers spent running shard tasks", false),
-        "sp_worker_idle_ns_total" => m(
-            "counter",
-            "ns",
-            "Nanoseconds workers sat idle inside shard regions (region wall-clock x workers - busy)",
-            false,
-        ),
-        "sp_barrier_stalls_total" => m(
-            "counter",
-            "stalls",
-            "Watermark-barrier waits that actually blocked (threaded schedule)",
-            false,
-        ),
-        "sp_barrier_stall_ns_total" => m(
-            "counter",
-            "ns",
-            "Nanoseconds stage threads spent blocked on watermark barriers",
-            false,
-        ),
-        "sp_channel_queue_depth" => m(
-            "histogram",
-            "payloads",
-            "Depth of the bounded inter-stage channel at each send (threaded schedule; labelled by receiving stage)",
-            false,
-        ),
-        "sp_scratchpad_occupancy_rows" => m("gauge", "rows", "Rows resident in the scratchpad at run end", true),
-        "sp_scratchpad_slots" => m("gauge", "rows", "Provisioned scratchpad slots", true),
-        "sp_scratchpad_peak_held_rows" => m(
-            "gauge",
-            "rows",
-            "Peak slots simultaneously protected or pending (working-set size)",
-            true,
-        ),
-        "sp_scratchpad_hits_total" => m("counter", "rows", "Unique-ID scratchpad hits", true),
-        "sp_scratchpad_misses_total" => m("counter", "rows", "Unique-ID scratchpad misses (fills)", true),
-        "sp_scratchpad_evictions_total" => m(
-            "counter",
-            "rows",
-            "Scratchpad evictions (write-backs) - eviction pressure",
-            true,
-        ),
-        "sp_scratchpad_hit_rate" => m("gauge", "ratio", "Unique-ID hit rate over the whole run", true),
-        "sp_recovery_rollbacks_total" => m("counter", "events", "Segments rolled back by the supervisor", true),
-        "sp_recovery_retries_total" => m("counter", "events", "Same-rung retries by the supervisor", true),
-        "sp_recovery_degradations_total" => m(
-            "counter",
-            "events",
-            "Schedule-ladder degradations by the supervisor",
-            true,
-        ),
-        "sp_recovery_faults_injected_total" => m("counter", "events", "Faults the injector fired", true),
-        "sp_recovery_aborts_total" => m("counter", "events", "Supervised runs that aborted", true),
-        _ => m("gauge", "", "", false),
     }
 }
 
@@ -996,78 +949,6 @@ impl Telemetry {
         write_file(path, &self.metrics_json())
     }
 
-    /// Renders the metrics registry as Prometheus-style text exposition
-    /// (`# HELP` / `# TYPE` comments, cumulative histogram buckets,
-    /// `_sum` / `_count` series).
-    pub fn prometheus_text(&self) -> String {
-        let metrics = registry(&self.inner.runs.lock());
-        let mut out = String::new();
-        let mut last_name = "";
-        let render_labels = |labels: &[(&'static str, String)], extra: Option<(&str, &str)>| {
-            let mut pairs: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-            if let Some((k, v)) = extra {
-                pairs.push(format!("{k}=\"{v}\""));
-            }
-            if pairs.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", pairs.join(","))
-            }
-        };
-        for ((name, labels), value) in metrics.iter() {
-            let info = meta(name);
-            if *name != last_name {
-                let _ = writeln!(out, "# HELP {name} {}", info.help);
-                let _ = writeln!(out, "# TYPE {name} {}", info.kind);
-                last_name = name;
-            }
-            match value {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(out, "{name}{} {c}", render_labels(labels, None));
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "{name}{} {g}", render_labels(labels, None));
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cumulative = 0;
-                    for (le, c) in h.nonzero_buckets() {
-                        cumulative += c;
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cumulative}",
-                            render_labels(labels, Some(("le", &le)))
-                        );
-                    }
-                    if h.buckets.last().copied().unwrap_or(0) == 0 {
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cumulative}",
-                            render_labels(labels, Some(("le", "+Inf")))
-                        );
-                    }
-                    let _ = writeln!(out, "{name}_sum{} {}", render_labels(labels, None), h.sum);
-                    let _ = writeln!(
-                        out,
-                        "{name}_count{} {}",
-                        render_labels(labels, None),
-                        h.count
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Writes [`Telemetry::prometheus_text`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_prometheus(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_file(path, &self.prometheus_text())
-    }
-
     /// Renders the deterministic subset of the telemetry: the structural
     /// span tree (which spans exist, on which lanes, with which workers —
     /// durations and stall spans excluded) and every metric whose value
@@ -1234,15 +1115,18 @@ mod tests {
                 stage("Train", Lane::Main, 10, 50),
             ],
         );
-        let a = tel.prometheus_text();
-        let b = tel.prometheus_text();
-        assert_eq!(a, b);
-        assert!(a.contains("# TYPE sp_stage_latency_ns histogram"));
-        assert!(a.contains("sp_stage_latency_ns_sum{run=\"t\",stage=\"Plan\"} 100"));
-        assert!(a.contains("sp_stage_latency_ns_count{run=\"t\",stage=\"Train\"} 1"));
         let json = tel.metrics_json();
+        assert_eq!(json, tel.metrics_json());
         assert!(json.starts_with("{\"version\":1,"));
-        assert!(json.contains("\"name\":\"sp_stage_latency_ns\""));
+        let plan = json
+            .find("\"labels\":{\"run\":\"t\",\"stage\":\"Plan\"},\"count\":1,\"sum\":100,")
+            .expect("Plan histogram");
+        let train = json
+            .find("\"labels\":{\"run\":\"t\",\"stage\":\"Train\"},\"count\":1,\"sum\":50,")
+            .expect("Train histogram");
+        assert!(plan < train, "entries are sorted by (name, labels)");
+        assert!(json[..plan]
+            .ends_with("\"name\":\"sp_stage_latency_ns\",\"type\":\"histogram\",\"unit\":\"ns\","));
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl TableBag {
         out.dedup();
     }
 
-    /// `total_lookups / unique_ids` — the gradient-duplication factor that
-    /// drives coalescing cost and GPU scatter contention.
-    pub fn duplication_ratio(&self) -> f64 {
-        if self.ids.is_empty() {
-            return 1.0;
-        }
-        self.ids.len() as f64 / self.unique_ids().len() as f64
-    }
-
     /// Largest row ID referenced, or `None` for an empty bag.
     pub fn max_id(&self) -> Option<u64> {
         self.ids.iter().copied().max()
@@ -195,11 +186,6 @@ impl SparseBatch {
     pub fn total_lookups(&self) -> usize {
         self.bags.iter().map(TableBag::total_lookups).sum()
     }
-
-    /// Sorted unique IDs per table.
-    pub fn unique_ids_per_table(&self) -> Vec<Vec<u64>> {
-        self.bags.iter().map(TableBag::unique_ids).collect()
-    }
 }
 
 #[cfg(test)]
@@ -228,8 +214,6 @@ mod tests {
         let mut recycled = vec![9, 9, 9];
         b.unique_ids_into(&mut recycled);
         assert_eq!(recycled, b.unique_ids());
-        // Row 0 is looked up twice: duplication ratio 5/4.
-        assert!((b.duplication_ratio() - 1.25).abs() < 1e-12);
         assert_eq!(b.max_id(), Some(5));
     }
 
@@ -238,7 +222,6 @@ mod tests {
         let b = TableBag::from_samples(&[vec![], vec![]]);
         assert_eq!(b.batch_size(), 2);
         assert_eq!(b.total_lookups(), 0);
-        assert_eq!(b.duplication_ratio(), 1.0);
         assert_eq!(b.max_id(), None);
         assert!(b.unique_ids().is_empty());
     }
@@ -284,11 +267,5 @@ mod tests {
             TableBag::from_samples(&[vec![1]]),
             TableBag::from_samples(&[vec![1], vec![2]]),
         ]);
-    }
-
-    #[test]
-    fn unique_per_table() {
-        let batch = SparseBatch::from_rows(1, &[vec![vec![5, 5, 1]], vec![vec![2, 5]]]);
-        assert_eq!(batch.unique_ids_per_table(), vec![vec![1, 2, 5]]);
     }
 }

@@ -89,25 +89,11 @@ impl DenseStore {
     }
 
     /// Drops all rows but keeps the allocation, so the store can be
-    /// refilled with [`DenseStore::push_row`] without reallocating —
-    /// the arena-reuse pattern of the pipeline's staging buffers.
+    /// resized with [`DenseStore::resize_rows`] and refilled without
+    /// reallocating — the arena-reuse pattern of the pipeline's staging
+    /// buffers.
     pub fn clear_rows(&mut self) {
         self.data.clear();
-    }
-
-    /// Pre-allocates space for `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.data.reserve(additional * self.dim);
-    }
-
-    /// Appends one row to the store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != dim`.
-    pub fn push_row(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.dim, "row width mismatch");
-        self.data.extend_from_slice(row);
     }
 
     /// Resizes the store to exactly `rows` rows, zero-filling any new
@@ -184,27 +170,18 @@ mod tests {
 
     #[test]
     fn arena_reuse_does_not_reallocate() {
-        let mut s = DenseStore::zeros(0, 4);
-        s.reserve_rows(8);
+        let mut s = DenseStore::zeros(8, 4);
         let base = s.as_flat().as_ptr();
-        for _ in 0..3 {
+        for rows in [8, 3, 8] {
+            s.as_flat_mut().fill(7.0);
             s.clear_rows();
             assert!(s.is_empty());
-            for k in 0..8 {
-                s.push_row(&[k as f32; 4]);
-            }
-            assert_eq!(s.len(), 8);
-            assert_eq!(s.row(7), &[7.0; 4]);
+            s.resize_rows(rows);
+            assert_eq!(s.len(), rows);
+            assert_eq!(s.row(rows - 1), &[0.0; 4], "new rows are zeroed");
         }
-        // The reserved allocation was reused across all refills.
+        // The first allocation was reused across all refills.
         assert_eq!(s.as_flat().as_ptr(), base);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn push_row_rejects_wrong_width() {
-        let mut s = DenseStore::zeros(0, 3);
-        s.push_row(&[1.0, 2.0]);
     }
 
     #[test]

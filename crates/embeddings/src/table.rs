@@ -61,11 +61,6 @@ impl EmbeddingTable {
         self.rows
     }
 
-    /// Bytes of storage the table occupies.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
     /// The flat row-major data buffer.
     pub fn as_flat(&self) -> &[f32] {
         &self.data
@@ -146,7 +141,6 @@ mod tests {
     #[test]
     fn size_accounting() {
         let t = EmbeddingTable::zeros(10, 128);
-        assert_eq!(t.size_bytes(), 10 * 128 * 4);
         assert_eq!(t.rows(), 10);
         assert_eq!(t.dim(), 128);
         assert_eq!(t.len(), 10);

@@ -163,18 +163,6 @@ pub mod primitives {
     pub fn coalesce_bytes(rows: u64, dim: u32) -> u64 {
         2 * rows * dim as u64 * 4 + rows * 8
     }
-
-    /// Bytes of read-modify-write traffic for an SGD scatter update of
-    /// `unique_rows` rows (each row is read, updated, and written back).
-    pub fn scatter_update_bytes(unique_rows: u64, dim: u32) -> u64 {
-        2 * unique_rows * dim as u64 * 4
-    }
-
-    /// FLOPs of one dense layer `out = in × W` for a batch: 2·B·I·O for the
-    /// forward pass; backward costs roughly twice the forward (dX and dW).
-    pub fn gemm_flops(batch: u64, in_dim: u64, out_dim: u64) -> u64 {
-        2 * batch * in_dim * out_dim
-    }
 }
 
 #[cfg(test)]
@@ -268,8 +256,6 @@ mod tests {
         assert_eq!(reduce_output_bytes(4, 128), 4 * 512);
         assert_eq!(duplicate_bytes(10, 128), 10 * 512);
         assert_eq!(coalesce_bytes(10, 128), 2 * 10 * 512 + 80);
-        assert_eq!(scatter_update_bytes(10, 128), 2 * 10 * 512);
-        assert_eq!(gemm_flops(2, 3, 5), 60);
     }
 
     #[test]

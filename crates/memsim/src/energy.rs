@@ -3,12 +3,10 @@
 //! The paper measures socket power with `pcm-power` and GPU power with
 //! `nvidia-smi`, then multiplies average power by execution time. We model
 //! each device with an idle floor plus an active increment, integrate over
-//! the per-resource busy times of a [`Schedule`]
-//! (or over explicitly supplied busy times), and report Joules.
+//! the busy times the caller supplies, and report Joules.
 
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{Resource, Schedule};
 use crate::time::SimTime;
 
 /// Active/idle power draw of the platform's devices, in Watts.
@@ -60,15 +58,6 @@ impl PowerModel {
             cpu_joules: cpu_j,
             gpu_joules: gpu_j,
         }
-    }
-
-    /// Energy of a simulated [`Schedule`], attributing PCIe/host work to the
-    /// CPU socket (DMA engines and loader threads draw socket power).
-    pub fn energy_of_schedule(&self, sched: &Schedule) -> EnergyReport {
-        let cpu_busy = sched.resource_busy[Resource::CpuMem.index()]
-            + sched.resource_busy[Resource::Host.index()];
-        let gpu_busy = sched.resource_busy[Resource::Gpu.index()];
-        self.energy(sched.makespan, cpu_busy, gpu_busy)
     }
 }
 
@@ -151,23 +140,5 @@ mod tests {
             SimTime::from_millis(25.0),
         );
         assert!(fast.total_joules() < slow.total_joules() * 0.5);
-    }
-
-    #[test]
-    fn energy_of_schedule_attributes_resources() {
-        use crate::pipeline::{PipelineSim, StageDef, StageTimes};
-        let sim = PipelineSim::new(vec![
-            StageDef::new("c", Resource::CpuMem),
-            StageDef::new("g", Resource::Gpu),
-        ]);
-        let sched = sim.schedule(&vec![
-            StageTimes(vec![
-                SimTime::from_millis(10.0),
-                SimTime::from_millis(10.0)
-            ]);
-            5
-        ]);
-        let e = PowerModel::isca_paper().energy_of_schedule(&sched);
-        assert!(e.cpu_joules > 0.0 && e.gpu_joules > 0.0);
     }
 }

@@ -75,12 +75,6 @@ impl ModelShape {
         (self.num_tables * self.lookups_per_sample * self.batch_size) as u64
     }
 
-    /// Total model size of the embedding tables in bytes (the paper's
-    /// 40 GB headline for the default shape).
-    pub fn embedding_bytes(&self) -> u64 {
-        self.num_tables as u64 * self.rows_per_table * self.row_bytes()
-    }
-
     /// The matching trace-generator configuration.
     pub fn trace_config(&self, profile: tracegen::LocalityProfile, seed: u64) -> TraceConfig {
         TraceConfig {
@@ -130,8 +124,6 @@ mod tests {
     fn paper_default_is_40gb() {
         let s = ModelShape::paper_default();
         s.validate().expect("valid");
-        assert_eq!(s.embedding_bytes(), 8 * 10_000_000 * 128 * 4);
-        assert_eq!(s.embedding_bytes() / (1 << 30), 38); // ≈ 40 GB
         assert_eq!(s.lookups_per_batch(), 327_680);
         assert_eq!(s.row_bytes(), 512);
     }

@@ -10,7 +10,6 @@
 //!   hit rate at size N is the share of accesses falling on the top-N
 //!   rows by count.
 
-use embeddings::TableBag;
 use serde::{Deserialize, Serialize};
 
 /// Per-row access counts of one embedding table over a trace.
@@ -29,19 +28,11 @@ impl AccessHistogram {
         }
     }
 
-    /// Records every lookup of `bag`.
+    /// Records a single row access.
     ///
     /// # Panics
     ///
-    /// Panics if an ID exceeds the configured row count.
-    pub fn record_bag(&mut self, bag: &TableBag) {
-        for &id in bag.ids() {
-            self.counts[id as usize] += 1;
-            self.total += 1;
-        }
-    }
-
-    /// Records a single row access.
+    /// Panics if `id` exceeds the configured row count.
     pub fn record(&mut self, id: u64) {
         self.counts[id as usize] += 1;
         self.total += 1;
@@ -55,11 +46,6 @@ impl AccessHistogram {
     /// Number of rows.
     pub fn rows(&self) -> u64 {
         self.counts.len() as u64
-    }
-
-    /// Number of rows accessed at least once.
-    pub fn touched_rows(&self) -> u64 {
-        self.counts.iter().filter(|&&c| c > 0).count() as u64
     }
 
     /// Access counts sorted descending — the y-values of Figure 3.
@@ -148,7 +134,9 @@ mod tests {
         let mut gen = TraceGenerator::new(cfg);
         let mut h = AccessHistogram::new(cfg.rows_per_table);
         for _ in 0..batches {
-            h.record_bag(TraceGenerator::next_batch(&mut gen).bag(0));
+            for &id in TraceGenerator::next_batch(&mut gen).bag(0).ids() {
+                h.record(id);
+            }
         }
         h
     }
@@ -160,7 +148,6 @@ mod tests {
         h.record(3);
         h.record(7);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.touched_rows(), 2);
         assert_eq!(h.sorted_counts()[0], 2);
         assert_eq!(h.sorted_counts()[1], 1);
         assert_eq!(h.sorted_counts()[2], 0);

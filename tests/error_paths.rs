@@ -3,7 +3,10 @@
 //! names the offending quantity, not a generic failure.
 
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
-use scratchpipe::{Pipeline, PipelineConfig, RecoveryPolicy, Schedule, ScratchError, UnitBackend};
+use scratchpipe::{
+    Fault, FaultKind, FaultPlan, Pipeline, PipelineConfig, RecoveryPolicy, Schedule, ScratchError,
+    UnitBackend,
+};
 
 fn tables(num: usize, rows: usize, dim: usize) -> Vec<EmbeddingTable> {
     (0..num)
@@ -205,4 +208,66 @@ fn prewarm_rejects_bad_lists_before_touching_a_scratchpad() {
     assert!(rt.managers().iter().all(|m| m.occupancy() == 0));
     rt.prewarm(&[vec![1, 2, 70], vec![5, 6]]).expect("valid");
     assert_eq!(rt.managers()[0].occupancy(), 3);
+}
+
+#[test]
+fn prewarm_rejects_resident_rows_and_a_pipeline_that_has_run() {
+    let mut rt = ragged(&[100, 50]);
+    rt.prewarm(&[vec![5], vec![7]]).expect("first prewarm");
+    assert_invalid_config(
+        rt.prewarm(&[vec![6], vec![8, 7]]),
+        "table 1: row 7 is already resident",
+    );
+    assert_eq!(
+        rt.managers()[0].occupancy(),
+        1,
+        "table 0 must not have taken row 6 from the rejected call"
+    );
+    rt.prewarm(&[vec![6], vec![8]])
+        .expect("rows not yet resident extend the prewarm");
+    rt.run(&[batch(2, &[5, 9])]).expect("run");
+    assert_invalid_config(
+        rt.prewarm(&[vec![1], vec![1]]),
+        "prewarm must precede planning",
+    );
+}
+
+fn armed_with(stage: &str, kind: FaultKind) -> Result<Pipeline<UnitBackend>, ScratchError> {
+    Pipeline::builder()
+        .config(PipelineConfig::functional(4, 8))
+        .tables(tables(1, 16, 4))
+        .backend(UnitBackend::new(0.1))
+        .schedule(Schedule::Sync)
+        .faults(FaultPlan::new(vec![Fault {
+            iteration: 0,
+            stage: stage.to_owned(),
+            shard: 0,
+            kind,
+            fires: 1,
+            slow_nanos: 0,
+        }]))
+        .build()
+}
+
+#[test]
+fn a_fault_that_could_never_fire_is_rejected_when_armed() {
+    // A misspelt stage matched nothing, so the chaos run it configured
+    // passed without injecting anything.
+    assert_invalid_config(
+        armed_with("Colect", FaultKind::StageError),
+        "fault 0 (stage_error at iteration 0) can never fire: no stage is named \"Colect\"",
+    );
+    // [Plan] runs no shard region, so nothing ever consulted this one.
+    assert_invalid_config(
+        armed_with("Plan", FaultKind::WorkerPanic),
+        "fault 0 (worker_panic at iteration 0) can never fire: [Plan] runs no shard tasks",
+    );
+    // Names are still matched whatever their case, and still fire.
+    let mut rt = armed_with("tRAIN", FaultKind::StageError).expect("a stage name");
+    match rt.run(&[batch(1, &[3])]) {
+        Err(ScratchError::Injected { iteration, stage }) => {
+            assert_eq!((iteration, stage.as_str()), (0, "Train"));
+        }
+        other => panic!("expected the armed fault to fire, got {other:?}"),
+    }
 }
