@@ -25,6 +25,10 @@ const DIM: usize = 8;
 const ROWS: usize = 400;
 
 fn trace() -> Vec<embeddings::SparseBatch> {
+    trace_of(N)
+}
+
+fn trace_of(batches: usize) -> Vec<embeddings::SparseBatch> {
     let tc = TraceConfig {
         num_tables: 3,
         rows_per_table: ROWS as u64,
@@ -33,7 +37,7 @@ fn trace() -> Vec<embeddings::SparseBatch> {
         profile: LocalityProfile::Medium,
         seed: 0xC4A5,
     };
-    TraceGenerator::new(tc).take_batches(N)
+    TraceGenerator::new(tc).take_batches(batches)
 }
 
 fn tables() -> Vec<EmbeddingTable> {
@@ -344,6 +348,116 @@ fn faulty_audit_sink_never_disturbs_the_run() {
     assert_eq!(inner.lines().len(), N + 2 - 3);
     for (a, b) in rt.into_tables().iter().zip(&base_tables) {
         assert!(a.bit_eq(b), "a failing audit sink must be a pure observer");
+    }
+}
+
+/// Trace length of the checkpoint-interval grids: prime, so every interval
+/// below leaves a short last segment, and long enough that an interval-7
+/// or -8 segment fills, runs full and drains the six-payload window.
+const GRID_N: usize = 23;
+const GRID_STAGES: [&str; 4] = ["Plan", "Collect", "Insert", "Train"];
+
+/// A fault anywhere in a multi-iteration segment — while the pipeline is
+/// filling, full or draining — rolls the *whole* segment back: rows the
+/// segment dirtied several times over (Insert fills a slot, Train updates
+/// it, a later Insert evicts and refills it) must all land on their
+/// checkpoint image, or the re-run diverges from the fault-free one.
+#[test]
+fn recovery_at_every_point_of_a_multi_iteration_segment() {
+    let batches = trace_of(GRID_N);
+    for schedule in [Schedule::Sync, Schedule::Threaded] {
+        let mut plain = build(schedule, 1, None, None);
+        let report = plain.run(&batches).expect("fault-free run");
+        let base_json = serde_json::to_string(&report).expect("serialize");
+        let base_tables = plain.into_tables();
+        for checkpoint_interval in [2usize, 3, 7, 8, GRID_N] {
+            let policy = RecoveryPolicy {
+                checkpoint_interval,
+                ..RecoveryPolicy::default()
+            };
+            for stage in GRID_STAGES {
+                for at in 0..GRID_N {
+                    let label = format!("{schedule:?}/interval {checkpoint_interval}/{stage}@{at}");
+                    let plan = FaultPlan::new(vec![fault(at, stage, 0, FaultKind::StageError, 2)]);
+                    let mut rt = build(schedule, 1, Some(plan), None);
+                    let SupervisedRun { report, stats } = rt
+                        .run_supervised(&batches, policy)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(
+                        serde_json::to_string(&report).expect("serialize"),
+                        base_json,
+                        "{label}: report"
+                    );
+                    assert_eq!(stats.rollbacks, 2, "{label}");
+                    assert_eq!(stats.degradations, 0, "{label}");
+                    for (t, (a, b)) in rt.into_tables().iter().zip(&base_tables).enumerate() {
+                        assert!(a.bit_eq(b), "{label}: table {t} diverged");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A persistent fault aborts at the start of *its segment*, whatever the
+/// interval and the schedule the run started on, and the tables hold
+/// exactly the segments committed before it.
+#[test]
+fn abort_lands_on_the_last_committed_segment_at_every_interval() {
+    let batches = trace_of(GRID_N);
+    for (schedule, parallelism, rungs) in [
+        (Schedule::Sync, 1, 1u32),
+        (Schedule::Sequential, 1, 1),
+        (Schedule::Threaded, 1, 2),
+        (Schedule::DataParallel, 2, 3),
+    ] {
+        for checkpoint_interval in [1usize, 2, 4, 7, GRID_N] {
+            let policy = RecoveryPolicy {
+                retry_budget: 2,
+                checkpoint_interval,
+            };
+            for stage in GRID_STAGES {
+                for at in [0usize, 1, 5, 6, 13, 22] {
+                    let label = format!("{schedule:?}/interval {checkpoint_interval}/{stage}@{at}");
+                    let committed = at / checkpoint_interval * checkpoint_interval;
+                    let plan =
+                        FaultPlan::new(vec![fault(at, stage, 0, FaultKind::StageError, u32::MAX)]);
+                    let mut rt = build(schedule, parallelism, Some(plan), None);
+                    let err = rt
+                        .run_supervised(&batches, policy)
+                        .expect_err("persistent fault must abort");
+                    match &err {
+                        ScratchError::Aborted {
+                            iteration,
+                            attempts,
+                            cause,
+                            ..
+                        } => {
+                            assert_eq!(*iteration, committed, "{label}");
+                            assert_eq!(*attempts, rungs * policy.retry_budget, "{label}");
+                            assert_eq!(
+                                **cause,
+                                ScratchError::Injected {
+                                    iteration: at,
+                                    stage: stage.to_owned(),
+                                },
+                                "{label}"
+                            );
+                        }
+                        other => panic!("{label}: expected Aborted, got {other:?}"),
+                    }
+                    let mut expected = tables();
+                    let mut backend = UnitBackend::new(0.05);
+                    train_direct(&mut expected, &batches[..committed], &mut backend);
+                    for (t, (got, want)) in rt.into_tables().iter().zip(&expected).enumerate() {
+                        assert!(
+                            got.bit_eq(want),
+                            "{label}: table {t} not at the committed prefix"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
 use scratchpipe::{
-    Pipeline, PipelineConfig, PipelineReport, RecoveryPolicy, Schedule, UnitBackend,
+    Fault, FaultKind, FaultPlan, Pipeline, PipelineConfig, PipelineReport, RecoveryPolicy,
+    Schedule, UnitBackend,
 };
 use systems::DlrmBackend;
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
@@ -352,6 +353,73 @@ fn supervised_run_matches_plain_run_with_full_dlrm_backend() {
         assert!(rt.backend().model().bit_eq(&plain_model), "{label}: model");
         for (a, b) in plain_tables.iter().zip(&rt.into_tables()) {
             assert!(a.bit_eq(b), "{label}: tables diverged");
+        }
+    }
+}
+
+/// The dense backend really rolls back. A worker panic in \[Train\]'s
+/// scatter region strikes *after* the dense step of its iteration moved
+/// the weights (and, at interval 4, after up to three earlier steps of
+/// the segment did), so the retry only reproduces the fault-free run if
+/// `backend = snapshot.clone()` restores a model with weights in it.
+#[test]
+fn dlrm_backend_is_restored_when_train_fails_mid_segment() {
+    let tc = TraceConfig {
+        num_tables: 2,
+        rows_per_table: 300,
+        lookups_per_sample: 4,
+        batch_size: 8,
+        profile: LocalityProfile::Medium,
+        seed: 5,
+    };
+    let batches = TraceGenerator::new(tc).take_batches(15);
+    let dlrm_cfg = dlrm::DlrmConfig::tiny_with_tables(2);
+    let dim = dlrm_cfg.emb_dim;
+    let build = |schedule: Schedule, plan: Option<FaultPlan>| {
+        let mut b = Pipeline::builder()
+            .config(PipelineConfig::functional(dim, 192))
+            .tables(make_tables(2, 300, dim, 40))
+            .backend(DlrmBackend::new(&dlrm_cfg, 0.05, 7))
+            .schedule(schedule);
+        if let Some(plan) = plan {
+            b = b.faults(plan);
+        }
+        b.build().expect("pipeline")
+    };
+    for schedule in [Schedule::Sync, Schedule::Threaded] {
+        let mut plain = build(schedule, None);
+        let plain_report = plain.run(&batches).expect("run");
+        let plain_model = plain.backend().model().clone();
+        let plain_tables = plain.into_tables();
+
+        for checkpoint_interval in [1, 4] {
+            let policy = RecoveryPolicy {
+                checkpoint_interval,
+                ..RecoveryPolicy::default()
+            };
+            for (iteration, shard) in [(0, 0), (3, 1), (7, 0), (14, 1)] {
+                let label = format!(
+                    "{}/interval {checkpoint_interval}/train@{iteration} shard {shard}",
+                    schedule.name()
+                );
+                let plan = FaultPlan::new(vec![Fault {
+                    iteration,
+                    stage: "Train".to_owned(),
+                    shard,
+                    kind: FaultKind::WorkerPanic,
+                    fires: 2,
+                    slow_nanos: 0,
+                }]);
+                let mut rt = build(schedule, Some(plan));
+                let run = rt.run_supervised(&batches, policy).expect("recoverable");
+                assert_eq!(run.stats.rollbacks, 2, "{label}");
+                assert_eq!(run.stats.faults_injected, 2, "{label}");
+                assert_reports_identical(&plain_report, &run.report, &label);
+                assert!(rt.backend().model().bit_eq(&plain_model), "{label}: model");
+                for (a, b) in plain_tables.iter().zip(&rt.into_tables()) {
+                    assert!(a.bit_eq(b), "{label}: tables diverged");
+                }
+            }
         }
     }
 }
