@@ -105,12 +105,27 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Number of iterations to simulate (env `SP_ITERS`, default 12).
+/// Number of iterations to simulate (env `SP_ITERS`, default 12). A value
+/// that is not a positive integer ends the process with status 2: a
+/// figure simulated over zero iterations, or over a default the caller
+/// did not ask for, prints a table that reproduces nothing.
 pub fn iterations() -> usize {
-    std::env::var("SP_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12)
+    let value = std::env::var_os("SP_ITERS").map(|v| v.to_string_lossy().into_owned());
+    parse_iterations(value.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`iterations`] of an `SP_ITERS` value (`None`: unset).
+fn parse_iterations(value: Option<&str>) -> Result<usize, String> {
+    let Some(value) = value else { return Ok(12) };
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "SP_ITERS must be a positive integer, got {value:?}"
+        )),
+    }
 }
 
 /// Formats a millisecond value with two decimals.
@@ -151,5 +166,17 @@ mod tests {
         assert_eq!(ms(memsim::SimTime::from_millis(12.345)), "12.35");
         assert_eq!(speedup(2.5), "2.50x");
         assert!(iterations() > 0);
+    }
+
+    #[test]
+    fn sp_iters_is_a_positive_integer_or_an_error() {
+        assert_eq!(parse_iterations(None), Ok(12));
+        assert_eq!(parse_iterations(Some("6")), Ok(6));
+        for bad in ["abc", "0", "", "-3", "1.5", " 6"] {
+            assert_eq!(
+                parse_iterations(Some(bad)),
+                Err(format!("SP_ITERS must be a positive integer, got {bad:?}")),
+            );
+        }
     }
 }

@@ -765,8 +765,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// Runs the pipeline under supervision: the trace executes in
     /// checkpointed segments ([`RecoveryPolicy::checkpoint_interval`]
     /// iterations each, default 1). Before each segment the supervisor
-    /// snapshots the scratchpad managers and the dense backend and arms a
-    /// first-touch undo log on the shared table state; a failing segment
+    /// snapshots the scratchpad managers and the dense backend and arms an
+    /// append-only undo journal on the shared table state; a failing segment
     /// rolls all of it back and retries. A schedule rung that exhausts
     /// its [`RecoveryPolicy::retry_budget`] degrades down the ladder
     /// `DataParallel → Threaded → Sync` (monotonically — a degraded run
@@ -822,7 +822,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         while seg_start < n {
             let seg_end = (seg_start + policy.checkpoint_interval).min(n);
             // Cheap global snapshots; per-row pre-images ride the
-            // first-touch undo log instead.
+            // undo journal instead.
             let managers_snapshot = self.plan.managers.to_vec();
             let backend_snapshot = self.train.backend.clone();
             let mut attempt: u32 = 0;

@@ -4,10 +4,11 @@
 //! [`Pipeline::run_supervised`] executes the trace in checkpointed
 //! segments. Before each segment it snapshots the cheap-but-global state
 //! (the \[Plan\] stage's scratchpad managers and the dense backend) and
-//! arms a first-touch undo log on the expensive shared state (CPU table
-//! rows, scratchpad slots and the residency shadow save their pre-image
-//! the first time a stage dirties them — deltas, not full copies). A
-//! failed segment rolls everything back and retries under
+//! arms an append-only undo journal on the expensive shared state (CPU
+//! table rows, scratchpad slots and the residency shadow save their
+//! pre-image whenever a stage is about to overwrite them — deltas, not
+//! full copies — and a rollback replays them newest-first). A failed
+//! segment rolls everything back and retries under
 //! [`RecoveryPolicy::retry_budget`]; when a rung of the schedule ladder
 //! exhausts its budget the runtime degrades
 //! `DataParallel → Threaded → Sync` before giving up with
@@ -15,8 +16,6 @@
 //! leaving the tables exactly at the last committed segment.
 //!
 //! [`Pipeline::run_supervised`]: crate::pipeline::Pipeline::run_supervised
-
-use std::collections::HashMap;
 
 use embeddings::{EmbeddingTable, VectorStore};
 
@@ -79,32 +78,68 @@ pub struct SupervisedRun {
     pub stats: RecoveryStats,
 }
 
-/// First-touch undo log of one table's mutable state for the current
-/// segment: the pre-image of every CPU row, scratchpad slot and residency
-/// entry dirtied since the last checkpoint. Saves are idempotent (only
-/// the first touch records), so any number of stages may report the same
-/// row and rollback still restores the checkpoint image.
+/// Undo journal of one table's mutable state for the current segment:
+/// the pre-image of every CPU row, scratchpad slot and residency entry a
+/// stage was about to overwrite, appended in mutation order. Each of the
+/// three resources has its own journal — a key vector beside one flat
+/// arena of `dim` floats per entry — so a save is a `push` and a
+/// `memcpy`, with no lookup and no per-row allocation. A key saved
+/// several times in one segment has several entries; [`rollback`]
+/// replays each journal newest-first, so the *oldest* pre-image of a key
+/// is written last and the checkpoint image wins. Per-resource order is
+/// mutation order because entries are appended under the lock of the
+/// resource they shadow (see the `SharedState::undo` lock-ordering rule).
+///
+/// The journal holds one segment's writes, so its size grows with
+/// [`RecoveryPolicy::checkpoint_interval`]; [`clear`] keeps the capacity,
+/// and a steady-state segment allocates nothing.
+///
+/// [`rollback`]: TableUndo::rollback
+/// [`clear`]: TableUndo::clear
 #[derive(Debug, Default)]
 pub(crate) struct TableUndo {
-    cpu_rows: HashMap<u64, Vec<f32>>,
-    store_rows: HashMap<u32, Vec<f32>>,
-    resident: HashMap<u32, Option<u64>>,
+    cpu_keys: Vec<u64>,
+    cpu_rows: Vec<f32>,
+    store_keys: Vec<u32>,
+    store_rows: Vec<f32>,
+    resident: Vec<(u32, Option<u64>)>,
 }
 
 impl TableUndo {
+    /// Makes room for `rows` more CPU-row saves of `dim` floats each, so
+    /// the save loop that follows grows the journal at most once.
+    pub(crate) fn reserve_cpu_rows(&mut self, rows: usize, dim: usize) {
+        self.cpu_keys.reserve(rows);
+        self.cpu_rows.reserve(rows * dim);
+    }
+
+    /// [`TableUndo::reserve_cpu_rows`] for scratchpad rows.
+    pub(crate) fn reserve_store_rows(&mut self, rows: usize, dim: usize) {
+        self.store_keys.reserve(rows);
+        self.store_rows.reserve(rows * dim);
+    }
+
+    /// [`TableUndo::reserve_cpu_rows`] for residency entries.
+    pub(crate) fn reserve_resident(&mut self, entries: usize) {
+        self.resident.reserve(entries);
+    }
+
     pub(crate) fn save_cpu_row(&mut self, row: u64, data: &[f32]) {
-        self.cpu_rows.entry(row).or_insert_with(|| data.to_vec());
+        self.cpu_keys.push(row);
+        self.cpu_rows.extend_from_slice(data);
     }
 
     pub(crate) fn save_store_row(&mut self, slot: u32, data: &[f32]) {
-        self.store_rows.entry(slot).or_insert_with(|| data.to_vec());
+        self.store_keys.push(slot);
+        self.store_rows.extend_from_slice(data);
     }
 
     pub(crate) fn save_resident(&mut self, slot: u32, value: Option<u64>) {
-        self.resident.entry(slot).or_insert(value);
+        self.resident.push((slot, value));
     }
 
-    /// Restores every saved pre-image and clears the log.
+    /// Restores every saved pre-image, newest first, and clears the
+    /// journal.
     pub(crate) fn rollback(
         &mut self,
         cpu_table: Option<&mut EmbeddingTable>,
@@ -112,31 +147,35 @@ impl TableUndo {
         resident: &mut [Option<u64>],
     ) {
         if let Some(table) = cpu_table {
-            for (&row, data) in &self.cpu_rows {
+            let saved = self.cpu_rows.chunks_exact(table.dim());
+            for (&row, data) in self.cpu_keys.iter().zip(saved).rev() {
                 table.row_mut(row as usize).copy_from_slice(data);
             }
         }
         if let Some(store) = store {
-            for (&slot, data) in &self.store_rows {
+            let saved = self.store_rows.chunks_exact(store.dim());
+            for (&slot, data) in self.store_keys.iter().zip(saved).rev() {
                 store.row_mut(slot as usize).copy_from_slice(data);
             }
         }
-        for (&slot, &value) in &self.resident {
+        for &(slot, value) in self.resident.iter().rev() {
             resident[slot as usize] = value;
         }
         self.clear();
     }
 
-    /// Drops the log (the segment committed).
+    /// Empties the journal (the segment committed); capacity is kept.
     pub(crate) fn clear(&mut self) {
+        self.cpu_keys.clear();
         self.cpu_rows.clear();
+        self.store_keys.clear();
         self.store_rows.clear();
         self.resident.clear();
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.cpu_rows.is_empty() && self.store_rows.is_empty() && self.resident.is_empty()
+        self.cpu_keys.is_empty() && self.store_keys.is_empty() && self.resident.is_empty()
     }
 }
 
@@ -144,6 +183,7 @@ impl TableUndo {
 mod tests {
     use super::*;
     use embeddings::store::DenseStore;
+    use proptest::prelude::*;
 
     #[test]
     fn default_policy_is_sane() {
@@ -176,5 +216,130 @@ mod tests {
         assert_eq!(store.row(1), &[0.0, 0.0]);
         assert_eq!(resident[1], Some(9));
         assert!(undo.is_empty(), "rollback clears the log");
+    }
+
+    const DIM: usize = 3;
+    const ROWS: usize = 6;
+    const SLOTS: usize = 5;
+
+    /// The three resources one table's journal shadows.
+    #[derive(Clone)]
+    struct Shadowed {
+        table: EmbeddingTable,
+        store: DenseStore,
+        resident: Vec<Option<u64>>,
+    }
+
+    impl Shadowed {
+        fn new() -> Self {
+            Shadowed {
+                table: EmbeddingTable::seeded(ROWS, DIM, 11),
+                store: DenseStore::from_flat((0..SLOTS * DIM).map(|i| i as f32).collect(), DIM),
+                resident: (0..SLOTS as u64)
+                    .map(|s| (s % 2 == 0).then_some(s))
+                    .collect(),
+            }
+        }
+
+        fn bits(&self) -> (Vec<u32>, Vec<u32>, &[Option<u64>]) {
+            let bits = |flat: &[f32]| flat.iter().map(|v| v.to_bits()).collect();
+            (
+                bits(self.table.as_flat()),
+                bits(self.store.as_flat()),
+                &self.resident,
+            )
+        }
+
+        /// One segment as the stages write it: per burst, reserve for the
+        /// keys, save every key's pre-image under the journal, then
+        /// overwrite them — each write with a value never written before.
+        fn dirty(&mut self, undo: &mut TableUndo, bursts: &[(u8, Vec<usize>)], stamp: &mut u32) {
+            for (resource, keys) in bursts {
+                match resource {
+                    0 => {
+                        undo.reserve_cpu_rows(keys.len(), DIM);
+                        for &k in keys {
+                            undo.save_cpu_row((k % ROWS) as u64, self.table.row(k % ROWS));
+                        }
+                    }
+                    1 => {
+                        undo.reserve_store_rows(keys.len(), DIM);
+                        for &k in keys {
+                            undo.save_store_row((k % SLOTS) as u32, self.store.row(k % SLOTS));
+                        }
+                    }
+                    _ => {
+                        undo.reserve_resident(keys.len());
+                        for &k in keys {
+                            undo.save_resident((k % SLOTS) as u32, self.resident[k % SLOTS]);
+                        }
+                    }
+                }
+                for &k in keys {
+                    *stamp += 1;
+                    match resource {
+                        0 => self.table.row_mut(k % ROWS).fill(*stamp as f32 + 0.5),
+                        1 => self.store.row_mut(k % SLOTS).fill(-(*stamp as f32)),
+                        _ => self.resident[k % SLOTS] = (*stamp % 3 != 0).then_some(*stamp as u64),
+                    }
+                }
+            }
+        }
+
+        fn rollback(&mut self, undo: &mut TableUndo) {
+            undo.rollback(
+                Some(&mut self.table),
+                Some(&mut self.store),
+                &mut self.resident,
+            );
+        }
+    }
+
+    fn capacities(undo: &TableUndo) -> [usize; 5] {
+        [
+            undo.cpu_keys.capacity(),
+            undo.cpu_rows.capacity(),
+            undo.store_keys.capacity(),
+            undo.store_rows.capacity(),
+            undo.resident.capacity(),
+        ]
+    }
+
+    proptest! {
+        /// The journal against its specification, over a key space small
+        /// enough that most keys are saved several times a segment.
+        #[test]
+        fn journal_restores_the_checkpoint_image(
+            bursts in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0usize..30, 0..6)), 0..24),
+        ) {
+            let checkpoint = Shadowed::new();
+            let mut state = checkpoint.clone();
+            let mut undo = TableUndo::default();
+            let mut stamp = 0;
+
+            // Rollback lands exactly on the checkpoint and empties the
+            // journal.
+            state.dirty(&mut undo, &bursts, &mut stamp);
+            state.rollback(&mut undo);
+            prop_assert_eq!(state.bits(), checkpoint.bits());
+            prop_assert!(undo.is_empty());
+            prop_assert!(undo.cpu_rows.is_empty() && undo.store_rows.is_empty());
+
+            // A committed segment stands: clear, then rollback, is a no-op.
+            state.dirty(&mut undo, &bursts, &mut stamp);
+            let committed = state.clone();
+            undo.clear();
+            state.rollback(&mut undo);
+            prop_assert_eq!(state.bits(), committed.bits());
+
+            // The first two segments warmed the arenas; a segment of the
+            // same size grows nothing.
+            let warm = capacities(&undo);
+            state.dirty(&mut undo, &bursts, &mut stamp);
+            prop_assert_eq!(capacities(&undo), warm);
+            state.rollback(&mut undo);
+            prop_assert_eq!(state.bits(), committed.bits());
+        }
     }
 }

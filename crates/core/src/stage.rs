@@ -195,12 +195,14 @@ pub(crate) struct SharedState {
     /// check this once per worker task; when false (every plain run) the
     /// undo hooks cost one relaxed load.
     pub undo_active: AtomicBool,
-    /// Per-table first-touch undo logs for the current checkpointed
-    /// segment. Lock-ordering rule: `undo[t]` is always acquired *while
-    /// holding* the table-`t` resource lock it shadows (storage, CPU
-    /// table or residency) and released before that lock — `undo[t]` is
-    /// strictly innermost, so Insert(i+1) and Train(i) can never deadlock
-    /// on a table they both dirty.
+    /// Per-table undo journals for the current checkpointed segment:
+    /// append-only, replayed newest-first on rollback. Lock-ordering
+    /// rule: `undo[t]` is always acquired *while holding* the table-`t`
+    /// resource lock it shadows (storage, CPU table or residency) and
+    /// released before that lock — `undo[t]` is strictly innermost, so
+    /// Insert(i+1) and Train(i) can never deadlock on a table they both
+    /// dirty, and each resource's entries are appended in the order that
+    /// resource was mutated, which is what newest-first replay needs.
     pub undo: Vec<Mutex<TableUndo>>,
 }
 
@@ -540,6 +542,7 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
                     // Undo lock strictly inside the resource lock
                     // (see the SharedState lock-ordering rule).
                     let mut undo = shared.undo[t].lock();
+                    undo.reserve_cpu_rows(plan.evictions.len(), shared.dim);
                     for ev in &plan.evictions {
                         undo.save_cpu_row(ev.row, table.row(ev.row as usize));
                     }
@@ -550,6 +553,7 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
                 let mut store = shared.storages[t].lock();
                 if undo_on {
                     let mut undo = shared.undo[t].lock();
+                    undo.reserve_store_rows(plan.fills.len(), shared.dim);
                     for f in &plan.fills {
                         undo.save_store_row(f.slot, store.row(f.slot as usize));
                     }
@@ -560,6 +564,7 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
                 let mut resident = shared.data_resident[t].lock();
                 if undo_on {
                     let mut undo = shared.undo[t].lock();
+                    undo.reserve_resident(plan.fills.len());
                     for f in &plan.fills {
                         undo.save_resident(f.slot, resident[f.slot as usize]);
                     }
@@ -686,6 +691,7 @@ impl<B: DenseBackend> TrainStage<B> {
                     // Undo lock strictly inside the storage lock (see
                     // the SharedState lock-ordering rule).
                     let mut undo = shared.undo[t].lock();
+                    undo.reserve_store_rows(plan.unique_slots.len(), shared.dim);
                     for &slot in &plan.unique_slots {
                         undo.save_store_row(slot, store.row(slot as usize));
                     }

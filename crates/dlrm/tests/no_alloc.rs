@@ -2,9 +2,10 @@
 //!
 //! This binary owns the process's global allocator — a counting wrapper
 //! round `System` — and holds a single test, so no other test's thread
-//! can allocate inside a measured region. It is the workspace's only
-//! allocator binary: `systems` is a dev-dependency here so that
+//! can allocate inside a measured region. It is the only allocator binary
+//! for the dense step: `systems` is a dev-dependency here so that
 //! `DlrmBackend::step` is measured under the same counter.
+//! (`tests/supervised_alloc.rs` is the same pattern round `run_supervised`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
