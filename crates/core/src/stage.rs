@@ -759,6 +759,114 @@ mod tests {
         assert_eq!(barriers(WindowConfig::PAPER).map(|b| b.lag), [4, 3]);
     }
 
+    /// FNV-1a over everything a [`TablePlan`] tells the later stages, the
+    /// way `tests/golden_victims.rs` folds it.
+    fn fold_plans(hash: &mut u64, plans: &[TablePlan]) {
+        let mut fold = |v: u64| *hash = (*hash ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        for plan in plans {
+            fold(plan.hits);
+            fold(plan.misses);
+            fold(plan.fills.len() as u64);
+            for f in &plan.fills {
+                fold(f.row);
+                fold(u64::from(f.slot));
+            }
+            fold(plan.evictions.len() as u64);
+            for e in &plan.evictions {
+                fold(e.row);
+                fold(u64::from(e.slot));
+            }
+            fold(plan.unique_slots.len() as u64);
+            for &slot in &plan.unique_slots {
+                fold(u64::from(slot));
+            }
+        }
+    }
+
+    /// [Plan] plans a big batch's tables side by side on the pool. Which
+    /// thread planned a table must not show in any plan: the digest over
+    /// every [`TablePlan`] of a trace is the same at every pool width,
+    /// and the same as each manager planning alone, one batch after
+    /// another, outside any stage.
+    #[test]
+    fn every_table_plan_is_the_same_at_every_pool_width() {
+        use crate::policy::EvictionPolicy;
+        use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
+
+        let tc = TraceConfig {
+            num_tables: 8,
+            rows_per_table: 40_000,
+            lookups_per_sample: 8,
+            batch_size: 768,
+            profile: LocalityProfile::Low,
+            seed: 0x91A7,
+        };
+        let batches = TraceGenerator::new(tc).take_batches(10);
+        let uniques: usize = (batches[0].bags())
+            .map(|(_, bag)| bag.unique_ids().len())
+            .sum();
+        assert!(uniques >= 32_768, "only {uniques} unique IDs a batch");
+        // Tight enough that most misses of the later batches evict.
+        let slots = 26_000;
+        let managers = || -> Vec<ScratchpadManager> {
+            (0..tc.num_tables)
+                .map(|_| ScratchpadManager::new(slots, WindowConfig::PAPER, EvictionPolicy::Lru))
+                .collect::<Result<_, _>>()
+                .expect("valid geometry")
+        };
+
+        let mut alone = 0xcbf2_9ce4_8422_2325;
+        let unique: Vec<Vec<Vec<u64>>> = (batches.iter())
+            .map(|batch| batch.bags().map(|(_, bag)| bag.unique_ids()).collect())
+            .collect();
+        let mut reference = managers();
+        let mut evictions = 0;
+        for i in 0..batches.len() {
+            let plans: Vec<TablePlan> = (reference.iter_mut().enumerate())
+                .map(|(t, manager)| {
+                    let futures: Vec<&[u64]> = (unique.iter().skip(i + 1).take(2))
+                        .map(|ahead| ahead[t].as_slice())
+                        .collect();
+                    manager.plan(&unique[i][t], &futures).expect("provisioned")
+                })
+                .collect();
+            evictions += plans.iter().map(|p| p.evictions.len()).sum::<usize>();
+            fold_plans(&mut alone, &plans);
+        }
+        assert!(evictions > 10_000, "only {evictions} evictions");
+
+        let shared = SharedState {
+            storages: Vec::new(),
+            cpu_tables: Vec::new(),
+            data_resident: Vec::new(),
+            functional: false,
+            check_hazards: true,
+            dim: 4,
+            undo_active: AtomicBool::new(false),
+            undo: Vec::new(),
+        };
+        for width in [1, 2, 4] {
+            let mut stage = PlanStage::new(managers(), WindowConfig::PAPER.future as usize);
+            let mut payload = stages::PayloadPool::default().take(shared.dim);
+            let mut staged = 0xcbf2_9ce4_8422_2325;
+            for index in 0..batches.len() {
+                let ctx = StageCtx {
+                    shared: &shared,
+                    batches: &batches,
+                    index,
+                    pipelined: true,
+                    workers: WorkerPool::new(width),
+                    faults: None,
+                    observer: None,
+                    lane: Lane::Main,
+                };
+                stage.execute(&ctx, &mut payload).expect("provisioned");
+                fold_plans(&mut staged, &payload.plans);
+            }
+            assert_eq!(staged, alone, "width {width}");
+        }
+    }
+
     #[test]
     fn intersects_any_finds_a_shared_element_in_any_lane() {
         let a = [3, 8, 20, 41];

@@ -271,3 +271,45 @@ fn a_fault_that_could_never_fire_is_rejected_when_armed() {
         other => panic!("expected the armed fault to fire, got {other:?}"),
     }
 }
+
+#[test]
+fn capacity_exhausted_names_the_lowest_failing_table_at_every_width() {
+    // Tables 1 and 2 both run out of slots in the first batch, table 0
+    // fits. The batch carries enough unique IDs (40 010) that [Plan]
+    // plans the tables side by side on a pool wider than one, so table 2
+    // may well fail first on the clock; the error names table 1 anyway.
+    let slots = 1_000;
+    let wide: Vec<u64> = (0..20_000).collect();
+    let bags = vec![
+        TableBag::from_samples(&[(0..10).collect::<Vec<u64>>()]),
+        TableBag::from_samples(std::slice::from_ref(&wide)),
+        TableBag::from_samples(std::slice::from_ref(&wide)),
+    ];
+    let batches = [SparseBatch::new(bags)];
+    for schedule in [Schedule::Sync, Schedule::DataParallel, Schedule::Threaded] {
+        for width in [1, 2, 4] {
+            let mut rt = Pipeline::builder()
+                .config(PipelineConfig::functional(4, slots))
+                .tables(tables(3, 20_000, 4))
+                .backend(UnitBackend::new(0.1))
+                .schedule(schedule)
+                .parallelism(width)
+                .build()
+                .expect("pipeline");
+            match rt.run(&batches) {
+                Err(ScratchError::CapacityExhausted {
+                    table,
+                    cycle,
+                    slots: reported,
+                }) => assert_eq!(
+                    (table, cycle, reported),
+                    (1, 1, slots),
+                    "{schedule:?} width {width}"
+                ),
+                other => {
+                    panic!("{schedule:?} width {width}: expected CapacityExhausted, got {other:?}")
+                }
+            }
+        }
+    }
+}

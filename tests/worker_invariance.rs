@@ -165,3 +165,169 @@ fn wide_pools_match_sync_above_the_sharding_floor() {
         }
     }
 }
+
+/// The invariance at a shape whose batches carry enough unique IDs
+/// (≈ 40 k over the eight tables) that \[Plan\] plans its tables side by
+/// side on the pool — which it does under every register schedule, not
+/// only the data-parallel one. Width must stay unobservable: functional
+/// runs land bit-identical to `train_direct` with byte-identical reports,
+/// analytic runs (metadata only, where \[Plan\] is all the work) report
+/// the same bytes and leave every scratchpad manager in the same state.
+///
+/// Slots sit just over the §VI-D bound — the largest six-batch working
+/// set of any table — so from the seventh batch on every miss evicts and
+/// a victim chosen differently would show.
+#[test]
+fn plan_by_table_is_width_invariant_under_every_schedule() {
+    let tc = TraceConfig {
+        num_tables: 8,
+        rows_per_table: 40_000,
+        lookups_per_sample: 8,
+        batch_size: 768,
+        profile: LocalityProfile::Low,
+        seed: 0x91A7,
+    };
+    let dim = 4;
+    let batches = TraceGenerator::new(tc).take_batches(9);
+    let uniques: usize = batches[0]
+        .bags()
+        .map(|(_, bag)| bag.unique_ids().len())
+        .sum();
+    assert!(uniques > 36_000, "only {uniques} unique IDs in a batch");
+    let bound = (0..tc.num_tables)
+        .flat_map(|t| {
+            batches.windows(6).map(move |window| {
+                let mut ids: Vec<u64> = window.iter().flat_map(|b| b.bag(t).unique_ids()).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids.len()
+            })
+        })
+        .max()
+        .expect("more than six batches");
+    let slots = bound + 64;
+    let seeded: Vec<EmbeddingTable> = (0..tc.num_tables)
+        .map(|t| EmbeddingTable::seeded(tc.rows_per_table as usize, dim, 40 + t as u64))
+        .collect();
+    let mk_tables = || seeded.clone();
+    let mut direct = mk_tables();
+    scratchpipe::runtime::train_direct(&mut direct, &batches, &mut UnitBackend::new(0.1));
+
+    let mut reference: Option<String> = None;
+    for schedule in [
+        Schedule::Sync,
+        Schedule::Sequential,
+        Schedule::DataParallel,
+        Schedule::Threaded,
+    ] {
+        for width in [1, 2, 4] {
+            let (json, tables, totals) = run(mk_tables(), dim, slots, &batches, schedule, width);
+            assert_eq!(totals.iterations as usize, batches.len());
+            assert!(totals.evictions > 0, "the scratchpads never filled up");
+            // Sequential plans without a look-ahead window, so it evicts
+            // other rows than the pipelined schedules: one report each.
+            let expected = match schedule {
+                Schedule::Sequential => None,
+                _ => Some(reference.get_or_insert_with(|| json.clone())),
+            };
+            if let Some(expected) = expected {
+                assert_eq!(
+                    &json, expected,
+                    "{schedule:?} width {width}: report diverged"
+                );
+            }
+            for (t, (a, b)) in direct.iter().zip(&tables).enumerate() {
+                assert!(
+                    a.bit_eq(b),
+                    "{schedule:?} width {width}: table {t} diverged from train_direct at {:?}",
+                    a.first_diff_row(b)
+                );
+            }
+        }
+    }
+
+    for schedule in [Schedule::Sync, Schedule::Sequential] {
+        let analytic = |width: usize| {
+            let mut rt = Pipeline::builder()
+                .config(PipelineConfig::analytic(dim, slots))
+                .analytic_tables(tc.num_tables, tc.rows_per_table)
+                .backend(UnitBackend::new(0.1))
+                .schedule(schedule)
+                .parallelism(width)
+                .build()
+                .expect("pipeline");
+            let report = rt.run(&batches).expect("run");
+            let managers: Vec<_> = (rt.managers().iter())
+                .map(|m| (m.residents(), m.stats()))
+                .collect();
+            (
+                serde_json::to_string(&report).expect("serialize report"),
+                managers,
+            )
+        };
+        let (base_json, base_managers) = analytic(1);
+        for width in [2, 4] {
+            let (json, managers) = analytic(width);
+            assert_eq!(
+                base_json, json,
+                "analytic {schedule:?} width {width}: report"
+            );
+            assert_eq!(
+                base_managers, managers,
+                "analytic {schedule:?} width {width}: managers"
+            );
+        }
+    }
+}
+
+/// `Pipeline::prewarm` fills its tables side by side once it carries as
+/// many rows as a batch that \[Plan\] would fan out. The scratchpads it
+/// leaves — and the training that follows — are the same at any width.
+#[test]
+fn prewarm_by_table_is_width_invariant() {
+    let tc = TraceConfig {
+        num_tables: 8,
+        rows_per_table: 6_000,
+        lookups_per_sample: 4,
+        batch_size: 32,
+        profile: LocalityProfile::Medium,
+        seed: 5,
+    };
+    let (dim, slots) = (2, 5_000);
+    let batches = TraceGenerator::new(tc).take_batches(8);
+    // 8 × 5 000 rows, over the floor; hottest first, as the harness does.
+    let hot: Vec<Vec<u64>> = (0..tc.num_tables)
+        .map(|t| TraceGenerator::new(tc).hot_rows(t, slots as u64))
+        .collect();
+    let mk_tables = || -> Vec<EmbeddingTable> {
+        (0..tc.num_tables)
+            .map(|t| EmbeddingTable::seeded(tc.rows_per_table as usize, dim, t as u64))
+            .collect()
+    };
+    let mut direct = mk_tables();
+    scratchpipe::runtime::train_direct(&mut direct, &batches, &mut UnitBackend::new(0.1));
+    let mut reference = None;
+    for width in [1, 2, 4] {
+        let mut rt = Pipeline::builder()
+            .config(PipelineConfig::functional(dim, slots))
+            .tables(mk_tables())
+            .backend(UnitBackend::new(0.1))
+            .schedule(Schedule::Sync)
+            .parallelism(width)
+            .build()
+            .expect("pipeline");
+        rt.prewarm(&hot).expect("prewarm");
+        let prewarmed: Vec<_> = rt.managers().iter().map(|m| m.residents()).collect();
+        assert!(prewarmed.iter().all(|residents| residents.len() == slots));
+        let report = rt.run(&batches).expect("run");
+        let outcome = (
+            prewarmed,
+            serde_json::to_string(&report).expect("serialize report"),
+        );
+        let expected = reference.get_or_insert_with(|| outcome.clone());
+        assert_eq!(&outcome, expected, "width {width}");
+        for (t, (a, b)) in direct.iter().zip(&rt.into_tables()).enumerate() {
+            assert!(a.bit_eq(b), "width {width}: table {t} diverged");
+        }
+    }
+}
