@@ -1,25 +1,36 @@
-//! The calibration sweep `Schedule::Auto`'s rule is derived from
-//! (`AUTO_OVERLAP_MIN_LOOKUPS` in `crates/core/src/pipeline.rs`; table in
-//! docs/perf.md, "Schedule calibration").
+//! The two calibration sweeps the pipeline's schedule constants are
+//! derived from. Observers off, dedup and final flush on the clock, five
+//! runs per cell; prints markdown tables and writes no file (~4 min;
+//! `--quick` takes two runs per cell of half the iterations).
 //!
-//! Runs the functional pipeline at iteration sizes from 16 to 32 768
-//! lookups and two embedding widths under the synchronous, overlapped and
-//! data-parallel schedules — observers off, dedup and final flush on the
-//! clock, best of five runs of 200 iterations — and prints µs per
-//! iteration as a markdown table, with the fastest schedule and what
-//! `Auto` picks on this host. Takes no arguments and writes no file
-//! (~1 min).
+//! 1. **`Schedule::Auto`** (`AUTO_OVERLAP_MIN_LOOKUPS` in
+//!    `crates/core/src/pipeline.rs`; docs/perf.md, "Schedule
+//!    calibration"): the functional pipeline at iteration sizes from 16
+//!    to 32 768 lookups and two embedding widths under the synchronous,
+//!    overlapped and data-parallel schedules — µs per iteration (best
+//!    run), the fastest schedule and what `Auto` picks on this host.
+//! 2. **\[Plan\] by table** (`stages::PLAN_FAN_OUT_MIN_UNIQUES`;
+//!    docs/perf.md, "Plan by table"): `Schedule::Sync` over the harness
+//!    workloads' shapes and scaled-up ones, at pool width 1 (\[Plan\]
+//!    plans its tables one after another) and at the machine's width
+//!    (side by side once a batch clears the floor), as alternating pairs
+//!    — µs per iteration (medians) and how many pairs the pool won.
+//!    Measured through the whole pipeline because that is where the floor
+//!    has to hold: the launch, and what the other stages pay for plans
+//!    written on another CPU, cost several times what a stand-alone
+//!    region reads. A shape under the floor runs the same code at both
+//!    widths, so its two columns gauge the sweep's noise. To look for a
+//!    lower floor on another host, lower the constant and run this again.
 //!
 //! ```bash
-//! cargo run --release -p sp-bench --bin calibrate_schedule
+//! cargo run --release -p sp-bench --bin calibrate_schedule [-- --quick]
 //! ```
 
 use embeddings::EmbeddingTable;
+use scratchpipe::stages::PLAN_FAN_OUT_MIN_UNIQUES;
 use scratchpipe::{Pipeline, PipelineConfig, Schedule, UnitBackend};
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
-const REPS: usize = 5;
-const ITERATIONS: usize = 200;
 const NUM_TABLES: usize = 4;
 const ROWS_PER_TABLE: u64 = 20_000;
 /// (samples per batch, lookups per sample) over the four tables.
@@ -36,9 +47,181 @@ const SIZES: [(usize, usize); 10] = [
     (1024, 8),
 ];
 
+/// One row of the \[Plan\] sweep: `(label, tables, rows per table,
+/// embedding width, lookups per sample, batch size, locality, slots per
+/// table, iterations)`. No embedding width is an analytic pipeline
+/// (metadata only, prewarmed with the hottest rows): \[Plan\] and nothing
+/// else.
+type PlanShape = (
+    &'static str,
+    usize,
+    u64,
+    Option<usize>,
+    usize,
+    usize,
+    LocalityProfile,
+    usize,
+    usize,
+);
+
+/// The harness workloads' shapes (`benchmark/src/workloads.rs`) under
+/// their names, `plan_bound`'s recipe at larger batches, and the paper
+/// scale at smaller ones.
+#[rustfmt::skip]
+const PLAN_SHAPES: [PlanShape; 11] = {
+    use LocalityProfile::{High, Low, Medium, Random};
+    [
+        ("copy_bound", 4, 50_000, Some(256), 1, 256, Random, 2_200, 400),
+        ("default_auto / supervised", 4, 50_000, Some(32), 8, 128, Medium, 6_800, 400),
+        ("train_bound (unit backend)", 4, 50_000, Some(64), 8, 256, High, 9_000, 200),
+        ("plan_bound", 8, 100_000, Some(16), 8, 256, Low, 13_500, 120),
+        ("plan_bound x2", 8, 200_000, Some(8), 8, 512, Low, 27_000, 80),
+        ("plan_bound x4", 8, 200_000, Some(8), 8, 1_024, Low, 54_000, 48),
+        ("plan_bound x8", 8, 200_000, Some(8), 8, 2_048, Low, 108_000, 32),
+        ("analytic, batch 64", 8, 10_000_000, None, 20, 64, Medium, 200_000, 200),
+        ("analytic, batch 256", 8, 10_000_000, None, 20, 256, Medium, 200_000, 80),
+        ("analytic, batch 1024", 8, 10_000_000, None, 20, 1_024, Medium, 200_000, 32),
+        ("paper_analytic", 8, 10_000_000, None, 20, 2_048, Medium, 200_000, 16),
+    ]
+};
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// The \[Plan\]-by-table sweep (see the module docs): per shape, `pairs`
+/// runs at width 1 and at width `cpus`, taking turns so a drift of the
+/// host lands on both; medians, because on a shared host the best run is
+/// the one the neighbours left alone.
+fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
+    println!(
+        "\n[Plan] by table: `Schedule::Sync`, pool width 1 vs {cpus}, medians of {pairs} \
+         alternating pairs; floor {PLAN_FAN_OUT_MIN_UNIQUES} unique IDs a batch\n"
+    );
+    println!(
+        "| shape | unique IDs/iter | width 1 µs | width {cpus} µs | [Plan] fans out \
+         | width 1 / width {cpus} | width {cpus} ahead |"
+    );
+    println!("|---|---:|---:|---:|---|---:|---:|");
+    // (uniques, median ratio) of the shapes on either side of the floor.
+    let (mut below, mut above) = (Vec::new(), Vec::new());
+    for (
+        label,
+        num_tables,
+        rows_per_table,
+        dim,
+        lookups_per_sample,
+        batch_size,
+        profile,
+        slots,
+        iterations,
+    ) in PLAN_SHAPES
+    {
+        let iterations = iterations / if quick { 2 } else { 1 };
+        let trace = TraceConfig {
+            num_tables,
+            rows_per_table,
+            lookups_per_sample,
+            batch_size,
+            profile,
+            seed: 0xCA_11B,
+        };
+        let batches = TraceGenerator::new(trace).take_batches(iterations);
+        let hot_rows: Vec<Vec<u64>> = (0..num_tables)
+            .map(|t| TraceGenerator::new(trace).hot_rows(t, slots as u64))
+            .collect();
+        let mut uniques = 0;
+        let mut micros_at = |width: usize| {
+            let builder = Pipeline::builder()
+                .backend(UnitBackend::new(0.01))
+                .schedule(Schedule::Sync)
+                .parallelism(width);
+            let mut rt = match dim {
+                Some(dim) => builder
+                    .config(PipelineConfig::functional(dim, slots))
+                    .tables(
+                        (0..num_tables)
+                            .map(|t| EmbeddingTable::seeded(rows_per_table as usize, dim, t as u64))
+                            .collect(),
+                    )
+                    .build()
+                    .expect("pipeline"),
+                None => {
+                    let mut rt = builder
+                        .config(PipelineConfig::analytic(128, slots))
+                        .analytic_tables(num_tables, rows_per_table)
+                        .build()
+                        .expect("pipeline");
+                    rt.prewarm(&hot_rows).expect("prewarm");
+                    rt
+                }
+            };
+            let t0 = std::time::Instant::now();
+            let report = rt.run(&batches).expect("run");
+            let micros = t0.elapsed().as_secs_f64() * 1e6 / iterations as f64;
+            uniques = report.records.iter().map(|r| r.unique_rows).sum::<u64>() / iterations as u64;
+            micros
+        };
+        let (mut inline, mut wide, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..pairs {
+            let (a, b) = if pair % 2 == 0 {
+                let a = micros_at(1);
+                (a, micros_at(cpus))
+            } else {
+                let b = micros_at(cpus);
+                (micros_at(1), b)
+            };
+            inline.push(a);
+            wide.push(b);
+            ratios.push(a / b);
+        }
+        let ahead = ratios.iter().filter(|&&ratio| ratio > 1.0).count();
+        let ratio = median(&mut ratios);
+        let fans_out = cpus >= 2 && uniques as usize >= PLAN_FAN_OUT_MIN_UNIQUES;
+        (if fans_out { &mut above } else { &mut below }).push((uniques, ratio));
+        println!(
+            "| {} | {uniques} | {:.1} | {:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
+            label,
+            median(&mut inline),
+            median(&mut wide),
+            if fans_out { "yes" } else { "no" },
+        );
+    }
+    let noise = below.iter().map(|&(_, ratio): &(u64, f64)| ratio);
+    println!(
+        "\nunder the floor (the same code at both widths, i.e. this sweep's noise): \
+         {:.2}-{:.2}",
+        noise.clone().fold(f64::INFINITY, f64::min),
+        noise.fold(0.0, f64::max)
+    );
+    let smallest = above.iter().map(|&(uniques, _)| uniques).min();
+    match above.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
+        None => println!("nothing fanned out on this host"),
+        Some(&(uniques, ratio)) if ratio < 1.0 => println!(
+            "the pool LOST at {uniques} unique IDs a batch ({ratio:.2}x): the floor this sweep \
+             implies is above that"
+        ),
+        Some(&(_, ratio)) => println!(
+            "the pool won at every shape over the floor (from {} unique IDs a batch up, by \
+             {ratio:.2}x at worst): the floor this sweep implies is at or under that",
+            smallest.expect("non-empty")
+        ),
+    }
+}
+
 fn main() {
+    let quick = std::env::args().any(|arg| arg == "--quick");
+    let (reps, auto_iterations) = if quick { (2, 100) } else { (5, 200) };
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("cpus: {cpus}, {ITERATIONS} iterations per run, best of {REPS}\n");
+    println!("cpus: {cpus}, {reps} runs per cell\n");
+    auto_sweep(reps, auto_iterations);
+    plan_sweep(cpus, reps, quick);
+}
+
+/// The `Schedule::Auto` sweep (see the module docs).
+fn auto_sweep(reps: usize, iterations: usize) {
+    println!("`Schedule::Auto`: {iterations} iterations per run, best of {reps}\n");
     println!("| lookups/iter | dim | sync µs | threaded µs | data_parallel µs | fastest | `Auto` picks |");
     println!("|---:|---:|---:|---:|---:|---|---|");
     for dim in [8, 64] {
@@ -53,7 +236,7 @@ fn main() {
                 profile: LocalityProfile::Medium,
                 seed: 0xCA_11B,
             })
-            .take_batches(ITERATIONS);
+            .take_batches(iterations);
             let build = |schedule: Schedule| {
                 let tables = (0..NUM_TABLES)
                     .map(|t| EmbeddingTable::seeded(ROWS_PER_TABLE as usize, dim, t as u64))
@@ -68,12 +251,12 @@ fn main() {
             };
             let schedules = [Schedule::Sync, Schedule::Threaded, Schedule::DataParallel];
             let micros = schedules.map(|schedule| {
-                (0..REPS)
+                (0..reps)
                     .map(|_| {
                         let mut rt = build(schedule);
                         let t0 = std::time::Instant::now();
                         rt.run(&batches).expect("run");
-                        t0.elapsed().as_secs_f64() * 1e6 / ITERATIONS as f64
+                        t0.elapsed().as_secs_f64() * 1e6 / iterations as f64
                     })
                     .fold(f64::INFINITY, f64::min)
             });

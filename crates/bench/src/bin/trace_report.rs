@@ -237,10 +237,13 @@ fn print_run(run: &RunReport) {
         } else {
             0.0
         };
-        let advice = if StageId::from_name(name).is_some_and(StageId::shards) {
-            "already sharded - widen the pool or split its shards finer"
-        } else {
+        let advice = if !StageId::from_name(name).is_some_and(StageId::shards) {
             "not yet sharded - add data parallelism to it next"
+        } else if st.shard_tasks == 0 {
+            // [Plan] records its table shards only when they fan out.
+            "sharded, but ran inline here (batches under its fan-out floor, or lanes)"
+        } else {
+            "already sharded - widen the pool or split its shards finer"
         };
         println!(
             "  dominant stage: {name} ({share:.1}% of stage work, overlap {:+.1}%) - {advice}",

@@ -1,7 +1,10 @@
 //! A purpose-built open-addressing `u64 → u32` index for the hot path.
 //!
-//! The Plan stage probes the Hit-Map once per unique ID per mini-batch,
-//! and on a 1-CPU host every probe is on the critical path. A std
+//! The Plan stage probes the Hit-Map three times per unique ID — when the
+//! ID's mini-batch is two plans ahead, one ahead, and current (the later
+//! two are second touches of warm lines: 19–27 ns each against 21–33 for
+//! the first, docs/perf.md "Plan by table") — and on a 1-CPU host every
+//! probe is on the critical path. A std
 //! `HashMap` pays SipHash per probe plus bucket-control indirection; this
 //! index replaces it with the cheapest structure that is still correct
 //! for the workload:

@@ -5,7 +5,8 @@
 //! Train, the rows of [`StageId`]) under a [`Schedule`]: one register
 //! file on the calling thread — pipelined, pipelined over a wider
 //! [`WorkerPool`], or admitting one batch at a time — or lanes of stages
-//! on their own threads.
+//! on their own threads. Under the register schedules \[Plan\] plans a big
+//! batch's tables side by side on the pool the other stages leave idle.
 //!
 //! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -52,9 +53,14 @@ const STAGES: usize = StageId::COUNT;
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Schedule {
-    /// The paper's Figure-10 register pipeline on one thread: a cycle
-    /// executes every occupied stage in reverse register order, so at
-    /// steady state five mini-batches are in flight.
+    /// The paper's Figure-10 register pipeline: a cycle executes every
+    /// occupied stage in reverse register order, one after another on the
+    /// calling thread, so at steady state five mini-batches are in flight.
+    /// Only \[Plan\] ever leaves that thread: its table shards fan out
+    /// over the pipeline's [`WorkerPool`] when a batch carries enough
+    /// unique IDs to pay for a thread launch
+    /// ([`stages::PLAN_FAN_OUT_MIN_UNIQUES`]) — per-table plans are
+    /// independent, so nothing a run produces depends on it.
     Sync,
     /// The §IV-B straw-man: the same register file, but a mini-batch is
     /// admitted only once it is empty, so one batch finishes all stages
@@ -69,9 +75,10 @@ pub enum Schedule {
     /// sum of the stages. Requires functional mode.
     Threaded,
     /// The synchronous register pipeline with intra-stage data
-    /// parallelism: Collect and Insert shard by table, the Train gather
-    /// shards by (table × sample range) and its scatter by table, all over
-    /// one [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide).
+    /// parallelism: besides \[Plan\], which every register schedule fans
+    /// out, Collect and Insert shard by table, the Train gather shards by
+    /// (table × sample range) and its scatter by table, all over one
+    /// [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide).
     /// Bit-identical to every other schedule at any
     /// worker count (shards own disjoint outputs; no floating-point
     /// reduction is ever split). Requires functional mode.
@@ -238,10 +245,13 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         self
     }
 
-    /// Sets the intra-stage worker count used by
-    /// [`Schedule::DataParallel`]. `0` — the default — sizes the pool to
-    /// the machine's available parallelism. Any width produces
-    /// bit-identical training results; only the wall-clock changes.
+    /// Sets the width of the pipeline's worker pool: what
+    /// [`Schedule::DataParallel`] shards every table-wise stage over, what
+    /// \[Plan\] fans a big batch's tables out over under every register
+    /// schedule, and what [`Pipeline::prewarm`] fills its tables over. `0`
+    /// — the default — sizes the pool to the machine's available
+    /// parallelism. Any width produces bit-identical training results;
+    /// only the wall-clock changes.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
         self
@@ -425,8 +435,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         self.schedule
     }
 
-    /// The intra-stage worker pool [`Schedule::DataParallel`] shards
-    /// over (width 1 unless [`PipelineBuilder::parallelism`] widened it).
+    /// The pipeline's worker pool ([`PipelineBuilder::parallelism`] wide;
+    /// the machine's available parallelism by default).
     pub fn workers(&self) -> WorkerPool {
         self.workers
     }
@@ -504,23 +514,35 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 });
             }
         }
-        for (t, rows) in hot_rows.iter().enumerate() {
-            let take = rows.len().min(self.config.slots_per_table);
-            let manager = &mut self.plan.managers[t];
-            manager.prewarm(&rows[..take]);
-            if self.config.functional {
-                for &row in &rows[..take] {
-                    let slot = manager.lookup(row).expect("just prewarmed");
-                    {
-                        let mut store = self.shared.storages[t].lock();
-                        let table = self.shared.cpu_tables[t].lock();
-                        store.copy_row_from(slot as usize, &*table, row as usize);
+        // Tables share nothing, so each is one task; a prewarm the size of
+        // a batch that [Plan] would fan out is fanned out the same way.
+        let rows: usize = hot_rows.iter().map(Vec::len).sum();
+        let pool = if rows >= stages::PLAN_FAN_OUT_MIN_UNIQUES {
+            self.workers
+        } else {
+            WorkerPool::inline()
+        };
+        let (config, shared) = (&self.config, &self.shared);
+        let tasks = (self.plan.managers.iter_mut().zip(hot_rows).enumerate())
+            .map(|(t, (manager, rows))| {
+                move || {
+                    let rows = &rows[..rows.len().min(config.slots_per_table)];
+                    manager.prewarm(rows);
+                    if !config.functional {
+                        return;
                     }
-                    self.shared.data_resident[t].lock()[slot as usize] = Some(row);
+                    let mut store = shared.storages[t].lock();
+                    let table = shared.cpu_tables[t].lock();
+                    let mut resident = shared.data_resident[t].lock();
+                    for &row in rows {
+                        let slot = manager.lookup(row).expect("just prewarmed");
+                        store.copy_row_from(slot as usize, &*table, row as usize);
+                        resident[slot as usize] = Some(row);
+                    }
                 }
-            }
-        }
-        Ok(())
+            })
+            .collect();
+        pool.run_tasks(tasks).map(drop)
     }
 
     /// The schedule a run over `batches` would actually execute:
@@ -580,6 +602,18 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         }
     }
 
+    /// The worker pool \[Plan\]'s table shards may fan out over in a run
+    /// under `schedule`. The register drivers run one stage at a time, so
+    /// the pool's other CPUs are idle while \[Plan\] runs; the lanes
+    /// already occupy them (measured: sharding inside the Plan lane lost
+    /// 7 %, docs/perf.md "Plan by table").
+    fn plan_pool_for(&self, schedule: Schedule) -> WorkerPool {
+        match schedule {
+            Schedule::Threaded => WorkerPool::inline(),
+            _ => self.workers,
+        }
+    }
+
     /// Opens a run: its event log if anyone observes it, its clock, and a
     /// blank record per iteration. Armed faults start at attempt 0 with an
     /// empty firing log.
@@ -631,6 +665,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             // victim-safety distances don't apply to it.
             pipelined: schedule != Schedule::Sequential,
             workers: self.pool_for(schedule),
+            plan_workers: self.plan_pool_for(schedule),
             faults: self.faults.as_ref(),
             observer: run.observer.as_ref(),
             lane: Lane::Main,

@@ -98,8 +98,10 @@ impl StageId {
 
     /// Whether the stage splits its iteration into shard tasks (and so
     /// can be the target of a shard fault or of a wider worker pool).
+    /// Every stage that touches per-table state does; \[Exchange\] only
+    /// accounts the PCIe hop.
     pub const fn shards(self) -> bool {
-        matches!(self, StageId::Collect | StageId::Insert | StageId::Train)
+        !matches!(self, StageId::Exchange)
     }
 
     /// How many registers this stage sits after `earlier` (which must not

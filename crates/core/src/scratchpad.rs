@@ -155,7 +155,9 @@ pub struct ScratchpadManager {
     /// will have by the time its batch trains.
     hit_map: SlotIndex,
     hold: HoldMask,
-    slot_row: Vec<Option<u64>>,
+    /// The row each slot caches; meaningful for slots `< next_free` only
+    /// (a mapped slot is only ever remapped, never unmapped).
+    slot_row: Vec<u64>,
     pool: VictimPool,
     /// Slots `next_free..slots` have never been used; they are handed out
     /// in ascending order before any victim is chosen.
@@ -199,7 +201,7 @@ impl ScratchpadManager {
             window,
             hit_map: SlotIndex::with_capacity(slots),
             hold: HoldMask::new(slots, window.width()),
-            slot_row: vec![None; slots],
+            slot_row: vec![0; slots],
             pool: VictimPool::new(slots, policy),
             next_free: 0,
             expiry: vec![Vec::new(); window.width() as usize + 1],
@@ -240,7 +242,7 @@ impl ScratchpadManager {
 
     /// The row currently mapped to `slot`, if any.
     pub fn slot_row(&self, slot: u32) -> Option<u64> {
-        self.slot_row[slot as usize]
+        (slot < self.next_free).then(|| self.slot_row[slot as usize])
     }
 
     /// The slot currently mapped to `row`, if cached.
@@ -256,7 +258,7 @@ impl ScratchpadManager {
     fn map(&mut self, row: u64, slot: u32) {
         let prev = self.hit_map.insert(row, slot);
         assert!(prev.is_none(), "row {row} already cached in slot {prev:?}");
-        self.slot_row[slot as usize] = Some(row);
+        self.slot_row[slot as usize] = row;
     }
 
     /// The lowest never-used slot, if any is left.
@@ -292,9 +294,8 @@ impl ScratchpadManager {
         let idx = (now % self.expiry.len() as u64) as usize;
         let mut bucket = std::mem::take(&mut self.expiry[idx]);
         for &slot in &bucket {
-            // Only mapped slots are ever protected, and a mapped slot is
-            // only ever remapped, never unmapped.
-            debug_assert!(self.slot_row[slot as usize].is_some());
+            // Only mapped slots are ever protected.
+            debug_assert!(slot < self.next_free);
             // A later re-protection may have superseded this entry.
             if self.hold.is_clear(slot) {
                 self.pool.insert(slot);
@@ -439,18 +440,22 @@ impl ScratchpadManager {
                 slot
             } else {
                 out.misses += 1;
-                let Some(slot) = self.take_free().or_else(|| self.pool.pop()) else {
+                // A never-used slot holds nothing; a victim always does.
+                let slot = if let Some(slot) = self.take_free() {
+                    slot
+                } else if let Some(slot) = self.pool.pop() {
+                    let old_row = self.slot_row[slot as usize];
+                    let removed = self.hit_map.remove(old_row);
+                    debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
+                    out.evictions.push(Evict { row: old_row, slot });
+                    slot
+                } else {
                     return Err(ScratchError::CapacityExhausted {
                         table: usize::MAX, // caller contextualizes
                         cycle: now,
                         slots: self.slots,
                     });
                 };
-                if let Some(old_row) = self.slot_row[slot as usize] {
-                    let removed = self.hit_map.remove(old_row);
-                    debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
-                    out.evictions.push(Evict { row: old_row, slot });
-                }
                 self.map(id, slot);
                 self.pool.touch(slot, now);
                 self.protect(slot, past_bit);

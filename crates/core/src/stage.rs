@@ -54,6 +54,11 @@ pub(crate) struct StageCtx<'a> {
     /// shard inline). Sharding never changes results — only where the
     /// disjoint pieces are computed.
     pub workers: WorkerPool,
+    /// Worker pool \[Plan\]'s table shards may fan out over: the
+    /// pipeline's pool under the register schedules, which run one stage
+    /// at a time and so leave its other CPUs idle while \[Plan\] runs;
+    /// inline under the lanes, which already occupy them.
+    pub plan_workers: WorkerPool,
     /// The armed fault injector, if a fault plan is attached. `None` —
     /// the default — makes every injection hook a single branch.
     pub faults: Option<&'a FaultInjector>,
@@ -87,15 +92,16 @@ pub(crate) type Body<'a> =
     dyn FnMut(&StageCtx<'_>, &mut StagePayload) -> Result<(), ScratchError> + Send + 'a;
 
 /// Runs one shard region of `stage` — `tasks`, fanned out over `pool` —
-/// and records it in the run's event log.
-fn run_region<F: FnOnce() + Send>(
+/// records it in the run's event log and returns what the tasks returned,
+/// in task order.
+fn run_region<T: Send, F: FnOnce() -> T + Send>(
     ctx: &StageCtx<'_>,
     stage: StageId,
     pool: WorkerPool,
     tasks: Vec<F>,
-) -> Result<(), ScratchError> {
+) -> Result<Vec<T>, ScratchError> {
     let start_ns = ctx.observer.map_or(0, |observer| observer.now_ns());
-    let (_, timings) = pool.run_tasks(tasks)?;
+    let (results, timings) = pool.run_tasks(tasks)?;
     if let Some(observer) = ctx.observer {
         observer.record(Event::Shards {
             iteration: ctx.index,
@@ -106,19 +112,18 @@ fn run_region<F: FnOnce() + Send>(
             pooled: !pool.is_inline(),
         });
     }
-    Ok(())
+    Ok(results)
 }
 
-/// Runs a region of `stage` that is sharded per table — task `t` takes
-/// only table `t`'s locks — over the pool that `work` f32 elements
-/// justify. An armed worker-panic fault makes the task of the shard it
-/// names panic instead of running.
-fn run_table_shards<F: FnOnce() + Send>(
+/// Runs a region of `stage` that is sharded per table — task `t` works on
+/// table `t`'s state only — over `pool`. An armed worker-panic fault makes
+/// the task of the shard it names panic instead of running.
+fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
     ctx: &StageCtx<'_>,
     stage: StageId,
-    work: usize,
+    pool: WorkerPool,
     tasks: impl ExactSizeIterator<Item = F>,
-) -> Result<(), ScratchError> {
+) -> Result<Vec<T>, ScratchError> {
     let panic_task = ctx
         .faults
         .and_then(|f| f.worker_panic(ctx.index, stage))
@@ -135,7 +140,7 @@ fn run_table_shards<F: FnOnce() + Send>(
             }
         })
         .collect();
-    run_region(ctx, stage, ctx.workers.for_work(work as u64), tasks)
+    run_region(ctx, stage, pool, tasks)
 }
 
 /// A cross-batch ordering the overlapped schedule must enforce: before
@@ -279,7 +284,11 @@ impl PlanStage {
         self.window.reset();
     }
 
-    /// The \[Plan\] body.
+    /// The \[Plan\] body: one [`stages::plan_table`] task per table, side
+    /// by side over `ctx.plan_workers` when the batch clears
+    /// [`stages::PLAN_FAN_OUT_MIN_UNIQUES`], one after another on this
+    /// thread otherwise. Either way the plans, the error reported (the
+    /// lowest failing table's) and everything downstream are the same.
     pub(crate) fn execute(
         &mut self,
         ctx: &StageCtx<'_>,
@@ -289,14 +298,48 @@ impl PlanStage {
         // The one sort/dedup per (batch, table) of the whole run happens
         // here, as each batch enters the window.
         self.window.advance(ctx.batches, ctx.index);
-        payload.traffic.plan = stages::plan(
-            &mut self.managers,
-            ctx.batch(),
-            &self.window,
-            ctx.index,
-            self.future_depth,
-            &mut payload.plans,
-        )?;
+        let i = ctx.index;
+        let current = self
+            .window
+            .get(i)
+            .expect("window advanced to the planned batch");
+        let mut upcoming: [&[Vec<u64>]; stages::MAX_FUTURE_DEPTH] = [&[]; stages::MAX_FUTURE_DEPTH];
+        let mut depth = 0;
+        while depth < self.future_depth.min(stages::MAX_FUTURE_DEPTH) {
+            let Some(ahead) = self.window.get(i + 1 + depth) else {
+                break;
+            };
+            upcoming[depth] = ahead;
+            depth += 1;
+        }
+        let upcoming = &upcoming[..depth];
+
+        let uniques: usize = current.iter().map(Vec::len).sum();
+        let pool = if uniques >= stages::PLAN_FAN_OUT_MIN_UNIQUES && current.len() >= 2 {
+            ctx.plan_workers
+        } else {
+            WorkerPool::inline()
+        };
+        payload
+            .plans
+            .resize_with(self.managers.len(), TablePlan::default);
+        let tasks = (self.managers.iter_mut().zip(&mut payload.plans).enumerate()).map(
+            |(t, (manager, plan))| {
+                move || stages::plan_table(t, manager, &current[t], upcoming, plan)
+            },
+        );
+        // The region is recorded only when it left this thread: inline,
+        // the stage span already says all there is, and the observer
+        // streams of runs under the floor stay the ones
+        // `tests/golden_observers.rs` pins.
+        let region = StageCtx {
+            observer: ctx.observer.filter(|_| !pool.is_inline()),
+            ..*ctx
+        };
+        run_table_shards(&region, StageId::Plan, pool, tasks)?
+            .into_iter()
+            .collect::<Result<(), _>>()?;
+        payload.traffic.plan = stages::plan_traffic(ctx.batch(), current);
         if ctx.shared.check_hazards && ctx.pipelined {
             self.check_victim_safety(ctx.index, &payload.plans)?;
         }
@@ -472,7 +515,8 @@ pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<
                 }
             }
         });
-    run_table_shards(ctx, StageId::Collect, staged_rows * shared.dim, tasks)?;
+    let pool = ctx.workers.for_work((staged_rows * shared.dim) as u64);
+    run_table_shards(ctx, StageId::Collect, pool, tasks)?;
     // Payload integrity: checksum the staged rows so corruption in
     // flight (injected or real) is caught at [Insert] before any
     // model state is touched. Only armed when the fault plan contains
@@ -575,7 +619,8 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
             }
         }
     });
-    run_table_shards(ctx, StageId::Insert, moved_rows * shared.dim, tasks)
+    let pool = ctx.workers.for_work((moved_rows * shared.dim) as u64);
+    run_table_shards(ctx, StageId::Insert, pool, tasks).map(drop)
 }
 
 /// \[Train\] — owns the dense backend and the flat pooled/gradient
@@ -699,7 +744,10 @@ impl<B: DenseBackend> TrainStage<B> {
                 stages::scatter_grads(&mut store, bag, arena.grads_table(t), lr, plan);
             }
         });
-        run_table_shards(ctx, StageId::Train, batch.total_lookups() * dim * 2, tasks)?;
+        let scatter_pool = ctx
+            .workers
+            .for_work((batch.total_lookups() * dim * 2) as u64);
+        run_table_shards(ctx, StageId::Train, scatter_pool, tasks)?;
 
         payload.loss = step.loss;
         Ok(())
@@ -805,7 +853,10 @@ mod tests {
         let uniques: usize = (batches[0].bags())
             .map(|(_, bag)| bag.unique_ids().len())
             .sum();
-        assert!(uniques >= 32_768, "only {uniques} unique IDs a batch");
+        assert!(
+            uniques >= stages::PLAN_FAN_OUT_MIN_UNIQUES,
+            "{uniques} unique IDs a batch would plan inline"
+        );
         // Tight enough that most misses of the later batches evict.
         let slots = 26_000;
         let managers = || -> Vec<ScratchpadManager> {
@@ -855,7 +906,8 @@ mod tests {
                     batches: &batches,
                     index,
                     pipelined: true,
-                    workers: WorkerPool::new(width),
+                    workers: WorkerPool::inline(),
+                    plan_workers: WorkerPool::new(width),
                     faults: None,
                     observer: None,
                     lane: Lane::Main,

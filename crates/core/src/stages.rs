@@ -195,7 +195,7 @@ impl StagePayload {
 
     /// Re-arms a (possibly recycled) payload for mini-batch `index`.
     /// `plans` keeps the previous mini-batch's entries: the \[Plan\] stage
-    /// overwrites them in place ([`plan`]) so their buffers are reused,
+    /// overwrites them in place ([`plan_table`]) so their buffers are reused,
     /// and \[Collect\] sizes the staging arenas from the new plans in one
     /// shot ([`StagedRows::prepare`]).
     pub(crate) fn rearm(&mut self, index: usize) {
@@ -396,83 +396,115 @@ impl UniqueWindow {
     }
 }
 
-/// Deepest look-ahead [`plan`] hands a manager: a valid window is at most
-/// 31 batches wide ([`WindowConfig::validate`](crate::WindowConfig::validate)),
-/// one of which is the current batch, and a manager ignores futures beyond
-/// its own window anyway.
-const MAX_FUTURE_DEPTH: usize = 30;
+/// Deepest look-ahead [`plan_table`] hands a manager: a valid window is at
+/// most 31 batches wide
+/// ([`WindowConfig::validate`](crate::WindowConfig::validate)), one of
+/// which is the current batch, and a manager ignores futures beyond its
+/// own window anyway.
+pub const MAX_FUTURE_DEPTH: usize = 30;
 
-/// \[Plan\] — one mini-batch across all tables: advance each scratchpad
-/// manager, pick fills and victims, and charge the sparse-ID upload +
-/// Hit-Map probe traffic. `window` holds the sorted unique IDs of batch
-/// `i` and of the batches after it; up to `future_depth` of those are
-/// registered so their rows cannot be evicted (the paper's
-/// look-*forward*).
+/// Unique IDs in a mini-batch (summed over its tables) from which
+/// \[Plan\]'s table shards fan out over the worker pool, and rows in a
+/// [`Pipeline::prewarm`](crate::Pipeline::prewarm) from which its tables
+/// do.
 ///
-/// `plans` is overwritten with one plan per table, in place: a recycled
-/// payload's plans keep their buffers, so the steady state plans without
-/// allocating. [`TablePlan::lookup_unique`] is left empty — it is a pure
-/// function of the plan and the bag that only the \[Train\]
-/// gather/scatter reads, so \[Train\] builds it ([`index_lookups`]) and
-/// the managers' critical path does not pay for it.
+/// Derivation (the \[Plan\] sweep of `cargo run --release -p sp-bench
+/// --bin calibrate_schedule`, 2-CPU host; tables in docs/perf.md, "Plan by
+/// table"). Measured through the whole pipeline, not around the region:
+/// fanning out costs a scoped-thread launch per batch *and* makes the
+/// stages behind \[Plan\] read plans another CPU wrote, and on a shared
+/// host the second CPU is not always free — all of which a stand-alone
+/// region (58–95 µs a launch, see [`WorkerPool::MIN_SHARD_WORK`]) does not
+/// show. At `plan_bound`'s shape (≈ 16 k unique IDs a batch, 2.4 ms of
+/// \[Plan\]) the region itself fell to 1.6–2.0 ms, yet the harness read
+/// the run 4.5 % *slower* in 10 of 10 alternating pairs, and a prototype
+/// with a floor of 2 048 had cost the 3–4 k shapes (`train_bound`,
+/// `supervised`) 4–7 %.
+/// With the floor forced to zero, functional shapes won 3 of 5 pairs at
+/// 16 k, 4 of 5 at 32 k (1.09×) and 5 of 5 from 64 k up (1.21×, 1.28× at
+/// 124 k); analytic pipelines, where \[Plan\] is the only stage doing
+/// work, won 5 of 5 from 10 k up (1.5–1.8×; `paper_analytic`, 283 k:
+/// 1.59×). The floor is the power of two over the largest functional
+/// shape that did not win every pair.
+///
+/// [`WorkerPool::MIN_SHARD_WORK`]: crate::WorkerPool::MIN_SHARD_WORK
+pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 32_768;
+
+/// \[Plan\], one table of one mini-batch: advance table `t`'s scratchpad
+/// manager, pick its fills and victims. `current` is the batch's sorted
+/// unique IDs for the table; `upcoming` the unique IDs of the batches
+/// after it, nearest first and *all tables each* (as
+/// [`UniqueWindow::get`] hands them out), whose table-`t` rows are
+/// registered so they cannot be evicted (the paper's look-*forward*).
+///
+/// Managers are per table and share nothing (paper §IV-G), so the tables
+/// of a batch are independent tasks: the \[Plan\] stage runs one per
+/// table, side by side when the batch is big enough, and every plan is
+/// the same whichever thread computed it.
+///
+/// `plan` is overwritten in place: a recycled payload's plans keep their
+/// buffers, so the steady state plans without allocating.
+/// [`TablePlan::lookup_unique`] is left empty — it is a pure function of
+/// the plan and the bag that only the \[Train\] gather/scatter reads, so
+/// \[Train\] builds it ([`index_lookups`]) and the managers' critical
+/// path does not pay for it.
 ///
 /// # Errors
 ///
-/// Returns [`ScratchError::CapacityExhausted`] (tagged with the failing
-/// table) if a scratchpad cannot hold the window's working set.
+/// Returns [`ScratchError::CapacityExhausted`], tagged with `t`, if the
+/// scratchpad cannot hold the window's working set. The stage reports the
+/// lowest failing table. What the *other* managers hold afterwards is
+/// not defined: planned one after another, the tables behind the failing
+/// one were never advanced; planned side by side, every table has been.
+/// Neither state is one to continue from — a plain run ends there, and
+/// [`Pipeline::run_supervised`](crate::Pipeline::run_supervised) puts
+/// every manager back to its segment snapshot whichever it was.
 ///
 /// # Panics
 ///
-/// Panics if `window` was not [`UniqueWindow::advance`]d to `i`.
-pub fn plan(
-    managers: &mut [ScratchpadManager],
-    batch: &SparseBatch,
-    window: &UniqueWindow,
-    i: usize,
-    future_depth: usize,
-    plans: &mut Vec<TablePlan>,
-) -> Result<Traffic, ScratchError> {
-    let mut traffic = Traffic::ZERO;
-    plans.resize_with(managers.len(), TablePlan::default);
-    let current = window.get(i).expect("window advanced to the planned batch");
-    let mut upcoming: [&[Vec<u64>]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
-    let mut depth = 0;
-    while depth < future_depth.min(MAX_FUTURE_DEPTH) {
-        let Some(ahead) = window.get(i + 1 + depth) else {
-            break;
-        };
-        upcoming[depth] = ahead;
-        depth += 1;
+/// Panics if `upcoming` is deeper than [`MAX_FUTURE_DEPTH`].
+pub fn plan_table(
+    t: usize,
+    manager: &mut ScratchpadManager,
+    current: &[u64],
+    upcoming: &[&[Vec<u64>]],
+    plan: &mut TablePlan,
+) -> Result<(), ScratchError> {
+    let mut futures: [&[u64]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
+    for (future, per_table) in futures.iter_mut().zip(upcoming) {
+        *future = &per_table[t];
     }
-    for (t, (manager, plan)) in managers.iter_mut().zip(plans.iter_mut()).enumerate() {
-        let mut futures: [&[u64]; MAX_FUTURE_DEPTH] = [&[]; MAX_FUTURE_DEPTH];
-        for (future, per_table) in futures.iter_mut().zip(&upcoming[..depth]) {
-            *future = &per_table[t];
-        }
-        manager
-            .plan_into(&current[t], &futures[..depth], plan)
-            .map_err(|e| match e {
-                ScratchError::CapacityExhausted { cycle, slots, .. } => {
-                    ScratchError::CapacityExhausted {
-                        table: t,
-                        cycle,
-                        slots,
-                    }
+    manager
+        .plan_into(current, &futures[..upcoming.len()], plan)
+        .map_err(|e| match e {
+            ScratchError::CapacityExhausted { cycle, slots, .. } => {
+                ScratchError::CapacityExhausted {
+                    table: t,
+                    cycle,
+                    slots,
                 }
-                other => other,
-            })?;
+            }
+            other => other,
+        })
+}
+
+/// \[Plan\] traffic: the sparse-ID upload and the Hit-Map probes of one
+/// mini-batch whose sorted unique IDs per table are `current`.
+pub fn plan_traffic(batch: &SparseBatch, current: &[Vec<u64>]) -> Traffic {
+    let mut traffic = Traffic::ZERO;
+    for (t, ids) in current.iter().enumerate() {
         // Deduplicated sparse-ID upload: one u32 slot per unique ID plus
         // the u32 per-lookup index into the unique set — what the Train
         // gather actually consumes — instead of the raw u64 per lookup.
         let lookups = batch.bag(t).total_lookups() as u64;
-        let uniques = current[t].len() as u64;
+        let uniques = ids.len() as u64;
         traffic.pcie_h2d_bytes += (uniques + lookups) * 4;
         // Hit-Map probes: one per unique ID.
         traffic.gpu_random_read_bytes += uniques * 16;
         traffic.gpu_ops += 1;
     }
     traffic.pcie_ops += 1;
-    Ok(traffic)
+    traffic
 }
 
 /// Fills [`TablePlan::lookup_unique`]: for every raw lookup of `bag` (in

@@ -461,6 +461,102 @@ fn abort_lands_on_the_last_committed_segment_at_every_interval() {
     }
 }
 
+/// A `WorkerPanic` in \[Plan\]'s task for table `shard` (0, 1), `fires`
+/// times, mid-trace, at each checkpoint interval: the supervised run over
+/// `batches` must report and train exactly what a fault-free run does.
+fn assert_plan_panics_roll_back(
+    label: &str,
+    batches: &[embeddings::SparseBatch],
+    build: impl Fn(Option<FaultPlan>) -> Pipeline<UnitBackend>,
+    intervals: &[usize],
+    fires: u32,
+) {
+    let mut plain = build(None);
+    let report = plain.run(batches).expect("fault-free run");
+    let base_json = serde_json::to_string(&report).expect("serialize");
+    let base_tables = plain.into_tables();
+    for &checkpoint_interval in intervals {
+        for shard in [0, 1] {
+            let label = format!("{label}/interval {checkpoint_interval}/shard {shard}");
+            let at = batches.len() / 2;
+            let plan = FaultPlan::new(vec![fault(
+                at,
+                "Plan",
+                shard,
+                FaultKind::WorkerPanic,
+                fires,
+            )]);
+            let mut rt = build(Some(plan));
+            let policy = RecoveryPolicy {
+                checkpoint_interval,
+                ..RecoveryPolicy::default()
+            };
+            let SupervisedRun { report, stats } = rt
+                .run_supervised(batches, policy)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(
+                serde_json::to_string(&report).expect("serialize"),
+                base_json,
+                "{label}: report"
+            );
+            assert_eq!(stats.rollbacks, u64::from(fires), "{label}");
+            assert_eq!(stats.faults_injected, u64::from(fires), "{label}");
+            assert_eq!(stats.degradations, 0, "{label}");
+            for (t, (a, b)) in rt.into_tables().iter().zip(&base_tables).enumerate() {
+                assert!(a.bit_eq(b), "{label}: table {t} diverged");
+            }
+        }
+    }
+}
+
+/// \[Plan\] is a shard region like the other table-wise stages: a panic in
+/// one table's planning task — on the calling thread (shard 0) or, when
+/// the batch is big enough to fan out, on a pool worker (shard 1), with
+/// the other tables' managers already advanced past the checkpoint — rolls
+/// the segment back and leaves no trace in the results.
+#[test]
+fn a_panicking_plan_shard_is_rolled_back_without_a_trace() {
+    // The suite's small trace plans inline whatever the pool.
+    assert_plan_panics_roll_back(
+        "inline",
+        &trace(),
+        |plan| build(Schedule::Sync, 2, plan, None),
+        &[1, 4],
+        2,
+    );
+
+    // ≈ 37 k unique IDs a batch over four tables: side by side at width 2.
+    let wide = TraceConfig {
+        num_tables: 4,
+        rows_per_table: 50_000,
+        lookups_per_sample: 8,
+        batch_size: 1_536,
+        profile: LocalityProfile::Low,
+        seed: 0xC4A5,
+    };
+    let batches = TraceGenerator::new(wide).take_batches(6);
+    let uniques: usize = (batches[0].bags())
+        .map(|(_, bag)| bag.unique_ids().len())
+        .sum();
+    assert!(uniques > 34_000, "only {uniques} unique IDs in a batch");
+    let build_wide = |plan: Option<FaultPlan>| {
+        let tables = (0..wide.num_tables as u64)
+            .map(|t| EmbeddingTable::seeded(wide.rows_per_table as usize, 4, 70 + t))
+            .collect();
+        let mut b = Pipeline::builder()
+            .config(PipelineConfig::functional(4, wide.rows_per_table as usize))
+            .tables(tables)
+            .backend(UnitBackend::new(0.05))
+            .schedule(Schedule::Sync)
+            .parallelism(2);
+        if let Some(plan) = plan {
+            b = b.faults(plan);
+        }
+        b.build().expect("pipeline")
+    };
+    assert_plan_panics_roll_back("fanned out", &batches, build_wide, &[4], 1);
+}
+
 /// The recovery decision stream, as `(event, iteration, attempt, detail)`
 /// tuples with the envelope stripped.
 fn recovery_sequence(lines: &[String]) -> Vec<String> {

@@ -257,11 +257,20 @@ fn a_fault_that_could_never_fire_is_rejected_when_armed() {
         armed_with("Colect", FaultKind::StageError),
         "fault 0 (stage_error at iteration 0) can never fire: no stage is named \"Colect\"",
     );
-    // [Plan] runs no shard region, so nothing ever consulted this one.
+    // [Exchange] runs no shard region, so nothing ever consulted this one.
     assert_invalid_config(
-        armed_with("Plan", FaultKind::WorkerPanic),
-        "fault 0 (worker_panic at iteration 0) can never fire: [Plan] runs no shard tasks",
+        armed_with("Exchange", FaultKind::WorkerPanic),
+        "fault 0 (worker_panic at iteration 0) can never fire: [Exchange] runs no shard tasks",
     );
+    // [Plan] does, whether or not the batch is big enough to fan it out.
+    let mut rt = armed_with("Plan", FaultKind::WorkerPanic).expect("[Plan] shards by table");
+    match rt.run(&[batch(1, &[3])]) {
+        Err(ScratchError::WorkerPanic { task, detail }) => {
+            assert_eq!(task, 0);
+            assert!(detail.contains("stage Plan, shard 0"), "{detail}");
+        }
+        other => panic!("expected the armed fault to fire, got {other:?}"),
+    }
     // Names are still matched whatever their case, and still fire.
     let mut rt = armed_with("tRAIN", FaultKind::StageError).expect("a stage name");
     match rt.run(&[batch(1, &[3])]) {

@@ -280,6 +280,71 @@ fn plan_by_table_is_width_invariant_under_every_schedule() {
     }
 }
 
+/// How many of a run's `iteration` audit lines carry \[Plan\] shard
+/// timings — which they do exactly when the region left the calling
+/// thread.
+fn iterations_with_plan_shards(
+    schedule: Schedule,
+    parallelism: usize,
+    num_tables: usize,
+    lookups: usize,
+) -> usize {
+    let tc = TraceConfig {
+        num_tables,
+        rows_per_table: 300_000 / num_tables as u64,
+        lookups_per_sample: 8,
+        batch_size: lookups / (8 * num_tables),
+        profile: LocalityProfile::Low,
+        seed: 77,
+    };
+    let sink = MemorySink::new();
+    let mut rt = Pipeline::builder()
+        .config(PipelineConfig::functional(2, tc.rows_per_table as usize))
+        .tables(
+            (0..num_tables)
+                .map(|t| EmbeddingTable::seeded(tc.rows_per_table as usize, 2, t as u64))
+                .collect(),
+        )
+        .backend(UnitBackend::new(0.1))
+        .schedule(schedule)
+        .parallelism(parallelism)
+        .audit(sink.clone())
+        .build()
+        .expect("pipeline");
+    rt.run(&TraceGenerator::new(tc).take_batches(7))
+        .expect("run");
+    (sink.lines().iter())
+        .filter(|line| {
+            let event: Value = serde_json::from_str(line).expect("audit line parses");
+            (event.get("stage_shards")).is_some_and(|shards| shards.get("Plan").is_some())
+        })
+        .count()
+}
+
+/// The one rule for when \[Plan\] fans out: a register schedule (the
+/// lanes already occupy the pool's CPUs), a pool and a table count of at
+/// least two, and a batch with `PLAN_FAN_OUT_MIN_UNIQUES` unique IDs.
+#[test]
+fn plan_fans_out_under_register_schedules_with_a_pool_and_a_big_batch() {
+    // 49 152 lookups over 300 k rows: ≈ 45 k unique IDs a batch.
+    let big = 49_152;
+    for schedule in [Schedule::Sync, Schedule::Sequential, Schedule::DataParallel] {
+        assert_eq!(
+            iterations_with_plan_shards(schedule, 2, 4, big),
+            7,
+            "{schedule:?}"
+        );
+    }
+    assert_eq!(
+        iterations_with_plan_shards(Schedule::Threaded, 2, 4, big),
+        0
+    );
+    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 1, 4, big), 0);
+    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 1, big), 0);
+    // ≈ 16 k unique IDs a batch: under the floor.
+    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 4, 16_384), 0);
+}
+
 /// `Pipeline::prewarm` fills its tables side by side once it carries as
 /// many rows as a batch that \[Plan\] would fan out. The scratchpads it
 /// leaves — and the training that follows — are the same at any width.
