@@ -1,34 +1,38 @@
-//! `sp-bench` — the benchmark harness regenerating every table and figure
-//! of the ScratchPipe paper.
+//! `sp-bench` — the reproduction ledger of the ScratchPipe paper, the run
+//! tooling (`audit_check`, `trace_report`, `chaos_run`,
+//! `telemetry_overhead`, `calibrate_schedule`) and the criterion
+//! microbenches.
 //!
-//! One binary per experiment (run with `cargo run -p sp-bench --release
-//! --bin <name>`):
+//! The paper's evaluation is stated once, as [`FIGURES`]: per figure,
+//! table and ablation, the sweep that regenerates its table and the
+//! paper's claims about it, each with the band this repository holds
+//! itself to. One binary walks it:
 //!
-//! | binary | paper artifact |
-//! |--------|----------------|
-//! | `fig03_access_counts` | Figure 3 — sorted access counts per dataset |
-//! | `fig05_breakdown` | Figure 5 — training-time breakdown, hybrid vs static |
-//! | `fig06_hit_rate` | Figure 6 — static-cache hit rate vs cache size |
-//! | `fig12a_latency_static` | Figure 12(a) — latency breakdown, baselines |
-//! | `fig12b_latency_scratchpipe` | Figure 12(b) — per-stage pipeline latency |
-//! | `fig13_speedup` | Figure 13 — end-to-end speedup of all four systems |
-//! | `fig14_energy` | Figure 14 — energy, static cache vs ScratchPipe |
-//! | `fig15a_dim_sensitivity` | Figure 15(a) — embedding-dimension sweep |
-//! | `fig15b_lookup_sensitivity` | Figure 15(b) — lookups-per-table sweep |
-//! | `table1_training_cost` | Table I — $ per 1 M iterations vs 8-GPU |
-//! | `table_overhead` | §VI-D — scratchpad capacity overhead |
-//! | `ablation_policy` | §VI-E — eviction-policy ablation |
-//! | `ablation_batch` | §VI-E — batch-size robustness |
+//! ```sh
+//! cargo run --release -p sp-bench --bin repro_report                # everything
+//! cargo run --release -p sp-bench --bin repro_report fig13 table1   # by id
+//! cargo run --release -p sp-bench --bin repro_report > EXPERIMENTS.md
+//! ```
 //!
-//! Each binary prints a markdown table and writes a CSV under `results/`.
-//! Set `SP_ITERS` to change the number of simulated iterations (default
-//! 12; the first third is discarded as cold-cache warm-up).
+//! It prints each table as markdown, writes it to `results/<id>.csv`, and
+//! prints each claim with a computed verdict; an id that is not in
+//! [`FIGURES`] prints the ids and exits 2. Its stdout at the default
+//! `SP_ITERS` is the committed `EXPERIMENTS.md`, and
+//! `tests/paper_claims.rs` asserts the same bands at a reduced iteration
+//! count. Set `SP_ITERS` to change the number of simulated iterations
+//! (default 12; the first third is discarded as cold-cache warm-up).
 
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+
+pub mod figures;
+mod runs;
+
+pub use figures::{Claim, Figure, FIGURES};
+pub use runs::Runs;
 
 /// A simple table that renders to markdown and CSV.
 #[derive(Debug, Clone, Default)]

@@ -210,18 +210,6 @@ pub struct IterationRecord {
     pub traffic: StageTraffic,
 }
 
-impl IterationRecord {
-    /// Lookup duplication factor (`total_lookups / unique_rows`), the
-    /// quantity that drives gradient-coalescing volume.
-    pub fn dup_ratio(&self) -> f64 {
-        if self.unique_rows == 0 {
-            1.0
-        } else {
-            self.total_lookups as f64 / self.unique_rows as f64
-        }
-    }
-}
-
 /// Result of a pipelined run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PipelineReport {
@@ -335,11 +323,5 @@ mod tests {
         assert_eq!(total.gpu_random_write_bytes, 8);
         assert_eq!(total.gpu_flops, 16);
         assert_eq!(st.stages().len(), StageTraffic::STAGE_NAMES.len());
-    }
-
-    #[test]
-    fn dup_ratio_handles_empty_batches() {
-        let rec = IterationRecord::default();
-        assert!((rec.dup_ratio() - 1.0).abs() < f64::EPSILON);
     }
 }

@@ -124,15 +124,6 @@ impl CostModel {
     pub fn serialized_time(&self, t: &Traffic) -> SimTime {
         self.resource_times(t).iter().map(|(_, s)| *s).sum()
     }
-
-    /// Time for a GEMM of `flops` floating-point operations on the GPU,
-    /// dispatched as `kernels` kernel launches.
-    pub fn gemm_time(&self, flops: u64, kernels: u32) -> SimTime {
-        SimTime::from_secs(
-            flops as f64 / self.spec.gpu_compute.effective_flops()
-                + kernels as f64 * self.spec.gpu_compute.kernel_overhead,
-        )
-    }
 }
 
 /// Helpers to compute traffic for the embedding primitives of §II-B.
@@ -221,16 +212,6 @@ mod tests {
     #[test]
     fn zero_traffic_is_free() {
         assert_eq!(model().traffic_time(&Traffic::ZERO), SimTime::ZERO);
-    }
-
-    #[test]
-    fn gemm_includes_kernel_overhead() {
-        let m = model();
-        let pure = m.gemm_time(1_000_000, 0);
-        let with_overhead = m.gemm_time(1_000_000, 10);
-        let spec = SystemSpec::isca_paper();
-        let expected = pure + SimTime::from_secs(10.0 * spec.gpu_compute.kernel_overhead);
-        assert!((with_overhead.as_secs() - expected.as_secs()).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! of peak on a CPU (DRAM page misses, TLB pressure, limited MLP), while a
 //! streaming copy achieves most of peak. The GPU, whose memory system is
 //! built for massively parallel gather/scatter, sustains a much higher
-//! fraction on the same pattern. These efficiencies are the model's only
-//! free parameters and are documented in `EXPERIMENTS.md`.
+//! fraction on the same pattern. These efficiencies are free parameters of
+//! the model; `EXPERIMENTS.md` ("Constants") lists each with the figure it
+//! was fitted to.
 
 use serde::{Deserialize, Serialize};
 
@@ -141,7 +142,8 @@ impl SystemSpec {
     /// Xeon E5-2698v4 (76.8 GB/s DDR4), V100 (900 GB/s HBM2, 32 GB),
     /// PCIe gen3 x16 (16 GB/s per direction).
     ///
-    /// Efficiency calibration (see `EXPERIMENTS.md` for the derivation):
+    /// Efficiency calibration (no derivation is recorded: `EXPERIMENTS.md`,
+    /// "Constants", marks each value fitted, with its target figure):
     /// CPU random 512 B gathers sustain ≈10 % of peak, CPU streaming
     /// ≈45 %; GPU random gathers ≈55 % of peak, streaming ≈80 %; GEMMs
     /// reach 30 % of fp32 peak with a ≈200 µs per-operator dispatch

@@ -74,20 +74,6 @@ impl DlrmBackend {
     pub fn model(&self) -> &DlrmModel {
         &self.model
     }
-
-    /// Deterministic dense features and labels for iteration `i`.
-    pub fn inputs_for(&self, i: usize, batch_size: usize) -> (Vec<f32>, Vec<f32>) {
-        let (mut dense, mut labels) = (Vec::new(), Vec::new());
-        fill_inputs(
-            self.seed,
-            i,
-            batch_size * self.config.dense_dim,
-            batch_size,
-            &mut dense,
-            &mut labels,
-        );
-        (dense, labels)
-    }
 }
 
 /// Refills `dense` with `dense_len` features and `labels` with
@@ -155,17 +141,6 @@ impl DenseBackend for DlrmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inputs_are_deterministic_per_iteration() {
-        let b = DlrmBackend::new(&DlrmConfig::tiny(), 0.01, 7);
-        let (d1, l1) = b.inputs_for(3, 8);
-        let (d2, l2) = b.inputs_for(3, 8);
-        assert_eq!(d1, d2);
-        assert_eq!(l1, l2);
-        let (d3, _) = b.inputs_for(4, 8);
-        assert_ne!(d1, d3);
-    }
 
     #[test]
     fn step_trains_and_reports_loss() {

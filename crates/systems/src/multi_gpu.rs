@@ -24,11 +24,6 @@ pub struct MultiGpuSystem {
     cost: CostModel,
     power: PowerModel,
     gpus: u32,
-    /// Fixed per-iteration synchronization overhead: NCCL all-to-all /
-    /// all-reduce launch latencies, stream synchronization and straggler
-    /// imbalance across 8 workers (8 ms/iteration). Calibrated against
-    /// Table I's 16–19 ms band; see `EXPERIMENTS.md`.
-    pub sync_overhead: SimTime,
 }
 
 impl MultiGpuSystem {
@@ -40,7 +35,6 @@ impl MultiGpuSystem {
             cost: CostModel::new(spec),
             power: PowerModel::p3_16xlarge(),
             gpus,
-            sync_overhead: SimTime::from_millis(8.0),
         }
     }
 
@@ -108,7 +102,7 @@ impl MultiGpuSystem {
         vec![
             self.cost.traffic_time(&fwd),
             self.cost.traffic_time(&a2a),
-            self.cost.traffic_time(&dense) + self.sync_overhead,
+            self.cost.traffic_time(&dense) + SimTime::from_millis(timing::SYNC_OVERHEAD_MS),
             self.cost.traffic_time(&bwd) + timing::contention_time(max_dup, s.dim),
         ]
     }

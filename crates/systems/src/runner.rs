@@ -78,7 +78,7 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Paper-scale configuration (8×10 M×128, batch 2048) — used by the
-    /// figure benches.
+    /// reproduction ledger (`sp_bench::FIGURES`).
     pub fn paper(profile: LocalityProfile, cache_fraction: f64, iterations: usize) -> Self {
         ExperimentConfig {
             shape: ModelShape::paper_default(),
@@ -129,6 +129,16 @@ impl ExperimentConfig {
     pub fn oracle(&self) -> HotOracle {
         TraceGenerator::new(self.shape.trace_config(self.profile, self.seed)).hot_oracle()
     }
+
+    /// The `slots` hottest rows of every table, hottest first — the
+    /// steady-state cache content a long warm-up under any recency policy
+    /// converges to, which the dynamic-cache systems are pre-warmed with.
+    pub fn hot_rows(&self, slots: u64) -> Vec<Vec<u64>> {
+        let gen = TraceGenerator::new(self.shape.trace_config(self.profile, self.seed));
+        (0..self.shape.num_tables)
+            .map(|t| gen.hot_rows(t, slots))
+            .collect()
+    }
 }
 
 /// Builds the requested system and simulates this experiment's trace.
@@ -158,16 +168,11 @@ pub fn run_system(kind: SystemKind, cfg: &ExperimentConfig) -> Result<SystemRepo
 }
 
 /// Builds a ScratchPipe/straw-man system for `cfg`, pre-warmed to the
-/// steady-state cache content (the hottest rows of each table, as a long
-/// warm-up under any recency policy would converge to).
+/// steady-state cache content ([`ExperimentConfig::hot_rows`]).
 fn dynamic_cache_system(cfg: &ExperimentConfig, mode: CacheMode) -> ScratchPipeSystem {
     let sys = ScratchPipeSystem::new(cfg.shape.clone(), cfg.cache_fraction, mode, cfg.spec)
         .with_policy(cfg.policy);
-    let slots = sys.slots_per_table() as u64;
-    let gen = TraceGenerator::new(cfg.shape.trace_config(cfg.profile, cfg.seed));
-    let hot: Vec<Vec<u64>> = (0..cfg.shape.num_tables)
-        .map(|t| gen.hot_rows(t, slots))
-        .collect();
+    let hot = cfg.hot_rows(sys.slots_per_table() as u64);
     sys.with_prewarm(hot)
 }
 

@@ -21,7 +21,7 @@
 //! * \[Exchange\] shares the host's PCIe complex (model: one x16 link per
 //!   direction, as on the paper's Zion-like host).
 //!
-//! The punchline (see the `ext_multigpu_scratchpipe` bench): on
+//! The punchline (`repro_report ext_multigpu`, `EXPERIMENTS.md` §VI-G): on
 //! low-locality traces the pipeline stays CPU-bound, so 8× the GPUs buy
 //! almost nothing; on high-locality traces the Train stage shrinks ~G-fold
 //! but the price grows 8× — the single-GPU design point remains the TCO
@@ -46,9 +46,6 @@ pub struct ScratchPipeMultiGpu {
     power: PowerModel,
     gpus: u32,
     prewarm: Option<Vec<Vec<u64>>>,
-    /// Same NCCL-style per-iteration synchronization overhead as the
-    /// GPU-only comparator.
-    pub sync_overhead: SimTime,
 }
 
 impl ScratchPipeMultiGpu {
@@ -63,7 +60,6 @@ impl ScratchPipeMultiGpu {
             power: PowerModel::p3_16xlarge(),
             gpus,
             prewarm: None,
-            sync_overhead: SimTime::from_millis(8.0),
         }
     }
 
@@ -200,7 +196,7 @@ impl TrainingSystem for ScratchPipeMultiGpu {
                 };
                 let train = train_emb
                     + self.cost.traffic_time(&dense)
-                    + self.sync_overhead
+                    + SimTime::from_millis(timing::SYNC_OVERHEAD_MS)
                     + timing::contention_time(max_dup, self.shape.dim);
                 let mut times = vec![SimTime::ZERO; StageId::COUNT];
                 times[StageId::Plan.index()] = plan;

@@ -35,16 +35,19 @@ pub struct StaticCacheSystem {
     oracle: HotOracle,
     cost: CostModel,
     power: PowerModel,
-    /// Framework slowdown of the CPU miss path. Lower than the pure-CPU
-    /// baseline's factor: the missed-ID indices arrive pre-deduplicated
-    /// and densely packed from the GPU's hit filter, which vectorizes far
-    /// better than full-width framework operators. See `EXPERIMENTS.md`.
-    pub framework_factor: f64,
     hits_seen: u64,
     lookups_seen: u64,
 }
 
 impl StaticCacheSystem {
+    /// Framework slowdown of the CPU miss path. Lower than the pure-CPU
+    /// baseline's factor: the missed-ID indices arrive pre-deduplicated
+    /// and densely packed from the GPU's hit filter, which vectorizes far
+    /// better than full-width framework operators. Fitted: it sets the
+    /// static-cache bars of Figures 5 / 12(a), the denominator of
+    /// Figure 13's 2.8× average (`EXPERIMENTS.md`, "Constants").
+    pub const FRAMEWORK_FACTOR: f64 = 1.4;
+
     /// Creates the static-cache baseline.
     ///
     /// * `cache_fraction` — fraction of every table pinned on the GPU
@@ -63,7 +66,6 @@ impl StaticCacheSystem {
             oracle,
             cost: CostModel::new(spec),
             power: PowerModel::isca_paper(),
-            framework_factor: 1.4,
             hits_seen: 0,
             lookups_seen: 0,
         }
@@ -174,11 +176,11 @@ impl StaticCacheSystem {
         vec![
             self.cost.traffic_time(&filter),
             self.cost.traffic_time(&miss_ids),
-            self.cost.traffic_time(&cpu_gather) * self.framework_factor,
+            self.cost.traffic_time(&cpu_gather) * Self::FRAMEWORK_FACTOR,
             self.cost.traffic_time(&h2d),
             gpu_time,
             self.cost.traffic_time(&grad_d2h),
-            self.cost.traffic_time(&cpu_bwd) * self.framework_factor,
+            self.cost.traffic_time(&cpu_bwd) * Self::FRAMEWORK_FACTOR,
         ]
     }
 

@@ -1,4 +1,5 @@
-//! Shared timing helpers: framework factors and scatter contention.
+//! Shared timing helpers: the multi-GPU synchronization overhead and scatter
+//! contention.
 
 use embeddings::TableBag;
 use memsim::SimTime;
@@ -10,6 +11,13 @@ use memsim::SimTime;
 /// calibration that reproduces Table I's ≈2.4 ms locality-dependent
 /// slowdown of the multi-GPU system.
 pub const ATOMIC_CONFLICT_BW: f64 = 750.0e6;
+
+/// Fixed per-iteration synchronization overhead of an 8-GPU node, in
+/// milliseconds: NCCL all-to-all / all-reduce launch latencies, stream
+/// synchronization and straggler imbalance across 8 workers. Shared by the
+/// GPU-only comparator and multi-GPU ScratchPipe. Fitted to Table I's
+/// 16–19 ms band (`EXPERIMENTS.md`, "Constants").
+pub const SYNC_OVERHEAD_MS: f64 = 8.0;
 
 /// The largest number of times any single row is referenced in `bag` —
 /// the length of the worst serialized atomic-update chain.

@@ -53,18 +53,6 @@ impl Scrambler {
         Scrambler { n, a, a_inv, b }
     }
 
-    /// The identity permutation (useful for tests and for deliberately
-    /// clustered hot sets).
-    pub fn identity(n: u64) -> Self {
-        assert!(n > 0, "domain must be non-empty");
-        Scrambler {
-            n,
-            a: 1,
-            a_inv: 1,
-            b: 0,
-        }
-    }
-
     /// Domain size.
     pub fn n(&self) -> u64 {
         self.n
@@ -147,15 +135,6 @@ mod tests {
         }
         for id in [0u64, 42, 10_000_000] {
             assert_eq!(s.apply(s.invert(id)), id);
-        }
-    }
-
-    #[test]
-    fn identity_maps_to_self() {
-        let s = Scrambler::identity(1000);
-        for v in [0u64, 1, 999] {
-            assert_eq!(s.apply(v), v);
-            assert_eq!(s.invert(v), v);
         }
     }
 

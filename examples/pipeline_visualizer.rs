@@ -47,7 +47,7 @@ fn render(title: &str, sim: &PipelineSim, times: &[StageTimes], width: usize) {
 
 fn main() {
     // Representative steady-state stage latencies for a medium-locality
-    // trace at a 2 % scratchpad (from the fig12b bench): the digits in the
+    // trace at a 2 % scratchpad (`repro_report fig12b`): the digits in the
     // chart are mini-batch indices mod 10.
     let ms = SimTime::from_millis;
     let stage_time = StageTimes(vec![

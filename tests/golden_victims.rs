@@ -1,9 +1,9 @@
 //! Golden victim-sequence test: the exact `(fills, evictions,
 //! unique_slots)` stream of `ScratchpadManager::plan` is part of the
-//! repo's contract — `ablation_policy`, the figure binaries and the
-//! benchmark's `sim_iter_us` / `pcie_bytes_per_iter` all move if a victim
-//! moves. The digests below were recorded at the commit *before* the Plan
-//! metadata path was rebuilt (ordered-set victim pool, expiry buckets);
+//! repo's contract — `repro_report`'s figures (`ablation_policy` first)
+//! and the benchmark's `sim_iter_us` / `pcie_bytes_per_iter` all move if
+//! a victim moves. The digests below were recorded at the commit *before*
+//! the Plan metadata path was rebuilt (ordered-set victim pool, expiry buckets);
 //! any rewrite of that path must reproduce them bit for bit, for every
 //! policy, window and prewarm setting.
 //!
