@@ -2,15 +2,17 @@
 //! interaction → top MLP → BCE, forward + backward + SGD), whole and per
 //! layer.
 //!
-//! The `linear_*` groups annotate each case with its FLOP count, so the
-//! printed `Melem/s` is MFLOP/s (÷ 1000 = GFLOP/s) — the number
-//! `docs/perf.md` "Dense step" sets against the host's measured ceiling
-//! for separate multiply + add under baseline x86-64 codegen.
+//! The `ceiling` and `linear_*` groups annotate each case with its FLOP
+//! count, so the printed `Melem/s` is MFLOP/s (÷ 1000 = GFLOP/s):
+//! `docs/perf.md` "Dense step" sets each layer against `ceiling`, what
+//! this build's separate multiply + add reach with everything in
+//! registers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlrm::{DlrmConfig, DlrmModel, DlrmScratch, Mlp, MlpActivations};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 /// A small model, and the benchmark's `train_bound` model
 /// (benchmark/src/workloads.rs) at its batch.
@@ -60,6 +62,42 @@ fn bench_train_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// `N` independent 8-lane chains `acc[n] += x[n] · w[k]`: a register
+/// tile's inner loop without its broadcasts, loads of `x` and epilogue.
+/// `x` stays in registers; `w[k]` is one L1-resident load per `k`, so the
+/// products are not loop-invariant.
+fn chains<const N: usize>(x: &[[f32; 8]; N], w: &[f32]) -> [[f32; 8]; N] {
+    let mut acc = [[0.0f32; 8]; N];
+    for &wk in w {
+        for (acc, x) in acc.iter_mut().zip(x) {
+            for (a, &xv) in acc.iter_mut().zip(x) {
+                *a += xv * wk;
+            }
+        }
+    }
+    acc
+}
+
+/// The most a dense kernel could reach on this host under this build: one
+/// multiply and one add per lane per step, nothing else in the loop.
+fn bench_ceiling(c: &mut Criterion) {
+    const K: usize = 4096;
+    fn case<const N: usize>(group: &mut criterion::BenchmarkGroup<'_>) {
+        let mut rng = StdRng::seed_from_u64(6);
+        let x: [[f32; 8]; N] = std::array::from_fn(|_| [rng.gen_range(-1.0..1.0); 8]);
+        let w: Vec<f32> = (0..K).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        group.throughput(Throughput::Elements((2 * N * 8 * K) as u64));
+        group.bench_function(format!("{N}_chains"), |b| {
+            b.iter(|| chains(black_box(&x), black_box(&w)));
+        });
+    }
+    let mut group = c.benchmark_group("ceiling");
+    case::<4>(&mut group);
+    case::<8>(&mut group);
+    case::<12>(&mut group);
+    group.finish();
+}
+
 /// `train_bound`'s six layers, each as the one-layer ReLU `Mlp` the model
 /// runs it as (forward = kernel + activation epilogue; backward = ReLU
 /// mask + `dx` + SGD update, at `lr = 0` so every iteration sees the same
@@ -95,7 +133,7 @@ fn bench_layers(c: &mut Criterion) {
         let x: Vec<f32> = (0..BATCH * in_dim)
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
-        let acts = mlp.forward(&x);
+        let mut acts = mlp.forward(&x);
         let dy: Vec<f32> = (0..BATCH * out_dim)
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
@@ -106,7 +144,7 @@ fn bench_layers(c: &mut Criterion) {
             b.iter(|| {
                 grad.clear();
                 grad.extend_from_slice(&dy);
-                mlp.backward_into(&acts, 0.0, &mut grad, &mut spare);
+                mlp.backward_into(&mut acts, 0.0, &mut grad, &mut spare);
             });
         });
     }
@@ -137,5 +175,11 @@ fn bench_interaction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_train_step, bench_layers, bench_interaction);
+criterion_group!(
+    benches,
+    bench_train_step,
+    bench_ceiling,
+    bench_layers,
+    bench_interaction
+);
 criterion_main!(benches);

@@ -928,11 +928,11 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         let mut traffic = Traffic::ZERO;
         let rb = self.shared.row_bytes();
         for (t, manager) in self.plan.managers.iter().enumerate() {
-            let residents = manager.residents();
-            traffic += stages::flush_traffic(residents.len() as u64, rb);
+            traffic += stages::flush_traffic(manager.occupancy() as u64, rb);
             if self.config.functional {
                 // Only rows whose data actually arrived are dirty; with
                 // correct windows every resident row is.
+                let residents = manager.residents();
                 let store = self.shared.storages[t].lock();
                 let mut table = self.shared.cpu_tables[t].lock();
                 let resident = self.shared.data_resident[t].lock();

@@ -9,10 +9,13 @@
 //! initial value and adds its terms in ascending index order, and every
 //! term is a rounded multiply followed by a separate rounded add (never
 //! fused). Which *other* elements are computed alongside is free —
-//! [`dot_from`] folds one chain at a time, `Linear`'s forward carries a
-//! register tile of independent chains through the same `k` order, and
-//! [`axpy`] is elementwise. No schedule, worker count or batch width ever
-//! splits a reduction, so none of them can change a bit.
+//! [`dot_from`] folds one chain at a time, `Linear`'s forward and backward
+//! carry register tiles of independent chains through the same order (`k`
+//! for an output, `o` for an input gradient, the sample for a weight), and
+//! [`axpy`] is elementwise. Nor does it matter how many lanes one
+//! instruction covers: 4 or 8, each lane is still one rounded multiply and
+//! one rounded add. No schedule, worker count, batch width or vector width
+//! ever splits a reduction, so none of them can change a bit.
 
 /// Sequential dot product folded onto an initial value: `init + Σ a·b`,
 /// accumulated strictly left to right (NOT reassociated — bit-compatible

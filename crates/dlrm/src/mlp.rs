@@ -1,7 +1,7 @@
 //! Multi-layer perceptrons with ReLU activations.
 
 use crate::kernels;
-use crate::linear::Linear;
+use crate::linear::{BackwardScratch, Linear};
 
 /// A stack of [`Linear`] layers with ReLU between (and optionally after)
 /// them.
@@ -31,6 +31,9 @@ pub struct MlpActivations {
     /// The k-major weight copy the forward kernel streams, rebuilt by each
     /// layer in turn (sized by the largest).
     packed: Vec<f32>,
+    /// The packed input and step copies the backward kernel streams,
+    /// likewise rebuilt by each layer in turn.
+    backward: BackwardScratch,
 }
 
 impl MlpActivations {
@@ -141,32 +144,52 @@ impl Mlp {
     /// Panics if `dy` does not match the cached activation shapes.
     pub fn backward(&mut self, acts: &MlpActivations, dy: &[f32], lr: f32) -> Vec<f32> {
         let mut grad = dy.to_vec();
-        self.backward_into(acts, lr, &mut grad, &mut Vec::new());
+        let (spare, scratch) = (&mut Vec::new(), &mut BackwardScratch::default());
+        self.backward_layers(&acts.inputs, &acts.pre_act, lr, &mut grad, spare, scratch);
         grad
     }
 
-    /// [`Mlp::backward`] over two reusable ping-pong buffers: `grad` holds
-    /// the output gradient on entry and the gradient w.r.t. the MLP input
-    /// on return; `spare` is overwritten. Allocates nothing once both have
-    /// grown to the widest layer.
+    /// [`Mlp::backward`] over reusable buffers: `grad` holds the output
+    /// gradient on entry and the gradient w.r.t. the MLP input on return,
+    /// ping-ponging with `spare` (overwritten); the kernel's packed copies
+    /// live in `acts`, whose activations are left as they were. Allocates
+    /// nothing once all of them have grown to the widest layer.
     ///
     /// # Panics
     ///
     /// Panics if `grad` does not match the cached activation shapes.
     pub fn backward_into(
         &mut self,
-        acts: &MlpActivations,
+        acts: &mut MlpActivations,
         lr: f32,
         grad: &mut Vec<f32>,
         spare: &mut Vec<f32>,
     ) {
+        let MlpActivations {
+            inputs,
+            pre_act,
+            backward,
+            ..
+        } = acts;
+        self.backward_layers(inputs, pre_act, lr, grad, spare, backward);
+    }
+
+    fn backward_layers(
+        &mut self,
+        inputs: &[Vec<f32>],
+        pre_act: &[Vec<f32>],
+        lr: f32,
+        grad: &mut Vec<f32>,
+        spare: &mut Vec<f32>,
+        scratch: &mut BackwardScratch,
+    ) {
         for (l, layer) in self.layers.iter_mut().enumerate().rev() {
-            let is_last = l + 1 == acts.pre_act.len();
+            let is_last = l + 1 == pre_act.len();
             if !is_last || self.relu_last {
                 // ReLU mask from the pre-activation values.
-                kernels::relu_mask(grad, &acts.pre_act[l]);
+                kernels::relu_mask(grad, &pre_act[l]);
             }
-            layer.backward_into(&acts.inputs[l], grad, lr, spare);
+            layer.backward_tiles(&inputs[l], grad, lr, spare, scratch);
             std::mem::swap(grad, spare);
         }
     }

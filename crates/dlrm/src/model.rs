@@ -196,8 +196,12 @@ impl DlrmModel {
         // Backward: `grad` carries the running gradient (dlogits → dz),
         // the interaction hands d_bottom to `spare`, and the bottom MLP
         // runs the same ping-pong the other way round.
-        self.top
-            .backward_into(&scratch.acts_top, lr, &mut scratch.grad, &mut scratch.spare);
+        self.top.backward_into(
+            &mut scratch.acts_top,
+            lr,
+            &mut scratch.grad,
+            &mut scratch.spare,
+        );
         interaction::backward_into(
             scratch.acts_bottom.output(),
             pooled,
@@ -208,7 +212,7 @@ impl DlrmModel {
             &mut scratch.spare,
         );
         self.bottom.backward_into(
-            &scratch.acts_bottom,
+            &mut scratch.acts_bottom,
             lr,
             &mut scratch.spare,
             &mut scratch.grad,
