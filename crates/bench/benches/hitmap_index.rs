@@ -7,6 +7,11 @@
 //! * `gather`: deduped (index fan-out) vs raw (hash probe per lookup) at
 //!   duplicate ratios 1×, 2×, 8× — the skewed-trace regimes where batch
 //!   dedup pays.
+//! * `dedup`: a bag's sorted unique IDs through `sort_ids` (the LSD radix
+//!   sort, `TableBag::unique_ids_into`) vs the `sort_unstable` + `dedup`
+//!   it replaced, both into reused buffers, at n = 4, 64, 2 048 and
+//!   40 960 lookups — the first n IDs of a paper-shape bag (10 M rows,
+//!   Medium locality; 40 960 is one table of `paper_analytic`'s batch).
 
 use std::collections::HashMap;
 
@@ -16,6 +21,7 @@ use embeddings::{ops, TableBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::SlotIndex;
+use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
 /// `n` distinct keys in insertion order, spread over a 4× larger domain.
 fn keys(n: usize, seed: u64) -> Vec<u64> {
@@ -174,5 +180,48 @@ fn bench_gather(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe, bench_insert_remove, bench_gather);
+fn bench_dedup(c: &mut Criterion) {
+    let paper = TraceGenerator::new(TraceConfig {
+        num_tables: 1,
+        rows_per_table: 10_000_000,
+        lookups_per_sample: 20,
+        batch_size: 2_048,
+        profile: LocalityProfile::Medium,
+        seed: 42,
+    })
+    .take_batches(1);
+    let ids = paper[0].bag(0).ids();
+    let mut group = c.benchmark_group("dedup");
+    for n in [4usize, 64, 2_048, 40_960] {
+        let bag = TableBag::new(ids[..n].to_vec(), vec![0, n as u32]);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(
+            BenchmarkId::new("sort_unstable_dedup", n),
+            &bag,
+            |b, bag| {
+                let mut out = Vec::new();
+                b.iter(|| {
+                    out.clear();
+                    out.extend_from_slice(bag.ids());
+                    out.sort_unstable();
+                    out.dedup();
+                    black_box(out.len())
+                });
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("sort_ids", n), &bag, |b, bag| {
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            b.iter(|| black_box(bag.unique_ids_into(&mut out, &mut scratch)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_probe,
+    bench_insert_remove,
+    bench_gather,
+    bench_dedup
+);
 criterion_main!(benches);

@@ -22,13 +22,19 @@
 //!    widths, so its two columns gauge the sweep's noise. To look for a
 //!    lower floor on another host, lower the constant and run this again.
 //!
+//!    Its analytic shapes also time the **dedup region** alone — every
+//!    batch of the trace entering a `UniqueWindow`, which deduplicates it
+//!    by table side by side from the same floor (counted in lookups) —
+//!    at width 1 and at the machine's width, as alternating pairs: the
+//!    check that the floor \[Plan\] measured holds for the dedup too.
+//!
 //! ```bash
 //! cargo run --release -p sp-bench --bin calibrate_schedule [-- --quick]
 //! ```
 
-use embeddings::EmbeddingTable;
-use scratchpipe::stages::PLAN_FAN_OUT_MIN_UNIQUES;
-use scratchpipe::{Pipeline, PipelineConfig, Schedule, UnitBackend};
+use embeddings::{EmbeddingTable, SparseBatch};
+use scratchpipe::stages::{UniqueWindow, PLAN_FAN_OUT_MIN_UNIQUES};
+use scratchpipe::{Pipeline, PipelineConfig, Schedule, UnitBackend, WindowConfig, WorkerPool};
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
 const NUM_TABLES: usize = 4;
@@ -132,7 +138,7 @@ fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
             .map(|t| TraceGenerator::new(trace).hot_rows(t, slots as u64))
             .collect();
         let mut uniques = 0;
-        let mut micros_at = |width: usize| {
+        let micros_at = |width: usize| {
             let builder = Pipeline::builder()
                 .backend(UnitBackend::new(0.01))
                 .schedule(Schedule::Sync)
@@ -163,28 +169,11 @@ fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
             uniques = report.records.iter().map(|r| r.unique_rows).sum::<u64>() / iterations as u64;
             micros
         };
-        let (mut inline, mut wide, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        for pair in 0..pairs {
-            let (a, b) = if pair % 2 == 0 {
-                let a = micros_at(1);
-                (a, micros_at(cpus))
-            } else {
-                let b = micros_at(cpus);
-                (micros_at(1), b)
-            };
-            inline.push(a);
-            wide.push(b);
-            ratios.push(a / b);
-        }
-        let ahead = ratios.iter().filter(|&&ratio| ratio > 1.0).count();
-        let ratio = median(&mut ratios);
+        let (inline, wide, ratio, ahead) = alternate(cpus, pairs, micros_at);
         let fans_out = cpus >= 2 && uniques as usize >= PLAN_FAN_OUT_MIN_UNIQUES;
         (if fans_out { &mut above } else { &mut below }).push((uniques, ratio));
         println!(
-            "| {} | {uniques} | {:.1} | {:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
-            label,
-            median(&mut inline),
-            median(&mut wide),
+            "| {label} | {uniques} | {inline:.1} | {wide:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
             if fans_out { "yes" } else { "no" },
         );
     }
@@ -210,6 +199,95 @@ fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
     }
 }
 
+/// Runs `measure(1)` and `measure(cpus)` `pairs` times, taking turns so a
+/// drift of the host lands on both sides; returns the two medians, the
+/// median width-1 / width-`cpus` ratio and the pairs the pool won.
+fn alternate(
+    cpus: usize,
+    pairs: usize,
+    mut measure: impl FnMut(usize) -> f64,
+) -> (f64, f64, f64, usize) {
+    let (mut inline, mut wide, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (a, b) = if pair % 2 == 0 {
+            let a = measure(1);
+            (a, measure(cpus))
+        } else {
+            let b = measure(cpus);
+            (measure(1), b)
+        };
+        inline.push(a);
+        wide.push(b);
+        ratios.push(a / b);
+    }
+    let ahead = ratios.iter().filter(|&&ratio| ratio > 1.0).count();
+    (
+        median(&mut inline),
+        median(&mut wide),
+        median(&mut ratios),
+        ahead,
+    )
+}
+
+/// The dedup region of the \[Plan\] sweep's analytic shapes (see the
+/// module docs): µs per batch of walking a `UniqueWindow` the pipeline's
+/// size over the trace, at pool width 1 and `cpus`.
+fn dedup_sweep(cpus: usize, pairs: usize, quick: bool) {
+    println!(
+        "\nDedup by table (`UniqueWindow::advance`): pool width 1 vs {cpus}, medians of {pairs} \
+         alternating pairs; floor {PLAN_FAN_OUT_MIN_UNIQUES} lookups a batch\n"
+    );
+    println!(
+        "| shape | lookups/iter | width 1 µs | width {cpus} µs | dedup fans out \
+         | width 1 / width {cpus} | width {cpus} ahead |"
+    );
+    println!("|---|---:|---:|---:|---|---:|---:|");
+    let window = WindowConfig::PAPER;
+    for (
+        label,
+        num_tables,
+        rows_per_table,
+        dim,
+        lookups_per_sample,
+        batch_size,
+        profile,
+        _,
+        iterations,
+    ) in PLAN_SHAPES
+    {
+        if dim.is_some() {
+            continue;
+        }
+        let iterations = iterations / if quick { 2 } else { 1 };
+        let batches: Vec<SparseBatch> = TraceGenerator::new(TraceConfig {
+            num_tables,
+            rows_per_table,
+            lookups_per_sample,
+            batch_size,
+            profile,
+            seed: 0xCA_11B,
+        })
+        .take_batches(iterations);
+        let lookups = batches[0].total_lookups();
+        let mut window = UniqueWindow::new(window.past as usize, window.future as usize);
+        let (inline, wide, ratio, ahead) = alternate(cpus, pairs, |width| {
+            window.reset();
+            let t0 = std::time::Instant::now();
+            for i in 0..batches.len() {
+                window
+                    .advance(&batches, i, WorkerPool::new(width))
+                    .expect("dedup");
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / iterations as f64
+        });
+        let fans_out = cpus >= 2 && num_tables >= 2 && lookups >= PLAN_FAN_OUT_MIN_UNIQUES;
+        println!(
+            "| {label} | {lookups} | {inline:.1} | {wide:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
+            if fans_out { "yes" } else { "no" },
+        );
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let (reps, auto_iterations) = if quick { (2, 100) } else { (5, 200) };
@@ -217,6 +295,7 @@ fn main() {
     println!("cpus: {cpus}, {reps} runs per cell\n");
     auto_sweep(reps, auto_iterations);
     plan_sweep(cpus, reps, quick);
+    dedup_sweep(cpus, reps, quick);
 }
 
 /// The `Schedule::Auto` sweep (see the module docs).

@@ -27,6 +27,7 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use embeddings::sparse::sort_ids;
 use embeddings::store::DenseStore;
 use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
 use memsim::Traffic;
@@ -491,6 +492,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 ),
             });
         }
+        let (mut sorted, mut scratch) = (Vec::new(), Vec::new());
         for (t, (rows, &height)) in hot_rows.iter().zip(&self.table_rows).enumerate() {
             if let Some(row) = rows.iter().find(|&&r| r >= height) {
                 return Err(ScratchError::InvalidConfig {
@@ -506,8 +508,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     detail: format!("prewarm: table {t}: row {row} is already resident"),
                 });
             }
-            let mut sorted = rows.clone();
-            sorted.sort_unstable();
+            sorted.clone_from(rows);
+            sort_ids(&mut sorted, &mut scratch);
             if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
                 return Err(ScratchError::InvalidConfig {
                     detail: format!("prewarm: table {t}: row {} listed twice", pair[0]),
@@ -631,7 +633,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             });
             observer
         });
-        self.plan.begin_run();
+        self.plan.begin_run(iterations);
         if let Some(inj) = &self.faults {
             inj.begin_attempt(0);
             let _ = inj.drain_log();
@@ -733,6 +735,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 .iter()
                 .map(|m| m.stats().peak_held)
                 .collect(),
+            max_dup: self.plan.take_max_dup(),
         });
         if let Some(observer) = observer {
             let end_ns = observer.now_ns();

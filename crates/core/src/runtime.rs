@@ -222,6 +222,13 @@ pub struct PipelineReport {
     /// Peak held (non-evictable) slots per table — the §VI-D working-set
     /// measurement.
     pub peak_held_slots: Vec<usize>,
+    /// Per iteration, the hottest row's lookup count: the most times any
+    /// one row of any table is looked up in the batch — the longest
+    /// serialized update chain its gradient scatter meets. \[Plan\]'s
+    /// dedup counts it for free, so the analytic systems read it here
+    /// instead of sorting every bag again. (Not on [`IterationRecord`],
+    /// whose fields are the audit stream's `iteration` line.)
+    pub max_dup: Vec<u64>,
 }
 
 impl PipelineReport {
@@ -299,6 +306,7 @@ mod tests {
             }],
             flush_traffic: Traffic::ZERO,
             peak_held_slots: vec![4],
+            max_dup: vec![2],
         };
         report.records[0].traffic.train.gpu_flops = 99;
         let json = serde_json::to_string(&report).unwrap();
@@ -307,6 +315,7 @@ mod tests {
         assert_eq!(back.records[0].loss.to_bits(), 0.125f32.to_bits());
         assert_eq!(back.records[0].traffic.train.gpu_flops, 99);
         assert_eq!(back.peak_held_slots, vec![4]);
+        assert_eq!(back.max_dup, vec![2]);
     }
 
     #[test]

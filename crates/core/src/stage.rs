@@ -18,6 +18,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use embeddings::sparse::sort_ids;
 use embeddings::store::DenseStore;
 use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
 use parking_lot::Mutex;
@@ -263,9 +264,13 @@ pub(crate) struct PlanStage {
     /// max(future_depth, HAZARD_FUTURE)`: everything planning and the
     /// victim-safety check read.
     window: UniqueWindow,
+    /// Per batch of the run, its hottest row's lookup count, as the
+    /// window's dedup found it: the report's `max_dup`.
+    max_dup: Vec<u64>,
     /// Scratch of the victim-safety check: one table's evicted rows,
-    /// sorted.
+    /// sorted, and their sort's scratch.
     evicted: Vec<u64>,
+    evicted_scratch: Vec<u64>,
 }
 
 impl PlanStage {
@@ -274,14 +279,25 @@ impl PlanStage {
             managers,
             future_depth,
             window: UniqueWindow::new(HAZARD_PAST, future_depth.max(HAZARD_FUTURE)),
+            max_dup: Vec::new(),
             evicted: Vec::new(),
+            evicted_scratch: Vec::new(),
         }
     }
 
     /// Forgets the deduplicated window: batch indices are about to refer
-    /// to a (possibly) different trace. Called at every run entry.
-    pub(crate) fn begin_run(&mut self) {
+    /// to a (possibly) different trace of `iterations` batches. Called at
+    /// every run entry.
+    pub(crate) fn begin_run(&mut self, iterations: usize) {
         self.window.reset();
+        self.max_dup.clear();
+        self.max_dup.resize(iterations, 0);
+    }
+
+    /// The run's per-batch hottest-row counts (every planned batch's; a
+    /// re-planned one wrote the same count again).
+    pub(crate) fn take_max_dup(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.max_dup)
     }
 
     /// The \[Plan\] body: one [`stages::plan_table`] task per table, side
@@ -296,9 +312,15 @@ impl PlanStage {
     ) -> Result<(), ScratchError> {
         payload.rearm(ctx.index);
         // The one sort/dedup per (batch, table) of the whole run happens
-        // here, as each batch enters the window.
-        self.window.advance(ctx.batches, ctx.index);
+        // here, as each batch enters the window — by table, over the same
+        // pool and from the same floor as the plans below.
+        self.window
+            .advance(ctx.batches, ctx.index, ctx.plan_workers)?;
         let i = ctx.index;
+        self.max_dup[i] = self
+            .window
+            .hottest(i)
+            .expect("window advanced to the planned batch");
         let current = self
             .window
             .get(i)
@@ -363,7 +385,7 @@ impl PlanStage {
             }
             self.evicted.clear();
             self.evicted.extend(plan.evictions.iter().map(|ev| ev.row));
-            self.evicted.sort_unstable();
+            sort_ids(&mut self.evicted, &mut self.evicted_scratch);
             // Batches past either end of the trace are not in the window.
             let neighbours = (i.saturating_sub(HAZARD_PAST)..=i + HAZARD_FUTURE)
                 .filter(|&j| j != i)
@@ -898,6 +920,7 @@ mod tests {
         };
         for width in [1, 2, 4] {
             let mut stage = PlanStage::new(managers(), WindowConfig::PAPER.future as usize);
+            stage.begin_run(batches.len());
             let mut payload = stages::PayloadPool::default().take(shared.dim);
             let mut staged = 0xcbf2_9ce4_8422_2325;
             for index in 0..batches.len() {
@@ -977,7 +1000,7 @@ mod tests {
 
             let batches: Vec<_> = uniq.iter().map(|tables| stages::batch_of(tables)).collect();
             let mut stage = PlanStage::new(Vec::new(), HAZARD_FUTURE);
-            stage.window.advance(&batches, i);
+            stage.window.advance(&batches, i, WorkerPool::inline()).expect("dedup");
             let slow = PlanStage::find_victim_violation(i, &plans, &stage.window);
             let fast = stage.check_victim_safety(i, &plans);
             prop_assert_eq!(&fast, &slow);

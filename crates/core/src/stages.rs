@@ -29,6 +29,7 @@
 //!   once as each batch enters and held in recycled buffers, so dedup
 //!   memory is bounded by the window and not by the trace.
 
+use embeddings::sparse::sort_scratch_len;
 use embeddings::store::DenseStore;
 use embeddings::{ops, EmbeddingTable, SparseBatch, TableBag, VectorStore};
 use memsim::cost::primitives;
@@ -38,6 +39,7 @@ use crate::backend::PooledView;
 use crate::error::ScratchError;
 use crate::runtime::StageTraffic;
 use crate::scratchpad::{ScratchpadManager, TablePlan};
+use crate::workers::WorkerPool;
 
 /// Staged embedding rows for one in-flight mini-batch: all tables
 /// concatenated into one flat arena with per-table row offsets.
@@ -314,15 +316,30 @@ impl TrainArena {
 /// and the checker's look-forward).
 ///
 /// A ring of `past + 1 + ahead` slots keyed by batch index: batch `j`
-/// lives in slot `j % len` and is deduplicated — one sort per table, into
-/// the slot's recycled buffers — when [`UniqueWindow::advance`] first
-/// finds it missing, which evicts the batch `len` positions behind it.
-/// Moving forward one batch therefore costs one dedup; repeating an index
-/// costs none; rewinding re-deduplicates exactly the batches that had been
-/// overwritten.
+/// lives in slot `j % len` and is deduplicated — one
+/// [`TableBag::unique_ids_into`] per table, into the slot's recycled
+/// buffers — when [`UniqueWindow::advance`] first finds it missing, which
+/// evicts the batch `len` positions behind it. Moving forward one batch
+/// therefore costs one dedup; repeating an index costs none; rewinding
+/// re-deduplicates exactly the batches that had been overwritten.
+///
+/// The dedup also yields each batch's hottest-row count
+/// ([`UniqueWindow::hottest`]), which the run reports as
+/// [`PipelineReport::max_dup`](crate::PipelineReport::max_dup).
+///
+/// Tables share nothing, so an entering batch is deduplicated by table:
+/// side by side over the pool `advance` is given when it carries at least
+/// [`PLAN_FAN_OUT_MIN_UNIQUES`] lookups in two or more tables (\[Plan\]'s
+/// fan-out rule, counted in lookups because the unique IDs are what the
+/// dedup is about to find), one table after another on the calling thread
+/// otherwise. Every buffer a table's task writes (the slot's, and the one
+/// sort scratch per table the window keeps) is grown on the calling
+/// thread first, so the workers allocate nothing.
 #[derive(Debug)]
 pub struct UniqueWindow {
     slots: Vec<WindowSlot>,
+    /// [`sort_ids`](embeddings::sparse::sort_ids)' scratch, one per table.
+    scratch: Vec<Vec<u64>>,
     past: usize,
     ahead: usize,
 }
@@ -333,6 +350,8 @@ struct WindowSlot {
     batch: Option<usize>,
     /// Sorted unique IDs per table.
     tables: Vec<Vec<u64>>,
+    /// The most lookups any one row of any table gets in the batch.
+    hottest: u64,
 }
 
 impl UniqueWindow {
@@ -343,6 +362,7 @@ impl UniqueWindow {
             slots: (0..past + 1 + ahead)
                 .map(|_| WindowSlot::default())
                 .collect(),
+            scratch: Vec::new(),
             past,
             ahead,
         }
@@ -364,26 +384,50 @@ impl UniqueWindow {
     }
 
     /// Makes batches `i - past ..= i + ahead` of `batches` (clipped to the
-    /// trace) available through [`UniqueWindow::get`].
-    pub fn advance(&mut self, batches: &[SparseBatch], i: usize) {
+    /// trace) available through [`UniqueWindow::get`], deduplicating the
+    /// ones that enter over `pool` (see the type docs for when it is used).
+    /// Records nothing: the observed streams of a run do not depend on
+    /// where its dedup ran.
+    ///
+    /// # Errors
+    ///
+    /// [`ScratchError::WorkerPanic`] if a table's dedup panicked; the
+    /// batch is then not in the window.
+    pub fn advance(
+        &mut self,
+        batches: &[SparseBatch],
+        i: usize,
+        pool: WorkerPool,
+    ) -> Result<(), ScratchError> {
         let len = self.slots.len();
-        let lo = i.saturating_sub(self.past);
-        let in_reach = batches
-            .iter()
-            .enumerate()
-            .skip(lo)
-            .take(i + self.ahead + 1 - lo);
-        for (j, batch) in in_reach {
-            let slot = &mut self.slots[j % len];
+        let reach = i.saturating_sub(self.past)..(i + self.ahead + 1).min(batches.len());
+        for j in reach {
+            let (slot, batch) = (&mut self.slots[j % len], &batches[j]);
             if slot.batch == Some(j) {
                 continue;
             }
-            slot.batch = Some(j);
+            slot.batch = None;
             slot.tables.resize_with(batch.num_tables(), Vec::new);
-            for (ids, (_, bag)) in slot.tables.iter_mut().zip(batch.bags()) {
-                bag.unique_ids_into(ids);
-            }
+            self.scratch.resize_with(batch.num_tables(), Vec::new);
+            let buffers = slot.tables.iter_mut().zip(&mut self.scratch);
+            let tasks = buffers
+                .zip(batch.bags())
+                .map(|((ids, scratch), (_, bag))| {
+                    let n = bag.total_lookups();
+                    ids.clear();
+                    ids.reserve(n);
+                    scratch.resize(sort_scratch_len(n), 0);
+                    move || bag.unique_ids_into(ids, scratch)
+                })
+                .collect();
+            let fan_out =
+                batch.num_tables() >= 2 && batch.total_lookups() >= PLAN_FAN_OUT_MIN_UNIQUES;
+            let pool = if fan_out { pool } else { WorkerPool::inline() };
+            let (hottest, _) = pool.run_tasks(tasks)?;
+            slot.hottest = hottest.into_iter().max().unwrap_or(0);
+            slot.batch = Some(j);
         }
+        Ok(())
     }
 
     /// Per-table sorted unique IDs of batch `j`: `Some` for every batch in
@@ -391,8 +435,19 @@ impl UniqueWindow {
     /// older one whose slot has not been reused yet), `None` otherwise —
     /// always for an index past the end of the trace.
     pub fn get(&self, j: usize) -> Option<&[Vec<u64>]> {
+        self.slot(j).map(|slot| slot.tables.as_slice())
+    }
+
+    /// The most lookups any one row of any table gets in batch `j` (the
+    /// longest run of equal IDs its dedup met), whenever
+    /// [`UniqueWindow::get`] has the batch.
+    pub fn hottest(&self, j: usize) -> Option<u64> {
+        self.slot(j).map(|slot| slot.hottest)
+    }
+
+    fn slot(&self, j: usize) -> Option<&WindowSlot> {
         let slot = &self.slots[j % self.slots.len()];
-        (slot.batch == Some(j)).then_some(slot.tables.as_slice())
+        (slot.batch == Some(j)).then_some(slot)
     }
 }
 
@@ -404,9 +459,11 @@ impl UniqueWindow {
 pub const MAX_FUTURE_DEPTH: usize = 30;
 
 /// Unique IDs in a mini-batch (summed over its tables) from which
-/// \[Plan\]'s table shards fan out over the worker pool, and rows in a
-/// [`Pipeline::prewarm`](crate::Pipeline::prewarm) from which its tables
-/// do.
+/// \[Plan\]'s table shards fan out over the worker pool. The same floor
+/// counts the lookups from which a batch entering the [`UniqueWindow`] is
+/// deduplicated by table side by side, and the rows from which a
+/// [`Pipeline::prewarm`](crate::Pipeline::prewarm) fills its tables side
+/// by side.
 ///
 /// Derivation (the \[Plan\] sweep of `cargo run --release -p sp-bench
 /// --bin calibrate_schedule`, 2-CPU host; tables in docs/perf.md, "Plan by
@@ -425,7 +482,11 @@ pub const MAX_FUTURE_DEPTH: usize = 30;
 /// 124 k); analytic pipelines, where \[Plan\] is the only stage doing
 /// work, won 5 of 5 from 10 k up (1.5–1.8×; `paper_analytic`, 283 k:
 /// 1.59×). The floor is the power of two over the largest functional
-/// shape that did not win every pair.
+/// shape that did not win every pair. The same sweep times the dedup
+/// region alone at its analytic shapes: under the floor (10 k lookups) it
+/// is the same code at both widths, over it (41 k lookups up) the pool won
+/// 5 of 5 pairs at every shape (1.62–1.70×; docs/perf.md, "Sorting once,
+/// in linear time").
 ///
 /// [`WorkerPool::MIN_SHARD_WORK`]: crate::WorkerPool::MIN_SHARD_WORK
 pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 32_768;
@@ -801,6 +862,32 @@ mod tests {
         .prop_map(|trace| trace.iter().map(|tables| batch_of(tables)).collect())
     }
 
+    fn advance(window: &mut UniqueWindow, batches: &[SparseBatch], i: usize) {
+        window
+            .advance(batches, i, WorkerPool::inline())
+            .expect("dedup");
+    }
+
+    /// The most lookups any one row of any table gets in `batch`, by a
+    /// comparison sort and a scan.
+    fn hottest(batch: &SparseBatch) -> u64 {
+        let mut most = 0;
+        for (_, bag) in batch.bags() {
+            let mut ids = bag.ids().to_vec();
+            ids.sort_unstable();
+            let mut run = 0;
+            for (k, id) in ids.iter().enumerate() {
+                run = if k > 0 && ids[k - 1] == *id {
+                    run + 1
+                } else {
+                    1
+                };
+                most = most.max(run);
+            }
+        }
+        most
+    }
+
     /// Everything [Plan] and the victim-safety check may ask the window
     /// for after `advance(i)` — batches `i - past ..= i + ahead`, clipped
     /// to the trace — is there; whatever else it still answers for is
@@ -820,6 +907,7 @@ mod tests {
                     for (t, bag) in batches[j].bags() {
                         assert_eq!(per_table[t], bag.unique_ids(), "batch {j} table {t}");
                     }
+                    assert_eq!(window.hottest(j), Some(hottest(&batches[j])), "batch {j}");
                 }
                 None => assert!(!in_reach, "batch {j} missing at i = {i}"),
             }
@@ -850,7 +938,7 @@ mod tests {
                 window.reset();
                 prop_assert_eq!(window.held_and_capacity().0, 0);
                 for i in 0..trace.len() {
-                    window.advance(trace, i);
+                    advance(&mut window, trace, i);
                     assert_window_matches(&window, trace, i, past, ahead);
                 }
                 // Arbitrary jumps: back, forward, and on the spot.
@@ -860,12 +948,71 @@ mod tests {
                     }
                     let i = at % trace.len();
                     for _ in 0..=repeats {
-                        window.advance(trace, i);
+                        advance(&mut window, trace, i);
                         assert_window_matches(&window, trace, i, past, ahead);
                     }
                 }
             }
         }
+    }
+
+    /// Over the fan-out floor an entering batch is deduplicated by table
+    /// side by side; which thread sorted a table must not show. The
+    /// pipeline's window, walked through its first fill (three batches
+    /// at once), to the end of the trace, back (a rewind re-deduplicates)
+    /// and forward again, holds the same IDs and counts at widths 1, 2
+    /// and 4 — and the IDs `TableBag::unique_ids` gives.
+    #[test]
+    fn unique_window_is_the_same_at_every_pool_width() {
+        use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
+
+        let batches = TraceGenerator::new(TraceConfig {
+            num_tables: 4,
+            rows_per_table: 1 << 20,
+            lookups_per_sample: 8,
+            batch_size: 1_024,
+            profile: LocalityProfile::Medium,
+            seed: 0xDED0,
+        })
+        .take_batches(7);
+        assert!(batches[0].total_lookups() >= PLAN_FAN_OUT_MIN_UNIQUES);
+        let walk = [0, 1, 2, 3, 4, 5, 6, 6, 1, 0, 3, 6];
+        let snapshot = |window: &UniqueWindow| -> Vec<Option<(Vec<Vec<u64>>, u64)>> {
+            (0..batches.len() + 3)
+                .map(|j| Some((window.get(j)?.to_vec(), window.hottest(j)?)))
+                .collect()
+        };
+        let want: Vec<(Vec<Vec<u64>>, u64)> = (batches.iter())
+            .map(|batch| {
+                let ids = batch.bags().map(|(_, bag)| bag.unique_ids()).collect();
+                (ids, hottest(batch))
+            })
+            .collect();
+        let mut seen: Vec<Vec<_>> = Vec::new();
+        for width in [1, 2, 4] {
+            let mut window = UniqueWindow::new(3, 2);
+            let states: Vec<_> = walk
+                .iter()
+                .map(|&i| {
+                    window
+                        .advance(&batches, i, WorkerPool::new(width))
+                        .expect("dedup");
+                    snapshot(&window)
+                })
+                .collect();
+            for (state, &i) in states.iter().zip(&walk) {
+                for (j, held) in state.iter().enumerate() {
+                    if let Some(held) = held {
+                        assert_eq!(held, &want[j], "width {width} batch {j}");
+                    } else {
+                        let in_reach = j + 3 >= i && j <= i + 2 && j < batches.len();
+                        assert!(!in_reach, "width {width}: batch {j} missing at {i}");
+                    }
+                }
+            }
+            seen.push(states);
+        }
+        assert!(seen.iter().all(|states| *states == seen[0]));
     }
 
     #[test]
@@ -875,20 +1022,20 @@ mod tests {
         // poison survives until the batch leaves.
         let trace: Vec<SparseBatch> = (0..8u64).map(|i| batch_of(&[vec![i, i, i + 1]])).collect();
         let mut window = UniqueWindow::new(1, 2);
-        window.advance(&trace, 0);
+        advance(&mut window, &trace, 0);
         for slot in &mut window.slots {
             if slot.batch == Some(2) {
                 slot.tables[0] = vec![777];
             }
         }
-        window.advance(&trace, 1);
-        window.advance(&trace, 2);
+        advance(&mut window, &trace, 1);
+        advance(&mut window, &trace, 2);
         assert_eq!(
             window.get(2).unwrap()[0],
             vec![777],
             "batch 2 was re-deduplicated"
         );
-        window.advance(&trace, 2);
+        advance(&mut window, &trace, 2);
         assert_eq!(
             window.get(2).unwrap()[0],
             vec![777],
@@ -896,9 +1043,9 @@ mod tests {
         );
         // Once batch 6 takes its slot (6 % 4 == 2) the poison is gone, and
         // rewinding rebuilds batch 2 from the trace.
-        window.advance(&trace, 4);
+        advance(&mut window, &trace, 4);
         assert!(window.get(2).is_none());
-        window.advance(&trace, 2);
+        advance(&mut window, &trace, 2);
         assert_eq!(window.get(2).unwrap()[0], vec![2, 3]);
     }
 

@@ -93,18 +93,42 @@ impl TableBag {
     /// The sorted, deduplicated set of IDs this bag touches.
     pub fn unique_ids(&self) -> Vec<u64> {
         let mut v = Vec::new();
-        self.unique_ids_into(&mut v);
+        self.unique_ids_into(&mut v, &mut Vec::new());
         v
     }
 
     /// [`TableBag::unique_ids`] into a caller-owned buffer, which is
     /// overwritten and keeps its allocation — the form a sliding window
-    /// over a trace recycles its buffers through.
-    pub fn unique_ids_into(&self, out: &mut Vec<u64>) {
+    /// over a trace recycles its buffers through. `scratch` is
+    /// [`sort_ids`]'s; with room for `total_lookups()` IDs in `out` and
+    /// [`sort_scratch_len`]`(total_lookups())` in `scratch` the call is
+    /// allocation-free.
+    ///
+    /// Returns the hottest row's lookup count: the longest run of equal
+    /// IDs the dedup scan passes over (0 for an empty bag). Counting it
+    /// costs the scan one `max` per run, so the one sort serves both the
+    /// unique set and the scatter-contention term of the analytic systems.
+    pub fn unique_ids_into(&self, out: &mut Vec<u64>, scratch: &mut Vec<u64>) -> u64 {
         out.clear();
         out.extend_from_slice(&self.ids);
-        out.sort_unstable();
-        out.dedup();
+        sort_ids(out, scratch);
+        let n = out.len();
+        if n == 0 {
+            return 0;
+        }
+        // In-place dedup: writes land at `unique <= k`, so `out[k - 1]` is
+        // still the sorted input (or was overwritten with itself).
+        let (mut unique, mut run_start, mut hottest) = (1, 0, 0);
+        for k in 1..n {
+            if out[k] != out[k - 1] {
+                hottest = hottest.max(k - run_start);
+                run_start = k;
+                out[unique] = out[k];
+                unique += 1;
+            }
+        }
+        out.truncate(unique);
+        hottest.max(n - run_start) as u64
     }
 
     /// Largest row ID referenced, or `None` for an empty bag.
@@ -188,9 +212,99 @@ impl SparseBatch {
     }
 }
 
+/// Widest digit [`sort_ids`] sorts on per pass: 4 096 buckets, whose
+/// counts (32 KiB) stay in L1.
+const MAX_DIGIT_BITS: u32 = 12;
+
+/// Narrowest digit cap, so a few-ID sort does not take one pass per bit
+/// or two of its keys.
+const MIN_DIGIT_BITS: u32 = 4;
+
+/// The widest digit a sort of `n` IDs may use: ⌈log₂ n⌉ bits (so clearing
+/// and prefix-summing a pass's counts costs about as much as scattering
+/// its IDs), clamped to `MIN_DIGIT_BITS..=MAX_DIGIT_BITS`.
+fn digit_cap(n: usize) -> u32 {
+    (usize::BITS - n.saturating_sub(1).leading_zeros()).clamp(MIN_DIGIT_BITS, MAX_DIGIT_BITS)
+}
+
+/// The most `scratch` a [`sort_ids`] of `n` IDs uses: the buffer the
+/// passes alternate into plus one pass's bucket counts. Reserving it
+/// before the call makes the sort allocation-free.
+pub fn sort_scratch_len(n: usize) -> usize {
+    n + (1 << digit_cap(n))
+}
+
+/// Sorts row IDs ascending, in linear time: the one sort every row-ID
+/// sort of the workspace goes through (bag dedup, the prewarm duplicate
+/// check, the victim-safety check). The result is exactly
+/// `ids.sort_unstable()`'s — equal `u64`s are indistinguishable.
+///
+/// An LSD radix sort that covers only the bits the largest key uses, in
+/// the fewest passes whose digits are at most ⌈log₂ n⌉ (at least 4, at
+/// most 12) bits wide, the key bits split evenly across them: a 4-ID bag
+/// sorts on 16 buckets a pass, a 40 960-ID bag of 24-bit row IDs in two
+/// passes of 4 096. A pass on which every key has the same digit moves
+/// nothing. Passes alternate between `ids` and `scratch` (resized to at
+/// most [`sort_scratch_len`]`(ids.len())`, which also holds the counts);
+/// after an odd number of moving passes the result is copied back.
+pub fn sort_ids(ids: &mut [u64], scratch: &mut Vec<u64>) {
+    let n = ids.len();
+    let key_bits = u64::BITS - ids.iter().fold(0, |acc, &id| acc | id).leading_zeros();
+    let passes = key_bits.div_ceil(digit_cap(n));
+    if passes == 0 {
+        return; // no IDs, or every one is 0
+    }
+    let digit = key_bits.div_ceil(passes);
+    // Whatever `scratch` held is overwritten before it is read: only its
+    // growth is filled.
+    scratch.resize(n + (1 << digit), 0);
+    let (buf, counts) = scratch.split_at_mut(n);
+    let mut in_buf = false;
+    for pass in 0..passes {
+        let shift = pass * digit;
+        let counts = &mut counts[..1 << digit.min(key_bits - shift)];
+        in_buf ^= if in_buf {
+            radix_pass(buf, ids, counts, shift)
+        } else {
+            radix_pass(ids, buf, counts, shift)
+        };
+    }
+    if in_buf {
+        ids.copy_from_slice(buf);
+    }
+}
+
+/// One stable counting pass of [`sort_ids`] on the `counts.len()`-bucket
+/// digit at `shift`: scatters `src` into `dst` in digit order, or leaves
+/// both alone and returns false when every key has the same digit.
+fn radix_pass(src: &[u64], dst: &mut [u64], counts: &mut [u64], shift: u32) -> bool {
+    let mask = counts.len() as u64 - 1;
+    let bucket = |id: u64| ((id >> shift) & mask) as usize;
+    counts.fill(0);
+    for &id in src {
+        counts[bucket(id)] += 1;
+    }
+    if counts[bucket(src[0])] == src.len() as u64 {
+        return false;
+    }
+    let mut start = 0;
+    for count in counts.iter_mut() {
+        let here = *count;
+        *count = start;
+        start += here;
+    }
+    for &id in src {
+        let b = bucket(id);
+        dst[counts[b] as usize] = id;
+        counts[b] += 1;
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bag() -> TableBag {
         TableBag::from_samples(&[vec![0, 4], vec![0, 2, 5]])
@@ -212,9 +326,109 @@ mod tests {
         let b = bag();
         assert_eq!(b.unique_ids(), vec![0, 2, 4, 5]);
         let mut recycled = vec![9, 9, 9];
-        b.unique_ids_into(&mut recycled);
+        let hottest = b.unique_ids_into(&mut recycled, &mut vec![7; 2]);
         assert_eq!(recycled, b.unique_ids());
+        assert_eq!(hottest, 2, "row 0 is looked up twice");
         assert_eq!(b.max_id(), Some(5));
+    }
+
+    /// The sort-and-scan `max_dup_count` that `unique_ids_into`'s count
+    /// replaced: the reference it is checked against.
+    fn longest_equal_run(ids: &[u64]) -> u64 {
+        let mut ids = ids.to_vec();
+        if ids.is_empty() {
+            return 0;
+        }
+        ids.sort_unstable();
+        let (mut max, mut run) = (1u64, 1u64);
+        for pair in ids.windows(2) {
+            if pair[0] == pair[1] {
+                run += 1;
+                max = max.max(run);
+            } else {
+                run = 1;
+            }
+        }
+        max
+    }
+
+    /// Keys of every width: arbitrary `u64`s (0 and `u64::MAX`
+    /// included), few bits, one shared high prefix, all equal.
+    fn arb_ids() -> impl Strategy<Value = Vec<u64>> {
+        // Every digit cap as often as the widest: lengths spread evenly
+        // over the powers of two up to 2¹² ≥ 3 000.
+        let len = (0u32..13, 0u32..4_096).prop_map(|(e, r)| (r % (1 << e)).min(3_000) as usize);
+        let keys = |(n, seed): (usize, u64), key: fn(u64) -> u64| {
+            let mut x = seed;
+            (0..n)
+                .map(|k| {
+                    x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(k as u64) ^ x >> 29;
+                    key(x)
+                })
+                .collect::<Vec<u64>>()
+        };
+        let kind = prop_oneof![
+            Just(
+                (|x| match x % 16 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => x >> (x % 64),
+                }) as fn(u64) -> u64
+            ),
+            Just((|x| x % 1_000) as fn(u64) -> u64),
+            Just((|x| (1 << 40) + x % 300) as fn(u64) -> u64),
+            Just((|x| [0, u64::MAX][(x >> 63) as usize]) as fn(u64) -> u64),
+        ];
+        ((len, 0u64..u64::MAX), kind, 0u64..u64::MAX).prop_map(move |(shape, key, equal)| {
+            // One draw in eight: every key the same.
+            if equal % 8 == 0 {
+                vec![key(equal); shape.0]
+            } else {
+                keys(shape, key)
+            }
+        })
+    }
+
+    proptest! {
+        /// `sort_ids` equals `sort_unstable` at every length 0..=3 000 —
+        /// so every digit width 4..=12 bits — and every key width, 1 to
+        /// 16 passes; `unique_ids_into` returns the sorted-and-deduped
+        /// IDs and the old sort-and-scan count.
+        #[test]
+        fn sort_ids_matches_sort_unstable(ids in arb_ids(), stale in 0usize..5_000) {
+            let mut want = ids.clone();
+            want.sort_unstable();
+            let mut got = ids.clone();
+            // Stale contents do not matter, and the reserved length is
+            // all the sort needs.
+            let reserved = sort_scratch_len(ids.len());
+            let mut scratch = Vec::with_capacity(reserved);
+            scratch.resize(stale.min(reserved), u64::MAX);
+            sort_ids(&mut got, &mut scratch);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(scratch.capacity(), reserved);
+
+            let bag = TableBag::new(ids.clone(), vec![0, ids.len() as u32]);
+            let mut out = vec![1, 2, 3];
+            let hottest = bag.unique_ids_into(&mut out, &mut scratch);
+            want.dedup();
+            prop_assert_eq!(out, want);
+            prop_assert_eq!(hottest, longest_equal_run(&ids));
+        }
+    }
+
+    #[test]
+    fn digit_widths_follow_the_bag_size() {
+        let caps: Vec<u32> = [0, 1, 2, 4, 16, 17, 64, 2_048, 2_049, 4_096, 40_960]
+            .map(digit_cap)
+            .to_vec();
+        assert_eq!(caps, [4, 4, 4, 4, 4, 5, 6, 11, 12, 12, 12]);
+        assert_eq!(
+            sort_scratch_len(4),
+            4 + 16,
+            "a 4-ID bag sorts on 16 buckets"
+        );
+        assert_eq!(sort_scratch_len(40_960), 40_960 + 4_096);
     }
 
     #[test]

@@ -52,11 +52,12 @@ impl MultiGpuSystem {
         let mut per_gpu_lookups = vec![0u64; g as usize];
         let mut per_gpu_unique = vec![0u64; g as usize];
         let mut max_dup = 0u64;
+        let (mut unique, mut scratch) = (Vec::new(), Vec::new());
         for (t, bag) in batch.bags() {
             let owner = t % g as usize;
             per_gpu_lookups[owner] += bag.total_lookups() as u64;
-            per_gpu_unique[owner] += bag.unique_ids().len() as u64;
-            max_dup = max_dup.max(timing::max_dup_count(bag));
+            max_dup = max_dup.max(bag.unique_ids_into(&mut unique, &mut scratch));
+            per_gpu_unique[owner] += unique.len() as u64;
         }
         let lookups = per_gpu_lookups.iter().copied().max().unwrap_or(0);
         let uniques = per_gpu_unique.iter().copied().max().unwrap_or(0);

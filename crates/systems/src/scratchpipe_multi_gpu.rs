@@ -180,9 +180,12 @@ impl TrainingSystem for ScratchPipeMultiGpu {
                     exchange += st.exchange;
                     insert += st.insert;
                 }
-                let max_dup = batches[i]
-                    .bags()
-                    .map(|(_, bag)| timing::max_dup_count(bag))
+                // Every table is some GPU's, so the hottest row over the
+                // pipelines' own dedup counts is the batch's.
+                let max_dup = reports
+                    .iter()
+                    .flatten()
+                    .map(|rep| rep.max_dup[i])
                     .max()
                     .unwrap_or(0);
                 // Dense: data-parallel shard + fabric traffic + sync.

@@ -219,17 +219,13 @@ impl TrainingSystem for ScratchPipeSystem {
         let report = pipeline.run(batches)?;
 
         // Map per-iteration stage traffic to stage latencies, adding the
-        // hot-row scatter-contention penalty to the Train stage.
+        // hot-row scatter-contention penalty to the Train stage (its
+        // duplicate count comes from [Plan]'s dedup, not a second sort).
         let times: Vec<Vec<SimTime>> = report
             .records
             .iter()
-            .zip(batches)
-            .map(|(rec, batch)| {
-                let max_dup = batch
-                    .bags()
-                    .map(|(_, bag)| timing::max_dup_count(bag))
-                    .max()
-                    .unwrap_or(0);
+            .zip(&report.max_dup)
+            .map(|(rec, &max_dup)| {
                 let mut times: Vec<SimTime> = rec
                     .traffic
                     .stages()

@@ -79,6 +79,7 @@ impl StaticCacheSystem {
     fn split(&self, batch: &SparseBatch) -> Split {
         let hot_rows = (self.cache_fraction * self.shape.rows_per_table as f64).floor() as u64;
         let mut sp = Split::default();
+        let (mut unique, mut scratch) = (Vec::new(), Vec::new());
         for (t, bag) in batch.bags() {
             for &id in bag.ids() {
                 if self.oracle.is_hot(t, id, hot_rows) {
@@ -87,14 +88,15 @@ impl StaticCacheSystem {
                     sp.cold_lookups += 1;
                 }
             }
-            for &id in &bag.unique_ids() {
+            let hottest = bag.unique_ids_into(&mut unique, &mut scratch);
+            sp.max_dup_hot = sp.max_dup_hot.max(hottest);
+            for &id in &unique {
                 if self.oracle.is_hot(t, id, hot_rows) {
                     sp.hot_unique += 1;
                 } else {
                     sp.cold_unique += 1;
                 }
             }
-            sp.max_dup_hot = sp.max_dup_hot.max(timing::max_dup_count(bag));
         }
         sp
     }

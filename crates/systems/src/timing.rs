@@ -20,28 +20,16 @@ pub const ATOMIC_CONFLICT_BW: f64 = 750.0e6;
 pub const SYNC_OVERHEAD_MS: f64 = 8.0;
 
 /// The largest number of times any single row is referenced in `bag` —
-/// the length of the worst serialized atomic-update chain.
+/// the length of the worst serialized atomic-update chain (0 for an empty
+/// bag).
 ///
-/// Sort-and-scan over a scratch copy of the IDs: the longest equal run of
-/// the sorted slice is the highest duplicate count, with no per-call hash
-/// map (this runs once per table per simulated iteration).
+/// The count [`TableBag::unique_ids_into`] returns, into throw-away
+/// buffers. The systems themselves do not call this: they take the count
+/// from the dedup they already run (a pipeline's
+/// `PipelineReport::max_dup`, or their own `unique_ids_into`), so each
+/// bag is sorted once.
 pub fn max_dup_count(bag: &TableBag) -> u64 {
-    let mut ids = bag.ids().to_vec();
-    if ids.is_empty() {
-        return 0;
-    }
-    ids.sort_unstable();
-    let mut max = 1u64;
-    let mut run = 1u64;
-    for pair in ids.windows(2) {
-        if pair[0] == pair[1] {
-            run += 1;
-            max = max.max(run);
-        } else {
-            run = 1;
-        }
-    }
-    max
+    bag.unique_ids_into(&mut Vec::new(), &mut Vec::new())
 }
 
 /// Extra GPU time for hot-row scatter contention: the worst chain of
