@@ -454,6 +454,95 @@ fn a_failing_plain_run_still_ends_its_stream() {
     }
 }
 
+fn parse_all(lines: &[String]) -> Vec<Value> {
+    lines
+        .iter()
+        .map(|l| serde_json::from_str(l).expect("parse"))
+        .collect()
+}
+
+#[test]
+fn two_runs_through_one_sink_are_two_streams() {
+    let batches = small_trace(5);
+    let sink = MemorySink::new();
+    let mut rt = Pipeline::builder()
+        .config(PipelineConfig::functional(8, 192))
+        .tables(small_tables())
+        .backend(UnitBackend::new(0.05))
+        .schedule(Schedule::Sync)
+        .audit(sink.clone())
+        .build()
+        .expect("pipeline");
+    rt.run(&batches).expect("first run");
+    rt.run(&batches).expect("second run");
+    let events = parse_all(&sink.lines());
+    let (first, second) = events.split_at(batches.len() + 2);
+    assert_eq!(second.len(), batches.len() + 2);
+    for run in [first, second] {
+        let run_id = str_field(&run[0], "run_id");
+        for (i, event) in run.iter().enumerate() {
+            assert_eq!(uint_field(event, "seq"), i as u64, "seq restarts at 0");
+            assert_eq!(str_field(event, "run_id"), run_id);
+        }
+        assert_eq!(str_field(&run[0], "event"), "run_started");
+        assert_eq!(str_field(&run[run.len() - 1], "event"), "run_completed");
+    }
+    assert_ne!(
+        str_field(&first[0], "run_id"),
+        str_field(&second[0], "run_id"),
+        "every run gets a fresh run_id"
+    );
+}
+
+/// `run_started` and `run_completed` claim the same iteration count, it
+/// is the number of `iteration` lines, and the hit rate recomputed from
+/// those lines is `run_completed.hit_rate` — in a plain stream, and in a
+/// supervised one whose rolled-back attempts audit nothing.
+#[test]
+fn bracketing_events_agree_with_the_iteration_lines() {
+    let (_, plain) = run_with_audit(Schedule::Sync);
+    let sink = MemorySink::new();
+    Pipeline::builder()
+        .config(PipelineConfig::functional(8, 192))
+        .tables(small_tables())
+        .backend(UnitBackend::new(0.05))
+        .schedule(Schedule::Sync)
+        .faults(FaultPlan::new(vec![Fault {
+            iteration: 3,
+            stage: "Train".to_owned(),
+            shard: 0,
+            kind: FaultKind::StageError,
+            fires: 2,
+            slow_nanos: 0,
+        }]))
+        .audit(sink.clone())
+        .build()
+        .expect("pipeline")
+        .run_supervised(&small_trace(6), RecoveryPolicy::default())
+        .expect("recoverable");
+    let supervised = sink.lines();
+    assert!(supervised
+        .iter()
+        .any(|l| l.contains("iteration_rolled_back")));
+    for lines in [plain, supervised] {
+        let events = parse_all(&lines);
+        let (first, last) = (&events[0], &events[events.len() - 1]);
+        let iterations: Vec<&Value> = events
+            .iter()
+            .filter(|e| str_field(e, "event") == "iteration")
+            .collect();
+        assert_eq!(uint_field(first, "iterations"), iterations.len() as u64);
+        assert_eq!(uint_field(last, "iterations"), iterations.len() as u64);
+        let hits: u64 = iterations.iter().map(|e| uint_field(e, "hits")).sum();
+        let misses: u64 = iterations.iter().map(|e| uint_field(e, "misses")).sum();
+        let recomputed = hits as f64 / (hits + misses) as f64;
+        match last.get("hit_rate") {
+            Some(Value::Float(hr)) => assert!((hr - recomputed).abs() < 1e-9),
+            other => panic!("hit_rate: {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn an_injected_slowdown_lands_on_the_shard_it_names_once() {
     // A slow-shard fault adds logical nanoseconds — far more than the

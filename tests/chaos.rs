@@ -75,22 +75,17 @@ fn fault(iteration: usize, stage: &str, shard: usize, kind: FaultKind, fires: u3
         shard,
         kind,
         fires,
-        slow_nanos: if kind == FaultKind::SlowShard {
-            7_777
-        } else {
-            0
-        },
+        slow_nanos: 0,
     }
 }
 
-/// One recoverable fault of every kind, spread over the trace. Every
+/// Recoverable faults of both kinds, spread over the trace. Every
 /// `fires` stays below the default retry budget of 3.
 fn recoverable_plan() -> FaultPlan {
     FaultPlan::new(vec![
         fault(2, "Plan", 0, FaultKind::StageError, 2),
         fault(5, "Collect", 1, FaultKind::WorkerPanic, 1),
-        fault(7, "Collect", 0, FaultKind::CorruptPayload, 1),
-        fault(3, "Train", 2, FaultKind::SlowShard, 1),
+        fault(7, "Insert", 0, FaultKind::WorkerPanic, 1),
         fault(9, "Insert", 0, FaultKind::StageError, 1),
     ])
 }
@@ -119,12 +114,12 @@ fn recovered_run_is_byte_identical_to_fault_free() {
             base_json,
             "{schedule:?}: recovered report must be byte-identical"
         );
-        // StageError×2 + WorkerPanic×1 + CorruptPayload×1 + StageError×1
-        // failing attempts; the slowdown fires but never fails.
+        // StageError×2 + WorkerPanic×1 + WorkerPanic×1 + StageError×1
+        // failing attempts.
         assert_eq!(stats.rollbacks, 5, "{schedule:?}");
         assert_eq!(stats.retries, 5, "{schedule:?}");
         assert_eq!(stats.degradations, 0, "{schedule:?}");
-        assert_eq!(stats.faults_injected, 6, "{schedule:?}");
+        assert_eq!(stats.faults_injected, 5, "{schedule:?}");
         assert_eq!(stats.final_schedule, Some(schedule), "{schedule:?}");
         let recovered = rt.into_tables();
         for (t, (a, b)) in recovered.iter().zip(&base_tables).enumerate() {
@@ -209,7 +204,8 @@ fn degradation_ladder_walks_down_to_sync() {
     // and the first Sync attempt (4), then attempt 5 succeeds on Sync.
     let plan = FaultPlan::new(vec![fault(1, "Insert", 0, FaultKind::StageError, 5)]);
     let (base_json, base_tables) = baseline(Schedule::DataParallel, 2);
-    let mut rt = build(Schedule::DataParallel, 2, Some(plan), None);
+    let sink = MemorySink::new();
+    let mut rt = build(Schedule::DataParallel, 2, Some(plan), Some(sink.clone()));
     let policy = RecoveryPolicy {
         retry_budget: 2,
         checkpoint_interval: 1,
@@ -228,6 +224,7 @@ fn degradation_ladder_walks_down_to_sync() {
     for (a, b) in rt.into_tables().iter().zip(&base_tables) {
         assert!(a.bit_eq(b));
     }
+    assert_eq!(recovery_story(&sink.lines()), [5, 3, 2, 0]);
 }
 
 #[test]
@@ -259,7 +256,7 @@ fn audit_stream_tells_the_recovery_story() {
             other => panic!("unexpected event kind {other}"),
         }
     }
-    assert_eq!(injected, 6);
+    assert_eq!(injected, 5);
     assert_eq!(rolled_back, 5);
     assert_eq!(retried, 5, "rollbacks == retries when nothing degrades");
     assert_eq!(iterations, N as u64, "one committed event per mini-batch");
@@ -289,11 +286,123 @@ fn aborted_run_audits_committed_iterations_and_run_aborted() {
     assert_eq!(iteration_events, 3, "exactly the committed prefix");
 }
 
+/// What an audit stream says the supervisor did, as `[rollbacks, retries,
+/// degradations, aborts]`. Asserts on the way that every rollback is
+/// answered by exactly one retry, degradation or abort, that every
+/// degradation changes the rung, and that an aborted run audits exactly
+/// the iterations its `run_aborted` says it committed.
+fn recovery_story(lines: &[String]) -> [u64; 4] {
+    let mut story = [0u64; 4];
+    let mut iterations = 0u64;
+    for line in lines {
+        let event: Value = serde_json::from_str(line).expect("parse");
+        let Some(Value::Str(kind)) = event.get("event") else {
+            panic!("missing event kind");
+        };
+        match kind.as_str() {
+            "iteration" => iterations += 1,
+            "iteration_rolled_back" => story[0] += 1,
+            "stage_retried" => story[1] += 1,
+            "schedule_degraded" => {
+                story[2] += 1;
+                assert_ne!(event.get("from"), event.get("to"), "{line}");
+            }
+            "run_aborted" => {
+                story[3] += 1;
+                assert_eq!(event.get("committed"), Some(&Value::UInt(iterations)));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        story[0],
+        story[1] + story[2] + story[3],
+        "rollbacks != retries + degradations + aborts"
+    );
+    story
+}
+
+/// A persistent fault walks a run that started on `DataParallel` down the
+/// whole ladder: it aborts off the last rung, `sync`, with the tables at
+/// the committed prefix, and the abort answers the last rollback.
+#[test]
+fn a_persistent_fault_aborts_a_data_parallel_run_off_the_sync_rung() {
+    const ITERS: usize = 16;
+    let abort_at = ITERS / 2;
+    let batches = trace_of(ITERS);
+    let sink = MemorySink::new();
+    let plan = FaultPlan::new(vec![fault(
+        abort_at,
+        "Train",
+        0,
+        FaultKind::StageError,
+        u32::MAX,
+    )]);
+    let mut rt = build(Schedule::DataParallel, 2, Some(plan), Some(sink.clone()));
+    let policy = RecoveryPolicy::default();
+    let err = rt
+        .run_supervised(&batches, policy)
+        .expect_err("persistent fault must abort");
+    match &err {
+        ScratchError::Aborted {
+            iteration,
+            attempts,
+            schedule,
+            ..
+        } => {
+            assert_eq!(*iteration, abort_at);
+            assert_eq!(*attempts, 3 * policy.retry_budget, "three rungs");
+            assert_eq!(schedule, "sync");
+        }
+        other => panic!("expected Aborted, got {other:?}"),
+    }
+    let mut expected = tables();
+    train_direct(
+        &mut expected,
+        &batches[..abort_at],
+        &mut UnitBackend::new(0.05),
+    );
+    for (t, (got, want)) in rt.into_tables().iter().zip(&expected).enumerate() {
+        assert!(got.bit_eq(want), "table {t} not at the committed prefix");
+    }
+    assert_eq!(recovery_story(&sink.lines()), [9, 6, 2, 1]);
+}
+
+/// Every plan [`FaultPlan::seeded`] draws is recoverable: over a seed
+/// matrix, the supervised run on `DataParallel` at width 2 reports byte
+/// for byte and trains bit for bit what the fault-free run does.
+#[test]
+fn seeded_plans_recover_to_the_fault_free_run() {
+    const ITERS: usize = 16;
+    let batches = trace_of(ITERS);
+    let mut plain = build(Schedule::DataParallel, 2, None, None);
+    let report = plain.run(&batches).expect("fault-free run");
+    let base_json = serde_json::to_string(&report).expect("serialize");
+    let base_tables = plain.into_tables();
+    for seed in [11u64, 23, 37, 58] {
+        let sink = MemorySink::new();
+        let plan = FaultPlan::seeded(seed, ITERS, 4);
+        let mut rt = build(Schedule::DataParallel, 2, Some(plan), Some(sink.clone()));
+        let SupervisedRun { report, stats } = rt
+            .run_supervised(&batches, RecoveryPolicy::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(
+            serde_json::to_string(&report).expect("serialize"),
+            base_json,
+            "seed {seed}: report"
+        );
+        for (t, (a, b)) in rt.into_tables().iter().zip(&base_tables).enumerate() {
+            assert!(a.bit_eq(b), "seed {seed}: table {t} diverged");
+        }
+        assert!(stats.faults_injected > 0, "seed {seed}: nothing fired");
+        let [rollbacks, ..] = recovery_story(&sink.lines());
+        assert_eq!(rollbacks, stats.rollbacks, "seed {seed}");
+    }
+}
+
 #[test]
 fn seeded_plans_replay_identically() {
     let plan = FaultPlan::seeded(0xFEED, N, 4);
-    let round_trip = FaultPlan::from_json(&plan.to_json()).expect("round trip");
-    assert_eq!(plan, round_trip);
     let run = || {
         let mut rt = build(Schedule::Sync, 1, Some(plan.clone()), None);
         let out = rt.run_supervised(&trace(), RecoveryPolicy::default());
