@@ -315,7 +315,8 @@ pub struct InjectionRecord {
     pub stage: String,
     /// Kind of fault that fired.
     pub kind: FaultKind,
-    /// Shard coordinate (0 for whole-stage faults).
+    /// Task the fault struck: its shard modulo the stage's task count (0
+    /// for whole-stage faults).
     pub shard: usize,
     /// Logical nanoseconds a [`FaultKind::SlowShard`] firing adds to that
     /// shard (0 for other kinds).
@@ -410,44 +411,49 @@ impl FaultInjector {
         self.attempt.load(Ordering::SeqCst)
     }
 
-    fn fire(&self, iteration: usize, kind: FaultKind, stage: StageId) -> Option<&Fault> {
+    /// Fires the first `kind` fault armed on `(iteration, stage)` for the
+    /// current attempt, if any: logs it and returns the task it strikes,
+    /// its shard reduced modulo `tasks` (a whole stage is one task).
+    fn fire(
+        &self,
+        iteration: usize,
+        kind: FaultKind,
+        stage: StageId,
+        tasks: usize,
+    ) -> Option<usize> {
         let attempt = self.attempt();
         let (_, fault) = self
             .by_iter
             .get(&iteration)?
             .iter()
             .find(|(at, f)| f.kind == kind && attempt < f.fires && *at == stage)?;
+        let shard = fault.shard % tasks.max(1);
         self.log.lock().push(InjectionRecord {
             iteration,
             attempt,
             stage: stage.name().to_owned(),
             kind,
-            shard: if kind == FaultKind::StageError {
-                0
-            } else {
-                fault.shard
-            },
+            shard,
             slow_nanos: 0,
         });
-        Some(fault)
+        Some(shard)
     }
 
     /// Consulted by the driver before executing `stage` on `iteration`:
     /// a firing [`FaultKind::StageError`] yields the error to fail with.
     pub fn stage_error(&self, iteration: usize, stage: StageId) -> Option<ScratchError> {
-        self.fire(iteration, FaultKind::StageError, stage)
+        self.fire(iteration, FaultKind::StageError, stage, 1)
             .map(|_| ScratchError::Injected {
                 iteration,
                 stage: stage.name().to_owned(),
             })
     }
 
-    /// Consulted by sharding stages before spawning their worker tasks: a
-    /// firing [`FaultKind::WorkerPanic`] yields the shard coordinate whose
-    /// task must panic (callers reduce it modulo their task count).
-    pub fn worker_panic(&self, iteration: usize, stage: StageId) -> Option<usize> {
-        self.fire(iteration, FaultKind::WorkerPanic, stage)
-            .map(|f| f.shard)
+    /// Consulted by sharding stages before spawning their `tasks` worker
+    /// tasks: a firing [`FaultKind::WorkerPanic`] yields the index of the
+    /// task that must panic, its shard modulo `tasks`.
+    pub fn worker_panic(&self, iteration: usize, stage: StageId, tasks: usize) -> Option<usize> {
+        self.fire(iteration, FaultKind::WorkerPanic, stage, tasks)
     }
 
     /// Consulted by the driver after a stage completes: logs every
@@ -642,8 +648,11 @@ mod tests {
             fault(1, "anywhere", FaultKind::CorruptPayload, 1),
         ]);
         assert!(inj.checksums_enabled());
-        assert_eq!(inj.worker_panic(0, StageId::Collect), Some(1));
-        assert_eq!(inj.worker_panic(0, StageId::Insert), None);
+        assert_eq!(inj.worker_panic(0, StageId::Collect, 3), Some(1));
+        assert_eq!(inj.worker_panic(0, StageId::Insert, 3), None);
+        assert_eq!(inj.worker_panic(0, StageId::Collect, 1), Some(0), "1 mod 1");
+        let log = inj.drain_log();
+        assert_eq!(log.iter().map(|r| r.shard).collect::<Vec<_>>(), [0, 1]);
         inj.fire_slowdowns(0, StageId::Collect);
         inj.fire_slowdowns(0, StageId::Train);
         let slow: Vec<_> = inj

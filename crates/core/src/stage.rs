@@ -127,8 +127,7 @@ fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
 ) -> Result<Vec<T>, ScratchError> {
     let panic_task = ctx
         .faults
-        .and_then(|f| f.worker_panic(ctx.index, stage))
-        .map(|shard| shard % tasks.len().max(1));
+        .and_then(|f| f.worker_panic(ctx.index, stage, tasks.len()));
     let (index, name) = (ctx.index, stage.name());
     let tasks = tasks
         .enumerate()

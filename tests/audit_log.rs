@@ -543,6 +543,43 @@ fn bracketing_events_agree_with_the_iteration_lines() {
     }
 }
 
+/// A worker panic's shard is taken modulo the stage's task count, and the
+/// `fault_injected` line names the task that panicked — the one the
+/// rollback's cause blames.
+#[test]
+fn an_injected_worker_panic_names_the_task_that_panicked() {
+    let sink = MemorySink::new();
+    Pipeline::builder()
+        .config(PipelineConfig::functional(8, 192))
+        .tables(small_tables())
+        .backend(UnitBackend::new(0.05))
+        .schedule(Schedule::Sync)
+        .faults(FaultPlan::new(vec![Fault {
+            iteration: 3,
+            stage: "Insert".to_owned(),
+            shard: 5,
+            kind: FaultKind::WorkerPanic,
+            fires: 1,
+            slow_nanos: 0,
+        }]))
+        .audit(sink.clone())
+        .build()
+        .expect("pipeline")
+        .run_supervised(&small_trace(6), RecoveryPolicy::default())
+        .expect("recoverable");
+    let events = parse_all(&sink.lines());
+    let first = |kind: &str| {
+        events
+            .iter()
+            .find(|e| str_field(e, "event") == kind)
+            .unwrap_or_else(|| panic!("no {kind} line"))
+    };
+    // Insert runs one task per table: shard 5 of 2 tasks is task 1.
+    assert_eq!(uint_field(first("fault_injected"), "shard"), 1);
+    let cause = str_field(first("iteration_rolled_back"), "cause");
+    assert!(cause.starts_with("worker task 1 panicked"), "{cause}");
+}
+
 #[test]
 fn an_injected_slowdown_lands_on_the_shard_it_names_once() {
     // A slow-shard fault adds logical nanoseconds — far more than the
