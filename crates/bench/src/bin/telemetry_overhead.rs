@@ -20,9 +20,9 @@
 //! Writes `TELEMETRY_overhead.json` with both arms' raw trial times so a
 //! regression is diagnosable from the artifact alone. The enabled arm's
 //! warm-up run — outside the measurement — also attaches an audit sink
-//! and leaves the three views of its event log behind for `audit_check`
-//! and `trace_report`: `TELEMETRY_audit.jsonl`, `TELEMETRY_metrics.json`
-//! and `TELEMETRY_trace.json`.
+//! and leaves the three views of its event log behind as the observed
+//! run's artifacts: `TELEMETRY_audit.jsonl`, `TELEMETRY_metrics.json` and
+//! `TELEMETRY_trace.json` (the last is `trace_report`'s input).
 //!
 //! ```bash
 //! cargo run --release -p sp-bench --bin telemetry_overhead -- --quick

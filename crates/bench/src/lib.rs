@@ -1,7 +1,6 @@
 //! `sp-bench` — the reproduction ledger of the ScratchPipe paper, the run
-//! tooling (`audit_check`, `trace_report`, `chaos_run`,
-//! `telemetry_overhead`, `calibrate_schedule`) and the criterion
-//! microbenches.
+//! tooling (`trace_report`, `telemetry_overhead`, `calibrate_schedule`)
+//! and the criterion microbenches.
 //!
 //! The paper's evaluation is stated once, as [`FIGURES`]: per figure,
 //! table and ablation, the sweep that regenerates its table and the

@@ -63,7 +63,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
-use crate::faults::FaultKind;
 use crate::runtime::{IterationRecord, StageId, StageTraffic};
 use crate::telemetry::Event;
 
@@ -371,15 +370,6 @@ pub(crate) fn write_run(sink: &mut dyn AuditSink, events: &[Event]) {
                         ("shard", uint(record.shard)),
                     ],
                 );
-                // An injected slowdown is logical time: it is added to
-                // the shard it names here, never slept.
-                if record.kind == FaultKind::SlowShard {
-                    let shards = &mut trails[record.iteration].shards[stage_index(&record.stage)];
-                    match shards.len() {
-                        0 => shards.push(record.slow_nanos),
-                        n => shards[record.shard % n] += record.slow_nanos,
-                    }
-                }
             }
             Event::RolledBack {
                 iteration,

@@ -49,16 +49,6 @@ pub enum ScratchError {
         /// The panic payload, when it was a string.
         detail: String,
     },
-    /// A staged payload failed its checksum between \[Collect\] and
-    /// \[Insert\] — the rows in flight were corrupted.
-    PayloadCorrupted {
-        /// Iteration whose payload failed verification.
-        iteration: usize,
-        /// Checksum recorded when the rows were staged.
-        expected: u64,
-        /// Checksum recomputed at \[Insert\].
-        actual: u64,
-    },
     /// An inter-stage channel of the threaded schedule disconnected
     /// unexpectedly — a peer stage died without recording an error first.
     ChannelDisconnected {
@@ -99,15 +89,6 @@ impl fmt::Display for ScratchError {
             ScratchError::WorkerPanic { task, detail } => {
                 write!(f, "worker task {task} panicked: {detail}")
             }
-            ScratchError::PayloadCorrupted {
-                iteration,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "payload of iteration {iteration} corrupted in flight: \
-                 staged checksum {expected:#018x}, insert-time checksum {actual:#018x}"
-            ),
             ScratchError::ChannelDisconnected { stage } => write!(
                 f,
                 "stage {stage}: inter-stage channel disconnected without a recorded error"

@@ -117,7 +117,7 @@ pub use audit::{AuditSink, FileSink, MemorySink, RunDescriptor};
 pub use backend::{DenseBackend, PooledView, StepResult, UnitBackend};
 pub use config::{PipelineConfig, WindowConfig};
 pub use error::ScratchError;
-pub use faults::{Fault, FaultInjector, FaultKind, FaultPlan, FaultySink, InjectionRecord};
+pub use faults::{Fault, FaultKind, FaultPlan, InjectionRecord};
 pub use holdmask::{HoldMask, NaiveHoldMask};
 pub use index::SlotIndex;
 pub use pipeline::{Pipeline, PipelineBuilder, Schedule};

@@ -302,7 +302,8 @@ impl<B: DenseBackend> PipelineBuilder<B> {
     /// Returns [`ScratchError::InvalidConfig`] if the configuration is
     /// missing, inconsistent with the tables, both [`tables`] and
     /// [`analytic_tables`] were given, or the armed [`FaultPlan`] holds a
-    /// fault that could never fire (see [`FaultInjector::new`]).
+    /// fault that could never fire: its stage is not a [`StageId::name`],
+    /// or it is a worker panic on a stage that runs no shard tasks.
     ///
     /// [`tables`]: PipelineBuilder::tables
     /// [`analytic_tables`]: PipelineBuilder::analytic_tables
@@ -1038,9 +1039,6 @@ fn timed_execute(
             start_ns,
             dur_ns: observer.now_ns().saturating_sub(start_ns),
         });
-    }
-    if let Some(inj) = ctx.faults {
-        inj.fire_slowdowns(ctx.index, stage);
     }
     Ok(())
 }
@@ -1942,7 +1940,6 @@ mod tests {
                     shard: 0,
                     kind: FaultKind::StageError,
                     fires: 1,
-                    slow_nanos: 0,
                 }]))
                 .build()
                 .unwrap();

@@ -538,25 +538,6 @@ pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<
         });
     let pool = ctx.workers.for_work((staged_rows * shared.dim) as u64);
     run_table_shards(ctx, StageId::Collect, pool, tasks)?;
-    // Payload integrity: checksum the staged rows so corruption in
-    // flight (injected or real) is caught at [Insert] before any
-    // model state is touched. Only armed when the fault plan contains
-    // CorruptPayload faults — checksumming every payload would tax
-    // the fault-free path.
-    if let Some(inj) = ctx.faults {
-        if inj.checksums_enabled() {
-            payload.checksum = Some(stages::staged_checksum(
-                &payload.staged_miss,
-                &payload.staged_evict,
-            ));
-            if inj.should_corrupt(ctx.index)
-                && (payload.staged_miss.corrupt_first_row()
-                    || payload.staged_evict.corrupt_first_row())
-            {
-                inj.record_corruption(ctx.index);
-            }
-        }
-    }
     Ok(())
 }
 
@@ -576,19 +557,6 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
     payload.traffic.insert = stages::insert_traffic(&payload.plans, shared.row_bytes());
     if !shared.functional {
         return Ok(());
-    }
-    // Verify the staged rows against the checksum [Collect] recorded
-    // — BEFORE any model state is mutated, so a corrupted payload
-    // fails the iteration cleanly instead of landing garbage.
-    if let Some(expected) = payload.checksum {
-        let actual = stages::staged_checksum(&payload.staged_miss, &payload.staged_evict);
-        if actual != expected {
-            return Err(ScratchError::PayloadCorrupted {
-                iteration: payload.index,
-                expected,
-                actual,
-            });
-        }
     }
     // Shard per table: each worker lands one table's fills and
     // write-backs and advances its residency shadow.

@@ -120,41 +120,6 @@ impl StagedRows {
     pub fn total_rows(&self) -> usize {
         self.rows.len()
     }
-
-    /// Folds this arena's table boundaries and row bits into an FNV-1a
-    /// checksum state (see [`staged_checksum`]).
-    fn fold_checksum(&self, mut hash: u64) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        for &offset in &self.offsets {
-            hash = (hash ^ offset as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &v in self.rows.as_flat() {
-            hash = (hash ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
-        }
-        hash
-    }
-
-    /// Flips the bits of the first staged element (fault injection's
-    /// payload corruption). Returns false when nothing is staged.
-    pub(crate) fn corrupt_first_row(&mut self) -> bool {
-        match self.rows.as_flat_mut().first_mut() {
-            Some(v) => {
-                *v = f32::from_bits(v.to_bits() ^ 0xDEAD_BEEF);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// FNV-1a checksum over a payload's staged miss and evict arenas (table
-/// boundaries and the exact f32 bit patterns). \[Collect\] records it
-/// when a [`FaultPlan`](crate::faults::FaultPlan) with payload-corruption
-/// faults is armed; \[Insert\] recomputes and compares before touching
-/// any model state.
-pub fn staged_checksum(miss: &StagedRows, evict: &StagedRows) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    evict.fold_checksum(miss.fold_checksum(FNV_OFFSET))
 }
 
 /// One mini-batch's pipeline register: the plans chosen at \[Plan\], the
@@ -174,11 +139,6 @@ pub(crate) struct StagePayload {
     pub traffic: StageTraffic,
     /// Training loss of this mini-batch, filled at \[Train\].
     pub loss: f32,
-    /// Integrity checksum of the staged arenas, recorded at \[Collect\]
-    /// and verified at \[Insert\] — `None` (the default) skips both
-    /// sides. Only populated when an armed fault plan contains
-    /// payload-corruption faults.
-    pub checksum: Option<u64>,
 }
 
 impl StagePayload {
@@ -191,7 +151,6 @@ impl StagePayload {
             staged_evict: StagedRows::new(dim),
             traffic: StageTraffic::default(),
             loss: 0.0,
-            checksum: None,
         }
     }
 
@@ -206,7 +165,6 @@ impl StagePayload {
         self.staged_evict.reset();
         self.traffic = StageTraffic::default();
         self.loss = 0.0;
-        self.checksum = None;
     }
 }
 

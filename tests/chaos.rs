@@ -10,11 +10,14 @@
 //! full provenance, tables flushed at exactly the last committed
 //! iteration.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use embeddings::EmbeddingTable;
 use proptest::prelude::*;
 use scratchpipe::runtime::train_direct;
 use scratchpipe::{
-    Fault, FaultKind, FaultPlan, FaultySink, MemorySink, Pipeline, PipelineConfig, RecoveryPolicy,
+    AuditSink, Fault, FaultKind, FaultPlan, MemorySink, Pipeline, PipelineConfig, RecoveryPolicy,
     Schedule, ScratchError, SupervisedRun, UnitBackend,
 };
 use serde::Value;
@@ -75,7 +78,6 @@ fn fault(iteration: usize, stage: &str, shard: usize, kind: FaultKind, fires: u3
         shard,
         kind,
         fires,
-        slow_nanos: 0,
     }
 }
 
@@ -427,6 +429,58 @@ fn seeded_plans_replay_identically() {
     for (x, y) in tables_a.iter().zip(&tables_b) {
         assert!(x.bit_eq(y), "replayed tables diverged");
     }
+}
+
+/// An audit sink that drops, and counts, the lines whose index (counting
+/// every line offered to it, from 0) is in `drop_lines` — the test double
+/// for the best-effort sink contract (`FileSink` behaves the same way when
+/// its writer errors).
+struct FaultySink {
+    inner: MemorySink,
+    drop_lines: Vec<u64>,
+    written: u64,
+    dropped: Arc<AtomicU64>,
+}
+
+impl FaultySink {
+    fn new(inner: MemorySink, drop_lines: Vec<u64>) -> Self {
+        FaultySink {
+            inner,
+            drop_lines,
+            written: 0,
+            dropped: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// The dropped-line counter, readable after the sink moved into a
+    /// pipeline.
+    fn dropped_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.dropped)
+    }
+}
+
+impl AuditSink for FaultySink {
+    fn write_line(&mut self, line: &str) {
+        let index = self.written;
+        self.written += 1;
+        if self.drop_lines.contains(&index) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.inner.write_line(line);
+        }
+    }
+}
+
+#[test]
+fn faulty_sink_drops_configured_lines_only() {
+    let mem = MemorySink::new();
+    let mut sink = FaultySink::new(mem.clone(), vec![1, 3]);
+    let dropped = sink.dropped_counter();
+    for k in 0..5 {
+        sink.write_line(&format!("line{k}"));
+    }
+    assert_eq!(mem.lines(), vec!["line0", "line2", "line4"]);
+    assert_eq!(dropped.load(Ordering::Relaxed), 2);
 }
 
 #[test]

@@ -408,7 +408,6 @@ fn dlrm_backend_is_restored_when_train_fails_mid_segment() {
                     shard,
                     kind: FaultKind::WorkerPanic,
                     fires: 2,
-                    slow_nanos: 0,
                 }]);
                 let mut rt = build(schedule, Some(plan));
                 let run = rt.run_supervised(&batches, policy).expect("recoverable");

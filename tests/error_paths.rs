@@ -244,7 +244,6 @@ fn armed_with(stage: &str, kind: FaultKind) -> Result<Pipeline<UnitBackend>, Scr
             shard: 0,
             kind,
             fires: 1,
-            slow_nanos: 0,
         }]))
         .build()
 }

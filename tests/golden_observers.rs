@@ -126,7 +126,6 @@ fn degrading_plan() -> FaultPlan {
         shard,
         kind,
         fires,
-        slow_nanos: 0,
     };
     FaultPlan::new(vec![
         fault(1, "Insert", 0, FaultKind::StageError, 5),

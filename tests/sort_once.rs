@@ -145,7 +145,6 @@ fn a_rolled_back_segment_reports_its_counts_again() {
             shard: 0,
             kind: FaultKind::StageError,
             fires: 1,
-            slow_nanos: 0,
         }]);
         let mut rt = Pipeline::builder()
             .config(PipelineConfig::functional(4, 600))

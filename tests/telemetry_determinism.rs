@@ -96,7 +96,6 @@ fn recoverable_plan() -> FaultPlan {
         shard,
         kind,
         fires,
-        slow_nanos: 0,
     };
     FaultPlan::new(vec![
         fault(2, "Plan", 0, FaultKind::StageError, 2),
