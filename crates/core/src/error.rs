@@ -49,12 +49,6 @@ pub enum ScratchError {
         /// The panic payload, when it was a string.
         detail: String,
     },
-    /// An inter-stage channel of the threaded schedule disconnected
-    /// unexpectedly — a peer stage died without recording an error first.
-    ChannelDisconnected {
-        /// Stage that observed the disconnect.
-        stage: String,
-    },
     /// A supervised run exhausted its retry budget on every rung of the
     /// degradation ladder. Carries the full fault provenance; the tables
     /// are left at the last committed iteration.
@@ -89,10 +83,6 @@ impl fmt::Display for ScratchError {
             ScratchError::WorkerPanic { task, detail } => {
                 write!(f, "worker task {task} panicked: {detail}")
             }
-            ScratchError::ChannelDisconnected { stage } => write!(
-                f,
-                "stage {stage}: inter-stage channel disconnected without a recorded error"
-            ),
             ScratchError::Aborted {
                 iteration,
                 attempts,

@@ -103,6 +103,7 @@ pub mod error;
 pub mod faults;
 pub mod holdmask;
 pub mod index;
+mod lanes;
 pub mod pipeline;
 pub mod policy;
 pub mod recovery;

@@ -2,11 +2,16 @@
 //!
 //! [`Pipeline`] owns the model state and the two stateful stages, and
 //! drives the five stage bodies (Plan / Collect / Exchange / Insert /
-//! Train, the rows of [`StageId`]) under a [`Schedule`]: one register
-//! file on the calling thread — pipelined, pipelined over a wider
-//! [`WorkerPool`], or admitting one batch at a time — or lanes of stages
-//! on their own threads. Under the register schedules \[Plan\] plans a big
-//! batch's tables side by side on the pool the other stages leave idle.
+//! Train, the rows of [`StageId`]) under a [`Schedule`]. Every schedule
+//! runs one protocol: four lanes of adjacent stages, each running a short
+//! program per mini-batch — receive a payload, wait on \[Collect\]'s two
+//! barriers, execute, signal, retire, send it on — with `stages + 1`
+//! payloads circulating. `Threaded` interprets the programs on one thread
+//! per lane; the register schedules step them on the calling thread in
+//! the paper's Fig. 10 register order — pipelined, pipelined over a wider
+//! [`WorkerPool`], or admitting one batch at a time. Under the register
+//! schedules \[Plan\] plans a big batch's tables side by side on the pool
+//! the other stages leave idle.
 //!
 //! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -26,7 +31,6 @@ use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use embeddings::sparse::sort_ids;
 use embeddings::store::DenseStore;
 use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
@@ -36,48 +40,52 @@ use serde::{Deserialize, Serialize};
 
 use crate::audit::AuditSink;
 use crate::backend::DenseBackend;
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, WindowConfig};
 use crate::error::ScratchError;
 use crate::faults::{FaultInjector, FaultPlan};
+use crate::lanes::{self, Program};
 use crate::recovery::{RecoveryPolicy, RecoveryStats, SupervisedRun, TableUndo};
 use crate::runtime::{IterationRecord, PipelineReport, StageId};
 use crate::scratchpad::ScratchpadManager;
-use crate::stage::{self, Barrier, Body, PlanStage, SharedState, StageCtx, TrainStage};
+use crate::stage::{self, Body, PlanStage, SharedState, StageCtx, TrainStage};
 use crate::stages::{self, PayloadPool, StagePayload};
 use crate::telemetry::{self, Event, Lane, RunTelemetry, Telemetry};
 use crate::workers::{self, WorkerPool};
 
 /// Stages in the pipeline — also its depth: the most mini-batches the
-/// register schedule overlaps.
+/// register schedules overlap.
 const STAGES: usize = StageId::COUNT;
 
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Schedule {
-    /// The paper's Figure-10 register pipeline: a cycle executes every
-    /// occupied stage in reverse register order, one after another on the
-    /// calling thread, so at steady state five mini-batches are in flight.
+    /// The paper's Figure-10 register pipeline: the lane programs stepped
+    /// on the calling thread, one cycle executing every occupied stage in
+    /// reverse register order, so at steady state five mini-batches are in
+    /// flight.
     /// Only \[Plan\] ever leaves that thread: its table shards fan out
     /// over the pipeline's [`WorkerPool`] when a batch carries enough
     /// unique IDs to pay for a thread launch
     /// ([`stages::PLAN_FAN_OUT_MIN_UNIQUES`]) — per-table plans are
     /// independent, so nothing a run produces depends on it.
     Sync,
-    /// The §IV-B straw-man: the same register file, but a mini-batch is
-    /// admitted only once it is empty, so one batch finishes all stages
-    /// before the next starts. No overlap, so no hazards can arise.
+    /// The §IV-B straw-man: the same stepping, but \[Plan\] admits a
+    /// mini-batch only while no payload is in flight, so one batch
+    /// finishes all stages before the next starts. No overlap, so no
+    /// hazards can arise.
     Sequential,
-    /// The overlapped pipeline (paper §IV-C): lanes of adjacent stages —
+    /// The overlapped pipeline (paper §IV-C): the lane programs —
     /// `[Plan] [Collect, Exchange] [Insert] [Train]` — each on its own OS
     /// thread (the software analogue of CPU threads, DMA engines and GPU
-    /// streams), depth-1 channels between them, \[Collect\]'s two
+    /// streams), depth-1 hand-offs between them, \[Collect\]'s two
     /// cross-batch barriers as watermark waits, and exactly `stages + 1`
-    /// payloads circulating. An iteration costs the slowest lane, not the
-    /// sum of the stages. Requires functional mode.
+    /// payloads circulating. A lane whose next step is not possible yet
+    /// sleeps until a neighbour's wakes it. An iteration costs the slowest
+    /// lane, not the sum of the stages. Requires functional mode.
     Threaded,
-    /// The synchronous register pipeline with intra-stage data
-    /// parallelism: besides \[Plan\], which every register schedule fans
-    /// out, Collect and Insert shard by table, the Train gather shards by
+    /// The `Sync` stepping with intra-stage data parallelism: besides
+    /// \[Plan\], which every register schedule fans out, Collect and
+    /// Insert shard by table, the Train gather shards by
     /// (table × sample range) and its scatter by table, all over one
     /// [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide).
     /// Bit-identical to every other schedule at any
@@ -373,6 +381,10 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         Ok(Pipeline {
             name: self.name,
             plan: PlanStage::new(managers, config.window.future as usize),
+            // The register distances, whatever the window: the register
+            // schedules imply them, a narrower window is a hazard the
+            // plan-time check reports, and a wider one waits for no more.
+            program: lanes::program(&stage::barriers(WindowConfig::PAPER)),
             train: TrainStage::new(backend),
             shared,
             table_rows,
@@ -405,6 +417,8 @@ pub struct Pipeline<B> {
     plan: PlanStage,
     train: TrainStage<B>,
     pool: PayloadPool,
+    /// The lane program every schedule runs.
+    program: Program,
     sink: Option<Box<dyn AuditSink>>,
     faults: Option<FaultInjector>,
     telemetry: Option<Telemetry>,
@@ -596,7 +610,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     }
 
     /// The worker pool a run under `schedule` shards over. Data parallelism
-    /// rides the register pipeline: the same driver, but stages see the
+    /// rides the `Sync` stepping: the same interpreter, but stages see the
     /// real pool.
     fn pool_for(&self, schedule: Schedule) -> WorkerPool {
         match schedule {
@@ -606,7 +620,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     }
 
     /// The worker pool \[Plan\]'s table shards may fan out over in a run
-    /// under `schedule`. The register drivers run one stage at a time, so
+    /// under `schedule`. The stepper runs one stage at a time, so
     /// the pool's other CPUs are idle while \[Plan\] runs; the lanes
     /// already occupy them (measured: sharding inside the Plan lane lost
     /// 7 %, docs/perf.md "Plan by table").
@@ -683,14 +697,15 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             &mut |ctx, payload| train.execute(ctx, payload),
         ];
         let (pool, records) = (&mut self.pool, &mut run.records[..]);
-        match schedule {
-            Schedule::Threaded => {
-                let barriers = stage::barriers(self.config.window);
-                drive_lanes(&mut bodies, pool, &ctx, &barriers, range, records)
-            }
-            Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-            _ => drive_registers(&mut bodies, pool, &ctx, range, records),
-        }
+        lanes::drive(
+            &self.program,
+            schedule,
+            &mut bodies,
+            pool,
+            &ctx,
+            range,
+            records,
+        )
     }
 
     /// Moves the injector's firing log into the run's event log; returns
@@ -998,7 +1013,7 @@ impl Run {
 }
 
 /// Records one finished iteration from its retiring payload.
-fn retire(ctx: &StageCtx<'_>, records: &mut [IterationRecord], p: &StagePayload) {
+pub(crate) fn retire(ctx: &StageCtx<'_>, records: &mut [IterationRecord], p: &StagePayload) {
     let rec = &mut records[p.index];
     rec.index = p.index;
     rec.hits = p.plans.iter().map(|t| t.hits).sum();
@@ -1018,7 +1033,7 @@ fn retire(ctx: &StageCtx<'_>, records: &mut [IterationRecord], p: &StagePayload)
 /// [`Event::Stage`]; the audit stream's `stage_nanos`, the stage-latency
 /// histogram and the trace's stage span are all read from it. An
 /// unobserved run does not read the clock.
-fn timed_execute(
+pub(crate) fn timed_execute(
     stage: StageId,
     body: &mut Body<'_>,
     ctx: &StageCtx<'_>,
@@ -1041,283 +1056,6 @@ fn timed_execute(
         });
     }
     Ok(())
-}
-
-/// The register pipeline (paper Fig. 10), on the calling thread: each
-/// cycle consumes the stage registers in reverse order — so at steady
-/// state stage `s` processes batch `c - s` in cycle `c` — then admits the
-/// next batch at \[Plan\]. Implicitly satisfies every [`Barrier`].
-///
-/// With `ctx.pipelined` unset this is the §IV-B straw-man: a batch is
-/// admitted only into an empty register file, so it runs all stages to
-/// completion before the next one starts.
-fn drive_registers(
-    bodies: &mut [&mut Body<'_>; STAGES],
-    pool: &mut PayloadPool,
-    ctx: &StageCtx<'_>,
-    range: Range<usize>,
-    records: &mut [IterationRecord],
-) -> Result<(), ScratchError> {
-    // regs[s] holds the payload that stage s produced last cycle.
-    let mut regs: [Option<StagePayload>; STAGES] = std::array::from_fn(|_| None);
-    let mut next = range.start;
-    loop {
-        for s in (1..STAGES).rev() {
-            if let Some(mut p) = regs[s - 1].take() {
-                let at = ctx.at(p.index, Lane::Main);
-                timed_execute(StageId::ALL[s], bodies[s], &at, &mut p)?;
-                if s == STAGES - 1 {
-                    retire(ctx, records, &p);
-                    pool.release(p);
-                } else {
-                    regs[s] = Some(p);
-                }
-            }
-        }
-        let drained = regs.iter().all(Option::is_none);
-        if next < range.end && (ctx.pipelined || drained) {
-            let mut p = pool.take(ctx.shared.dim);
-            timed_execute(StageId::Plan, bodies[0], &ctx.at(next, Lane::Main), &mut p)?;
-            regs[0] = Some(p);
-            next += 1;
-        } else if drained {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// The lanes of the overlapped schedule, as how many adjacent stages each
-/// runs back to back on its thread: `[Plan] [Collect, Exchange] [Insert]
-/// [Train]`. \[Exchange\] is one traffic assignment; it rides with the
-/// stage that hands it the payload rather than paying for a thread and a
-/// channel hop of its own.
-const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
-
-const _: () = {
-    let (mut covered, mut lane) = (0, 0);
-    while lane < LANE_STAGES.len() {
-        covered += LANE_STAGES[lane];
-        lane += 1;
-    }
-    assert!(
-        covered == STAGES,
-        "the lanes must cover every stage exactly once"
-    );
-};
-
-/// The lane of [`LANE_STAGES`] the calling thread runs itself — `[Collect,
-/// Exchange]` — instead of sleeping until the other three join. It is the
-/// lane that grows the payloads' staging arenas, most of what a run
-/// allocates after start-up. On the calling thread that memory comes from
-/// the allocator arena the payloads were minted in and are later freed to,
-/// so a process that builds, runs and drops pipelines one after another
-/// gets it back each time. Memory grown on a spawned lane thread stays in
-/// whichever per-thread arena that short-lived thread was dealt, and the
-/// next run's lanes are dealt the arenas in another order, so such a
-/// process's resident set creeps up by a different amount every time
-/// (docs/perf.md, "The overlapped driver").
-const CALLER_LANE: usize = 1;
-
-/// A barrier wait of one stage: the watched stage's completions, the
-/// batch lag, and the watched stage (for the stall event).
-type Watermark = (Receiver<usize>, i64, StageId);
-
-/// One lane of the overlapped schedule: a thread's worth of adjacent
-/// stages plus the channel ends that connect it to its neighbours.
-struct LaneTask<'s, 'd> {
-    /// Pipeline index of the lane's first stage.
-    first: usize,
-    bodies: &'s mut [&'d mut Body<'d>],
-    /// Per stage of the lane: the barriers it waits on …
-    waits: Vec<Vec<Watermark>>,
-    /// … and the waiters it tells about each batch it completes.
-    signals: Vec<Vec<Sender<usize>>>,
-    /// Where payloads come from: the upstream lane, or — on the source
-    /// lane — the recycle path.
-    rx: Receiver<StagePayload>,
-    /// Where they go: the downstream lane, or — on the sink lane — back
-    /// onto the recycle path.
-    tx: Sender<StagePayload>,
-    /// Where finished iterations retire; `Some` on the sink lane only.
-    records: Option<&'s mut [IterationRecord]>,
-}
-
-impl LaneTask<'_, '_> {
-    /// Runs the lane over `range`. `Ok` covers both completion and a
-    /// quiet shutdown because a neighbour went away (it reported why).
-    fn run(
-        mut self,
-        ctx: &StageCtx<'_>,
-        range: Range<usize>,
-        watermark_floor: i64,
-    ) -> Result<(), ScratchError> {
-        let mut done: Vec<Vec<i64>> = self
-            .waits
-            .iter()
-            .map(|w| vec![watermark_floor; w.len()])
-            .collect();
-        for i in range {
-            // On the source lane this is also the back-pressure: a batch
-            // is admitted only when a payload has come back round.
-            let mut p = match self.rx.recv() {
-                Ok(p) => p,
-                Err(_) if self.first > 0 => return Ok(()),
-                // A lost recycle path means the sink died early; that must
-                // surface as an error even if the sink reported none.
-                Err(_) => {
-                    return Err(ScratchError::ChannelDisconnected {
-                        stage: StageId::ALL[self.first].name().to_owned(),
-                    })
-                }
-            };
-            for (s, body) in self.bodies.iter_mut().enumerate() {
-                let stage = StageId::ALL[self.first + s];
-                let at = ctx.at(i, Lane::Stage(stage.index() as u8));
-                for (w, (completions, lag, watched)) in self.waits[s].iter().enumerate() {
-                    let need = i as i64 - lag;
-                    if done[s][w] >= need {
-                        continue;
-                    }
-                    // Only waits that actually block are recorded as stalls
-                    // — a satisfied watermark costs nothing.
-                    let start_ns = ctx.observer.map_or(0, |observer| observer.now_ns());
-                    while done[s][w] < need {
-                        match completions.recv() {
-                            Ok(completed) => done[s][w] = completed as i64,
-                            Err(_) => return Ok(()),
-                        }
-                    }
-                    if let Some(observer) = ctx.observer {
-                        observer.record(Event::Stall {
-                            iteration: i,
-                            stage: stage.name(),
-                            watched: watched.name(),
-                            lane: at.lane,
-                            start_ns,
-                            dur_ns: observer.now_ns().saturating_sub(start_ns),
-                        });
-                    }
-                }
-                timed_execute(stage, &mut **body, &at, &mut p)?;
-                for waiter in &self.signals[s] {
-                    let _ = waiter.send(i);
-                }
-            }
-            if let Some(records) = self.records.as_deref_mut() {
-                retire(ctx, records, &p);
-            }
-            if self.tx.send(p).is_err() {
-                return Ok(());
-            }
-            // The hand-off channel is named after the stage it feeds; the
-            // sink lane's recycle path feeds none.
-            let downstream = StageId::ALL.get(self.first + self.bodies.len());
-            if let (Some(observer), Some(receiver)) = (ctx.observer, downstream) {
-                observer.record(Event::ChannelDepth {
-                    receiver: receiver.name(),
-                    depth: self.tx.len() as u64,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The overlapped schedule: one thread per lane of [`LANE_STAGES`] (the
-/// calling thread takes [`CALLER_LANE`]), and every [`Barrier`] enforced
-/// as a watermark wait: the watched stage broadcasts each completed batch
-/// index; the waiter blocks until `completed >= i - lag`.
-///
-/// Exactly `stages + 1` payloads exist for the whole call: they are taken
-/// from `pool` here, on the calling thread, and circulate — the sink lane
-/// hands each retired payload back to the source lane, which blocks until
-/// one arrives. No lane ever allocates a payload, and whatever comes back
-/// is returned to `pool` for the next call.
-///
-/// Any stage error is stored (first wins) and shuts the pipeline down
-/// through channel disconnection.
-fn drive_lanes<'d>(
-    bodies: &mut [&'d mut Body<'d>; STAGES],
-    pool: &mut PayloadPool,
-    ctx: &StageCtx<'_>,
-    barriers: &[Barrier],
-    range: Range<usize>,
-    records: &mut [IterationRecord],
-) -> Result<(), ScratchError> {
-    // One watermark channel per barrier, from the watched stage to the
-    // waiting one.
-    let mut waits: [Vec<Watermark>; STAGES] = Default::default();
-    let mut signals: [Vec<Sender<usize>>; STAGES] = Default::default();
-    for barrier in barriers {
-        let (tx, rx) = unbounded::<usize>();
-        signals[barrier.watched.index()].push(tx);
-        waits[barrier.waiter.index()].push((rx, barrier.lag as i64, barrier.watched));
-    }
-
-    // Channel `l` feeds lane `l`: the recycle path, with room for every
-    // payload, feeds the source lane; depth-1 hand-offs feed the others.
-    let (in_flight, lanes) = (STAGES + 1, LANE_STAGES.len());
-    let (mut txs, rxs): (Vec<_>, Vec<_>) = (0..lanes)
-        .map(|l| bounded::<StagePayload>(if l == 0 { in_flight } else { 1 }))
-        .unzip();
-    for _ in 0..in_flight {
-        txs[0]
-            .send(pool.take(ctx.shared.dim))
-            .expect("the recycle path has room for every payload");
-    }
-    // Kept so the payloads can be collected once the lanes are gone.
-    let returned = rxs[0].clone();
-    // Lane `l` sends on channel `l + 1`; the sink lane wraps around.
-    txs.rotate_left(1);
-
-    let error: Mutex<Option<ScratchError>> = Mutex::new(None);
-    // Batches before the driven range committed in earlier segments, so
-    // their watermarks are already satisfied.
-    let watermark_floor = range.start as i64 - 1;
-    std::thread::scope(|scope| {
-        let mut rest = &mut bodies[..];
-        let (mut waits, mut signals) = (waits.into_iter(), signals.into_iter());
-        let mut records = Some(records);
-        let (mut first, mut on_caller) = (0, None);
-        for (l, ((&len, rx), tx)) in LANE_STAGES.iter().zip(rxs).zip(txs).enumerate() {
-            let (lane_bodies, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let is_sink = l + 1 == lanes;
-            let lane = LaneTask {
-                first,
-                bodies: lane_bodies,
-                waits: waits.by_ref().take(len).collect(),
-                signals: signals.by_ref().take(len).collect(),
-                rx,
-                tx,
-                records: if is_sink { records.take() } else { None },
-            };
-            first += len;
-            let (error, range) = (&error, range.clone());
-            let run = move || {
-                if let Err(e) = lane.run(ctx, range, watermark_floor) {
-                    error.lock().get_or_insert(e);
-                }
-            };
-            if l == CALLER_LANE {
-                on_caller = Some(run);
-            } else {
-                scope.spawn(run);
-            }
-        }
-        on_caller.expect("the caller's lane is one of the lanes")();
-    });
-
-    // All lanes joined at scope exit. On the error path some payloads went
-    // down with their channels; the pool mints replacements next time.
-    while let Ok(p) = returned.try_recv() {
-        pool.release(p);
-    }
-    match error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -1911,14 +1649,41 @@ mod tests {
         let _ = pipe.run(&batches[..3]).unwrap();
         assert_eq!(pipe.pool.minted(), STAGES + 1, "second run reuses them");
 
-        // The register pipeline holds at most one payload per stage.
-        let mut sync = functional(
-            PipelineConfig::functional(8, 192),
-            make_tables(3, 400, 8),
-            Schedule::Sync,
-        );
-        let _ = sync.run(&batches).unwrap();
-        assert!(sync.pool.minted() <= STAGES);
+        // A failed attempt hands back every payload, wherever it was: its
+        // retry mints none to replace them.
+        use crate::faults::{Fault, FaultKind};
+        let mut failing = Pipeline::builder()
+            .config(PipelineConfig::functional(8, 192))
+            .tables(make_tables(3, 400, 8))
+            .backend(UnitBackend::new(0.05))
+            .schedule(Schedule::Threaded)
+            .faults(FaultPlan::new(vec![Fault {
+                iteration: 11,
+                stage: "Insert".to_owned(),
+                shard: 0,
+                kind: FaultKind::StageError,
+                fires: 1,
+            }]))
+            .build()
+            .unwrap();
+        let policy = RecoveryPolicy {
+            retry_budget: 2,
+            checkpoint_interval: batches.len(),
+        };
+        let run = failing.run_supervised(&batches, policy).unwrap();
+        assert_eq!(run.stats.rollbacks, 1);
+        assert_eq!(failing.pool.minted(), STAGES + 1, "nothing was lost");
+
+        // The stepped schedules circulate the same payloads.
+        for schedule in [Schedule::Sync, Schedule::Sequential, Schedule::DataParallel] {
+            let mut stepped = functional(
+                PipelineConfig::functional(8, 192),
+                make_tables(3, 400, 8),
+                schedule,
+            );
+            let _ = stepped.run(&batches).unwrap();
+            assert!(stepped.pool.minted() <= STAGES + 1, "{schedule:?}");
+        }
     }
 
     /// An error on any lane — first, middle or last — stops every other

@@ -145,8 +145,9 @@ fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
 
 /// A cross-batch ordering the overlapped schedule must enforce: before
 /// `waiter` runs batch `i`, `watched` must have completed batch
-/// `i - lag`. The register schedules satisfy it implicitly (registers
-/// advance one batch per cycle); the lanes turn it into a watermark wait.
+/// `i - lag`. Every schedule's lane program waits on it; stepped in
+/// register order (registers advance one batch per cycle) the wait never
+/// blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Barrier {
     pub waiter: StageId,

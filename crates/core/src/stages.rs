@@ -170,10 +170,14 @@ impl StagePayload {
 
 /// A free list of retired [`StagePayload`]s, and the only place a
 /// pipeline mints one. Every schedule holds a bounded number of payloads
-/// in flight, so after warm-up every take is a reuse.
+/// in flight, so after warm-up every take is a reuse. Payloads are boxed:
+/// the lanes hand one on at every stage boundary, and a pointer is
+/// cheaper to move than the payload's several hundred bytes.
 #[derive(Debug, Default)]
 pub(crate) struct PayloadPool {
-    free: Vec<StagePayload>,
+    // The boxes circulate too: a take or release allocates nothing.
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<StagePayload>>,
     minted: usize,
 }
 
@@ -181,10 +185,10 @@ impl PayloadPool {
     /// Takes a recycled payload (or allocates the pipeline's next one)
     /// **without** re-arming it — the \[Plan\] stage re-arms it and
     /// refills its plans in place.
-    pub(crate) fn take(&mut self, dim: usize) -> StagePayload {
+    pub(crate) fn take(&mut self, dim: usize) -> Box<StagePayload> {
         self.free.pop().unwrap_or_else(|| {
             self.minted += 1;
-            StagePayload::new(dim)
+            Box::new(StagePayload::new(dim))
         })
     }
 
@@ -197,7 +201,7 @@ impl PayloadPool {
     }
 
     /// Returns a retired payload to the free list.
-    pub(crate) fn release(&mut self, payload: StagePayload) {
+    pub(crate) fn release(&mut self, payload: Box<StagePayload>) {
         self.free.push(payload);
     }
 }

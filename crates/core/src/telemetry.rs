@@ -953,7 +953,8 @@ impl Telemetry {
     /// span tree (which spans exist, on which lanes, with which workers —
     /// durations and stall spans excluded) and every metric whose value
     /// does not derive from wall-clock time (histograms contribute their
-    /// observation *count*). Two same-seed runs at the same pool width
+    /// observation *count*; the stall metrics are left out with the stall
+    /// spans). Two same-seed runs at the same pool width
     /// produce identical digests, whatever the machine is doing.
     pub fn deterministic_digest(&self) -> String {
         let runs = self.inner.runs.lock();
@@ -1011,6 +1012,11 @@ impl Telemetry {
             }
         }
         for ((name, labels), value) in registry(&runs).iter() {
+            // Like the stall spans, the stall metrics exist only if a lane
+            // happened to block.
+            if name.starts_with("sp_barrier_") {
+                continue;
+            }
             let info = meta(name);
             let labels_s: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let labels_s = labels_s.join(",");
