@@ -16,8 +16,7 @@
 use std::collections::HashMap;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use embeddings::store::DenseStore;
-use embeddings::{ops, TableBag};
+use embeddings::{ops, EmbeddingTable, TableBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::SlotIndex;
@@ -136,7 +135,7 @@ fn bench_gather(c: &mut Criterion) {
     for &ratio in &[1usize, 2, 8] {
         let (bag, lookup_unique, unique_slots, unique) = dup_bag(ratio, 42);
         let domain = (128 * 8 / ratio).max(1);
-        let store = DenseStore::from_flat(
+        let store = EmbeddingTable::from_flat(
             (0..domain * dim).map(|i| (i % 97) as f32 * 0.01).collect(),
             dim,
         );

@@ -28,12 +28,10 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use embeddings::sparse::sort_ids;
-use embeddings::store::DenseStore;
-use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
+use embeddings::{EmbeddingTable, SparseBatch};
 use memsim::Traffic;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -44,7 +42,7 @@ use crate::config::{PipelineConfig, WindowConfig};
 use crate::error::ScratchError;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::lanes::{self, Program};
-use crate::recovery::{RecoveryPolicy, RecoveryStats, SupervisedRun, TableUndo};
+use crate::recovery::{Journaled, RecoveryPolicy, RecoveryStats, SupervisedRun};
 use crate::runtime::{IterationRecord, PipelineReport, StageId};
 use crate::scratchpad::ScratchpadManager;
 use crate::stage::{self, Body, PlanStage, SharedState, StageCtx, TrainStage};
@@ -340,7 +338,7 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         }
         let table_rows: Vec<u64> = match self.analytic {
             Some((tables, rows)) => vec![rows; tables],
-            None => self.tables.iter().map(|t| t.rows() as u64).collect(),
+            None => self.tables.iter().map(|t| t.len() as u64).collect(),
         };
         let num_tables = table_rows.len();
         if num_tables == 0 {
@@ -361,21 +359,18 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         } else {
             (0, 0)
         };
+        let journaled = |rows| Mutex::new(Journaled::new(rows));
         let shared = SharedState {
             storages: (0..stores)
-                .map(|_| Mutex::new(DenseStore::zeros(slots, config.dim)))
+                .map(|_| journaled(EmbeddingTable::zeros(slots, config.dim)))
                 .collect(),
-            cpu_tables: self.tables.into_iter().map(Mutex::new).collect(),
-            data_resident: (0..num_tables)
-                .map(|_| Mutex::new(vec![None; slots]))
+            cpu_tables: self.tables.into_iter().map(journaled).collect(),
+            data_resident: (0..stores)
+                .map(|_| Mutex::new(Journaled::new(vec![None; slots])))
                 .collect(),
             functional: config.functional,
             check_hazards: config.check_hazards,
             dim: config.dim,
-            undo_active: AtomicBool::new(false),
-            undo: (0..num_tables)
-                .map(|_| Mutex::new(TableUndo::default()))
-                .collect(),
         };
 
         Ok(Pipeline {
@@ -476,7 +471,10 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     pub fn into_tables(self) -> Vec<EmbeddingTable> {
         let tables = self.shared.cpu_tables;
         assert!(!tables.is_empty(), "into_tables on an analytic pipeline");
-        tables.into_iter().map(Mutex::into_inner).collect()
+        tables
+            .into_iter()
+            .map(|table| table.into_inner().into_inner())
+            .collect()
     }
 
     /// Pre-fills every table's scratchpad with the given rows (hottest
@@ -548,13 +546,17 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     if !config.functional {
                         return;
                     }
-                    let mut store = shared.storages[t].lock();
+                    let slots = rows
+                        .iter()
+                        .map(|&row| manager.lookup(row).expect("just prewarmed") as usize);
                     let table = shared.cpu_tables[t].lock();
+                    let mut store = shared.storages[t].lock();
+                    let store = store.write(slots.clone());
                     let mut resident = shared.data_resident[t].lock();
-                    for &row in rows {
-                        let slot = manager.lookup(row).expect("just prewarmed");
-                        store.copy_row_from(slot as usize, &*table, row as usize);
-                        resident[slot as usize] = Some(row);
+                    let resident = resident.write(slots.clone());
+                    for (&row, slot) in rows.iter().zip(slots) {
+                        store.copy_row_from(slot, &table, row as usize);
+                        resident[slot] = Some(row);
                     }
                 }
             })
@@ -870,7 +872,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         let mut stats = RecoveryStats::default();
 
         let mut run = self.open(ladder[0], n, true);
-        self.shared.begin_undo();
+        self.shared.checkpoint(true);
         let mut rung = 0usize;
         let mut seg_start = 0usize;
         while seg_start < n {
@@ -887,10 +889,10 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 let driven = self.drive(ladder[rung], batches, seg_start..seg_end, &mut run);
                 stats.faults_injected += self.drain_faults(&run);
                 let Err(cause) = driven else {
-                    self.shared.commit_undo();
+                    self.shared.checkpoint(true);
                     break;
                 };
-                self.shared.rollback_undo();
+                self.shared.rollback();
                 self.plan.managers.clone_from_slice(&managers_snapshot);
                 self.train.backend = backend_snapshot.clone();
                 stats.rollbacks += 1;
@@ -919,7 +921,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                     // Ladder exhausted: flush what committed so the
                     // tables land exactly on the last checkpoint, then
                     // abort with provenance.
-                    self.shared.end_undo();
+                    self.shared.checkpoint(false);
                     let _ = self.flush();
                     let cause = self
                         .close(run, ladder[rung], Err((seg_start, attempt, cause)))
@@ -934,7 +936,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             }
             seg_start = seg_end;
         }
-        self.shared.end_undo();
+        self.shared.checkpoint(false);
         let report = self.close(run, ladder[rung], Ok(()))?;
         stats.final_schedule = Some(ladder[rung]);
         Ok(SupervisedRun { report, stats })
@@ -952,10 +954,11 @@ impl<B: DenseBackend + Send> Pipeline<B> {
                 // Only rows whose data actually arrived are dirty; with
                 // correct windows every resident row is.
                 let residents = manager.residents();
+                let flushed = residents.iter().map(|&(row, _)| row as usize);
                 let store = self.shared.storages[t].lock();
                 let mut table = self.shared.cpu_tables[t].lock();
                 let resident = self.shared.data_resident[t].lock();
-                stages::flush_rows(&store, &mut table, &residents, |row, slot| {
+                stages::flush_rows(&store, table.write(flushed), &residents, |row, slot| {
                     resident[slot as usize] == Some(row)
                 });
             }

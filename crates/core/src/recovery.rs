@@ -3,12 +3,13 @@
 //!
 //! [`Pipeline::run_supervised`] executes the trace in checkpointed
 //! segments. Before each segment it snapshots the cheap-but-global state
-//! (the \[Plan\] stage's scratchpad managers and the dense backend) and
-//! arms an append-only undo journal on the expensive shared state (CPU
-//! table rows, scratchpad slots and the residency shadow save their
-//! pre-image whenever a stage is about to overwrite them — deltas, not
-//! full copies — and a rollback replays them newest-first). A failed
-//! segment rolls everything back and retries under
+//! (the \[Plan\] stage's scratchpad managers and the dense backend); the
+//! expensive shared state — each table's CPU rows, scratchpad slots and
+//! residency shadow — carries an append-only undo journal inside the lock
+//! of the rows it shadows. A stage writes a row store only by naming the
+//! rows it is about to overwrite, whose pre-images the journal saves
+//! (deltas, not full copies); a rollback replays them newest-first. A
+//! failed segment rolls everything back and retries under
 //! [`RecoveryPolicy::retry_budget`]; when a rung of the schedule ladder
 //! exhausts its budget the runtime degrades
 //! `DataParallel → Threaded → Sync` before giving up with
@@ -17,7 +18,9 @@
 //!
 //! [`Pipeline::run_supervised`]: crate::pipeline::Pipeline::run_supervised
 
-use embeddings::{EmbeddingTable, VectorStore};
+use std::ops::Deref;
+
+use embeddings::EmbeddingTable;
 
 use crate::pipeline::Schedule;
 use crate::runtime::PipelineReport;
@@ -78,111 +81,122 @@ pub struct SupervisedRun {
     pub stats: RecoveryStats,
 }
 
-/// Undo journal of one table's mutable state for the current segment:
-/// the pre-image of every CPU row, scratchpad slot and residency entry a
-/// stage was about to overwrite, appended in mutation order. Each of the
-/// three resources has its own journal — a key vector beside one flat
-/// arena of `dim` floats per entry — so a save is a `push` and a
-/// `memcpy`, with no lookup and no per-row allocation. A key saved
-/// several times in one segment has several entries; [`rollback`]
-/// replays each journal newest-first, so the *oldest* pre-image of a key
-/// is written last and the checkpoint image wins. Per-resource order is
-/// mutation order because entries are appended under the lock of the
-/// resource they shadow (see the `SharedState::undo` lock-ordering rule).
-///
-/// The journal holds one segment's writes, so its size grows with
-/// [`RecoveryPolicy::checkpoint_interval`]; [`clear`] keeps the capacity,
-/// and a steady-state segment allocates nothing.
-///
-/// [`rollback`]: TableUndo::rollback
-/// [`clear`]: TableUndo::clear
-#[derive(Debug, Default)]
-pub(crate) struct TableUndo {
-    cpu_keys: Vec<u64>,
-    cpu_rows: Vec<f32>,
-    store_keys: Vec<u32>,
-    store_rows: Vec<f32>,
-    resident: Vec<(u32, Option<u64>)>,
+/// Storage a [`Journaled`] can shadow: a flat, row-major buffer of
+/// fixed-width rows. The CPU tables and the scratchpads are rows of `dim`
+/// floats; the residency shadow is rows of one `Option<u64>`.
+pub(crate) trait Rows {
+    /// One element of a row.
+    type Elem: Copy;
+    /// Every row, row-major, and the elements per row (≥ 1).
+    fn flat_mut(&mut self) -> (&mut [Self::Elem], usize);
 }
 
-impl TableUndo {
-    /// Makes room for `rows` more CPU-row saves of `dim` floats each, so
-    /// the save loop that follows grows the journal at most once.
-    pub(crate) fn reserve_cpu_rows(&mut self, rows: usize, dim: usize) {
-        self.cpu_keys.reserve(rows);
-        self.cpu_rows.reserve(rows * dim);
+impl Rows for EmbeddingTable {
+    type Elem = f32;
+    fn flat_mut(&mut self) -> (&mut [f32], usize) {
+        let dim = self.dim();
+        (self.as_flat_mut(), dim)
+    }
+}
+
+impl Rows for Vec<Option<u64>> {
+    type Elem = Option<u64>;
+    fn flat_mut(&mut self) -> (&mut [Option<u64>], usize) {
+        (self, 1)
+    }
+}
+
+/// A row store and the undo journal of the current checkpointed segment,
+/// in one value, so one lock covers both.
+///
+/// Reads go through [`Deref`]. The only way to write is
+/// [`Journaled::write`], which names the rows about to change and, while
+/// the journal is armed, appends their pre-images first — a key beside one
+/// flat arena of `width` elements per entry, so a save is a `push` and a
+/// `memcpy`, with no lookup and no per-row allocation. A key written
+/// several times in one segment has several entries. The journal is
+/// appended to only through `&mut self`, so its order is the order the
+/// rows were mutated in, under every schedule; [`Journaled::rollback`]
+/// replays it newest-first, so the *oldest* pre-image of a key — the
+/// checkpoint image — is written last.
+///
+/// The journal holds one segment's writes, so its size grows with
+/// [`RecoveryPolicy::checkpoint_interval`]; [`Journaled::checkpoint`] keeps
+/// the capacity, and a steady-state segment allocates nothing.
+#[derive(Debug)]
+pub(crate) struct Journaled<S: Rows> {
+    rows: S,
+    /// Whether writes are journaled: only inside a supervised run.
+    armed: bool,
+    keys: Vec<usize>,
+    saved: Vec<S::Elem>,
+}
+
+impl<S: Rows> Journaled<S> {
+    /// `rows`, with an empty, disarmed journal.
+    pub(crate) fn new(rows: S) -> Self {
+        Journaled {
+            rows,
+            armed: false,
+            keys: Vec::new(),
+            saved: Vec::new(),
+        }
     }
 
-    /// [`TableUndo::reserve_cpu_rows`] for scratchpad rows.
-    pub(crate) fn reserve_store_rows(&mut self, rows: usize, dim: usize) {
-        self.store_keys.reserve(rows);
-        self.store_rows.reserve(rows * dim);
+    /// The store, to write the rows `keys` names — and only those. While
+    /// the journal is armed their pre-images are appended first, after one
+    /// `reserve` for all of them.
+    pub(crate) fn write(&mut self, keys: impl ExactSizeIterator<Item = usize>) -> &mut S {
+        if self.armed {
+            let (flat, width) = self.rows.flat_mut();
+            self.keys.reserve(keys.len());
+            self.saved.reserve(keys.len() * width);
+            for key in keys {
+                self.keys.push(key);
+                self.saved
+                    .extend_from_slice(&flat[key * width..(key + 1) * width]);
+            }
+        }
+        &mut self.rows
     }
 
-    /// [`TableUndo::reserve_cpu_rows`] for residency entries.
-    pub(crate) fn reserve_resident(&mut self, entries: usize) {
-        self.resident.reserve(entries);
+    /// Makes the store's current state its checkpoint: the journal is
+    /// emptied (the segment it held commits; capacity is kept), and the
+    /// writes that follow are journaled if `armed` — inside a supervised
+    /// run.
+    pub(crate) fn checkpoint(&mut self, armed: bool) {
+        self.armed = armed;
+        self.keys.clear();
+        self.saved.clear();
     }
 
-    pub(crate) fn save_cpu_row(&mut self, row: u64, data: &[f32]) {
-        self.cpu_keys.push(row);
-        self.cpu_rows.extend_from_slice(data);
-    }
-
-    pub(crate) fn save_store_row(&mut self, slot: u32, data: &[f32]) {
-        self.store_keys.push(slot);
-        self.store_rows.extend_from_slice(data);
-    }
-
-    pub(crate) fn save_resident(&mut self, slot: u32, value: Option<u64>) {
-        self.resident.push((slot, value));
-    }
-
-    /// Restores every saved pre-image, newest first, and clears the
+    /// Restores every journaled pre-image, newest first, and empties the
     /// journal.
-    pub(crate) fn rollback(
-        &mut self,
-        cpu_table: Option<&mut EmbeddingTable>,
-        store: Option<&mut embeddings::store::DenseStore>,
-        resident: &mut [Option<u64>],
-    ) {
-        if let Some(table) = cpu_table {
-            let saved = self.cpu_rows.chunks_exact(table.dim());
-            for (&row, data) in self.cpu_keys.iter().zip(saved).rev() {
-                table.row_mut(row as usize).copy_from_slice(data);
-            }
+    pub(crate) fn rollback(&mut self) {
+        let (flat, width) = self.rows.flat_mut();
+        for (&key, row) in self.keys.iter().zip(self.saved.chunks_exact(width)).rev() {
+            flat[key * width..(key + 1) * width].copy_from_slice(row);
         }
-        if let Some(store) = store {
-            let saved = self.store_rows.chunks_exact(store.dim());
-            for (&slot, data) in self.store_keys.iter().zip(saved).rev() {
-                store.row_mut(slot as usize).copy_from_slice(data);
-            }
-        }
-        for &(slot, value) in self.resident.iter().rev() {
-            resident[slot as usize] = value;
-        }
-        self.clear();
+        self.checkpoint(self.armed);
     }
 
-    /// Empties the journal (the segment committed); capacity is kept.
-    pub(crate) fn clear(&mut self) {
-        self.cpu_keys.clear();
-        self.cpu_rows.clear();
-        self.store_keys.clear();
-        self.store_rows.clear();
-        self.resident.clear();
+    /// The store, journal dropped.
+    pub(crate) fn into_inner(self) -> S {
+        self.rows
     }
+}
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cpu_keys.is_empty() && self.store_keys.is_empty() && self.resident.is_empty()
+impl<S: Rows> Deref for Journaled<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embeddings::store::DenseStore;
     use proptest::prelude::*;
 
     #[test]
@@ -194,115 +208,153 @@ mod tests {
 
     #[test]
     fn undo_restores_first_touch_pre_images() {
-        let mut table = EmbeddingTable::seeded(4, 2, 7);
-        let mut store = DenseStore::zeros(3, 2);
-        let mut resident = vec![None, Some(9u64), None];
-        let table_before: Vec<Vec<f32>> = (0..4).map(|r| table.row(r).to_vec()).collect();
+        let mut table = Journaled::new(EmbeddingTable::seeded(4, 2, 7));
+        let mut store = Journaled::new(EmbeddingTable::zeros(3, 2));
+        let mut resident = Journaled::new(vec![None, Some(9u64), None]);
+        let before = table.row(2).to_vec();
+        table.checkpoint(true);
+        store.checkpoint(true);
+        resident.checkpoint(true);
+        // Dirty everything twice: the second write journals the first's
+        // result, and the oldest pre-image (the first touch) wins.
+        for (value, row) in [(5.0, 42), (6.0, 43)] {
+            table.write([2].into_iter()).row_mut(2).fill(value);
+            store.write([1].into_iter()).row_mut(1).fill(value);
+            resident.write([1].into_iter())[1] = Some(row);
+        }
 
-        let mut undo = TableUndo::default();
-        undo.save_cpu_row(2, table.row(2));
-        undo.save_store_row(1, store.row(1));
-        undo.save_resident(1, resident[1]);
-        // Dirty everything, then re-save (idempotent: first touch wins).
-        table.row_mut(2).copy_from_slice(&[5.0, 5.0]);
-        store.row_mut(1).copy_from_slice(&[6.0, 6.0]);
-        resident[1] = Some(42);
-        undo.save_cpu_row(2, table.row(2));
-        undo.save_store_row(1, store.row(1));
-        undo.save_resident(1, resident[1]);
-
-        undo.rollback(Some(&mut table), Some(&mut store), &mut resident);
-        assert_eq!(table.row(2), table_before[2].as_slice());
+        table.rollback();
+        store.rollback();
+        resident.rollback();
+        assert_eq!(table.row(2), before.as_slice());
         assert_eq!(store.row(1), &[0.0, 0.0]);
         assert_eq!(resident[1], Some(9));
-        assert!(undo.is_empty(), "rollback clears the log");
+        assert!(
+            table.keys.is_empty() && store.keys.is_empty() && resident.keys.is_empty(),
+            "rollback clears the journal"
+        );
+    }
+
+    #[test]
+    fn a_disarmed_journal_saves_nothing() {
+        let mut store = Journaled::new(EmbeddingTable::zeros(3, 2));
+        store.write([0, 2].into_iter()).row_mut(2).fill(1.0);
+        assert!(store.keys.is_empty() && store.saved.is_empty());
+        store.checkpoint(true);
+        store.write([0, 2].into_iter()).row_mut(2).fill(2.0);
+        assert_eq!(
+            (store.keys.as_slice(), store.saved.as_slice()),
+            (&[0, 2][..], &[0.0, 0.0, 1.0, 1.0][..])
+        );
+        store.checkpoint(false);
+        assert!(store.keys.is_empty(), "a checkpoint drops the journal");
+        store.rollback();
+        assert_eq!(store.row(2), &[2.0, 2.0], "and nothing is replayed");
     }
 
     const DIM: usize = 3;
     const ROWS: usize = 6;
     const SLOTS: usize = 5;
 
-    /// The three resources one table's journal shadows.
-    #[derive(Clone)]
+    /// The three row stores one table journals, each with its own
+    /// journal.
     struct Shadowed {
-        table: EmbeddingTable,
-        store: DenseStore,
-        resident: Vec<Option<u64>>,
+        table: Journaled<EmbeddingTable>,
+        store: Journaled<EmbeddingTable>,
+        resident: Journaled<Vec<Option<u64>>>,
     }
 
+    /// Every element of the three stores, floats as bits.
+    type Image = (Vec<u32>, Vec<u32>, Vec<Option<u64>>);
+
     impl Shadowed {
-        fn new() -> Self {
-            Shadowed {
-                table: EmbeddingTable::seeded(ROWS, DIM, 11),
-                store: DenseStore::from_flat((0..SLOTS * DIM).map(|i| i as f32).collect(), DIM),
-                resident: (0..SLOTS as u64)
-                    .map(|s| (s % 2 == 0).then_some(s))
-                    .collect(),
-            }
+        fn armed() -> Self {
+            let mut state = Shadowed {
+                table: Journaled::new(EmbeddingTable::seeded(ROWS, DIM, 11)),
+                store: Journaled::new(EmbeddingTable::from_flat(
+                    (0..SLOTS * DIM).map(|i| i as f32).collect(),
+                    DIM,
+                )),
+                resident: Journaled::new(
+                    (0..SLOTS as u64)
+                        .map(|s| (s % 2 == 0).then_some(s))
+                        .collect(),
+                ),
+            };
+            state.table.checkpoint(true);
+            state.store.checkpoint(true);
+            state.resident.checkpoint(true);
+            state
         }
 
-        fn bits(&self) -> (Vec<u32>, Vec<u32>, &[Option<u64>]) {
+        fn image(&self) -> Image {
             let bits = |flat: &[f32]| flat.iter().map(|v| v.to_bits()).collect();
             (
                 bits(self.table.as_flat()),
                 bits(self.store.as_flat()),
-                &self.resident,
+                self.resident.to_vec(),
             )
         }
 
-        /// One segment as the stages write it: per burst, reserve for the
-        /// keys, save every key's pre-image under the journal, then
-        /// overwrite them — each write with a value never written before.
-        fn dirty(&mut self, undo: &mut TableUndo, bursts: &[(u8, Vec<usize>)], stamp: &mut u32) {
+        /// One segment as the stages write it: per burst, name the keys to
+        /// the journal, then overwrite them — each write with a value never
+        /// written before.
+        fn dirty(&mut self, bursts: &[(u8, Vec<usize>)], stamp: &mut u32) {
             for (resource, keys) in bursts {
+                let height = if *resource == 0 { ROWS } else { SLOTS };
+                let keys = keys.iter().map(|k| k % height);
                 match resource {
                     0 => {
-                        undo.reserve_cpu_rows(keys.len(), DIM);
-                        for &k in keys {
-                            undo.save_cpu_row((k % ROWS) as u64, self.table.row(k % ROWS));
+                        let table = self.table.write(keys.clone());
+                        for k in keys {
+                            *stamp += 1;
+                            table.row_mut(k).fill(*stamp as f32 + 0.5);
                         }
                     }
                     1 => {
-                        undo.reserve_store_rows(keys.len(), DIM);
-                        for &k in keys {
-                            undo.save_store_row((k % SLOTS) as u32, self.store.row(k % SLOTS));
+                        let store = self.store.write(keys.clone());
+                        for k in keys {
+                            *stamp += 1;
+                            store.row_mut(k).fill(-(*stamp as f32));
                         }
                     }
                     _ => {
-                        undo.reserve_resident(keys.len());
-                        for &k in keys {
-                            undo.save_resident((k % SLOTS) as u32, self.resident[k % SLOTS]);
+                        let resident = self.resident.write(keys.clone());
+                        for k in keys {
+                            *stamp += 1;
+                            resident[k] = (*stamp % 3 != 0).then_some(u64::from(*stamp));
                         }
-                    }
-                }
-                for &k in keys {
-                    *stamp += 1;
-                    match resource {
-                        0 => self.table.row_mut(k % ROWS).fill(*stamp as f32 + 0.5),
-                        1 => self.store.row_mut(k % SLOTS).fill(-(*stamp as f32)),
-                        _ => self.resident[k % SLOTS] = (*stamp % 3 != 0).then_some(*stamp as u64),
                     }
                 }
             }
         }
 
-        fn rollback(&mut self, undo: &mut TableUndo) {
-            undo.rollback(
-                Some(&mut self.table),
-                Some(&mut self.store),
-                &mut self.resident,
-            );
+        fn rollback(&mut self) {
+            self.table.rollback();
+            self.store.rollback();
+            self.resident.rollback();
         }
-    }
 
-    fn capacities(undo: &TableUndo) -> [usize; 5] {
-        [
-            undo.cpu_keys.capacity(),
-            undo.cpu_rows.capacity(),
-            undo.store_keys.capacity(),
-            undo.store_rows.capacity(),
-            undo.resident.capacity(),
-        ]
+        fn checkpoint(&mut self) {
+            self.table.checkpoint(true);
+            self.store.checkpoint(true);
+            self.resident.checkpoint(true);
+        }
+
+        fn entries(&self) -> usize {
+            self.table.saved.len() + self.store.saved.len() + self.resident.keys.len()
+        }
+
+        fn capacities(&self) -> [usize; 6] {
+            [
+                self.table.keys.capacity(),
+                self.table.saved.capacity(),
+                self.store.keys.capacity(),
+                self.store.saved.capacity(),
+                self.resident.keys.capacity(),
+                self.resident.saved.capacity(),
+            ]
+        }
     }
 
     proptest! {
@@ -313,33 +365,32 @@ mod tests {
             bursts in proptest::collection::vec(
                 (0u8..3, proptest::collection::vec(0usize..30, 0..6)), 0..24),
         ) {
-            let checkpoint = Shadowed::new();
-            let mut state = checkpoint.clone();
-            let mut undo = TableUndo::default();
+            let mut state = Shadowed::armed();
+            let checkpoint = state.image();
             let mut stamp = 0;
 
             // Rollback lands exactly on the checkpoint and empties the
-            // journal.
-            state.dirty(&mut undo, &bursts, &mut stamp);
-            state.rollback(&mut undo);
-            prop_assert_eq!(state.bits(), checkpoint.bits());
-            prop_assert!(undo.is_empty());
-            prop_assert!(undo.cpu_rows.is_empty() && undo.store_rows.is_empty());
+            // journals.
+            state.dirty(&bursts, &mut stamp);
+            state.rollback();
+            prop_assert_eq!(state.image(), checkpoint);
+            prop_assert_eq!(state.entries(), 0);
 
-            // A committed segment stands: clear, then rollback, is a no-op.
-            state.dirty(&mut undo, &bursts, &mut stamp);
-            let committed = state.clone();
-            undo.clear();
-            state.rollback(&mut undo);
-            prop_assert_eq!(state.bits(), committed.bits());
+            // A committed segment stands: checkpoint, then rollback, is a
+            // no-op.
+            state.dirty(&bursts, &mut stamp);
+            let committed = state.image();
+            state.checkpoint();
+            state.rollback();
+            prop_assert_eq!(state.image(), committed.clone());
 
             // The first two segments warmed the arenas; a segment of the
             // same size grows nothing.
-            let warm = capacities(&undo);
-            state.dirty(&mut undo, &bursts, &mut stamp);
-            prop_assert_eq!(capacities(&undo), warm);
-            state.rollback(&mut undo);
-            prop_assert_eq!(state.bits(), committed.bits());
+            let warm = state.capacities();
+            state.dirty(&bursts, &mut stamp);
+            prop_assert_eq!(state.capacities(), warm);
+            state.rollback();
+            prop_assert_eq!(state.image(), committed);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! `Serialize` path — summing the `traffic` field of emitted `iteration`
 //! events reproduces [`PipelineReport::total_traffic`].
 
-use embeddings::{ops, EmbeddingTable, SparseBatch, VectorStore};
+use embeddings::{ops, EmbeddingTable, SparseBatch};
 use memsim::{Resource, Traffic};
 use serde::{Deserialize, Serialize};
 
@@ -268,7 +268,7 @@ pub fn train_direct<B: DenseBackend>(
     backend: &mut B,
 ) -> Vec<f32> {
     let mut losses = Vec::with_capacity(batches.len());
-    let dim = tables.first().map_or(0, VectorStore::dim);
+    let dim = tables.first().map_or(0, EmbeddingTable::dim);
     let mut arena = TrainArena::new();
     for (i, batch) in batches.iter().enumerate() {
         arena.prepare(tables.len(), batch.batch_size(), dim);

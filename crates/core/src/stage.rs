@@ -16,18 +16,15 @@
 //! schedules bit-identical by construction. The heavy lifting lives in the
 //! free kernels of [`crate::stages`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use embeddings::sparse::sort_ids;
-use embeddings::store::DenseStore;
-use embeddings::{EmbeddingTable, SparseBatch, VectorStore};
+use embeddings::{EmbeddingTable, SparseBatch};
 use parking_lot::Mutex;
 
 use crate::backend::DenseBackend;
 use crate::config::WindowConfig;
 use crate::error::ScratchError;
 use crate::faults::FaultInjector;
-use crate::recovery::TableUndo;
+use crate::recovery::Journaled;
 use crate::runtime::StageId;
 use crate::scratchpad::{ScratchpadManager, TablePlan};
 use crate::stages::{self, StagePayload, TrainArena, UniqueWindow};
@@ -179,37 +176,32 @@ pub(crate) fn barriers(window: WindowConfig) -> [Barrier; 2] {
 /// Mutable model state worked on by the Collect, Insert and Train stages
 /// (and the final flush): the GPU scratchpad storage, the CPU tables, and
 /// the data-residency shadow that backs the hazard checker. Each table's
-/// state sits behind its own lock so the threaded schedule can interleave
-/// stage bodies; under the sync schedule the locks are uncontended.
+/// three stores sit behind their own locks so the threaded schedule can
+/// interleave stage bodies; under the sync schedule the locks are
+/// uncontended.
+///
+/// Each store is [`Journaled`]: the supervised runtime's undo journal of
+/// a store lives in the same value, under the same lock, and a stage can
+/// only write the store by naming the rows it is about to change. So the
+/// journal is in mutation order by construction, and there is no second
+/// lock to order.
 #[derive(Debug)]
 pub(crate) struct SharedState {
-    /// Per-table GPU scratchpad storage (empty in analytic mode).
-    pub storages: Vec<Mutex<DenseStore>>,
+    /// Per-table GPU scratchpad storage, one row per slot (empty in
+    /// analytic mode).
+    pub storages: Vec<Mutex<Journaled<EmbeddingTable>>>,
     /// Per-table CPU embedding tables (empty in analytic mode).
-    pub cpu_tables: Vec<Mutex<EmbeddingTable>>,
+    pub cpu_tables: Vec<Mutex<Journaled<EmbeddingTable>>>,
     /// Which row's *data* each slot actually holds right now (updated at
     /// \[Insert\] time, unlike the Hit-Map which runs ahead). Drives the
-    /// always-hit hazard assertion.
-    pub data_resident: Vec<Mutex<Vec<Option<u64>>>>,
+    /// always-hit hazard assertion (empty in analytic mode).
+    pub data_resident: Vec<Mutex<Journaled<Vec<Option<u64>>>>>,
     /// Whether real embedding data moves (false = analytic mode).
     pub functional: bool,
     /// Whether the hazard checker is active.
     pub check_hazards: bool,
     /// Embedding vector width.
     pub dim: usize,
-    /// Whether the supervised runtime is recording undo deltas. Stages
-    /// check this once per worker task; when false (every plain run) the
-    /// undo hooks cost one relaxed load.
-    pub undo_active: AtomicBool,
-    /// Per-table undo journals for the current checkpointed segment:
-    /// append-only, replayed newest-first on rollback. Lock-ordering
-    /// rule: `undo[t]` is always acquired *while holding* the table-`t`
-    /// resource lock it shadows (storage, CPU table or residency) and
-    /// released before that lock — `undo[t]` is strictly innermost, so
-    /// Insert(i+1) and Train(i) can never deadlock on a table they both
-    /// dirty, and each resource's entries are appended in the order that
-    /// resource was mutated, which is what newest-first replay needs.
-    pub undo: Vec<Mutex<TableUndo>>,
 }
 
 impl SharedState {
@@ -217,35 +209,26 @@ impl SharedState {
         self.dim as u64 * 4
     }
 
-    /// Starts recording undo deltas (idempotent).
-    pub(crate) fn begin_undo(&self) {
-        self.undo_active.store(true, Ordering::SeqCst);
-    }
-
-    /// Stops recording undo deltas and drops any pending log.
-    pub(crate) fn end_undo(&self) {
-        self.undo_active.store(false, Ordering::SeqCst);
-        self.commit_undo();
-    }
-
-    /// Commits the current segment: the deltas are dropped, the mutated
-    /// state stands. Recording stays active for the next segment.
-    pub(crate) fn commit_undo(&self) {
-        for undo in &self.undo {
-            undo.lock().clear();
+    /// Makes the current state of every store its checkpoint (see
+    /// [`Journaled::checkpoint`]), journaling the writes that follow if
+    /// `armed`.
+    pub(crate) fn checkpoint(&self, armed: bool) {
+        for rows in self.cpu_tables.iter().chain(&self.storages) {
+            rows.lock().checkpoint(armed);
+        }
+        for resident in &self.data_resident {
+            resident.lock().checkpoint(armed);
         }
     }
 
-    /// Rolls every table back to its last checkpoint image. Only called
-    /// by the supervisor after all stage threads have joined, so the
-    /// multi-lock acquisition here cannot deadlock with stage bodies.
-    pub(crate) fn rollback_undo(&self) {
-        for (t, undo) in self.undo.iter().enumerate() {
-            let mut undo = undo.lock();
-            let mut table = self.cpu_tables.get(t).map(Mutex::lock);
-            let mut store = self.storages.get(t).map(Mutex::lock);
-            let mut resident = self.data_resident[t].lock();
-            undo.rollback(table.as_deref_mut(), store.as_deref_mut(), &mut resident);
+    /// Rolls every store back to its last checkpoint. Only called by the
+    /// supervisor between drives, when no stage body runs.
+    pub(crate) fn rollback(&self) {
+        for rows in self.cpu_tables.iter().chain(&self.storages) {
+            rows.lock().rollback();
+        }
+        for resident in &self.data_resident {
+            resident.lock().rollback();
         }
     }
 }
@@ -526,15 +509,10 @@ pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<
         .zip(&payload.plans)
         .enumerate()
         .map(|(t, ((miss_block, evict_block), plan))| {
+            // One lock at a time: each guard drops with its statement.
             move || {
-                {
-                    let table = shared.cpu_tables[t].lock();
-                    stages::stage_misses_into(plan, &table, miss_block);
-                }
-                {
-                    let store = shared.storages[t].lock();
-                    stages::stage_evictions_into(plan, &store, evict_block);
-                }
+                stages::stage_misses_into(plan, &shared.cpu_tables[t].lock(), miss_block);
+                stages::stage_evictions_into(plan, &shared.storages[t].lock(), evict_block);
             }
         });
     let pool = ctx.workers.for_work((staged_rows * shared.dim) as u64);
@@ -567,45 +545,18 @@ pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(
         .map(|p| p.fills.len() + p.evictions.len())
         .sum();
     let (staged_miss, staged_evict) = (&payload.staged_miss, &payload.staged_evict);
-    let undo_on = shared.undo_active.load(Ordering::Relaxed);
     let tasks = payload.plans.iter().enumerate().map(|(t, plan)| {
+        // One lock at a time: each guard drops with its statement.
         move || {
-            {
-                let mut table = shared.cpu_tables[t].lock();
-                if undo_on {
-                    // Undo lock strictly inside the resource lock
-                    // (see the SharedState lock-ordering rule).
-                    let mut undo = shared.undo[t].lock();
-                    undo.reserve_cpu_rows(plan.evictions.len(), shared.dim);
-                    for ev in &plan.evictions {
-                        undo.save_cpu_row(ev.row, table.row(ev.row as usize));
-                    }
-                }
-                stages::insert_evictions(t, plan, staged_evict, &mut table);
-            }
-            {
-                let mut store = shared.storages[t].lock();
-                if undo_on {
-                    let mut undo = shared.undo[t].lock();
-                    undo.reserve_store_rows(plan.fills.len(), shared.dim);
-                    for f in &plan.fills {
-                        undo.save_store_row(f.slot, store.row(f.slot as usize));
-                    }
-                }
-                stages::insert_fills(t, plan, staged_miss, &mut store);
-            }
-            {
-                let mut resident = shared.data_resident[t].lock();
-                if undo_on {
-                    let mut undo = shared.undo[t].lock();
-                    undo.reserve_resident(plan.fills.len());
-                    for f in &plan.fills {
-                        undo.save_resident(f.slot, resident[f.slot as usize]);
-                    }
-                }
-                for f in &plan.fills {
-                    resident[f.slot as usize] = Some(f.row);
-                }
+            let evicted = plan.evictions.iter().map(|ev| ev.row as usize);
+            let filled = plan.fills.iter().map(|f| f.slot as usize);
+            let (table, store) = (&shared.cpu_tables[t], &shared.storages[t]);
+            stages::insert_evictions(t, plan, staged_evict, table.lock().write(evicted));
+            stages::insert_fills(t, plan, staged_miss, store.lock().write(filled.clone()));
+            let mut resident = shared.data_resident[t].lock();
+            let resident = resident.write(filled);
+            for f in &plan.fills {
+                resident[f.slot as usize] = Some(f.row);
             }
         }
     });
@@ -694,7 +645,7 @@ impl<B: DenseBackend> TrainStage<B> {
             for (t, block) in self.arena.pooled_blocks_mut().enumerate() {
                 let plan = &plans[t];
                 let bag = batch.bag(t);
-                let store: &DenseStore = &guards[t];
+                let store: &EmbeddingTable = &guards[t];
                 let mut rest = block;
                 for r in &ranges {
                     let (head, tail) = rest.split_at_mut(r.len() * dim);
@@ -717,21 +668,12 @@ impl<B: DenseBackend> TrainStage<B> {
         // scatter chain of a table is one unsplittable reduction, but
         // different tables touch disjoint storages.
         let arena = &self.arena;
-        let undo_on = shared.undo_active.load(Ordering::Relaxed);
         let tasks = payload.plans.iter().enumerate().map(|(t, plan)| {
             let bag = batch.bag(t);
             move || {
+                let updated = plan.unique_slots.iter().map(|&slot| slot as usize);
                 let mut store = shared.storages[t].lock();
-                if undo_on {
-                    // Undo lock strictly inside the storage lock (see
-                    // the SharedState lock-ordering rule).
-                    let mut undo = shared.undo[t].lock();
-                    undo.reserve_store_rows(plan.unique_slots.len(), shared.dim);
-                    for &slot in &plan.unique_slots {
-                        undo.save_store_row(slot, store.row(slot as usize));
-                    }
-                }
-                stages::scatter_grads(&mut store, bag, arena.grads_table(t), lr, plan);
+                stages::scatter_grads(store.write(updated), bag, arena.grads_table(t), lr, plan);
             }
         });
         let scatter_pool = ctx
@@ -883,8 +825,6 @@ mod tests {
             functional: false,
             check_hazards: true,
             dim: 4,
-            undo_active: AtomicBool::new(false),
-            undo: Vec::new(),
         };
         for width in [1, 2, 4] {
             let mut stage = PlanStage::new(managers(), WindowConfig::PAPER.future as usize);

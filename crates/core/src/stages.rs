@@ -15,7 +15,7 @@
 //!
 //! * [`StagedRows`] — the \[Collect\]→\[Insert\] staging payload (missed
 //!   rows gathered from the CPU tables, victim rows gathered from the
-//!   scratchpad), all tables concatenated into one `DenseStore` with
+//!   scratchpad), all tables concatenated into one `EmbeddingTable` with
 //!   per-table offsets. Row `k` of table `t` lives at
 //!   `(offset[t] + k) · dim ..`.
 //! * [`TrainArena`] — the \[Train\] stage's pooled-embedding and
@@ -30,8 +30,7 @@
 //!   memory is bounded by the window and not by the trace.
 
 use embeddings::sparse::sort_scratch_len;
-use embeddings::store::DenseStore;
-use embeddings::{ops, EmbeddingTable, SparseBatch, TableBag, VectorStore};
+use embeddings::{ops, EmbeddingTable, SparseBatch, TableBag};
 use memsim::cost::primitives;
 use memsim::Traffic;
 
@@ -44,12 +43,12 @@ use crate::workers::WorkerPool;
 /// Staged embedding rows for one in-flight mini-batch: all tables
 /// concatenated into one flat arena with per-table row offsets.
 ///
-/// The backing [`DenseStore`] is cleared — not deallocated — between
+/// The backing [`EmbeddingTable`] is cleared — not deallocated — between
 /// iterations, so the steady state stages rows with zero allocator
 /// traffic.
 #[derive(Debug)]
 pub struct StagedRows {
-    rows: DenseStore,
+    rows: EmbeddingTable,
     /// `offsets[t]..offsets[t + 1]` is table `t`'s row range;
     /// `offsets.len() == tables_sealed + 1`.
     offsets: Vec<usize>,
@@ -59,7 +58,7 @@ impl StagedRows {
     /// Creates an empty arena for `dim`-wide rows.
     pub fn new(dim: usize) -> Self {
         StagedRows {
-            rows: DenseStore::zeros(0, dim),
+            rows: EmbeddingTable::zeros(0, dim),
             offsets: vec![0],
         }
     }
@@ -603,7 +602,7 @@ pub fn stage_misses_into(plan: &TablePlan, cpu_table: &EmbeddingTable, block: &m
 /// # Panics
 ///
 /// Panics if `block.len() != plan.evictions.len() × dim`.
-pub fn stage_evictions_into(plan: &TablePlan, storage: &DenseStore, block: &mut [f32]) {
+pub fn stage_evictions_into(plan: &TablePlan, storage: &EmbeddingTable, block: &mut [f32]) {
     let dim = storage.dim();
     assert_eq!(block.len(), plan.evictions.len() * dim, "evict block shape");
     for (dst, ev) in block.chunks_exact_mut(dim).zip(&plan.evictions) {
@@ -662,7 +661,7 @@ pub fn insert_fills(
     t: usize,
     plan: &TablePlan,
     staged_miss: &StagedRows,
-    storage: &mut DenseStore,
+    storage: &mut EmbeddingTable,
 ) {
     for (k, f) in plan.fills.iter().enumerate() {
         storage
@@ -712,7 +711,7 @@ pub fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Tr
 ///
 /// Panics if the plan's lookup index was not built for this bag (see
 /// [`index_lookups`]).
-pub fn gather_pooled(storage: &DenseStore, bag: &TableBag, plan: &TablePlan, out: &mut [f32]) {
+pub fn gather_pooled(storage: &EmbeddingTable, bag: &TableBag, plan: &TablePlan, out: &mut [f32]) {
     ops::gather_reduce_indexed(
         storage,
         bag,
@@ -729,7 +728,7 @@ pub fn gather_pooled(storage: &DenseStore, bag: &TableBag, plan: &TablePlan, out
 /// any partition reproduces [`gather_pooled`] bit-for-bit (each sample's
 /// pooled sum is computed whole by exactly one shard).
 pub fn gather_pooled_range(
-    storage: &DenseStore,
+    storage: &EmbeddingTable,
     bag: &TableBag,
     plan: &TablePlan,
     lo: usize,
@@ -753,7 +752,7 @@ pub fn gather_pooled_range(
 /// into the scratchpad — one buffer of `num_unique × dim` instead of the
 /// raw-lookup-sized duplicate buffer, and no per-call sort.
 pub fn scatter_grads(
-    storage: &mut DenseStore,
+    storage: &mut EmbeddingTable,
     bag: &TableBag,
     grads: &[f32],
     lr: f32,
@@ -785,7 +784,7 @@ pub fn flush_traffic(resident_rows: u64, row_bytes: u64) -> Traffic {
 /// its data-residency shadow (rows whose data never arrived under a broken
 /// window are skipped); the threaded runtime keeps everything.
 pub fn flush_rows(
-    storage: &DenseStore,
+    storage: &EmbeddingTable,
     cpu_table: &mut EmbeddingTable,
     residents: &[(u64, u32)],
     mut keep: impl FnMut(u64, u32) -> bool,

@@ -9,10 +9,10 @@
 //! * [`SparseBatch`] / [`TableBag`] — the per-mini-batch sparse feature IDs,
 //!   in CSR layout (the paper's "sparse IDs stored as part of the training
 //!   dataset"),
-//! * [`EmbeddingTable`] — a dense `rows × dim` fp32 table,
-//! * [`VectorStore`] — the storage abstraction shared by CPU-resident
-//!   tables and the GPU scratchpad of the `scratchpipe` crate, so the same
-//!   training kernels run against either home,
+//! * [`EmbeddingTable`] — a dense `rows × dim` fp32 row store: a
+//!   CPU-resident table, the GPU scratchpad of the `scratchpipe` crate
+//!   and its staging arenas alike, so the same training kernels run
+//!   against every home a row has,
 //! * [`ops`] — forward **gather + pooled reduce**, backward **gradient
 //!   duplicate → coalesce → scatter-update** (Figure 2 of the paper), and a
 //!   plain SGD update rule.
@@ -47,5 +47,4 @@ pub mod store;
 pub mod table;
 
 pub use sparse::{SparseBatch, TableBag};
-pub use store::VectorStore;
 pub use table::EmbeddingTable;

@@ -6,11 +6,11 @@
 //! duplicates targeting the same row, and **scatter-updates** the table
 //! with SGD.
 //!
-//! Every kernel takes a `map: id → index` closure so the identical code
-//! path serves both homes an embedding may live in:
+//! Every kernel runs against the one row store, [`EmbeddingTable`], and
+//! takes a `map: id → index` closure, so the identical code path serves
+//! both homes an embedding may live in:
 //!
-//! * the CPU-resident [`EmbeddingTable`](crate::EmbeddingTable), where
-//!   `map` is the identity, and
+//! * a CPU-resident table, where `map` is the identity, and
 //! * the GPU scratchpad of the `scratchpipe` crate, where `map` translates
 //!   a sparse feature ID to its cache slot.
 //!
@@ -24,7 +24,7 @@
 //! correctness tests.
 
 use crate::sparse::TableBag;
-use crate::store::VectorStore;
+use crate::table::EmbeddingTable;
 
 /// `acc += row`, elementwise. The length equality assert lets LLVM drop
 /// the per-element bounds checks and autovectorize the loop; the
@@ -57,9 +57,8 @@ fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 ///
 /// Panics if `out.len() != batch_size × dim` or `map` produces an
 /// out-of-bounds index.
-pub fn gather_reduce_into<S, F>(store: &S, bag: &TableBag, map: F, out: &mut [f32])
+pub fn gather_reduce_into<F>(store: &EmbeddingTable, bag: &TableBag, map: F, out: &mut [f32])
 where
-    S: VectorStore + ?Sized,
     F: FnMut(u64) -> usize,
 {
     assert_eq!(
@@ -80,15 +79,14 @@ where
 ///
 /// Panics if `lo > hi`, `hi > bag.batch_size()`, `out.len() != (hi - lo) ×
 /// dim`, or `map` produces an out-of-bounds index.
-pub fn gather_reduce_range<S, F>(
-    store: &S,
+pub fn gather_reduce_range<F>(
+    store: &EmbeddingTable,
     bag: &TableBag,
     mut map: F,
     lo: usize,
     hi: usize,
     out: &mut [f32],
 ) where
-    S: VectorStore + ?Sized,
     F: FnMut(u64) -> usize,
 {
     let dim = store.dim();
@@ -123,17 +121,15 @@ pub fn gather_reduce_range<S, F>(
 /// Panics if `lo > hi`, `hi > bag.batch_size()`, `out.len() != (hi - lo)
 /// × dim`, `lookup_unique.len() != bag.ids().len()`, or an index is out
 /// of bounds.
-pub fn gather_reduce_indexed<S>(
-    store: &S,
+pub fn gather_reduce_indexed(
+    store: &EmbeddingTable,
     bag: &TableBag,
     lookup_unique: &[u32],
     unique_slots: &[u32],
     lo: usize,
     hi: usize,
     out: &mut [f32],
-) where
-    S: VectorStore + ?Sized,
-{
+) {
     let dim = store.dim();
     assert!(lo <= hi && hi <= bag.batch_size(), "sample range in bounds");
     assert_eq!(
@@ -162,9 +158,8 @@ pub fn gather_reduce_indexed<S>(
 /// # Panics
 ///
 /// Panics if `map` produces an out-of-bounds index.
-pub fn gather_reduce_mapped<S, F>(store: &S, bag: &TableBag, map: F) -> Vec<f32>
+pub fn gather_reduce_mapped<F>(store: &EmbeddingTable, bag: &TableBag, map: F) -> Vec<f32>
 where
-    S: VectorStore + ?Sized,
     F: FnMut(u64) -> usize,
 {
     let mut out = vec![0.0f32; bag.batch_size() * store.dim()];
@@ -173,7 +168,7 @@ where
 }
 
 /// Forward pass with the identity ID→index mapping (CPU-resident tables).
-pub fn gather_reduce<S: VectorStore + ?Sized>(store: &S, bag: &TableBag) -> Vec<f32> {
+pub fn gather_reduce(store: &EmbeddingTable, bag: &TableBag) -> Vec<f32> {
     gather_reduce_mapped(store, bag, |id| id as usize)
 }
 
@@ -237,9 +232,13 @@ pub fn coalesce(ids: &[u64], grads: &[f32], dim: usize) -> (Vec<u64>, Vec<f32>) 
 ///
 /// Panics if `grads.len() != ids.len() × dim` or `map` produces an
 /// out-of-bounds index.
-pub fn scatter_sgd_mapped<S, F>(store: &mut S, ids: &[u64], grads: &[f32], lr: f32, mut map: F)
-where
-    S: VectorStore + ?Sized,
+pub fn scatter_sgd_mapped<F>(
+    store: &mut EmbeddingTable,
+    ids: &[u64],
+    grads: &[f32],
+    lr: f32,
+    mut map: F,
+) where
     F: FnMut(u64) -> usize,
 {
     let dim = store.dim();
@@ -250,7 +249,7 @@ where
 }
 
 /// SGD scatter update with the identity ID→index mapping.
-pub fn scatter_sgd<S: VectorStore + ?Sized>(store: &mut S, ids: &[u64], grads: &[f32], lr: f32) {
+pub fn scatter_sgd(store: &mut EmbeddingTable, ids: &[u64], grads: &[f32], lr: f32) {
     scatter_sgd_mapped(store, ids, grads, lr, |id| id as usize);
 }
 
@@ -318,17 +317,14 @@ pub fn coalesce_indexed(
 /// Unique indices no lookup references are left untouched, exactly as
 /// the reference never emits them. Returns the number of unique rows
 /// updated.
-pub fn embedding_backward_indexed<S>(
-    store: &mut S,
+pub fn embedding_backward_indexed(
+    store: &mut EmbeddingTable,
     bag: &TableBag,
     output_grads: &[f32],
     lr: f32,
     lookup_unique: &[u32],
     unique_slots: &[u32],
-) -> usize
-where
-    S: VectorStore + ?Sized,
-{
+) -> usize {
     let dim = store.dim();
     let (summed, touched) =
         coalesce_indexed(bag, output_grads, dim, lookup_unique, unique_slots.len());
@@ -345,15 +341,14 @@ where
 /// Full embedding backward pass (duplicate → coalesce → scatter) for one
 /// table, with an ID→index mapping. Returns the number of unique rows
 /// updated (useful for traffic accounting).
-pub fn embedding_backward_mapped<S, F>(
-    store: &mut S,
+pub fn embedding_backward_mapped<F>(
+    store: &mut EmbeddingTable,
     bag: &TableBag,
     output_grads: &[f32],
     lr: f32,
     map: F,
 ) -> usize
 where
-    S: VectorStore + ?Sized,
     F: FnMut(u64) -> usize,
 {
     let dim = store.dim();
@@ -364,8 +359,8 @@ where
 }
 
 /// Full embedding backward pass with the identity mapping.
-pub fn embedding_backward<S: VectorStore + ?Sized>(
-    store: &mut S,
+pub fn embedding_backward(
+    store: &mut EmbeddingTable,
     bag: &TableBag,
     output_grads: &[f32],
     lr: f32,
@@ -376,8 +371,6 @@ pub fn embedding_backward<S: VectorStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::DenseStore;
-    use crate::table::EmbeddingTable;
 
     /// Table whose row r is [r, r, ...] — sums are easy to verify.
     fn ramp_table(rows: usize, dim: usize) -> EmbeddingTable {
@@ -510,7 +503,7 @@ mod tests {
     #[test]
     fn mapped_kernels_follow_indirection() {
         // Store rows in arbitrary slots; map id -> slot.
-        let slots = DenseStore::from_flat(vec![9.0, 9.0, 5.0, 5.0, 7.0, 7.0], 2);
+        let slots = EmbeddingTable::from_flat(vec![9.0, 9.0, 5.0, 5.0, 7.0, 7.0], 2);
         let map = |id: u64| match id {
             10 => 2usize, // row (7,7)
             20 => 1,      // row (5,5)

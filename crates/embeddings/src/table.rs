@@ -1,18 +1,24 @@
-//! Dense embedding tables.
+//! The row store: dense `rows × dim` fp32 storage.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::store::VectorStore;
-
-/// A `rows × dim` fp32 embedding table (one categorical feature).
+/// A `rows × dim` fp32 row store, flat and row-major — the one type behind
+/// every home an embedding row has.
 ///
-/// Rows are addressed by sparse feature ID. In the hybrid CPU-GPU systems of
-/// the paper these tables live in capacity-optimized CPU DRAM; this type is
-/// their functional stand-in.
+/// * A CPU embedding table (one categorical feature), where a row is
+///   addressed by sparse feature ID. In the hybrid CPU-GPU systems of the
+///   paper these tables live in capacity-optimized CPU DRAM; this type is
+///   their functional stand-in.
+/// * The GPU scratchpad of the `scratchpipe` crate, where a row is a cache
+///   slot.
+/// * The staging arenas rows cross PCIe in, which are cleared and resized
+///   rather than reallocated ([`EmbeddingTable::clear_rows`],
+///   [`EmbeddingTable::resize_rows`]).
+///
+/// The kernels of [`crate::ops`] therefore run against any of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
-    rows: usize,
     dim: usize,
     data: Vec<f32>,
 }
@@ -24,12 +30,18 @@ impl EmbeddingTable {
     ///
     /// Panics if `dim == 0`.
     pub fn zeros(rows: usize, dim: usize) -> Self {
+        Self::from_flat(vec![0.0; rows * dim], dim)
+    }
+
+    /// Creates a table from a flat row-major buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` or `data.len()` is not a multiple of `dim`.
+    pub fn from_flat(data: Vec<f32>, dim: usize) -> Self {
         assert!(dim > 0, "dim must be positive");
-        EmbeddingTable {
-            rows,
-            dim,
-            data: vec![0.0; rows * dim],
-        }
+        assert_eq!(data.len() % dim, 0, "data must be a whole number of rows");
+        EmbeddingTable { dim, data }
     }
 
     /// Creates a table initialized uniformly in `[-1/√dim, 1/√dim]` from a
@@ -56,9 +68,47 @@ impl EmbeddingTable {
         t
     }
 
+    /// Width of every row in elements.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
+    pub fn len(&self) -> usize {
+        self.data.len() / self.dim
+    }
+
+    /// True if the table holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Row `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len()`.
+    pub fn row(&self, idx: usize) -> &[f32] {
+        &self.data[idx * self.dim..(idx + 1) * self.dim]
+    }
+
+    /// Row `idx`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len()`.
+    pub fn row_mut(&mut self, idx: usize) -> &mut [f32] {
+        &mut self.data[idx * self.dim..(idx + 1) * self.dim]
+    }
+
+    /// Copies row `src` of `from` into row `dst` of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ or either index is out of bounds.
+    pub fn copy_row_from(&mut self, dst: usize, from: &EmbeddingTable, src: usize) {
+        assert_eq!(self.dim, from.dim, "row width mismatch");
+        self.row_mut(dst).copy_from_slice(from.row(src));
     }
 
     /// The flat row-major data buffer.
@@ -66,52 +116,47 @@ impl EmbeddingTable {
         &self.data
     }
 
+    /// The flat row-major data buffer, mutably — disjoint row ranges of it
+    /// can be handed to different workers.
+    pub fn as_flat_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Drops all rows but keeps the allocation, so the table can be
+    /// resized with [`EmbeddingTable::resize_rows`] and refilled without
+    /// reallocating — the arena-reuse pattern of the pipeline's staging
+    /// buffers.
+    pub fn clear_rows(&mut self) {
+        self.data.clear();
+    }
+
+    /// Resizes the table to exactly `rows` rows, zero-filling any new tail.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.dim, 0.0);
+    }
+
     /// Exact bitwise equality with another table — stricter than `==` on
     /// floats because it distinguishes `-0.0`/`0.0` and NaN payloads. The
     /// ScratchPipe correctness tests use this to prove the pipelined runtime
     /// performs *identical* arithmetic to the sequential baseline.
     pub fn bit_eq(&self, other: &EmbeddingTable) -> bool {
-        self.rows == other.rows
-            && self.dim == other.dim
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        self.first_diff_row(other).is_none()
     }
 
     /// Index of the first row that differs bitwise from `other`, if any.
     /// Useful in test diagnostics.
     pub fn first_diff_row(&self, other: &EmbeddingTable) -> Option<usize> {
-        if self.rows != other.rows || self.dim != other.dim {
+        if self.len() != other.len() || self.dim != other.dim {
             return Some(0);
         }
-        for r in 0..self.rows {
-            let a = &self.data[r * self.dim..(r + 1) * self.dim];
-            let b = &other.data[r * self.dim..(r + 1) * self.dim];
+        for r in 0..self.len() {
+            let a = self.row(r);
+            let b = other.row(r);
             if a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
                 return Some(r);
             }
         }
         None
-    }
-}
-
-impl VectorStore for EmbeddingTable {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn len(&self) -> usize {
-        self.rows
-    }
-
-    fn row(&self, idx: usize) -> &[f32] {
-        &self.data[idx * self.dim..(idx + 1) * self.dim]
-    }
-
-    fn row_mut(&mut self, idx: usize) -> &mut [f32] {
-        &mut self.data[idx * self.dim..(idx + 1) * self.dim]
     }
 }
 
@@ -141,9 +186,9 @@ mod tests {
     #[test]
     fn size_accounting() {
         let t = EmbeddingTable::zeros(10, 128);
-        assert_eq!(t.rows(), 10);
         assert_eq!(t.dim(), 128);
         assert_eq!(t.len(), 10);
+        assert!(!t.is_empty());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! over arbitrary bags (duplicate-heavy, empty samples and all), plus the
 //! sample-range sharding the DataParallel schedule uses.
 
-use embeddings::store::DenseStore;
-use embeddings::{ops, EmbeddingTable, TableBag, VectorStore};
+use embeddings::{ops, EmbeddingTable, TableBag};
 use proptest::prelude::*;
 use scratchpipe::{stages, TablePlan};
 
@@ -25,9 +24,13 @@ fn arb_bag() -> impl Strategy<Value = TableBag> {
 
 /// A scrambled id → slot permutation as a dedup-layout [`TablePlan`],
 /// plus a store holding each row's data at its assigned slot.
-fn scrambled_plan(table: &EmbeddingTable, bag: &TableBag, dim: usize) -> (TablePlan, DenseStore) {
+fn scrambled_plan(
+    table: &EmbeddingTable,
+    bag: &TableBag,
+    dim: usize,
+) -> (TablePlan, EmbeddingTable) {
     let mut plan = TablePlan::default();
-    let mut store = DenseStore::zeros(ROWS as usize, dim);
+    let mut store = EmbeddingTable::zeros(ROWS as usize, dim);
     for id in 0..ROWS {
         let slot = ((id * 11 + 5) % ROWS) as u32; // 11 ⊥ 48 → permutation
         plan.unique_ids.push(id);

@@ -8,8 +8,7 @@
 //! **bitwise**: the flat path must perform the same additions in the same
 //! order as the row-at-a-time reference.
 
-use embeddings::store::DenseStore;
-use embeddings::{ops, EmbeddingTable, TableBag, VectorStore};
+use embeddings::{ops, EmbeddingTable, TableBag};
 use proptest::prelude::*;
 use scratchpipe::{stages, TablePlan};
 
@@ -83,9 +82,9 @@ fn arb_bag() -> impl Strategy<Value = TableBag> {
 /// plan carries the deduplicated flat layout: sorted `unique_ids`,
 /// aligned `unique_slots`, and (once [`stages::index_lookups`] runs) the
 /// per-lookup index into them.
-fn scrambled_scratchpad(table: &EmbeddingTable) -> (TablePlan, DenseStore) {
+fn scrambled_scratchpad(table: &EmbeddingTable) -> (TablePlan, EmbeddingTable) {
     let mut plan = TablePlan::default();
-    let mut store = DenseStore::zeros(ROWS as usize, DIM);
+    let mut store = EmbeddingTable::zeros(ROWS as usize, DIM);
     for id in 0..ROWS {
         let slot = ((id * 7 + 3) % ROWS) as u32; // 7 ⊥ 32 → permutation
         plan.unique_ids.push(id);
