@@ -75,11 +75,15 @@ pub struct Evict {
 /// in plan order — ascending for every pipeline-produced plan, since the
 /// driver feeds `TableBag::unique_ids`) is cached in scratchpad slot
 /// `unique_slots[k]`, and every raw lookup `j` of the batch resolves
-/// through `lookup_unique[j]` (an index into the unique vectors, filled
-/// in by [`crate::stages::index_lookups`]). The Train gather thus reads
-/// each unique row once and fans out through a `u32` indirection instead
-/// of paying a hash probe per raw lookup, and Collect stages each missed
-/// row exactly once.
+/// through `lookup_unique[j]` (an index into the unique vectors). The
+/// same relation is kept read the other way, as its transpose:
+/// `unique_samples[unique_offsets[k]..unique_offsets[k + 1]]` lists the
+/// sample of every lookup of unique index `k`. [`crate::stages::index_lookups`]
+/// fills both directions. The Train gather thus reads each unique row
+/// once and fans out through a `u32` indirection instead of paying a hash
+/// probe per raw lookup, the Train scatter gathers each row's gradients
+/// through the transpose, and Collect stages each missed row exactly
+/// once.
 #[derive(Debug, Clone, Default)]
 pub struct TablePlan {
     /// The batch's unique IDs, in plan order (hits and fills alike).
@@ -89,6 +93,13 @@ pub struct TablePlan {
     /// Per-raw-lookup index into `unique_ids`/`unique_slots`, in bag
     /// order; empty until [`crate::stages::index_lookups`] runs.
     pub lookup_unique: Vec<u32>,
+    /// Transpose of `lookup_unique`, CSR offsets: `unique_ids.len() + 1`
+    /// entries, from 0 to the bag's lookup count; empty until
+    /// [`crate::stages::index_lookups`] runs.
+    pub unique_offsets: Vec<u32>,
+    /// Transpose of `lookup_unique`, CSR values: per unique index, the
+    /// sample of each of its lookups, ascending and with multiplicity.
+    pub unique_samples: Vec<u32>,
     /// Rows to prefetch from the CPU table.
     pub fills: Vec<Fill>,
     /// Dirty rows to write back to the CPU table.
@@ -346,7 +357,7 @@ impl ScratchpadManager {
 
     /// [`ScratchpadManager::plan`] into a caller-owned plan: `out` is
     /// overwritten (its previous contents are discarded, its allocations
-    /// reused; `lookup_unique` is left empty for
+    /// reused; `lookup_unique` and its transpose are left empty for
     /// [`crate::stages::index_lookups`]).
     ///
     /// # Errors
@@ -367,6 +378,8 @@ impl ScratchpadManager {
         out.unique_ids.clear();
         out.unique_slots.clear();
         out.lookup_unique.clear();
+        out.unique_offsets.clear();
+        out.unique_samples.clear();
         out.fills.clear();
         out.evictions.clear();
         out.hits = 0;
@@ -641,8 +654,11 @@ mod tests {
             let f1 = batches.get(i + 1).map_or(&[][..], Vec::as_slice);
             let f2 = batches.get(i + 2).map_or(&[][..], Vec::as_slice);
             let want = fresh.plan(b, &[f1, f2]).unwrap();
-            // Leftovers of the previous batch, plus a stale lookup index.
+            // Leftovers of the previous batch, plus a stale lookup index
+            // and transpose.
             out.lookup_unique.push(99);
+            out.unique_offsets.push(99);
+            out.unique_samples.push(99);
             reused.plan_into(b, &[f1, f2], &mut out).unwrap();
             assert_eq!(out.unique_ids, want.unique_ids);
             assert_eq!(out.unique_slots, want.unique_slots);
@@ -650,6 +666,7 @@ mod tests {
             assert_eq!(out.evictions, want.evictions);
             assert_eq!((out.hits, out.misses), (want.hits, want.misses));
             assert!(out.lookup_unique.is_empty());
+            assert!(out.unique_offsets.is_empty() && out.unique_samples.is_empty());
         }
         assert_eq!(fresh.stats(), reused.stats());
     }

@@ -531,9 +531,11 @@ pub fn plan_traffic(batch: &SparseBatch, current: &[Vec<u64>]) -> Traffic {
 
 /// Fills [`TablePlan::lookup_unique`]: for every raw lookup of `bag` (in
 /// bag order), the index of its ID within the plan's sorted `unique_ids`.
-/// This is the indirection the deduplicated Train gather/scatter kernels
-/// fan out through, so each unique row is resolved exactly once per
-/// (table, batch).
+/// The deduplicated Train gather fans out through it, so each unique row
+/// is resolved exactly once per (table, batch). Then fills its transpose,
+/// [`TablePlan::unique_offsets`] and [`TablePlan::unique_samples`], which
+/// the Train scatter gathers each row's gradients through: a counting
+/// sort, whose counts ride along the search pass.
 ///
 /// # Panics
 ///
@@ -544,14 +546,32 @@ pub fn index_lookups(plan: &mut TablePlan, bag: &TableBag) {
         plan.unique_ids.windows(2).all(|w| w[0] <= w[1]),
         "plan ids must be sorted"
     );
+    let num_unique = plan.unique_ids.len();
     plan.lookup_unique.clear();
     plan.lookup_unique.reserve(bag.ids().len());
+    plan.unique_offsets.clear();
+    plan.unique_offsets.resize(num_unique + 1, 0);
     for &id in bag.ids() {
         let k = plan
             .unique_ids
             .binary_search(&id)
             .unwrap_or_else(|_| panic!("id {id} missing from plan"));
         plan.lookup_unique.push(k as u32);
+        plan.unique_offsets[k] += 1;
+    }
+    // Prefix sums turn the counts into each row's end. Walked sample by
+    // sample backwards, every lookup steps its row's offset down one and
+    // lands there: a row lists its samples ascending, and its offset ends
+    // at the row's start.
+    for k in 1..=num_unique {
+        plan.unique_offsets[k] += plan.unique_offsets[k - 1];
+    }
+    plan.unique_samples.resize(bag.ids().len(), 0);
+    for (s, w) in bag.offsets().windows(2).enumerate().rev() {
+        for &k in &plan.lookup_unique[w[0] as usize..w[1] as usize] {
+            plan.unique_offsets[k as usize] -= 1;
+            plan.unique_samples[plan.unique_offsets[k as usize] as usize] = s as u32;
+        }
     }
 }
 
@@ -673,12 +693,12 @@ pub fn insert_fills(
 /// \[Train\] traffic of the embedding half under the deduplicated
 /// layout: each unique row is gathered from GPU memory once and fanned
 /// out to its lookups through the `u32` index (a streaming read), the
-/// backward pass coalesces pooled gradients straight into per-unique
-/// buckets (streaming read of the pooled grads, streaming write of one
-/// bucket per unique row — the raw-lookup-sized duplicate buffer no
-/// longer exists), and the SGD scatter read-modify-writes each unique
-/// row once. All against GPU memory (the always-hit guarantee); the
-/// dense backend's own traffic is added by the caller.
+/// backward pass sums pooled gradients per unique row (charged as a
+/// streaming read of the pooled grads and a streaming write of one summed
+/// gradient per unique row — no raw-lookup-sized duplicate buffer), and
+/// the SGD scatter read-modify-writes each unique row once. All against
+/// GPU memory (the always-hit guarantee); the dense backend's own
+/// traffic is added by the caller.
 pub fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Traffic {
     let mut traffic = Traffic::ZERO;
     let rb = dim as u64 * 4;
@@ -691,7 +711,7 @@ pub fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Tr
         traffic.gpu_stream_read_bytes += lookups * rb;
         traffic.gpu_stream_write_bytes +=
             primitives::reduce_output_bytes(bag.batch_size() as u64, dim as u32);
-        // Backward: coalesce pooled grads into per-unique buckets.
+        // Backward: sum pooled grads per unique row.
         traffic.gpu_stream_read_bytes += lookups * rb;
         traffic.gpu_stream_write_bytes += uniques * rb;
         // SGD scatter: one RMW per unique row.
@@ -712,15 +732,7 @@ pub fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Tr
 /// Panics if the plan's lookup index was not built for this bag (see
 /// [`index_lookups`]).
 pub fn gather_pooled(storage: &EmbeddingTable, bag: &TableBag, plan: &TablePlan, out: &mut [f32]) {
-    ops::gather_reduce_indexed(
-        storage,
-        bag,
-        &plan.lookup_unique,
-        &plan.unique_slots,
-        0,
-        bag.batch_size(),
-        out,
-    );
+    gather_pooled_range(storage, bag, plan, 0, bag.batch_size(), out);
 }
 
 /// [`gather_pooled`] restricted to the sample range `lo..hi` — the
@@ -746,11 +758,17 @@ pub fn gather_pooled_range(
     );
 }
 
-/// \[Train\], backward half of one table: coalesce the dense backend's
-/// pooled gradients into per-unique buckets (occurrence order, matching
-/// the duplicate→coalesce reference bit-for-bit) and SGD-scatter them
-/// into the scratchpad — one buffer of `num_unique × dim` instead of the
-/// raw-lookup-sized duplicate buffer, and no per-call sort.
+/// \[Train\], backward half of one table: for each of the plan's unique
+/// rows, sum the dense backend's pooled gradients of the samples that
+/// looked it up (the transpose [`index_lookups`] built, in occurrence
+/// order, matching the duplicate→coalesce reference bit-for-bit) and
+/// SGD-scatter the sum into the scratchpad — no per-lookup duplicate
+/// buffer, no per-call sort, and nothing allocated.
+///
+/// # Panics
+///
+/// Panics if the plan's transpose was not built for this bag (see
+/// [`index_lookups`]).
 pub fn scatter_grads(
     storage: &mut EmbeddingTable,
     bag: &TableBag,
@@ -758,13 +776,18 @@ pub fn scatter_grads(
     lr: f32,
     plan: &TablePlan,
 ) {
-    ops::embedding_backward_indexed(
+    assert_eq!(
+        plan.unique_samples.len(),
+        bag.total_lookups(),
+        "transpose must be of this bag"
+    );
+    ops::embedding_backward_transposed(
         storage,
-        bag,
         grads,
         lr,
-        &plan.lookup_unique,
         &plan.unique_slots,
+        &plan.unique_offsets,
+        &plan.unique_samples,
     );
 }
 
@@ -780,9 +803,9 @@ pub fn flush_traffic(resident_rows: u64, row_bytes: u64) -> Traffic {
 }
 
 /// Final flush of one table: copy every resident scratchpad row that
-/// passes `keep` back to the CPU table. The synchronous runtime filters on
-/// its data-residency shadow (rows whose data never arrived under a broken
-/// window are skipped); the threaded runtime keeps everything.
+/// passes `keep` back to the CPU table. The pipeline filters on its
+/// data-residency shadow, so rows whose data never arrived under a broken
+/// window are skipped.
 pub fn flush_rows(
     storage: &EmbeddingTable,
     cpu_table: &mut EmbeddingTable,
@@ -1042,6 +1065,44 @@ mod tests {
         let mut s = StagedRows::new(2);
         s.prepare(&[1, 1]);
         let _ = s.row(0, 1); // row 1 belongs to table 1, not table 0
+    }
+
+    proptest! {
+        /// `index_lookups` fills one relation both ways: each lookup's
+        /// unique index, and the transpose — `num_unique + 1` monotone
+        /// offsets from 0 to the lookup count and, per unique index, the
+        /// sample of each of its lookups, ascending and once per lookup —
+        /// whatever a recycled plan held before.
+        #[test]
+        fn index_lookups_fills_the_index_and_its_transpose(
+            samples in proptest::collection::vec(proptest::collection::vec(0u64..24, 0..6), 1..8),
+            stale in 0usize..60
+        ) {
+            let bag = TableBag::from_samples(&samples);
+            let mut plan = TablePlan {
+                unique_ids: bag.unique_ids(),
+                lookup_unique: vec![7; stale],
+                unique_offsets: vec![7; stale],
+                unique_samples: vec![7; stale],
+                ..TablePlan::default()
+            };
+            index_lookups(&mut plan, &bag);
+            let (ids, offsets) = (&plan.unique_ids, &plan.unique_offsets);
+            for (&id, &k) in bag.ids().iter().zip(&plan.lookup_unique) {
+                prop_assert_eq!(ids[k as usize], id);
+            }
+            prop_assert_eq!(offsets.len(), ids.len() + 1);
+            prop_assert_eq!(offsets[0], 0);
+            prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+            prop_assert_eq!(offsets[ids.len()] as usize, bag.total_lookups());
+            for (k, id) in ids.iter().enumerate() {
+                let expect: Vec<u32> = (bag.samples().enumerate())
+                    .flat_map(|(s, sample)| sample.iter().filter(|&x| x == id).map(move |_| s as u32))
+                    .collect();
+                let row = &plan.unique_samples[offsets[k] as usize..offsets[k + 1] as usize];
+                prop_assert_eq!(row, &expect[..]);
+            }
+        }
     }
 
     #[test]

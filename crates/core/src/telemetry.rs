@@ -20,7 +20,8 @@
 //!   trace-event JSON (`trace.json`), loadable in Perfetto or
 //!   `chrome://tracing`. Each run is a process; lane 0 is the driver
 //!   thread, lanes 1–5 are the threaded schedule's stages, lanes 100+ are
-//!   `DataParallel` workers.
+//!   worker-pool workers (`DataParallel`'s shards, and the prewarm,
+//!   \[Plan\] and the dedup fanned out under the stepped schedules).
 //!
 //! A [`Telemetry`] handle is a cheap `Arc` clone; attach one to every
 //! pipeline whose runs should land in the same snapshot. It keeps the

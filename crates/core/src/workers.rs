@@ -1,9 +1,12 @@
 //! Scoped worker pool for intra-stage data parallelism.
 //!
 //! [`WorkerPool`] is the fork-join primitive behind
-//! `Schedule::DataParallel`: a stage splits its iteration into disjoint
-//! shard tasks (per table, or per contiguous sample range) and hands them
-//! to [`WorkerPool::run_tasks`], which fans them out over
+//! `Schedule::DataParallel`, and — once the work clears
+//! `stages::PLAN_FAN_OUT_MIN_UNIQUES` — behind the prewarm and behind
+//! \[Plan\] and the batch's dedup under every schedule the stepper runs
+//! (all but `Threaded`): a stage splits its iteration into
+//! disjoint shard tasks (per table, or per contiguous sample range) and
+//! hands them to [`WorkerPool::run_tasks`], which fans them out over
 //! [`std::thread::scope`] and returns results *and per-shard wall-clock
 //! nanos* in task order. The pool is deliberately stateless — a width plus
 //! a spawn policy — so it can live inside the `Copy` stage context and

@@ -6,19 +6,24 @@
 //! duplicates targeting the same row, and **scatter-updates** the table
 //! with SGD.
 //!
-//! Every kernel runs against the one row store, [`EmbeddingTable`], and
-//! takes a `map: id → index` closure, so the identical code path serves
-//! both homes an embedding may live in:
+//! Every kernel runs against the one row store, [`EmbeddingTable`], in
+//! one of two forms:
 //!
-//! * a CPU-resident table, where `map` is the identity, and
-//! * the GPU scratchpad of the `scratchpipe` crate, where `map` translates
-//!   a sparse feature ID to its cache slot.
+//! * the *mapped* kernels take a `map: id → index` closure — the
+//!   identity for a CPU-resident table — and are the reference the
+//!   others are tested against;
+//! * the *indexed* kernels serve the GPU scratchpad of the `scratchpipe`
+//!   crate through a batch's deduplicated lookup index: the forward
+//!   gathers through it, and the backward is the same gather-reduce over
+//!   its transpose ([`embedding_backward_transposed`]), the tensor
+//!   casting of Kwon et al. (arXiv:2010.13100).
 //!
 //! # Determinism
 //!
 //! Floating-point addition is not associative, so the *order* of every sum
 //! is pinned down: pooling adds rows in bag order, and coalescing groups by
-//! row ID with a stable sort so duplicates accumulate in occurrence order.
+//! row ID with a stable sort (or, indexed, walks a row's samples in the
+//! transpose's occurrence order) so duplicates accumulate in occurrence order.
 //! Any two systems performing the same logical update therefore produce
 //! bit-identical results — the foundation of the reproduction's
 //! correctness tests.
@@ -57,48 +62,19 @@ fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 ///
 /// Panics if `out.len() != batch_size × dim` or `map` produces an
 /// out-of-bounds index.
-pub fn gather_reduce_into<F>(store: &EmbeddingTable, bag: &TableBag, map: F, out: &mut [f32])
+pub fn gather_reduce_into<F>(store: &EmbeddingTable, bag: &TableBag, mut map: F, out: &mut [f32])
 where
     F: FnMut(u64) -> usize,
 {
+    let dim = store.dim();
     assert_eq!(
         out.len(),
-        bag.batch_size() * store.dim(),
+        bag.batch_size() * dim,
         "pooled buffer must be batch_size × dim"
     );
-    gather_reduce_range(store, bag, map, 0, bag.batch_size(), out);
-}
-
-/// Forward pass for the sample range `lo..hi` of one table, writing into a
-/// caller-provided flat `(hi - lo) × dim` slice. This is the shardable
-/// core of [`gather_reduce_into`]: each sample's pooled sum is computed
-/// whole by whoever owns its range, so splitting a batch across workers
-/// produces bit-identical output to a single-worker gather.
-///
-/// # Panics
-///
-/// Panics if `lo > hi`, `hi > bag.batch_size()`, `out.len() != (hi - lo) ×
-/// dim`, or `map` produces an out-of-bounds index.
-pub fn gather_reduce_range<F>(
-    store: &EmbeddingTable,
-    bag: &TableBag,
-    mut map: F,
-    lo: usize,
-    hi: usize,
-    out: &mut [f32],
-) where
-    F: FnMut(u64) -> usize,
-{
-    let dim = store.dim();
-    assert!(lo <= hi && hi <= bag.batch_size(), "sample range in bounds");
-    assert_eq!(
-        out.len(),
-        (hi - lo) * dim,
-        "pooled slice must be (hi - lo) × dim"
-    );
     out.fill(0.0);
-    for (acc, s) in out.chunks_exact_mut(dim).zip(lo..hi) {
-        for &id in bag.sample(s) {
+    for (acc, sample) in out.chunks_exact_mut(dim).zip(bag.samples()) {
+        for &id in sample {
             add_assign_row(acc, store.row(map(id)));
         }
     }
@@ -108,9 +84,10 @@ pub fn gather_reduce_range<F>(
 /// precomputed **deduplicated index**: lookup `j` of the bag resolves to
 /// store row `unique_slots[lookup_unique[j]]`, so the per-lookup cost is
 /// two array reads instead of a hash probe. Accumulation order is
-/// identical to [`gather_reduce_range`] with the equivalent `map`, so the
-/// output is bit-identical; sharding by sample range composes the same
-/// way.
+/// identical to [`gather_reduce_into`] with the equivalent `map`, so the
+/// output is bit-identical. Each sample's pooled sum is computed whole by
+/// whoever owns its range, so splitting a batch across workers produces
+/// bit-identical output to a single-worker gather.
 ///
 /// `lookup_unique` maps every lookup (bag order) to an index into the
 /// batch's unique-ID set; `unique_slots` maps unique indices to store
@@ -151,25 +128,13 @@ pub fn gather_reduce_indexed(
     }
 }
 
-/// Forward pass for one table: gather + sum-pool, with `map` translating
-/// sparse IDs to store indices. Returns a `batch_size × dim` buffer; a
-/// sample with zero lookups pools to the zero vector.
-///
-/// # Panics
-///
-/// Panics if `map` produces an out-of-bounds index.
-pub fn gather_reduce_mapped<F>(store: &EmbeddingTable, bag: &TableBag, map: F) -> Vec<f32>
-where
-    F: FnMut(u64) -> usize,
-{
-    let mut out = vec![0.0f32; bag.batch_size() * store.dim()];
-    gather_reduce_into(store, bag, map, &mut out);
-    out
-}
-
-/// Forward pass with the identity ID→index mapping (CPU-resident tables).
+/// Forward pass for one table with the identity ID→index mapping
+/// (CPU-resident tables): gather + sum-pool into a fresh `batch_size ×
+/// dim` buffer.
 pub fn gather_reduce(store: &EmbeddingTable, bag: &TableBag) -> Vec<f32> {
-    gather_reduce_mapped(store, bag, |id| id as usize)
+    let mut out = vec![0.0f32; bag.batch_size() * store.dim()];
+    gather_reduce_into(store, bag, |id| id as usize, &mut out);
+    out
 }
 
 /// Backward step 1 — gradient duplication (Figure 2(b) left): expands the
@@ -253,89 +218,57 @@ pub fn scatter_sgd(store: &mut EmbeddingTable, ids: &[u64], grads: &[f32], lr: f
     scatter_sgd_mapped(store, ids, grads, lr, |id| id as usize);
 }
 
-/// Backward steps 1+2 fused through a precomputed deduplicated index:
-/// accumulates each sample's pooled gradient directly into the bucket of
-/// every row it gathered, skipping the `total_lookups × dim` duplicate
-/// buffer and the per-call stable sort entirely. Returns
-/// `(summed gradients, touched flags)`, one `dim`-wide bucket per unique
-/// index (bucket order = unique order, i.e. ascending ID when the index
-/// came from a sorted unique set).
+/// Row elements [`embedding_backward_transposed`] sums at a time, in a
+/// stack accumulator: the backward allocates nothing.
+const ACC_CHUNK: usize = 256;
+
+/// Full embedding backward pass through the transpose of a deduplicated
+/// index: `samples[offsets[k]..offsets[k + 1]]` lists, ascending and with
+/// multiplicity, the sample of every lookup of unique index `k`. It is
+/// the forward's gather-reduce run over that transpose: for each `k` in
+/// ascending order it copies the first sample's pooled gradient, adds
+/// the others in order and SGD-scatters the sum into row
+/// `unique_slots[k]`; a row hit once is scattered straight from its
+/// gradient, and a row hit never is left untouched.
 ///
-/// Bit-identical to `coalesce(bag.ids(), duplicate_gradients(bag, …), …)`:
-/// lookups are visited in bag order, so each bucket accumulates its
-/// duplicates in occurrence order, and the first touch *copies* (not
-/// adds-to-zero), preserving `-0.0` gradient bits exactly as the
-/// reference's `extend_from_slice` does.
+/// Bit-identical to [`embedding_backward_mapped`] when `unique_slots`
+/// follows the sorted unique IDs: every element sees the reference's
+/// additions in the reference's order, and the first copy keeps a `-0.0`
+/// gradient as the reference's does.
 ///
 /// # Panics
 ///
-/// Panics if `output_grads.len() != batch_size × dim`,
-/// `lookup_unique.len() != bag.ids().len()`, or an index is `>=
-/// num_unique`.
-pub fn coalesce_indexed(
-    bag: &TableBag,
+/// Panics if `offsets.len() != unique_slots.len() + 1` or a sample's
+/// gradient row lies outside `output_grads`.
+pub fn embedding_backward_transposed(
+    store: &mut EmbeddingTable,
     output_grads: &[f32],
-    dim: usize,
-    lookup_unique: &[u32],
-    num_unique: usize,
-) -> (Vec<f32>, Vec<bool>) {
-    assert_eq!(
-        output_grads.len(),
-        bag.batch_size() * dim,
-        "gradient buffer must be batch_size × dim"
-    );
-    assert_eq!(
-        lookup_unique.len(),
-        bag.ids().len(),
-        "lookup index must cover every bag lookup"
-    );
-    let mut summed = vec![0.0f32; num_unique * dim];
-    let mut touched = vec![false; num_unique];
-    let offsets = bag.offsets();
-    for s in 0..bag.batch_size() {
-        let g = &output_grads[s * dim..(s + 1) * dim];
-        for &u in &lookup_unique[offsets[s] as usize..offsets[s + 1] as usize] {
-            let u = u as usize;
-            let bucket = &mut summed[u * dim..(u + 1) * dim];
-            if touched[u] {
-                add_assign_row(bucket, g);
-            } else {
-                bucket.copy_from_slice(g);
-                touched[u] = true;
+    lr: f32,
+    unique_slots: &[u32],
+    offsets: &[u32],
+    samples: &[u32],
+) {
+    assert_eq!(offsets.len(), unique_slots.len() + 1, "transpose shape");
+    let dim = store.dim();
+    let grad = |s: u32| &output_grads[s as usize * dim..][..dim];
+    let mut acc = [0.0f32; ACC_CHUNK];
+    for (k, &slot) in unique_slots.iter().enumerate() {
+        let row = store.row_mut(slot as usize);
+        match &samples[offsets[k] as usize..offsets[k + 1] as usize] {
+            [] => {}
+            [s] => axpy(row, -lr, grad(*s)),
+            [first, rest @ ..] => {
+                for (c, part) in row.chunks_mut(ACC_CHUNK).enumerate() {
+                    let (lo, acc) = (c * ACC_CHUNK, &mut acc[..part.len()]);
+                    acc.copy_from_slice(&grad(*first)[lo..][..acc.len()]);
+                    for &s in rest {
+                        add_assign_row(acc, &grad(s)[lo..][..acc.len()]);
+                    }
+                    axpy(part, -lr, acc);
+                }
             }
         }
     }
-    (summed, touched)
-}
-
-/// Full embedding backward pass through a precomputed deduplicated index
-/// (coalesce-into-buckets → SGD scatter): the indexed counterpart of
-/// [`embedding_backward_mapped`], bit-identical to it when
-/// `unique_slots[lookup_unique[j]] == map(bag.ids()[j])` for every
-/// lookup and the unique set is sorted (the scatter applies buckets in
-/// ascending unique order, matching the reference's sorted scatter).
-/// Unique indices no lookup references are left untouched, exactly as
-/// the reference never emits them. Returns the number of unique rows
-/// updated.
-pub fn embedding_backward_indexed(
-    store: &mut EmbeddingTable,
-    bag: &TableBag,
-    output_grads: &[f32],
-    lr: f32,
-    lookup_unique: &[u32],
-    unique_slots: &[u32],
-) -> usize {
-    let dim = store.dim();
-    let (summed, touched) =
-        coalesce_indexed(bag, output_grads, dim, lookup_unique, unique_slots.len());
-    let mut updated = 0;
-    for (u, g) in summed.chunks_exact(dim).enumerate() {
-        if touched[u] {
-            axpy(store.row_mut(unique_slots[u] as usize), -lr, g);
-            updated += 1;
-        }
-    }
-    updated
 }
 
 /// Full embedding backward pass (duplicate → coalesce → scatter) for one
@@ -412,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_reduce_range_stitches_to_full_gather() {
+    fn indexed_gather_ranges_stitch_to_full_gather() {
         // Any partition of the batch into ranges must reproduce the
         // single-call gather bit-for-bit — the worker-sharding contract.
         let t = EmbeddingTable::seeded(32, 4, 11);
@@ -423,16 +356,18 @@ mod tests {
             vec![31],
             vec![7, 7, 7, 0],
         ]);
+        let (lookup_unique, unique_slots) = dedup_index(&bag, &[]);
         let full = gather_reduce(&t, &bag);
         let dim = 4;
         for cuts in [vec![0, 5], vec![0, 2, 5], vec![0, 1, 3, 4, 5]] {
             let mut stitched = vec![f32::NAN; full.len()];
             for w in cuts.windows(2) {
                 let (lo, hi) = (w[0], w[1]);
-                gather_reduce_range(
+                gather_reduce_indexed(
                     &t,
                     &bag,
-                    |id| id as usize,
+                    &lookup_unique,
+                    &unique_slots,
                     lo,
                     hi,
                     &mut stitched[lo * dim..hi * dim],
@@ -510,7 +445,8 @@ mod tests {
             _ => 0,
         };
         let bag = TableBag::from_samples(&[vec![10, 20]]);
-        let out = gather_reduce_mapped(&slots, &bag, map);
+        let mut out = vec![f32::NAN; 2];
+        gather_reduce_into(&slots, &bag, map, &mut out);
         assert_eq!(out, vec![12.0, 12.0]);
 
         let mut slots = slots;
@@ -557,11 +493,15 @@ mod tests {
         scatter_sgd(&mut t, &[0], &[1.0; 3], 0.1);
     }
 
-    /// Builds the deduplicated index pair for a bag against an `id → slot`
-    /// mapping: sorted unique ids → slots, plus per-lookup indices.
-    fn dedup_index(bag: &TableBag, map: impl Fn(u64) -> usize) -> (Vec<u32>, Vec<u32>) {
-        let unique = bag.unique_ids();
-        let unique_slots: Vec<u32> = unique.iter().map(|&id| map(id) as u32).collect();
+    /// Builds the deduplicated index pair for a bag, with `extra` IDs no
+    /// lookup references merged into its sorted unique IDs: per-lookup
+    /// indices, plus the unique IDs' slots (the identity mapping).
+    fn dedup_index(bag: &TableBag, extra: &[u64]) -> (Vec<u32>, Vec<u32>) {
+        let mut unique = bag.unique_ids();
+        unique.extend_from_slice(extra);
+        unique.sort_unstable();
+        unique.dedup();
+        let unique_slots: Vec<u32> = unique.iter().map(|&id| id as u32).collect();
         let lookup_unique: Vec<u32> = bag
             .ids()
             .iter()
@@ -574,7 +514,7 @@ mod tests {
     fn indexed_gather_matches_mapped_bitwise() {
         let t = EmbeddingTable::seeded(32, 4, 11);
         let bag = TableBag::from_samples(&[vec![1, 5, 5], vec![], vec![9, 2], vec![7, 7, 7, 0]]);
-        let (lookup_unique, unique_slots) = dedup_index(&bag, |id| id as usize);
+        let (lookup_unique, unique_slots) = dedup_index(&bag, &[]);
         let reference = gather_reduce(&t, &bag);
         let mut indexed = vec![f32::NAN; reference.len()];
         gather_reduce_indexed(
@@ -592,38 +532,108 @@ mod tests {
         );
     }
 
+    /// The transpose of `lookup_unique` over `num_unique` unique indices,
+    /// as `(offsets, samples)`, built one unique index at a time.
+    fn transposed(
+        bag: &TableBag,
+        lookup_unique: &[u32],
+        num_unique: usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (mut offsets, mut samples) = (vec![0], Vec::new());
+        for k in 0..num_unique as u32 {
+            for (s, w) in bag.offsets().windows(2).enumerate() {
+                let hits = lookup_unique[w[0] as usize..w[1] as usize].iter();
+                samples.extend(hits.filter(|&&u| u == k).map(|_| s as u32));
+            }
+            offsets.push(samples.len() as u32);
+        }
+        (offsets, samples)
+    }
+
+    /// The transposed backward over `bag`'s index, identity slots, with
+    /// `extra` unreferenced unique IDs.
+    fn backward_transposed(
+        store: &mut EmbeddingTable,
+        bag: &TableBag,
+        grads: &[f32],
+        lr: f32,
+        extra: &[u64],
+    ) {
+        let (lookup_unique, slots) = dedup_index(bag, extra);
+        let (offsets, samples) = transposed(bag, &lookup_unique, slots.len());
+        embedding_backward_transposed(store, grads, lr, &slots, &offsets, &samples);
+    }
+
     #[test]
     fn indexed_backward_matches_mapped_bitwise() {
         let bag = TableBag::from_samples(&[vec![0, 4, 4], vec![0, 2, 5], vec![5]]);
         let grads = vec![1.0, -0.0, 2.0, 2.5, -1.0, 0.25];
         let mut reference = ramp_table(6, 2);
-        let n_ref = embedding_backward_mapped(&mut reference, &bag, &grads, 0.1, |id| id as usize);
-        let (lookup_unique, unique_slots) = dedup_index(&bag, |id| id as usize);
+        embedding_backward_mapped(&mut reference, &bag, &grads, 0.1, |id| id as usize);
         let mut indexed = ramp_table(6, 2);
-        let n_idx = embedding_backward_indexed(
-            &mut indexed,
-            &bag,
-            &grads,
-            0.1,
-            &lookup_unique,
-            &unique_slots,
-        );
-        assert_eq!(n_ref, n_idx);
+        backward_transposed(&mut indexed, &bag, &grads, 0.1, &[]);
         assert!(reference.bit_eq(&indexed));
     }
 
     #[test]
-    fn coalesce_indexed_preserves_negative_zero_first_touch() {
-        // A single -0.0 gradient must survive as -0.0 (the reference's
-        // first-occurrence copy), not become +0.0 via 0.0 + (-0.0).
-        let bag = TableBag::from_samples(&[vec![3]]);
-        let (lookup_unique, _slots) = dedup_index(&bag, |id| id as usize);
-        let (summed, touched) = coalesce_indexed(&bag, &[-0.0f32], 1, &lookup_unique, 1);
-        assert!(touched[0]);
-        assert_eq!(summed[0].to_bits(), (-0.0f32).to_bits());
+    fn transposed_backward_preserves_negative_zero_first_touch() {
+        // Rows of -0.0 and -0.0 gradients: a row's summed gradient must
+        // start as a copy of its first gradient (-0.0), not as 0.0 +
+        // (-0.0) = +0.0, or the scattered row keeps the wrong sign. Row 3
+        // is hit twice in one sample, row 1 once in each of two samples,
+        // row 2 once.
+        let bag = TableBag::from_samples(&[vec![3, 3, 1], vec![1, 2]]);
+        let grads = [-0.0f32; 2];
+        let mut reference = EmbeddingTable::from_flat(vec![-0.0; 4], 1);
+        embedding_backward_mapped(&mut reference, &bag, &grads, 0.5, |id| id as usize);
+        let mut indexed = EmbeddingTable::from_flat(vec![-0.0; 4], 1);
+        backward_transposed(&mut indexed, &bag, &grads, 0.5, &[]);
+        assert!(reference.bit_eq(&indexed));
+        // -0.0 + (-0.5 × -0.0) = -0.0 + 0.0 = +0.0; row 0 is untouched.
+        assert_eq!(indexed.row(3)[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(indexed.row(0)[0].to_bits(), (-0.0f32).to_bits());
     }
 
     proptest::proptest! {
+        /// The transposed backward is bit-identical to the duplicate →
+        /// coalesce → scatter reference over bags with repeats inside a
+        /// sample and empty samples, with `-0.0` and order-sensitive
+        /// magnitudes among the gradients, at widths on both sides of the
+        /// accumulator chunk; unique IDs no lookup references leave their
+        /// rows untouched.
+        #[test]
+        fn transposed_backward_matches_mapped_bitwise(
+            samples in proptest::collection::vec(proptest::collection::vec(0u64..24, 0..6), 1..8),
+            extra in proptest::collection::vec(0u64..32, 0..4),
+            dim in 1usize..300
+        ) {
+            let bag = TableBag::from_samples(&samples);
+            // Every fifth column holds -0.0 in every gradient and in every
+            // other row, where only a first touch that copies keeps the
+            // reference's bits; elsewhere ±1e7 makes the order of a sum
+            // show.
+            let grads: Vec<f32> = (0..bag.batch_size() * dim)
+                .map(|i| match (i % dim % 5, i % 7) {
+                    (0, _) => -0.0,
+                    (_, 1) => 1e7,
+                    (_, 2) => -1e7,
+                    (_, k) => k as f32 * 0.375 - 1.1,
+                })
+                .collect();
+            let before = EmbeddingTable::from_fn(32, dim, |r, c| match (c % 5, r % 2) {
+                (0, 0) => -0.0,
+                _ => ((r * 31 + c * 17) % 13) as f32 * 0.25 - 1.5,
+            });
+            let mut reference = before.clone();
+            embedding_backward_mapped(&mut reference, &bag, &grads, 0.125, |id| id as usize);
+            let mut indexed = before.clone();
+            backward_transposed(&mut indexed, &bag, &grads, 0.125, &extra);
+            proptest::prop_assert!(reference.bit_eq(&indexed), "samples {:?}", samples);
+            for &id in extra.iter().filter(|id| !bag.ids().contains(id)) {
+                proptest::prop_assert!(before.row(id as usize) == indexed.row(id as usize));
+            }
+        }
+
         /// Gather-reduce distributes over sample concatenation: pooling a
         /// sample equals the sum of its rows, for arbitrary id multisets.
         #[test]

@@ -1,6 +1,6 @@
 //! Dedup-correctness: the deduplicated Train kernels (gather through the
-//! `lookup_unique → unique_slots` indirection, coalesce-into-buckets
-//! backward) must be **bit-identical** to the pre-dedup reference — the
+//! `lookup_unique → unique_slots` indirection, backward through its
+//! transpose) must be **bit-identical** to the pre-dedup reference — the
 //! hash-mapped `gather_reduce_into` / `embedding_backward_mapped` pair
 //! that paid a probe per raw lookup and materialized a per-lookup
 //! duplicate buffer.
@@ -86,7 +86,7 @@ fn check_width(bag: &TableBag, dim: usize) {
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    // Backward: dedup coalesce-into-buckets scatter vs duplicate→coalesce
+    // Backward: transposed-index scatter vs duplicate→coalesce
     // reference, compared slot by slot.
     let grads = grads_for(bag, dim);
     let mut ref_store = store.clone();
