@@ -424,12 +424,12 @@ fn fig13(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     let [hybrid, cache, straw] = [0, 1, 2].map(|over| gains(&times, over, 0, 1));
     #[rustfmt::skip]
     let claims = vec![
-        claim("ScratchPipe vs static cache, mean of the 20 points (×)", (2.8, 2.8), mean(&cache),  2.92),
-        claim("ScratchPipe vs static cache, max (×)",                   (4.2, 4.2), max(&cache),   3.73),
-        claim("ScratchPipe vs static cache, min (×)",                   (1.6, INF), min(&cache),   1.81),
-        claim("ScratchPipe vs hybrid, mean (×)",                        (5.1, 5.1), mean(&hybrid), 5.63),
-        claim("ScratchPipe vs hybrid, max (×)",                         (6.6, 6.6), max(&hybrid),  9.00),
-        claim("ScratchPipe vs its unpipelined straw-man, min (×)",      (1.0, INF), min(&straw),   1.35),
+        claim("ScratchPipe vs static cache, mean of the 20 points (×)", (2.8, 2.8), mean(&cache),  2.90),
+        claim("ScratchPipe vs static cache, max (×)",                   (4.2, 4.2), max(&cache),   3.68),
+        claim("ScratchPipe vs static cache, min (×)",                   (1.6, INF), min(&cache),   1.76),
+        claim("ScratchPipe vs hybrid, mean (×)",                        (5.1, 5.1), mean(&hybrid), 5.57),
+        claim("ScratchPipe vs hybrid, max (×)",                         (6.6, 6.6), max(&hybrid),  8.88),
+        claim("ScratchPipe vs its unpipelined straw-man, min (×)",      (1.0, INF), min(&straw),   1.32),
     ];
     (rows, claims)
 }
@@ -447,7 +447,7 @@ fn fig15a(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     // Three rows per locality: 64-d first, 256-d third.
     let trend = mean(&gains(&times, 1, 2, 3)) / mean(&gains(&times, 1, 0, 3));
     let what = "gain grows with dimension: mean speedup at 256-d ÷ at 64-d (×)";
-    (rows, vec![claim(what, (1.0, INF), trend, 0.95)])
+    (rows, vec![claim(what, (1.0, INF), trend, 0.96)])
 }
 
 fn fig15b(runs: &mut Runs) -> (Rows, Vec<Claim>) {
@@ -457,8 +457,8 @@ fn fig15b(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     let (one, fifty) = (gains(&times, 1, 0, 3), gains(&times, 1, 2, 3));
     #[rustfmt::skip]
     let claims = vec![
-        claim("50 lookups: ScratchPipe vs static cache, mean (×)",  (3.7, 3.7), mean(&fifty), 3.05),
-        claim("50 lookups: ScratchPipe vs static cache, max (×)",   (5.6, 5.6), max(&fifty),  3.35),
+        claim("50 lookups: ScratchPipe vs static cache, mean (×)",  (3.7, 3.7), mean(&fifty), 3.02),
+        claim("50 lookups: ScratchPipe vs static cache, max (×)",   (5.6, 5.6), max(&fifty),  3.22),
         claim("1 lookup: ScratchPipe vs static cache, min (×)",     (1.0, INF), min(&one),    1.28),
     ];
     (rows, claims)
@@ -531,14 +531,14 @@ fn table1(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     let ([sp_ms, mg_ms], trend) = (&times, savings[3] / savings[0]);
     #[rustfmt::skip]
     let claims = vec![
-        claim("cost saving vs the 8-GPU node, mean (×)",        (4.0, 4.0),     mean(&savings), 3.98),
-        claim("cost saving vs the 8-GPU node, max (×)",         (5.7, 5.7),     max(&savings),  6.88),
-        claim("saving rises with locality: High ÷ Random (×)",  (1.0, INF),     trend,          2.73),
+        claim("cost saving vs the 8-GPU node, mean (×)",        (4.0, 4.0),     mean(&savings), 3.90),
+        claim("cost saving vs the 8-GPU node, max (×)",         (5.7, 5.7),     max(&savings),  6.55),
+        claim("saving rises with locality: High ÷ Random (×)",  (1.0, INF),     trend,          2.60),
         claim("Random: ScratchPipe iteration (ms)",             (47.82, 47.82), sp_ms[0],       51.31),
         claim("Random: ScratchPipe, 1 M iterations ($)",        (40.64, 40.64), costs[0][0],    43.62),
         claim("Random: 8-GPU iteration (ms)",                   (16.22, 16.22), mg_ms[0],       16.13),
         claim("Random: 8-GPU, 1 M iterations ($)",              (110.3, 110.3), costs[1][0],    109.71),
-        claim("26–48 ms: ScratchPipe iteration, fastest (ms)",  (26.0, 26.0),   min(sp_ms),     21.55),
+        claim("26–48 ms: ScratchPipe iteration, fastest (ms)",  (26.0, 26.0),   min(sp_ms),     22.62),
         claim("26–48 ms: ScratchPipe iteration, slowest (ms)",  (48.0, 48.0),   max(sp_ms),     51.31),
         claim("16–19 ms: 8-GPU iteration, fastest (ms)",        (16.0, 16.0),   min(mg_ms),     16.13),
         claim("16–19 ms: 8-GPU iteration, slowest (ms)",        (19.0, 19.0),   max(mg_ms),     18.53),
@@ -571,7 +571,7 @@ fn ext_multigpu(runs: &mut Runs) -> (Rows, Vec<Claim>) {
         }
     }
     let what = "8-GPU ScratchPipe never the TCO winner: cost ÷ 1-GPU ScratchPipe's, min (×)";
-    (rows, vec![claim(what, (1.0, INF), min(&premium), 6.59)])
+    (rows, vec![claim(what, (1.0, INF), min(&premium), 6.32)])
 }
 
 // ---- §VI-D: scratchpad provisioning ---------------------------------------

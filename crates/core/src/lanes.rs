@@ -21,6 +21,9 @@
 //!   lets each one's lane run through that stage's `Exec`, which replays
 //!   the paper's Fig. 10 register order, `Train(c−4) … Plan(c)`.
 //!
+//! `Sequential`, the §IV-B straw-man, is the same program with one payload
+//! ([`payloads`]).
+//!
 //! The tests explore every interleaving of the same [`Links::step`]
 //! exhaustively.
 
@@ -108,6 +111,15 @@ pub(crate) fn program(barriers: &[Barrier]) -> Program {
     })
 }
 
+/// How many payloads circulate under `schedule`: `STAGES + 1`, or one for
+/// `Sequential`, which so finishes each batch before it admits the next.
+pub(crate) fn payloads(schedule: Schedule) -> usize {
+    match schedule {
+        Schedule::Sequential => 1,
+        _ => STAGES + 1,
+    }
+}
+
 /// Where one lane is in its program.
 #[derive(Debug, Clone, Hash)]
 struct Cursor<P> {
@@ -142,7 +154,6 @@ pub(crate) struct Links<'p, P> {
     /// are queues of at most `depth`.
     chans: [VecDeque<P>; LANES],
     depth: usize,
-    payloads: usize,
     /// Per stage, the last batch a `Signal` published it completed.
     marks: [i64; STAGES],
     end: usize,
@@ -169,7 +180,6 @@ impl<'p, P> Links<'p, P> {
                 held: None,
                 done: false,
             }),
-            payloads: chans[0].len(),
             chans,
             depth,
             // Batches before the range committed in earlier segments.
@@ -242,8 +252,8 @@ impl<'p, P> Links<'p, P> {
 }
 
 /// Drives iterations `range` through the stage `bodies` under `schedule`
-/// (resolved): `STAGES + 1` payloads from `pool` circulate, and all of
-/// them are back in `pool` when it returns, whatever became of the run.
+/// (resolved): its [`payloads`] from `pool` circulate, and all of them are
+/// back in `pool` when it returns, whatever became of the run.
 pub(crate) fn drive(
     program: &Program,
     schedule: Schedule,
@@ -253,12 +263,12 @@ pub(crate) fn drive(
     range: Range<usize>,
     records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
-    let payloads = (0..=STAGES).map(|_| pool.take(ctx.shared.dim));
+    let payloads = (0..payloads(schedule)).map(|_| pool.take(ctx.shared.dim));
     let mut links = Links::new(program, range, payloads, 1);
     match schedule {
         Schedule::Threaded => links = threads(links, bodies, ctx, records),
         Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-        _ => step(&mut links, bodies, ctx, records, schedule),
+        _ => step(&mut links, bodies, ctx, records),
     }
     // Back in the order they came out, so the next call's recycle path
     // again starts with the payload that retired last.
@@ -271,24 +281,18 @@ pub(crate) fn drive(
 /// The stepper: one cycle visits the stages in reverse register order,
 /// and each visit runs the stage's lane up to any other stage's `Exec` or
 /// the end of the batch — so with depth-1 hand-offs a cycle executes
-/// `Train(c−4), Insert(c−3), Exchange(c−2), Collect(c−1), Plan(c)`. The
-/// §IV-B straw-man, `Sequential`, admits a batch at \[Plan\] only while no
-/// payload is in flight.
+/// `Train(c−4), Insert(c−3), Exchange(c−2), Collect(c−1), Plan(c)`. With
+/// one payload (`Sequential`) one batch is in flight at a time.
 fn step(
     links: &mut Links<'_, Payload>,
     bodies: &mut [&mut Body<'_>; STAGES],
     ctx: &StageCtx<'_>,
     records: &mut [IterationRecord],
-    schedule: Schedule,
 ) {
     while !links.done() {
         let mut moved = false;
         for lane in (0..LANES).rev() {
             for &stage in stages_of(lane).iter().rev() {
-                let idle = links.chans[0].len() == links.payloads;
-                if stage == StageId::Plan && schedule == Schedule::Sequential && !idle {
-                    continue;
-                }
                 let mut ran = false;
                 loop {
                     let next = links.program[lane][links.lanes[lane].pc];
@@ -800,7 +804,8 @@ mod tests {
     }
 
     /// One payload fewer only bounds how far \[Plan\] runs ahead: every
-    /// property holds, and no more than five payloads are ever live.
+    /// property holds, and no more than five payloads are ever live. One
+    /// payload is the program `Sequential` runs: safe, one batch live.
     #[test]
     fn five_payloads_are_safe_and_all_used() {
         let five = check(
@@ -816,5 +821,12 @@ mod tests {
         println!("five payloads: {five:?}; six: {six:?}");
         assert_eq!((five.max_live, six.max_live), (5, 6));
         assert!(five.states < six.states);
+        let one = Protocol {
+            payloads: 1,
+            ..SHIPPED
+        };
+        let one = check(one, 0..BATCHES, None).expect("safe");
+        println!("one payload: {one:?}");
+        assert_eq!(one.max_live, 1);
     }
 }

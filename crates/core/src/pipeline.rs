@@ -6,12 +6,12 @@
 //! runs one protocol: four lanes of adjacent stages, each running a short
 //! program per mini-batch — receive a payload, wait on \[Collect\]'s two
 //! barriers, execute, signal, retire, send it on — with `stages + 1`
-//! payloads circulating. `Threaded` interprets the programs on one thread
-//! per lane; the register schedules step them on the calling thread in
-//! the paper's Fig. 10 register order — pipelined, pipelined over a wider
-//! [`WorkerPool`], or admitting one batch at a time. Under the register
-//! schedules \[Plan\] plans a big batch's tables side by side on the pool
-//! the other stages leave idle.
+//! payloads circulating ([`Schedule::edges`] is this program as a graph).
+//! `Threaded` interprets the programs on one thread per lane; the register
+//! schedules step them on the calling thread in the paper's Fig. 10
+//! register order — pipelined, pipelined over a wider [`WorkerPool`], or
+//! with one payload. Under the register schedules \[Plan\] plans a big
+//! batch's tables side by side on the pool the other stages leave idle.
 //!
 //! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use embeddings::sparse::sort_ids;
 use embeddings::{EmbeddingTable, SparseBatch};
-use memsim::Traffic;
+use memsim::{Edge, Traffic};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -67,10 +67,9 @@ pub enum Schedule {
     /// ([`stages::PLAN_FAN_OUT_MIN_UNIQUES`]) — per-table plans are
     /// independent, so nothing a run produces depends on it.
     Sync,
-    /// The §IV-B straw-man: the same stepping, but \[Plan\] admits a
-    /// mini-batch only while no payload is in flight, so one batch
-    /// finishes all stages before the next starts. No overlap, so no
-    /// hazards can arise.
+    /// The §IV-B straw-man: the same stepping of the same program with one
+    /// payload, so one batch finishes all stages before the next starts.
+    /// No overlap, so no hazards can arise.
     Sequential,
     /// The overlapped pipeline (paper §IV-C): the lane programs —
     /// `[Plan] [Collect, Exchange] [Insert] [Train]` — each on its own OS
@@ -101,6 +100,26 @@ pub enum Schedule {
 }
 
 impl Schedule {
+    /// The lane program's dependency graph, per stage ([`StageId::index`]),
+    /// for [`memsim::PipelineSim`]: each stage after the one before it and
+    /// after itself one batch back, \[Collect\]'s two barriers, and
+    /// \[Plan\] after \[Train\] as many batches back as payloads circulate
+    /// (one under [`Schedule::Sequential`]). Lanes add no edge: they are
+    /// the host's threads, not the simulated hardware.
+    pub fn edges(self) -> Vec<Edge> {
+        let edge = |waiter: StageId, watched: StageId, lag| Edge {
+            waiter: waiter.index(),
+            watched: watched.index(),
+            lag,
+        };
+        let chain = StageId::ALL.windows(2).map(|w| edge(w[1], w[0], 0));
+        let fifo = StageId::ALL.map(|s| edge(s, s, 1));
+        let barriers =
+            stage::barriers(WindowConfig::PAPER).map(|b| edge(b.waiter, b.watched, b.lag));
+        let ring = edge(StageId::Plan, StageId::Train, lanes::payloads(self));
+        chain.chain(fifo).chain(barriers).chain([ring]).collect()
+    }
+
     /// Stable lower-case name, as used in audit events.
     pub fn name(self) -> &'static str {
         match self {

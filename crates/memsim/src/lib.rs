@@ -52,7 +52,7 @@ pub mod traffic;
 
 pub use cost::CostModel;
 pub use energy::{EnergyReport, PowerModel};
-pub use pipeline::{PipelineSim, Resource, StageDef, StageTimes};
+pub use pipeline::{Edge, PipelineSim, Resource, StageDef, StageTimes};
 pub use pricing::{InstanceSpec, TrainingCost};
 pub use spec::{ComputeSpec, DeviceSpec, LinkSpec, SystemSpec};
 pub use time::SimTime;

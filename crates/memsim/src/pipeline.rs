@@ -1,19 +1,21 @@
 //! Pipeline schedule simulation.
 //!
-//! ScratchPipe overlaps six stages (`Load → Plan → Collect → Exchange →
-//! Insert → Train`) across consecutive mini-batches (paper Figure 10). Each
-//! stage occupies one hardware *resource* (GPU, CPU memory system, a PCIe
-//! direction, …); stages bound to the same resource serialize, stages on
-//! different resources overlap. This module computes, for a sequence of
-//! per-iteration stage latencies:
+//! A pipeline is a list of stages and a list of [`Edge`]s between them.
+//! Every mini-batch runs every stage once. Each stage occupies one hardware
+//! *resource* (GPU, CPU memory system, a PCIe direction, …): stages bound
+//! to the same resource serialize, stages on different resources overlap.
+//! An edge names a stage that must finish, in the same or an earlier
+//! mini-batch, before another may start. The simulator states no
+//! dependency of its own: ScratchPipe's five-stage graph (paper Figure 10)
+//! is exported by the runtime, which sits above this crate.
 //!
-//! * the exact **makespan** under FCFS resource arbitration
-//!   ([`PipelineSim::schedule`]),
-//! * the analytic **steady-state initiation interval** — the pipeline
-//!   "cycle time" of Figure 7 — which is the per-resource sum of stage
-//!   latencies, maximized over resources
-//!   ([`PipelineSim::steady_state_interval`]).
+//! For a sequence of per-iteration stage latencies,
+//! [`PipelineSim::schedule`] computes the exact schedule under FCFS
+//! resource arbitration on that graph: its makespan, per-resource busy
+//! time, and the steady-state iteration time — the pipeline "cycle time"
+//! of Figure 7 ([`Schedule::steady_state_iteration_time`]).
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -95,6 +97,19 @@ impl StageDef {
     }
 }
 
+/// A dependency of the pipeline graph: `waiter` of batch `i` starts only
+/// after `watched` of batch `i - lag` has finished. Stages are indices
+/// into the pipeline's stage list; for `i < lag` the edge binds nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Edge {
+    /// The stage that waits.
+    pub waiter: usize,
+    /// The stage waited for.
+    pub watched: usize,
+    /// How many batches back the watched stage's instance is.
+    pub lag: usize,
+}
+
 /// Latencies of every stage for one iteration (indexed like the stage list).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageTimes(pub Vec<SimTime>);
@@ -160,18 +175,24 @@ impl Schedule {
     }
 }
 
-/// Simulates pipelined execution of stages over shared resources.
+/// Simulates pipelined execution of stages over shared resources, on a
+/// dependency graph the caller states as [`Edge`]s.
 ///
 /// # Example
 ///
 /// ```
-/// use memsim::{PipelineSim, Resource, StageDef, StageTimes, SimTime};
+/// use memsim::{Edge, PipelineSim, Resource, StageDef, StageTimes, SimTime};
 ///
-/// // Two stages on different resources fully overlap across iterations.
-/// let sim = PipelineSim::new(vec![
-///     StageDef::new("a", Resource::CpuMem),
-///     StageDef::new("b", Resource::Gpu),
-/// ]);
+/// // Two stages on different resources fully overlap across iterations:
+/// // `b` follows `a` within a batch, and each follows itself one batch back.
+/// let edge = |waiter, watched, lag| Edge { waiter, watched, lag };
+/// let sim = PipelineSim::new(
+///     vec![
+///         StageDef::new("a", Resource::CpuMem),
+///         StageDef::new("b", Resource::Gpu),
+///     ],
+///     vec![edge(1, 0, 0), edge(0, 0, 1), edge(1, 1, 1)],
+/// );
 /// let per_iter = StageTimes(vec![SimTime::from_millis(10.0); 2]);
 /// let sched = sim.schedule(&vec![per_iter; 100]);
 /// // Steady state: one iteration completes every 10 ms, not every 20 ms.
@@ -181,44 +202,19 @@ impl Schedule {
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     stages: Vec<StageDef>,
-}
-
-#[derive(PartialEq)]
-struct Ready {
-    time: SimTime,
-    iter: usize,
-    stage: usize,
-}
-
-impl Eq for Ready {}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so earliest-ready pops first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.iter.cmp(&self.iter))
-            .then_with(|| other.stage.cmp(&self.stage))
-    }
-}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    edges: Vec<Edge>,
 }
 
 impl PipelineSim {
-    /// Creates a simulator for the given ordered stage list.
+    /// Creates a simulator for the given ordered stage list and the
+    /// dependency graph between its stages.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty.
-    pub fn new(stages: Vec<StageDef>) -> Self {
+    pub fn new(stages: Vec<StageDef>, edges: Vec<Edge>) -> Self {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        PipelineSim { stages }
+        PipelineSim { stages, edges }
     }
 
     /// The stage definitions.
@@ -226,59 +222,54 @@ impl PipelineSim {
         &self.stages
     }
 
-    /// Analytic steady-state initiation interval for constant per-iteration
-    /// stage times: per resource, stages serialize, so the interval is the
-    /// largest per-resource sum of stage latencies.
-    pub fn steady_state_interval(&self, times: &StageTimes) -> SimTime {
-        assert_eq!(times.0.len(), self.stages.len(), "stage-count mismatch");
-        let mut per_resource = [SimTime::ZERO; 6];
-        for (def, t) in self.stages.iter().zip(&times.0) {
-            per_resource[def.resource.index()] += *t;
-        }
-        per_resource
-            .iter()
-            .fold(SimTime::ZERO, |acc, t| acc.max(*t))
-    }
-
     /// Simulates the full pipelined execution of `iterations` (one
-    /// [`StageTimes`] per mini-batch) under FCFS resource arbitration, with
-    /// the structural dependencies `stage s of batch i` after both
-    /// `stage s-1 of batch i` and `stage s of batch i-1`.
+    /// [`StageTimes`] per mini-batch) under FCFS resource arbitration. A
+    /// stage instance becomes ready when the last of the instances its
+    /// edges name has finished, and runs once its resource is free; among
+    /// ready instances the earliest ready goes first (then the lower batch,
+    /// then the lower stage).
     ///
     /// # Panics
     ///
-    /// Panics if any iteration's stage count differs from the pipeline's.
+    /// Panics if any iteration's stage count differs from the pipeline's,
+    /// or if the edges form a cycle within one batch.
     pub fn schedule(&self, iterations: &[StageTimes]) -> Schedule {
         let s_count = self.stages.len();
         let n = iterations.len();
         for it in iterations {
             assert_eq!(it.0.len(), s_count, "stage-count mismatch");
         }
-        let mut finish = vec![vec![SimTime::ZERO; s_count]; n];
-        let mut executed = vec![vec![false; s_count]; n];
-        let mut pushed = vec![vec![false; s_count]; n];
+        let node = |iter: usize, stage: usize| iter * s_count + stage;
+        // Per (batch, stage): the predecessors that have not finished, and
+        // the latest finish among those that have.
+        let mut waiting = vec![0usize; n * s_count];
+        let mut ready = vec![SimTime::ZERO; n * s_count];
+        for iter in 0..n {
+            for e in self.edges.iter().filter(|e| iter >= e.lag) {
+                waiting[node(iter, e.waiter)] += 1;
+            }
+        }
+        let mut finish = vec![SimTime::ZERO; n * s_count];
         let mut resource_free = [SimTime::ZERO; 6];
         let mut resource_busy = [SimTime::ZERO; 6];
         let mut slots = Vec::with_capacity(n * s_count);
-        let mut heap = BinaryHeap::new();
-        if n > 0 {
-            heap.push(Ready {
-                time: SimTime::ZERO,
-                iter: 0,
-                stage: 0,
-            });
-            pushed[0][0] = true;
-        }
+        // Earliest ready first, then the lower batch, then the lower stage.
+        // Ready times are finite and non-negative, so their bits order
+        // like them.
+        let key = |time: SimTime, iter, stage| Reverse((time.as_secs().to_bits(), iter, stage));
+        let mut heap: BinaryHeap<_> = (0..n * s_count)
+            .filter(|&k| waiting[k] == 0)
+            .map(|k| key(SimTime::ZERO, k / s_count, k % s_count))
+            .collect();
         let mut makespan = SimTime::ZERO;
-        while let Some(Ready { time, iter, stage }) = heap.pop() {
+        while let Some(Reverse((_, iter, stage))) = heap.pop() {
             let r = self.stages[stage].resource.index();
-            let start = time.max(resource_free[r]);
+            let start = ready[node(iter, stage)].max(resource_free[r]);
             let dur = iterations[iter].0[stage];
             let end = start + dur;
             resource_free[r] = end;
             resource_busy[r] += dur;
-            finish[iter][stage] = end;
-            executed[iter][stage] = true;
+            finish[node(iter, stage)] = end;
             makespan = makespan.max(end);
             slots.push(ScheduledSlot {
                 iteration: iter,
@@ -286,50 +277,29 @@ impl PipelineSim {
                 start,
                 finish: end,
             });
-            // A node enters the heap only when *all* of its predecessors have
-            // executed, so the ready time computed from their finish times is
-            // final. Each executed node re-checks both of its successors.
-            let mut try_push = |i: usize, s: usize| {
-                if pushed[i][s] {
-                    return;
+            // A node enters the heap only when all of its predecessors have
+            // finished, so the ready time it carries is final.
+            for e in self.edges.iter().filter(|e| e.watched == stage) {
+                let successor = iter + e.lag;
+                if successor >= n {
+                    continue;
                 }
-                let prev_stage_done = s == 0 || executed[i][s - 1];
-                let prev_iter_done = i == 0 || executed[i - 1][s];
-                if !(prev_stage_done && prev_iter_done) {
-                    return;
+                let k = node(successor, e.waiter);
+                ready[k] = ready[k].max(end);
+                waiting[k] -= 1;
+                if waiting[k] == 0 {
+                    heap.push(key(ready[k], successor, e.waiter));
                 }
-                let mut ready = SimTime::ZERO;
-                if s > 0 {
-                    ready = ready.max(finish[i][s - 1]);
-                }
-                if i > 0 {
-                    // FIFO within a stage: batch i waits for batch i-1.
-                    ready = ready.max(finish[i - 1][s]);
-                }
-                pushed[i][s] = true;
-                heap.push(Ready {
-                    time: ready,
-                    iter: i,
-                    stage: s,
-                });
-            };
-            if stage + 1 < s_count {
-                try_push(iter, stage + 1);
-            }
-            if iter + 1 < n {
-                try_push(iter + 1, stage);
             }
         }
+        assert_eq!(slots.len(), n * s_count, "the edges form a cycle");
         slots.sort_by(|a, b| {
             a.start
                 .partial_cmp(&b.start)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.iteration.cmp(&b.iteration))
         });
-        let iteration_finish = finish
-            .iter()
-            .map(|f| *f.last().expect("stage count > 0"))
-            .collect();
+        let iteration_finish = (0..n).map(|i| finish[node(i, s_count - 1)]).collect();
         Schedule {
             makespan,
             iteration_finish,
@@ -347,8 +317,23 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    /// `stages` in a line: each after the one before it in its batch, and
+    /// after itself one batch back.
+    fn linear(stages: Vec<StageDef>) -> PipelineSim {
+        let edge = |waiter, watched, lag| Edge {
+            waiter,
+            watched,
+            lag,
+        };
+        let edges = (0..stages.len())
+            .flat_map(|s| [(s > 0).then(|| edge(s, s - 1, 0)), Some(edge(s, s, 1))])
+            .flatten()
+            .collect();
+        PipelineSim::new(stages, edges)
+    }
+
     fn six_stage() -> PipelineSim {
-        PipelineSim::new(vec![
+        linear(vec![
             StageDef::new("Load", Resource::Host),
             StageDef::new("Plan", Resource::Gpu),
             StageDef::new("Collect", Resource::CpuMem),
@@ -369,7 +354,7 @@ mod tests {
 
     #[test]
     fn disjoint_resources_fully_overlap() {
-        let sim = PipelineSim::new(vec![
+        let sim = linear(vec![
             StageDef::new("a", Resource::CpuMem),
             StageDef::new("b", Resource::Gpu),
             StageDef::new("c", Resource::PcieH2D),
@@ -393,8 +378,6 @@ mod tests {
             ms(7.0), // Insert (cpu)
             ms(5.0), // Train (gpu)
         ]);
-        let ii = sim.steady_state_interval(&times);
-        assert!((ii.as_millis() - 15.0).abs() < 1e-9); // 8 + 7 on CpuMem
         let sched = sim.schedule(&vec![times; 60]);
         let measured = sched.steady_state_iteration_time().as_millis();
         assert!((measured - 15.0).abs() < 0.2, "{measured}");
@@ -411,8 +394,7 @@ mod tests {
             ms(3.0),  // Insert
             ms(20.0), // Train (gpu)
         ]);
-        let ii = sim.steady_state_interval(&times);
-        assert!((ii.as_millis() - 22.0).abs() < 1e-9); // Plan + Train
+        // Plan + Train on the GPU.
         let sched = sim.schedule(&vec![times; 40]);
         let measured = sched.steady_state_iteration_time().as_millis();
         assert!((measured - 22.0).abs() < 0.3, "{measured}");
@@ -435,7 +417,7 @@ mod tests {
 
     #[test]
     fn variable_iteration_times_are_handled() {
-        let sim = PipelineSim::new(vec![
+        let sim = linear(vec![
             StageDef::new("a", Resource::CpuMem),
             StageDef::new("b", Resource::Gpu),
         ]);
@@ -483,6 +465,36 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_of_one_batch_serializes_the_pipeline() {
+        // The first stage waits for the last one batch back: one batch in
+        // flight, so the makespan is the sum of every stage instance.
+        let stages = vec![
+            StageDef::new("a", Resource::CpuMem),
+            StageDef::new("b", Resource::Gpu),
+        ];
+        let edge = |waiter, watched, lag| Edge {
+            waiter,
+            watched,
+            lag,
+        };
+        let sim = PipelineSim::new(stages, vec![edge(1, 0, 0), edge(0, 1, 1)]);
+        let sched = sim.schedule(&vec![StageTimes(vec![ms(3.0), ms(5.0)]); 10]);
+        assert!((sched.makespan.as_millis() - 80.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "the edges form a cycle")]
+    fn a_cycle_within_a_batch_panics() {
+        let stages = vec![StageDef::new("a", Resource::CpuMem)];
+        let edges = vec![Edge {
+            waiter: 0,
+            watched: 0,
+            lag: 0,
+        }];
+        let _ = PipelineSim::new(stages, edges).schedule(&[StageTimes(vec![ms(1.0)])]);
+    }
+
+    #[test]
     #[should_panic(expected = "stage-count mismatch")]
     fn mismatched_stage_count_panics() {
         let sim = six_stage();
@@ -493,7 +505,8 @@ mod tests {
     fn steady_state_measurement_matches_analytic_on_random_times() {
         let sim = six_stage();
         let times = StageTimes(vec![ms(0.3), ms(2.1), ms(6.7), ms(4.4), ms(5.9), ms(9.2)]);
-        let analytic = sim.steady_state_interval(&times);
+        // The busiest resource's work: Collect + Insert on CpuMem.
+        let analytic = ms(6.7 + 5.9);
         let sched = sim.schedule(&vec![times; 80]);
         let measured = sched.steady_state_iteration_time();
         let rel = (measured.as_secs() - analytic.as_secs()).abs() / analytic.as_secs();

@@ -3,7 +3,7 @@
 use embeddings::SparseBatch;
 use memsim::pipeline::{PipelineSim, Resource, StageDef, StageTimes};
 use memsim::{EnergyReport, PowerModel, SimTime};
-use scratchpipe::ScratchError;
+use scratchpipe::{Schedule, ScratchError, StageId};
 use serde::{Deserialize, Serialize};
 
 /// Errors from system simulation.
@@ -118,9 +118,10 @@ impl SystemReport {
         }
     }
 
-    /// Builds a report for a system whose stages are **pipelined** across
-    /// iterations (ScratchPipe): iteration time is the steady-state
-    /// initiation interval under resource contention.
+    /// Builds a report for a system whose five stages are **pipelined**
+    /// across iterations (ScratchPipe): iteration time is the steady-state
+    /// initiation interval under resource contention, on the runtime's
+    /// dependency graph ([`Schedule::edges`]). Panics on another count.
     pub fn from_pipelined_stages(
         system: impl Into<String>,
         stage_names: Vec<String>,
@@ -131,14 +132,7 @@ impl SystemReport {
     ) -> Self {
         assert_eq!(stage_names.len(), stage_resources.len());
         let iterations = stage_times.len();
-        let defs: Vec<StageDef> = stage_names
-            .iter()
-            .zip(&stage_resources)
-            .map(|(n, &r)| StageDef::new(n.clone(), r))
-            .collect();
-        let sim = PipelineSim::new(defs);
-        let iters: Vec<StageTimes> = stage_times.iter().map(|t| StageTimes(t.clone())).collect();
-        let sched = sim.schedule(&iters);
+        let sched = pipelined_schedule(&stage_resources, &stage_times);
         let iteration_time = if iterations == 0 {
             SimTime::ZERO
         } else {
@@ -189,6 +183,19 @@ impl SystemReport {
             })
             .collect()
     }
+}
+
+/// The schedule [`SystemReport::from_pipelined_stages`] reports on.
+fn pipelined_schedule(
+    resources: &[Resource],
+    times: &[Vec<SimTime>],
+) -> memsim::pipeline::Schedule {
+    assert_eq!(resources.len(), StageId::COUNT, "one resource per stage");
+    let defs = (StageId::ALL.iter().zip(resources))
+        .map(|(s, &r)| StageDef::new(s.name(), r))
+        .collect();
+    let iters: Vec<StageTimes> = times.iter().map(|t| StageTimes(t.clone())).collect();
+    PipelineSim::new(defs, Schedule::Sync.edges()).schedule(&iters)
 }
 
 fn steady_breakdown(
@@ -257,26 +264,75 @@ mod tests {
     #[test]
     fn pipelined_report_overlaps_stages() {
         let power = PowerModel::isca_paper();
-        let stage_times = vec![vec![ms(10.0), ms(10.0)]; 60];
+        let stage_names = StageId::ALL.map(|s| s.name().to_owned()).to_vec();
+        let stage_resources = StageId::ALL.map(StageId::resource).to_vec();
+        // Plan and Train share the GPU (11 ms), Collect and Insert the CPU.
+        let stage_times = vec![vec![ms(1.0), ms(4.0), ms(2.0), ms(4.0), ms(10.0)]; 60];
         let seq = SystemReport::from_sequential_stages(
             "seq",
-            names(&["a", "b"]),
-            vec![Resource::CpuMem, Resource::Gpu],
+            stage_names.clone(),
+            stage_resources.clone(),
             stage_times.clone(),
             &power,
             5,
         );
         let pipe = SystemReport::from_pipelined_stages(
             "pipe",
-            names(&["a", "b"]),
-            vec![Resource::CpuMem, Resource::Gpu],
+            stage_names,
+            stage_resources,
             stage_times,
             &power,
             5,
         );
-        assert!((seq.iteration_time.as_millis() - 20.0).abs() < 1e-6);
-        assert!((pipe.iteration_time.as_millis() - 10.0).abs() < 0.5);
-        assert!((pipe.speedup_over(&seq) - 2.0).abs() < 0.1);
+        assert!((seq.iteration_time.as_millis() - 21.0).abs() < 1e-6);
+        assert!((pipe.iteration_time.as_millis() - 11.0).abs() < 0.5);
+        assert!((pipe.speedup_over(&seq) - 21.0 / 11.0).abs() < 0.1);
+    }
+
+    /// Every slot of the schedule behind a paper-scale ScratchPipe report
+    /// starts after every stage instance the runtime's graph makes it wait
+    /// for has finished.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "paper scale: run with --release")]
+    fn pipelined_schedules_obey_the_runtimes_graph() {
+        use crate::runner::{run_system, ExperimentConfig, SystemKind};
+        use tracegen::LocalityProfile;
+
+        let edges = Schedule::Sync.edges();
+        let profiles = [
+            LocalityProfile::Random,
+            LocalityProfile::Low,
+            LocalityProfile::Medium,
+            LocalityProfile::High,
+        ];
+        for profile in profiles {
+            for fraction in [0.02, 0.10] {
+                let cfg = ExperimentConfig::paper(profile, fraction, 40);
+                let report = run_system(SystemKind::ScratchPipe, &cfg).expect("simulate");
+                let sched = pipelined_schedule(&report.stage_resources, &report.stage_times);
+                let names = &report.stage_names;
+                assert_eq!(sched.makespan, report.makespan);
+                let mut finish = vec![[SimTime::ZERO; StageId::COUNT]; report.iterations];
+                for slot in &sched.slots {
+                    finish[slot.iteration][slot.stage] = slot.finish;
+                }
+                for slot in &sched.slots {
+                    let (i, s) = (slot.iteration, slot.stage);
+                    for e in edges.iter().filter(|e| e.waiter == s && i >= e.lag) {
+                        let watched = finish[i - e.lag][e.watched];
+                        assert!(
+                            slot.start >= watched,
+                            "{profile:?} {fraction}: {}({i}) starts at {} before {}({}) \
+                             finishes at {watched}",
+                            names[s],
+                            slot.start,
+                            names[e.watched],
+                            i - e.lag,
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

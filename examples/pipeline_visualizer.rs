@@ -1,7 +1,7 @@
-//! Pipeline visualizer: render ScratchPipe's six-stage pipelined execution
-//! as an ASCII Gantt chart (the paper's Figure 9/10, drawn from a real
-//! simulated schedule), and contrast it with the straw-man's serialized
-//! execution.
+//! Pipeline visualizer: render ScratchPipe's five-stage pipelined execution
+//! as an ASCII Gantt chart (the paper's Figure 9/10, drawn from a schedule
+//! simulated on the runtime's own dependency graph), and contrast it with
+//! the straw-man: the same graph with one payload.
 //!
 //! ```bash
 //! cargo run --release --example pipeline_visualizer
@@ -9,6 +9,7 @@
 
 use memsim::pipeline::{PipelineSim, Resource, StageDef, StageTimes};
 use memsim::SimTime;
+use scratchpipe::{Schedule, StageId};
 
 fn render(title: &str, sim: &PipelineSim, times: &[StageTimes], width: usize) {
     let sched = sim.schedule(times);
@@ -57,17 +58,14 @@ fn main() {
         ms(10.8), // Insert     (CPU memory)
         ms(20.5), // Train      (GPU)
     ]);
-    let defs = vec![
-        StageDef::new("Plan", Resource::Gpu),
-        StageDef::new("Collect", Resource::CpuMem),
-        StageDef::new("Exchange", Resource::PcieH2D),
-        StageDef::new("Insert", Resource::CpuMem),
-        StageDef::new("Train", Resource::Gpu),
-    ];
+    let defs: Vec<StageDef> = StageId::ALL
+        .map(|s| StageDef::new(s.name(), s.resource()))
+        .to_vec();
     let n = 8;
 
-    // ScratchPipe: stages of consecutive batches overlap.
-    let pipelined = PipelineSim::new(defs.clone());
+    // ScratchPipe: stages of consecutive batches overlap, six payloads
+    // circulating.
+    let pipelined = PipelineSim::new(defs.clone(), Schedule::Sync.edges());
     render(
         "ScratchPipe (pipelined — paper Figure 10)",
         &pipelined,
@@ -75,13 +73,9 @@ fn main() {
         100,
     );
 
-    // Straw-man: same work, but each batch owns the whole machine until
-    // it finishes (modeled by chaining every stage on one resource).
-    let serial_defs: Vec<StageDef> = defs
-        .iter()
-        .map(|d| StageDef::new(d.name.clone(), Resource::Gpu))
-        .collect();
-    let strawman = PipelineSim::new(serial_defs);
+    // Straw-man: the same graph with one payload, so a batch enters
+    // [Plan] only once the one before it has left [Train].
+    let strawman = PipelineSim::new(defs, Schedule::Sequential.edges());
     render(
         "Straw-man (sequential — paper §IV-B)",
         &strawman,

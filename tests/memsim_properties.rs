@@ -3,7 +3,7 @@
 //! report type must survive serde round-trips (reports are the artifact
 //! the bench harness persists).
 
-use memsim::pipeline::{PipelineSim, Resource, StageDef, StageTimes};
+use memsim::pipeline::{Edge, PipelineSim, Resource, StageDef, StageTimes};
 use memsim::{CostModel, SimTime, SystemSpec, Traffic};
 use proptest::prelude::*;
 
@@ -17,6 +17,45 @@ fn arb_resource() -> impl Strategy<Value = Resource> {
     ]
 }
 
+/// `s` stages in a line: each after the one before it in its batch, and
+/// after itself one batch back.
+fn linear(s: usize) -> Vec<Edge> {
+    let mut edges: Vec<Edge> = (1..s)
+        .map(|w| Edge {
+            waiter: w,
+            watched: w - 1,
+            lag: 0,
+        })
+        .collect();
+    edges.extend((0..s).map(|w| Edge {
+        waiter: w,
+        watched: w,
+        lag: 1,
+    }));
+    edges
+}
+
+fn stage_defs(resources: &[Resource]) -> Vec<StageDef> {
+    resources
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| StageDef::new(format!("s{i}"), r))
+        .collect()
+}
+
+fn stage_times(durations: &[Vec<u32>], s: usize) -> Vec<StageTimes> {
+    durations
+        .iter()
+        .map(|d| {
+            StageTimes(
+                (0..s)
+                    .map(|i| SimTime::from_millis(d[i % d.len()] as f64))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -28,23 +67,9 @@ proptest! {
         durations in proptest::collection::vec(
             proptest::collection::vec(1u32..50, 1..6), 1..30),
     ) {
-        let stages: Vec<StageDef> = resources
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| StageDef::new(format!("s{i}"), r))
-            .collect();
-        let s = stages.len();
-        let sim = PipelineSim::new(stages);
-        let iters: Vec<StageTimes> = durations
-            .iter()
-            .map(|d| {
-                StageTimes(
-                    (0..s)
-                        .map(|i| SimTime::from_millis(d[i % d.len()] as f64))
-                        .collect(),
-                )
-            })
-            .collect();
+        let s = resources.len();
+        let sim = PipelineSim::new(stage_defs(&resources), linear(s));
+        let iters = stage_times(&durations, s);
         let sched = sim.schedule(&iters);
 
         // Bound 1: longest single iteration (its stages are serialized by
@@ -81,6 +106,58 @@ proptest! {
         }
         // Every stage instance was scheduled exactly once.
         prop_assert_eq!(sched.slots.len(), iters.len() * s);
+    }
+
+    /// On any graph — a line plus random edges reaching back at least one
+    /// batch — every slot starts after every stage instance its edges name
+    /// has finished, and slots on one resource never overlap.
+    #[test]
+    fn schedule_obeys_its_edges_and_its_resources(
+        resources in proptest::collection::vec(arb_resource(), 1..6),
+        durations in proptest::collection::vec(
+            proptest::collection::vec(0u32..50, 1..6), 1..30),
+        extra in proptest::collection::vec((0usize..6, 0usize..6, 1usize..8), 0..6),
+    ) {
+        let s = resources.len();
+        let mut edges = linear(s);
+        edges.extend(extra.iter().map(|&(waiter, watched, lag)| Edge {
+            waiter: waiter % s,
+            watched: watched % s,
+            lag,
+        }));
+        let sim = PipelineSim::new(stage_defs(&resources), edges.clone());
+        let iters = stage_times(&durations, s);
+        let sched = sim.schedule(&iters);
+        prop_assert_eq!(sched.slots.len(), iters.len() * s);
+
+        let mut finish = vec![vec![SimTime::ZERO; s]; iters.len()];
+        for slot in &sched.slots {
+            finish[slot.iteration][slot.stage] = slot.finish;
+        }
+        for slot in &sched.slots {
+            let i = slot.iteration;
+            for e in edges.iter().filter(|e| e.waiter == slot.stage && i >= e.lag) {
+                prop_assert!(
+                    slot.start >= finish[i - e.lag][e.watched],
+                    "{:?} broken at batch {}", e, i
+                );
+            }
+        }
+        for r in Resource::ALL {
+            let mut on_r: Vec<_> = sched
+                .slots
+                .iter()
+                .filter(|slot| resources[slot.stage] == r)
+                .collect();
+            // By start, a zero-length slot before the slot it abuts.
+            on_r.sort_by(|a, b| (a.start, a.finish).partial_cmp(&(b.start, b.finish)).expect("finite"));
+            for w in on_r.windows(2) {
+                prop_assert!(
+                    w[0].finish <= w[1].start,
+                    "{} overlaps: {:?} and {:?}", r, w[0], w[1]
+                );
+            }
+        }
     }
 
     /// Stage time from the cost model is monotone in traffic: adding bytes
