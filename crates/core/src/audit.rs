@@ -197,7 +197,7 @@ pub struct RunDescriptor {
 
 impl RunDescriptor {
     /// Allocates a fresh descriptor with a unique `run_id`.
-    pub fn fresh(name: &str) -> Self {
+    pub(crate) fn fresh(name: &str) -> Self {
         let n = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
         RunDescriptor {
             run_id: format!("{}-{}", std::process::id(), n),

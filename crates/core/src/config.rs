@@ -1,6 +1,6 @@
 //! Runtime configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::ScratchError;
 use crate::policy::EvictionPolicy;
@@ -14,7 +14,7 @@ use crate::runtime::StageId;
 /// distance from \[Insert\] back to \[Collect\] (2, protecting against
 /// RAW-④); [`WindowConfig::PAPER`] computes both from the [`StageId`]
 /// table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WindowConfig {
     /// Previous mini-batches whose slots may not be evicted.
     pub past: u32,
@@ -39,11 +39,13 @@ impl WindowConfig {
         self.past + 1 + self.future
     }
 
-    /// Validates that the window fits the 32-bit Hold-mask words.
-    pub fn validate(self) -> Result<(), ScratchError> {
-        if self.width() > 31 {
+    /// Validates that the window fits the 32-bit Hold-mask words. The
+    /// width is summed in `u64`, so no `past`/`future` overflows it.
+    pub(crate) fn validate(self) -> Result<(), ScratchError> {
+        let width = u64::from(self.past) + 1 + u64::from(self.future);
+        if width > 31 {
             return Err(ScratchError::InvalidConfig {
-                detail: format!("window width {} exceeds 31", self.width()),
+                detail: format!("window width {width} exceeds 31"),
             });
         }
         Ok(())
@@ -57,7 +59,7 @@ impl Default for WindowConfig {
 }
 
 /// Full configuration of a [`Pipeline`](crate::Pipeline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineConfig {
     /// Embedding vector width (must match the CPU tables).
     pub dim: usize,
@@ -117,7 +119,7 @@ impl PipelineConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), ScratchError> {
+    pub(crate) fn validate(&self) -> Result<(), ScratchError> {
         if self.dim == 0 {
             return Err(ScratchError::InvalidConfig {
                 detail: "dim must be positive".to_owned(),

@@ -59,7 +59,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable lower-case name, as used in audit events.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultKind::StageError => "stage_error",
             FaultKind::WorkerPanic => "worker_panic",

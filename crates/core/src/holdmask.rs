@@ -85,7 +85,8 @@ impl NaiveHoldMask {
     }
 
     /// Raw mask value (for diagnostics and differential tests).
-    pub fn raw(&self, slot: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn raw(&self, slot: u32) -> u32 {
         self.masks[slot as usize]
     }
 }
@@ -116,7 +117,7 @@ impl HoldMask {
     }
 
     /// Current plan cycle.
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
@@ -144,7 +145,7 @@ impl HoldMask {
     /// # Panics
     ///
     /// Panics if `k >= width`.
-    pub fn extend(&mut self, slot: u32, k: u32) -> Option<u64> {
+    pub(crate) fn extend(&mut self, slot: u32, k: u32) -> Option<u64> {
         assert!(
             k < self.width,
             "bit {k} outside window width {}",
@@ -159,13 +160,14 @@ impl HoldMask {
     }
 
     /// True if `slot` may be evicted (its horizon has passed).
-    pub fn is_clear(&self, slot: u32) -> bool {
+    pub(crate) fn is_clear(&self, slot: u32) -> bool {
         self.clear_at[slot as usize] <= self.cycle
     }
 
     /// The first plan cycle at which `slot` becomes evictable, assuming no
     /// further protection — what the manager's expiry buckets are keyed by.
-    pub fn first_clear_cycle(&self, slot: u32) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn first_clear_cycle(&self, slot: u32) -> u64 {
         self.clear_at[slot as usize].max(self.cycle)
     }
 }

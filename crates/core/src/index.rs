@@ -53,7 +53,8 @@ pub struct SlotIndex {
 
 impl SlotIndex {
     /// Creates an empty index (allocates nothing until first insert).
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -195,13 +196,14 @@ impl SlotIndex {
     }
 
     /// Removes every mapping, keeping the allocation.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.vals.fill(EMPTY);
         self.len = 0;
     }
 
     /// Iterates over `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.keys
             .iter()
             .zip(self.vals.iter())

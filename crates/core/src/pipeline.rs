@@ -34,7 +34,7 @@ use embeddings::sparse::sort_ids;
 use embeddings::{EmbeddingTable, SparseBatch};
 use memsim::{Edge, Traffic};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::audit::AuditSink;
 use crate::backend::DenseBackend;
@@ -55,7 +55,7 @@ use crate::workers::{self, WorkerPool};
 const STAGES: usize = StageId::COUNT;
 
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Schedule {
     /// The paper's Figure-10 register pipeline: the lane programs stepped
     /// on the calling thread, one cycle executing every occupied stage in
@@ -96,6 +96,7 @@ pub enum Schedule {
     /// the calibration sweep (docs/perf.md, "Schedule calibration") on the
     /// 2-CPU host it was run on; whether it wins on wider machines is
     /// unmeasured, so it stays an explicit choice.
+    #[default]
     Auto,
 }
 
@@ -164,15 +165,6 @@ fn auto_schedule(functional: bool, cpus: usize, lookups: u64, segment: usize) ->
     }
 }
 
-// Not `#[derive(Default)]`: the vendored serde derive cannot parse a
-// `#[default]` variant attribute alongside `Serialize`/`Deserialize`.
-#[allow(clippy::derivable_impls)]
-impl Default for Schedule {
-    fn default() -> Self {
-        Schedule::Auto
-    }
-}
-
 /// Builder for [`Pipeline`] — the only way to construct one.
 ///
 /// ```
@@ -234,7 +226,7 @@ impl<B> Default for PipelineBuilder<B> {
 
 impl<B: DenseBackend> PipelineBuilder<B> {
     /// Creates an empty builder (see also [`Pipeline::builder`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -455,13 +447,9 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         PipelineBuilder::new()
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The configured schedule (possibly [`Schedule::Auto`]).
-    pub fn schedule(&self) -> Schedule {
+    #[cfg(test)]
+    pub(crate) fn schedule(&self) -> Schedule {
         self.schedule
     }
 
@@ -964,7 +952,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// Writes every resident scratchpad row back to its CPU table and
     /// returns the traffic of doing so. Idempotent;
     /// [`Pipeline::run`] calls it automatically.
-    pub fn flush(&mut self) -> Traffic {
+    pub(crate) fn flush(&mut self) -> Traffic {
         let mut traffic = Traffic::ZERO;
         let rb = self.shared.row_bytes();
         for (t, manager) in self.plan.managers.iter().enumerate() {

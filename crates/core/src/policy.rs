@@ -45,10 +45,10 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Victim-selection policy among evictable slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used evictable slot (paper default).
     Lru,
@@ -250,23 +250,20 @@ impl VictimPool {
         }
     }
 
-    /// The policy this pool orders by.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
     /// Number of evictable slots currently pooled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True if no slot is evictable.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// True if `slot` is currently pooled.
-    pub fn contains(&self, slot: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, slot: u32) -> bool {
         self.state[slot as usize].pooled
     }
 

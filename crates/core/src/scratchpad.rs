@@ -31,7 +31,7 @@
 //!   exactly the bucket of its own cycle into the victim pool and hands
 //!   the emptied `Vec` back to the ring (no allocation per cycle).
 //! * **Enqueue on growth.** A slot is queued only when a protection
-//!   actually moves its horizon ([`HoldMask::extend`]): a row registered
+//!   actually moves its horizon (`HoldMask::extend`): a row registered
 //!   by the look-ahead at `k = 2`, again at `k = 1`, and finally planned
 //!   as the current batch reaches the same horizon three times but is
 //!   queued once. Invariant: a slot whose mask is not clear has an entry
@@ -112,7 +112,7 @@ pub struct TablePlan {
 
 impl TablePlan {
     /// Number of unique IDs this plan covers.
-    pub fn num_unique(&self) -> usize {
+    pub(crate) fn num_unique(&self) -> usize {
         self.unique_ids.len()
     }
 
@@ -133,7 +133,7 @@ impl TablePlan {
     }
 
     /// Iterates `(id, slot)` pairs in plan order.
-    pub fn assignments(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub(crate) fn assignments(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.unique_ids
             .iter()
             .zip(self.unique_slots.iter())
@@ -221,11 +221,6 @@ impl ScratchpadManager {
         })
     }
 
-    /// Number of slots.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
     /// Number of rows currently mapped.
     pub fn occupancy(&self) -> usize {
         self.hit_map.len()
@@ -242,7 +237,8 @@ impl ScratchpadManager {
     }
 
     /// Lifetime unique-ID hit rate.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.stats.hits + self.stats.misses;
         if total == 0 {
             0.0
@@ -252,12 +248,13 @@ impl ScratchpadManager {
     }
 
     /// The row currently mapped to `slot`, if any.
-    pub fn slot_row(&self, slot: u32) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn slot_row(&self, slot: u32) -> Option<u64> {
         (slot < self.next_free).then(|| self.slot_row[slot as usize])
     }
 
     /// The slot currently mapped to `row`, if cached.
-    pub fn lookup(&self, row: u64) -> Option<u32> {
+    pub(crate) fn lookup(&self, row: u64) -> Option<u32> {
         self.hit_map.get(row)
     }
 

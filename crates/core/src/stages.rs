@@ -64,7 +64,7 @@ impl StagedRows {
     }
 
     /// Drops all staged rows and table boundaries, keeping the allocation.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.rows.clear_rows();
         self.offsets.truncate(1);
     }
@@ -104,19 +104,21 @@ impl StagedRows {
     /// # Panics
     ///
     /// Panics if `t` is unsealed or `k` out of range.
-    pub fn row(&self, t: usize, k: usize) -> &[f32] {
+    pub(crate) fn row(&self, t: usize, k: usize) -> &[f32] {
         let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
         assert!(k < hi - lo, "staged row {k} out of range for table {t}");
         self.rows.row(lo + k)
     }
 
     /// Rows staged for (sealed) table `t`.
-    pub fn table_rows(&self, t: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn table_rows(&self, t: usize) -> usize {
         self.offsets[t + 1] - self.offsets[t]
     }
 
     /// Total rows staged across all tables.
-    pub fn total_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_rows(&self) -> usize {
         self.rows.len()
     }
 }
@@ -250,7 +252,7 @@ impl TrainArena {
 
     /// Disjoint mutable per-table pooled blocks, in table order — the
     /// gather targets handed to train workers.
-    pub fn pooled_blocks_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+    pub(crate) fn pooled_blocks_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
         let stride = self.stride();
         self.pooled.chunks_exact_mut(stride)
     }
@@ -285,7 +287,7 @@ impl TrainArena {
 /// re-deduplicates exactly the batches that had been overwritten.
 ///
 /// The dedup also yields each batch's hottest-row count
-/// ([`UniqueWindow::hottest`]), which the run reports as
+/// (`UniqueWindow::hottest`), which the run reports as
 /// [`PipelineReport::max_dup`](crate::PipelineReport::max_dup).
 ///
 /// Tables share nothing, so an entering batch is deduplicated by table:
@@ -345,7 +347,7 @@ impl UniqueWindow {
     }
 
     /// Makes batches `i - past ..= i + ahead` of `batches` (clipped to the
-    /// trace) available through [`UniqueWindow::get`], deduplicating the
+    /// trace) available through `UniqueWindow::get`, deduplicating the
     /// ones that enter over `pool` (see the type docs for when it is used).
     /// Records nothing: the observed streams of a run do not depend on
     /// where its dedup ran.
@@ -395,14 +397,14 @@ impl UniqueWindow {
     /// reach of the last [`advance`](UniqueWindow::advance) (and for an
     /// older one whose slot has not been reused yet), `None` otherwise —
     /// always for an index past the end of the trace.
-    pub fn get(&self, j: usize) -> Option<&[Vec<u64>]> {
+    pub(crate) fn get(&self, j: usize) -> Option<&[Vec<u64>]> {
         self.slot(j).map(|slot| slot.tables.as_slice())
     }
 
     /// The most lookups any one row of any table gets in batch `j` (the
     /// longest run of equal IDs its dedup met), whenever
     /// [`UniqueWindow::get`] has the batch.
-    pub fn hottest(&self, j: usize) -> Option<u64> {
+    pub(crate) fn hottest(&self, j: usize) -> Option<u64> {
         self.slot(j).map(|slot| slot.hottest)
     }
 
@@ -417,7 +419,7 @@ impl UniqueWindow {
 /// ([`WindowConfig::validate`](crate::WindowConfig::validate)), one of
 /// which is the current batch, and a manager ignores futures beyond its
 /// own window anyway.
-pub const MAX_FUTURE_DEPTH: usize = 30;
+pub(crate) const MAX_FUTURE_DEPTH: usize = 30;
 
 /// Unique IDs in a mini-batch (summed over its tables) from which
 /// \[Plan\]'s table shards fan out over the worker pool. The same floor
@@ -485,7 +487,7 @@ pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 32_768;
 /// # Panics
 ///
 /// Panics if `upcoming` is deeper than [`MAX_FUTURE_DEPTH`].
-pub fn plan_table(
+pub(crate) fn plan_table(
     t: usize,
     manager: &mut ScratchpadManager,
     current: &[u64],
@@ -512,7 +514,7 @@ pub fn plan_table(
 
 /// \[Plan\] traffic: the sparse-ID upload and the Hit-Map probes of one
 /// mini-batch whose sorted unique IDs per table are `current`.
-pub fn plan_traffic(batch: &SparseBatch, current: &[Vec<u64>]) -> Traffic {
+pub(crate) fn plan_traffic(batch: &SparseBatch, current: &[Vec<u64>]) -> Traffic {
     let mut traffic = Traffic::ZERO;
     for (t, ids) in current.iter().enumerate() {
         // Deduplicated sparse-ID upload: one u32 slot per unique ID plus
@@ -577,7 +579,7 @@ pub fn index_lookups(plan: &mut TablePlan, bag: &TableBag) {
 
 /// \[Collect\] traffic: CPU-table gathers of missed rows and scratchpad
 /// gathers of victim rows.
-pub fn collect_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
+pub(crate) fn collect_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
     let mut traffic = Traffic::ZERO;
     for plan in plans {
         let fills = plan.fills.len() as u64;
@@ -632,7 +634,7 @@ pub fn stage_evictions_into(plan: &TablePlan, storage: &EmbeddingTable, block: &
 
 /// \[Exchange\] — duplex PCIe transfer accounting (the data movement
 /// itself is the staging arenas changing owner).
-pub fn exchange_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
+pub(crate) fn exchange_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
     let mut traffic = Traffic::ZERO;
     for plan in plans {
         traffic.pcie_h2d_bytes += plan.fills.len() as u64 * row_bytes;
@@ -645,7 +647,7 @@ pub fn exchange_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
 }
 
 /// \[Insert\] traffic: CPU-table write-backs and scratchpad fills.
-pub fn insert_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
+pub(crate) fn insert_traffic(plans: &[TablePlan], row_bytes: u64) -> Traffic {
     let mut traffic = Traffic::ZERO;
     for plan in plans {
         traffic.cpu_random_write_bytes += plan.evictions.len() as u64 * row_bytes;
@@ -699,7 +701,7 @@ pub fn insert_fills(
 /// the SGD scatter read-modify-writes each unique row once. All against
 /// GPU memory (the always-hit guarantee); the dense backend's own
 /// traffic is added by the caller.
-pub fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Traffic {
+pub(crate) fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize) -> Traffic {
     let mut traffic = Traffic::ZERO;
     let rb = dim as u64 * 4;
     for (t, plan) in plans.iter().enumerate() {
@@ -793,7 +795,7 @@ pub fn scatter_grads(
 
 /// Final-flush traffic for one table with `resident_rows` live scratchpad
 /// rows: GPU gather → PCIe D2H → CPU scatter.
-pub fn flush_traffic(resident_rows: u64, row_bytes: u64) -> Traffic {
+pub(crate) fn flush_traffic(resident_rows: u64, row_bytes: u64) -> Traffic {
     Traffic {
         gpu_random_read_bytes: resident_rows * row_bytes,
         pcie_d2h_bytes: resident_rows * row_bytes,

@@ -100,7 +100,7 @@ impl Lane {
 }
 
 /// One entry of a run's event log. Timestamps (`*_ns`) are
-/// [`RunTelemetry::now_ns`] readings. The log is in order of occurrence
+/// `RunTelemetry::now_ns` readings. The log is in order of occurrence
 /// as far as recovery goes: everything a failed attempt recorded precedes
 /// the [`Event::RolledBack`] that voids it.
 ///
@@ -288,12 +288,12 @@ pub(crate) fn open_run(collector: Option<&Telemetry>) -> RunTelemetry {
 
 impl RunTelemetry {
     /// Nanoseconds since the log's epoch.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Appends one event.
-    pub fn record(&self, event: Event) {
+    pub(crate) fn record(&self, event: Event) {
         self.events.lock().push(event);
     }
 

@@ -20,7 +20,7 @@
 //! sample's pooled sum, a table's coalesced gradient). Results are
 //! reassembled in task-submission order, so any width — including the
 //! inline width-1 path — produces bit-identical output. That contract is
-//! what lets [`WorkerPool::for_work`] pick inline execution for small
+//! what lets `WorkerPool::for_work` pick inline execution for small
 //! iterations without perturbing a single bit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,7 +81,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Work floor (in f32 elements touched) below which
-    /// [`WorkerPool::for_work`] degrades to inline execution: under it,
+    /// `WorkerPool::for_work` degrades to inline execution: under it,
     /// the per-region thread-launch cost outweighs any parallel gain.
     ///
     /// Derivation (`cargo bench -p sp-bench --bench worker_pool`, 2-CPU
@@ -122,7 +122,7 @@ impl WorkerPool {
     }
 
     /// Whether tasks run on the calling thread only.
-    pub fn is_inline(&self) -> bool {
+    pub(crate) fn is_inline(&self) -> bool {
         self.threads == 1
     }
 
@@ -130,7 +130,7 @@ impl WorkerPool {
     /// elements: this pool if the region is big enough to amortize thread
     /// launches, the inline pool otherwise. Because shard decomposition
     /// never changes results, callers may apply this freely per region.
-    pub fn for_work(&self, work_elems: u64) -> WorkerPool {
+    pub(crate) fn for_work(&self, work_elems: u64) -> WorkerPool {
         if work_elems >= Self::MIN_SHARD_WORK {
             *self
         } else {
@@ -141,7 +141,7 @@ impl WorkerPool {
     /// Splits `0..total` into at most `threads` contiguous, near-equal,
     /// non-empty ranges (fewer when `total < threads`; none when `total`
     /// is 0).
-    pub fn split_ranges(&self, total: usize) -> Vec<std::ops::Range<usize>> {
+    pub(crate) fn split_ranges(&self, total: usize) -> Vec<std::ops::Range<usize>> {
         let shards = self.threads.min(total);
         let mut out = Vec::with_capacity(shards);
         let mut start = 0;

@@ -1,6 +1,6 @@
 //! Model-shape configuration and FLOP accounting.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::interaction;
 
@@ -11,7 +11,7 @@ use crate::interaction;
 ///   interaction),
 /// * the top MLP's input width equals the interaction output width,
 /// * the top MLP ends in a single logit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DlrmConfig {
     /// Width of the continuous ("dense") input features.
     pub dense_dim: usize,
@@ -114,7 +114,7 @@ impl DlrmConfig {
 
     /// Forward-pass multiply-accumulate FLOPs per sample across both MLPs
     /// (2 FLOPs per MAC).
-    pub fn forward_flops_per_sample(&self) -> u64 {
+    pub(crate) fn forward_flops_per_sample(&self) -> u64 {
         let macs = |widths: &[usize]| -> u64 {
             widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum::<u64>()
         };

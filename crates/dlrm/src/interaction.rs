@@ -119,7 +119,7 @@ pub fn backward(
 /// # Panics
 ///
 /// Panics if buffer shapes disagree.
-pub fn backward_into(
+pub(crate) fn backward_into(
     bottom: &[f32],
     pooled: &[f32],
     num_tables: usize,

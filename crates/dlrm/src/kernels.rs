@@ -9,10 +9,10 @@
 //! initial value and adds its terms in ascending index order, and every
 //! term is a rounded multiply followed by a separate rounded add (never
 //! fused). Which *other* elements are computed alongside is free —
-//! [`dot_from`] folds one chain at a time, `Linear`'s forward and backward
+//! `dot_from` folds one chain at a time, `Linear`'s forward and backward
 //! carry register tiles of independent chains through the same order (`k`
 //! for an output, `o` for an input gradient, the sample for a weight), and
-//! [`axpy`] is elementwise. Nor does it matter how many lanes one
+//! `axpy` is elementwise. Nor does it matter how many lanes one
 //! instruction covers: 4 or 8, each lane is still one rounded multiply and
 //! one rounded add. No schedule, worker count, batch width or vector width
 //! ever splits a reduction, so none of them can change a bit.
@@ -25,7 +25,7 @@
 ///
 /// Panics if `a.len() != b.len()`.
 #[inline]
-pub fn dot_from(init: f32, a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_from(init: f32, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot operand width mismatch");
     let mut acc = init;
     for (x, y) in a.iter().zip(b) {
@@ -43,7 +43,7 @@ pub fn dot_from(init: f32, a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Panics if `y.len() != x.len()`.
 #[inline]
-pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+pub(crate) fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy operand width mismatch");
     for (yv, xv) in y.iter_mut().zip(x) {
         *yv += a * xv;
@@ -57,7 +57,7 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
 ///
 /// Panics if `dst.len() != src.len()`.
 #[inline]
-pub fn relu_into(dst: &mut [f32], src: &[f32]) {
+pub(crate) fn relu_into(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "relu operand width mismatch");
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = v.max(0.0);
@@ -71,7 +71,7 @@ pub fn relu_into(dst: &mut [f32], src: &[f32]) {
 ///
 /// Panics if `grad.len() != pre_act.len()`.
 #[inline]
-pub fn relu_mask(grad: &mut [f32], pre_act: &[f32]) {
+pub(crate) fn relu_mask(grad: &mut [f32], pre_act: &[f32]) {
     assert_eq!(grad.len(), pre_act.len(), "mask width mismatch");
     for (g, &p) in grad.iter_mut().zip(pre_act) {
         if p <= 0.0 {

@@ -39,8 +39,9 @@ pub(crate) struct BackwardScratch {
 /// A dense layer `y = x·Wᵀ + b` over row-major batches.
 ///
 /// Weights are stored `out_dim × in_dim`. The layer owns no optimizer
-/// state beyond the weights themselves; [`Linear::backward`] applies a
-/// plain SGD update immediately (matching the paper's SGD training).
+/// state beyond the weights themselves; its backward pass (driven by
+/// [`crate::Mlp::backward`]) applies a plain SGD update immediately
+/// (matching the paper's SGD training).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     in_dim: usize,
@@ -55,7 +56,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn seeded(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn seeded(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "dimensions must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         let bound = (6.0 / in_dim as f32).sqrt();
@@ -72,12 +73,13 @@ impl Linear {
     }
 
     /// Input width.
-    pub fn in_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_dim(&self) -> usize {
         self.in_dim
     }
 
     /// Output width.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
@@ -91,17 +93,13 @@ impl Linear {
         &self.bias
     }
 
-    /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
-    }
-
     /// Forward pass for a batch of `x.len() / in_dim` rows.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of `in_dim`.
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut y = Vec::new();
         self.forward_into(x, &mut y);
         y
@@ -115,7 +113,8 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of `in_dim`.
-    pub fn forward_into(&self, x: &[f32], y: &mut Vec<f32>) {
+    #[cfg(test)]
+    pub(crate) fn forward_into(&self, x: &[f32], y: &mut Vec<f32>) {
         y.resize(self.batch_of(x) * self.out_dim, 0.0);
         self.forward_tiles(x, &mut Vec::new(), |at, vals| {
             y[at..at + vals.len()].copy_from_slice(vals);
@@ -210,7 +209,8 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
-    pub fn backward(&mut self, x: &[f32], dy: &[f32], lr: f32) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn backward(&mut self, x: &[f32], dy: &[f32], lr: f32) -> Vec<f32> {
         let mut dx = Vec::new();
         self.backward_into(x, dy, lr, &mut dx);
         dx
@@ -224,7 +224,8 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
-    pub fn backward_into(&mut self, x: &[f32], dy: &[f32], lr: f32, dx: &mut Vec<f32>) {
+    #[cfg(test)]
+    pub(crate) fn backward_into(&mut self, x: &[f32], dy: &[f32], lr: f32, dx: &mut Vec<f32>) {
         self.backward_tiles(x, dy, lr, dx, &mut BackwardScratch::default());
     }
 
@@ -358,7 +359,7 @@ impl Linear {
 
     /// Exact bitwise equality of parameters (see
     /// `EmbeddingTable::bit_eq` for why tests need this).
-    pub fn bit_eq(&self, other: &Linear) -> bool {
+    pub(crate) fn bit_eq(&self, other: &Linear) -> bool {
         self.in_dim == other.in_dim
             && self.out_dim == other.out_dim
             && self
@@ -593,14 +594,6 @@ mod tests {
         let b = Linear::seeded(8, 4, 3);
         assert!(a.bit_eq(&b));
         assert!(!a.bit_eq(&Linear::seeded(8, 4, 4)));
-    }
-
-    #[test]
-    fn param_count() {
-        let l = Linear::seeded(10, 5, 0);
-        assert_eq!(l.param_count(), 55);
-        assert_eq!(l.in_dim(), 10);
-        assert_eq!(l.out_dim(), 5);
     }
 
     #[test]

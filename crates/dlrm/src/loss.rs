@@ -35,7 +35,7 @@ pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
 /// # Panics
 ///
 /// Same conditions as [`bce_with_logits`].
-pub fn bce_with_logits_into(logits: &[f32], labels: &[f32], grads: &mut Vec<f32>) -> f32 {
+pub(crate) fn bce_with_logits_into(logits: &[f32], labels: &[f32], grads: &mut Vec<f32>) -> f32 {
     assert_eq!(logits.len(), labels.len(), "batch size mismatch");
     assert!(
         labels.iter().all(|&y| (0.0..=1.0).contains(&y)),

@@ -77,23 +77,20 @@ impl Mlp {
     }
 
     /// Input width of the first layer.
-    pub fn in_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_dim(&self) -> usize {
         self.layers.first().expect("non-empty").in_dim()
     }
 
     /// Output width of the last layer.
-    pub fn out_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn out_dim(&self) -> usize {
         self.layers.last().expect("non-empty").out_dim()
     }
 
     /// The layers.
     pub fn layers(&self) -> &[Linear] {
         &self.layers
-    }
-
-    /// Total trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Linear::param_count).sum()
     }
 
     /// Forward pass, retaining the activations needed by
@@ -195,7 +192,7 @@ impl Mlp {
     }
 
     /// Exact bitwise equality of all parameters.
-    pub fn bit_eq(&self, other: &Mlp) -> bool {
+    pub(crate) fn bit_eq(&self, other: &Mlp) -> bool {
         self.layers.len() == other.layers.len()
             && self
                 .layers
@@ -276,12 +273,6 @@ mod tests {
             );
         }
         let _ = &mut mlp;
-    }
-
-    #[test]
-    fn param_count_sums_layers() {
-        let mlp = Mlp::seeded(&[3, 5, 2], true, 0);
-        assert_eq!(mlp.param_count(), (3 * 5 + 5) + (5 * 2 + 2));
     }
 
     #[test]

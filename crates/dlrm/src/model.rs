@@ -98,16 +98,6 @@ impl DlrmModel {
         }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &DlrmConfig {
-        &self.config
-    }
-
-    /// Total trainable dense parameters.
-    pub fn param_count(&self) -> usize {
-        self.bottom.param_count() + self.top.param_count()
-    }
-
     /// Forward-only prediction: returns per-sample click probabilities.
     /// `pooled` is the flat `num_tables × batch × emb_dim` buffer.
     ///
@@ -365,14 +355,6 @@ mod tests {
             assert_eq!(oa.loss.to_bits(), ob.loss.to_bits());
         }
         assert!(a.bit_eq(&b));
-    }
-
-    #[test]
-    fn param_count_is_positive_and_config_accessible() {
-        let cfg = DlrmConfig::tiny();
-        let m = DlrmModel::seeded(&cfg, 0);
-        assert!(m.param_count() > 0);
-        assert_eq!(m.config(), &cfg);
     }
 
     #[test]

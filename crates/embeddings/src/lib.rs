@@ -31,8 +31,10 @@
 //! let mut table = EmbeddingTable::seeded(100, 4, 7);
 //! let batch = SparseBatch::from_rows(1, &[vec![vec![0, 4]], vec![vec![0, 2]]]);
 //! let bag = batch.bag(0);
-//! let pooled = ops::gather_reduce(&table, bag);
-//! assert_eq!(pooled.len(), 2 * 4);
+//! let mut pooled = vec![0.0f32; 2 * 4];
+//! ops::gather_reduce_into(&table, bag, |id| id as usize, &mut pooled);
+//! // Sample 0 sum-pools rows 0 and 4.
+//! assert_eq!(pooled[0], table.row(0)[0] + table.row(4)[0]);
 //! // Backpropagate a gradient of ones and apply SGD at lr 0.01.
 //! let grads = vec![1.0f32; 2 * 4];
 //! ops::embedding_backward(&mut table, bag, &grads, 0.01);
@@ -40,6 +42,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod ops;
 pub mod sparse;

@@ -131,7 +131,8 @@ pub fn gather_reduce_indexed(
 /// Forward pass for one table with the identity ID→index mapping
 /// (CPU-resident tables): gather + sum-pool into a fresh `batch_size ×
 /// dim` buffer.
-pub fn gather_reduce(store: &EmbeddingTable, bag: &TableBag) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn gather_reduce(store: &EmbeddingTable, bag: &TableBag) -> Vec<f32> {
     let mut out = vec![0.0f32; bag.batch_size() * store.dim()];
     gather_reduce_into(store, bag, |id| id as usize, &mut out);
     out
@@ -144,7 +145,7 @@ pub fn gather_reduce(store: &EmbeddingTable, bag: &TableBag) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if `output_grads.len() != batch_size × dim`.
-pub fn duplicate_gradients(bag: &TableBag, output_grads: &[f32], dim: usize) -> Vec<f32> {
+pub(crate) fn duplicate_gradients(bag: &TableBag, output_grads: &[f32], dim: usize) -> Vec<f32> {
     assert_eq!(
         output_grads.len(),
         bag.batch_size() * dim,
@@ -171,7 +172,7 @@ pub fn duplicate_gradients(bag: &TableBag, output_grads: &[f32], dim: usize) -> 
 /// # Panics
 ///
 /// Panics if `grads.len() != ids.len() × dim`.
-pub fn coalesce(ids: &[u64], grads: &[f32], dim: usize) -> (Vec<u64>, Vec<f32>) {
+pub(crate) fn coalesce(ids: &[u64], grads: &[f32], dim: usize) -> (Vec<u64>, Vec<f32>) {
     assert_eq!(grads.len(), ids.len() * dim, "per-lookup gradient shape");
     let mut order: Vec<usize> = (0..ids.len()).collect();
     order.sort_by_key(|&i| ids[i]); // stable: ties keep occurrence order
@@ -197,7 +198,7 @@ pub fn coalesce(ids: &[u64], grads: &[f32], dim: usize) -> (Vec<u64>, Vec<f32>) 
 ///
 /// Panics if `grads.len() != ids.len() × dim` or `map` produces an
 /// out-of-bounds index.
-pub fn scatter_sgd_mapped<F>(
+pub(crate) fn scatter_sgd_mapped<F>(
     store: &mut EmbeddingTable,
     ids: &[u64],
     grads: &[f32],
@@ -214,7 +215,8 @@ pub fn scatter_sgd_mapped<F>(
 }
 
 /// SGD scatter update with the identity ID→index mapping.
-pub fn scatter_sgd(store: &mut EmbeddingTable, ids: &[u64], grads: &[f32], lr: f32) {
+#[cfg(test)]
+pub(crate) fn scatter_sgd(store: &mut EmbeddingTable, ids: &[u64], grads: &[f32], lr: f32) {
     scatter_sgd_mapped(store, ids, grads, lr, |id| id as usize);
 }
 

@@ -6,7 +6,7 @@
 //! (`ids` + `offsets`) mirrors PyTorch's `EmbeddingBag` and allows a
 //! variable number of lookups per sample.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The sparse row IDs one mini-batch contributes to a single table.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `ids[offsets[s] .. offsets[s + 1]]`. IDs may repeat both within a sample
 /// and across samples — duplicate handling is exactly the gradient
 /// duplicate/coalesce problem of the paper's Figure 2(b).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TableBag {
     ids: Vec<u64>,
     offsets: Vec<u32>,
@@ -138,7 +138,7 @@ impl TableBag {
 }
 
 /// One mini-batch of sparse inputs: a [`TableBag`] per embedding table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SparseBatch {
     bags: Vec<TableBag>,
     batch_size: usize,

@@ -8,7 +8,7 @@
 //! resource serializes, so per-resource time is the **sum** of its
 //! components.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::pipeline::Resource;
 use crate::spec::SystemSpec;
@@ -28,7 +28,7 @@ use crate::traffic::Traffic;
 /// let ms = model.traffic_time(&t).as_millis();
 /// assert!(ms > 9.0 && ms < 12.0, "{ms}");
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CostModel {
     spec: SystemSpec,
 }
@@ -45,7 +45,7 @@ impl CostModel {
     }
 
     /// Time spent by the CPU memory system (and CPU arithmetic) on `t`.
-    pub fn cpu_time(&self, t: &Traffic) -> SimTime {
+    pub(crate) fn cpu_time(&self, t: &Traffic) -> SimTime {
         let m = &self.spec.cpu_mem;
         let mut secs = t.cpu_random_read_bytes as f64 / m.random_read_bw()
             + t.cpu_random_write_bytes as f64 / m.random_write_bw()
@@ -71,7 +71,7 @@ impl CostModel {
     }
 
     /// Time of the host→device PCIe channel for `t`.
-    pub fn pcie_h2d_time(&self, t: &Traffic) -> SimTime {
+    pub(crate) fn pcie_h2d_time(&self, t: &Traffic) -> SimTime {
         if t.pcie_h2d_bytes == 0 {
             return SimTime::ZERO;
         }
@@ -82,7 +82,7 @@ impl CostModel {
     }
 
     /// Time of the device→host PCIe channel for `t`.
-    pub fn pcie_d2h_time(&self, t: &Traffic) -> SimTime {
+    pub(crate) fn pcie_d2h_time(&self, t: &Traffic) -> SimTime {
         if t.pcie_d2h_bytes == 0 {
             return SimTime::ZERO;
         }
@@ -93,7 +93,7 @@ impl CostModel {
     }
 
     /// Time of the inter-GPU fabric for `t` (zero on single-GPU nodes).
-    pub fn nvlink_time(&self, t: &Traffic) -> SimTime {
+    pub(crate) fn nvlink_time(&self, t: &Traffic) -> SimTime {
         if t.nvlink_bytes == 0 || self.spec.nvlink_bw == 0.0 {
             return SimTime::ZERO;
         }
@@ -101,7 +101,7 @@ impl CostModel {
     }
 
     /// Per-resource busy times for `t`, in [`Resource`] order.
-    pub fn resource_times(&self, t: &Traffic) -> [(Resource, SimTime); 5] {
+    pub(crate) fn resource_times(&self, t: &Traffic) -> [(Resource, SimTime); 5] {
         [
             (Resource::CpuMem, self.cpu_time(t)),
             (Resource::Gpu, self.gpu_time(t)),

@@ -5,12 +5,12 @@
 //! each device with an idle floor plus an active increment, integrate over
 //! the busy times the caller supplies, and report Joules.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimTime;
 
 /// Active/idle power draw of the platform's devices, in Watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerModel {
     /// CPU socket power when its memory system is saturated.
     pub cpu_active_w: f64,
@@ -68,7 +68,7 @@ impl Default for PowerModel {
 }
 
 /// Energy in Joules attributed to each device class.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct EnergyReport {
     /// CPU socket energy (Joules).
     pub cpu_joules: f64,

@@ -19,12 +19,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimTime;
 
 /// A hardware resource that executes pipeline stages exclusively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Resource {
     /// Host DRAM + CPU cores (embedding table reads/writes).
     CpuMem,
@@ -79,7 +79,7 @@ impl fmt::Display for Resource {
 }
 
 /// Static definition of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageDef {
     /// Human-readable stage name (e.g. `"Plan"`).
     pub name: String,
@@ -100,7 +100,7 @@ impl StageDef {
 /// A dependency of the pipeline graph: `waiter` of batch `i` starts only
 /// after `watched` of batch `i - lag` has finished. Stages are indices
 /// into the pipeline's stage list; for `i < lag` the edge binds nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Edge {
     /// The stage that waits.
     pub waiter: usize,
@@ -111,7 +111,7 @@ pub struct Edge {
 }
 
 /// Latencies of every stage for one iteration (indexed like the stage list).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct StageTimes(pub Vec<SimTime>);
 
 impl StageTimes {
@@ -122,7 +122,7 @@ impl StageTimes {
 }
 
 /// One scheduled execution interval of a stage instance, for Gantt output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScheduledSlot {
     /// Iteration (mini-batch) index.
     pub iteration: usize,
@@ -135,7 +135,7 @@ pub struct ScheduledSlot {
 }
 
 /// The result of simulating a pipelined execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Schedule {
     /// Total wall-clock time from first start to last finish.
     pub makespan: SimTime,

@@ -5,12 +5,12 @@
 //! comparator needs a `p3.16xlarge` ($24.48/hr). Cost per N iterations is
 //! simply `price/hour × iteration_time × N`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimTime;
 
 /// A cloud instance type with an hourly price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InstanceSpec {
     /// Instance name, e.g. `"p3.2xlarge"`.
     pub name: String,
@@ -40,13 +40,13 @@ impl InstanceSpec {
     }
 
     /// Cost of running this instance for `time`.
-    pub fn cost_for(&self, time: SimTime) -> f64 {
+    pub(crate) fn cost_for(&self, time: SimTime) -> f64 {
         self.price_per_hour * time.as_secs() / 3600.0
     }
 }
 
 /// Cost summary for a fixed number of training iterations (Table I row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainingCost {
     /// Instance the training runs on.
     pub instance: InstanceSpec,
@@ -60,7 +60,7 @@ pub struct TrainingCost {
 
 impl TrainingCost {
     /// Prices `iterations` iterations of `iteration_time` each on `instance`.
-    pub fn new(instance: InstanceSpec, iteration_time: SimTime, iterations: u64) -> Self {
+    pub(crate) fn new(instance: InstanceSpec, iteration_time: SimTime, iterations: u64) -> Self {
         let total = instance.cost_for(iteration_time * iterations as f64);
         TrainingCost {
             instance,

@@ -14,10 +14,10 @@
 //! the model; `EXPERIMENTS.md` ("Constants") lists each with the figure it
 //! was fitted to.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A memory device (CPU DRAM or GPU HBM) with effective bandwidths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeviceSpec {
     /// Peak theoretical bandwidth in bytes/second.
     pub peak_bw: f64,
@@ -36,23 +36,24 @@ pub struct DeviceSpec {
 
 impl DeviceSpec {
     /// Effective random-read bandwidth in bytes/second.
-    pub fn random_read_bw(&self) -> f64 {
+    pub(crate) fn random_read_bw(&self) -> f64 {
         self.peak_bw * self.random_read_eff
     }
 
     /// Effective random-write (read-modify-write) bandwidth in bytes/second.
-    pub fn random_write_bw(&self) -> f64 {
+    pub(crate) fn random_write_bw(&self) -> f64 {
         self.peak_bw * self.random_write_eff
     }
 
     /// Effective streaming bandwidth in bytes/second.
-    pub fn stream_bw(&self) -> f64 {
+    pub(crate) fn stream_bw(&self) -> f64 {
         self.peak_bw * self.stream_eff
     }
 
     /// Validates that every efficiency lies in `(0, 1]` and the peak is
     /// positive.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         let effs = [
             ("random_read_eff", self.random_read_eff),
             ("random_write_eff", self.random_write_eff),
@@ -76,7 +77,7 @@ impl DeviceSpec {
 }
 
 /// A host↔device interconnect with independent duplex channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkSpec {
     /// Per-direction peak bandwidth in bytes/second.
     pub peak_bw: f64,
@@ -88,13 +89,13 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// Effective per-direction bandwidth in bytes/second.
-    pub fn effective_bw(&self) -> f64 {
+    pub(crate) fn effective_bw(&self) -> f64 {
         self.peak_bw * self.efficiency
     }
 }
 
 /// Compute throughput of a device (used for the MLP layers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ComputeSpec {
     /// Peak FLOP/s (fp32).
     pub peak_flops: f64,
@@ -108,13 +109,13 @@ pub struct ComputeSpec {
 
 impl ComputeSpec {
     /// Effective sustained FLOP/s.
-    pub fn effective_flops(&self) -> f64 {
+    pub(crate) fn effective_flops(&self) -> f64 {
         self.peak_flops * self.gemm_eff
     }
 }
 
 /// Full system specification of one simulated training node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SystemSpec {
     /// Host memory (capacity-optimized DDR4 behind a Xeon).
     pub cpu_mem: DeviceSpec,
@@ -197,7 +198,8 @@ impl SystemSpec {
     }
 
     /// Validates all device sub-specs.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         self.cpu_mem.validate()?;
         self.gpu_mem.validate()?;
         if self.num_gpus == 0 {
@@ -214,8 +216,9 @@ impl Default for SystemSpec {
 }
 
 /// Error produced by specification validation.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub enum SpecError {
+pub(crate) enum SpecError {
     /// An efficiency factor was outside `(0, 1]`.
     BadEfficiency {
         /// Name of the offending field.
@@ -232,6 +235,7 @@ pub enum SpecError {
     NoGpus,
 }
 
+#[cfg(test)]
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -246,6 +250,7 @@ impl std::fmt::Display for SpecError {
     }
 }
 
+#[cfg(test)]
 impl std::error::Error for SpecError {}
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A span of simulated time, stored in seconds.
 ///
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((a + b).as_millis(), 40.0);
 /// assert!((a / b - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -78,7 +78,8 @@ impl SimTime {
     }
 
     /// Returns the smaller of two spans.
-    pub fn min(self, other: SimTime) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
         } else {
@@ -87,12 +88,13 @@ impl SimTime {
     }
 
     /// True if this span is exactly zero.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 
     /// Saturating subtraction: returns zero instead of a negative span.
-    pub fn saturating_sub(self, other: SimTime) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime((self.0 - other.0).max(0.0))
     }
 }

@@ -101,7 +101,8 @@ impl Traffic {
 
     /// Scales all byte/FLOP counters by an integer factor (e.g. replicating
     /// one modeled iteration across an epoch).
-    pub fn scaled(&self, factor: u64) -> Traffic {
+    #[cfg(test)]
+    pub(crate) fn scaled(&self, factor: u64) -> Traffic {
         Traffic {
             cpu_random_read_bytes: self.cpu_random_read_bytes * factor,
             cpu_random_write_bytes: self.cpu_random_write_bytes * factor,

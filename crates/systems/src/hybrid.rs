@@ -31,7 +31,7 @@ impl HybridCpuGpu {
     pub const FRAMEWORK_FACTOR: f64 = 2.2;
 
     /// Creates the baseline for a workload shape on a hardware spec.
-    pub fn new(shape: ModelShape, spec: SystemSpec) -> Self {
+    pub(crate) fn new(shape: ModelShape, spec: SystemSpec) -> Self {
         HybridCpuGpu {
             shape,
             cost: CostModel::new(spec),

@@ -28,7 +28,7 @@ pub struct MultiGpuSystem {
 
 impl MultiGpuSystem {
     /// Creates the comparator on an 8-GPU node spec.
-    pub fn new(shape: ModelShape, spec: SystemSpec) -> Self {
+    pub(crate) fn new(shape: ModelShape, spec: SystemSpec) -> Self {
         let gpus = spec.num_gpus;
         MultiGpuSystem {
             shape,

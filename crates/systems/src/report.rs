@@ -4,7 +4,7 @@ use embeddings::SparseBatch;
 use memsim::pipeline::{PipelineSim, Resource, StageDef, StageTimes};
 use memsim::{EnergyReport, PowerModel, SimTime};
 use scratchpipe::{Schedule, ScratchError, StageId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Errors from system simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub trait TrainingSystem {
 }
 
 /// Timing, energy and cache statistics of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SystemReport {
     /// System display name.
     pub system: String,
@@ -78,7 +78,7 @@ impl SystemReport {
     /// Builds a report for a system whose stages run **sequentially**
     /// within each iteration (the paper's baselines and straw-man):
     /// iteration time is the sum of its stage times.
-    pub fn from_sequential_stages(
+    pub(crate) fn from_sequential_stages(
         system: impl Into<String>,
         stage_names: Vec<String>,
         stage_resources: Vec<Resource>,

@@ -4,7 +4,7 @@ use embeddings::{EmbeddingTable, SparseBatch};
 use memsim::SystemSpec;
 use scratchpipe::runtime::train_direct;
 use scratchpipe::EvictionPolicy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tracegen::{HotOracle, LocalityProfile, TraceGenerator};
 
 use crate::backend::DlrmBackend;
@@ -16,7 +16,7 @@ use crate::shape::ModelShape;
 use crate::static_cache::StaticCacheSystem;
 
 /// The five design points of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SystemKind {
     /// Baseline hybrid CPU-GPU, no cache (Figure 4(a)).
     Hybrid,
@@ -40,7 +40,7 @@ impl SystemKind {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SystemKind::Hybrid => "Hybrid CPU-GPU",
             SystemKind::StaticCache => "Static cache",
@@ -126,7 +126,7 @@ impl ExperimentConfig {
     }
 
     /// The popularity oracle matching [`ExperimentConfig::batches`].
-    pub fn oracle(&self) -> HotOracle {
+    pub(crate) fn oracle(&self) -> HotOracle {
         TraceGenerator::new(self.shape.trace_config(self.profile, self.seed)).hot_oracle()
     }
 

@@ -20,7 +20,7 @@ use scratchpipe::{
     EvictionPolicy, Pipeline, PipelineConfig, PipelineReport, Schedule, StageId, StageTraffic,
     WindowConfig,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::backend::DlrmBackend;
 use crate::report::{SystemError, SystemReport, TrainingSystem};
@@ -28,7 +28,7 @@ use crate::shape::ModelShape;
 use crate::timing;
 
 /// Scheduling discipline of the dynamic cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CacheMode {
     /// Straw-man: cache management serializes with training (§IV-B).
     Sequential,
@@ -100,7 +100,7 @@ impl ScratchPipeSystem {
     }
 
     /// Overrides the eviction policy (§VI-E ablation).
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: EvictionPolicy) -> Self {
         self.policy = policy;
         self
     }

@@ -1,11 +1,11 @@
 //! The workload shape shared by every system.
 
 use dlrm::DlrmConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tracegen::TraceConfig;
 
 /// Model + workload dimensions, common to all simulated systems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelShape {
     /// Number of embedding tables.
     pub num_tables: usize,
@@ -53,7 +53,8 @@ impl ModelShape {
     }
 
     /// A small shape for functional (real-arithmetic) runs and tests.
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
         let dlrm = DlrmConfig::tiny_with_tables(3);
         ModelShape {
             num_tables: 3,
@@ -88,7 +89,7 @@ impl ModelShape {
     }
 
     /// Validates internal consistency (DLRM shapes vs embedding shapes).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.dlrm.validate()?;
         if self.dlrm.num_tables != self.num_tables {
             return Err(format!(

@@ -71,11 +71,6 @@ impl StaticCacheSystem {
         }
     }
 
-    /// The configured cache fraction.
-    pub fn cache_fraction(&self) -> f64 {
-        self.cache_fraction
-    }
-
     fn split(&self, batch: &SparseBatch) -> Split {
         let hot_rows = (self.cache_fraction * self.shape.rows_per_table as f64).floor() as u64;
         let mut sp = Split::default();

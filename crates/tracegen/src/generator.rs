@@ -10,7 +10,7 @@
 use embeddings::{SparseBatch, TableBag};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::profiles::LocalityProfile;
 use crate::scramble::Scrambler;
@@ -20,7 +20,7 @@ use crate::zipf::ZipfSampler;
 ///
 /// The default mirrors the paper's default RecSys model (§V): 8 tables of
 /// 10 M rows, 20 lookups per table per sample, batch size 2048.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceConfig {
     /// Number of embedding tables.
     pub num_tables: usize,
@@ -38,7 +38,7 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// The paper's default model configuration with the given profile.
-    pub fn paper_default(profile: LocalityProfile) -> Self {
+    pub(crate) fn paper_default(profile: LocalityProfile) -> Self {
         TraceConfig {
             num_tables: 8,
             rows_per_table: 10_000_000,
@@ -62,7 +62,8 @@ impl TraceConfig {
     }
 
     /// Total sparse lookups one mini-batch performs across all tables.
-    pub fn lookups_per_batch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lookups_per_batch(&self) -> u64 {
         (self.num_tables * self.lookups_per_sample * self.batch_size) as u64
     }
 }
@@ -99,7 +100,6 @@ struct TableStream {
 pub struct TraceGenerator {
     config: TraceConfig,
     tables: Vec<TableStream>,
-    batches_emitted: u64,
 }
 
 impl TraceGenerator {
@@ -126,25 +126,11 @@ impl TraceGenerator {
                 }
             })
             .collect();
-        TraceGenerator {
-            config,
-            tables,
-            batches_emitted: 0,
-        }
-    }
-
-    /// The configuration this generator was built from.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
-    /// Number of batches produced so far.
-    pub fn batches_emitted(&self) -> u64 {
-        self.batches_emitted
+        TraceGenerator { config, tables }
     }
 
     /// Generates the next mini-batch.
-    pub fn next_batch(&mut self) -> SparseBatch {
+    pub(crate) fn next_batch(&mut self) -> SparseBatch {
         let c = self.config;
         let bags = self
             .tables
@@ -162,7 +148,6 @@ impl TraceGenerator {
                 TableBag::new(ids, offsets)
             })
             .collect();
-        self.batches_emitted += 1;
         SparseBatch::new(bags)
     }
 
@@ -177,12 +162,14 @@ impl TraceGenerator {
     /// # Panics
     ///
     /// Panics if `t` is out of range or `id` exceeds the table size.
-    pub fn is_hot(&self, t: usize, id: u64, hot_rows: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_hot(&self, t: usize, id: u64, hot_rows: u64) -> bool {
         self.tables[t].scrambler.invert(id) < hot_rows
     }
 
     /// The popularity rank of row `id` in table `t` (0 = hottest).
-    pub fn rank_of(&self, t: usize, id: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rank_of(&self, t: usize, id: u64) -> u64 {
         self.tables[t].scrambler.invert(id)
     }
 
@@ -215,7 +202,7 @@ impl HotOracle {
     /// # Panics
     ///
     /// Panics if `t` is out of range or `id` exceeds the table size.
-    pub fn rank(&self, t: usize, id: u64) -> u64 {
+    pub(crate) fn rank(&self, t: usize, id: u64) -> u64 {
         self.scramblers[t].invert(id)
     }
 
@@ -264,7 +251,6 @@ mod tests {
             assert_eq!(bag.total_lookups(), 64);
             assert!(bag.max_id().unwrap() < 500);
         }
-        assert_eq!(gen.batches_emitted(), 1);
     }
 
     #[test]

@@ -32,14 +32,15 @@
 //!     profile: LocalityProfile::High,
 //!     seed: 42,
 //! };
-//! let mut gen = TraceGenerator::new(cfg);
-//! let batch = gen.next_batch();
+//! let batches = TraceGenerator::new(cfg).take_batches(1);
+//! let batch = &batches[0];
 //! assert_eq!(batch.num_tables(), 2);
 //! assert_eq!(batch.batch_size(), 8);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod generator;
 pub mod profiles;

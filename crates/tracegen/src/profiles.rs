@@ -7,7 +7,7 @@
 //! benchmark traces — Random, Low, Medium, High — plus per-dataset PDF
 //! models for its characterization figures. This module holds both.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One of the paper's four benchmark locality regimes.
 ///
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// | Low    | 0.37     | ≈ 8.5 % (Alibaba User) |
 /// | Medium | 0.80     | ≈ 45 %  |
 /// | High   | 1.05     | ≈ 80 % (Criteo) |
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum LocalityProfile {
     /// Uniformly random accesses — the adversarial lower bound.
     Random,
@@ -80,7 +80,7 @@ impl std::fmt::Display for LocalityProfile {
 }
 
 /// The access-popularity model of one table of a real dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TableProfile {
     /// Human-readable table name (e.g. `"User"`).
     pub name: String,
@@ -92,7 +92,7 @@ pub struct TableProfile {
 
 impl TableProfile {
     /// Creates a table profile.
-    pub fn new(name: impl Into<String>, rows: u64, zipf_exponent: f64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, rows: u64, zipf_exponent: f64) -> Self {
         TableProfile {
             name: name.into(),
             rows,
@@ -105,7 +105,7 @@ impl TableProfile {
 /// (Figure 3 / Figure 6). Exponents and row counts are calibrated to
 /// reproduce the qualitative shapes the paper reports; they are **not**
 /// fits to the raw data (which this reproduction does not ship).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetModel {
     /// Dataset display name.
     pub name: String,
@@ -117,7 +117,7 @@ impl DatasetModel {
     /// Alibaba User Behavior: very long tail on the User table (the
     /// paper's flattest curve; top 2 % of rows ≈ 8.5 % of traffic) and a
     /// moderately skewed Item table.
-    pub fn alibaba() -> Self {
+    pub(crate) fn alibaba() -> Self {
         DatasetModel {
             name: "Alibaba".to_owned(),
             tables: vec![
@@ -129,7 +129,7 @@ impl DatasetModel {
 
     /// Kaggle Anime recommendations: strongly head-heavy item catalogue
     /// (popular shows dominate), users moderately skewed.
-    pub fn kaggle_anime() -> Self {
+    pub(crate) fn kaggle_anime() -> Self {
         DatasetModel {
             name: "Kaggle Anime".to_owned(),
             tables: vec![
@@ -140,7 +140,7 @@ impl DatasetModel {
     }
 
     /// MovieLens-25M: classic medium-high skew on movies.
-    pub fn movielens() -> Self {
+    pub(crate) fn movielens() -> Self {
         DatasetModel {
             name: "MovieLens".to_owned(),
             tables: vec![
@@ -154,7 +154,7 @@ impl DatasetModel {
     /// varying cardinalities; the big tables are extremely head-heavy
     /// (top 2 % ≈ 80 % of accesses). We model the seven tables the paper's
     /// Figure 6(d) legend names (0, 9, 10, 11, 19, 20, 21).
-    pub fn criteo() -> Self {
+    pub(crate) fn criteo() -> Self {
         DatasetModel {
             name: "Criteo".to_owned(),
             tables: vec![

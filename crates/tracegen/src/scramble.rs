@@ -8,7 +8,7 @@
 //! row's popularity rank?" — the membership test of the static top-N cache
 //! of Yin et al. reproduced in the `systems` crate).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An invertible affine permutation of `[0, n)`.
 ///
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let id = s.apply(0); // where the hottest rank lives
 /// assert_eq!(s.invert(id), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Scrambler {
     n: u64,
     a: u64,
@@ -51,11 +51,6 @@ impl Scrambler {
         let b = splitmix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) % n;
         let a_inv = mod_inverse(a, n);
         Scrambler { n, a, a_inv, b }
-    }
-
-    /// Domain size.
-    pub fn n(&self) -> u64 {
-        self.n
     }
 
     /// Maps a popularity rank to a row ID.

@@ -10,10 +10,10 @@
 //!   hit rate at size N is the share of accesses falling on the top-N
 //!   rows by count.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-row access counts of one embedding table over a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AccessHistogram {
     counts: Vec<u64>,
     total: u64,
@@ -39,13 +39,9 @@ impl AccessHistogram {
     }
 
     /// Total recorded accesses.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> u64 {
-        self.counts.len() as u64
     }
 
     /// Access counts sorted descending — the y-values of Figure 3.
@@ -92,27 +88,6 @@ impl AccessHistogram {
                 (f, rate)
             })
             .collect()
-    }
-
-    /// Gini-style skew summary in `[0, 1]`: 0 for perfectly uniform access,
-    /// approaching 1 when a single row absorbs all traffic. Used by tests
-    /// to rank locality regimes.
-    pub fn skewness(&self) -> f64 {
-        if self.total == 0 || self.counts.len() < 2 {
-            return 0.0;
-        }
-        let sorted = self.sorted_counts(); // descending
-        let n = sorted.len() as f64;
-        // Gini coefficient over the (ascending) count distribution.
-        let mut cum = 0.0f64;
-        let mut weighted = 0.0f64;
-        for (i, &c) in sorted.iter().rev().enumerate() {
-            cum += c as f64;
-            weighted += cum;
-            let _ = i;
-        }
-        let mean_cum = weighted / n;
-        1.0 - 2.0 * (mean_cum / self.total as f64) + 1.0 / n
     }
 }
 
@@ -203,25 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn skewness_orders_locality_regimes() {
-        let mut last = -1.0;
-        for p in LocalityProfile::SWEEP {
-            let h = histogram_for(p, 20);
-            let s = h.skewness();
-            assert!(
-                s > last,
-                "skewness must increase with locality: {p} gave {s} after {last}"
-            );
-            last = s;
-        }
-    }
-
-    #[test]
     fn empty_histogram_is_sane() {
         let h = AccessHistogram::new(100);
         assert_eq!(h.total(), 0);
         assert_eq!(h.top_fraction_share(0.5), 0.0);
-        assert_eq!(h.skewness(), 0.0);
         let curve = h.hit_rate_curve(&[0.1, 1.0]);
         assert!(curve.iter().all(|&(_, r)| r == 0.0));
     }

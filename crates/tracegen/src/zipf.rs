@@ -66,13 +66,9 @@ impl ZipfSampler {
     }
 
     /// Number of ranks.
-    pub fn n(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn n(&self) -> u64 {
         self.n
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Draws one 0-based rank.
@@ -100,7 +96,8 @@ impl ZipfSampler {
     /// sums (with an integral tail approximation above one million terms).
     ///
     /// This is the analytic counterpart of a measured Figure 6 point.
-    pub fn top_share(&self, fraction: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn top_share(&self, fraction: f64) -> f64 {
         let k = ((fraction * self.n as f64).ceil() as u64).clamp(0, self.n);
         if k == 0 {
             return 0.0;
@@ -130,7 +127,8 @@ fn h_inv(v: f64, s: f64) -> f64 {
 
 /// Generalized harmonic number `H_{k,s} = Σ_{r=1..k} r^{-s}`, exact below
 /// one million terms and integral-approximated above.
-pub fn harmonic(k: u64, s: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn harmonic(k: u64, s: f64) -> f64 {
     const EXACT_LIMIT: u64 = 1_000_000;
     if k <= EXACT_LIMIT {
         return (1..=k).map(|r| f64::powf(r as f64, -s)).sum();

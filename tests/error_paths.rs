@@ -5,7 +5,7 @@
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
 use scratchpipe::{
     Fault, FaultKind, FaultPlan, Pipeline, PipelineConfig, RecoveryPolicy, Schedule, ScratchError,
-    UnitBackend,
+    UnitBackend, WindowConfig,
 };
 
 fn tables(num: usize, rows: usize, dim: usize) -> Vec<EmbeddingTable> {
@@ -78,6 +78,29 @@ fn builder_rejects_table_dim_mismatch() {
         .backend(UnitBackend::new(0.1))
         .build();
     assert_invalid_config(result, "dim mismatch");
+}
+
+#[test]
+fn window_widths_past_u32_are_rejected_at_build() {
+    // `past + 1 + future` overflows a u32 for both; neither may wrap into
+    // a width that passes validation.
+    for window in [
+        WindowConfig {
+            past: u32::MAX,
+            future: 5,
+        },
+        WindowConfig {
+            past: 0,
+            future: u32::MAX,
+        },
+    ] {
+        let result = Pipeline::builder()
+            .config(PipelineConfig::functional(4, 8).with_window(window))
+            .tables(tables(1, 16, 4))
+            .backend(UnitBackend::new(0.1))
+            .build();
+        assert_invalid_config(result, "window width");
+    }
 }
 
 #[test]
