@@ -137,14 +137,14 @@ fn bench_layers(c: &mut Criterion) {
         let dy: Vec<f32> = (0..BATCH * out_dim)
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
-        let (mut grad, mut spare) = (Vec::new(), Vec::new());
+        let mut grad = Vec::new();
         // dx and the weight update: two multiply-adds per weight per sample.
         backward.throughput(Throughput::Elements((4 * BATCH * in_dim * out_dim) as u64));
         backward.bench_function(format!("{in_dim}x{out_dim}"), |b| {
             b.iter(|| {
                 grad.clear();
                 grad.extend_from_slice(&dy);
-                mlp.backward_into(&mut acts, 0.0, &mut grad, &mut spare);
+                mlp.backward_into(&mut acts, 0.0, &mut grad);
             });
         });
     }

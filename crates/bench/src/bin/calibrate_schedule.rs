@@ -1,4 +1,4 @@
-//! The two calibration sweeps the pipeline's schedule constants are
+//! The three calibration sweeps the pipeline's schedule constants are
 //! derived from. Observers off, dedup and final flush on the clock, five
 //! runs per cell; prints markdown tables and writes no file (~4 min;
 //! `--quick` takes two runs per cell of half the iterations).
@@ -27,14 +27,26 @@
 //!    by table side by side from the same floor (counted in lookups) —
 //!    at width 1 and at the machine's width, as alternating pairs: the
 //!    check that the floor \[Plan\] measured holds for the dedup too.
+//! 3. **The dense step across the pool** (`stages::DENSE_FAN_OUT_MIN_FLOPS`;
+//!    docs/perf.md, "Dense step across the pool"): `train_bound`'s DLRM
+//!    model, one `DlrmBackend::step_on` at pool width 1 against the
+//!    machine's width, batch 8 … 1 024, as alternating pairs — µs per step
+//!    (medians), how many pairs the pool won, and the floor that implies.
+//!    The step is called directly, so every batch runs both widths
+//!    whatever the floor says.
 //!
 //! ```bash
 //! cargo run --release -p sp-bench --bin calibrate_schedule [-- --quick]
 //! ```
 
+use dlrm::{interaction, DlrmConfig};
 use embeddings::{EmbeddingTable, SparseBatch};
-use scratchpipe::stages::{UniqueWindow, PLAN_FAN_OUT_MIN_UNIQUES};
-use scratchpipe::{Pipeline, PipelineConfig, Schedule, UnitBackend, WindowConfig, WorkerPool};
+use scratchpipe::stages::{UniqueWindow, DENSE_FAN_OUT_MIN_FLOPS, PLAN_FAN_OUT_MIN_UNIQUES};
+use scratchpipe::{
+    DenseBackend, Pipeline, PipelineConfig, PooledView, Schedule, UnitBackend, WindowConfig,
+    WorkerPool,
+};
+use systems::DlrmBackend;
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
 const NUM_TABLES: usize = 4;
@@ -296,6 +308,91 @@ fn main() {
     auto_sweep(reps, auto_iterations);
     plan_sweep(cpus, reps, quick);
     dedup_sweep(cpus, reps, quick);
+    dense_sweep(cpus, reps, quick);
+}
+
+/// Batch sizes of the dense-step sweep.
+const DENSE_BATCHES: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1_024];
+
+/// The dense-step sweep (see the module docs): per batch, `pairs` runs of
+/// µs per `DlrmBackend::step_on` at pool width 1 and at width `cpus`,
+/// taking turns; each run trains a fresh backend for ≈ 1.5 M samples'
+/// worth of steps (half under `--quick`) after one warm-up step.
+fn dense_sweep(cpus: usize, pairs: usize, quick: bool) {
+    // `train_bound`'s dense model (benchmark/src/workloads.rs).
+    let (tables, dim) = (4, 64);
+    let cfg = DlrmConfig {
+        dense_dim: 13,
+        bottom_widths: vec![13, 128, 64, dim],
+        top_widths: vec![interaction::output_dim(tables, dim), 256, 128, 1],
+        emb_dim: dim,
+        num_tables: tables,
+    };
+    println!(
+        "\nDense step across the pool (`train_bound`'s model, `DlrmBackend::step_on`): pool width \
+         1 vs {cpus}, medians of {pairs} alternating pairs; floor {DENSE_FAN_OUT_MIN_FLOPS} FLOPs \
+         a step\n"
+    );
+    println!(
+        "| batch | MFLOP/step | width 1 µs | width {cpus} µs | [Train] fans out \
+         | width 1 / width {cpus} | width {cpus} ahead |"
+    );
+    println!("|---:|---:|---:|---:|---|---:|---:|");
+    let (mut below, mut above) = (Vec::new(), Vec::new());
+    for batch_size in DENSE_BATCHES {
+        let steps = (if quick { 1_536 } else { 3_072 }) / batch_size;
+        let rows: Vec<Vec<Vec<u64>>> = (0..batch_size)
+            .map(|s| (0..tables).map(|t| vec![(s + t) as u64]).collect())
+            .collect();
+        let sparse = SparseBatch::from_rows(tables, &rows);
+        let pooled: Vec<f32> = (0..tables * batch_size * dim)
+            .map(|i| (i % 23) as f32 / 46.0 - 0.25)
+            .collect();
+        let mut grads = vec![0.0f32; pooled.len()];
+        let micros_at = |width: usize| {
+            let mut backend = DlrmBackend::new(&cfg, 0.01, 3);
+            let pool = WorkerPool::new(width);
+            let mut step = |i: usize| {
+                let view = PooledView::new(&pooled, tables, batch_size, dim);
+                backend
+                    .step_on(pool, i, &sparse, view, &mut grads)
+                    .expect("step");
+            };
+            step(0);
+            let t0 = std::time::Instant::now();
+            for i in 1..=steps {
+                step(i);
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / steps as f64
+        };
+        let (inline, wide, ratio, ahead) = alternate(cpus, pairs, micros_at);
+        let flops = cfg.train_flops(batch_size);
+        let fans_out = cpus >= 2 && flops >= DENSE_FAN_OUT_MIN_FLOPS;
+        (if fans_out { &mut above } else { &mut below }).push((batch_size, ratio));
+        println!(
+            "| {batch_size} | {:.1} | {inline:.1} | {wide:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
+            flops as f64 / 1e6,
+            if fans_out { "yes" } else { "no" },
+        );
+    }
+    let lost_below = below.iter().filter(|&&(_, ratio)| ratio > 1.0);
+    match lost_below.map(|&(batch, _)| batch).max() {
+        Some(batch) => println!(
+            "\nunder the floor, the pool would have won at batch {batch}: the floor this sweep \
+             implies is at or under that"
+        ),
+        None => println!("\nunder the floor, the pool would have won nowhere"),
+    }
+    match above.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
+        None => println!("nothing fans out on this host"),
+        Some(&(batch, ratio)) if ratio < 1.0 => println!(
+            "the pool LOST at batch {batch} ({ratio:.2}x): the floor this sweep implies is above \
+             that"
+        ),
+        Some(&(_, ratio)) => {
+            println!("the pool won at every batch over the floor (by {ratio:.2}x at worst)")
+        }
+    }
 }
 
 /// The `Schedule::Auto` sweep (see the module docs).

@@ -21,6 +21,9 @@
 use embeddings::SparseBatch;
 use memsim::Traffic;
 
+use crate::error::ScratchError;
+use crate::workers::WorkerPool;
+
 /// Borrowed view of the flat `num_tables × batch × dim` pooled-embedding
 /// arena the \[Train\] stage hands to a [`DenseBackend`].
 #[derive(Debug, Clone, Copy)]
@@ -105,6 +108,28 @@ pub trait DenseBackend {
         pooled: PooledView<'_>,
         grads: &mut [f32],
     ) -> StepResult;
+
+    /// [`DenseBackend::step`] with a worker pool the step may fan out
+    /// over. A backend that shards its step must write the bits `step`
+    /// writes, at every pool width; the default runs `step` and leaves the
+    /// pool idle.
+    ///
+    /// # Errors
+    ///
+    /// [`ScratchError::WorkerPanic`] if a shard of the step panicked; the
+    /// backend may then be part-updated (the supervised pipeline restores
+    /// its snapshot).
+    fn step_on(
+        &mut self,
+        workers: WorkerPool,
+        iteration: usize,
+        batch: &SparseBatch,
+        pooled: PooledView<'_>,
+        grads: &mut [f32],
+    ) -> Result<StepResult, ScratchError> {
+        let _ = workers;
+        Ok(self.step(iteration, batch, pooled, grads))
+    }
 
     /// Learning rate the embedding SGD scatter should apply.
     fn learning_rate(&self) -> f32;

@@ -52,10 +52,11 @@ pub(crate) struct StageCtx<'a> {
     /// shard inline). Sharding never changes results — only where the
     /// disjoint pieces are computed.
     pub workers: WorkerPool,
-    /// Worker pool \[Plan\]'s table shards may fan out over: the
-    /// pipeline's pool under the register schedules, which run one stage
-    /// at a time and so leave its other CPUs idle while \[Plan\] runs;
-    /// inline under the lanes, which already occupy them.
+    /// Worker pool \[Plan\]'s table shards and \[Train\]'s dense step
+    /// may fan out over: the pipeline's pool under the register
+    /// schedules, which run one stage at a time and so leave its other
+    /// CPUs idle while one runs; inline under the lanes, which already
+    /// occupy them.
     pub plan_workers: WorkerPool,
     /// The armed fault injector, if a fault plan is attached. `None` —
     /// the default — makes every injection hook a single branch.
@@ -591,9 +592,8 @@ impl<B: DenseBackend> TrainStage<B> {
         let (shared, batch) = (ctx.shared, ctx.batch());
         // Traffic: embedding forward + backward entirely on GPU memory,
         // plus the dense backend's own contribution.
-        let mut traffic = stages::train_traffic(&payload.plans, batch, shared.dim);
-        traffic += self.backend.traffic(batch.batch_size());
-        payload.traffic.train = traffic;
+        let dense = self.backend.traffic(batch.batch_size());
+        payload.traffic.train = stages::train_traffic(&payload.plans, batch, shared.dim) + dense;
         payload.loss = 0.0;
         if !shared.functional {
             return Ok(());
@@ -657,11 +657,20 @@ impl<B: DenseBackend> TrainStage<B> {
             run_region(ctx, StageId::Train, gather_pool, tasks)?;
         }
 
-        // The dense step stays single-shard: its batch-wide weight-update
-        // reductions have a pinned accumulation order (see the determinism
-        // contract in docs/runtime-api.md).
+        // The dense step fans out over [Plan]'s pool once it carries
+        // `DENSE_FAN_OUT_MIN_FLOPS`: per sample range for the forward and
+        // every `dx`, then per block of weight rows for the update, which
+        // keeps each reduction's accumulation order whole (see the
+        // determinism contract in docs/runtime-api.md).
+        let dense_pool = if dense.gpu_flops >= stages::DENSE_FAN_OUT_MIN_FLOPS {
+            ctx.plan_workers
+        } else {
+            WorkerPool::inline()
+        };
         let (pooled, grads) = self.arena.split();
-        let step = self.backend.step(payload.index, batch, pooled, grads);
+        let step = self
+            .backend
+            .step_on(dense_pool, payload.index, batch, pooled, grads)?;
         let lr = self.backend.learning_rate();
 
         // Backward scatter, sharded per table: the duplicate → coalesce →

@@ -454,6 +454,26 @@ pub(crate) const MAX_FUTURE_DEPTH: usize = 30;
 /// [`WorkerPool::MIN_SHARD_WORK`]: crate::WorkerPool::MIN_SHARD_WORK
 pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 32_768;
 
+/// Dense-step FLOPs ([`DenseBackend::traffic`]'s `gpu_flops`) from which
+/// \[Train\] hands the dense step \[Plan\]'s worker pool
+/// ([`DenseBackend::step_on`]).
+///
+/// Derivation (the dense sweep of `cargo run --release -p sp-bench --bin
+/// calibrate_schedule`, 2-vCPU host; tables in docs/perf.md, "Dense step
+/// across the pool"): `train_bound`'s model, one step at pool width 1
+/// against width 2, five alternating pairs per batch, two sweeps. The
+/// pool lost every pair up to 6.4 MFLOP a step (batch 16: 0.61–0.63×, two
+/// launches against ≈ 300 µs of work), won 0 and 3 of 5 at 12.8 MFLOP
+/// (batch 32: 0.87×, 1.09×) and 3 of 5 at 25.5 MFLOP (batch 64: 1.03–1.07×,
+/// break-even), and 4–5 of 5 from 51 MFLOP up (batch 128: 1.24–1.69×,
+/// `train_bound`'s batch 256: 1.42–1.43×, batch 1 024: 1.71–1.80×). The
+/// floor is the power of two over batch 64, the largest batch that did
+/// not win every pair, as for [`PLAN_FAN_OUT_MIN_UNIQUES`].
+///
+/// [`DenseBackend::traffic`]: crate::DenseBackend::traffic
+/// [`DenseBackend::step_on`]: crate::DenseBackend::step_on
+pub const DENSE_FAN_OUT_MIN_FLOPS: u64 = 33_554_432;
+
 /// \[Plan\], one table of one mini-batch: advance table `t`'s scratchpad
 /// manager, pick its fills and victims. `current` is the batch's sorted
 /// unique IDs for the table; `upcoming` the unique IDs of the batches

@@ -52,30 +52,101 @@ pub fn forward_into(
     dim: usize,
     out: &mut Vec<f32>,
 ) {
-    let batch = bottom.len() / dim;
-    assert_eq!(bottom.len(), batch * dim, "ragged bottom buffer");
-    assert_eq!(
-        pooled.len(),
-        num_tables * batch * dim,
-        "pooled buffer shape mismatch"
-    );
-    let t = num_tables;
-    let out_dim = output_dim(t, dim);
+    forward_range(Operands::whole(bottom, pooled, num_tables, dim), out);
+}
+
+/// The vectors the interaction pairs up for a contiguous run of a batch's
+/// samples: their bottom-MLP outputs and the whole batch's flat pooled
+/// embeddings, which they index from sample `first` on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operands<'a> {
+    bottom: &'a [f32],
+    pooled: &'a [f32],
+    num_tables: usize,
+    dim: usize,
+    /// Samples in the whole batch (the pooled buffer's table stride).
+    batch: usize,
+    first: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// Samples `first..first + bottom.len() / dim` of a `batch`-sample
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buffer shapes disagree.
+    pub(crate) fn range(
+        bottom: &'a [f32],
+        pooled: &'a [f32],
+        num_tables: usize,
+        dim: usize,
+        batch: usize,
+        first: usize,
+    ) -> Self {
+        assert_eq!(bottom.len() % dim, 0, "ragged bottom buffer");
+        assert!(
+            first + bottom.len() / dim <= batch,
+            "samples past the batch"
+        );
+        assert_eq!(
+            pooled.len(),
+            num_tables * batch * dim,
+            "pooled buffer shape mismatch"
+        );
+        Operands {
+            bottom,
+            pooled,
+            num_tables,
+            dim,
+            batch,
+            first,
+        }
+    }
+
+    /// Every sample of the batch.
+    fn whole(bottom: &'a [f32], pooled: &'a [f32], num_tables: usize, dim: usize) -> Self {
+        Self::range(bottom, pooled, num_tables, dim, bottom.len() / dim, 0)
+    }
+
+    fn samples(&self) -> usize {
+        self.bottom.len() / self.dim
+    }
+
+    /// Vector `v` of sample `s` (counted from `first`): the bottom output
+    /// for `v = 0`, table `v − 1`'s pooled embedding otherwise.
+    fn vector(&self, s: usize, v: usize) -> &'a [f32] {
+        let dim = self.dim;
+        if v == 0 {
+            &self.bottom[s * dim..(s + 1) * dim]
+        } else {
+            let base = ((v - 1) * self.batch + self.first + s) * dim;
+            &self.pooled[base..base + dim]
+        }
+    }
+
+    /// The interaction-output row of each sample in `dout`, checked.
+    fn rows<'g>(&self, dout: &'g [f32]) -> std::slice::ChunksExact<'g, f32> {
+        let out_dim = output_dim(self.num_tables, self.dim);
+        assert_eq!(
+            dout.len(),
+            self.samples() * out_dim,
+            "output gradient shape"
+        );
+        dout.chunks_exact(out_dim)
+    }
+}
+
+/// [`forward_into`] for the samples of `ops`.
+pub(crate) fn forward_range(ops: Operands<'_>, out: &mut Vec<f32>) {
+    let t = ops.num_tables;
     out.clear();
-    out.reserve(batch * out_dim);
-    for s in 0..batch {
-        let vector = |v: usize| -> &[f32] {
-            if v == 0 {
-                &bottom[s * dim..(s + 1) * dim]
-            } else {
-                let base = (v - 1) * batch * dim + s * dim;
-                &pooled[base..base + dim]
-            }
-        };
-        out.extend_from_slice(vector(0));
+    out.reserve(ops.samples() * output_dim(t, ops.dim));
+    for s in 0..ops.samples() {
+        out.extend_from_slice(ops.vector(s, 0));
         for i in 0..=t {
             for j in (i + 1)..=t {
-                out.push(kernels::dot_from(0.0, vector(i), vector(j)));
+                out.push(kernels::dot_from(0.0, ops.vector(s, i), ops.vector(s, j)));
             }
         }
     }
@@ -100,82 +171,77 @@ pub fn backward(
     dout: &[f32],
     d_pooled: &mut [f32],
 ) -> Vec<f32> {
+    let ops = Operands::whole(bottom, pooled, num_tables, dim);
+    assert_eq!(d_pooled.len(), pooled.len(), "pooled gradient buffer shape");
     let mut d_bottom = Vec::new();
-    backward_into(
-        bottom,
-        pooled,
-        num_tables,
-        dim,
-        dout,
-        d_pooled,
-        &mut d_bottom,
-    );
+    bottom_grad_into(ops, dout, &mut d_bottom);
+    if !d_pooled.is_empty() {
+        let stride = d_pooled.len() / num_tables;
+        for (t, d_table) in d_pooled.chunks_exact_mut(stride).enumerate() {
+            table_grad(ops, dout, t, d_table);
+        }
+    }
     d_bottom
 }
 
-/// [`backward`] writing `d_bottom` into a reusable buffer (resized in
-/// place and overwritten).
+/// The bottom-output half of [`backward`] for the samples of `ops`, into
+/// `d_bottom` (resized and overwritten): each row the pass-through part of
+/// its gradient, then one [`kernels::axpy`] per pair with the bottom
+/// vector, in pair order.
 ///
 /// # Panics
 ///
-/// Panics if buffer shapes disagree.
-pub(crate) fn backward_into(
-    bottom: &[f32],
-    pooled: &[f32],
-    num_tables: usize,
-    dim: usize,
-    dout: &[f32],
-    d_pooled: &mut [f32],
-    d_bottom: &mut Vec<f32>,
-) {
-    let batch = bottom.len() / dim;
-    let t = num_tables;
-    let out_dim = output_dim(t, dim);
-    assert_eq!(
-        pooled.len(),
-        t * batch * dim,
-        "pooled buffer shape mismatch"
-    );
-    assert_eq!(dout.len(), batch * out_dim, "output gradient shape");
-    assert_eq!(d_pooled.len(), pooled.len(), "pooled gradient buffer shape");
-    // Every sample's pass-through copy below overwrites its whole row.
-    d_bottom.resize(batch * dim, 0.0);
-    d_pooled.fill(0.0);
-    for s in 0..batch {
-        let vector = |v: usize| -> &[f32] {
-            if v == 0 {
-                &bottom[s * dim..(s + 1) * dim]
-            } else {
-                let base = (v - 1) * batch * dim + s * dim;
-                &pooled[base..base + dim]
-            }
-        };
-        let g = &dout[s * out_dim..(s + 1) * out_dim];
+/// Panics if `dout` is not one interaction-output row per sample.
+pub(crate) fn bottom_grad_into(ops: Operands<'_>, dout: &[f32], d_bottom: &mut Vec<f32>) {
+    let dim = ops.dim;
+    d_bottom.resize(ops.samples() * dim, 0.0);
+    for (s, (g, row)) in ops
+        .rows(dout)
+        .zip(d_bottom.chunks_exact_mut(dim))
+        .enumerate()
+    {
         // Pass-through part: the first `dim` outputs are the bottom vector.
-        d_bottom[s * dim..(s + 1) * dim].copy_from_slice(&g[..dim]);
-        // Dot-product part.
+        row.copy_from_slice(&g[..dim]);
+        // The pairs (0, j) come first in pair order.
+        for (j, &gk) in (1..=ops.num_tables).zip(&g[dim..]) {
+            if gk != 0.0 {
+                kernels::axpy(row, gk, ops.vector(s, j));
+            }
+        }
+    }
+}
+
+/// Table `t`'s half of [`backward`] for the samples of `ops`: `d_table`
+/// holds their rows of table `t`'s pooled gradient (`samples × dim`), is
+/// zeroed and takes one [`kernels::axpy`] per pair that contains the table,
+/// in pair order — the chain [`backward`] folds into every element, since
+/// it walks the same pairs in the same order for all owners at once.
+///
+/// # Panics
+///
+/// Panics if `dout` or `d_table` is not one row per sample.
+pub(crate) fn table_grad(ops: Operands<'_>, dout: &[f32], t: usize, d_table: &mut [f32]) {
+    let (dim, owner) = (ops.dim, t + 1);
+    assert_eq!(d_table.len(), ops.samples() * dim, "table gradient shape");
+    d_table.fill(0.0);
+    for (s, (g, row)) in ops
+        .rows(dout)
+        .zip(d_table.chunks_exact_mut(dim))
+        .enumerate()
+    {
         let mut k = dim;
-        for i in 0..=t {
-            for j in (i + 1)..=t {
+        for i in 0..=ops.num_tables {
+            for j in (i + 1)..=ops.num_tables {
                 let gk = g[k];
                 k += 1;
                 if gk == 0.0 {
                     continue;
                 }
-                // d(a·b)/da = b, /db = a — accumulate into the right owner.
-                let (vi, vj) = (vector(i), vector(j));
-                {
-                    let di: &mut [f32] = if i == 0 {
-                        &mut d_bottom[s * dim..(s + 1) * dim]
-                    } else {
-                        let base = (i - 1) * batch * dim + s * dim;
-                        &mut d_pooled[base..base + dim]
-                    };
-                    kernels::axpy(di, gk, vj);
-                }
-                {
-                    let base = (j - 1) * batch * dim + s * dim;
-                    kernels::axpy(&mut d_pooled[base..base + dim], gk, vi);
+                // d(a·b)/da = b, /db = a.
+                if i == owner {
+                    kernels::axpy(row, gk, ops.vector(s, j));
+                } else if j == owner {
+                    kernels::axpy(row, gk, ops.vector(s, i));
                 }
             }
         }

@@ -55,4 +55,4 @@ pub mod model;
 pub use config::DlrmConfig;
 pub use linear::Linear;
 pub use mlp::{Mlp, MlpActivations};
-pub use model::{DlrmModel, DlrmScratch, TrainStepOutput};
+pub use model::{DlrmModel, DlrmScratch, ForkJoin, Inline, TrainStepOutput};

@@ -21,19 +21,17 @@ const R: usize = 4;
 /// registers, and the lane width of a packed step panel.
 const OBW: usize = 4;
 
-/// The backward kernel's reusable buffers, rebuilt by every
-/// [`Linear::backward_tiles`] call (sized by the largest layer seen).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BackwardScratch {
-    /// Lanes `k..k + KB` of every sample of the layer input, zero-padded
-    /// past `in_dim`: `batch` rows of `KB`, repacked per `k`-block.
-    x_panel: Vec<f32>,
-    /// The SGD steps `−(lr·dy)` as zero-padded output panels: panel `p`
-    /// holds outputs `p·OBW..(p+1)·OBW` of every sample, `batch` rows of
-    /// `OBW`.
-    steps: Vec<f32>,
-    /// A layer narrower than `KB`: its weight rows zero-padded to `KB`.
-    padded_w: Vec<f32>,
+/// A contiguous run of samples' share of one layer's SGD update, as
+/// [`Linear::pack_update`] left it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UpdateRows<'a> {
+    /// The layer input, `n × in_dim`.
+    pub(crate) x: &'a [f32],
+    /// `x` as zero-padded `KB`-lane panels: panel `p` holds lanes
+    /// `p·KB..(p+1)·KB` of every sample, `n` rows of `KB`.
+    pub(crate) x_panels: &'a [f32],
+    /// The steps `t = −(lr·dy)`, `n × out_dim`.
+    pub(crate) steps: &'a [f32],
 }
 
 /// A dense layer `y = x·Wᵀ + b` over row-major batches.
@@ -108,7 +106,7 @@ impl Linear {
     /// Forward pass writing into a reusable output buffer (resized in
     /// place and overwritten, so repeated calls don't reallocate it). The
     /// packed weight copy is allocated per call; layers inside an
-    /// [`Mlp`](crate::Mlp) reuse the one in its activation cache instead.
+    /// [`Mlp`](crate::Mlp) reuse the ones in its activation cache instead.
     ///
     /// # Panics
     ///
@@ -116,7 +114,9 @@ impl Linear {
     #[cfg(test)]
     pub(crate) fn forward_into(&self, x: &[f32], y: &mut Vec<f32>) {
         y.resize(self.batch_of(x) * self.out_dim, 0.0);
-        self.forward_tiles(x, &mut Vec::new(), |at, vals| {
+        let mut packed = Vec::new();
+        self.pack_panels(&mut packed);
+        self.forward_tiles(x, &packed, |at, vals| {
             y[at..at + vals.len()].copy_from_slice(vals);
         });
     }
@@ -144,16 +144,16 @@ impl Linear {
     /// speed comes from vectorising *across* outputs; the order *within*
     /// an output never changes, so no bit does.
     ///
-    /// `x` must be whole rows: callers size `y` from [`Linear::batch_of`],
-    /// which rejects a ragged batch.
+    /// `packed` is [`Linear::pack_panels`]'s copy of the weights. `x` must
+    /// be whole rows: callers size `y` from [`Linear::batch_of`], which
+    /// rejects a ragged batch.
     pub(crate) fn forward_tiles(
         &self,
         x: &[f32],
-        packed: &mut Vec<f32>,
+        packed: &[f32],
         mut store: impl FnMut(usize, &[f32]),
     ) {
         debug_assert_eq!(x.len() % self.in_dim, 0, "ragged input batch");
-        self.pack_panels(packed);
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         for (p, panel) in packed.chunks_exact(in_dim * OB).enumerate() {
             let o = p * OB;
@@ -184,20 +184,23 @@ impl Linear {
         }
     }
 
-    /// Rebuilds the k-major copy of the weights the tiles stream: panel
-    /// `p` holds outputs `p·OB..(p+1)·OB` as `in_dim` rows of `OB` lanes
-    /// (`packed[(p·in_dim + k)·OB + j] = W[(p·OB + j)·in_dim + k]`), the
-    /// last panel zero-padded, so lanes past `out_dim` compute on zeros and
-    /// are never stored. `in·out` moves against the forward's
-    /// `batch·in·out` multiply-adds.
-    fn pack_panels(&self, packed: &mut Vec<f32>) {
-        let panel_len = self.in_dim * OB;
+    /// Rebuilds the k-major copy of the weights the forward tiles stream:
+    /// panel `p` holds outputs `p·OB..(p+1)·OB` as `in_dim` rows of `OB`
+    /// lanes (`packed[(p·in_dim + k)·OB + j] = W[(p·OB + j)·in_dim + k]`),
+    /// the last panel zero-padded, so lanes past `out_dim` compute on zeros
+    /// and are never stored. `in·out` moves against the forward's
+    /// `batch·in·out` multiply-adds, written in order.
+    pub(crate) fn pack_panels(&self, packed: &mut Vec<f32>) {
+        let in_dim = self.in_dim;
         packed.clear();
-        packed.resize(self.out_dim.div_ceil(OB) * panel_len, 0.0);
-        for (o, w) in self.weights.chunks_exact(self.in_dim).enumerate() {
-            let lane = &mut packed[o / OB * panel_len + o % OB..];
-            for (dst, &v) in lane.iter_mut().step_by(OB).zip(w) {
-                *dst = v;
+        packed.reserve(self.out_dim.div_ceil(OB) * in_dim * OB);
+        for rows in self.weights.chunks(OB * in_dim) {
+            let mut lanes = [0.0f32; OB];
+            for k in 0..in_dim {
+                for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(in_dim)) {
+                    *lane = row[k];
+                }
+                packed.extend_from_slice(&lanes);
             }
         }
     }
@@ -217,68 +220,38 @@ impl Linear {
     }
 
     /// [`Linear::backward`] writing `dx` into a reusable buffer (cleared
-    /// and refilled in place). The kernel's packed copies are allocated per
-    /// call; layers inside an [`Mlp`](crate::Mlp) reuse the ones in its
-    /// activation cache instead.
+    /// and refilled in place): [`Linear::input_gradient_into`] and
+    /// [`Linear::pack_update`], then the update as one [`RowBlock`], the
+    /// way an [`Mlp`](crate::Mlp) runs a layer.
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
     #[cfg(test)]
     pub(crate) fn backward_into(&mut self, x: &[f32], dy: &[f32], lr: f32, dx: &mut Vec<f32>) {
-        self.backward_tiles(x, dy, lr, dx, &mut BackwardScratch::default());
-    }
-
-    /// The backward kernel: `dx = dy·W`, then `W -= lr·dyᵀx, b -= lr·Σ dy`,
-    /// each as a register tile that keeps every element's accumulation
-    /// chain exactly as the elementwise form folds it — one
-    /// [`kernels::axpy`] over a row of `dx` per output, then one over a row
-    /// of `W` per sample per output:
-    ///
-    /// * `dx[s][k] = ((0 + dy[s][0]·W[0][k]) + dy[s][1]·W[1][k]) + …`, `o`
-    ///   ascending — [`dx_tile`] carries `R × KB` such chains through `o`
-    ///   together;
-    /// * `W[o][k] = ((W[o][k] + t[0][o]·x[0][k]) + t[1][o]·x[1][k]) + …`
-    ///   with `t[s][o] = −(lr·dy[s][o])`, `s` ascending — [`sgd_tile`]
-    ///   holds an `OBW × KB` block of `W` in registers for the whole batch
-    ///   and stores it once, where the elementwise form read and wrote the
-    ///   matrix once per sample; each bias subtracts `lr·dy[s][o]`, `s`
-    ///   ascending, as it always did.
-    ///
-    /// As in the forward, the speed comes from which chains run side by
-    /// side; the order within a chain never changes, so no bit does. A
-    /// layer with fewer than `OBW` outputs has no block to tile and runs
-    /// [`Linear::backward_elementwise`] itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are inconsistent.
-    pub(crate) fn backward_tiles(
-        &mut self,
-        x: &[f32],
-        dy: &[f32],
-        lr: f32,
-        dx: &mut Vec<f32>,
-        scratch: &mut BackwardScratch,
-    ) {
-        let batch = self.batch_of(x);
-        assert_eq!(dy.len(), batch * self.out_dim, "gradient shape mismatch");
-        dx.clear();
-        dx.resize(batch * self.in_dim, 0.0);
-        if self.out_dim < OBW {
-            return self.backward_elementwise(x, dy, lr, dx);
+        assert_eq!(
+            dy.len(),
+            self.batch_of(x) * self.out_dim,
+            "gradient shape mismatch"
+        );
+        self.input_gradient_into(dy, dx, &mut Vec::new());
+        let (mut x_panels, mut steps) = (Vec::new(), dy.to_vec());
+        self.pack_update(x, &mut steps, lr, &mut x_panels);
+        let rows = UpdateRows {
+            x,
+            x_panels: &x_panels,
+            steps: &steps,
+        };
+        for block in self.row_blocks(1) {
+            block.sgd(std::iter::once(rows));
         }
-        self.input_gradient(dy, dx, &mut scratch.padded_w);
-        self.sgd_update(x, dy, lr, scratch);
     }
 
     /// The backward as its definition reads: into a zeroed `dx`, one
     /// [`kernels::axpy`] over a row of `dx` per output; then per sample one
     /// over every row of `W` and one step off every bias. It is what the
-    /// tiles are tested against, and what a layer with fewer than `OBW`
-    /// outputs runs: there is no block of `W` to keep in registers, `dx` is
-    /// under `OBW` products per element, and packing `x` costs as much as
-    /// the update itself (`docs/perf.md` has the 128 × 1 timings).
+    /// tiles are tested against.
+    #[cfg(test)]
     fn backward_elementwise(&mut self, x: &[f32], dy: &[f32], lr: f32, dx: &mut [f32]) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         for (dys, dxs) in dy.chunks_exact(out_dim).zip(dx.chunks_exact_mut(in_dim)) {
@@ -299,22 +272,49 @@ impl Linear {
         }
     }
 
-    /// `dx = dy · W` into a zeroed `dx`. `k`-blocks are the outer loop so
-    /// the `out_dim × KB` slab of `W` a block reads stays cached across the
-    /// batch. A ragged last block overlaps the one before it: `dx` is a
-    /// pure function of `dy` and `W`, so the shared lanes are computed and
-    /// stored twice with the same bits.
-    fn input_gradient(&self, dy: &[f32], dx: &mut [f32], padded: &mut Vec<f32>) {
+    /// The backward's first half, `dx = dy·W` into `dx` (resized and
+    /// overwritten), each element the chain the elementwise form folds —
+    /// one [`kernels::axpy`] over a row of `dx` per output, `o` ascending:
+    /// `dx[s][k] = ((0 + dy[s][0]·W[0][k]) + dy[s][1]·W[1][k]) + …`.
+    /// [`dx_tile`] carries `R × KB` such chains through `o` together; a
+    /// layer with fewer than `OBW` outputs runs the `axpy`s themselves (its
+    /// `dx` is under `OBW` products per element).
+    ///
+    /// Each sample's `dx` reads only its own `dy` row and `W`, so any split
+    /// of the batch computes the same bits. `padded` holds the zero-padded
+    /// weight copy a layer narrower than `KB` reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy` is not whole rows of `out_dim`.
+    pub(crate) fn input_gradient_into(&self, dy: &[f32], dx: &mut Vec<f32>, padded: &mut Vec<f32>) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        assert_eq!(dy.len() % out_dim, 0, "gradient shape mismatch");
+        dx.clear();
+        dx.resize(dy.len() / out_dim * in_dim, 0.0);
+        if out_dim < OBW {
+            for (dys, dxs) in dy.chunks_exact(out_dim).zip(dx.chunks_exact_mut(in_dim)) {
+                for (&g, w) in dys.iter().zip(self.weights.chunks_exact(in_dim)) {
+                    kernels::axpy(dxs, g, w);
+                }
+            }
+            return;
+        }
         if in_dim < KB {
             // Rows narrower than a tile are read from a zero-padded copy;
             // the lanes past `in_dim` are computed and dropped.
-            pack_columns::<KB>(&self.weights, in_dim, 0..in_dim, padded, |v| v);
+            let rows = self.weights.chunks_exact(in_dim);
+            pack_columns::<KB>(rows, out_dim, 0..in_dim, padded);
             dx_blocks(dy, out_dim, padded, KB, 0, |s, row| {
                 dx[s * in_dim..(s + 1) * in_dim].copy_from_slice(&row[..in_dim]);
             });
             return;
         }
+        // `k`-blocks are the outer loop so the `out_dim × KB` slab of `W` a
+        // block reads stays cached across the batch. A ragged last block
+        // overlaps the one before it: `dx` is a pure function of `dy` and
+        // `W`, so the shared lanes are computed and stored twice with the
+        // same bits.
         for k in (0..in_dim).step_by(KB).map(|k| k.min(in_dim - KB)) {
             dx_blocks(dy, out_dim, &self.weights, in_dim, k, |s, row| {
                 dx[s * in_dim + k..][..KB].copy_from_slice(row);
@@ -322,39 +322,44 @@ impl Linear {
         }
     }
 
-    /// `W -= lr · dyᵀ · x ; b -= lr · Σ_batch dy`, one `OBW × KB` block of
-    /// `W` at a time. `k`-blocks are the outer loop: each packs its panel
-    /// of `x` (`batch × KB`, 16 KiB at batch 256) right before the output
-    /// blocks that stream it, so they read it from L1. Blocks never
-    /// overlap (an overlapped lane would be updated twice): a ragged `k`
-    /// tail loads and stores only its own lanes and computes the rest on
-    /// the panel's zero padding, and a ragged output tail runs one row at
-    /// a time.
-    fn sgd_update(&mut self, x: &[f32], dy: &[f32], lr: f32, s: &mut BackwardScratch) {
+    /// Readies a run of samples' share of the update (see
+    /// [`UpdateRows`]), once its `dx` is taken: turns the output gradient
+    /// `dy` (`n × out_dim`) into the steps `−(lr·dy)` in place, and packs
+    /// `x` (`n × in_dim`) into `x_panels` (cleared and refilled; nothing
+    /// for a layer with fewer than `OBW` outputs, which updates from the
+    /// rows themselves). Per sample, like the `dx`: any split of the batch
+    /// computes the same rows.
+    pub(crate) fn pack_update(&self, x: &[f32], dy: &mut [f32], lr: f32, x_panels: &mut Vec<f32>) {
+        for g in dy.iter_mut() {
+            *g = -(lr * *g);
+        }
+        x_panels.clear();
+        if self.out_dim >= OBW {
+            let in_dim = self.in_dim;
+            let n = x.len() / in_dim;
+            pack_columns::<KB>(x.chunks_exact(in_dim), n, 0..in_dim, x_panels);
+        }
+    }
+
+    /// The backward's second half, the SGD update, cut into at most
+    /// `blocks` disjoint blocks of weight rows (and their biases), in row
+    /// order. Each block's update is a pure function of its own rows and
+    /// the batch, so the blocks may run anywhere, in any order.
+    pub(crate) fn row_blocks(&mut self, blocks: usize) -> impl Iterator<Item = RowBlock<'_>> {
+        // Whole `OBW` panels, as evenly as they go.
+        let rows = self.out_dim.div_ceil(OBW).div_ceil(blocks.max(1)) * OBW;
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let batch = dy.len() / out_dim;
-        if batch == 0 {
-            return;
-        }
-        for dys in dy.chunks_exact(out_dim) {
-            for (b, &g) in self.bias.iter_mut().zip(dys) {
-                *b -= lr * g;
-            }
-        }
-        pack_columns::<OBW>(dy, out_dim, 0..out_dim, &mut s.steps, |g| -(lr * g));
-        let (steps, tail) = s.steps.split_at(out_dim / OBW * batch * OBW);
-        for k in (0..in_dim).step_by(KB) {
-            let n = KB.min(in_dim - k);
-            pack_columns::<KB>(x, in_dim, k..k + n, &mut s.x_panel, |v| v);
-            let mut blocks = self.weights.chunks_exact_mut(OBW * in_dim);
-            for (w, t) in (&mut blocks).zip(steps.chunks_exact(batch * OBW)) {
-                sgd_tile::<OBW>(w, in_dim, k, n, &s.x_panel, t, 0);
-            }
-            let rows = blocks.into_remainder().chunks_exact_mut(in_dim);
-            for (lane, w) in rows.enumerate() {
-                sgd_tile::<1>(w, in_dim, k, n, &s.x_panel, tail, lane);
-            }
-        }
+        self.weights
+            .chunks_mut(rows * in_dim)
+            .zip(self.bias.chunks_mut(rows))
+            .enumerate()
+            .map(move |(i, (weights, bias))| RowBlock {
+                in_dim,
+                out_dim,
+                first: i * rows,
+                weights,
+                bias,
+            })
     }
 
     /// Exact bitwise equality of parameters (see
@@ -372,6 +377,95 @@ impl Linear {
                 .iter()
                 .zip(&other.bias)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+/// Rows `first..first + bias.len()` of a [`Linear`] layer's parameters:
+/// one shard of its SGD update (see [`Linear::row_blocks`]).
+#[derive(Debug)]
+pub(crate) struct RowBlock<'a> {
+    in_dim: usize,
+    out_dim: usize,
+    first: usize,
+    weights: &'a mut [f32],
+    bias: &'a mut [f32],
+}
+
+impl RowBlock<'_> {
+    /// `W -= lr · dyᵀ · x ; b -= lr · Σ_batch dy` over this block's rows,
+    /// the batch being the samples of `parts` in order: each part is a
+    /// contiguous run of samples, readied by [`Linear::pack_update`].
+    ///
+    /// Every element keeps the chain the elementwise form folds, `s`
+    /// ascending over the whole batch: `W[o][k] = ((W[o][k] + t[0][o]·x[0][k])
+    /// + t[1][o]·x[1][k]) + …` with `t[s][o] = −(lr·dy[s][o])`, and each
+    /// bias adds `t[s][o]` — the same as subtracting `lr·dy[s][o]`, since
+    /// IEEE-754 subtraction is addition of the negation. [`sgd_tile`] holds
+    /// an `OBW × KB` block of `W` in registers across every part and stores
+    /// it once, where the elementwise form read and wrote the matrix once
+    /// per sample. A layer with fewer than `OBW` outputs runs the
+    /// elementwise form itself: there is no block of `W` to keep in
+    /// registers, and packing `x` costs as much as the update
+    /// (`docs/perf.md` has the 128 × 1 timings).
+    ///
+    /// Blocks never overlap (an overlapped lane would be updated twice): a
+    /// ragged `k` tail loads and stores only its own lanes and computes the
+    /// rest on the panels' zero padding, and a ragged output tail runs one
+    /// row at a time.
+    pub(crate) fn sgd<'x>(self, parts: impl Iterator<Item = UpdateRows<'x>> + Clone) {
+        let RowBlock {
+            in_dim,
+            out_dim,
+            first,
+            weights,
+            bias,
+        } = self;
+        let cols = first..first + bias.len();
+        if out_dim < OBW {
+            for part in parts {
+                let rows = part
+                    .x
+                    .chunks_exact(in_dim)
+                    .zip(part.steps.chunks_exact(out_dim));
+                for (xs, ts) in rows {
+                    for ((&t, w), b) in ts[cols.clone()]
+                        .iter()
+                        .zip(weights.chunks_exact_mut(in_dim))
+                        .zip(bias.iter_mut())
+                    {
+                        kernels::axpy(w, t, xs);
+                        *b += t;
+                    }
+                }
+            }
+            return;
+        }
+        for part in parts.clone() {
+            for ts in part.steps.chunks_exact(out_dim) {
+                for (b, &t) in bias.iter_mut().zip(&ts[cols.clone()]) {
+                    *b += t;
+                }
+            }
+        }
+        for (p, k) in (0..in_dim).step_by(KB).enumerate() {
+            let n = KB.min(in_dim - k);
+            // Panel `p` of each part: its rows of `KB` lanes.
+            let parts = parts.clone().map(|part| {
+                let rows = part.x.len() / in_dim;
+                (
+                    &part.x_panels[p * rows * KB..(p + 1) * rows * KB],
+                    part.steps,
+                )
+            });
+            let mut blocks = weights.chunks_exact_mut(OBW * in_dim);
+            for (o, w) in (first..).step_by(OBW).zip(&mut blocks) {
+                sgd_tile::<OBW>(w, in_dim, k, n, parts.clone(), out_dim, o);
+            }
+            let rows = blocks.into_remainder().chunks_exact_mut(in_dim);
+            for (o, w) in (first + bias.len() / OBW * OBW..).zip(rows) {
+                sgd_tile::<1>(w, in_dim, k, n, parts.clone(), out_dim, o);
+            }
+        }
     }
 }
 
@@ -452,19 +546,20 @@ fn dx_tile<const N: usize>(
 }
 
 /// One SGD-update register tile: lanes `k..k + n` of `N` consecutive rows
-/// of `W` (`w`, `N × in_dim`) are loaded, take `t[s][lane + r] · x[s][j]`
-/// for every sample `s` ascending (`xs` one `k`-panel, `steps` one output
-/// panel), and are stored back. Lanes past `n` start from zero, run on
-/// the panel's zero padding and are dropped.
+/// `o..o + N` of `W` (`w`, `N × in_dim`) are loaded, take
+/// `t[s][o + r] · x[s][j]` for every sample `s` of every part in order
+/// (each part one `k`-panel of `x` and its steps, `out_dim` wide), and are
+/// stored back. Lanes past `n` start from zero, run on the panel's zero
+/// padding and are dropped.
 #[inline]
-fn sgd_tile<const N: usize>(
+fn sgd_tile<'p, const N: usize>(
     w: &mut [f32],
     in_dim: usize,
     k: usize,
     n: usize,
-    xs: &[f32],
-    steps: &[f32],
-    lane: usize,
+    parts: impl Iterator<Item = (&'p [f32], &'p [f32])>,
+    out_dim: usize,
+    o: usize,
 ) {
     let mut acc = [[0.0f32; KB]; N];
     for (acc, w) in acc.iter_mut().zip(w.chunks_exact(in_dim)) {
@@ -475,10 +570,13 @@ fn sgd_tile<const N: usize>(
             acc[..n].copy_from_slice(&w[k..k + n]);
         }
     }
-    for (x, t) in xs.chunks_exact(KB).zip(steps.chunks_exact(OBW)) {
-        for (acc, &t) in acc.iter_mut().zip(&t[lane..lane + N]) {
-            for (a, &xv) in acc.iter_mut().zip(x) {
-                *a += t * xv;
+    for (xs, steps) in parts {
+        for (x, ts) in xs.chunks_exact(KB).zip(steps.chunks_exact(out_dim)) {
+            let ts: &[f32; N] = ts[o..o + N].try_into().expect("N steps");
+            for (acc, &t) in acc.iter_mut().zip(ts) {
+                for (a, &xv) in acc.iter_mut().zip(x) {
+                    *a += t * xv;
+                }
             }
         }
     }
@@ -491,31 +589,27 @@ fn sgd_tile<const N: usize>(
     }
 }
 
-/// Repacks columns `cols` of row-major `rows` (`batch × width`) as
-/// `L`-lane panels: panel `p` holds `f` of columns `cols.start + p·L..`
-/// of every row, `batch` rows of `L`, the last panel zero-padded
-/// (`panels[(p·batch + s)·L + j] = f(rows[s·width + cols.start + p·L + j])`).
-fn pack_columns<const L: usize>(
-    rows: &[f32],
-    width: usize,
+/// Repacks columns `cols` of `batch` rows as `L`-lane panels: panel `p`
+/// holds columns `cols.start + p·L..` of every row, `batch` rows of `L`,
+/// the last panel zero-padded
+/// (`panels[(p·batch + s)·L + j] = rows[s][cols.start + p·L + j]`).
+fn pack_columns<'r, const L: usize>(
+    rows: impl Iterator<Item = &'r [f32]>,
+    batch: usize,
     cols: Range<usize>,
     panels: &mut Vec<f32>,
-    f: impl Fn(f32) -> f32,
 ) {
-    let batch = rows.len() / width;
     panels.clear();
     panels.resize(cols.len().div_ceil(L) * batch * L, 0.0);
-    for (s, row) in rows.chunks_exact(width).enumerate() {
+    for (s, row) in rows.enumerate() {
         let mut at = s * L;
         let mut chunks = row[cols.clone()].chunks_exact(L);
         for lanes in &mut chunks {
-            for (dst, &v) in panels[at..at + L].iter_mut().zip(lanes) {
-                *dst = f(v);
-            }
+            panels[at..at + L].copy_from_slice(lanes);
             at += batch * L;
         }
         for (dst, &v) in panels.iter_mut().skip(at).zip(chunks.remainder()) {
-            *dst = f(v);
+            *dst = v;
         }
     }
 }

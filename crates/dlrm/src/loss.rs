@@ -24,32 +24,48 @@ pub fn sigmoid(z: f32) -> f32 {
 /// Panics if `logits` and `labels` differ in length or labels are outside
 /// `[0, 1]`.
 pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> (f32, Vec<f32>) {
-    let mut grads = Vec::new();
-    let loss = bce_with_logits_into(logits, labels, &mut grads);
-    (loss, grads)
+    let (mut terms, mut grads) = (Vec::new(), Vec::new());
+    bce_terms_into(logits, labels, logits.len(), &mut terms, &mut grads);
+    (mean(&terms, logits.len()), grads)
 }
 
-/// [`bce_with_logits`] writing the logit gradients into a reusable buffer
-/// (cleared and refilled in place); returns the mean loss.
+/// The per-sample half of [`bce_with_logits`] for some samples of an
+/// `n`-sample batch: each one's loss term into `terms` and its logit
+/// gradient (divided by `n`) into `grads`, both cleared and refilled.
+/// [`mean`] folds the terms of the whole batch.
 ///
 /// # Panics
 ///
 /// Same conditions as [`bce_with_logits`].
-pub(crate) fn bce_with_logits_into(logits: &[f32], labels: &[f32], grads: &mut Vec<f32>) -> f32 {
+pub(crate) fn bce_terms_into(
+    logits: &[f32],
+    labels: &[f32],
+    n: usize,
+    terms: &mut Vec<f32>,
+    grads: &mut Vec<f32>,
+) {
     assert_eq!(logits.len(), labels.len(), "batch size mismatch");
     assert!(
         labels.iter().all(|&y| (0.0..=1.0).contains(&y)),
         "labels must be in [0, 1]"
     );
-    let n = logits.len().max(1) as f32;
-    let mut loss = 0.0f32;
+    let n = n.max(1) as f32;
+    terms.clear();
     grads.clear();
-    grads.reserve(logits.len());
     for (&z, &y) in logits.iter().zip(labels) {
-        loss += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
+        terms.push(z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln());
         grads.push((sigmoid(z) - y) / n);
     }
-    loss / n
+}
+
+/// The mean loss of an `n`-sample batch from its per-sample terms, summed
+/// in sample order.
+pub(crate) fn mean<'a>(terms: impl IntoIterator<Item = &'a f32>, n: usize) -> f32 {
+    let mut loss = 0.0f32;
+    for &t in terms {
+        loss += t;
+    }
+    loss / n.max(1) as f32
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Multi-layer perceptrons with ReLU activations.
 
 use crate::kernels;
-use crate::linear::{BackwardScratch, Linear};
+use crate::linear::{Linear, UpdateRows};
 
 /// A stack of [`Linear`] layers with ReLU between (and optionally after)
 /// them.
@@ -15,7 +15,8 @@ pub struct Mlp {
     relu_last: bool,
 }
 
-/// Forward activations cached for the backward pass.
+/// Forward activations cached for the backward pass, and the gradients
+/// the backward leaves for the weight update.
 ///
 /// Activation widths differ per layer, so this is the one place a
 /// vector-of-vectors layout is structural rather than incidental; the
@@ -28,12 +29,20 @@ pub struct MlpActivations {
     inputs: Vec<Vec<f32>>,
     /// Pre-activation outputs of each layer (needed for the ReLU mask).
     pre_act: Vec<Vec<f32>>,
-    /// The k-major weight copy the forward kernel streams, rebuilt by each
-    /// layer in turn (sized by the largest).
-    packed: Vec<f32>,
-    /// The packed input and step copies the backward kernel streams,
-    /// likewise rebuilt by each layer in turn.
-    backward: BackwardScratch,
+    /// `grads[l]` is the loss gradient at layer `l`'s pre-activation (its
+    /// ReLU mask applied), what layer `l`'s `dx` reads; once that is
+    /// taken, [`Mlp::backward_samples`] turns it into the layer's SGD
+    /// steps `−(lr·dy)`, what its update reads.
+    grads: Vec<Vec<f32>>,
+    /// The k-major weight copies the forward kernel streams, one per
+    /// layer, for [`Mlp::forward_into`].
+    packed: Vec<Vec<f32>>,
+    /// The zero-padded weight copy the `dx` kernel reads for a layer
+    /// narrower than its tile, rebuilt by each layer that needs it.
+    padded: Vec<f32>,
+    /// Per layer, the packed input panels its update streams
+    /// ([`UpdateRows`]).
+    x_panels: Vec<Vec<f32>>,
 }
 
 impl MlpActivations {
@@ -52,9 +61,25 @@ impl MlpActivations {
         self.inputs.last().expect("at least one layer")
     }
 
-    /// [`MlpActivations::output`], or nothing before the first forward.
-    pub(crate) fn output_or_empty(&self) -> &[f32] {
-        self.inputs.last().map_or(&[], Vec::as_slice)
+    /// Layer `l`'s share of its update, as [`Mlp::backward_samples`] left
+    /// it.
+    pub(crate) fn update_rows(&self, l: usize) -> UpdateRows<'_> {
+        UpdateRows {
+            x: &self.inputs[l],
+            x_panels: &self.x_panels[l],
+            steps: &self.grads[l],
+        }
+    }
+
+    /// The MLP's output, and where the gradient of the loss w.r.t. it
+    /// goes before [`Mlp::backward_samples`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass has filled the cache yet.
+    pub(crate) fn output_and_grad_mut(&mut self) -> (&[f32], &mut Vec<f32>) {
+        let output = self.inputs.last().expect("at least one layer");
+        (output, self.grads.last_mut().expect("at least one layer"))
     }
 }
 
@@ -103,15 +128,34 @@ impl Mlp {
 
     /// Forward pass into a reusable activation cache: every buffer is
     /// cleared and refilled in place, so a steady-state training loop
-    /// performs no activation allocations (the hot-path variant the
-    /// pipeline's \[Train\] stage uses every iteration).
+    /// performs no activation allocations.
     pub fn forward_into(&self, x: &[f32], acts: &mut MlpActivations) {
+        let mut packed = std::mem::take(&mut acts.packed);
+        self.pack(&mut packed);
+        self.forward_packed(x, &packed, acts);
+        acts.packed = packed;
+    }
+
+    /// Refills `packed` with every layer's k-major weight copy
+    /// ([`Linear::pack_panels`]), the forward kernel's operand.
+    pub(crate) fn pack(&self, packed: &mut Vec<Vec<f32>>) {
+        packed.resize_with(self.layers.len(), Vec::new);
+        for (layer, packed) in self.layers.iter().zip(packed) {
+            layer.pack_panels(packed);
+        }
+    }
+
+    /// [`Mlp::forward_into`] from weight copies [`Mlp::pack`] made, which
+    /// any number of forwards may share.
+    pub(crate) fn forward_packed(&self, x: &[f32], packed: &[Vec<f32>], acts: &mut MlpActivations) {
         let n = self.layers.len();
         acts.inputs.resize_with(n + 1, Vec::new);
         acts.pre_act.resize_with(n, Vec::new);
+        acts.grads.resize_with(n, Vec::new);
+        acts.x_panels.resize_with(n, Vec::new);
         acts.inputs[0].clear();
         acts.inputs[0].extend_from_slice(x);
-        for (l, layer) in self.layers.iter().enumerate() {
+        for ((l, layer), packed) in self.layers.iter().enumerate().zip(packed) {
             let (head, tail) = acts.inputs.split_at_mut(l + 1);
             let (x, post) = (&head[l], &mut tail[0]);
             let pre = &mut acts.pre_act[l];
@@ -121,7 +165,7 @@ impl Mlp {
             // The kernel's epilogue writes the pre-activation and the
             // activation while the tile is still in registers.
             let relu = l + 1 < n || self.relu_last;
-            layer.forward_tiles(x, &mut acts.packed, |at, vals| {
+            layer.forward_tiles(x, packed, |at, vals| {
                 let to = at + vals.len();
                 pre[at..to].copy_from_slice(vals);
                 if relu {
@@ -141,54 +185,76 @@ impl Mlp {
     /// Panics if `dy` does not match the cached activation shapes.
     pub fn backward(&mut self, acts: &MlpActivations, dy: &[f32], lr: f32) -> Vec<f32> {
         let mut grad = dy.to_vec();
-        let (spare, scratch) = (&mut Vec::new(), &mut BackwardScratch::default());
-        self.backward_layers(&acts.inputs, &acts.pre_act, lr, &mut grad, spare, scratch);
+        self.backward_into(&mut acts.clone(), lr, &mut grad);
         grad
     }
 
     /// [`Mlp::backward`] over reusable buffers: `grad` holds the output
-    /// gradient on entry and the gradient w.r.t. the MLP input on return,
-    /// ping-ponging with `spare` (overwritten); the kernel's packed copies
-    /// live in `acts`, whose activations are left as they were. Allocates
-    /// nothing once all of them have grown to the widest layer.
+    /// gradient on entry and the gradient w.r.t. the MLP input on return;
+    /// the layer gradients and the kernels' packed copies live in `acts`,
+    /// whose activations are left as they were. Allocates nothing once
+    /// every buffer has grown to its layer.
+    ///
+    /// Every `dx` is taken before any weight moves, which is what the
+    /// layer-by-layer order (`dx` of a layer, then its update) computes
+    /// too: a layer's update never feeds a `dx` below it.
     ///
     /// # Panics
     ///
     /// Panics if `grad` does not match the cached activation shapes.
-    pub fn backward_into(
-        &mut self,
+    pub fn backward_into(&mut self, acts: &mut MlpActivations, lr: f32, grad: &mut Vec<f32>) {
+        let (_, out) = acts.output_and_grad_mut();
+        out.clear();
+        out.extend_from_slice(grad);
+        self.backward_samples(acts, lr, Some(grad));
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            for block in layer.row_blocks(1) {
+                block.sgd(std::iter::once(acts.update_rows(l)));
+            }
+        }
+    }
+
+    /// The backward's per-sample half: from the output gradient in
+    /// [`MlpActivations::output_and_grad_mut`], applies each layer's ReLU
+    /// mask, packs its update's share of these samples
+    /// ([`Linear::pack_update`]) and takes its `dx` into the layer below's
+    /// gradient, top layer first; the first layer's `dx` goes to `dx`, or
+    /// is not computed when `None`. Reads the weights and moves none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output gradient does not match the cached activation
+    /// shapes.
+    pub(crate) fn backward_samples(
+        &self,
         acts: &mut MlpActivations,
         lr: f32,
-        grad: &mut Vec<f32>,
-        spare: &mut Vec<f32>,
+        mut dx: Option<&mut Vec<f32>>,
     ) {
         let MlpActivations {
             inputs,
             pre_act,
-            backward,
+            grads,
+            padded,
+            x_panels,
             ..
         } = acts;
-        self.backward_layers(inputs, pre_act, lr, grad, spare, backward);
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            if l + 1 < self.layers.len() || self.relu_last {
+                // ReLU mask from the pre-activation values.
+                kernels::relu_mask(&mut grads[l], &pre_act[l]);
+            }
+            let (below, at) = grads.split_at_mut(l);
+            if let Some(dx) = below.last_mut().or_else(|| dx.take()) {
+                layer.input_gradient_into(&at[0], dx, padded);
+            }
+            layer.pack_update(&inputs[l], &mut at[0], lr, &mut x_panels[l]);
+        }
     }
 
-    fn backward_layers(
-        &mut self,
-        inputs: &[Vec<f32>],
-        pre_act: &[Vec<f32>],
-        lr: f32,
-        grad: &mut Vec<f32>,
-        spare: &mut Vec<f32>,
-        scratch: &mut BackwardScratch,
-    ) {
-        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
-            let is_last = l + 1 == pre_act.len();
-            if !is_last || self.relu_last {
-                // ReLU mask from the pre-activation values.
-                kernels::relu_mask(grad, &pre_act[l]);
-            }
-            layer.backward_tiles(&inputs[l], grad, lr, spare, scratch);
-            std::mem::swap(grad, spare);
-        }
+    /// The layers, to cut their updates into row blocks.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Linear] {
+        &mut self.layers
     }
 
     /// Exact bitwise equality of all parameters.

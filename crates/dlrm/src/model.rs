@@ -14,10 +14,17 @@
 //! reusable arena, the model writes gradients back into a second arena,
 //! and no per-table `Vec`s are allocated on the training hot path.
 //! [`DlrmScratch`] extends the same discipline to everything else a step
-//! touches, so a steady-state step performs no heap allocation at all.
+//! touches, so a steady-state step on the calling thread performs no heap
+//! allocation at all. [`DlrmModel::train_step_on`] runs the step as two
+//! fork-join regions — per sample range, then per block of weight rows —
+//! with the same bits at every width.
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use crate::config::DlrmConfig;
-use crate::interaction;
+use crate::interaction::{self, Operands};
+use crate::linear::RowBlock;
 use crate::loss;
 use crate::mlp::{Mlp, MlpActivations};
 
@@ -42,23 +49,85 @@ pub struct TrainStepOutput {
     pub logits: Vec<f32>,
 }
 
+/// The fork-join a training step's two regions run on
+/// ([`DlrmModel::train_step_on`]): a way to run a set of tasks that own
+/// disjoint data and to wait for all of them.
+pub trait ForkJoin {
+    /// What a region reports when a task failed (panicked, say).
+    type Error;
+
+    /// How many tasks may run at once. Above 1, the step cuts its batch
+    /// into `RANGES_PER_WORKER` (4) sample ranges per task that may run
+    /// and each layer's update into this many blocks of weight rows.
+    fn width(&self) -> usize;
+
+    /// Runs every task and returns once all have finished.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the implementation reports for a failed task.
+    fn join<F: FnOnce() + Send>(&self, tasks: impl Iterator<Item = F>) -> Result<(), Self::Error>;
+}
+
+/// The width-1 [`ForkJoin`]: every task on the calling thread, in order,
+/// with nothing allocated. A panicking task unwinds through the step.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Inline;
+
+impl ForkJoin for Inline {
+    type Error = Infallible;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn join<F: FnOnce() + Send>(&self, tasks: impl Iterator<Item = F>) -> Result<(), Infallible> {
+        tasks.for_each(|task| task());
+        Ok(())
+    }
+}
+
+/// Sample ranges per task a fanned-out step may run at once: a task that
+/// starts late, or on a CPU the host is busy with, then holds region 1 up
+/// by a quarter of its share at most — if the fork-join hands out tasks
+/// as workers come free.
+const RANGES_PER_WORKER: usize = 4;
+
 /// Every buffer a [`DlrmModel`] training step needs besides its inputs
-/// and outputs: MLP activation caches (with the forward kernel's packed
-/// weight copy), the interaction output, and the two ping-pong buffers the
-/// backward chain's gradients alternate between. Allocate once and pass to
-/// every [`DlrmModel::train_step_with`] call: buffers grow to steady-state
-/// size on the first step, after which a step allocates nothing.
+/// and outputs: the forward kernel's packed weight copies, and per sample
+/// range of the batch the MLP activation caches (with the update's packed
+/// copies), every layer's gradient, the interaction output and its
+/// gradient and the per-sample loss terms. Allocate once and pass to every
+/// step: buffers grow to steady-state size on the first step, after which
+/// a step allocates nothing.
 ///
 /// The contents are scratch, not state — every step overwrites what it
 /// reads — so a *clone* starts empty instead of copying megabytes of
 /// stale activations.
 #[derive(Debug, Default)]
 pub struct DlrmScratch {
-    acts_bottom: MlpActivations,
-    acts_top: MlpActivations,
+    /// The sample ranges of the last step, in sample order; the vector
+    /// only grows, and `live` of its entries were used.
+    shards: Vec<Shard>,
+    live: usize,
+    /// Every layer's packed weights, bottom MLP then top, packed once per
+    /// step and read by every shard's forward.
+    packed: [Vec<Vec<f32>>; 2],
+}
+
+/// One contiguous sample range of a step: everything region 1 computes
+/// for its samples, and what region 2 reads back.
+#[derive(Debug, Default)]
+struct Shard {
+    samples: Range<usize>,
+    bottom: MlpActivations,
+    top: MlpActivations,
+    /// The interaction output (the top MLP's input) and its gradient.
     z: Vec<f32>,
-    grad: Vec<f32>,
-    spare: Vec<f32>,
+    dz: Vec<f32>,
+    /// Each sample's loss term, folded in sample order between the
+    /// regions.
+    terms: Vec<f32>,
 }
 
 impl DlrmScratch {
@@ -68,16 +137,104 @@ impl DlrmScratch {
         Self::default()
     }
 
-    /// The logits of the last [`DlrmModel::train_step_with`] call through
-    /// this scratch (empty before the first).
-    pub fn logits(&self) -> &[f32] {
-        self.acts_top.output_or_empty()
+    /// The logits of the last step through this scratch, in sample order
+    /// (none before the first).
+    pub fn logits(&self) -> impl Iterator<Item = f32> + '_ {
+        self.shards[..self.live]
+            .iter()
+            .flat_map(|shard| shard.top.output().iter().copied())
     }
 }
 
 impl Clone for DlrmScratch {
     fn clone(&self) -> Self {
         Self::new()
+    }
+}
+
+impl Shard {
+    /// Region 1 for this shard's samples of a step: the forward, the loss
+    /// terms and `dlogits`, then every layer's `dx` and packed update input
+    /// — each a function of the sample's own row and the weights, which no
+    /// task writes in this region.
+    fn forward_backward(&mut self, model: &DlrmModel, packed: &[Vec<Vec<f32>>; 2], step: Step<'_>) {
+        let Step {
+            dense,
+            pooled,
+            labels,
+            lr,
+        } = step;
+        let (c, batch) = (&model.config, labels.len());
+        let s = self.samples.clone();
+        let (tables, dim) = (c.num_tables, c.emb_dim);
+        let dense = &dense[s.start * c.dense_dim..s.end * c.dense_dim];
+        model
+            .bottom
+            .forward_packed(dense, &packed[0], &mut self.bottom);
+        let operands = Operands::range(self.bottom.output(), pooled, tables, dim, batch, s.start);
+        interaction::forward_range(operands, &mut self.z);
+        model.top.forward_packed(&self.z, &packed[1], &mut self.top);
+        let (logits, dlogits) = self.top.output_and_grad_mut();
+        loss::bce_terms_into(logits, &labels[s.clone()], batch, &mut self.terms, dlogits);
+        model
+            .top
+            .backward_samples(&mut self.top, lr, Some(&mut self.dz));
+        let (bottom, d_bottom) = self.bottom.output_and_grad_mut();
+        let operands = Operands::range(bottom, pooled, tables, dim, batch, s.start);
+        interaction::bottom_grad_into(operands, &self.dz, d_bottom);
+        // The dense features take no gradient.
+        model.bottom.backward_samples(&mut self.bottom, lr, None);
+    }
+}
+
+/// A step's inputs, as the tasks of both regions read them.
+#[derive(Clone, Copy)]
+struct Step<'a> {
+    dense: &'a [f32],
+    pooled: &'a [f32],
+    labels: &'a [f32],
+    lr: f32,
+}
+
+/// One task of region 2.
+enum Update<'a> {
+    /// A block of weight rows of layer `layer` of the bottom or top MLP.
+    Rows {
+        block: RowBlock<'a>,
+        top: bool,
+        layer: usize,
+    },
+    /// Table `t`'s pooled-embedding gradient, `batch × dim`.
+    Table { t: usize, grads: &'a mut [f32] },
+}
+
+impl Update<'_> {
+    fn run(self, shards: &[Shard], c: &DlrmConfig, step: Step<'_>) {
+        let (pooled, batch) = (step.pooled, step.labels.len());
+        match self {
+            Update::Rows { block, top, layer } => {
+                let parts = shards.iter().map(|shard| {
+                    let acts = if top { &shard.top } else { &shard.bottom };
+                    acts.update_rows(layer)
+                });
+                block.sgd(parts);
+            }
+            Update::Table { t, grads } => {
+                for shard in shards {
+                    let (s, dim) = (shard.samples.clone(), c.emb_dim);
+                    let operands = Operands::range(
+                        shard.bottom.output(),
+                        pooled,
+                        c.num_tables,
+                        dim,
+                        batch,
+                        s.start,
+                    );
+                    let rows = &mut grads[s.start * dim..s.end * dim];
+                    interaction::table_grad(operands, &shard.dz, t, rows);
+                }
+            }
+        }
     }
 }
 
@@ -130,23 +287,18 @@ impl DlrmModel {
     ) -> TrainStepOutput {
         let mut scratch = DlrmScratch::new();
         let mut out = self.train_step_with(&mut scratch, dense, pooled, labels, lr, emb_grads);
-        out.logits = scratch.logits().to_vec();
+        out.logits = scratch.logits().collect();
         out
     }
 
     /// One full dense-side training step with SGD at learning rate `lr`:
-    /// forward through bottom MLP → interaction → top MLP → BCE, backward
-    /// all the way, update both MLPs, and write the pooled-embedding
-    /// gradients into `emb_grads` (same flat layout as `pooled`,
-    /// overwritten — a dirty reused arena is fine). Once `scratch` has
-    /// seen this batch size the step performs no heap allocation; the
-    /// logits stay in [`DlrmScratch::logits`].
+    /// [`DlrmModel::train_step_on`] on the calling thread ([`Inline`]).
+    /// Once `scratch` has seen this batch size the step performs no heap
+    /// allocation; the logits stay in [`DlrmScratch::logits`].
     ///
     /// # Panics
     ///
-    /// Panics if `dense` is not `batch × dense_dim`, `pooled` is not
-    /// `num_tables × batch × emb_dim`, `labels` is not `batch` long, or
-    /// `emb_grads` does not match `pooled`.
+    /// Same conditions as [`DlrmModel::train_step_on`].
     pub fn train_step_with(
         &mut self,
         scratch: &mut DlrmScratch,
@@ -156,6 +308,55 @@ impl DlrmModel {
         lr: f32,
         emb_grads: &mut [f32],
     ) -> TrainStepOutput {
+        let Ok(out) = self.train_step_on(&Inline, scratch, dense, pooled, labels, lr, emb_grads);
+        out
+    }
+
+    /// One full dense-side training step with SGD at learning rate `lr`:
+    /// forward through bottom MLP → interaction → top MLP → BCE, backward
+    /// all the way, update both MLPs, and write the pooled-embedding
+    /// gradients into `emb_grads` (same flat layout as `pooled`,
+    /// overwritten — a dirty reused arena is fine).
+    ///
+    /// The step is two regions of `fork_join`, with the loss folded on the
+    /// calling thread in between:
+    ///
+    /// 1. **Per contiguous sample range** (one at width 1, four per task
+    ///    that may run otherwise, fewer if the batch is smaller): forward,
+    ///    loss terms and `dlogits`, every layer's `dx`, then the layer's
+    ///    steps `−(lr·dy)` and its packed input. No sample reads another's row,
+    ///    and every `dx` reads the weights as they were before the step —
+    ///    as the layer-by-layer order computes it too, since a layer's
+    ///    update never feeds a `dx` below it.
+    /// 2. **Per block of weight rows** (each layer cut into up to `width`)
+    ///    and **per table**: the SGD update, each weight and bias folding
+    ///    the whole batch's samples in ascending order, and each table's
+    ///    pooled-embedding gradient.
+    ///
+    /// Every output element keeps the accumulation chain of the
+    /// one-thread step, so every width computes the same bits.
+    ///
+    /// # Errors
+    ///
+    /// What `fork_join` reports for a failed task. The model may then be
+    /// part-updated (a caller that retries restores it first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense` is not `batch × dense_dim`, `pooled` is not
+    /// `num_tables × batch × emb_dim`, `labels` is not `batch` long or
+    /// outside `[0, 1]`, or `emb_grads` does not match `pooled`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn train_step_on<J: ForkJoin>(
+        &mut self,
+        fork_join: &J,
+        scratch: &mut DlrmScratch,
+        dense: &[f32],
+        pooled: &[f32],
+        labels: &[f32],
+        lr: f32,
+        emb_grads: &mut [f32],
+    ) -> Result<TrainStepOutput, J::Error> {
         let c = &self.config;
         assert_eq!(dense.len() % c.dense_dim, 0, "ragged dense batch");
         let batch = dense.len() / c.dense_dim;
@@ -165,53 +366,81 @@ impl DlrmModel {
             "pooled must be num_tables × batch × emb_dim"
         );
         assert_eq!(labels.len(), batch, "one label per sample");
+        assert!(
+            labels.iter().all(|&y| (0.0..=1.0).contains(&y)),
+            "labels must be in [0, 1]"
+        );
         assert_eq!(
             emb_grads.len(),
             pooled.len(),
             "gradient buffer must match pooled layout"
         );
 
-        // Forward.
-        self.bottom.forward_into(dense, &mut scratch.acts_bottom);
-        interaction::forward_into(
-            scratch.acts_bottom.output(),
-            pooled,
-            c.num_tables,
-            c.emb_dim,
-            &mut scratch.z,
-        );
-        self.top.forward_into(&scratch.z, &mut scratch.acts_top);
-        let loss = loss::bce_with_logits_into(scratch.acts_top.output(), labels, &mut scratch.grad);
+        // Near-equal contiguous sample ranges, as `WorkerPool` cuts them.
+        let width = fork_join.width().max(1);
+        let ranges = if width == 1 {
+            1
+        } else {
+            width * RANGES_PER_WORKER
+        };
+        let live = ranges.min(batch);
+        if scratch.shards.len() < live {
+            scratch.shards.resize_with(live, Shard::default);
+        }
+        scratch.live = live;
+        let shards = &mut scratch.shards[..live];
+        let mut start = 0;
+        for (k, shard) in shards.iter_mut().enumerate() {
+            let len = (batch - start) / (live - k);
+            shard.samples = start..start + len;
+            start += len;
+        }
 
-        // Backward: `grad` carries the running gradient (dlogits → dz),
-        // the interaction hands d_bottom to `spare`, and the bottom MLP
-        // runs the same ping-pong the other way round.
-        self.top.backward_into(
-            &mut scratch.acts_top,
-            lr,
-            &mut scratch.grad,
-            &mut scratch.spare,
-        );
-        interaction::backward_into(
-            scratch.acts_bottom.output(),
+        let [packed_bottom, packed_top] = &mut scratch.packed;
+        self.bottom.pack(packed_bottom);
+        self.top.pack(packed_top);
+        let step = Step {
+            dense,
             pooled,
-            c.num_tables,
-            c.emb_dim,
-            &scratch.grad,
-            emb_grads,
-            &mut scratch.spare,
-        );
-        self.bottom.backward_into(
-            &mut scratch.acts_bottom,
+            labels,
             lr,
-            &mut scratch.spare,
-            &mut scratch.grad,
-        );
+        };
+        let (model, packed) = (&*self, &scratch.packed);
+        fork_join.join(
+            shards
+                .iter_mut()
+                .map(|shard| move || shard.forward_backward(model, packed, step)),
+        )?;
+        let loss = loss::mean(shards.iter().flat_map(|shard| &shard.terms), batch);
 
-        TrainStepOutput {
+        let DlrmModel {
+            config,
+            bottom,
+            top,
+        } = self;
+        // The top MLP's layers are the larger ones: first in the queue.
+        let mlps = [(true, top), (false, bottom)];
+        let rows = mlps.into_iter().flat_map(|(top, mlp)| {
+            let layers = mlp.layers_mut().iter_mut().enumerate();
+            layers.flat_map(move |(layer, linear)| {
+                linear
+                    .row_blocks(width)
+                    .map(move |block| Update::Rows { block, top, layer })
+            })
+        });
+        let updates = rows.chain(
+            emb_grads
+                .chunks_exact_mut((batch * config.emb_dim).max(1))
+                .enumerate()
+                .map(|(t, grads)| Update::Table { t, grads }),
+        );
+        let (shards, config) = (&scratch.shards[..live], &*config);
+        fork_join.join(updates.map(|update| move || update.run(shards, config, step)))?;
+
+        Ok(TrainStepOutput {
             loss,
             logits: Vec::new(),
-        }
+        })
     }
 
     /// Exact bitwise equality of all dense parameters.

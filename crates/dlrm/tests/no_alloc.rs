@@ -6,6 +6,10 @@
 //! for the dense step: `systems` is a dev-dependency here so that
 //! `DlrmBackend::step` is measured under the same counter.
 //! (`tests/supervised_alloc.rs` is the same pattern round `run_supervised`.)
+//!
+//! A step fanned out over a worker pool allocates too — its two region
+//! launches spawn threads and collect their tasks — but nothing that
+//! grows with the batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dlrm::{interaction, DlrmConfig, DlrmModel, DlrmScratch};
 use embeddings::SparseBatch;
 use scratchpipe::backend::{DenseBackend, PooledView};
+use scratchpipe::WorkerPool;
 use systems::DlrmBackend;
 
 struct Counting;
@@ -102,4 +107,35 @@ fn steady_state_steps_allocate_nothing() {
             "backend step {i}"
         );
     }
+
+    // Fanned out over a two-wide pool, a warm step allocates only for its
+    // two launches: as much at batch 1 024 as at 256.
+    let wide = 4 * batch;
+    let rows: Vec<Vec<Vec<u64>>> = (0..wide)
+        .map(|s| (0..tables).map(|t| vec![(s + t) as u64]).collect())
+        .collect();
+    let wide_sparse = SparseBatch::from_rows(tables, &rows);
+    let wide_pooled: Vec<f32> = (0..tables * wide * dim)
+        .map(|i| (i % 29) as f32 / 58.0 - 0.25)
+        .collect();
+    let mut wide_grads = vec![0.0f32; wide_pooled.len()];
+    let mut fanned = |backend: &mut DlrmBackend, i: usize, wide: bool| {
+        let (sparse, pooled, grads, batch) = if wide {
+            (&wide_sparse, &wide_pooled, &mut wide_grads, 4 * batch)
+        } else {
+            (&sparse, &pooled, &mut grads, batch)
+        };
+        let view = PooledView::new(pooled, tables, batch, dim);
+        let out = backend.step_on(WorkerPool::new(2), i, sparse, view, grads);
+        assert!(out.expect("no task panics").loss.is_finite());
+    };
+    fanned(&mut backend, 6, true);
+    fanned(&mut backend, 7, false);
+    let at_256 = allocations_in(|| fanned(&mut backend, 8, false));
+    let at_1024 = allocations_in(|| fanned(&mut backend, 9, true));
+    assert!(at_256 > 0, "a fanned step launches threads");
+    assert_eq!(
+        at_256, at_1024,
+        "fanned-step allocations grow with the batch"
+    );
 }

@@ -1,11 +1,13 @@
 //! The DLRM dense backend plugged into the \[Train\] stage.
 
-use dlrm::{DlrmConfig, DlrmModel, DlrmScratch};
+use dlrm::{DlrmConfig, DlrmModel, DlrmScratch, ForkJoin, Inline};
 use embeddings::SparseBatch;
 use memsim::Traffic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::backend::{DenseBackend, PooledView, StepResult};
+use scratchpipe::{ScratchError, WorkerPool};
+use std::sync::{Mutex, PoisonError};
 
 /// A full DLRM dense path (bottom MLP → interaction → top MLP → BCE) as a
 /// ScratchPipe [`DenseBackend`].
@@ -16,6 +18,9 @@ use scratchpipe::backend::{DenseBackend, PooledView, StepResult};
 /// the embedding gradients straight into the runtime's gradient arena.
 /// The backend holds a [`DlrmScratch`] and its own input buffers, so after
 /// the first step [`DenseBackend::step`] performs no heap allocation.
+/// [`DenseBackend::step_on`] runs the step's two regions on the pool it is
+/// given ([`DlrmModel::train_step_on`]), with the same bits at every
+/// width.
 ///
 /// Dense inputs and click labels are generated *deterministically from the
 /// iteration index*, so two systems training the same trace see the same
@@ -76,6 +81,68 @@ impl DlrmBackend {
     }
 }
 
+/// A [`WorkerPool`] as the fork-join the DLRM step's regions run on.
+///
+/// The workers take a region's tasks from one queue, in submission order,
+/// instead of being dealt a fixed share: the calling thread starts on the
+/// first task at once, and a worker that starts late, or runs on a CPU
+/// the host is lending to someone else, holds the region up by at most the
+/// task it took.
+struct Pool(WorkerPool);
+
+impl ForkJoin for Pool {
+    type Error = ScratchError;
+
+    fn width(&self) -> usize {
+        self.0.threads()
+    }
+
+    fn join<F: FnOnce() + Send>(&self, tasks: impl Iterator<Item = F>) -> Result<(), ScratchError> {
+        let queue = Mutex::new(tasks.collect::<Vec<F>>().into_iter());
+        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let workers = (0..self.0.threads()).map(|_| {
+            || {
+                while let Some(task) = next() {
+                    task();
+                }
+            }
+        });
+        self.0.run_tasks(workers.collect()).map(drop)
+    }
+}
+
+impl DlrmBackend {
+    /// One step of iteration `iteration`'s inputs on `fork_join`.
+    fn step_with<J: ForkJoin>(
+        &mut self,
+        fork_join: &J,
+        iteration: usize,
+        batch: &SparseBatch,
+        pooled: PooledView<'_>,
+        grads: &mut [f32],
+    ) -> Result<StepResult, J::Error> {
+        let batch_size = batch.batch_size();
+        fill_inputs(
+            self.seed,
+            iteration,
+            batch_size * self.config.dense_dim,
+            batch_size,
+            &mut self.dense,
+            &mut self.labels,
+        );
+        let out = self.model.train_step_on(
+            fork_join,
+            &mut self.scratch,
+            &self.dense,
+            pooled.as_flat(),
+            &self.labels,
+            self.lr,
+            grads,
+        )?;
+        Ok(StepResult { loss: out.loss })
+    }
+}
+
 /// Refills `dense` with `dense_len` features and `labels` with
 /// `batch_size` clicks, drawn in that order from iteration `i`'s stream.
 fn fill_inputs(
@@ -101,24 +168,22 @@ impl DenseBackend for DlrmBackend {
         pooled: PooledView<'_>,
         grads: &mut [f32],
     ) -> StepResult {
-        let batch_size = batch.batch_size();
-        fill_inputs(
-            self.seed,
-            iteration,
-            batch_size * self.config.dense_dim,
-            batch_size,
-            &mut self.dense,
-            &mut self.labels,
-        );
-        let out = self.model.train_step_with(
-            &mut self.scratch,
-            &self.dense,
-            pooled.as_flat(),
-            &self.labels,
-            self.lr,
-            grads,
-        );
-        StepResult { loss: out.loss }
+        let Ok(result) = self.step_with(&Inline, iteration, batch, pooled, grads);
+        result
+    }
+
+    fn step_on(
+        &mut self,
+        workers: WorkerPool,
+        iteration: usize,
+        batch: &SparseBatch,
+        pooled: PooledView<'_>,
+        grads: &mut [f32],
+    ) -> Result<StepResult, ScratchError> {
+        if workers.threads() == 1 {
+            return Ok(self.step(iteration, batch, pooled, grads));
+        }
+        self.step_with(&Pool(workers), iteration, batch, pooled, grads)
     }
 
     fn learning_rate(&self) -> f32 {
@@ -196,10 +261,10 @@ mod tests {
         let view = PooledView::new(&pooled, cfg.num_tables, 2, cfg.emb_dim);
         // Warm the source's buffers, then fork it mid-training.
         source.step(0, &batch, view, &mut gs);
-        assert!(!source.dense.is_empty() && !source.scratch.logits().is_empty());
+        assert!(!source.dense.is_empty() && source.scratch.logits().next().is_some());
         let mut copy = source.clone();
         assert!(copy.dense.is_empty() && copy.labels.is_empty());
-        assert!(copy.scratch.logits().is_empty());
+        assert!(copy.scratch.logits().next().is_none());
         for i in 1..=4 {
             let rs = source.step(i, &batch, view, &mut gs);
             let rc = copy.step(i, &batch, view, &mut gc);
