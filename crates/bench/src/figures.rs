@@ -325,9 +325,9 @@ fn fig05(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     #[rustfmt::skip]
     let claims = vec![
         claim("150–200 ms: hybrid iteration, slowest locality (ms)",    (200.0, 200.0), max(&total_ms[..4]), 200.83),
-        claim("150–200 ms: hybrid iteration, fastest locality (ms)",    (150.0, 150.0), min(&total_ms[..4]), 140.82),
+        claim("150–200 ms: hybrid iteration, fastest locality (ms)",    (150.0, 150.0), min(&total_ms[..4]), 140.84),
         claim("77–94 %: CPU share of the iteration, largest bar (%)",   (94.0, 94.0),   max(&cpu_share),     93.53),
-        claim("77–94 %: CPU share of the iteration, smallest bar (%)",  (77.0, 77.0),   min(&cpu_share),     32.50),
+        claim("77–94 %: CPU share of the iteration, smallest bar (%)",  (77.0, 77.0),   min(&cpu_share),     32.51),
     ];
     (rows, claims)
 }
@@ -377,7 +377,7 @@ fn fig12b(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     let (high, random) = (train_over_cpu[19], 1.0 / train_over_cpu[0]);
     #[rustfmt::skip]
     let claims = vec![
-        claim("High, 10 %: Train ÷ (Collect + Insert), Train-bound (×)",    (1.0, INF), high,   3.99),
+        claim("High, 10 %: Train ÷ (Collect + Insert), Train-bound (×)",    (1.0, INF), high,   4.00),
         claim("Random, 2 %: (Collect + Insert) ÷ Train, CPU-bound (×)",     (1.0, INF), random, 2.58),
     ];
     (rows, claims)
@@ -484,7 +484,7 @@ fn fig14(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     #[rustfmt::skip]
     let claims = vec![
         claim("energy ratio ÷ time ratio, static / ScratchPipe, max (×)",  (1.0, 1.0),   max(&tracking), 0.70),
-        claim("energy ratio ÷ time ratio, static / ScratchPipe, min (×)",  (1.0, 1.0),   min(&tracking), 0.63),
+        claim("energy ratio ÷ time ratio, static / ScratchPipe, min (×)",  (1.0, 1.0),   min(&tracking), 0.62),
         claim("static cache, largest bar, on a 0–80 J axis (J)",           (-INF, 80.0), max(&joules),   32.33),
         claim("static cache, smallest bar, tens of J (J)",                 (10.0, INF),  min(&joules),   13.12),
     ];
@@ -533,7 +533,7 @@ fn table1(runs: &mut Runs) -> (Rows, Vec<Claim>) {
     let claims = vec![
         claim("cost saving vs the 8-GPU node, mean (×)",        (4.0, 4.0),     mean(&savings), 3.90),
         claim("cost saving vs the 8-GPU node, max (×)",         (5.7, 5.7),     max(&savings),  6.55),
-        claim("saving rises with locality: High ÷ Random (×)",  (1.0, INF),     trend,          2.60),
+        claim("saving rises with locality: High ÷ Random (×)",  (1.0, INF),     trend,          2.61),
         claim("Random: ScratchPipe iteration (ms)",             (47.82, 47.82), sp_ms[0],       51.31),
         claim("Random: ScratchPipe, 1 M iterations ($)",        (40.64, 40.64), costs[0][0],    43.62),
         claim("Random: 8-GPU iteration (ms)",                   (16.22, 16.22), mg_ms[0],       16.13),
@@ -657,7 +657,7 @@ fn ablation_batch(runs: &mut Runs) -> (Rows, Vec<Claim>) {
         }
     }
     let what = "advantage persists over batch 512…8192: vs static cache, min (×)";
-    (rows, vec![claim(what, (1.0, INF), min(&gain), 1.61)])
+    (rows, vec![claim(what, (1.0, INF), min(&gain), 1.60)])
 }
 
 #[cfg(test)]

@@ -18,11 +18,15 @@ const GOLDEN: [(&str, u64); 14] = [
     ("fig05", 0x84d6ffc3c9662d8a),
     ("fig06", 0x9a9693abe0d01256),
     ("fig12a", 0x47c21b1fc0b85ad2),
-    ("fig12b", 0x087801db9bc613c3),
-    ("fig13", 0x22ef7844cfc7204c),
+    // fig12b, fig13, fig15a, fig15b were 0x087801db9bc613c3,
+    // 0x22ef7844cfc7204c, 0xa3a067801947fdab, 0x5d4899d062de67f9 while
+    // ScratchPipe's breakdown and the straw-man skipped their first
+    // iteration; with fewer than 8 the steady window is every iteration.
+    ("fig12b", 0xfc41183eb049ab7b),
+    ("fig13", 0x8049cbb2e328bf2e),
     ("fig14", 0x7aad4143879fb3af),
-    ("fig15a", 0xa3a067801947fdab),
-    ("fig15b", 0x5d4899d062de67f9),
+    ("fig15a", 0x7957abf814219cb3),
+    ("fig15b", 0x88ecf455870d3ccf),
     ("table1", 0xe0702cf63f7f9a3d),
     // Was 0x633edfc5acd4a4b7 with the worst-case column in MB (1007).
     ("table_overhead", 0x478da7d14eafdd92),

@@ -195,13 +195,6 @@ impl SlotIndex {
         Some(removed)
     }
 
-    /// Removes every mapping, keeping the allocation.
-    #[cfg(test)]
-    pub(crate) fn clear(&mut self) {
-        self.vals.fill(EMPTY);
-        self.len = 0;
-    }
-
     /// Iterates over `(key, value)` pairs in unspecified order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.keys
@@ -291,21 +284,6 @@ mod tests {
         assert_eq!(m.get(chain[2]), Some(2));
         assert_eq!(m.get(chain[3]), Some(3));
         assert_eq!(m.get(chain[1]), None);
-    }
-
-    #[test]
-    fn clear_retains_capacity() {
-        let mut m = SlotIndex::with_capacity(100);
-        for k in 0..100 {
-            m.insert(k, k as u32);
-        }
-        let cap = m.vals.len();
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.vals.len(), cap);
-        assert_eq!(m.get(5), None);
-        m.insert(5, 1);
-        assert_eq!(m.get(5), Some(1));
     }
 
     #[test]

@@ -102,23 +102,20 @@ pub enum Schedule {
 
 impl Schedule {
     /// The lane program's dependency graph, per stage ([`StageId::index`]),
-    /// for [`memsim::PipelineSim`]: each stage after the one before it and
-    /// after itself one batch back, \[Collect\]'s two barriers, and
-    /// \[Plan\] after \[Train\] as many batches back as payloads circulate
-    /// (one under [`Schedule::Sequential`]). Lanes add no edge: they are
-    /// the host's threads, not the simulated hardware.
+    /// for [`memsim::PipelineSim`]: the five stages in a
+    /// [`memsim::Edge::line`] with as many payloads as circulate (one
+    /// under [`Schedule::Sequential`]), plus \[Collect\]'s two barriers.
+    /// Lanes add no edge: they are the host's threads, not the simulated
+    /// hardware.
     pub fn edges(self) -> Vec<Edge> {
-        let edge = |waiter: StageId, watched: StageId, lag| Edge {
-            waiter: waiter.index(),
-            watched: watched.index(),
-            lag,
-        };
-        let chain = StageId::ALL.windows(2).map(|w| edge(w[1], w[0], 0));
-        let fifo = StageId::ALL.map(|s| edge(s, s, 1));
-        let barriers =
-            stage::barriers(WindowConfig::PAPER).map(|b| edge(b.waiter, b.watched, b.lag));
-        let ring = edge(StageId::Plan, StageId::Train, lanes::payloads(self));
-        chain.chain(fifo).chain(barriers).chain([ring]).collect()
+        let barriers = stage::barriers(WindowConfig::PAPER).map(|b| Edge {
+            waiter: b.waiter.index(),
+            watched: b.watched.index(),
+            lag: b.lag,
+        });
+        let mut edges = Edge::line(STAGES, lanes::payloads(self));
+        edges.extend(barriers);
+        edges
     }
 
     /// Stable lower-case name, as used in audit events.

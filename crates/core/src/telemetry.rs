@@ -20,8 +20,12 @@
 //!   trace-event JSON (`trace.json`), loadable in Perfetto or
 //!   `chrome://tracing`. Each run is a process; lane 0 is the driver
 //!   thread, lanes 1–5 are the threaded schedule's stages, lanes 100+ are
-//!   worker-pool workers (`DataParallel`'s shards, and the prewarm,
-//!   \[Plan\] and the dedup fanned out under the stepped schedules).
+//!   worker-pool workers running the tasks of a recorded shard region
+//!   that left its thread: `DataParallel`'s Collect, Insert and Train
+//!   regions, and a \[Plan\] region fanned out under the stepped
+//!   schedules. The pool's other work — the prewarm, the dedup of a batch
+//!   entering the window and the dense step's two regions — records no
+//!   event, so it lands on no lane.
 //!
 //! A [`Telemetry`] handle is a cheap `Arc` clone; attach one to every
 //! pipeline whose runs should land in the same snapshot. It keeps the
@@ -83,8 +87,10 @@ pub enum Lane {
     /// that share a thread there (Collect and Exchange) keep their own
     /// lanes, so a trace reads the same whatever the grouping.
     Stage(u8),
-    /// Worker `w` of a data-parallel shard region (0 = the thread that
-    /// entered the region).
+    /// Worker `w` of a recorded shard region that ran on the pool (0 =
+    /// the thread that entered the region): `DataParallel`'s regions and
+    /// a fanned-out \[Plan\]. Pool work that records no region (the
+    /// prewarm, the dedup, the dense step) has no lane.
     Worker(u16),
 }
 

@@ -1,10 +1,12 @@
 //! Scoped worker pool for intra-stage data parallelism.
 //!
 //! [`WorkerPool`] is the fork-join primitive behind
-//! `Schedule::DataParallel`, and — once the work clears
-//! `stages::PLAN_FAN_OUT_MIN_UNIQUES` — behind the prewarm and behind
-//! \[Plan\] and the batch's dedup under every schedule the stepper runs
-//! (all but `Threaded`): a stage splits its iteration into
+//! `Schedule::DataParallel`; behind the prewarm, and behind \[Plan\] and
+//! the batch's dedup under every schedule the stepper runs (all but
+//! `Threaded`), once the work clears `stages::PLAN_FAN_OUT_MIN_UNIQUES`;
+//! and behind the dense step's two regions (`DenseBackend::step_on`)
+//! under those schedules, once the step clears
+//! `stages::DENSE_FAN_OUT_MIN_FLOPS`: a stage splits its iteration into
 //! disjoint shard tasks (per table, or per contiguous sample range) and
 //! hands them to [`WorkerPool::run_tasks`], which fans them out over
 //! [`std::thread::scope`] and returns results *and per-shard wall-clock

@@ -13,11 +13,14 @@
 //! [`PipelineSim::schedule`] computes the exact schedule under FCFS
 //! resource arbitration on that graph: its makespan, per-resource busy
 //! time, and the steady-state iteration time — the pipeline "cycle time"
-//! of Figure 7 ([`Schedule::steady_state_iteration_time`]).
+//! of Figure 7 ([`Schedule::steady_state_iteration_time`]) — measured over
+//! one window of iterations ([`Schedule::steady_window`]) that every
+//! steady-state figure reads.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::ops::Range;
 
 use serde::Serialize;
 
@@ -110,6 +113,23 @@ pub struct Edge {
     pub lag: usize,
 }
 
+impl Edge {
+    /// `stages` in a line: each after the one before it in its batch and
+    /// after itself one batch back, and the first after the last `payloads`
+    /// batches back, so at most `payloads` batches are in flight.
+    pub fn line(stages: usize, payloads: usize) -> Vec<Edge> {
+        let edge = |waiter, watched, lag| Edge {
+            waiter,
+            watched,
+            lag,
+        };
+        let chain = (1..stages).map(|s| edge(s, s - 1, 0));
+        let fifo = (0..stages).map(|s| edge(s, s, 1));
+        let ring = edge(0, stages - 1, payloads);
+        chain.chain(fifo).chain([ring]).collect()
+    }
+}
+
 /// Latencies of every stage for one iteration (indexed like the stage list).
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct StageTimes(pub Vec<SimTime>);
@@ -148,22 +168,29 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Average time between consecutive iteration completions at steady
-    /// state, measured over the middle half of the run so that neither the
-    /// pipeline-fill prefix nor the drain tail (where departing batches no
-    /// longer contend for resources) skews the estimate.
-    ///
-    /// Returns the per-iteration average of the makespan if there are too
-    /// few iterations to measure.
-    pub fn steady_state_iteration_time(&self) -> SimTime {
+    /// The iterations every steady-state figure averages: the middle half
+    /// of the run, so that neither the pipeline-fill prefix nor the drain
+    /// tail (where departing batches no longer contend for resources)
+    /// skews it; every iteration when there are fewer than 8.
+    pub fn steady_window(&self) -> Range<usize> {
         let n = self.iteration_finish.len();
         if n < 8 {
-            return self.makespan / n.max(1) as f64;
+            0..n
+        } else {
+            n / 4 + 1..3 * n / 4 + 1
         }
-        let lo = n / 4;
-        let hi = (3 * n) / 4;
-        let span = self.iteration_finish[hi] - self.iteration_finish[lo];
-        span / (hi - lo) as f64
+    }
+
+    /// Average time between consecutive iteration completions over the
+    /// [`Schedule::steady_window`], or the per-iteration average of the
+    /// makespan when that window is the whole run.
+    pub fn steady_state_iteration_time(&self) -> SimTime {
+        let window = self.steady_window();
+        if window.start == 0 {
+            return self.makespan / window.len().max(1) as f64;
+        }
+        let span = self.iteration_finish[window.end - 1] - self.iteration_finish[window.start - 1];
+        span / window.len() as f64
     }
 
     /// Utilization of `r` over the makespan, in `[0, 1]`.
@@ -184,14 +211,14 @@ impl Schedule {
 /// use memsim::{Edge, PipelineSim, Resource, StageDef, StageTimes, SimTime};
 ///
 /// // Two stages on different resources fully overlap across iterations:
-/// // `b` follows `a` within a batch, and each follows itself one batch back.
-/// let edge = |waiter, watched, lag| Edge { waiter, watched, lag };
+/// // `b` follows `a` within a batch, each follows itself one batch back,
+/// // and two batches may be in flight.
 /// let sim = PipelineSim::new(
 ///     vec![
 ///         StageDef::new("a", Resource::CpuMem),
 ///         StageDef::new("b", Resource::Gpu),
 ///     ],
-///     vec![edge(1, 0, 0), edge(0, 0, 1), edge(1, 1, 1)],
+///     Edge::line(2, 2),
 /// );
 /// let per_iter = StageTimes(vec![SimTime::from_millis(10.0); 2]);
 /// let sched = sim.schedule(&vec![per_iter; 100]);
@@ -211,9 +238,13 @@ impl PipelineSim {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty.
+    /// Panics if `stages` is empty or an edge names a stage past its end.
     pub fn new(stages: Vec<StageDef>, edges: Vec<Edge>) -> Self {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
+        assert!(
+            (edges.iter()).all(|e| e.waiter.max(e.watched) < stages.len()),
+            "an edge names a stage past the pipeline's end"
+        );
         PipelineSim { stages, edges }
     }
 
@@ -480,6 +511,18 @@ mod tests {
         let sim = PipelineSim::new(stages, vec![edge(1, 0, 0), edge(0, 1, 1)]);
         let sched = sim.schedule(&vec![StageTimes(vec![ms(3.0), ms(5.0)]); 10]);
         assert!((sched.makespan.as_millis() - 80.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_steady_window_is_the_middle_half_or_the_whole_run() {
+        let sim = PipelineSim::new(vec![StageDef::new("a", Resource::Gpu)], Edge::line(1, 1));
+        let window = |n| {
+            sim.schedule(&vec![StageTimes(vec![ms(1.0)]); n])
+                .steady_window()
+        };
+        assert_eq!(window(12), 4..10);
+        assert_eq!(window(7), 0..7);
+        assert_eq!(window(0), 0..0);
     }
 
     #[test]

@@ -49,31 +49,6 @@ impl DeviceSpec {
     pub(crate) fn stream_bw(&self) -> f64 {
         self.peak_bw * self.stream_eff
     }
-
-    /// Validates that every efficiency lies in `(0, 1]` and the peak is
-    /// positive.
-    #[cfg(test)]
-    pub(crate) fn validate(&self) -> Result<(), SpecError> {
-        let effs = [
-            ("random_read_eff", self.random_read_eff),
-            ("random_write_eff", self.random_write_eff),
-            ("stream_eff", self.stream_eff),
-        ];
-        for (name, v) in effs {
-            if !(v > 0.0 && v <= 1.0) {
-                return Err(SpecError::BadEfficiency {
-                    field: name,
-                    value: v,
-                });
-            }
-        }
-        if !(self.peak_bw > 0.0 && self.peak_bw.is_finite()) {
-            return Err(SpecError::BadBandwidth {
-                value: self.peak_bw,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// A host↔device interconnect with independent duplex channels.
@@ -196,17 +171,6 @@ impl SystemSpec {
             ..Self::isca_paper()
         }
     }
-
-    /// Validates all device sub-specs.
-    #[cfg(test)]
-    pub(crate) fn validate(&self) -> Result<(), SpecError> {
-        self.cpu_mem.validate()?;
-        self.gpu_mem.validate()?;
-        if self.num_gpus == 0 {
-            return Err(SpecError::NoGpus);
-        }
-        Ok(())
-    }
 }
 
 impl Default for SystemSpec {
@@ -215,47 +179,17 @@ impl Default for SystemSpec {
     }
 }
 
-/// Error produced by specification validation.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SpecError {
-    /// An efficiency factor was outside `(0, 1]`.
-    BadEfficiency {
-        /// Name of the offending field.
-        field: &'static str,
-        /// Offending value.
-        value: f64,
-    },
-    /// A bandwidth was not positive.
-    BadBandwidth {
-        /// Offending value.
-        value: f64,
-    },
-    /// The node was configured with zero GPUs.
-    NoGpus,
-}
-
-#[cfg(test)]
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::BadEfficiency { field, value } => {
-                write!(f, "efficiency `{field}` must be in (0, 1], got {value}")
-            }
-            SpecError::BadBandwidth { value } => {
-                write!(f, "peak bandwidth must be positive, got {value}")
-            }
-            SpecError::NoGpus => write!(f, "system must have at least one GPU"),
-        }
-    }
-}
-
-#[cfg(test)]
-impl std::error::Error for SpecError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every efficiency of both memory systems lies in `(0, 1]`.
+    fn efficiencies_in_range(s: &SystemSpec) -> bool {
+        [s.cpu_mem, s.gpu_mem]
+            .iter()
+            .flat_map(|d| [d.random_read_eff, d.random_write_eff, d.stream_eff])
+            .all(|v| v > 0.0 && v <= 1.0)
+    }
 
     #[test]
     fn paper_preset_matches_methodology_section() {
@@ -264,7 +198,7 @@ mod tests {
         assert_eq!(s.gpu_mem.peak_bw, 900.0e9);
         assert_eq!(s.pcie.peak_bw, 16.0e9);
         assert_eq!(s.num_gpus, 1);
-        s.validate().expect("paper preset must be valid");
+        assert!(efficiencies_in_range(&s), "paper preset must be valid");
     }
 
     #[test]
@@ -272,7 +206,7 @@ mod tests {
         let s = SystemSpec::p3_16xlarge();
         assert_eq!(s.num_gpus, 8);
         assert!(s.nvlink_bw > 0.0);
-        s.validate().expect("p3 preset must be valid");
+        assert!(efficiencies_in_range(&s), "p3 preset must be valid");
     }
 
     #[test]
@@ -290,38 +224,5 @@ mod tests {
         let s = SystemSpec::isca_paper();
         let ratio = s.gpu_mem.random_read_bw() / s.cpu_mem.random_read_bw();
         assert!(ratio > 50.0, "ratio was {ratio}");
-    }
-
-    #[test]
-    fn validation_rejects_bad_efficiency() {
-        let mut s = SystemSpec::isca_paper();
-        s.cpu_mem.random_read_eff = 0.0;
-        assert!(matches!(
-            s.validate(),
-            Err(SpecError::BadEfficiency {
-                field: "random_read_eff",
-                ..
-            })
-        ));
-        s = SystemSpec::isca_paper();
-        s.gpu_mem.stream_eff = 1.5;
-        assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_zero_gpus() {
-        let mut s = SystemSpec::isca_paper();
-        s.num_gpus = 0;
-        assert_eq!(s.validate(), Err(SpecError::NoGpus));
-    }
-
-    #[test]
-    fn spec_error_displays() {
-        let e = SpecError::BadEfficiency {
-            field: "stream_eff",
-            value: 2.0,
-        };
-        assert!(e.to_string().contains("stream_eff"));
-        assert!(SpecError::NoGpus.to_string().contains("GPU"));
     }
 }

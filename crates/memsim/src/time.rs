@@ -91,12 +91,6 @@ impl SimTime {
     pub(crate) fn is_zero(self) -> bool {
         self.0 == 0.0
     }
-
-    /// Saturating subtraction: returns zero instead of a negative span.
-    #[cfg(test)]
-    pub(crate) fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime((self.0 - other.0).max(0.0))
-    }
 }
 
 impl Add for SimTime {
@@ -193,14 +187,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-    }
-
-    #[test]
-    fn saturating_sub_clamps_to_zero() {
-        let a = SimTime::from_millis(1.0);
-        let b = SimTime::from_millis(2.0);
-        assert_eq!(a.saturating_sub(b), SimTime::ZERO);
-        assert_eq!(b.saturating_sub(a).as_millis(), 1.0);
     }
 
     #[test]

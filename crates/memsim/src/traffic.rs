@@ -98,30 +98,6 @@ impl Traffic {
     pub fn is_zero(&self) -> bool {
         *self == Traffic::ZERO
     }
-
-    /// Scales all byte/FLOP counters by an integer factor (e.g. replicating
-    /// one modeled iteration across an epoch).
-    #[cfg(test)]
-    pub(crate) fn scaled(&self, factor: u64) -> Traffic {
-        Traffic {
-            cpu_random_read_bytes: self.cpu_random_read_bytes * factor,
-            cpu_random_write_bytes: self.cpu_random_write_bytes * factor,
-            cpu_stream_read_bytes: self.cpu_stream_read_bytes * factor,
-            cpu_stream_write_bytes: self.cpu_stream_write_bytes * factor,
-            gpu_random_read_bytes: self.gpu_random_read_bytes * factor,
-            gpu_random_write_bytes: self.gpu_random_write_bytes * factor,
-            gpu_stream_read_bytes: self.gpu_stream_read_bytes * factor,
-            gpu_stream_write_bytes: self.gpu_stream_write_bytes * factor,
-            pcie_h2d_bytes: self.pcie_h2d_bytes * factor,
-            pcie_d2h_bytes: self.pcie_d2h_bytes * factor,
-            nvlink_bytes: self.nvlink_bytes * factor,
-            gpu_flops: self.gpu_flops * factor,
-            cpu_flops: self.cpu_flops * factor,
-            gpu_ops: (self.gpu_ops as u64 * factor).min(u32::MAX as u64) as u32,
-            cpu_ops: (self.cpu_ops as u64 * factor).min(u32::MAX as u64) as u32,
-            pcie_ops: (self.pcie_ops as u64 * factor).min(u32::MAX as u64) as u32,
-        }
-    }
 }
 
 impl Add for Traffic {
@@ -221,14 +197,5 @@ mod tests {
         let s: Traffic = std::iter::repeat(sample()).take(3).sum();
         assert_eq!(s.cpu_random_read_bytes, 300);
         assert_eq!(s.nvlink_bytes, 21);
-    }
-
-    #[test]
-    fn scaling() {
-        let s = sample().scaled(4);
-        assert_eq!(s.gpu_flops, 4000);
-        assert_eq!(s.cpu_ops, 12);
-        assert_eq!(sample().scaled(1), sample());
-        assert!(sample().scaled(0).is_zero());
     }
 }

@@ -9,7 +9,7 @@
 use embeddings::SparseBatch;
 use memsim::cost::primitives;
 use memsim::pipeline::Resource;
-use memsim::{CostModel, PowerModel, SimTime, SystemSpec, Traffic};
+use memsim::{CostModel, Edge, PowerModel, SimTime, SystemSpec, Traffic};
 
 use crate::report::{SystemError, SystemReport, TrainingSystem};
 use crate::shape::ModelShape;
@@ -116,7 +116,7 @@ impl TrainingSystem for HybridCpuGpu {
     fn simulate(&mut self, batches: &[SparseBatch]) -> Result<SystemReport, SystemError> {
         self.shape.validate().map_err(SystemError::Shape)?;
         let times: Vec<Vec<SimTime>> = batches.iter().map(|b| self.stage_times(b)).collect();
-        Ok(SystemReport::from_sequential_stages(
+        Ok(SystemReport::on_graph(
             self.name(),
             vec![
                 "CPU embedding forward".to_owned(),
@@ -133,8 +133,8 @@ impl TrainingSystem for HybridCpuGpu {
                 Resource::CpuMem,
             ],
             times,
+            Edge::line(5, 1),
             &self.power,
-            0, // no cache → no warm-up transient
         ))
     }
 }

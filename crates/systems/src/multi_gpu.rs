@@ -11,7 +11,7 @@
 use embeddings::SparseBatch;
 use memsim::cost::primitives;
 use memsim::pipeline::Resource;
-use memsim::{CostModel, PowerModel, SimTime, SystemSpec, Traffic};
+use memsim::{CostModel, Edge, PowerModel, SimTime, SystemSpec, Traffic};
 
 use crate::report::{SystemError, SystemReport, TrainingSystem};
 use crate::shape::ModelShape;
@@ -122,7 +122,7 @@ impl TrainingSystem for MultiGpuSystem {
             ));
         }
         let times: Vec<Vec<SimTime>> = batches.iter().map(|b| self.stage_times(b)).collect();
-        Ok(SystemReport::from_sequential_stages(
+        Ok(SystemReport::on_graph(
             self.name(),
             vec![
                 "Embedding forward".to_owned(),
@@ -137,8 +137,8 @@ impl TrainingSystem for MultiGpuSystem {
                 Resource::Gpu,
             ],
             times,
+            Edge::line(4, 1),
             &self.power,
-            0,
         ))
     }
 }

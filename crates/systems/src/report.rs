@@ -2,8 +2,8 @@
 
 use embeddings::SparseBatch;
 use memsim::pipeline::{PipelineSim, Resource, StageDef, StageTimes};
-use memsim::{EnergyReport, PowerModel, SimTime};
-use scratchpipe::{Schedule, ScratchError, StageId};
+use memsim::{Edge, EnergyReport, PowerModel, SimTime};
+use scratchpipe::{Schedule, ScratchError};
 use serde::Serialize;
 
 /// Errors from system simulation.
@@ -70,96 +70,62 @@ pub struct SystemReport {
     pub hit_rate: Option<f64>,
     /// Steady-state mean latency per stage (same order as `stage_names`).
     pub breakdown: Vec<(String, SimTime)>,
-    /// Iterations skipped (cold cache) when averaging steady-state values.
-    pub steady_skip: usize,
 }
 
 impl SystemReport {
-    /// Builds a report for a system whose stages run **sequentially**
-    /// within each iteration (the paper's baselines and straw-man):
-    /// iteration time is the sum of its stage times.
-    pub(crate) fn from_sequential_stages(
+    /// Builds a report by scheduling `stage_times` on the dependency graph
+    /// `edges` (see [`memsim::PipelineSim`]): a design point whose stages
+    /// run one after another states [`Edge::line`] with one payload,
+    /// ScratchPipe states [`Schedule::edges`]. The iteration time, the
+    /// per-stage breakdown and the energy's busy time all cover the
+    /// schedule's [`steady_window`](memsim::pipeline::Schedule::steady_window).
+    pub(crate) fn on_graph(
         system: impl Into<String>,
         stage_names: Vec<String>,
         stage_resources: Vec<Resource>,
         stage_times: Vec<Vec<SimTime>>,
+        edges: Vec<Edge>,
         power: &PowerModel,
-        steady_skip: usize,
     ) -> Self {
-        assert_eq!(stage_names.len(), stage_resources.len());
-        let iterations = stage_times.len();
-        let totals: Vec<SimTime> = stage_times
-            .iter()
-            .map(|t| t.iter().copied().sum())
+        let sched = schedule(&stage_names, &stage_resources, &stage_times, edges);
+        let iteration_time = sched.steady_state_iteration_time();
+        let window = &stage_times[sched.steady_window()];
+        let breakdown: Vec<(String, SimTime)> = (stage_names.iter().enumerate())
+            .map(|(s, name)| {
+                let sum: SimTime = window.iter().map(|t| t[s]).sum();
+                (name.clone(), sum / window.len().max(1) as f64)
+            })
             .collect();
-        let makespan: SimTime = totals.iter().copied().sum();
-        let skip = steady_skip.min(iterations.saturating_sub(1));
-        let tail = &totals[skip..];
-        let iteration_time = if tail.is_empty() {
-            SimTime::ZERO
-        } else {
-            tail.iter().copied().sum::<SimTime>() / tail.len() as f64
-        };
-        let breakdown = steady_breakdown(&stage_names, &stage_times, skip);
         let (cpu_busy, gpu_busy) = steady_busy(&stage_resources, &breakdown);
-        let energy_per_iteration = power.energy(iteration_time, cpu_busy, gpu_busy);
         SystemReport {
             system: system.into(),
-            iterations,
-            stage_names,
-            stage_resources,
-            stage_times,
-            iteration_time,
-            makespan,
-            energy_per_iteration,
-            hit_rate: None,
-            breakdown,
-            steady_skip: skip,
-        }
-    }
-
-    /// Builds a report for a system whose five stages are **pipelined**
-    /// across iterations (ScratchPipe): iteration time is the steady-state
-    /// initiation interval under resource contention, on the runtime's
-    /// dependency graph ([`Schedule::edges`]). Panics on another count.
-    pub fn from_pipelined_stages(
-        system: impl Into<String>,
-        stage_names: Vec<String>,
-        stage_resources: Vec<Resource>,
-        stage_times: Vec<Vec<SimTime>>,
-        power: &PowerModel,
-        steady_skip: usize,
-    ) -> Self {
-        assert_eq!(stage_names.len(), stage_resources.len());
-        let iterations = stage_times.len();
-        let sched = pipelined_schedule(&stage_resources, &stage_times);
-        let iteration_time = if iterations == 0 {
-            SimTime::ZERO
-        } else {
-            sched.steady_state_iteration_time()
-        };
-        let skip = steady_skip.min(iterations.saturating_sub(1));
-        let breakdown = steady_breakdown(&stage_names, &stage_times, skip);
-        // Busy time per iteration from the schedule's aggregate residency.
-        let n = iterations.max(1) as f64;
-        let cpu_busy = (sched.resource_busy[Resource::CpuMem.index()]
-            + sched.resource_busy[Resource::Host.index()])
-            / n;
-        let gpu_busy = sched.resource_busy[Resource::Gpu.index()] / n;
-        let energy_per_iteration = power.energy(iteration_time, cpu_busy, gpu_busy);
-        SystemReport {
-            system: system.into(),
-            iterations,
+            iterations: stage_times.len(),
             stage_names,
             stage_resources,
             stage_times,
             iteration_time,
             makespan: sched.makespan,
-            energy_per_iteration,
+            energy_per_iteration: power.energy(iteration_time, cpu_busy, gpu_busy),
             hit_rate: None,
             breakdown,
-            steady_skip: skip,
         }
+    }
+
+    /// A ScratchPipe report: the crate's one report constructor on
+    /// [`Schedule::Sync`]'s [`Schedule::edges`]. The iteration time, the
+    /// per-stage breakdown and the energy's busy time all cover the
+    /// schedule's [`steady_window`](memsim::pipeline::Schedule::steady_window);
+    /// `steady_skip` is ignored.
+    pub fn from_pipelined_stages(
+        system: impl Into<String>,
+        names: Vec<String>,
+        resources: Vec<Resource>,
+        times: Vec<Vec<SimTime>>,
+        power: &PowerModel,
+        _steady_skip: usize,
+    ) -> Self {
+        let edges = Schedule::Sync.edges();
+        Self::on_graph(system, names, resources, times, edges, power)
     }
 
     /// Speedup of `self` over `other` (>1 means `self` is faster).
@@ -185,37 +151,20 @@ impl SystemReport {
     }
 }
 
-/// The schedule [`SystemReport::from_pipelined_stages`] reports on.
-fn pipelined_schedule(
+/// The schedule of `times` on the pipeline `names` and `resources` state,
+/// under `edges`.
+fn schedule(
+    names: &[String],
     resources: &[Resource],
     times: &[Vec<SimTime>],
+    edges: Vec<Edge>,
 ) -> memsim::pipeline::Schedule {
-    assert_eq!(resources.len(), StageId::COUNT, "one resource per stage");
-    let defs = (StageId::ALL.iter().zip(resources))
-        .map(|(s, &r)| StageDef::new(s.name(), r))
+    assert_eq!(names.len(), resources.len(), "one resource per stage");
+    let defs = (names.iter().zip(resources))
+        .map(|(name, &r)| StageDef::new(name.clone(), r))
         .collect();
     let iters: Vec<StageTimes> = times.iter().map(|t| StageTimes(t.clone())).collect();
-    PipelineSim::new(defs, Schedule::Sync.edges()).schedule(&iters)
-}
-
-fn steady_breakdown(
-    stage_names: &[String],
-    stage_times: &[Vec<SimTime>],
-    skip: usize,
-) -> Vec<(String, SimTime)> {
-    let tail = &stage_times[skip.min(stage_times.len())..];
-    stage_names
-        .iter()
-        .enumerate()
-        .map(|(s, name)| {
-            let mean = if tail.is_empty() {
-                SimTime::ZERO
-            } else {
-                tail.iter().map(|t| t[s]).sum::<SimTime>() / tail.len() as f64
-            };
-            (name.clone(), mean)
-        })
-        .collect()
+    PipelineSim::new(defs, edges).schedule(&iters)
 }
 
 fn steady_busy(resources: &[Resource], breakdown: &[(String, SimTime)]) -> (SimTime, SimTime) {
@@ -233,6 +182,10 @@ fn steady_busy(resources: &[Resource], breakdown: &[(String, SimTime)]) -> (SimT
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use scratchpipe::StageId;
+
     use super::*;
 
     fn ms(v: f64) -> SimTime {
@@ -246,13 +199,13 @@ mod tests {
     #[test]
     fn sequential_report_sums_stages() {
         let power = PowerModel::isca_paper();
-        let r = SystemReport::from_sequential_stages(
+        let r = SystemReport::on_graph(
             "test",
             names(&["a", "b"]),
             vec![Resource::CpuMem, Resource::Gpu],
             vec![vec![ms(10.0), ms(5.0)]; 4],
+            Edge::line(2, 1),
             &power,
-            0,
         );
         assert!((r.iteration_time.as_millis() - 15.0).abs() < 1e-9);
         assert!((r.makespan.as_millis() - 60.0).abs() < 1e-9);
@@ -268,13 +221,13 @@ mod tests {
         let stage_resources = StageId::ALL.map(StageId::resource).to_vec();
         // Plan and Train share the GPU (11 ms), Collect and Insert the CPU.
         let stage_times = vec![vec![ms(1.0), ms(4.0), ms(2.0), ms(4.0), ms(10.0)]; 60];
-        let seq = SystemReport::from_sequential_stages(
+        let seq = SystemReport::on_graph(
             "seq",
             stage_names.clone(),
             stage_resources.clone(),
             stage_times.clone(),
+            Schedule::Sequential.edges(),
             &power,
-            5,
         );
         let pipe = SystemReport::from_pipelined_stages(
             "pipe",
@@ -309,8 +262,13 @@ mod tests {
             for fraction in [0.02, 0.10] {
                 let cfg = ExperimentConfig::paper(profile, fraction, 40);
                 let report = run_system(SystemKind::ScratchPipe, &cfg).expect("simulate");
-                let sched = pipelined_schedule(&report.stage_resources, &report.stage_times);
                 let names = &report.stage_names;
+                let sched = schedule(
+                    names,
+                    &report.stage_resources,
+                    &report.stage_times,
+                    edges.clone(),
+                );
                 assert_eq!(sched.makespan, report.makespan);
                 let mut finish = vec![[SimTime::ZERO; StageId::COUNT]; report.iterations];
                 for slot in &sched.slots {
@@ -340,27 +298,103 @@ mod tests {
         let power = PowerModel::isca_paper();
         let mut times = vec![vec![ms(100.0)]; 2];
         times.extend(vec![vec![ms(10.0)]; 8]);
-        let r = SystemReport::from_sequential_stages(
+        let r = SystemReport::on_graph(
             "t",
             names(&["a"]),
             vec![Resource::CpuMem],
             times,
+            Edge::line(1, 1),
             &power,
-            2,
         );
         assert!((r.iteration_time.as_millis() - 10.0).abs() < 1e-9);
+    }
+
+    /// A ScratchPipe-shaped run whose \[Collect\] grows every iteration:
+    /// the breakdown and the energy's busy time average the iterations
+    /// the iteration time does (4–9 of 12), not the cold fill or the
+    /// drain.
+    #[test]
+    fn breakdown_and_energy_cover_the_iterations_the_iteration_time_does() {
+        let power = PowerModel::isca_paper();
+        let resources = StageId::ALL.map(StageId::resource).to_vec();
+        let times: Vec<Vec<SimTime>> = (0..12)
+            .map(|i| vec![ms(1.0), ms(4.0 + i as f64), ms(2.0), ms(4.0), ms(10.0)])
+            .collect();
+        let r = SystemReport::on_graph(
+            "window",
+            StageId::ALL.map(|s| s.name().to_owned()).to_vec(),
+            resources.clone(),
+            times.clone(),
+            Schedule::Sync.edges(),
+            &power,
+        );
+        let mean = |s: usize| times[4..10].iter().map(|t| t[s]).sum::<SimTime>() / 6.0;
+        let (mut cpu, mut gpu) = (SimTime::ZERO, SimTime::ZERO);
+        for (s, resource) in resources.iter().enumerate() {
+            assert!(
+                (r.breakdown[s].1 - mean(s)).as_secs().abs() < 1e-12,
+                "stage {s}"
+            );
+            match resource {
+                Resource::CpuMem => cpu += mean(s),
+                Resource::Gpu => gpu += mean(s),
+                _ => {}
+            }
+        }
+        let energy = power.energy(r.iteration_time, cpu, gpu);
+        let (got, want) = (r.energy_per_iteration, energy);
+        assert!((got.cpu_joules - want.cpu_joules).abs() < 1e-9 * want.cpu_joules);
+        assert!((got.gpu_joules - want.gpu_joules).abs() < 1e-9 * want.gpu_joules);
+    }
+
+    /// Seeded sweep over sequential design points: on a line with one
+    /// payload, the iteration time is the breakdown's sum and the makespan
+    /// is every stage time's.
+    #[test]
+    fn a_line_of_one_payload_adds_its_stages() {
+        let power = PowerModel::isca_paper();
+        let close = |a: SimTime, b: SimTime| {
+            (a.as_secs() - b.as_secs()).abs() <= 1e-9 * a.as_secs().max(b.as_secs())
+        };
+        let mut rng = StdRng::seed_from_u64(39);
+        for _ in 0..200 {
+            let stages = rng.gen_range(1..=8usize);
+            let iterations = rng.gen_range(0..=40usize);
+            let resources = (0..stages)
+                .map(|_| Resource::ALL[rng.gen_range(0..Resource::ALL.len())])
+                .collect();
+            let times: Vec<Vec<SimTime>> = (0..iterations)
+                .map(|_| (0..stages).map(|_| ms(rng.gen_range(0.0..5.0))).collect())
+                .collect();
+            let total: SimTime = times.iter().flatten().copied().sum();
+            let r = SystemReport::on_graph(
+                "line",
+                vec!["s".to_owned(); stages],
+                resources,
+                times,
+                Edge::line(stages, 1),
+                &power,
+            );
+            let summed: SimTime = r.breakdown.iter().map(|(_, t)| *t).sum();
+            assert!(
+                close(r.iteration_time, summed),
+                "{stages} stages × {iterations}: {} vs {summed}",
+                r.iteration_time
+            );
+            assert!(close(r.makespan, total), "{} vs {total}", r.makespan);
+        }
     }
 
     #[test]
     fn grouped_breakdown_sums_indices() {
         let power = PowerModel::isca_paper();
-        let r = SystemReport::from_sequential_stages(
+        let r = SystemReport::on_graph(
             "t",
             names(&["a", "b", "c"]),
             vec![Resource::CpuMem, Resource::Gpu, Resource::CpuMem],
             vec![vec![ms(1.0), ms(2.0), ms(3.0)]; 3],
+            Edge::line(3, 1),
             &power,
-            0,
         );
         let g = r.grouped_breakdown(&[("cpu", &[0, 2]), ("gpu", &[1])]);
         assert!((g[0].1.as_millis() - 4.0).abs() < 1e-9);
@@ -370,13 +404,13 @@ mod tests {
     #[test]
     fn empty_run_is_handled() {
         let power = PowerModel::isca_paper();
-        let r = SystemReport::from_sequential_stages(
+        let r = SystemReport::on_graph(
             "t",
             names(&["a"]),
             vec![Resource::CpuMem],
             vec![],
+            Edge::line(1, 1),
             &power,
-            0,
         );
         assert_eq!(r.iterations, 0);
         assert_eq!(r.iteration_time, SimTime::ZERO);

@@ -211,14 +211,13 @@ impl TrainingSystem for ScratchPipeMultiGpu {
             })
             .collect();
 
-        let skip = (batches.len() / 3).min(10);
-        let mut report = SystemReport::from_pipelined_stages(
+        let mut report = SystemReport::on_graph(
             self.name(),
             ScratchPipeSystem::stage_names(),
             ScratchPipeSystem::stage_resources(),
             times,
+            Schedule::Sync.edges(),
             &self.power,
-            skip,
         );
         let (hits, misses) = reports.iter().flatten().fold((0u64, 0u64), |acc, r| {
             let h: u64 = r.records.iter().map(|x| x.hits).sum();

@@ -237,27 +237,14 @@ impl TrainingSystem for ScratchPipeSystem {
             })
             .collect();
 
-        // Skip the cold-fill transient when averaging: the scratchpad
-        // starts empty, so early iterations miss on everything.
-        let skip = (batches.len() / 3).min(10);
-        let mut sys_report = match self.mode {
-            CacheMode::Sequential => SystemReport::from_sequential_stages(
-                self.name(),
-                Self::stage_names(),
-                Self::stage_resources(),
-                times,
-                &self.power,
-                skip,
-            ),
-            CacheMode::Pipelined => SystemReport::from_pipelined_stages(
-                self.name(),
-                Self::stage_names(),
-                Self::stage_resources(),
-                times,
-                &self.power,
-                skip,
-            ),
-        };
+        let mut sys_report = SystemReport::on_graph(
+            self.name(),
+            Self::stage_names(),
+            Self::stage_resources(),
+            times,
+            self.schedule().edges(),
+            &self.power,
+        );
         sys_report.hit_rate = Some(report.hit_rate());
         self.last_report = Some(report);
         Ok(sys_report)

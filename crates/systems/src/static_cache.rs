@@ -10,7 +10,7 @@
 use embeddings::SparseBatch;
 use memsim::cost::primitives;
 use memsim::pipeline::Resource;
-use memsim::{CostModel, PowerModel, SimTime, SystemSpec, Traffic};
+use memsim::{CostModel, Edge, PowerModel, SimTime, SystemSpec, Traffic};
 use tracegen::HotOracle;
 
 use crate::report::{SystemError, SystemReport, TrainingSystem};
@@ -206,7 +206,7 @@ impl TrainingSystem for StaticCacheSystem {
         self.hits_seen = 0;
         self.lookups_seen = 0;
         let times: Vec<Vec<SimTime>> = batches.iter().map(|b| self.stage_times(b)).collect();
-        let mut report = SystemReport::from_sequential_stages(
+        let mut report = SystemReport::on_graph(
             self.name(),
             vec![
                 "ID upload + hit filter".to_owned(),
@@ -227,8 +227,8 @@ impl TrainingSystem for StaticCacheSystem {
                 Resource::CpuMem,
             ],
             times,
+            Edge::line(7, 1),
             &self.power,
-            0, // static cache: behavior is stationary from iteration 0
         );
         report.hit_rate = if self.lookups_seen == 0 {
             None
