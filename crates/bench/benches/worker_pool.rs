@@ -4,7 +4,10 @@
 //! One region of four tasks (one per "table", as \[Collect\] and the Train
 //! scatter shard), each gathering its share of `elems` f32 elements row by
 //! row (dim 32) through a scattered index into a staging block: the
-//! inline pool against a width-2 pool, as the region grows. The floor
+//! inline pool against a width-2 pool, as the region grows. Regions run
+//! back to back, so the width-2 column hands each one to the process's
+//! persistent worker while it still spins (≈ 2 µs; the dispatch row of
+//! `calibrate_schedule` times the hand-off to a sleeping one). The floor
 //! belongs at the first size where the width-2 pool is no slower.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -1,8 +1,15 @@
 //! The three calibration sweeps the pipeline's schedule constants are
-//! derived from. Observers off, dedup and final flush on the clock, five
-//! runs per cell; prints markdown tables and writes no file (~4 min;
-//! `--quick` takes two runs per cell of half the iterations).
+//! derived from, after the worker pool's fixed cost they all pay.
+//! Observers off, dedup and final flush on the clock, five runs per cell;
+//! prints markdown tables and writes no file (~4 min; `--quick` takes two
+//! runs per cell of half the iterations).
 //!
+//! 0. **Dispatch** (`WorkerPool::run_tasks`; docs/perf.md, "A pool that
+//!    costs microseconds"): one region of empty tasks, one per worker, at
+//!    width 2 and at the machine's width — median µs of 2 000 back to
+//!    back (the harness's `workers.dispatch_us`: the workers still spin)
+//!    and of 200 each after the caller kept busy for 3 ms (they sleep).
+//!    Every fan-out below pays one of the two once a region.
 //! 1. **`Schedule::Auto`** (`AUTO_OVERLAP_MIN_LOOKUPS` in
 //!    `crates/core/src/pipeline.rs`; docs/perf.md, "Schedule
 //!    calibration"): the functional pipeline at iteration sizes from 16
@@ -16,9 +23,9 @@
 //!    (side by side once a batch clears the floor), as alternating pairs
 //!    — µs per iteration (medians) and how many pairs the pool won.
 //!    Measured through the whole pipeline because that is where the floor
-//!    has to hold: the launch, and what the other stages pay for plans
-//!    written on another CPU, cost several times what a stand-alone
-//!    region reads. A shape under the floor runs the same code at both
+//!    has to hold: what the other stages pay for plans written on another
+//!    CPU, and a second CPU the host does not always lend, cost more than
+//!    a stand-alone region reads. A shape under the floor runs the same code at both
 //!    widths, so its two columns gauge the sweep's noise. To look for a
 //!    lower floor on another host, lower the constant and run this again.
 //!
@@ -305,10 +312,41 @@ fn main() {
     let (reps, auto_iterations) = if quick { (2, 100) } else { (5, 200) };
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("cpus: {cpus}, {reps} runs per cell\n");
+    dispatch_row(cpus);
     auto_sweep(reps, auto_iterations);
     plan_sweep(cpus, reps, quick);
     dedup_sweep(cpus, reps, quick);
     dense_sweep(cpus, reps, quick);
+}
+
+/// The dispatch row (see the module docs).
+fn dispatch_row(cpus: usize) {
+    println!("Dispatch: one empty task per worker, median µs of a region\n");
+    println!("| width | back to back | after 3 ms busy on the caller |");
+    println!("|---:|---:|---:|");
+    let mut widths = vec![2, cpus];
+    widths.dedup();
+    for width in widths {
+        let pool = WorkerPool::new(width);
+        let region_after = |gap: std::time::Duration, regions: usize| {
+            let mut samples: Vec<f64> = (0..regions)
+                .map(|_| {
+                    let idle = std::time::Instant::now();
+                    while idle.elapsed() < gap {
+                        std::hint::spin_loop();
+                    }
+                    let tasks: Vec<_> = (0..width).map(|_| || ()).collect();
+                    let t0 = std::time::Instant::now();
+                    pool.run_tasks(tasks).expect("empty tasks cannot panic");
+                    t0.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            median(&mut samples)
+        };
+        let back_to_back = region_after(std::time::Duration::ZERO, 2_000);
+        let after_gap = region_after(std::time::Duration::from_millis(3), 200);
+        println!("| {width} | {back_to_back:.2} | {after_gap:.2} |");
+    }
 }
 
 /// Batch sizes of the dense-step sweep.

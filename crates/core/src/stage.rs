@@ -56,7 +56,9 @@ pub(crate) struct StageCtx<'a> {
     /// may fan out over: the pipeline's pool under the register
     /// schedules, which run one stage at a time and so leave its other
     /// CPUs idle while one runs; inline under the lanes, which already
-    /// occupy them.
+    /// occupy them. A region on it hands its tasks to the process's
+    /// persistent workers in a few microseconds, table `t` to the same
+    /// thread every batch.
     pub plan_workers: WorkerPool,
     /// The armed fault injector, if a fault plan is attached. `None` —
     /// the default — makes every injection hook a single branch.

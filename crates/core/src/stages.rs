@@ -429,50 +429,47 @@ pub(crate) const MAX_FUTURE_DEPTH: usize = 30;
 /// by side.
 ///
 /// Derivation (the \[Plan\] sweep of `cargo run --release -p sp-bench
-/// --bin calibrate_schedule`, 2-CPU host; tables in docs/perf.md, "Plan by
-/// table"). Measured through the whole pipeline, not around the region:
-/// fanning out costs a scoped-thread launch per batch *and* makes the
-/// stages behind \[Plan\] read plans another CPU wrote, and on a shared
-/// host the second CPU is not always free — all of which a stand-alone
-/// region (58–95 µs a launch, see [`WorkerPool::MIN_SHARD_WORK`]) does not
-/// show. At `plan_bound`'s shape (≈ 16 k unique IDs a batch, 2.4 ms of
-/// \[Plan\]) the region itself fell to 1.6–2.0 ms, yet the harness read
-/// the run 4.5 % *slower* in 10 of 10 alternating pairs, and a prototype
-/// with a floor of 2 048 had cost the 3–4 k shapes (`train_bound`,
-/// `supervised`) 4–7 %.
-/// With the floor forced to zero, functional shapes won 3 of 5 pairs at
-/// 16 k, 4 of 5 at 32 k (1.09×) and 5 of 5 from 64 k up (1.21×, 1.28× at
-/// 124 k); analytic pipelines, where \[Plan\] is the only stage doing
-/// work, won 5 of 5 from 10 k up (1.5–1.8×; `paper_analytic`, 283 k:
-/// 1.59×). The floor is the power of two over the largest functional
-/// shape that did not win every pair. The same sweep times the dedup
-/// region alone at its analytic shapes: under the floor (10 k lookups) it
-/// is the same code at both widths, over it (41 k lookups up) the pool won
-/// 5 of 5 pairs at every shape (1.62–1.70×; docs/perf.md, "Sorting once,
-/// in linear time").
+/// --bin calibrate_schedule`, 2-vCPU host; tables in docs/perf.md, "A pool
+/// that costs microseconds"). Measured through the whole pipeline, not
+/// around the region: the stages behind \[Plan\] read plans another CPU
+/// wrote, and on a shared host the second CPU is not always free. On the
+/// persistent pool (≈ 2 µs a region, see [`WorkerPool::run_tasks`]),
+/// over 13 sweeps with the functional shapes fanned out, `copy_bound`'s
+/// (1 021 unique IDs in 1 024 lookups) won 17 of 55 pairs, `train_bound`'s
+/// (3.8 k) 38 of 65, `default_auto`'s (3.4 k) 57 of 65 and `plan_bound`'s
+/// (16 k, 1.06–1.32×) 56 of 65; the analytic shapes won every pair
+/// (1.7–2.2×). One sweep's five pairs read this host's noise — even
+/// `plan_bound`'s shape lost a pair in seven of them — so the floor rule
+/// (the power of two over the largest functional shape that did not win)
+/// is applied to the pooled pairs, and in lookups, the dedup's count:
+/// 2 048 keeps `copy_bound` inline. At 4 096 instead, `supervised`'s dedup
+/// (4 096 lookups) fanned out without its \[Plan\] (3.4 k) and the harness
+/// read it 0.945× (0 of 6 rounds).
 ///
-/// [`WorkerPool::MIN_SHARD_WORK`]: crate::WorkerPool::MIN_SHARD_WORK
-pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 32_768;
+/// [`WorkerPool::run_tasks`]: crate::WorkerPool::run_tasks
+pub const PLAN_FAN_OUT_MIN_UNIQUES: usize = 2_048;
 
 /// Dense-step FLOPs ([`DenseBackend::traffic`]'s `gpu_flops`) from which
 /// \[Train\] hands the dense step \[Plan\]'s worker pool
 /// ([`DenseBackend::step_on`]).
 ///
 /// Derivation (the dense sweep of `cargo run --release -p sp-bench --bin
-/// calibrate_schedule`, 2-vCPU host; tables in docs/perf.md, "Dense step
-/// across the pool"): `train_bound`'s model, one step at pool width 1
-/// against width 2, five alternating pairs per batch, two sweeps. The
-/// pool lost every pair up to 6.4 MFLOP a step (batch 16: 0.61–0.63×, two
-/// launches against ≈ 300 µs of work), won 0 and 3 of 5 at 12.8 MFLOP
-/// (batch 32: 0.87×, 1.09×) and 3 of 5 at 25.5 MFLOP (batch 64: 1.03–1.07×,
-/// break-even), and 4–5 of 5 from 51 MFLOP up (batch 128: 1.24–1.69×,
-/// `train_bound`'s batch 256: 1.42–1.43×, batch 1 024: 1.71–1.80×). The
-/// floor is the power of two over batch 64, the largest batch that did
-/// not win every pair, as for [`PLAN_FAN_OUT_MIN_UNIQUES`].
+/// calibrate_schedule`, 2-vCPU host; tables in docs/perf.md, "A pool that
+/// costs microseconds"): `train_bound`'s model, one step at pool width 1
+/// against width 2, five alternating pairs per batch. On the persistent
+/// pool the two regions cost microseconds, so what is left below the
+/// floor is cutting a small batch into eight sample ranges: the pool lost
+/// every pair up to 6.4 MFLOP a step (batch 16: 0.76–0.80×), won 5 and 2
+/// of 5 at 12.8 MFLOP (batch 32: 1.17×, 0.92×) and every pair at
+/// 25.5 MFLOP (batch 64: 1.25–1.33×). The floor is the power of two over
+/// batch 32, the largest batch under the first one that won every pair
+/// that did not, as for [`PLAN_FAN_OUT_MIN_UNIQUES`]; the single pairs
+/// lost above it, where a sweep's whole column drifted with the host, are
+/// in the tables.
 ///
 /// [`DenseBackend::traffic`]: crate::DenseBackend::traffic
 /// [`DenseBackend::step_on`]: crate::DenseBackend::step_on
-pub const DENSE_FAN_OUT_MIN_FLOPS: u64 = 33_554_432;
+pub const DENSE_FAN_OUT_MIN_FLOPS: u64 = 16_777_216;
 
 /// \[Plan\], one table of one mini-batch: advance table `t`'s scratchpad
 /// manager, pick its fills and victims. `current` is the batch's sorted

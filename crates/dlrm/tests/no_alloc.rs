@@ -7,9 +7,9 @@
 //! `DlrmBackend::step` is measured under the same counter.
 //! (`tests/supervised_alloc.rs` is the same pattern round `run_supervised`.)
 //!
-//! A step fanned out over a worker pool allocates too — its two region
-//! launches spawn threads and collect their tasks — but nothing that
-//! grows with the batch.
+//! A step fanned out over a worker pool allocates too — each of its two
+//! regions collects its tasks and their results into lists — but nothing
+//! that grows with the batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +109,7 @@ fn steady_state_steps_allocate_nothing() {
     }
 
     // Fanned out over a two-wide pool, a warm step allocates only for its
-    // two launches: as much at batch 1 024 as at 256.
+    // two regions' task and result lists: as much at batch 1 024 as at 256.
     let wide = 4 * batch;
     let rows: Vec<Vec<Vec<u64>>> = (0..wide)
         .map(|s| (0..tables).map(|t| vec![(s + t) as u64]).collect())
@@ -133,7 +133,7 @@ fn steady_state_steps_allocate_nothing() {
     fanned(&mut backend, 7, false);
     let at_256 = allocations_in(|| fanned(&mut backend, 8, false));
     let at_1024 = allocations_in(|| fanned(&mut backend, 9, true));
-    assert!(at_256 > 0, "a fanned step launches threads");
+    assert!(at_256 > 0, "a fanned step's regions collect their tasks");
     assert_eq!(
         at_256, at_1024,
         "fanned-step allocations grow with the batch"

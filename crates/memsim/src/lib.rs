@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod energy;

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod hybrid;

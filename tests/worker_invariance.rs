@@ -341,8 +341,10 @@ fn plan_fans_out_under_register_schedules_with_a_pool_and_a_big_batch() {
     );
     assert_eq!(iterations_with_plan_shards(Schedule::Sync, 1, 4, big), 0);
     assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 1, big), 0);
-    // ≈ 16 k unique IDs a batch: under the floor.
-    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 4, 16_384), 0);
+    // ≈ 16 k unique IDs a batch (`plan_bound`'s shape): over the floor.
+    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 4, 16_384), 7);
+    // ≈ 1 k unique IDs a batch (`copy_bound`'s shape): under the floor.
+    assert_eq!(iterations_with_plan_shards(Schedule::Sync, 2, 4, 1_024), 0);
 }
 
 /// `Pipeline::prewarm` fills its tables side by side once it carries as
