@@ -136,13 +136,19 @@ fn degrading_plan() -> FaultPlan {
 
 /// `[telemetry digest, masked audit stream]` per case, in the order of
 /// the test below. The supervised row was re-recorded when its plan's
-/// payload-corruption and slow-shard faults became a worker panic; the
-/// three plain rows are the originals.
+/// payload-corruption and slow-shard faults became a worker panic. Both
+/// `DataParallel` rows were re-recorded when the persistent worker pool
+/// lowered \[Plan\]'s fan-out floor to 2 048 unique IDs and
+/// `WorkerPool::MIN_SHARD_WORK` to 2¹⁷: every iteration gained a \[Plan\]
+/// shard region (a `Plan` key in the audit line's `stage_shards`, a Plan
+/// shard span and Plan shard metrics), and the Collect and Insert regions
+/// that clear the lower floor moved from lane 0 to the worker lanes. The
+/// `Sync` and `Threaded` rows are the originals.
 const GOLDEN: [[u64; 2]; 4] = [
     [0xc97349be712d3bf2, 0x5eafac82b58cded2],
-    [0xe37667176b95f0a8, 0xf9506dcc1f3a6f70],
+    [0x0268ae4a433e2802, 0xd70ed4f4fcfd596e],
     [0xdf31fb43727565ca, 0x116e2dedf74ed7c6],
-    [0xefadfc350d777941, 0xbc2cf55588e12e16],
+    [0x82e6a508c1ffab75, 0x1914a53e10f4f2ac],
 ];
 
 #[test]
