@@ -313,7 +313,7 @@ impl WorkerPool {
     /// Derivation (`cargo bench -p sp-bench --bench worker_pool`, 2-vCPU
     /// host, three runs; table in docs/perf.md, "A pool that costs
     /// microseconds"): a region hands off in ≈ 2 µs while the workers
-    /// spin and 15–45 µs once they sleep. Width 2 lost at 2¹⁵ elements in
+    /// spin and 15–65 µs once they sleep. Width 2 lost at 2¹⁵ elements in
     /// every run (8.3–11.7 µs inline), and at 2¹⁶ in one of three (a
     /// 205 µs outlier); from 2¹⁷ it won in all three (22–28 against
     /// 52–81 µs inline). The floor is the power of two over the largest
