@@ -1,17 +1,20 @@
 //! Worker-count invariance — the data-parallel determinism contract.
 //!
-//! `Schedule::DataParallel` shards Collect, Insert and the Train
-//! gather/scatter over a `WorkerPool`, but sharding only ever moves work
-//! between threads along disjoint-output boundaries: no floating-point
-//! reduction is split, so the pool width must be *unobservable* in every
-//! result. This suite pins that down the strongest way available: for
-//! arbitrary traces, parallelism ∈ {1, 2, 4, 7} must produce
-//! byte-identical `PipelineReport` JSON, bit-identical trained tables and
-//! identical audit iteration totals.
+//! The register schedules (`Sync`, `Sequential`, and `DataParallel`, which
+//! is `Sync` under another name) shard \[Plan\], Collect, Insert and the
+//! Train gather/scatter over a `WorkerPool`, but sharding only ever moves
+//! work between threads along disjoint-output boundaries: no
+//! floating-point reduction is split, so the pool width must be
+//! *unobservable* in every result. This suite pins that down the strongest
+//! way available: for arbitrary traces, parallelism ∈ {1, 2, 4, 7} must
+//! produce byte-identical `PipelineReport` JSON, bit-identical trained
+//! tables and identical audit iteration totals.
 
 use embeddings::{EmbeddingTable, SparseBatch, TableBag};
 use proptest::prelude::*;
-use scratchpipe::{IterationRecord, MemorySink, Pipeline, PipelineConfig, Schedule, UnitBackend};
+use scratchpipe::{
+    IterationRecord, MemorySink, Pipeline, PipelineConfig, Schedule, Telemetry, UnitBackend,
+};
 use serde::{Deserialize as _, Value};
 use tracegen::{LocalityProfile, TraceConfig, TraceGenerator};
 
@@ -103,19 +106,26 @@ proptest! {
 
     #[test]
     fn any_worker_count_is_byte_identical(trace in arb_trace()) {
-        let (base_json, base_tables, base_totals) =
-            run(small_tables(), DIM, 64, &trace, Schedule::DataParallel, WIDTHS[0]);
-        prop_assert_eq!(base_totals.iterations as usize, trace.len());
-        for &width in &WIDTHS[1..] {
-            let (json, tables, totals) =
-                run(small_tables(), DIM, 64, &trace, Schedule::DataParallel, width);
-            prop_assert_eq!(&base_json, &json, "report JSON diverged at width {}", width);
-            prop_assert_eq!(&base_totals, &totals, "audit totals diverged at width {}", width);
-            for (t, (a, b)) in base_tables.iter().zip(&tables).enumerate() {
-                prop_assert!(
-                    a.bit_eq(b),
-                    "width {} table {} diverged at {:?}", width, t, a.first_diff_row(b)
+        for schedule in [Schedule::Sync, Schedule::DataParallel] {
+            let (base_json, base_tables, base_totals) =
+                run(small_tables(), DIM, 64, &trace, schedule, WIDTHS[0]);
+            prop_assert_eq!(base_totals.iterations as usize, trace.len());
+            for &width in &WIDTHS[1..] {
+                let (json, tables, totals) =
+                    run(small_tables(), DIM, 64, &trace, schedule, width);
+                prop_assert_eq!(
+                    &base_json, &json, "{:?}: report JSON diverged at width {}", schedule, width
                 );
+                prop_assert_eq!(
+                    &base_totals, &totals, "{:?}: audit totals diverged at width {}", schedule, width
+                );
+                for (t, (a, b)) in base_tables.iter().zip(&tables).enumerate() {
+                    prop_assert!(
+                        a.bit_eq(b),
+                        "{:?} width {} table {} diverged at {:?}",
+                        schedule, width, t, a.first_diff_row(b)
+                    );
+                }
             }
         }
     }
@@ -397,4 +407,163 @@ fn prewarm_by_table_is_width_invariant() {
             assert!(a.bit_eq(b), "width {width}: table {t} diverged");
         }
     }
+}
+
+/// `copy_bound`'s shape (4 tables, batch 256, one lookup, dim 256, 2 200
+/// slots, random locality) over fewer rows: ≈ 1 000 staged rows of 1 KiB
+/// a batch, so Collect, Insert, the Train gather and its scatter each
+/// clear `WorkerPool::MIN_SHARD_WORK` in every iteration, while \[Plan\]
+/// (≈ 1 000 unique IDs) stays under its fan-out floor.
+const COPY_TABLES: usize = 4;
+const COPY_ROWS: usize = 10_000;
+const COPY_DIM: usize = 256;
+const COPY_SLOTS: usize = 2_200;
+const COPY_ITERS: usize = 8;
+
+fn copy_bound_trace() -> Vec<SparseBatch> {
+    TraceGenerator::new(TraceConfig {
+        num_tables: COPY_TABLES,
+        rows_per_table: COPY_ROWS as u64,
+        lookups_per_sample: 1,
+        batch_size: 256,
+        profile: LocalityProfile::Random,
+        seed: 0xC0B1,
+    })
+    .take_batches(COPY_ITERS)
+}
+
+/// What one observed run at `copy_bound`'s shape leaves behind: the report
+/// JSON, the trained tables, the audit stream with its wall-clock values
+/// and schedule names masked, and the telemetry collector's deterministic
+/// digest with its schedule names masked.
+fn observe_copy_bound(
+    batches: &[SparseBatch],
+    schedule: Schedule,
+    parallelism: usize,
+) -> (String, Vec<EmbeddingTable>, String, String) {
+    let sink = MemorySink::new();
+    let telemetry = Telemetry::new();
+    let mut rt = Pipeline::builder()
+        .config(PipelineConfig::functional(COPY_DIM, COPY_SLOTS))
+        .tables(
+            (0..COPY_TABLES)
+                .map(|t| EmbeddingTable::seeded(COPY_ROWS, COPY_DIM, 900 + t as u64))
+                .collect(),
+        )
+        .backend(UnitBackend::new(0.1))
+        .schedule(schedule)
+        .parallelism(parallelism)
+        .audit(sink.clone())
+        .telemetry(telemetry.clone())
+        .build()
+        .expect("pipeline");
+    let report = rt.run(batches).expect("run");
+    let json = serde_json::to_string(&report).expect("serialize report");
+    let name = schedule.name();
+    let digest = telemetry
+        .deterministic_digest()
+        .replace(&format!("schedule={name}"), "schedule=?");
+    (json, rt.into_tables(), masked_audit(&sink.lines()), digest)
+}
+
+fn zero_numbers(v: &mut Value) {
+    match v {
+        Value::UInt(n) => *n = 0,
+        Value::Seq(items) => items.iter_mut().for_each(zero_numbers),
+        Value::Map(entries) => entries.iter_mut().for_each(|(_, v)| zero_numbers(v)),
+        _ => {}
+    }
+}
+
+/// The audit stream with the values a run's wall clock decides zeroed
+/// (`run_id`, `elapsed_ns`, the nanos inside `stage_nanos` and
+/// `stage_shards`; their keys and shard counts stay) and every `schedule`
+/// field blanked.
+fn masked_audit(lines: &[String]) -> String {
+    let mut out = String::new();
+    for line in lines {
+        let mut event: Value = serde_json::from_str(line).expect("audit line parses");
+        let Value::Map(entries) = &mut event else {
+            panic!("audit line is not an object");
+        };
+        for (key, v) in entries.iter_mut() {
+            match key.as_str() {
+                "run_id" | "schedule" => *v = Value::Str(String::new()),
+                "elapsed_ns" | "stage_nanos" | "stage_shards" => zero_numbers(v),
+                _ => {}
+            }
+        }
+        out.push_str(&serde_json::to_string(&event).expect("serialize"));
+        out.push('\n');
+    }
+    out
+}
+
+/// `DataParallel` is `Sync` under another name: at pool widths 1, 2 and 4
+/// the two give byte-identical reports, bit-identical tables, and the same
+/// audit stream and telemetry digest (which record every shard region,
+/// its task count and the worker each task ran on) apart from the
+/// schedule's name.
+#[test]
+fn sync_and_data_parallel_are_one_schedule_at_every_width() {
+    let batches = copy_bound_trace();
+    for width in [1, 2, 4] {
+        let (sync_json, sync_tables, sync_audit, sync_digest) =
+            observe_copy_bound(&batches, Schedule::Sync, width);
+        let (dp_json, dp_tables, dp_audit, dp_digest) =
+            observe_copy_bound(&batches, Schedule::DataParallel, width);
+        assert_eq!(sync_json, dp_json, "width {width}: report");
+        assert_eq!(sync_audit, dp_audit, "width {width}: masked audit stream");
+        assert_eq!(sync_digest, dp_digest, "width {width}: telemetry digest");
+        for (t, (a, b)) in sync_tables.iter().zip(&dp_tables).enumerate() {
+            assert!(
+                a.bit_eq(b),
+                "width {width}: table {t} diverged at {:?}",
+                a.first_diff_row(b)
+            );
+        }
+    }
+}
+
+/// Per iteration, the stages whose shard regions ran on the pool's
+/// workers, read off the telemetry digest: a region's shard line lists
+/// `lane:worker` per task, and a pooled task's lane is a worker lane
+/// (trace thread 100 and up).
+fn pooled_stages(schedule: Schedule, parallelism: usize) -> Vec<Vec<String>> {
+    let (_, _, _, digest) = observe_copy_bound(&copy_bound_trace(), schedule, parallelism);
+    let mut pooled = vec![Vec::new(); COPY_ITERS];
+    for line in digest.lines() {
+        let Some(rest) = line.strip_prefix("span shards r0 i") else {
+            continue;
+        };
+        let (iteration, rest) = rest.split_once(' ').expect("iteration");
+        let (stage, tasks) = rest.split_once(' ').expect("stage");
+        let on_worker = (tasks.trim_matches(|c| c == '[' || c == ']').split(',')).any(|task| {
+            task.split(':')
+                .next()
+                .and_then(|lane| lane.parse::<u64>().ok())
+                >= Some(100)
+        });
+        let stages = &mut pooled[iteration.parse::<usize>().expect("iteration index")];
+        if on_worker && !stages.iter().any(|s| s == stage) {
+            stages.push(stage.to_owned());
+        }
+    }
+    pooled
+}
+
+/// The register schedules hand every stage the pipeline's pool: at
+/// `copy_bound`'s shape under `Sync` at width 2, every iteration's
+/// Collect, Insert and Train regions run on it. At width 1 nothing leaves
+/// the calling thread, and under `Threaded` the lanes keep every region
+/// inline.
+#[test]
+fn sync_shards_collect_insert_and_train_at_copy_bounds_shape() {
+    let every = vec![vec!["Collect", "Insert", "Train"]; COPY_ITERS];
+    let mut wide = pooled_stages(Schedule::Sync, 2);
+    wide.iter_mut().for_each(|stages| stages.sort());
+    assert_eq!(wide, every, "Sync at width 2");
+    let none = vec![Vec::<String>::new(); COPY_ITERS];
+    assert_eq!(pooled_stages(Schedule::Sync, 1), none, "Sync at width 1");
+    assert_eq!(pooled_stages(Schedule::Threaded, 2), none, "Threaded");
 }
