@@ -13,9 +13,10 @@
 //! 1. **`Schedule::Auto`** (`AUTO_OVERLAP_MIN_LOOKUPS` in
 //!    `crates/core/src/pipeline.rs`; docs/perf.md, "Schedule
 //!    calibration"): the functional pipeline at iteration sizes from 16
-//!    to 32 768 lookups and two embedding widths under the synchronous,
-//!    overlapped and data-parallel schedules — µs per iteration (best
-//!    run), the fastest schedule and what `Auto` picks on this host.
+//!    to 32 768 lookups and two embedding widths under the synchronous
+//!    (every stage sharded over the machine-sized pool) and overlapped
+//!    schedules — µs per iteration (best run), the faster one and what
+//!    `Auto` picks on this host.
 //! 2. **\[Plan\] by table** (`stages::PLAN_FAN_OUT_MIN_UNIQUES`;
 //!    docs/perf.md, "Plan by table"): `Schedule::Sync` over the harness
 //!    workloads' shapes and scaled-up ones, at pool width 1 (\[Plan\]
@@ -436,8 +437,8 @@ fn dense_sweep(cpus: usize, pairs: usize, quick: bool) {
 /// The `Schedule::Auto` sweep (see the module docs).
 fn auto_sweep(reps: usize, iterations: usize) {
     println!("`Schedule::Auto`: {iterations} iterations per run, best of {reps}\n");
-    println!("| lookups/iter | dim | sync µs | threaded µs | data_parallel µs | fastest | `Auto` picks |");
-    println!("|---:|---:|---:|---:|---:|---|---|");
+    println!("| lookups/iter | dim | sync µs | threaded µs | faster | `Auto` picks |");
+    println!("|---:|---:|---:|---:|---|---|");
     for dim in [8, 64] {
         for (batch_size, lookups_per_sample) in SIZES {
             // Six all-distinct batches fit: no shape can run out.
@@ -463,7 +464,7 @@ fn auto_sweep(reps: usize, iterations: usize) {
                     .build()
                     .expect("pipeline")
             };
-            let schedules = [Schedule::Sync, Schedule::Threaded, Schedule::DataParallel];
+            let schedules = [Schedule::Sync, Schedule::Threaded];
             let micros = schedules.map(|schedule| {
                 (0..reps)
                     .map(|_| {
@@ -476,16 +477,15 @@ fn auto_sweep(reps: usize, iterations: usize) {
             });
             let fastest = (0..schedules.len())
                 .min_by(|&a, &b| micros[a].total_cmp(&micros[b]))
-                .expect("three schedules");
+                .expect("two schedules");
             let picked = build(Schedule::Auto)
                 .effective_schedule(&batches)
                 .expect("resolve");
             println!(
-                "| {} | {dim} | {:.1} | {:.1} | {:.1} | {} | {} |",
+                "| {} | {dim} | {:.1} | {:.1} | {} | {} |",
                 batches[0].total_lookups(),
                 micros[0],
                 micros[1],
-                micros[2],
                 schedules[fastest].name(),
                 picked.name()
             );

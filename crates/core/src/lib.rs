@@ -43,10 +43,10 @@
 //! free kernels in [`stages`], run against the model state the
 //! [`Pipeline`] owns. The stages are not an extension point: the single
 //! driver, [`Pipeline`], executes exactly these five under a
-//! [`Schedule`] — the synchronous register pipeline
-//! ([`Schedule::Sync`]), the overlapped pipeline with lanes of stages on
-//! their own threads ([`Schedule::Threaded`]), intra-stage data
-//! parallelism over a [`WorkerPool`] ([`Schedule::DataParallel`]), the
+//! [`Schedule`] — the synchronous register pipeline, each stage sharded
+//! over a [`WorkerPool`] ([`Schedule::Sync`]), the overlapped pipeline with lanes of stages on
+//! their own threads ([`Schedule::Threaded`]), the register pipeline
+//! under another name ([`Schedule::DataParallel`]), the
 //! unpipelined straw-man ([`Schedule::Sequential`]), or overlap wherever
 //! it pays ([`Schedule::Auto`], the default) — so bit-exact equivalence
 //! with [`runtime::train_direct`], and identical per-stage [`StageTraffic`]

@@ -61,11 +61,15 @@ pub enum Schedule {
     /// on the calling thread, one cycle executing every occupied stage in
     /// reverse register order, so at steady state five mini-batches are in
     /// flight.
-    /// Only \[Plan\] ever leaves that thread: its table shards fan out
-    /// over the pipeline's [`WorkerPool`] when a batch carries enough
-    /// unique IDs to pay for a thread launch
-    /// ([`stages::PLAN_FAN_OUT_MIN_UNIQUES`]) — per-table plans are
-    /// independent, so nothing a run produces depends on it.
+    /// One stage runs at a time, so each hands its shard regions to the
+    /// pipeline's [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide):
+    /// \[Plan\] and the batch's dedup by table from
+    /// [`stages::PLAN_FAN_OUT_MIN_UNIQUES`] unique IDs; Collect, Insert
+    /// and the \[Train\] scatter by table, and the gather by (table ×
+    /// sample range), from [`WorkerPool::MIN_SHARD_WORK`] elements; the
+    /// dense step from [`stages::DENSE_FAN_OUT_MIN_FLOPS`]. Shards own
+    /// disjoint outputs and no floating-point reduction is ever split, so
+    /// nothing a run produces depends on the pool's width.
     Sync,
     /// The §IV-B straw-man: the same stepping of the same program with one
     /// payload, so one batch finishes all stages before the next starts.
@@ -80,22 +84,14 @@ pub enum Schedule {
     /// sleeps until a neighbour's wakes it. An iteration costs the slowest
     /// lane, not the sum of the stages. Requires functional mode.
     Threaded,
-    /// The `Sync` stepping with intra-stage data parallelism: besides
-    /// \[Plan\], which every register schedule fans out, Collect and
-    /// Insert shard by table, the Train gather shards by
-    /// (table × sample range) and its scatter by table, all over one
-    /// [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide).
-    /// Bit-identical to every other schedule at any
-    /// worker count (shards own disjoint outputs; no floating-point
-    /// reduction is ever split). Requires functional mode.
+    /// [`Schedule::Sync`] under the name the benchmark harness and the
+    /// top rung of [`Pipeline::run_supervised`]'s degradation ladder use:
+    /// the same stepping over the same pool, so the same bytes out at any
+    /// width. Unlike `Sync`, it requires functional mode.
     DataParallel,
     /// Chooses [`Schedule::Threaded`] when overlap pays and
     /// [`Schedule::Sync`] otherwise: see
-    /// [`Pipeline::effective_schedule`] for the rule. Never picks
-    /// [`Schedule::DataParallel`], which lost to both at every shape of
-    /// the calibration sweep (docs/perf.md, "Schedule calibration") on the
-    /// 2-CPU host it was run on; whether it wins on wider machines is
-    /// unmeasured, so it stays an explicit choice.
+    /// [`Pipeline::effective_schedule`] for the rule.
     #[default]
     Auto,
 }
@@ -260,10 +256,9 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         self
     }
 
-    /// Sets the width of the pipeline's worker pool: what
-    /// [`Schedule::DataParallel`] shards every table-wise stage over, what
-    /// \[Plan\] fans a big batch's tables out over under every register
-    /// schedule, and what [`Pipeline::prewarm`] fills its tables over. `0`
+    /// Sets the width of the pipeline's worker pool: what the register
+    /// schedules shard every stage over (see [`Schedule::Sync`]), and
+    /// what [`Pipeline::prewarm`] fills its tables over. `0`
     /// — the default — sizes the pool to the machine's available
     /// parallelism. Any width produces bit-identical training results;
     /// only the wall-clock changes.
@@ -615,22 +610,12 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         }
     }
 
-    /// The worker pool a run under `schedule` shards over. Data parallelism
-    /// rides the `Sync` stepping: the same interpreter, but stages see the
-    /// real pool.
+    /// The worker pool a run under `schedule` shards its stages over: the
+    /// pipeline's under the register schedules, which run one stage at a
+    /// time and so leave the pool's other CPUs idle while one runs; inline
+    /// under the lanes, which already occupy them (measured: sharding
+    /// inside the Plan lane lost 7 %, docs/perf.md "Plan by table").
     fn pool_for(&self, schedule: Schedule) -> WorkerPool {
-        match schedule {
-            Schedule::DataParallel => self.workers,
-            _ => WorkerPool::inline(),
-        }
-    }
-
-    /// The worker pool \[Plan\]'s table shards may fan out over in a run
-    /// under `schedule`. The stepper runs one stage at a time, so
-    /// the pool's other CPUs are idle while \[Plan\] runs; the lanes
-    /// already occupy them (measured: sharding inside the Plan lane lost
-    /// 7 %, docs/perf.md "Plan by table").
-    fn plan_pool_for(&self, schedule: Schedule) -> WorkerPool {
         match schedule {
             Schedule::Threaded => WorkerPool::inline(),
             _ => self.workers,
@@ -688,7 +673,6 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             // victim-safety distances don't apply to it.
             pipelined: schedule != Schedule::Sequential,
             workers: self.pool_for(schedule),
-            plan_workers: self.plan_pool_for(schedule),
             faults: self.faults.as_ref(),
             observer: run.observer.as_ref(),
             lane: Lane::Main,

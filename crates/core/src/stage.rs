@@ -48,18 +48,15 @@ pub(crate) struct StageCtx<'a> {
     /// the sequential straw-man). Victim-safety distances only exist
     /// under overlap.
     pub pipelined: bool,
-    /// Worker pool for intra-stage data parallelism (width 1 runs every
-    /// shard inline). Sharding never changes results — only where the
-    /// disjoint pieces are computed.
-    pub workers: WorkerPool,
-    /// Worker pool \[Plan\]'s table shards and \[Train\]'s dense step
-    /// may fan out over: the pipeline's pool under the register
+    /// Worker pool every stage's shard regions fan out over once they
+    /// clear their floor: the pipeline's pool under the register
     /// schedules, which run one stage at a time and so leave its other
-    /// CPUs idle while one runs; inline under the lanes, which already
-    /// occupy them. A region on it hands its tasks to the process's
-    /// persistent workers in a few microseconds, table `t` to the same
-    /// thread every batch.
-    pub plan_workers: WorkerPool,
+    /// CPUs idle while one runs; inline (width 1) under the lanes, which
+    /// already occupy them. A region on it hands its tasks to the
+    /// process's persistent workers in a few microseconds, table `t` to
+    /// the same thread every batch. Sharding never changes results — only
+    /// where the disjoint pieces are computed.
+    pub workers: WorkerPool,
     /// The armed fault injector, if a fault plan is attached. `None` —
     /// the default — makes every injection hook a single branch.
     pub faults: Option<&'a FaultInjector>,
@@ -287,7 +284,7 @@ impl PlanStage {
     }
 
     /// The \[Plan\] body: one [`stages::plan_table`] task per table, side
-    /// by side over `ctx.plan_workers` when the batch clears
+    /// by side over `ctx.workers` when the batch clears
     /// [`stages::PLAN_FAN_OUT_MIN_UNIQUES`], one after another on this
     /// thread otherwise. Either way the plans, the error reported (the
     /// lowest failing table's) and everything downstream are the same.
@@ -300,8 +297,7 @@ impl PlanStage {
         // The one sort/dedup per (batch, table) of the whole run happens
         // here, as each batch enters the window — by table, over the same
         // pool and from the same floor as the plans below.
-        self.window
-            .advance(ctx.batches, ctx.index, ctx.plan_workers)?;
+        self.window.advance(ctx.batches, ctx.index, ctx.workers)?;
         let i = ctx.index;
         self.max_dup[i] = self
             .window
@@ -324,7 +320,7 @@ impl PlanStage {
 
         let uniques: usize = current.iter().map(Vec::len).sum();
         let pool = if uniques >= stages::PLAN_FAN_OUT_MIN_UNIQUES && current.len() >= 2 {
-            ctx.plan_workers
+            ctx.workers
         } else {
             WorkerPool::inline()
         };
@@ -620,13 +616,6 @@ impl<B: DenseBackend> TrainStage<B> {
             }
         }
 
-        // The per-lookup fan-out index is a pure function of the plan and
-        // the bag, and the gather/scatter below are its only readers, so
-        // it is built on their lane rather than on [Plan]'s.
-        for (plan, (_, bag)) in payload.plans.iter_mut().zip(batch.bags()) {
-            stages::index_lookups(plan, bag);
-        }
-
         // Functional training from the scratchpad, through the flat
         // pooled/gradient arenas.
         let dim = shared.dim;
@@ -635,37 +624,46 @@ impl<B: DenseBackend> TrainStage<B> {
 
         // Forward gather, sharded by (table × contiguous sample range):
         // every sample's pooled sum is computed whole by exactly one
-        // worker, so any pool width gathers bit-identical arenas. All
-        // storages are read-locked up front so chunks of the same table
-        // can gather concurrently.
+        // worker, so any pool width gathers bit-identical arenas. A shard
+        // first builds its samples' range of the table's lookup index, the
+        // search half of `stages::index_lookups`. All storages are
+        // read-locked up front so chunks of the same table can gather
+        // concurrently. The ranges follow the pool's width whether or not
+        // the region clears the floor, so a warm run allocates the same
+        // bytes at any embedding width.
         let gather_pool = ctx.workers.for_work((batch.total_lookups() * dim) as u64);
-        let ranges = gather_pool.split_ranges(batch_size);
+        let ranges = ctx.workers.split_ranges(batch_size);
         {
-            let plans = &payload.plans;
             let guards: Vec<_> = shared.storages.iter().map(|m| m.lock()).collect();
-            let mut tasks = Vec::with_capacity(plans.len() * ranges.len());
-            for (t, block) in self.arena.pooled_blocks_mut().enumerate() {
-                let plan = &plans[t];
+            let mut tasks = Vec::with_capacity(payload.plans.len() * ranges.len());
+            let tables = self.arena.pooled_blocks_mut().zip(&mut payload.plans);
+            for (t, (block, plan)) in tables.enumerate() {
                 let bag = batch.bag(t);
                 let store: &EmbeddingTable = &guards[t];
-                let mut rest = block;
+                plan.lookup_unique.resize(bag.ids().len(), 0);
+                let unique = (&plan.unique_ids[..], &plan.unique_slots[..]);
+                let (mut rest, mut index) = (block, &mut plan.lookup_unique[..]);
                 for r in &ranges {
                     let (head, tail) = rest.split_at_mut(r.len() * dim);
-                    rest = tail;
-                    let (lo, hi) = (r.start, r.end);
-                    tasks.push(move || stages::gather_pooled_range(store, bag, plan, lo, hi, head));
+                    let lookups = bag.offsets()[r.end] - bag.offsets()[r.start];
+                    let (lookups, more) = index.split_at_mut(lookups as usize);
+                    (rest, index) = (tail, more);
+                    let range = (r.start, r.end);
+                    tasks.push(move || {
+                        stages::index_and_gather_range(store, bag, unique, lookups, range, head);
+                    });
                 }
             }
             run_region(ctx, StageId::Train, gather_pool, tasks)?;
         }
 
-        // The dense step fans out over [Plan]'s pool once it carries
+        // The dense step fans out over the pool once it carries
         // `DENSE_FAN_OUT_MIN_FLOPS`: per sample range for the forward and
         // every `dx`, then per block of weight rows for the update, which
         // keeps each reduction's accumulation order whole (see the
         // determinism contract in docs/runtime-api.md).
         let dense_pool = if dense.gpu_flops >= stages::DENSE_FAN_OUT_MIN_FLOPS {
-            ctx.plan_workers
+            ctx.workers
         } else {
             WorkerPool::inline()
         };
@@ -677,11 +675,14 @@ impl<B: DenseBackend> TrainStage<B> {
 
         // Backward scatter, sharded per table: the duplicate → coalesce →
         // scatter chain of a table is one unsplittable reduction, but
-        // different tables touch disjoint storages.
+        // different tables touch disjoint storages. Each task first builds
+        // its table's transpose of the lookup index, the other half of
+        // `stages::index_lookups`.
         let arena = &self.arena;
-        let tasks = payload.plans.iter().enumerate().map(|(t, plan)| {
+        let tasks = payload.plans.iter_mut().enumerate().map(|(t, plan)| {
             let bag = batch.bag(t);
             move || {
+                stages::transpose_lookups(plan, bag);
                 let updated = plan.unique_slots.iter().map(|&slot| slot as usize);
                 let mut store = shared.storages[t].lock();
                 stages::scatter_grads(store.write(updated), bag, arena.grads_table(t), lr, plan);
@@ -848,8 +849,7 @@ mod tests {
                     batches: &batches,
                     index,
                     pipelined: true,
-                    workers: WorkerPool::inline(),
-                    plan_workers: WorkerPool::new(width),
+                    workers: WorkerPool::new(width),
                     faults: None,
                     observer: None,
                     lane: Lane::Main,

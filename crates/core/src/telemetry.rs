@@ -21,9 +21,8 @@
 //!   `chrome://tracing`. Each run is a process; lane 0 is the driver
 //!   thread, lanes 1–5 are the threaded schedule's stages, lanes 100+ are
 //!   worker-pool workers running the tasks of a recorded shard region
-//!   that left its thread: `DataParallel`'s Collect, Insert and Train
-//!   regions, and a \[Plan\] region fanned out under the stepped
-//!   schedules. The pool's other work — the prewarm, the dedup of a batch
+//!   that left its thread: the \[Plan\], Collect, Insert and Train
+//!   regions the stepped schedules fan out. The pool's other work — the prewarm, the dedup of a batch
 //!   entering the window and the dense step's two regions — records no
 //!   event, so it lands on no lane.
 //!
@@ -88,8 +87,8 @@ pub enum Lane {
     /// lanes, so a trace reads the same whatever the grouping.
     Stage(u8),
     /// Worker `w` of a recorded shard region that ran on the pool (0 =
-    /// the thread that entered the region): `DataParallel`'s regions and
-    /// a fanned-out \[Plan\]. Pool work that records no region (the
+    /// the thread that entered the region): a stepped schedule's
+    /// \[Plan\], Collect, Insert and Train regions. Pool work that records no region (the
     /// prewarm, the dedup, the dense step) has no lane.
     Worker(u16),
 }

@@ -1,11 +1,11 @@
 //! Persistent worker pool for intra-stage data parallelism.
 //!
-//! [`WorkerPool`] is the fork-join primitive behind
-//! `Schedule::DataParallel`; behind the prewarm, and behind \[Plan\] and
-//! the batch's dedup under every schedule the stepper runs (all but
-//! `Threaded`), once the work clears `stages::PLAN_FAN_OUT_MIN_UNIQUES`;
-//! and behind the dense step's two regions (`DenseBackend::step_on`)
-//! under those schedules, once the step clears
+//! [`WorkerPool`] is the fork-join primitive behind the prewarm, and
+//! behind every stage under the schedules the stepper runs (all but
+//! `Threaded`), each region once its work clears its floor: \[Plan\] and
+//! the batch's dedup `stages::PLAN_FAN_OUT_MIN_UNIQUES`, Collect, Insert
+//! and the \[Train\] gather and scatter [`WorkerPool::MIN_SHARD_WORK`],
+//! the dense step's two regions (`DenseBackend::step_on`)
 //! `stages::DENSE_FAN_OUT_MIN_FLOPS`: a stage splits its iteration into
 //! disjoint shard tasks (per table, or per contiguous sample range) and
 //! hands them to [`WorkerPool::run_tasks`], which deals them over a
@@ -282,7 +282,7 @@ impl Workers {
     }
 }
 
-/// A task of a fanned-out region: dealt, taken by its worker, then done.
+/// A task of a region: dealt, taken by its worker, then done.
 enum Shard<F, T> {
     Dealt(F),
     Running,
@@ -292,7 +292,7 @@ enum Shard<F, T> {
 /// A fixed-width fork-join worker pool.
 ///
 /// Width 1 (the [`WorkerPool::inline`] pool) executes tasks on the calling
-/// thread with no synchronization at all; wider pools deal tasks
+/// thread with no hand-off; wider pools deal tasks
 /// round-robin over the calling thread and the process's persistent
 /// workers (see the module docs). Tasks may borrow the caller's stack
 /// (`run_tasks` returns only once every task has finished), and a region
@@ -415,36 +415,37 @@ impl WorkerPool {
             };
             (out, timing)
         };
+        // One slot per task in both paths, so a region allocates the same
+        // bytes whether or not it leaves this thread.
         let n = tasks.len();
-        let done: Vec<(Result<T, String>, ShardTiming)> =
-            if self.threads <= 1 || n <= 1 || IN_REGION.get() {
-                tasks.into_iter().map(|task| timed(0, task)).collect()
-            } else {
-                let groups = self.threads.min(n);
-                let shards: Vec<Mutex<Shard<F, T>>> = tasks
-                    .into_iter()
-                    .map(|task| Mutex::new(Shard::Dealt(task)))
-                    .collect();
-                let run = |w: usize| {
-                    for shard in shards.iter().skip(w).step_by(groups) {
-                        let dealt = std::mem::replace(&mut *lock(shard), Shard::Running);
-                        if let Shard::Dealt(task) = dealt {
-                            let (out, timing) = timed(w, task);
-                            *lock(shard) = Shard::Done(out, timing);
-                        }
-                    }
-                };
-                workers().fan_out(groups, &run);
-                shards
-                    .into_iter()
-                    .map(|shard| match shard.into_inner() {
-                        Ok(Shard::Done(out, timing)) => (out, timing),
-                        _ => unreachable!("a fanned-out region returns once every task is done"),
-                    })
-                    .collect()
-            };
+        let groups = if IN_REGION.get() {
+            1
+        } else {
+            self.threads.min(n).max(1)
+        };
+        let shards: Vec<Mutex<Shard<F, T>>> = tasks
+            .into_iter()
+            .map(|task| Mutex::new(Shard::Dealt(task)))
+            .collect();
+        let run = |w: usize| {
+            for shard in shards.iter().skip(w).step_by(groups) {
+                let dealt = std::mem::replace(&mut *lock(shard), Shard::Running);
+                if let Shard::Dealt(task) = dealt {
+                    let (out, timing) = timed(w, task);
+                    *lock(shard) = Shard::Done(out, timing);
+                }
+            }
+        };
+        if groups > 1 {
+            workers().fan_out(groups, &run);
+        } else {
+            run(0);
+        }
         let (mut outs, mut timings) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (k, (out, timing)) in done.into_iter().enumerate() {
+        for (k, shard) in shards.into_iter().enumerate() {
+            let Ok(Shard::Done(out, timing)) = shard.into_inner() else {
+                unreachable!("a region returns once every task is done");
+            };
             match out {
                 Ok(v) => {
                     outs.push(v);

@@ -89,15 +89,16 @@ where
 /// whoever owns its range, so splitting a batch across workers produces
 /// bit-identical output to a single-worker gather.
 ///
-/// `lookup_unique` maps every lookup (bag order) to an index into the
-/// batch's unique-ID set; `unique_slots` maps unique indices to store
-/// rows.
+/// `lookup_unique` maps every lookup of samples `lo..hi` (bag order) to an
+/// index into the batch's unique-ID set — a shard owns its range of the
+/// batch's index, and the whole batch's for `0..batch_size`;
+/// `unique_slots` maps unique indices to store rows.
 ///
 /// # Panics
 ///
 /// Panics if `lo > hi`, `hi > bag.batch_size()`, `out.len() != (hi - lo)
-/// × dim`, `lookup_unique.len() != bag.ids().len()`, or an index is out
-/// of bounds.
+/// × dim`, `lookup_unique` does not hold exactly the range's lookups, or
+/// an index is out of bounds.
 pub fn gather_reduce_indexed(
     store: &EmbeddingTable,
     bag: &TableBag,
@@ -114,15 +115,16 @@ pub fn gather_reduce_indexed(
         (hi - lo) * dim,
         "pooled slice must be (hi - lo) × dim"
     );
+    let offsets = bag.offsets();
+    let base = offsets[lo] as usize;
     assert_eq!(
         lookup_unique.len(),
-        bag.ids().len(),
-        "lookup index must cover every bag lookup"
+        offsets[hi] as usize - base,
+        "lookup index must cover the range's lookups"
     );
-    let offsets = bag.offsets();
     out.fill(0.0);
     for (acc, s) in out.chunks_exact_mut(dim).zip(lo..hi) {
-        for &u in &lookup_unique[offsets[s] as usize..offsets[s + 1] as usize] {
+        for &u in &lookup_unique[offsets[s] as usize - base..offsets[s + 1] as usize - base] {
             add_assign_row(acc, store.row(unique_slots[u as usize] as usize));
         }
     }
@@ -365,10 +367,11 @@ mod tests {
             let mut stitched = vec![f32::NAN; full.len()];
             for w in cuts.windows(2) {
                 let (lo, hi) = (w[0], w[1]);
+                let lookups = bag.offsets()[lo] as usize..bag.offsets()[hi] as usize;
                 gather_reduce_indexed(
                     &t,
                     &bag,
-                    &lookup_unique,
+                    &lookup_unique[lookups],
                     &unique_slots,
                     lo,
                     hi,
