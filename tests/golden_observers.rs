@@ -143,12 +143,17 @@ fn degrading_plan() -> FaultPlan {
 /// shard region (a `Plan` key in the audit line's `stage_shards`, a Plan
 /// shard span and Plan shard metrics), and the Collect and Insert regions
 /// that clear the lower floor moved from lane 0 to the worker lanes. The
-/// `Sync` and `Threaded` rows are the originals.
+/// degrading row was re-recorded again when `Sync` began sharding every
+/// stage over the pool: its `Sync` rung, at width 2, now runs Collect,
+/// Insert and Train on the worker lanes, splits the gather into two
+/// sample ranges per table (four more Train shards per iteration), and
+/// reports `sp_worker_pool_width` 2. The `Sync` and `Threaded` rows are
+/// the originals.
 const GOLDEN: [[u64; 2]; 4] = [
     [0xc97349be712d3bf2, 0x5eafac82b58cded2],
     [0x0268ae4a433e2802, 0xd70ed4f4fcfd596e],
     [0xdf31fb43727565ca, 0x116e2dedf74ed7c6],
-    [0x82e6a508c1ffab75, 0x1914a53e10f4f2ac],
+    [0x6a14e68c4d067722, 0x507231eecd7305ec],
 ];
 
 #[test]
