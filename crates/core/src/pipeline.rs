@@ -531,11 +531,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         // Tables share nothing, so each is one task; a prewarm the size of
         // a batch that [Plan] would fan out is fanned out the same way.
         let rows: usize = hot_rows.iter().map(Vec::len).sum();
-        let pool = if rows >= stages::PLAN_FAN_OUT_MIN_UNIQUES {
-            self.workers
-        } else {
-            WorkerPool::inline()
-        };
+        let pool = (self.workers).over_floor(rows as u64, stages::PLAN_FAN_OUT_MIN_UNIQUES as u64);
         let (config, shared) = (&self.config, &self.shared);
         let tasks = (self.plan.managers.iter_mut().zip(hot_rows).enumerate())
             .map(|(t, (manager, rows))| {

@@ -17,7 +17,7 @@
 //! free kernels of [`crate::stages`].
 
 use embeddings::sparse::sort_ids;
-use embeddings::{EmbeddingTable, SparseBatch};
+use embeddings::{ops, EmbeddingTable, SparseBatch};
 use parking_lot::Mutex;
 
 use crate::backend::DenseBackend;
@@ -641,16 +641,18 @@ impl<B: DenseBackend> TrainStage<B> {
                 let bag = batch.bag(t);
                 let store: &EmbeddingTable = &guards[t];
                 plan.lookup_unique.resize(bag.ids().len(), 0);
-                let unique = (&plan.unique_ids[..], &plan.unique_slots[..]);
+                let (unique_ids, slots) = (&plan.unique_ids, &plan.unique_slots);
                 let (mut rest, mut index) = (block, &mut plan.lookup_unique[..]);
                 for r in &ranges {
                     let (head, tail) = rest.split_at_mut(r.len() * dim);
-                    let lookups = bag.offsets()[r.end] - bag.offsets()[r.start];
-                    let (lookups, more) = index.split_at_mut(lookups as usize);
+                    let ids =
+                        &bag.ids()[bag.offsets()[r.start] as usize..bag.offsets()[r.end] as usize];
+                    let (lookups, more) = index.split_at_mut(ids.len());
                     (rest, index) = (tail, more);
-                    let range = (r.start, r.end);
+                    let (lo, hi) = (r.start, r.end);
                     tasks.push(move || {
-                        stages::index_and_gather_range(store, bag, unique, lookups, range, head);
+                        stages::search_lookups(unique_ids, ids, lookups);
+                        ops::gather_reduce_indexed(store, bag, lookups, slots, lo, hi, head);
                     });
                 }
             }
@@ -662,11 +664,7 @@ impl<B: DenseBackend> TrainStage<B> {
         // every `dx`, then per block of weight rows for the update, which
         // keeps each reduction's accumulation order whole (see the
         // determinism contract in docs/runtime-api.md).
-        let dense_pool = if dense.gpu_flops >= stages::DENSE_FAN_OUT_MIN_FLOPS {
-            ctx.workers
-        } else {
-            WorkerPool::inline()
-        };
+        let dense_pool = (ctx.workers).over_floor(dense.gpu_flops, stages::DENSE_FAN_OUT_MIN_FLOPS);
         let (pooled, grads) = self.arena.split();
         let step = self
             .backend

@@ -554,9 +554,8 @@ pub(crate) fn plan_traffic(batch: &SparseBatch, current: &[Vec<u64>]) -> Traffic
 /// is resolved exactly once per (table, batch). Then fills its transpose,
 /// [`TablePlan::unique_offsets`] and [`TablePlan::unique_samples`], which
 /// the Train scatter gathers each row's gradients through: a counting
-/// sort. The pipeline runs the two halves on the pool, each in the shard
-/// task that reads it: the search in each gather shard, over the shard's
-/// own lookups, and the transpose in each table's scatter task.
+/// sort. The pipeline runs the search in each gather shard, over its own
+/// lookups, and the transpose in each table's scatter task.
 ///
 /// # Panics
 ///
@@ -570,11 +569,7 @@ pub fn index_lookups(plan: &mut TablePlan, bag: &TableBag) {
 
 /// The search half of [`index_lookups`] over a run of lookups: `out[j]`
 /// becomes the index of `ids[j]` within the sorted `unique_ids`.
-///
-/// # Panics
-///
-/// Panics if an ID is missing from `unique_ids`.
-fn search_lookups(unique_ids: &[u64], ids: &[u64], out: &mut [u32]) {
+pub(crate) fn search_lookups(unique_ids: &[u64], ids: &[u64], out: &mut [u32]) {
     debug_assert!(
         unique_ids.windows(2).all(|w| w[0] <= w[1]),
         "plan ids must be sorted"
@@ -586,12 +581,10 @@ fn search_lookups(unique_ids: &[u64], ids: &[u64], out: &mut [u32]) {
     }
 }
 
-/// The transpose half of [`index_lookups`], from a complete
-/// `lookup_unique`: counts each unique row's lookups, turns the counts
-/// into each row's end by prefix sums, then walks the batch sample by
-/// sample backwards, every lookup stepping its row's offset down one and
-/// landing there: a row lists its samples ascending, and its offset ends
-/// at the row's start.
+/// The transpose half of [`index_lookups`]. Prefix sums turn each row's
+/// lookup count into its end; walked sample by sample backwards, every
+/// lookup steps its row's offset down one and lands there: a row lists
+/// its samples ascending, and its offset ends at the row's start.
 pub(crate) fn transpose_lookups(plan: &mut TablePlan, bag: &TableBag) {
     let num_unique = plan.unique_ids.len();
     plan.unique_offsets.clear();
@@ -783,11 +776,7 @@ pub fn gather_pooled_range(
     hi: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(
-        plan.lookup_unique.len(),
-        bag.ids().len(),
-        "lookup index must be of this bag"
-    );
+    assert_eq!(plan.lookup_unique.len(), bag.ids().len(), "stale index");
     let lookups = bag.offsets()[lo] as usize..bag.offsets()[hi] as usize;
     ops::gather_reduce_indexed(
         storage,
@@ -798,23 +787,6 @@ pub fn gather_pooled_range(
         hi,
         out,
     );
-}
-
-/// One \[Train\] gather shard as the pipeline runs it: resolves the
-/// lookups of samples `lo..hi` in the plan's sorted `unique_ids` into
-/// `lookups`, their range of the table's lookup index (the search half of
-/// [`index_lookups`]), then gathers those samples through it.
-pub(crate) fn index_and_gather_range(
-    storage: &EmbeddingTable,
-    bag: &TableBag,
-    (unique_ids, unique_slots): (&[u64], &[u32]),
-    lookups: &mut [u32],
-    (lo, hi): (usize, usize),
-    out: &mut [f32],
-) {
-    let ids = &bag.ids()[bag.offsets()[lo] as usize..bag.offsets()[hi] as usize];
-    search_lookups(unique_ids, ids, lookups);
-    ops::gather_reduce_indexed(storage, bag, lookups, unique_slots, lo, hi, out);
 }
 
 /// \[Train\], backward half of one table: for each of the plan's unique

@@ -350,16 +350,18 @@ impl WorkerPool {
         self.threads == 1
     }
 
-    /// The pool to use for a region touching roughly `work_elems` f32
-    /// elements: this pool if the region is big enough to amortize its
-    /// dispatch, the inline pool otherwise. Because shard decomposition
-    /// never changes results, callers may apply this freely per region.
+    /// The pool to use for a region of `work` units whose fan-out pays
+    /// from `floor` of them: this pool at or over the floor, the inline
+    /// pool under it. Because shard decomposition never changes results,
+    /// callers may apply this freely per region.
+    pub(crate) fn over_floor(&self, work: u64, floor: u64) -> WorkerPool {
+        WorkerPool::new(if work >= floor { self.threads } else { 1 })
+    }
+
+    /// [`WorkerPool::over_floor`] for a region touching roughly
+    /// `work_elems` f32 elements, from [`WorkerPool::MIN_SHARD_WORK`].
     pub(crate) fn for_work(&self, work_elems: u64) -> WorkerPool {
-        if work_elems >= Self::MIN_SHARD_WORK {
-            *self
-        } else {
-            WorkerPool::inline()
-        }
+        self.over_floor(work_elems, Self::MIN_SHARD_WORK)
     }
 
     /// Splits `0..total` into at most `threads` contiguous, near-equal,
@@ -418,11 +420,8 @@ impl WorkerPool {
         // One slot per task in both paths, so a region allocates the same
         // bytes whether or not it leaves this thread.
         let n = tasks.len();
-        let groups = if IN_REGION.get() {
-            1
-        } else {
-            self.threads.min(n).max(1)
-        };
+        let groups = self.threads.min(n).max(1);
+        let groups = if IN_REGION.get() { 1 } else { groups };
         let shards: Vec<Mutex<Shard<F, T>>> = tasks
             .into_iter()
             .map(|task| Mutex::new(Shard::Dealt(task)))

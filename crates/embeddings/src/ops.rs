@@ -118,9 +118,9 @@ pub fn gather_reduce_indexed(
     let offsets = bag.offsets();
     let base = offsets[lo] as usize;
     assert_eq!(
-        lookup_unique.len(),
-        offsets[hi] as usize - base,
-        "lookup index must cover the range's lookups"
+        base + lookup_unique.len(),
+        offsets[hi] as usize,
+        "range index"
     );
     out.fill(0.0);
     for (acc, s) in out.chunks_exact_mut(dim).zip(lo..hi) {
