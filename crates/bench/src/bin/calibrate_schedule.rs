@@ -26,9 +26,12 @@
 //!    Measured through the whole pipeline because that is where the floor
 //!    has to hold: what the other stages pay for plans written on another
 //!    CPU, and a second CPU the host does not always lend, cost more than
-//!    a stand-alone region reads. A shape under the floor runs the same code at both
-//!    widths, so its two columns gauge the sweep's noise. To look for a
-//!    lower floor on another host, lower the constant and run this again.
+//!    a stand-alone region reads. `Sync` fans out Collect, Insert and
+//!    \[Train\] at the wider width too, so a functional shape's ratio is the
+//!    whole register pipeline's; the floor's verdict reads the analytic
+//!    shapes only, where \[Plan\] and the dedup are the only regions. To
+//!    look for a lower floor on another host, lower the constant and run
+//!    this again.
 //!
 //!    Its analytic shapes also time the **dedup region** alone — every
 //!    batch of the trace entering a `UniqueWindow`, which deduplicates it
@@ -130,8 +133,8 @@ fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
          | width 1 / width {cpus} | width {cpus} ahead |"
     );
     println!("|---|---:|---:|---:|---|---:|---:|");
-    // (uniques, median ratio) of the shapes on either side of the floor.
-    let (mut below, mut above) = (Vec::new(), Vec::new());
+    // (uniques, median ratio) of the analytic shapes over the floor.
+    let mut above = Vec::new();
     for (
         label,
         num_tables,
@@ -191,28 +194,23 @@ fn plan_sweep(cpus: usize, pairs: usize, quick: bool) {
         };
         let (inline, wide, ratio, ahead) = alternate(cpus, pairs, micros_at);
         let fans_out = cpus >= 2 && uniques as usize >= PLAN_FAN_OUT_MIN_UNIQUES;
-        (if fans_out { &mut above } else { &mut below }).push((uniques, ratio));
+        if fans_out && dim.is_none() {
+            above.push((uniques, ratio));
+        }
         println!(
             "| {label} | {uniques} | {inline:.1} | {wide:.1} | {} | {ratio:.2} | {ahead}/{pairs} |",
             if fans_out { "yes" } else { "no" },
         );
     }
-    let noise = below.iter().map(|&(_, ratio): &(u64, f64)| ratio);
-    println!(
-        "\nunder the floor (the same code at both widths, i.e. this sweep's noise): \
-         {:.2}-{:.2}",
-        noise.clone().fold(f64::INFINITY, f64::min),
-        noise.fold(0.0, f64::max)
-    );
     let smallest = above.iter().map(|&(uniques, _)| uniques).min();
     match above.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
-        None => println!("nothing fanned out on this host"),
+        None => println!("\nno analytic shape fanned out on this host"),
         Some(&(uniques, ratio)) if ratio < 1.0 => println!(
-            "the pool LOST at {uniques} unique IDs a batch ({ratio:.2}x): the floor this sweep \
+            "\nthe pool LOST at {uniques} unique IDs a batch ({ratio:.2}x): the floor this sweep \
              implies is above that"
         ),
         Some(&(_, ratio)) => println!(
-            "the pool won at every shape over the floor (from {} unique IDs a batch up, by \
+            "\nthe pool won at every analytic shape over the floor (from {} unique IDs a batch up, by \
              {ratio:.2}x at worst): the floor this sweep implies is at or under that",
             smallest.expect("non-empty")
         ),
