@@ -53,9 +53,9 @@ pub(crate) struct StageCtx<'a> {
     /// schedules, which run one stage at a time and so leave its other
     /// CPUs idle while one runs; inline (width 1) under the lanes, which
     /// already occupy them. A region on it hands its tasks to the
-    /// process's persistent workers in a few microseconds, table `t` to
-    /// the same thread every batch. Sharding never changes results — only
-    /// where the disjoint pieces are computed.
+    /// process's persistent workers in a few microseconds, each claiming
+    /// the next task as it comes free. Sharding never changes results —
+    /// only where the disjoint pieces are computed.
     pub workers: WorkerPool,
     /// The armed fault injector, if a fault plan is attached. `None` —
     /// the default — makes every injection hook a single branch.
@@ -106,8 +106,8 @@ fn run_region<T: Send, F: FnOnce() -> T + Send>(
             stage: stage.name(),
             lane: ctx.lane,
             start_ns,
+            width: pool.threads().min(timings.len()),
             timings,
-            pooled: !pool.is_inline(),
         });
     }
     Ok(results)

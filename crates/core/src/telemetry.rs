@@ -158,9 +158,9 @@ pub enum Event {
         start_ns: u64,
         /// Per task, in submission order.
         timings: Vec<ShardTiming>,
-        /// Whether the tasks ran on pool workers (otherwise inline, on
-        /// `lane`).
-        pooled: bool,
+        /// Workers the region ran on, `min(pool width, tasks)`: 1 means
+        /// inline, on `lane`.
+        width: usize,
     },
     /// One watermark-barrier wait that actually blocked (threaded
     /// schedule).
@@ -365,8 +365,8 @@ struct SpanRecord {
     stage: &'static str,
     /// Stall spans: the watched stage the waiter blocked on.
     aux: &'static str,
-    /// Shard spans: worker that ran the task.
-    worker: u16,
+    /// Shard spans: the task's index in its region.
+    task: u32,
     start_ns: u64,
     dur_ns: u64,
 }
@@ -386,7 +386,7 @@ fn spans(runs: &[Vec<Event>]) -> Vec<SpanRecord> {
             iteration: iteration as u32,
             stage,
             aux: "",
-            worker: 0,
+            task: 0,
             start_ns,
             dur_ns,
         };
@@ -414,13 +414,16 @@ fn spans(runs: &[Vec<Event>]) -> Vec<SpanRecord> {
                     lane,
                     start_ns,
                     ref timings,
-                    pooled,
-                    ..
-                } => spans.extend(timings.iter().map(|t| SpanRecord {
-                    worker: t.worker,
+                    width,
+                } => spans.extend(timings.iter().enumerate().map(|(task, t)| SpanRecord {
+                    task: task as u32,
                     ..span(
                         SpanKind::Shard,
-                        if pooled { Lane::Worker(t.worker) } else { lane },
+                        if width > 1 {
+                            Lane::Worker(t.worker)
+                        } else {
+                            lane
+                        },
                         iteration,
                         stage,
                         start_ns + t.start_ns,
@@ -459,7 +462,7 @@ fn spans(runs: &[Vec<Event>]) -> Vec<SpanRecord> {
             s.kind,
             s.stage,
             s.lane.tid(),
-            s.worker,
+            s.task,
             s.start_ns,
         )
     });
@@ -616,15 +619,18 @@ fn registry(runs: &[Vec<Event>]) -> BTreeMap<MetricKey, MetricValue> {
                 Event::Stage { stage, dur_ns, .. } => {
                     reg.observe(("sp_stage_latency_ns", staged(stage)), *dur_ns);
                 }
-                Event::Shards { stage, timings, .. } if !timings.is_empty() => {
-                    let (mut busy, mut region_end, mut max_worker) = (0u64, 0u64, 0u16);
+                Event::Shards {
+                    stage,
+                    timings,
+                    width,
+                    ..
+                } if !timings.is_empty() => {
+                    let (mut busy, mut region_end) = (0u64, 0u64);
                     for t in timings {
                         reg.observe(("sp_shard_latency_ns", staged(stage)), t.dur_ns);
                         busy += t.dur_ns;
                         region_end = region_end.max(t.start_ns + t.dur_ns);
-                        max_worker = max_worker.max(t.worker);
                     }
-                    let width = u64::from(max_worker) + 1;
                     reg.add(
                         ("sp_shard_tasks_total", staged(stage)),
                         timings.len() as u64,
@@ -632,7 +638,7 @@ fn registry(runs: &[Vec<Event>]) -> BTreeMap<MetricKey, MetricValue> {
                     reg.add(("sp_worker_busy_ns_total", staged(stage)), busy);
                     reg.add(
                         ("sp_worker_idle_ns_total", staged(stage)),
-                        (width * region_end).saturating_sub(busy),
+                        (*width as u64 * region_end).saturating_sub(busy),
                     );
                 }
                 Event::Stall { stage, dur_ns, .. } => {
@@ -854,7 +860,7 @@ impl Telemetry {
             let (tid, name) = match s.kind {
                 SpanKind::Run => (LANE_RUN, "run".to_owned()),
                 SpanKind::Stage => (s.lane.tid(), s.stage.to_owned()),
-                SpanKind::Shard => (s.lane.tid(), format!("{}[{}]", s.stage, s.worker)),
+                SpanKind::Shard => (s.lane.tid(), format!("{}[{}]", s.stage, s.task)),
                 SpanKind::Stall => (s.lane.tid(), format!("stall:{}<-{}", s.stage, s.aux)),
             };
             let mut args = vec![
@@ -863,7 +869,11 @@ impl Telemetry {
                 ("dur_ns", Value::UInt(s.dur_ns)),
             ];
             if s.kind == SpanKind::Shard {
-                args.push(("worker", Value::UInt(u64::from(s.worker))));
+                let worker = match s.lane {
+                    Lane::Worker(w) => w,
+                    _ => 0,
+                };
+                args.push(("worker", Value::UInt(u64::from(worker))));
             }
             if !s.stage.is_empty() {
                 args.push(("stage", str_v(s.stage)));
@@ -956,12 +966,13 @@ impl Telemetry {
     }
 
     /// Renders the deterministic subset of the telemetry: the structural
-    /// span tree (which spans exist, on which lanes, with which workers —
+    /// span tree (which spans exist, on which lanes — a pooled shard by
+    /// its task index, since which worker claimed it is timing —
     /// durations and stall spans excluded) and every metric whose value
     /// does not derive from wall-clock time (histograms contribute their
     /// observation *count*; the stall metrics are left out with the stall
-    /// spans). Two same-seed runs at the same pool width
-    /// produce identical digests, whatever the machine is doing.
+    /// spans). Two same-seed runs at the same pool width produce identical
+    /// digests, whatever the machine is doing.
     pub fn deterministic_digest(&self) -> String {
         let runs = self.inner.runs.lock();
         let mut out = String::new();
@@ -994,9 +1005,12 @@ impl Telemetry {
                 }
                 SpanKind::Shard => {
                     // Group the contiguous shard spans of one
-                    // (run, iteration, stage) region into one line.
+                    // (run, iteration, stage) into one line. A pooled
+                    // task ran on whichever worker claimed it, so it
+                    // renders as the pool's first lane and its task
+                    // index; an inline one as its stage's lane.
                     let (run, iteration, stage) = (s.run, s.iteration, s.stage);
-                    let mut workers = Vec::new();
+                    let mut tasks = Vec::new();
                     while i < spans.len() {
                         let t = &spans[i];
                         if t.kind != SpanKind::Shard
@@ -1006,13 +1020,18 @@ impl Telemetry {
                         {
                             break;
                         }
-                        workers.push(format!("{}:{}", t.lane.tid(), t.worker));
+                        tasks.push(match t.lane {
+                            Lane::Worker(_) => (Lane::Worker(0).tid(), t.task),
+                            lane => (lane.tid(), 0),
+                        });
                         i += 1;
                     }
+                    tasks.sort_unstable();
+                    let tasks: Vec<_> = tasks.iter().map(|(l, k)| format!("{l}:{k}")).collect();
                     let _ = writeln!(
                         out,
                         "span shards r{run} i{iteration} {stage} [{}]",
-                        workers.join(",")
+                        tasks.join(",")
                     );
                 }
             }
@@ -1185,7 +1204,7 @@ mod tests {
                             worker: 1,
                         },
                     ],
-                    pooled: true,
+                    width: 2,
                 },
             ],
         );

@@ -8,9 +8,9 @@
 //! the dense step's two regions (`DenseBackend::step_on`)
 //! `stages::DENSE_FAN_OUT_MIN_FLOPS`: a stage splits its iteration into
 //! disjoint shard tasks (per table, or per contiguous sample range) and
-//! hands them to [`WorkerPool::run_tasks`], which deals them over a
-//! process-wide set of long-lived worker threads and returns results *and
-//! per-shard wall-clock nanos* in task order.
+//! hands them to [`WorkerPool::run_tasks`], whose caller and process-wide
+//! long-lived worker threads claim them one at a time, and which returns
+//! results *and per-shard wall-clock nanos* in task order.
 //!
 //! The handle is only a width, so it lives inside the `Copy` stage context
 //! and costs nothing when parallelism is disabled. The threads behind it
@@ -32,13 +32,14 @@
 //! what lets `WorkerPool::for_work` pick inline execution for small
 //! iterations without perturbing a single bit.
 //!
-//! Where a task runs is fixed too: task `k` of a region of `g` groups runs
-//! on worker `k % g`, and worker `w` is the same OS thread in every
-//! region (0 is the caller), so a table's shard keeps its state in one
-//! core's cache from batch to batch. One region runs at a time: a second
-//! caller waits for the pool, and a region entered from inside a task runs
-//! inline on that task's thread. Both follow from the code's structure,
-//! not from timing, so [`ShardTiming::worker`] is deterministic.
+//! Where a task runs is not: the caller and the workers `1..g` of a region
+//! of `g` groups take the next unclaimed task from one cursor until none
+//! is left, so a late or descheduled worker holds the region up by at
+//! most the task it took, and [`ShardTiming::worker`] records whichever
+//! took it. What is structural is that worker `w` is the same OS thread
+//! in every region (0 is the caller), that one region runs at a time (a
+//! second caller waits for the pool), and that a region entered from
+//! inside a task runs inline on that task's thread.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -60,8 +61,8 @@ pub struct ShardTiming {
     pub start_ns: u64,
     /// Wall-clock duration of the task in nanoseconds.
     pub dur_ns: u64,
-    /// Worker that ran the task (0 = the calling thread; tasks are dealt
-    /// round-robin, so worker `w` runs tasks `w, w+groups, …`).
+    /// Worker that claimed and ran the task (0 = the calling thread);
+    /// timing-dependent.
     pub worker: u16,
 }
 
@@ -108,8 +109,8 @@ thread_local! {
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A region as its workers see it: `run(w)` runs the tasks dealt to worker
-/// `w`, for `w` below `groups`.
+/// A region as its workers see it: `run(w)` claims and runs tasks on
+/// worker `w` until none is left, for `w` below `groups`.
 #[derive(Clone, Copy)]
 struct Job {
     run: &'static (dyn Fn(usize) + Sync),
@@ -282,19 +283,19 @@ impl Workers {
     }
 }
 
-/// A task of a region: dealt, taken by its worker, then done.
+/// A task of a region: waiting, claimed by a worker, then done.
 enum Shard<F, T> {
-    Dealt(F),
-    Running,
+    Waiting(F),
+    Claimed,
     Done(Result<T, String>, ShardTiming),
 }
 
 /// A fixed-width fork-join worker pool.
 ///
 /// Width 1 (the [`WorkerPool::inline`] pool) executes tasks on the calling
-/// thread with no hand-off; wider pools deal tasks
-/// round-robin over the calling thread and the process's persistent
-/// workers (see the module docs). Tasks may borrow the caller's stack
+/// thread with no hand-off; on wider pools the calling thread and the
+/// process's persistent workers claim tasks as they come free (see the
+/// module docs). Tasks may borrow the caller's stack
 /// (`run_tasks` returns only once every task has finished), and a region
 /// costs a hand-off of a few microseconds instead of a thread launch;
 /// [`WorkerPool::MIN_SHARD_WORK`] keeps the regions too small to repay
@@ -385,10 +386,11 @@ impl WorkerPool {
     /// in task-submission order regardless of which worker ran what.
     ///
     /// Width 1, a single task, or a call from inside another region's task
-    /// executes inline; otherwise tasks are dealt round-robin to
-    /// `min(threads, tasks)` workers, the calling thread serving as worker
-    /// 0 and the process's persistent worker `w` as worker `w`. A call
-    /// made while another thread's region runs waits for it to finish.
+    /// executes inline; otherwise `min(threads, tasks)` workers — the
+    /// calling thread as worker 0 and the process's persistent worker `w`
+    /// as worker `w` — each claim the next unclaimed task until none is
+    /// left. A call made while another thread's region runs waits for it
+    /// to finish.
     ///
     /// # Errors
     ///
@@ -424,12 +426,13 @@ impl WorkerPool {
         let groups = if IN_REGION.get() { 1 } else { groups };
         let shards: Vec<Mutex<Shard<F, T>>> = tasks
             .into_iter()
-            .map(|task| Mutex::new(Shard::Dealt(task)))
+            .map(|task| Mutex::new(Shard::Waiting(task)))
             .collect();
+        let cursor = AtomicUsize::new(0);
         let run = |w: usize| {
-            for shard in shards.iter().skip(w).step_by(groups) {
-                let dealt = std::mem::replace(&mut *lock(shard), Shard::Running);
-                if let Shard::Dealt(task) = dealt {
+            while let Some(shard) = shards.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let claimed = std::mem::replace(&mut *lock(shard), Shard::Claimed);
+                if let Shard::Waiting(task) = claimed {
                     let (out, timing) = timed(w, task);
                     *lock(shard) = Shard::Done(out, timing);
                 }

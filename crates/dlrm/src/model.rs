@@ -87,10 +87,10 @@ impl ForkJoin for Inline {
     }
 }
 
-/// Sample ranges per task a fanned-out step may run at once: a task that
-/// starts late, or on a CPU the host is busy with, then holds region 1 up
-/// by a quarter of its share at most — if the fork-join hands out tasks
-/// as workers come free.
+/// Sample ranges per task a fanned-out step may run at once. The
+/// pipeline's fork-join (`WorkerPool::run_tasks`) hands tasks out as
+/// workers come free, so a worker that starts late, or on a CPU the host
+/// is busy with, holds region 1 up by a quarter of its share at most.
 const RANGES_PER_WORKER: usize = 4;
 
 /// Every buffer a [`DlrmModel`] training step needs besides its inputs

@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::backend::{DenseBackend, PooledView, StepResult};
 use scratchpipe::{ScratchError, WorkerPool};
-use std::sync::{Mutex, PoisonError};
 
 /// A full DLRM dense path (bottom MLP → interaction → top MLP → BCE) as a
 /// ScratchPipe [`DenseBackend`].
@@ -82,12 +81,6 @@ impl DlrmBackend {
 }
 
 /// A [`WorkerPool`] as the fork-join the DLRM step's regions run on.
-///
-/// The workers take a region's tasks from one queue, in submission order,
-/// instead of being dealt a fixed share: the calling thread starts on the
-/// first task at once, and a worker that starts late, or runs on a CPU
-/// the host is lending to someone else, holds the region up by at most the
-/// task it took.
 struct Pool(WorkerPool);
 
 impl ForkJoin for Pool {
@@ -98,16 +91,7 @@ impl ForkJoin for Pool {
     }
 
     fn join<F: FnOnce() + Send>(&self, tasks: impl Iterator<Item = F>) -> Result<(), ScratchError> {
-        let queue = Mutex::new(tasks.collect::<Vec<F>>().into_iter());
-        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-        let workers = (0..self.0.threads()).map(|_| {
-            || {
-                while let Some(task) = next() {
-                    task();
-                }
-            }
-        });
-        self.0.run_tasks(workers.collect()).map(drop)
+        self.0.run_tasks(tasks.collect()).map(drop)
     }
 }
 
