@@ -147,13 +147,17 @@ fn degrading_plan() -> FaultPlan {
 /// stage over the pool: its `Sync` rung, at width 2, now runs Collect,
 /// Insert and Train on the worker lanes, splits the gather into two
 /// sample ranges per table (four more Train shards per iteration), and
-/// reports `sp_worker_pool_width` 2. The `Sync` and `Threaded` rows are
-/// the originals.
+/// reports `sp_worker_pool_width` 2. The telemetry halves of both
+/// `DataParallel` rows were re-recorded when the pool's workers began
+/// claiming tasks instead of being dealt them: the digest renders a pooled
+/// shard as the pool's first lane and its task index (`100:k`), not as the
+/// lane of the worker that ran it; no other line moved. The `Sync` and
+/// `Threaded` rows are the originals.
 const GOLDEN: [[u64; 2]; 4] = [
     [0xc97349be712d3bf2, 0x5eafac82b58cded2],
-    [0x0268ae4a433e2802, 0xd70ed4f4fcfd596e],
+    [0x364006e8da50b922, 0xd70ed4f4fcfd596e],
     [0xdf31fb43727565ca, 0x116e2dedf74ed7c6],
-    [0x6a14e68c4d067722, 0x507231eecd7305ec],
+    [0x76d199afa0cd8bfa, 0x507231eecd7305ec],
 ];
 
 #[test]
