@@ -327,6 +327,14 @@ impl PlanStage {
         payload
             .plans
             .resize_with(self.managers.len(), TablePlan::default);
+        // Sized here, so that a plan's buffers stay in this thread's malloc
+        // arena whichever worker claims its table (docs/perf.md).
+        for (plan, ids) in payload.plans.iter_mut().zip(current) {
+            plan.unique_ids.clear();
+            plan.unique_ids.reserve(ids.len());
+            plan.unique_slots.clear();
+            plan.unique_slots.reserve(ids.len());
+        }
         let tasks = (self.managers.iter_mut().zip(&mut payload.plans).enumerate()).map(
             |(t, (manager, plan))| {
                 move || stages::plan_table(t, manager, &current[t], upcoming, plan)

@@ -869,11 +869,8 @@ impl Telemetry {
                 ("dur_ns", Value::UInt(s.dur_ns)),
             ];
             if s.kind == SpanKind::Shard {
-                let worker = match s.lane {
-                    Lane::Worker(w) => w,
-                    _ => 0,
-                };
-                args.push(("worker", Value::UInt(u64::from(worker))));
+                let worker = s.lane.tid().saturating_sub(Lane::Worker(0).tid());
+                args.push(("worker", Value::UInt(worker)));
             }
             if !s.stage.is_empty() {
                 args.push(("stage", str_v(s.stage)));
@@ -1004,11 +1001,9 @@ impl Telemetry {
                     i += 1;
                 }
                 SpanKind::Shard => {
-                    // Group the contiguous shard spans of one
-                    // (run, iteration, stage) into one line. A pooled
-                    // task ran on whichever worker claimed it, so it
-                    // renders as the pool's first lane and its task
-                    // index; an inline one as its stage's lane.
+                    // One line per (run, iteration, stage); a pooled task
+                    // as the pool's first lane and its index, since which
+                    // worker claimed it is timing.
                     let (run, iteration, stage) = (s.run, s.iteration, s.stage);
                     let mut tasks = Vec::new();
                     while i < spans.len() {

@@ -32,14 +32,13 @@
 //! what lets `WorkerPool::for_work` pick inline execution for small
 //! iterations without perturbing a single bit.
 //!
-//! Where a task runs is not: the caller and the workers `1..g` of a region
-//! of `g` groups take the next unclaimed task from one cursor until none
-//! is left, so a late or descheduled worker holds the region up by at
-//! most the task it took, and [`ShardTiming::worker`] records whichever
-//! took it. What is structural is that worker `w` is the same OS thread
-//! in every region (0 is the caller), that one region runs at a time (a
-//! second caller waits for the pool), and that a region entered from
-//! inside a task runs inline on that task's thread.
+//! Where a task runs is not: the caller and the workers of a region each
+//! claim the next task from one cursor until none is left, so a late or
+//! descheduled worker holds the region up by at most the task it took.
+//! What is structural is that worker `w` is the same OS thread in every
+//! region (0 is the caller), that one region runs at a time (a second
+//! caller waits for the pool), and that a region entered from inside a
+//! task runs inline on that task's thread.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -407,18 +406,6 @@ impl WorkerPool {
         F: FnOnce() -> T + Send,
     {
         let region_t0 = Instant::now();
-        let timed = |worker: usize, task: F| {
-            let start_ns = region_t0.elapsed().as_nanos() as u64;
-            let out = catch_unwind(AssertUnwindSafe(task))
-                .map_err(|payload| panic_detail(payload.as_ref()));
-            let end_ns = region_t0.elapsed().as_nanos() as u64;
-            let timing = ShardTiming {
-                start_ns,
-                dur_ns: end_ns.saturating_sub(start_ns),
-                worker: worker as u16,
-            };
-            (out, timing)
-        };
         // One slot per task in both paths, so a region allocates the same
         // bytes whether or not it leaves this thread.
         let n = tasks.len();
@@ -431,11 +418,19 @@ impl WorkerPool {
         let cursor = AtomicUsize::new(0);
         let run = |w: usize| {
             while let Some(shard) = shards.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                let claimed = std::mem::replace(&mut *lock(shard), Shard::Claimed);
-                if let Shard::Waiting(task) = claimed {
-                    let (out, timing) = timed(w, task);
-                    *lock(shard) = Shard::Done(out, timing);
-                }
+                let Shard::Waiting(task) = std::mem::replace(&mut *lock(shard), Shard::Claimed)
+                else {
+                    unreachable!("the cursor hands each task out once");
+                };
+                let start_ns = region_t0.elapsed().as_nanos() as u64;
+                let out = catch_unwind(AssertUnwindSafe(task))
+                    .map_err(|payload| panic_detail(payload.as_ref()));
+                let timing = ShardTiming {
+                    start_ns,
+                    dur_ns: (region_t0.elapsed().as_nanos() as u64).saturating_sub(start_ns),
+                    worker: w as u16,
+                };
+                *lock(shard) = Shard::Done(out, timing);
             }
         };
         if groups > 1 {
@@ -448,13 +443,8 @@ impl WorkerPool {
             let Ok(Shard::Done(out, timing)) = shard.into_inner() else {
                 unreachable!("a region returns once every task is done");
             };
-            match out {
-                Ok(v) => {
-                    outs.push(v);
-                    timings.push(timing);
-                }
-                Err(detail) => return Err(ScratchError::WorkerPanic { task: k, detail }),
-            }
+            outs.push(out.map_err(|detail| ScratchError::WorkerPanic { task: k, detail })?);
+            timings.push(timing);
         }
         Ok((outs, timings))
     }
