@@ -385,11 +385,10 @@ impl WorkerPool {
     /// in task-submission order regardless of which worker ran what.
     ///
     /// Width 1, a single task, or a call from inside another region's task
-    /// executes inline; otherwise `min(threads, tasks)` workers — the
-    /// calling thread as worker 0 and the process's persistent worker `w`
-    /// as worker `w` — each claim the next unclaimed task until none is
-    /// left. A call made while another thread's region runs waits for it
-    /// to finish.
+    /// executes inline; otherwise the calling thread (worker 0) and
+    /// persistent workers `1..min(threads, tasks)` claim tasks from one
+    /// cursor until none is left. A call made while another thread's
+    /// region runs waits for it to finish.
     ///
     /// # Errors
     ///
@@ -415,6 +414,7 @@ impl WorkerPool {
             .into_iter()
             .map(|task| Mutex::new(Shard::Waiting(task)))
             .collect();
+        // Only picks a slot; the slot's `Mutex` orders the task's data.
         let cursor = AtomicUsize::new(0);
         let run = |w: usize| {
             while let Some(shard) = shards.get(cursor.fetch_add(1, Ordering::Relaxed)) {
