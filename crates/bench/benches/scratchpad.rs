@@ -1,14 +1,14 @@
 //! Micro-benchmarks of ScratchPipe's cache-management structures: the
-//! \[Plan\] stage (Hit-Map query + Hold-mask update + victim selection),
-//! the victim pool's two orderings, and the two Hold-mask
-//! implementations.
+//! \[Plan\] stage (Hit-Map query + Hold-mask update + victim selection)
+//! with its metadata in cache and at paper scale, the victim pool's two
+//! orderings, and the two Hold-mask implementations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scratchpipe::holdmask::{HoldMask, NaiveHoldMask};
 use scratchpipe::policy::VictimPool;
-use scratchpipe::{EvictionPolicy, ScratchpadManager, WindowConfig};
+use scratchpipe::{EvictionPolicy, ScratchpadManager, TablePlan, WindowConfig};
 
 fn unique_ids(n: usize, rows: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,6 +38,30 @@ fn bench_plan_stage(c: &mut Criterion) {
             });
         });
     }
+    // Paper scale: a 200 k-slot scratchpad (2 % of a 10 M-row table) and
+    // ≈ 40 k unique IDs a batch, so the Hit-Map, the Hold masks and the
+    // pool's records are out of the core's caches, as in `paper_analytic`.
+    // One element is one unique ID planned.
+    let (slots, ids_per_batch, rows) = (200_000usize, 40_000, 10_000_000);
+    let batches: Vec<Vec<u64>> = (0..16)
+        .map(|i| unique_ids(ids_per_batch, rows, 1_000 + i))
+        .collect();
+    group.throughput(Throughput::Elements(
+        batches.iter().map(Vec::len).sum::<usize>() as u64,
+    ));
+    let id = BenchmarkId::new("paper_scale", slots);
+    group.bench_with_input(id, &slots, |b, &slots| {
+        let mut plan = TablePlan::default();
+        b.iter(|| {
+            let mut m = ScratchpadManager::new(slots, WindowConfig::PAPER, EvictionPolicy::Lru)
+                .expect("manager");
+            for (i, ids) in batches.iter().enumerate() {
+                let f1 = batches.get(i + 1).map_or(&[][..], Vec::as_slice);
+                let f2 = batches.get(i + 2).map_or(&[][..], Vec::as_slice);
+                m.plan_into(ids, &[f1, f2], &mut plan).expect("plan");
+            }
+        });
+    });
     group.finish();
 }
 

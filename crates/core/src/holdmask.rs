@@ -159,6 +159,13 @@ impl HoldMask {
         })
     }
 
+    /// Starts loading `slot`'s horizon into the cache (see
+    /// [`crate::index::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, slot: u32) {
+        crate::index::prefetch(&self.clear_at[slot as usize]);
+    }
+
     /// True if `slot` may be evicted (its horizon has passed).
     pub(crate) fn is_clear(&self, slot: u32) -> bool {
         self.clear_at[slot as usize] <= self.cycle

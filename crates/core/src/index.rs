@@ -24,6 +24,16 @@
 //! `u64` lane and one `u32` lane. Values must therefore be below
 //! `u32::MAX`, which holds by construction for scratchpad slot indices.
 //!
+//! At paper scale the index does not fit the core's caches, and each
+//! probe waits on its own bucket's lines. \[Plan\] knows the keys it will
+//! probe, insert and remove next, so it calls `SlotIndex::prefetch` a few
+//! keys ahead: that starts loading the key's home bucket (its value line
+//! and its key line) and returns at once. The hint itself is this
+//! module's `prefetch` helper, the workspace's second `unsafe` block (a
+//! prefetch never faults, whatever the address; the first is the worker
+//! pool's hand-off). The \[Plan\] passes that use it are described in
+//! [`crate::scratchpad`].
+//!
 //! A proptest at the bottom pins the behaviour (including the
 //! backward-shift path) against a `std::collections::HashMap` reference
 //! model.
@@ -96,6 +106,20 @@ impl SlotIndex {
     /// True if no mappings exist.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Starts loading `key`'s home bucket, its value line and its key
+    /// line, into the cache without waiting for it: a later
+    /// [`SlotIndex::get`], `insert` or `remove` of `key` then finds the
+    /// lines there (see [`prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        if self.vals.is_empty() {
+            return;
+        }
+        let i = self.home(key);
+        prefetch(&self.vals[i]);
+        prefetch(&self.keys[i]);
     }
 
     /// Looks up `key`.
@@ -224,6 +248,32 @@ impl SlotIndex {
             self.vals[i] = v;
         }
     }
+}
+
+/// Asks the CPU to start loading the cache line holding `item` and to
+/// go on without waiting for it (x86-64 `prefetcht0`; nothing elsewhere).
+///
+/// \[Plan\] holds the lists it is about to walk, so it can name the lines
+/// a step will touch a few steps before it gets there; with the index
+/// out of cache, that turns a chain of dependent misses into overlapping
+/// ones.
+#[inline]
+pub(crate) fn prefetch<T>(item: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let line = (item as *const T).cast::<i8>();
+        // SAFETY: a prefetch is a hint: it never faults and loads nothing
+        // into the program, for any address (this one is a live
+        // reference's). It changes no memory and no program state, only
+        // what the cache holds.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(line);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = item;
 }
 
 #[cfg(test)]

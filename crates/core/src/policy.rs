@@ -267,6 +267,13 @@ impl VictimPool {
         self.state[slot as usize].pooled
     }
 
+    /// Starts loading `slot`'s policy record into the cache (see
+    /// [`crate::index::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, slot: u32) {
+        crate::index::prefetch(&self.state[slot as usize]);
+    }
+
     /// Queues a pooled slot at its current priority.
     fn enqueue(&mut self, slot: u32) {
         let priority = self.state[slot as usize].priority;

@@ -42,12 +42,47 @@
 //!   [`crate::policy`]); LFU and Random keep an `O(log n)` ordered set.
 //! * **Output.** [`ScratchpadManager::plan_into`] fills a caller-owned
 //!   [`TablePlan`] in place, so a recycled plan costs no allocation.
+//!
+//! # Passes that look ahead in memory
+//!
+//! \[Plan\] holds every list it is about to walk, so
+//! [`ScratchpadManager::plan_into`] runs as passes over lists, each one
+//! prefetching the lines of the step `PREFETCH_DISTANCE` ahead of the
+//! one it is working on (the hint is [`crate::index`]'s `prefetch`):
+//!
+//! 1. probe the current batch (prefetching each ID's Hit-Map bucket),
+//!    then protect its hits;
+//! 2. probe and protect each look-ahead batch, prefetching the same way;
+//! 3. pop the victims the batch's misses will need into
+//!    [`TablePlan::evictions`], slot first; read each victim's row
+//!    (prefetching its `slot_row` line), then unmap those rows
+//!    (prefetching the bucket and the victim's Hold-mask horizon);
+//! 4. assign the batch in order: a hit keeps its slot, a miss takes a
+//!    never-used slot or the next victim (prefetching a hit's policy
+//!    record and a miss's insert bucket).
+//!
+//! Step 3 pops exactly the victims the in-order pass would pop: nothing
+//! in step 4 returns a slot to the pool (a hit was protected in step 1,
+//! a filled slot is protected as it is filled), so the pool's order
+//! cannot change between two pops. What a caller can observe is
+//! unchanged; only the Hit-Map's bucket layout may differ, since the
+//! unmaps now precede the inserts. At paper scale (200 k slots a table,
+//! the metadata out of cache) this is about a third off each unique ID;
+//! docs/perf.md "\[Plan\] looks ahead in memory" has the measurements.
 
 use crate::config::WindowConfig;
 use crate::error::ScratchError;
 use crate::holdmask::HoldMask;
-use crate::index::SlotIndex;
+use crate::index::{prefetch, SlotIndex};
 use crate::policy::{EvictionPolicy, VictimPool};
+
+/// How many steps ahead of the one it is working on each \[Plan\] pass
+/// prefetches. A step of the planning pass takes about 40–60 ns with its
+/// lines in cache, against roughly 100 ns for a line from DRAM, so a few
+/// steps of lead already hide a miss; past that, more lead only means
+/// more lines in flight that must survive in L1 until their step comes.
+/// docs/perf.md "\[Plan\] looks ahead in memory" has the sweep.
+const PREFETCH_DISTANCE: usize = 16;
 
 /// A scheduled fill: fetch `row` from the CPU table into scratchpad `slot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,8 +360,11 @@ impl ScratchpadManager {
         assert_eq!(self.hold.cycle(), 0, "prewarm must precede planning");
         // Fill coldest-first so that the victim pool's tie-breaking (by
         // slot index) evicts the coldest prewarmed rows first.
-        for &row in rows.iter().rev() {
+        for (i, &row) in rows.iter().enumerate().rev() {
             let Some(slot) = self.take_free() else { break };
+            if let Some(ahead) = i.checked_sub(PREFETCH_DISTANCE) {
+                self.hit_map.prefetch(rows[ahead]);
+            }
             self.map(row, slot);
             self.pool.insert(slot);
         }
@@ -404,20 +442,30 @@ impl ScratchpadManager {
         // still a hit (in the same slot) in the planning pass below.
         let mut probe = std::mem::take(&mut self.probe);
         probe.clear();
-        probe.extend(current.iter().map(|&id| self.hit_map.get(id)));
+        probe.extend(current.iter().enumerate().map(|(i, &id)| {
+            if let Some(&ahead) = current.get(i + PREFETCH_DISTANCE) {
+                self.hit_map.prefetch(ahead);
+            }
+            self.hit_map.get(id)
+        }));
         for cached in probe.iter().flatten() {
             self.protect(*cached, past_bit);
         }
         let max_k = self.window.future.min(futures.len() as u32);
         for k in 1..=max_k {
             let bit = past_bit + k;
-            for &id in futures[(k - 1) as usize] {
+            let ids = futures[(k - 1) as usize];
+            for (i, &id) in ids.iter().enumerate() {
+                if let Some(&ahead) = ids.get(i + PREFETCH_DISTANCE) {
+                    self.hit_map.prefetch(ahead);
+                }
                 if let Some(slot) = self.hit_map.get(id) {
                     self.protect(slot, bit);
                 }
             }
         }
 
+        self.take_victims(&probe, out);
         out.unique_ids.extend_from_slice(current);
         out.unique_slots.reserve(current.len());
         let result = self.assign_slots(current, &probe, now, out);
@@ -433,8 +481,51 @@ impl ScratchpadManager {
         result
     }
 
+    /// Pops every victim the batch's misses will need into
+    /// `out.evictions` and unmaps their rows, before any slot is
+    /// assigned.
+    ///
+    /// This is the order the planning pass would pop them in: nothing it
+    /// does returns a slot to the pool (a hit was protected above, so it
+    /// is already out of the pool, and a filled slot gets protected), so
+    /// the pool's order cannot change between two pops. Misses take the
+    /// never-used slots first, so the victims needed are the misses past
+    /// those; if the pool holds fewer, every one popped is still used
+    /// before the planning pass runs out.
+    ///
+    /// Each step prefetches what the step [`PREFETCH_DISTANCE`] ahead
+    /// will touch: the victim's `slot_row` line while the rows are read,
+    /// then its Hit-Map bucket and its horizon (which the planning pass
+    /// extends) while they are unmapped.
+    fn take_victims(&mut self, probe: &[Option<u32>], out: &mut TablePlan) {
+        let misses = probe.iter().filter(|cached| cached.is_none()).count();
+        let free = self.slots - self.next_free as usize;
+        let wanted = misses.saturating_sub(free);
+        while out.evictions.len() < wanted {
+            let Some(slot) = self.pool.pop() else { break };
+            out.evictions.push(Evict { row: 0, slot });
+        }
+        for i in 0..out.evictions.len() {
+            if let Some(ahead) = out.evictions.get(i + PREFETCH_DISTANCE) {
+                prefetch(&self.slot_row[ahead.slot as usize]);
+            }
+            let victim = &mut out.evictions[i];
+            victim.row = self.slot_row[victim.slot as usize];
+        }
+        for (i, &Evict { row, slot }) in out.evictions.iter().enumerate() {
+            if let Some(ahead) = out.evictions.get(i + PREFETCH_DISTANCE) {
+                self.hit_map.prefetch(ahead.row);
+                self.hold.prefetch(ahead.slot);
+            }
+            let removed = self.hit_map.remove(row);
+            debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
+        }
+    }
+
     /// The planning pass: resolves every current ID to a slot — the probed
-    /// one on a hit, a free slot or the policy's victim on a miss.
+    /// one on a hit, a free slot or the next of `out.evictions` on a miss.
+    /// Each step prefetches the line the step [`PREFETCH_DISTANCE`] ahead
+    /// will write first: a hit's policy record, a miss's Hit-Map bucket.
     fn assign_slots(
         &mut self,
         current: &[u64],
@@ -443,7 +534,13 @@ impl ScratchpadManager {
         out: &mut TablePlan,
     ) -> Result<(), ScratchError> {
         let past_bit = self.window.past;
-        for (&id, &cached) in current.iter().zip(probe) {
+        let mut victims = 0;
+        for (i, (&id, &cached)) in current.iter().zip(probe).enumerate() {
+            match probe.get(i + PREFETCH_DISTANCE) {
+                Some(Some(slot)) => self.pool.prefetch(*slot),
+                Some(None) => self.hit_map.prefetch(current[i + PREFETCH_DISTANCE]),
+                None => {}
+            }
             let slot = if let Some(slot) = cached {
                 out.hits += 1;
                 self.pool.touch(slot, now);
@@ -453,12 +550,9 @@ impl ScratchpadManager {
                 // A never-used slot holds nothing; a victim always does.
                 let slot = if let Some(slot) = self.take_free() {
                     slot
-                } else if let Some(slot) = self.pool.pop() {
-                    let old_row = self.slot_row[slot as usize];
-                    let removed = self.hit_map.remove(old_row);
-                    debug_assert_eq!(removed, Some(slot), "hit-map out of sync");
-                    out.evictions.push(Evict { row: old_row, slot });
-                    slot
+                } else if let Some(victim) = out.evictions.get(victims) {
+                    victims += 1;
+                    victim.slot
                 } else {
                     return Err(ScratchError::CapacityExhausted {
                         table: usize::MAX, // caller contextualizes
