@@ -77,11 +77,11 @@ use crate::index::{prefetch, SlotIndex};
 use crate::policy::{EvictionPolicy, VictimPool};
 
 /// How many steps ahead of the one it is working on each \[Plan\] pass
-/// prefetches. A step of the planning pass takes about 40–60 ns with its
-/// lines in cache, against roughly 100 ns for a line from DRAM, so a few
-/// steps of lead already hide a miss; past that, more lead only means
-/// more lines in flight that must survive in L1 until their step comes.
-/// docs/perf.md "\[Plan\] looks ahead in memory" has the sweep.
+/// prefetches. At paper scale a step costs 20–60 ns, so 16 steps start a
+/// line 0.3–1 µs before its use, more than a trip to memory even for the
+/// cheapest step, while a pass keeps at most 16–32 lines in flight. A
+/// sweep of 4, 8, 16 and 32 read flat within the host's noise
+/// (docs/perf.md, "\[Plan\] looks ahead in memory").
 const PREFETCH_DISTANCE: usize = 16;
 
 /// A scheduled fill: fetch `row` from the CPU table into scratchpad `slot`.
