@@ -61,14 +61,13 @@
 //!    never-used slot or the next victim (prefetching a hit's policy
 //!    record and a miss's insert bucket).
 //!
-//! Step 3 pops exactly the victims the in-order pass would pop: nothing
-//! in step 4 returns a slot to the pool (a hit was protected in step 1,
-//! a filled slot is protected as it is filled), so the pool's order
-//! cannot change between two pops. What a caller can observe is
-//! unchanged; only the Hit-Map's bucket layout may differ, since the
-//! unmaps now precede the inserts. At paper scale (200 k slots a table,
-//! the metadata out of cache) this is about a third off each unique ID;
-//! docs/perf.md "\[Plan\] looks ahead in memory" has the measurements.
+//! Step 3 pops exactly the victims an in-order pass would pop, because
+//! nothing in step 4 returns a slot to the pool. What a caller can
+//! observe is unchanged; only the Hit-Map's bucket layout may differ,
+//! since the unmaps now precede the inserts. At paper scale (200 k slots
+//! a table, the metadata out of cache) this takes about a fifth off each
+//! unique ID; docs/perf.md "\[Plan\] looks ahead in memory" has the
+//! measurements.
 
 use crate::config::WindowConfig;
 use crate::error::ScratchError;
