@@ -1,4 +1,4 @@
-//! The pipeline's protocol, stated once, and the two interpreters every
+//! The pipeline's protocol, stated once, and the one interpreter every
 //! schedule runs it on.
 //!
 //! The stages are grouped into lanes of adjacent stages ([`LANE_STAGES`]),
@@ -11,17 +11,15 @@
 //!
 //! [`Links`] holds everything the lanes share, and [`Links::step`] performs
 //! one op of one lane if it is enabled — the only place an op's effect is
-//! written. The interpreters differ only in what an op that is not enabled
-//! yet means:
+//! written. A lane whose `Exec` is out is not enabled until the body hands
+//! its payload back ([`Links::executed`]).
 //!
-//! * [`threads`] (`Threaded`): one OS thread per lane, and the lane sleeps
-//!   until a neighbour's op wakes it;
-//! * [`step`] (`Sync`, `DataParallel`, `Sequential`): one thread, and the
-//!   lane yields. A cycle visits the stages in reverse register order and
-//!   lets each one's lane run through that stage's `Exec`, which replays
-//!   the paper's Fig. 10 register order, `Train(c−4) … Plan(c)`.
-//!
-//! `Sequential`, the §IV-B straw-man, is the same program with one payload
+//! [`dispatch`] is the interpreter: a thread takes the next enabled op of
+//! any lane, scanning the lanes in one order, runs each `Exec` outside the
+//! lock and sleeps while no op is enabled. The register schedules run
+//! one, on the calling thread; `Threaded` runs `min(LANES, pool width)` as
+//! one region on the pool's workers, so a stage region entered from one
+//! runs inline. `Sequential` is the same program with one payload
 //! ([`payloads`]).
 //!
 //! The tests explore every interleaving of the same [`Links::step`]
@@ -39,6 +37,7 @@ use crate::runtime::{IterationRecord, StageId};
 use crate::stage::{Barrier, Body, StageCtx};
 use crate::stages::{PayloadPool, StagePayload};
 use crate::telemetry::{Event, Lane};
+use crate::workers::WorkerPool;
 
 const STAGES: usize = StageId::COUNT;
 
@@ -48,30 +47,14 @@ type Payload = Box<StagePayload>;
 /// How many adjacent stages each lane runs back to back on one payload:
 /// `[Plan] [Collect, Exchange] [Insert] [Train]`. \[Exchange\] is one
 /// traffic assignment; it rides with the stage that hands it the payload
-/// rather than paying for a thread and a channel hop of its own.
+/// rather than paying for a lane and a channel hop of its own.
 const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
 const LANES: usize = LANE_STAGES.len();
-
-/// The lane the calling thread runs itself under [`threads`] — `[Collect,
-/// Exchange]`, the one that grows the payloads' staging arenas. On the
-/// calling thread that memory comes from the allocator arena the payloads
-/// were minted in and are later freed to; grown on a short-lived spawned
-/// thread it would stay in whichever per-thread arena that thread was
-/// dealt, and a process running pipeline after pipeline would creep up by
-/// a different amount every time (docs/perf.md, "The overlapped driver").
-const CALLER_LANE: usize = 1;
 
 /// The stages of `lane`, in register order.
 fn stages_of(lane: usize) -> &'static [StageId] {
     let first = LANE_STAGES[..lane].iter().sum::<usize>();
     &StageId::ALL[first..first + LANE_STAGES[lane]]
-}
-
-/// The lane that runs `stage`.
-fn lane_of(stage: StageId) -> usize {
-    (0..LANES)
-        .rfind(|&l| stages_of(l)[0] <= stage)
-        .expect("lane 0 starts at Plan")
 }
 
 /// One instruction of a lane's program.
@@ -127,6 +110,9 @@ struct Cursor<P> {
     /// The mini-batch the lane is on.
     batch: usize,
     held: Option<P>,
+    /// Its `Exec` is out: the body has the payload, and the lane stays at
+    /// that op until [`Links::executed`] hands it back.
+    executing: bool,
     done: bool,
 }
 
@@ -178,6 +164,7 @@ impl<'p, P> Links<'p, P> {
                 pc: 0,
                 batch: range.start,
                 held: None,
+                executing: false,
                 done: false,
             }),
             chans,
@@ -197,11 +184,14 @@ impl<'p, P> Links<'p, P> {
     /// Performs `lane`'s next op if it is enabled.
     pub(crate) fn step(&mut self, lane: usize, retire: impl FnOnce(&P)) -> Step<P> {
         let cur = &mut self.lanes[lane];
+        let op = self.program[lane][cur.pc];
+        if cur.executing {
+            return Step::Blocked(op);
+        }
         if self.closed && !cur.done {
             self.chans[0].extend(cur.held.take());
             cur.done = true;
         }
-        let op = self.program[lane][cur.pc];
         match op {
             _ if cur.done => return Step::Done,
             LaneOp::Recv if cur.batch == self.end => {
@@ -217,7 +207,7 @@ impl<'p, P> Links<'p, P> {
             }
             LaneOp::Wait(_) => {}
             LaneOp::Exec(stage) => {
-                cur.pc += 1;
+                cur.executing = true;
                 return Step::Exec(stage, cur.batch, cur.held.take().expect("received"));
             }
             LaneOp::Signal(b) => self.marks[b.watched.index()] = cur.batch as i64,
@@ -243,7 +233,9 @@ impl<'p, P> Links<'p, P> {
     /// Takes back the payload of `lane`'s `Exec` with the body's result. An
     /// error shuts the lanes down.
     pub(crate) fn executed(&mut self, lane: usize, payload: P, result: Result<(), ScratchError>) {
-        self.lanes[lane].held = Some(payload);
+        let cur = &mut self.lanes[lane];
+        (cur.held, cur.executing) = (Some(payload), false);
+        cur.pc += 1;
         if let Err(e) = result {
             self.error.get_or_insert(e);
             self.closed = true;
@@ -253,191 +245,187 @@ impl<'p, P> Links<'p, P> {
 
 /// Drives iterations `range` through the stage `bodies` under `schedule`
 /// (resolved): its [`payloads`] from `pool` circulate, and all of them are
-/// back in `pool` when it returns, whatever became of the run.
+/// back in `pool` when it returns, whatever became of the run. `Threaded`
+/// dispatches on up to [`LANES`] of `workers`' threads, the others on the
+/// calling thread.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
     program: &Program,
     schedule: Schedule,
-    bodies: &mut [&mut Body<'_>; STAGES],
+    workers: WorkerPool,
+    bodies: [&mut Body<'_>; STAGES],
     pool: &mut PayloadPool,
     ctx: &StageCtx<'_>,
     range: Range<usize>,
     records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
     let payloads = (0..payloads(schedule)).map(|_| pool.take(ctx.shared.dim));
-    let mut links = Links::new(program, range, payloads, 1);
-    match schedule {
-        Schedule::Threaded => links = threads(links, bodies, ctx, records),
-        Schedule::Auto => unreachable!("Auto resolved by effective_schedule"),
-        _ => step(&mut links, bodies, ctx, records),
-    }
+    let links = Links::new(program, range, payloads, 1);
+    let overlapped = schedule == Schedule::Threaded;
+    let width = workers.threads().min(LANES);
+    let state = Dispatch {
+        links,
+        records,
+        stalled: [None; LANES],
+        sleepers: 0,
+        lone: !overlapped || width == 1,
+    };
+    let (state, wake) = (Mutex::new(state), Condvar::new());
+    let shared = Shared { state, wake };
+    let bodies = bodies.map(Mutex::new);
+    // A panic that leaves a pool dispatcher is the region's error; on the
+    // calling thread it unwinds out of the run.
+    let region = if overlapped {
+        let dispatcher = || dispatch(&shared, &bodies, ctx, true);
+        WorkerPool::new(width)
+            .run_tasks(vec![dispatcher; width])
+            .map(drop)
+    } else {
+        dispatch(&shared, &bodies, ctx, false);
+        Ok(())
+    };
+    let links = shared.state.into_inner().links;
     // Back in the order they came out, so the next call's recycle path
     // again starts with the payload that retired last.
     for payload in links.chans.into_iter().flatten().rev() {
         pool.release(payload);
     }
-    links.error.map_or(Ok(()), Err)
+    links.error.map_or(region, Err)
 }
 
-/// The stepper: one cycle visits the stages in reverse register order,
-/// and each visit runs the stage's lane up to any other stage's `Exec` or
-/// the end of the batch — so with depth-1 hand-offs a cycle executes
-/// `Train(c−4), Insert(c−3), Exchange(c−2), Collect(c−1), Plan(c)`. With
-/// one payload (`Sequential`) one batch is in flight at a time.
-fn step(
-    links: &mut Links<'_, Payload>,
-    bodies: &mut [&mut Body<'_>; STAGES],
-    ctx: &StageCtx<'_>,
-    records: &mut [IterationRecord],
-) {
-    while !links.done() {
-        let mut moved = false;
-        for lane in (0..LANES).rev() {
-            for &stage in stages_of(lane).iter().rev() {
-                let mut ran = false;
-                loop {
-                    let next = links.program[lane][links.lanes[lane].pc];
-                    if matches!(next, LaneOp::Exec(s) if s != stage) || ran && next == LaneOp::Recv
-                    {
-                        break;
-                    }
-                    match links.step(lane, |p| retire(ctx, records, p)) {
-                        Step::Exec(stage, batch, mut p) => {
-                            let at = ctx.at(batch, Lane::Main);
-                            let result = timed_execute(stage, bodies[stage.index()], &at, &mut p);
-                            links.executed(lane, p, result);
-                            ran = true;
+/// What the dispatch threads share: the lanes under one lock, and where
+/// the threads with no op enabled sleep.
+struct Shared<'p, 'r> {
+    state: Mutex<Dispatch<'p, 'r>>,
+    wake: Condvar,
+}
+
+struct Dispatch<'p, 'r> {
+    links: Links<'p, Payload>,
+    records: &'r mut [IterationRecord],
+    /// Per lane, when an observed `Threaded` run first found its `Wait`
+    /// blocked: a `Stall` once the wait passes.
+    stalled: [Option<u64>; LANES],
+    sleepers: usize,
+    /// One dispatch thread: it scans from \[Train\] on, so it takes each
+    /// batch through every stage before the next and one payload's arenas
+    /// serve the run. With company a thread scans from \[Plan\], the
+    /// critical lane, on (docs/perf.md, "One interpreter").
+    lone: bool,
+}
+
+impl Dispatch<'_, '_> {
+    /// Runs the next enabled op of the first lane in scan order that has
+    /// one, until one is an `Exec`: that lane, stage, batch and payload,
+    /// or `None` once no op is enabled. `observed` records the stalls and
+    /// each hand-off's channel depth.
+    fn next(
+        &mut self,
+        ctx: &StageCtx<'_>,
+        observed: bool,
+    ) -> Option<(usize, StageId, usize, Payload)> {
+        let observer = ctx.observer.filter(|_| observed);
+        'scan: loop {
+            for k in 0..LANES {
+                let lane = if self.lone { LANES - 1 - k } else { k };
+                let batch = self.links.lanes[lane].batch;
+                let records = &mut *self.records;
+                match (self.links.step(lane, |p| retire(ctx, records, p)), observer) {
+                    (Step::Exec(stage, batch, p), _) => return Some((lane, stage, batch, p)),
+                    (Step::Ran(LaneOp::Wait(b)), Some(o)) => {
+                        if let Some(start_ns) = self.stalled[lane].take() {
+                            o.record(Event::Stall {
+                                iteration: batch,
+                                stage: b.waiter.name(),
+                                watched: b.watched.name(),
+                                lane: Lane::Stage(b.waiter.index() as u8),
+                                start_ns,
+                                dur_ns: o.now_ns().saturating_sub(start_ns),
+                            });
                         }
-                        Step::Ran(_) => {}
-                        Step::Blocked(_) | Step::Done => break,
                     }
-                    moved = true;
+                    (Step::Ran(LaneOp::Send), Some(o)) if lane + 1 < LANES => {
+                        o.record(Event::ChannelDepth {
+                            receiver: stages_of(lane + 1)[0].name(),
+                            depth: self.links.chans[lane + 1].len() as u64,
+                        });
+                    }
+                    (Step::Ran(_), _) => {}
+                    (Step::Blocked(LaneOp::Wait(_)), Some(o)) => {
+                        self.stalled[lane].get_or_insert_with(|| o.now_ns());
+                        continue;
+                    }
+                    (Step::Blocked(_) | Step::Done, _) => continue,
                 }
+                continue 'scan;
             }
+            return None;
         }
-        assert!(moved || links.done(), "the lane program stalled");
     }
 }
 
-/// The lanes' shared state under [`threads`], and one wake-up per lane.
-struct Shared<'p> {
-    links: Mutex<Links<'p, Payload>>,
-    wakes: [Condvar; LANES],
+/// One dispatch thread, until every lane is done; `overlapped`
+/// (`Threaded`) records each stage on its own trace lane.
+fn dispatch(
+    shared: &Shared<'_, '_>,
+    bodies: &[Mutex<&mut Body<'_>>; STAGES],
+    ctx: &StageCtx<'_>,
+    overlapped: bool,
+) {
+    let mut unwind = CloseOnUnwind { shared, lane: None };
+    let mut state = shared.state.lock();
+    loop {
+        let Some((lane, stage, batch, mut p)) = state.next(ctx, overlapped) else {
+            if state.links.done() {
+                break;
+            }
+            let out = state.links.lanes.iter().any(|c| c.executing);
+            assert!(out, "the lane program stalled");
+            state.sleepers += 1;
+            state = (shared.wake.wait(state)).unwrap_or_else(PoisonError::into_inner);
+            state.sleepers -= 1;
+            continue;
+        };
+        // The ops run before this `Exec` may have enabled another.
+        if state.sleepers > 0 {
+            shared.wake.notify_one();
+        }
+        drop(state);
+        unwind.lane = Some(lane);
+        let on = match overlapped {
+            true => Lane::Stage(stage.index() as u8),
+            false => Lane::Main,
+        };
+        let body = &mut **bodies[stage.index()].lock();
+        let result = timed_execute(stage, body, &ctx.at(batch, on), &mut p);
+        unwind.lane = None;
+        state = shared.state.lock();
+        state.links.executed(lane, p, result);
+    }
+    drop(state);
+    shared.wake.notify_all();
 }
 
-/// Shuts the lanes down if its lane unwinds, so the others stop waiting
-/// and the scope can re-raise the panic.
-struct CloseOnUnwind<'a, 'p>(&'a Shared<'p>);
+/// Shuts the lanes down if its dispatch thread unwinds: the lane whose
+/// `Exec` it ran lost its payload with the unwind and counts as done, and
+/// the other threads wake to wind the rest down instead of waiting on it.
+struct CloseOnUnwind<'a, 'p, 'r> {
+    shared: &'a Shared<'p, 'r>,
+    lane: Option<usize>,
+}
 
-impl Drop for CloseOnUnwind<'_, '_> {
+impl Drop for CloseOnUnwind<'_, '_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.links.lock().closed = true;
-            self.0.wakes.iter().for_each(Condvar::notify_one);
+            let mut state = self.shared.state.lock();
+            state.links.closed = true;
+            if let Some(lane) = self.lane {
+                let cur = &mut state.links.lanes[lane];
+                (cur.executing, cur.done) = (false, true);
+            }
+            drop(state);
+            self.shared.wake.notify_all();
         }
-    }
-}
-
-/// The overlapped interpreter: one thread per lane (the calling thread
-/// takes [`CALLER_LANE`]); a lane whose next op is not enabled sleeps
-/// until a neighbour's op wakes it.
-fn threads<'p>(
-    links: Links<'p, Payload>,
-    bodies: &mut [&mut Body<'_>; STAGES],
-    ctx: &StageCtx<'_>,
-    records: &mut [IterationRecord],
-) -> Links<'p, Payload> {
-    let shared = Shared {
-        links: Mutex::new(links),
-        wakes: Default::default(),
-    };
-    std::thread::scope(|scope| {
-        let (mut rest, mut records) = (&mut bodies[..], Some(records));
-        let mut on_caller = None;
-        for lane in 0..LANES {
-            let (mine, tail) = rest.split_at_mut(stages_of(lane).len());
-            rest = tail;
-            let records = (lane + 1 == LANES).then(|| records.take()).flatten();
-            let shared = &shared;
-            let run = move || run_lane(shared, lane, mine, ctx, records);
-            if lane == CALLER_LANE {
-                on_caller = Some(run);
-            } else {
-                scope.spawn(run);
-            }
-        }
-        on_caller.expect("the caller's lane is one of the lanes")();
-    });
-    shared.links.into_inner()
-}
-
-/// One lane of [`threads`], `bodies` its stages. A wait on a barrier that
-/// blocked is recorded as a `Stall`, and every hand-off as the depth of
-/// the channel it fed.
-fn run_lane(
-    shared: &Shared<'_>,
-    lane: usize,
-    bodies: &mut [&mut Body<'_>],
-    ctx: &StageCtx<'_>,
-    mut records: Option<&mut [IterationRecord]>,
-) {
-    let _close = CloseOnUnwind(shared);
-    let first = stages_of(lane)[0].index();
-    let (mut links, mut stalled) = (shared.links.lock(), None);
-    loop {
-        let batch = links.lanes[lane].batch;
-        match links.step(lane, |p| {
-            records.as_deref_mut().map_or((), |r| retire(ctx, r, p))
-        }) {
-            Step::Ran(op) => {
-                let observer = ctx.observer;
-                if let (LaneOp::Wait(b), Some(start_ns), Some(o)) = (op, stalled.take(), observer) {
-                    o.record(Event::Stall {
-                        iteration: batch,
-                        stage: b.waiter.name(),
-                        watched: b.watched.name(),
-                        lane: Lane::Stage(b.waiter.index() as u8),
-                        start_ns,
-                        dur_ns: o.now_ns().saturating_sub(start_ns),
-                    });
-                }
-                let receiver = StageId::ALL.get(first + bodies.len());
-                if let (LaneOp::Send, Some(o), Some(receiver)) = (op, observer, receiver) {
-                    let depth = links.chans[lane + 1].len() as u64;
-                    o.record(Event::ChannelDepth {
-                        receiver: receiver.name(),
-                        depth,
-                    });
-                }
-                // The lane the op may have enabled: the sender it made room
-                // for, the receiver it fed, or the barrier's waiter.
-                let woken = match op {
-                    LaneOp::Recv => lane + LANES - 1,
-                    LaneOp::Send => lane + 1,
-                    LaneOp::Signal(b) => lane_of(b.waiter),
-                    _ => continue,
-                };
-                shared.wakes[woken % LANES].notify_one();
-            }
-            Step::Blocked(op) => {
-                if matches!(op, LaneOp::Wait(_)) && stalled.is_none() {
-                    stalled = ctx.observer.map(|o| o.now_ns());
-                }
-                links = shared.wakes[lane]
-                    .wait(links)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            Step::Exec(stage, batch, mut p) => {
-                drop(links);
-                let at = ctx.at(batch, Lane::Stage(stage.index() as u8));
-                let result = timed_execute(stage, bodies[stage.index() - first], &at, &mut p);
-                links = shared.links.lock();
-                links.executed(lane, p, result);
-            }
-            Step::Done => break,
-        }
-    }
-    if links.closed {
-        shared.wakes.iter().for_each(Condvar::notify_one);
     }
 }
 
@@ -447,12 +435,15 @@ mod tests {
     //! which the lanes can take their steps, driving the shipped
     //! [`Links::step`] and [`Links::executed`] with stub stage bodies that
     //! log which batch each stage completed. A lane's `Exec` is two steps,
-    //! as it is under the threads: taking the payload out, and handing it
-    //! back with the body's result — other lanes may step in between.
+    //! as it is under the dispatch threads: taking the payload out, and
+    //! handing it back with the body's result. Every lane, the one whose
+    //! `Exec` is out included, is offered a step in between; [`Links`]
+    //! must refuse the latter. A step that panics is a counterexample.
 
     use std::collections::hash_map::DefaultHasher;
     use std::collections::HashMap;
     use std::hash::{Hash, Hasher};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use super::*;
     use crate::config::WindowConfig;
@@ -467,6 +458,17 @@ mod tests {
         depth: usize,
         payloads: usize,
         window: WindowConfig,
+        busy: Busy,
+    }
+
+    /// Whether [`Links`] keeps a lane whose `Exec` is out from stepping.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Busy {
+        Honoured,
+        /// The lane's flag is cleared as soon as its `Exec` is taken.
+        Ignored,
+        /// Every lane's flag is cleared once the lanes shut down.
+        IgnoredOnClose,
     }
 
     const SHIPPED: Protocol = Protocol {
@@ -474,6 +476,7 @@ mod tests {
         depth: 1,
         payloads: STAGES + 1,
         window: WindowConfig::PAPER,
+        busy: Busy::Honoured,
     };
 
     /// A model payload is the batch \[Plan\] stamped on it.
@@ -481,7 +484,7 @@ mod tests {
     struct State<'p> {
         links: Links<'p, usize>,
         /// Per lane, the `Exec` whose body has not handed its payload back.
-        executing: [Option<(StageId, usize, usize)>; LANES],
+        bodies: [Option<(StageId, usize, usize)>; LANES],
         /// Per stage, the last batch it completed.
         completed: [i64; STAGES],
         retired: usize,
@@ -493,14 +496,14 @@ mod tests {
             let links = &self.links;
             (&links.lanes, &links.chans, links.marks, links.closed).hash(&mut h);
             links.error.as_ref().map(ToString::to_string).hash(&mut h);
-            (self.executing, self.completed, self.retired).hash(&mut h);
+            (self.bodies, self.completed, self.retired).hash(&mut h);
             h.finish()
         }
 
         /// Payloads out of the recycle path, and all payloads.
         fn count(&self) -> (usize, usize) {
             let held = self.links.lanes.iter().filter(|c| c.held.is_some()).count()
-                + self.executing.iter().flatten().count();
+                + self.bodies.iter().flatten().count();
             let queued: Vec<usize> = self.links.chans.iter().map(VecDeque::len).collect();
             let live = held + queued[1..].iter().sum::<usize>();
             (live, live + queued[0])
@@ -525,11 +528,20 @@ mod tests {
     }
 
     impl Search {
-        /// Takes one step of `lane` in `state`: its description, or `None`
-        /// if the lane cannot move.
-        fn advance(&self, state: &mut State<'_>, lane: usize) -> Result<Option<String>, String> {
+        /// Takes one step of `lane` in `state` — the body of its `Exec`
+        /// handing the payload back if `hand_back`, else its next op: the
+        /// step's description, or `None` if the lane cannot move.
+        fn advance(
+            &self,
+            state: &mut State<'_>,
+            lane: usize,
+            hand_back: bool,
+        ) -> Result<Option<String>, String> {
             let name = stages_of(lane)[0].name();
-            if let Some((stage, batch, p)) = state.executing[lane].take() {
+            if hand_back {
+                let Some((stage, batch, p)) = state.bodies[lane].take() else {
+                    return Ok(None);
+                };
                 if stage != StageId::Plan && p != batch {
                     return Err(format!("{stage:?}({batch}) got batch {p}'s payload"));
                 }
@@ -538,14 +550,23 @@ mod tests {
                 return Ok(Some(format!("{name}:Executed({stage:?})@{batch}")));
             }
             let (batch, start) = (state.links.lanes[lane].batch, self.range.start);
-            let retired = &mut state.retired;
+            let op = state.links.program[lane][state.links.lanes[lane].pc];
+            let (links, retired) = (&mut state.links, &mut state.retired);
             let mut out_of_order = None;
-            let step = state.links.step(lane, |&p| {
-                if p != start + *retired {
-                    out_of_order = Some(format!("retired batch {p} before {}", start + *retired));
-                }
-                *retired += 1;
-            });
+            let step = catch_unwind(AssertUnwindSafe(|| {
+                links.step(lane, |&p| {
+                    if p != start + *retired {
+                        out_of_order =
+                            Some(format!("retired batch {p} before {}", start + *retired));
+                    }
+                    *retired += 1;
+                })
+            }))
+            .map_err(|panic| {
+                let what = (panic.downcast_ref::<&str>().copied())
+                    .or(panic.downcast_ref::<String>().map(String::as_str));
+                format!("{name}:{op:?}@{batch} panicked: {}", what.unwrap_or("?"))
+            })?;
             if let Some(e) = out_of_order {
                 return Err(e);
             }
@@ -560,7 +581,10 @@ mod tests {
                 Step::Ran(op) => Some(format!("{name}:{op:?}@{batch}")),
                 Step::Done => Some(format!("{name}:done")),
                 Step::Exec(stage, batch, p) => {
-                    state.executing[lane] = Some((stage, batch, p));
+                    state.bodies[lane] = Some((stage, batch, p));
+                    if self.protocol.busy == Busy::Ignored {
+                        state.links.lanes[lane].executing = false;
+                    }
                     Some(format!("{name}:Exec({stage:?})@{batch}"))
                 }
             })
@@ -611,12 +635,22 @@ mod tests {
         fn explore(&mut self, state: &State<'_>) -> Result<f64, String> {
             let mut interleavings = 0.0;
             let mut moved = false;
-            for lane in (0..LANES).filter(|&l| !state.links.lanes[l].done) {
+            let moves = (0..LANES).flat_map(|lane| [(lane, false), (lane, true)]);
+            for (lane, hand_back) in moves {
+                if !hand_back && state.links.lanes[lane].done {
+                    continue;
+                }
                 let mut next = state.clone();
-                let step = self.advance(&mut next, lane);
+                let step = self.advance(&mut next, lane, hand_back);
                 let Some(step) = step.map_err(|e| self.counterexample(&e))? else {
                     continue;
                 };
+                if next.links.closed && self.protocol.busy == Busy::IgnoredOnClose {
+                    next.links
+                        .lanes
+                        .iter_mut()
+                        .for_each(|c| c.executing = false);
+                }
                 moved = true;
                 let (live, total) = next.count();
                 if total != self.protocol.payloads {
@@ -662,6 +696,15 @@ mod tests {
             if links.error != expected {
                 return Err(format!("returned {:?}, expected {expected:?}", links.error));
             }
+            // Where `drive` collects them from.
+            let home = links.chans.iter().map(VecDeque::len).sum::<usize>();
+            if home != self.protocol.payloads {
+                return Err(format!(
+                    "stranded: {} of {} payloads outside the channels",
+                    self.protocol.payloads - home,
+                    self.protocol.payloads
+                ));
+            }
             let all = [self.range.end as i64 - 1; STAGES];
             if expected.is_none() && (state.retired != self.range.len() || state.completed != all) {
                 return Err(format!("stopped early: {} retired", state.retired));
@@ -685,7 +728,7 @@ mod tests {
         let payloads = vec![usize::MAX; protocol.payloads];
         let start = State {
             links: Links::new(&program, range.clone(), payloads, protocol.depth),
-            executing: [None; LANES],
+            bodies: [None; LANES],
             completed: [range.start as i64 - 1; STAGES],
             retired: 0,
         };
@@ -828,5 +871,33 @@ mod tests {
         let one = check(one, 0..BATCHES, None).expect("safe");
         println!("one payload: {one:?}");
         assert_eq!(one.max_live, 1);
+    }
+
+    /// A lane whose `Exec` is out must not step. Were [`Links`] to let it,
+    /// a second dispatch thread would take the same `Exec` again, its
+    /// payload already gone; and were it to let a shutdown mark the lane
+    /// done, the payload the body hands back later would never reach the
+    /// recycle path, so the next run would mint a replacement.
+    #[test]
+    fn a_lane_stepping_while_its_exec_is_out_is_a_counterexample() {
+        let err = counterexample(Protocol {
+            busy: Busy::Ignored,
+            ..SHIPPED
+        });
+        assert!(
+            err.starts_with("Plan:Exec(Plan)@0 panicked: received"),
+            "{err}"
+        );
+        let on_close = Protocol {
+            busy: Busy::IgnoredOnClose,
+            ..SHIPPED
+        };
+        let err =
+            check(on_close, 0..BATCHES, Some((StageId::Insert, 2))).expect_err("a counterexample");
+        println!("{err}");
+        assert!(
+            err.starts_with("stranded: 1 of 6 payloads outside"),
+            "{err}"
+        );
     }
 }

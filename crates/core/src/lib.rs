@@ -45,7 +45,7 @@
 //! driver, [`Pipeline`], executes exactly these five under a
 //! [`Schedule`] — the synchronous register pipeline, each stage sharded
 //! over a [`WorkerPool`] ([`Schedule::Sync`]), the overlapped pipeline with lanes of stages on
-//! their own threads ([`Schedule::Threaded`]), the register pipeline
+//! the pool's threads ([`Schedule::Threaded`]), the register pipeline
 //! under another name ([`Schedule::DataParallel`]), the
 //! unpipelined straw-man ([`Schedule::Sequential`]), or overlap wherever
 //! it pays ([`Schedule::Auto`], the default) — so bit-exact equivalence

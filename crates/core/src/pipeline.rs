@@ -7,11 +7,11 @@
 //! program per mini-batch — receive a payload, wait on \[Collect\]'s two
 //! barriers, execute, signal, retire, send it on — with `stages + 1`
 //! payloads circulating ([`Schedule::edges`] is this program as a graph).
-//! `Threaded` interprets the programs on one thread per lane; the register
-//! schedules step them on the calling thread in the paper's Fig. 10
-//! register order — pipelined, pipelined over a wider [`WorkerPool`], or
-//! with one payload. Under the register schedules \[Plan\] plans a big
-//! batch's tables side by side on the pool the other stages leave idle.
+//! One dispatch loop runs them: on up to four of the [`WorkerPool`]'s
+//! threads under `Threaded`; on the calling thread under the register
+//! schedules — pipelined, pipelined over a wider pool, or with one
+//! payload, \[Plan\] planning a big batch's tables side by side on the
+//! pool the other stages leave idle.
 //!
 //! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -57,10 +57,10 @@ const STAGES: usize = StageId::COUNT;
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Schedule {
-    /// The paper's Figure-10 register pipeline: the lane programs stepped
-    /// on the calling thread, one cycle executing every occupied stage in
-    /// reverse register order, so at steady state five mini-batches are in
-    /// flight.
+    /// The paper's Figure-10 register pipeline: the lane programs on one
+    /// dispatch thread, the calling one. Alone, it takes each batch through
+    /// the five stages before \[Plan\] admits the next, while \[Plan\]
+    /// still keeps the pipelined victim distances.
     /// One stage runs at a time, so each hands its shard regions to the
     /// pipeline's [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide):
     /// \[Plan\] and the batch's dedup by table from
@@ -71,18 +71,19 @@ pub enum Schedule {
     /// disjoint outputs and no floating-point reduction is ever split, so
     /// nothing a run produces depends on the pool's width.
     Sync,
-    /// The §IV-B straw-man: the same stepping of the same program with one
+    /// The §IV-B straw-man: the same dispatch of the same program with one
     /// payload, so one batch finishes all stages before the next starts.
     /// No overlap, so no hazards can arise.
     Sequential,
     /// The overlapped pipeline (paper §IV-C): the lane programs —
-    /// `[Plan] [Collect, Exchange] [Insert] [Train]` — each on its own OS
-    /// thread (the software analogue of CPU threads, DMA engines and GPU
-    /// streams), depth-1 hand-offs between them, \[Collect\]'s two
-    /// cross-batch barriers as watermark waits, and exactly `stages + 1`
-    /// payloads circulating. A lane whose next step is not possible yet
-    /// sleeps until a neighbour's wakes it. An iteration costs the slowest
-    /// lane, not the sum of the stages. Requires functional mode.
+    /// `[Plan] [Collect, Exchange] [Insert] [Train]`, the software analogue
+    /// of CPU threads, DMA engines and GPU streams — on up to four threads
+    /// of the [`PipelineBuilder::parallelism`]-wide pool (stage regions
+    /// inline), depth-1 hand-offs, \[Collect\]'s two cross-batch barriers
+    /// as watermark waits, and exactly `stages + 1` payloads circulating.
+    /// An iteration costs the slowest lane, not the sum of the stages; at
+    /// width 1 the lanes take turns on the calling thread. Requires
+    /// functional mode.
     Threaded,
     /// [`Schedule::Sync`] under the name the benchmark harness and the
     /// top rung of [`Pipeline::run_supervised`]'s degradation ladder use:
@@ -609,8 +610,9 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// The worker pool a run under `schedule` shards its stages over: the
     /// pipeline's under the register schedules, which run one stage at a
     /// time and so leave the pool's other CPUs idle while one runs; inline
-    /// under the lanes, which already occupy them (measured: sharding
-    /// inside the Plan lane lost 7 %, docs/perf.md "Plan by table").
+    /// under `Threaded`, whose dispatch threads are the pool's own, so a
+    /// region one enters runs inline anyway; saying so fixes the shard
+    /// split and the width a run reports.
     fn pool_for(&self, schedule: Schedule) -> WorkerPool {
         match schedule {
             Schedule::Threaded => WorkerPool::inline(),
@@ -675,7 +677,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         };
         let (plan, train) = (&mut self.plan, &mut self.train);
         // In table order: `bodies[s]` is the body of `StageId::ALL[s]`.
-        let mut bodies: [&mut Body<'_>; STAGES] = [
+        let bodies: [&mut Body<'_>; STAGES] = [
             &mut |ctx, payload| plan.execute(ctx, payload),
             &mut stage::collect,
             &mut stage::exchange,
@@ -686,7 +688,8 @@ impl<B: DenseBackend + Send> Pipeline<B> {
         lanes::drive(
             &self.program,
             schedule,
-            &mut bodies,
+            self.workers,
+            bodies,
             pool,
             &ctx,
             range,
@@ -1661,7 +1664,7 @@ mod tests {
         assert_eq!(run.stats.rollbacks, 1);
         assert_eq!(failing.pool.minted(), STAGES + 1, "nothing was lost");
 
-        // The stepped schedules circulate the same payloads.
+        // The register schedules circulate the same payloads.
         for schedule in [Schedule::Sync, Schedule::Sequential, Schedule::DataParallel] {
             let mut stepped = functional(
                 PipelineConfig::functional(8, 192),
@@ -1670,6 +1673,43 @@ mod tests {
             );
             let _ = stepped.run(&batches).unwrap();
             assert!(stepped.pool.minted() <= STAGES + 1, "{schedule:?}");
+        }
+    }
+
+    /// A failed supervised attempt hands back every payload whichever of
+    /// the five stages failed, however many dispatch threads were out in
+    /// their stages' bodies when the lanes shut down.
+    #[test]
+    fn a_stage_error_at_any_stage_strands_no_payload() {
+        use crate::faults::{Fault, FaultKind};
+        let (_, batches) = trace(LocalityProfile::Medium, 40);
+        for stage in StageTraffic::STAGE_NAMES {
+            let mut failing = Pipeline::builder()
+                .config(PipelineConfig::functional(8, 192))
+                .tables(make_tables(3, 400, 8))
+                .backend(UnitBackend::new(0.05))
+                .schedule(Schedule::Threaded)
+                .parallelism(2)
+                .faults(FaultPlan::new(vec![Fault {
+                    iteration: 11,
+                    stage: stage.to_owned(),
+                    shard: 0,
+                    kind: FaultKind::StageError,
+                    fires: 1,
+                }]))
+                .build()
+                .unwrap();
+            let policy = RecoveryPolicy {
+                retry_budget: 2,
+                checkpoint_interval: batches.len(),
+            };
+            let run = failing.run_supervised(&batches, policy).unwrap();
+            assert_eq!(run.stats.rollbacks, 1, "{stage}");
+            assert_eq!(
+                failing.pool.minted(),
+                STAGES + 1,
+                "{stage}: nothing was lost"
+            );
         }
     }
 

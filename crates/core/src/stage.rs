@@ -51,8 +51,8 @@ pub(crate) struct StageCtx<'a> {
     /// Worker pool every stage's shard regions fan out over once they
     /// clear their floor: the pipeline's pool under the register
     /// schedules, which run one stage at a time and so leave its other
-    /// CPUs idle while one runs; inline (width 1) under the lanes, which
-    /// already occupy them. A region on it hands its tasks to the
+    /// CPUs idle while one runs; inline (width 1) under `Threaded`, whose
+    /// dispatch threads already are the pool's threads. A region on it hands its tasks to the
     /// process's persistent workers in a few microseconds, each claiming
     /// the next task as it comes free. Sharding never changes results —
     /// only where the disjoint pieces are computed.
@@ -62,8 +62,8 @@ pub(crate) struct StageCtx<'a> {
     pub faults: Option<&'a FaultInjector>,
     /// The run's event log, if anyone observes the run. Same pattern.
     pub observer: Option<&'a RunTelemetry>,
-    /// Where this execution runs: [`Lane::Main`], or the stage's own
-    /// [`Lane::Stage`] under the overlapped schedule. Recorded with every
+    /// Where this execution is recorded: [`Lane::Main`], or the stage's
+    /// own [`Lane::Stage`] under the overlapped schedule. Recorded with every
     /// event of the execution.
     pub lane: Lane,
 }
@@ -142,9 +142,7 @@ fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
 
 /// A cross-batch ordering the overlapped schedule must enforce: before
 /// `waiter` runs batch `i`, `watched` must have completed batch
-/// `i - lag`. Every schedule's lane program waits on it; stepped in
-/// register order (registers advance one batch per cycle) the wait never
-/// blocks.
+/// `i - lag`. Every schedule's lane program waits on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Barrier {
     pub waiter: StageId,

@@ -22,7 +22,7 @@
 //!   thread, lanes 1–5 are the threaded schedule's stages, lanes 100+ are
 //!   worker-pool workers running the tasks of a recorded shard region
 //!   that left its thread: the \[Plan\], Collect, Insert and Train
-//!   regions the stepped schedules fan out. The pool's other work — the prewarm, the dedup of a batch
+//!   regions the register schedules fan out. The pool's other work — the prewarm, the dedup of a batch
 //!   entering the window and the dense step's two regions — records no
 //!   event, so it lands on no lane.
 //!
@@ -82,12 +82,13 @@ use crate::workers::ShardTiming;
 pub enum Lane {
     /// The driver thread (sync / sequential / data-parallel schedules).
     Main,
-    /// Stage `s` (0 = Plan … 4 = Train) of the threaded schedule. Stages
-    /// that share a thread there (Collect and Exchange) keep their own
-    /// lanes, so a trace reads the same whatever the grouping.
+    /// Stage `s` (0 = Plan … 4 = Train) of the threaded schedule, on
+    /// whichever dispatch thread ran it. Stages that share a lane program
+    /// there (Collect and Exchange) keep their own lanes, so a trace reads
+    /// the same whatever the grouping.
     Stage(u8),
     /// Worker `w` of a recorded shard region that ran on the pool (0 =
-    /// the thread that entered the region): a stepped schedule's
+    /// the thread that entered the region): a register schedule's
     /// \[Plan\], Collect, Insert and Train regions. Pool work that records no region (the
     /// prewarm, the dedup, the dense step) has no lane.
     Worker(u16),
