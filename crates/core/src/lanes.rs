@@ -15,8 +15,8 @@
 //! its payload back ([`Links::executed`]).
 //!
 //! [`dispatch`] is the interpreter: a thread takes the next enabled op of
-//! any lane, scanning the lanes in one order, runs each `Exec` outside the
-//! lock and sleeps while no op is enabled. The register schedules run
+//! any lane — alone, in register order — runs each `Exec` outside the lock
+//! and sleeps while no op is enabled. The register schedules run
 //! one, on the calling thread; `Threaded` runs `min(LANES, pool width)` as
 //! one region on the pool's workers, so a stage region entered from one
 //! runs inline. `Sequential` is the same program with one payload
@@ -55,6 +55,13 @@ const LANES: usize = LANE_STAGES.len();
 fn stages_of(lane: usize) -> &'static [StageId] {
     let first = LANE_STAGES[..lane].iter().sum::<usize>();
     &StageId::ALL[first..first + LANE_STAGES[lane]]
+}
+
+/// The lane that runs `stage`.
+fn lane_of(stage: StageId) -> usize {
+    (0..LANES)
+        .rfind(|&l| stages_of(l)[0] <= stage)
+        .expect("lane 0 starts at Plan")
 }
 
 /// One instruction of a lane's program.
@@ -269,6 +276,8 @@ pub(crate) fn drive(
         stalled: [None; LANES],
         sleepers: 0,
         lone: !overlapped || width == 1,
+        visit: STAGES - 1,
+        ran: false,
     };
     let (state, wake) = (Mutex::new(state), Condvar::new());
     let shared = Shared { state, wake };
@@ -307,60 +316,90 @@ struct Dispatch<'p, 'r> {
     /// blocked: a `Stall` once the wait passes.
     stalled: [Option<u64>; LANES],
     sleepers: usize,
-    /// One dispatch thread: it scans from \[Train\] on, so it takes each
-    /// batch through every stage before the next and one payload's arenas
-    /// serve the run. With company a thread scans from \[Plan\], the
+    /// One dispatch thread, which replays the register order: a cycle
+    /// visits the stages from \[Train\] back to \[Plan\], and a visit
+    /// steps the stage's lane up to another stage's `Exec` or past its
+    /// own batch — `Train(c−4), Insert(c−3), Exchange(c−2), Collect(c−1),
+    /// Plan(c)`. With company a thread scans the lanes from \[Plan\], the
     /// critical lane, on (docs/perf.md, "One interpreter").
     lone: bool,
+    /// The stage a lone thread visits, and whether its `Exec` ran yet.
+    visit: usize,
+    ran: bool,
 }
 
 impl Dispatch<'_, '_> {
-    /// Runs the next enabled op of the first lane in scan order that has
-    /// one, until one is an `Exec`: that lane, stage, batch and payload,
-    /// or `None` once no op is enabled. `observed` records the stalls and
-    /// each hand-off's channel depth.
+    /// Runs enabled ops in scan order until one is an `Exec`: that lane,
+    /// stage, batch and payload, or `None` once no op is enabled.
+    /// `observed` records the stalls and each hand-off's channel depth.
     fn next(
         &mut self,
         ctx: &StageCtx<'_>,
         observed: bool,
     ) -> Option<(usize, StageId, usize, Payload)> {
         let observer = ctx.observer.filter(|_| observed);
-        'scan: loop {
-            for k in 0..LANES {
-                let lane = if self.lone { LANES - 1 - k } else { k };
-                let batch = self.links.lanes[lane].batch;
-                let records = &mut *self.records;
-                match (self.links.step(lane, |p| retire(ctx, records, p)), observer) {
-                    (Step::Exec(stage, batch, p), _) => return Some((lane, stage, batch, p)),
-                    (Step::Ran(LaneOp::Wait(b)), Some(o)) => {
-                        if let Some(start_ns) = self.stalled[lane].take() {
-                            o.record(Event::Stall {
-                                iteration: batch,
-                                stage: b.waiter.name(),
-                                watched: b.watched.name(),
-                                lane: Lane::Stage(b.waiter.index() as u8),
-                                start_ns,
-                                dur_ns: o.now_ns().saturating_sub(start_ns),
-                            });
-                        }
-                    }
-                    (Step::Ran(LaneOp::Send), Some(o)) if lane + 1 < LANES => {
-                        o.record(Event::ChannelDepth {
-                            receiver: stages_of(lane + 1)[0].name(),
-                            depth: self.links.chans[lane + 1].len() as u64,
+        // Lanes in a row that had no op to run, or visits in a row that
+        // stopped: a whole cycle of visits after the one that moved.
+        let mut idle = 0;
+        while idle < if self.lone { STAGES + 1 } else { LANES } {
+            let (lane, may) = if self.lone {
+                let stage = StageId::ALL[self.visit];
+                let lane = lane_of(stage);
+                let op = self.links.program[lane][self.links.lanes[lane].pc];
+                let other = matches!(op, LaneOp::Exec(s) if s != stage);
+                (lane, !other && !(self.ran && op == LaneOp::Recv))
+            } else {
+                (idle, true)
+            };
+            let batch = self.links.lanes[lane].batch;
+            let records = &mut *self.records;
+            let step = if may {
+                self.links.step(lane, |p| retire(ctx, records, p))
+            } else {
+                Step::Done
+            };
+            let moved = match (step, observer) {
+                (Step::Exec(stage, batch, p), _) => {
+                    self.ran = true;
+                    return Some((lane, stage, batch, p));
+                }
+                (Step::Ran(LaneOp::Wait(b)), Some(o)) => {
+                    if let Some(start_ns) = self.stalled[lane].take() {
+                        o.record(Event::Stall {
+                            iteration: batch,
+                            stage: b.waiter.name(),
+                            watched: b.watched.name(),
+                            lane: Lane::Stage(b.waiter.index() as u8),
+                            start_ns,
+                            dur_ns: o.now_ns().saturating_sub(start_ns),
                         });
                     }
-                    (Step::Ran(_), _) => {}
-                    (Step::Blocked(LaneOp::Wait(_)), Some(o)) => {
-                        self.stalled[lane].get_or_insert_with(|| o.now_ns());
-                        continue;
-                    }
-                    (Step::Blocked(_) | Step::Done, _) => continue,
+                    true
                 }
-                continue 'scan;
+                (Step::Ran(LaneOp::Send), Some(o)) if lane + 1 < LANES => {
+                    o.record(Event::ChannelDepth {
+                        receiver: stages_of(lane + 1)[0].name(),
+                        depth: self.links.chans[lane + 1].len() as u64,
+                    });
+                    true
+                }
+                (Step::Ran(_), _) => true,
+                (Step::Blocked(LaneOp::Wait(_)), Some(o)) => {
+                    self.stalled[lane].get_or_insert_with(|| o.now_ns());
+                    false
+                }
+                (Step::Blocked(_) | Step::Done, _) => false,
+            };
+            if moved {
+                idle = 0;
+            } else if self.lone {
+                (idle, self.visit, self.ran) =
+                    (idle + 1, (self.visit + STAGES - 1) % STAGES, false);
+            } else {
+                idle += 1;
             }
-            return None;
         }
+        None
     }
 }
 

@@ -58,9 +58,9 @@ const STAGES: usize = StageId::COUNT;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Schedule {
     /// The paper's Figure-10 register pipeline: the lane programs on one
-    /// dispatch thread, the calling one. Alone, it takes each batch through
-    /// the five stages before \[Plan\] admits the next, while \[Plan\]
-    /// still keeps the pipelined victim distances.
+    /// dispatch thread, the calling one, which replays the register order:
+    /// one cycle executes every occupied stage in reverse register order,
+    /// so at steady state five mini-batches are in flight.
     /// One stage runs at a time, so each hands its shard regions to the
     /// pipeline's [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide):
     /// \[Plan\] and the batch's dedup by table from
