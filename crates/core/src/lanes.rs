@@ -16,10 +16,10 @@
 //!
 //! [`dispatch`] is the interpreter: a thread takes the next enabled op of
 //! any lane — alone, in register order — runs each `Exec` outside the lock
-//! and sleeps while no op is enabled. The register schedules run
-//! one, on the calling thread; `Threaded` runs `min(LANES, pool width)` as
-//! one region on the pool's workers, so a stage region entered from one
-//! runs inline. `Sequential` is the same program with one payload
+//! and sleeps while no op is enabled. The register schedules run one, on
+//! the calling thread; `Threaded` runs `min(LANES, pool width)` as one
+//! region on the pool's workers, so a stage region entered from one runs
+//! inline. `Sequential` is the same program with one payload
 //! ([`payloads`]).
 //!
 //! The tests explore every interleaving of the same [`Links::step`]
@@ -346,8 +346,9 @@ impl Dispatch<'_, '_> {
                 let stage = StageId::ALL[self.visit];
                 let lane = lane_of(stage);
                 let op = self.links.program[lane][self.links.lanes[lane].pc];
-                let other = matches!(op, LaneOp::Exec(s) if s != stage);
-                (lane, !other && !(self.ran && op == LaneOp::Recv))
+                let stop =
+                    matches!(op, LaneOp::Exec(s) if s != stage) || self.ran && op == LaneOp::Recv;
+                (lane, !stop)
             } else {
                 (idle, true)
             };
