@@ -1747,6 +1747,137 @@ mod tests {
         }
     }
 
+    /// The `Stage` events of an observed run of `batches` (supervised
+    /// under `policy` if one is given), in the order they were recorded:
+    /// (batch, stage index, start, end) on the run's clock.
+    fn observed_stages(
+        schedule: Schedule,
+        width: usize,
+        batches: &[SparseBatch],
+        policy: Option<RecoveryPolicy>,
+    ) -> Vec<(usize, usize, u64, u64)> {
+        let telemetry = Telemetry::new();
+        let mut pipe = Pipeline::builder()
+            .config(PipelineConfig::functional(8, 192))
+            .tables(make_tables(3, 400, 8))
+            .backend(UnitBackend::new(0.05))
+            .schedule(schedule)
+            .parallelism(width)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        match policy {
+            Some(policy) => drop(pipe.run_supervised(batches, policy).unwrap()),
+            None => drop(pipe.run(batches).unwrap()),
+        }
+        let stage_events = telemetry
+            .events()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Stage {
+                    iteration,
+                    stage,
+                    start_ns,
+                    dur_ns,
+                    ..
+                } => {
+                    let s = StageId::from_name(stage).expect("a stage").index();
+                    Some((iteration, s, start_ns, start_ns + dur_ns))
+                }
+                _ => None,
+            });
+        stage_events.collect()
+    }
+
+    /// The (batch, stage) pairs of `stages`, in order.
+    fn order(stages: Vec<(usize, usize, u64, u64)>) -> Vec<(usize, usize)> {
+        stages.into_iter().map(|(i, s, ..)| (i, s)).collect()
+    }
+
+    /// (batch, stage) in the order of the register pipeline over batches
+    /// `range`: cycle `c` runs Train(c−4), Insert(c−3), Exchange(c−2),
+    /// Collect(c−1) and Plan(c), those of them that are in the range, from
+    /// the fill to the drain.
+    fn register_order(range: Range<usize>) -> Vec<(usize, usize)> {
+        let n = range.len();
+        let cycle = move |c: usize| {
+            let stages = (0..STAGES).rev().filter(move |&s| s <= c && c - s < n);
+            stages.map(move |s| (range.start + c - s, s))
+        };
+        (0..n + STAGES - 1).flat_map(cycle).collect()
+    }
+
+    #[test]
+    fn sync_runs_in_register_order() {
+        let (_, batches) = trace(LocalityProfile::Medium, 16);
+        let sync = order(observed_stages(Schedule::Sync, 2, &batches, None));
+        assert_eq!(sync, register_order(0..16));
+    }
+
+    #[test]
+    fn sequential_runs_batch_at_a_time() {
+        let (_, batches) = trace(LocalityProfile::Medium, 16);
+        let sequential = order(observed_stages(Schedule::Sequential, 2, &batches, None));
+        let batch_at_a_time: Vec<_> = (0..16)
+            .flat_map(|i| (0..STAGES).map(move |s| (i, s)))
+            .collect();
+        assert_eq!(sequential, batch_at_a_time);
+    }
+
+    /// Each checkpointed segment is a register pipeline of its own: the
+    /// order repeats, shifted by the segment's start.
+    #[test]
+    fn a_supervised_segment_repeats_the_register_order() {
+        let (_, batches) = trace(LocalityProfile::Medium, 16);
+        let policy = RecoveryPolicy {
+            retry_budget: 1,
+            checkpoint_interval: 7,
+        };
+        let segments = order(observed_stages(Schedule::Sync, 2, &batches, Some(policy)));
+        let shifted: Vec<_> = [0..7, 7..14, 14..16]
+            .into_iter()
+            .flat_map(register_order)
+            .collect();
+        assert_eq!(segments, shifted);
+    }
+
+    /// Every stage execution of an observed run starts at or after the end
+    /// of every predecessor [`Schedule::edges`] names: the measured run
+    /// obeys the graph the simulator schedules on, at every dispatch width.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timed runs: run with --release")]
+    fn observed_runs_obey_the_graph() {
+        let (_, batches) = trace(LocalityProfile::Medium, 40);
+        let runs = [
+            (Schedule::Threaded, 1),
+            (Schedule::Threaded, 2),
+            (Schedule::Threaded, 4),
+            (Schedule::Sync, 2),
+        ];
+        for (schedule, width) in runs {
+            let stages = observed_stages(schedule, width, &batches, None);
+            assert_eq!(stages.len(), batches.len() * STAGES, "{schedule:?}");
+            let mut end = vec![[0; STAGES]; batches.len()];
+            for &(i, s, _, e) in &stages {
+                end[i][s] = e;
+            }
+            let edges = schedule.edges();
+            for &(i, s, start, _) in &stages {
+                for e in edges.iter().filter(|e| e.waiter == s && i >= e.lag) {
+                    let watched = end[i - e.lag][e.watched];
+                    assert!(
+                        start >= watched,
+                        "{schedule:?} at width {width}: {:?}({i}) starts at {start} before \
+                         {:?}({}) ends at {watched}",
+                        StageId::ALL[s],
+                        StageId::ALL[e.watched],
+                        i - e.lag,
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn builder_rejects_inconsistent_setups() {
         let missing_config = Pipeline::<UnitBackend>::builder()

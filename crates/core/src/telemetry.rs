@@ -737,6 +737,14 @@ impl Default for Telemetry {
     }
 }
 
+#[cfg(test)]
+impl Telemetry {
+    /// Every run's events, in the order they were recorded.
+    pub(crate) fn events(&self) -> Vec<Event> {
+        self.inner.runs.lock().concat()
+    }
+}
+
 impl Telemetry {
     /// Creates an empty collector; its epoch (trace time zero) is now.
     pub fn new() -> Self {
