@@ -1,105 +1,51 @@
-//! The pipeline's protocol, stated once, and the one interpreter every
-//! schedule runs it on.
+//! The runtime's executor: it runs [`Schedule::edges`], the graph
+//! [`memsim::PipelineSim`] schedules on.
 //!
-//! The stages are grouped into lanes of adjacent stages ([`LANE_STAGES`]),
-//! and each lane runs one short program per mini-batch ([`program`]):
-//! receive a payload, wait on the [`Barrier`]s its stages are the waiter
-//! of, execute its stages, signal the barriers they are watched by, retire
-//! the iteration (last lane only) and send the payload on. `STAGES + 1`
-//! payloads circulate: they start on the recycle path that feeds the first
-//! lane, and the last lane sends each retired one back.
+//! A node is one stage of one mini-batch. Stage `s`'s next node is the
+//! batch after the last one it completed; it is ready once the stage's
+//! body is back and every edge naming `s` as waiter is met — the stage
+//! before it in the batch, the stage itself one batch back, \[Train\] as
+//! many batches back as payloads circulate (the payload ring), and
+//! \[Collect\]'s two hazard barriers. [`Graph`] holds that state and the
+//! payloads: \[Plan\] takes one from the recycle stack, each stage hands
+//! it on through its batch's slot, and \[Train\]'s completion retires the
+//! batch and puts the payload back on the stack — the only place a
+//! node's effect is written.
 //!
-//! [`Links`] holds everything the lanes share, and [`Links::step`] performs
-//! one op of one lane if it is enabled — the only place an op's effect is
-//! written. A lane whose `Exec` is out is not enabled until the body hands
-//! its payload back ([`Links::executed`]).
+//! [`dispatch`] runs the graph: a thread takes, under one lock, the ready
+//! node with the lowest key, runs the stage body outside the lock and
+//! sleeps while no node is ready. The register schedules run one, on the
+//! calling thread; `Threaded` runs `min(stages, pool width)` as one region
+//! on the pool's workers, so a stage region entered from one runs inline.
+//! A lone thread takes the lowest cycle (batch + stage) first, the later
+//! stage on a tie: that replays the register order, `Train(c−4) …
+//! Plan(c)`. `Sequential` is the same graph with one payload ([`payloads`]),
+//! which so runs batch at a time.
 //!
-//! [`dispatch`] is the interpreter: a thread takes the next enabled op of
-//! any lane — alone, in register order — runs each `Exec` outside the lock
-//! and sleeps while no op is enabled. The register schedules run one, on
-//! the calling thread; `Threaded` runs `min(LANES, pool width)` as one
-//! region on the pool's workers, so a stage region entered from one runs
-//! inline. `Sequential` is the same program with one payload
-//! ([`payloads`]).
-//!
-//! The tests explore every interleaving of the same [`Links::step`]
-//! exhaustively.
+//! The tests explore every order in which ready nodes start and running
+//! nodes finish, exhaustively, on the same [`Graph`].
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Condvar, PoisonError};
 
+use memsim::Edge;
 use parking_lot::Mutex;
 
 use crate::error::ScratchError;
 use crate::pipeline::{retire, timed_execute, Schedule};
 use crate::runtime::{IterationRecord, StageId};
-use crate::stage::{Barrier, Body, StageCtx};
+use crate::stage::{Body, StageCtx};
 use crate::stages::{PayloadPool, StagePayload};
 use crate::telemetry::{Event, Lane};
 use crate::workers::WorkerPool;
 
 const STAGES: usize = StageId::COUNT;
 
-/// A payload as the lanes hand it on: boxed, so a hand-off moves a pointer.
+/// The last stage, whose completion retires the batch.
+const TRAIN: usize = STAGES - 1;
+
+/// A payload as the stages hand it on: boxed, so a hand-off moves a pointer.
 type Payload = Box<StagePayload>;
-
-/// How many adjacent stages each lane runs back to back on one payload:
-/// `[Plan] [Collect, Exchange] [Insert] [Train]`. \[Exchange\] is one
-/// traffic assignment; it rides with the stage that hands it the payload
-/// rather than paying for a lane and a channel hop of its own.
-const LANE_STAGES: [usize; 4] = [1, 2, 1, 1];
-const LANES: usize = LANE_STAGES.len();
-
-/// The stages of `lane`, in register order.
-fn stages_of(lane: usize) -> &'static [StageId] {
-    let first = LANE_STAGES[..lane].iter().sum::<usize>();
-    &StageId::ALL[first..first + LANE_STAGES[lane]]
-}
-
-/// The lane that runs `stage`.
-fn lane_of(stage: StageId) -> usize {
-    (0..LANES)
-        .rfind(|&l| stages_of(l)[0] <= stage)
-        .expect("lane 0 starts at Plan")
-}
-
-/// One instruction of a lane's program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneOp {
-    /// Take the next payload from the lane's inbound channel.
-    Recv,
-    /// Until the barrier's watched stage has completed batch `i - lag`.
-    Wait(Barrier),
-    Exec(StageId),
-    /// Publish that the barrier's watched stage completed batch `i`.
-    Signal(Barrier),
-    /// Record the finished iteration.
-    Retire,
-    /// Hand the payload to the next lane (the last lane: back to the first).
-    Send,
-}
-
-/// Every lane's program.
-pub(crate) type Program = [Vec<LaneOp>; LANES];
-
-/// The lane programs that enforce `barriers`.
-pub(crate) fn program(barriers: &[Barrier]) -> Program {
-    std::array::from_fn(|lane| {
-        let mut ops = vec![LaneOp::Recv];
-        for &stage in stages_of(lane) {
-            let of = |side: fn(&Barrier) -> StageId| {
-                barriers.iter().filter(move |&b| side(b) == stage).copied()
-            };
-            ops.extend(of(|b| b.waiter).map(LaneOp::Wait));
-            ops.push(LaneOp::Exec(stage));
-            ops.extend(of(|b| b.watched).map(LaneOp::Signal));
-        }
-        ops.extend((lane + 1 == LANES).then_some(LaneOp::Retire));
-        ops.push(LaneOp::Send);
-        ops
-    })
-}
 
 /// How many payloads circulate under `schedule`: `STAGES + 1`, or one for
 /// `Sequential`, which so finishes each batch before it admits the next.
@@ -110,154 +56,138 @@ pub(crate) fn payloads(schedule: Schedule) -> usize {
     }
 }
 
-/// Where one lane is in its program.
-#[derive(Debug, Clone, Hash)]
-struct Cursor<P> {
-    pc: usize,
-    /// The mini-batch the lane is on.
-    batch: usize,
-    held: Option<P>,
-    /// Its `Exec` is out: the body has the payload, and the lane stays at
-    /// that op until [`Links::executed`] hands it back.
-    executing: bool,
-    done: bool,
-}
-
-/// What [`Links::step`] did.
-#[derive(Debug)]
-pub(crate) enum Step<P> {
-    Ran(LaneOp),
-    /// The op is not enabled yet.
-    Blocked(LaneOp),
-    /// The lane's next op is `Exec(stage)` of `batch`: the payload is the
-    /// interpreter's until it hands it back through [`Links::executed`].
-    Exec(StageId, usize, P),
-    /// The lane has finished: its range is done, or the lanes shut down.
-    Done,
-}
-
-/// The state the lanes share.
+/// The state of a run's graph.
 #[derive(Debug, Clone)]
-pub(crate) struct Links<'p, P> {
-    program: &'p Program,
-    lanes: [Cursor<P>; LANES],
-    /// `chans[l]` feeds lane `l`. The recycle path feeding the first lane
-    /// is a stack holding every payload not in flight, so the payload that
-    /// retired last — its arenas warm — is reused first; the hand-offs
-    /// are queues of at most `depth`.
-    chans: [VecDeque<P>; LANES],
-    depth: usize,
-    /// Per stage, the last batch a `Signal` published it completed.
-    marks: [i64; STAGES],
+pub(crate) struct Graph<P> {
+    edges: Vec<Edge>,
+    /// Per stage, the last batch it completed.
+    done: [i64; STAGES],
+    /// Per stage, whether its body has the payload of its next node, until
+    /// [`Graph::executed`] hands it back.
+    running: [bool; STAGES],
+    /// The payloads no batch holds, the one that retired last on top: its
+    /// arenas are warm when \[Plan\] takes it.
+    recycle: Vec<P>,
+    /// Batch `i`'s payload between two of its stages, at `i % payloads`.
+    slots: Vec<Option<P>>,
     end: usize,
-    /// The first error a stage returned: stored in the step that shuts the
-    /// lanes down, so no lane can stop on its own account before it is.
+    /// The first error a stage returned: it closes the graph, so no node
+    /// starts after it.
     error: Option<ScratchError>,
     closed: bool,
 }
 
-impl<'p, P> Links<'p, P> {
-    pub(crate) fn new(
-        program: &'p Program,
-        range: Range<usize>,
-        payloads: impl IntoIterator<Item = P>,
-        depth: usize,
-    ) -> Self {
-        let mut chans: [VecDeque<P>; LANES] = Default::default();
-        chans[0].extend(payloads);
-        Links {
-            program,
-            lanes: std::array::from_fn(|_| Cursor {
-                pc: 0,
-                batch: range.start,
-                held: None,
-                executing: false,
-                done: false,
-            }),
-            chans,
-            depth,
+impl<P> Graph<P> {
+    pub(crate) fn new(edges: Vec<Edge>, range: Range<usize>, mut payloads: Vec<P>) -> Self {
+        let slots = payloads.iter().map(|_| None).collect();
+        // The first payload given is the first \[Plan\] takes.
+        payloads.reverse();
+        Graph {
+            edges,
             // Batches before the range committed in earlier segments.
-            marks: [range.start as i64 - 1; STAGES],
+            done: [range.start as i64 - 1; STAGES],
+            running: [false; STAGES],
+            recycle: payloads,
+            slots,
             end: range.end,
             error: None,
             closed: false,
         }
     }
 
-    fn done(&self) -> bool {
-        self.lanes.iter().all(|c| c.done)
+    /// Stage `s`'s next node — its batch, and the first edge it still
+    /// waits on — unless its body is out, its range is done or the graph
+    /// is closed.
+    fn next(&self, s: usize) -> Option<(usize, Option<&Edge>)> {
+        let i = self.done[s] + 1;
+        if self.closed || self.running[s] || i >= self.end as i64 {
+            return None;
+        }
+        let met = |e: &&Edge| self.done[e.watched] >= i - e.lag as i64;
+        let waits = (self.edges.iter()).find(|e| e.waiter == s && !met(e));
+        Some((i as usize, waits))
     }
 
-    /// Performs `lane`'s next op if it is enabled.
-    pub(crate) fn step(&mut self, lane: usize, retire: impl FnOnce(&P)) -> Step<P> {
-        let cur = &mut self.lanes[lane];
-        let op = self.program[lane][cur.pc];
-        if cur.executing {
-            return Step::Blocked(op);
-        }
-        if self.closed && !cur.done {
-            self.chans[0].extend(cur.held.take());
-            cur.done = true;
-        }
-        match op {
-            _ if cur.done => return Step::Done,
-            LaneOp::Recv if cur.batch == self.end => {
-                cur.done = true;
-                return Step::Done;
-            }
-            LaneOp::Recv => match self.chans[lane].pop_front() {
-                Some(p) => cur.held = Some(p),
-                None => return Step::Blocked(op),
-            },
-            LaneOp::Wait(b) if self.marks[b.watched.index()] < cur.batch as i64 - b.lag as i64 => {
-                return Step::Blocked(op)
-            }
-            LaneOp::Wait(_) => {}
-            LaneOp::Exec(stage) => {
-                cur.executing = true;
-                return Step::Exec(stage, cur.batch, cur.held.take().expect("received"));
-            }
-            LaneOp::Signal(b) => self.marks[b.watched.index()] = cur.batch as i64,
-            LaneOp::Retire => retire(cur.held.as_ref().expect("received")),
-            LaneOp::Send => {
-                let next = (lane + 1) % LANES;
-                if next > 0 && self.chans[next].len() >= self.depth {
-                    return Step::Blocked(op);
-                }
-                let p = cur.held.take().expect("received");
-                match next {
-                    0 => self.chans[0].push_front(p),
-                    _ => self.chans[next].push_back(p),
-                }
-                (cur.pc, cur.batch) = (0, cur.batch + 1);
-                return Step::Ran(op);
-            }
-        }
-        cur.pc += 1;
-        Step::Ran(op)
+    /// The ready nodes, as (stage, batch).
+    fn ready(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..STAGES).filter_map(|s| match self.next(s)? {
+            (i, None) => Some((s, i)),
+            (_, Some(_)) => None,
+        })
     }
 
-    /// Takes back the payload of `lane`'s `Exec` with the body's result. An
-    /// error shuts the lanes down.
-    pub(crate) fn executed(&mut self, lane: usize, payload: P, result: Result<(), ScratchError>) {
-        let cur = &mut self.lanes[lane];
-        (cur.held, cur.executing) = (Some(payload), false);
-        cur.pc += 1;
-        if let Err(e) = result {
-            self.error.get_or_insert(e);
-            self.closed = true;
+    /// The stage a ready-but-for-one-edge node of `s` waits on while its
+    /// payload is already there: a stall, to an observer.
+    fn stalled_on(&self, s: usize) -> Option<usize> {
+        let (i, waits) = self.next(s)?;
+        let arrived = s > 0 && self.slots[i % self.slots.len()].is_some();
+        waits.filter(|_| arrived).map(|e| e.watched)
+    }
+
+    /// Batches stage `s - 1` completed that stage `s` has not taken.
+    fn backlog(&self, s: usize) -> u64 {
+        (self.done[s - 1] - self.done[s]) as u64 - u64::from(self.running[s])
+    }
+
+    /// Starts stage `s`'s node, which is ready: its batch, and the payload
+    /// its body holds until [`Graph::executed`].
+    pub(crate) fn start(&mut self, s: usize) -> (usize, P) {
+        let Some((i, None)) = self.next(s) else {
+            panic!("{:?} has no ready node", StageId::ALL[s]);
+        };
+        self.running[s] = true;
+        let payload = match s {
+            0 => self.recycle.pop().expect("the ring edge leaves a payload"),
+            _ => self.slot(i).take().expect("the chain edge delivered it"),
+        };
+        (i, payload)
+    }
+
+    /// Takes back stage `s`'s payload with its body's result. \[Train\]'s
+    /// completion `retire`s the batch and recycles the payload; an error
+    /// closes the graph.
+    pub(crate) fn executed(
+        &mut self,
+        s: usize,
+        payload: P,
+        result: Result<(), ScratchError>,
+        retire: impl FnOnce(&P),
+    ) {
+        self.running[s] = false;
+        let i = (self.done[s] + 1) as usize;
+        match result {
+            Ok(()) if s == TRAIN => {
+                self.done[s] += 1;
+                retire(&payload);
+                return self.recycle.push(payload);
+            }
+            Ok(()) => self.done[s] += 1,
+            Err(e) => {
+                self.error.get_or_insert(e);
+                self.closed = true;
+            }
         }
+        *self.slot(i) = Some(payload);
+    }
+
+    fn slot(&mut self, i: usize) -> &mut Option<P> {
+        let n = self.slots.len();
+        &mut self.slots[i % n]
+    }
+
+    /// No node will start again, and every body is back.
+    fn finished(&self) -> bool {
+        let ran = self.closed || self.done[TRAIN] + 1 >= self.end as i64;
+        ran && !self.running.contains(&true)
     }
 }
 
 /// Drives iterations `range` through the stage `bodies` under `schedule`
 /// (resolved): its [`payloads`] from `pool` circulate, and all of them are
 /// back in `pool` when it returns, whatever became of the run. `Threaded`
-/// dispatches on up to [`LANES`] of `workers`' threads, the others on the
-/// calling thread.
-#[allow(clippy::too_many_arguments)]
+/// dispatches on up to one of `workers`' threads per stage, the others on
+/// the calling thread.
 pub(crate) fn drive(
-    program: &Program,
     schedule: Schedule,
     workers: WorkerPool,
     bodies: [&mut Body<'_>; STAGES],
@@ -267,17 +197,15 @@ pub(crate) fn drive(
     records: &mut [IterationRecord],
 ) -> Result<(), ScratchError> {
     let payloads = (0..payloads(schedule)).map(|_| pool.take(ctx.shared.dim));
-    let links = Links::new(program, range, payloads, 1);
+    let graph = Graph::new(schedule.edges(), range, payloads.collect());
     let overlapped = schedule == Schedule::Threaded;
-    let width = workers.threads().min(LANES);
+    let width = workers.threads().min(STAGES);
     let state = Dispatch {
-        links,
+        graph,
         records,
-        stalled: [None; LANES],
+        stalled: [None; STAGES],
         sleepers: 0,
         lone: !overlapped || width == 1,
-        visit: STAGES - 1,
-        ran: false,
     };
     let (state, wake) = (Mutex::new(state), Condvar::new());
     let shared = Shared { state, wake };
@@ -293,175 +221,147 @@ pub(crate) fn drive(
         dispatch(&shared, &bodies, ctx, false);
         Ok(())
     };
-    let links = shared.state.into_inner().links;
-    // Back in the order they came out, so the next call's recycle path
+    let graph = shared.state.into_inner().graph;
+    // The recycle stack last, bottom to top, so the next call's \[Plan\]
     // again starts with the payload that retired last.
-    for payload in links.chans.into_iter().flatten().rev() {
+    for payload in graph.slots.into_iter().flatten().chain(graph.recycle) {
         pool.release(payload);
     }
-    links.error.map_or(region, Err)
+    graph.error.map_or(region, Err)
 }
 
-/// What the dispatch threads share: the lanes under one lock, and where
-/// the threads with no op enabled sleep.
-struct Shared<'p, 'r> {
-    state: Mutex<Dispatch<'p, 'r>>,
+/// What the dispatch threads share: the graph under one lock, and where
+/// the threads with no ready node sleep.
+struct Shared<'r> {
+    state: Mutex<Dispatch<'r>>,
     wake: Condvar,
 }
 
-struct Dispatch<'p, 'r> {
-    links: Links<'p, Payload>,
+struct Dispatch<'r> {
+    graph: Graph<Payload>,
     records: &'r mut [IterationRecord],
-    /// Per lane, when an observed `Threaded` run first found its `Wait`
-    /// blocked: a `Stall` once the wait passes.
-    stalled: [Option<u64>; LANES],
+    /// Per stage, since when an observed `Threaded` run has seen its next
+    /// node stalled, and on which stage: a `Stall` once the node starts.
+    stalled: [Option<(u64, usize)>; STAGES],
     sleepers: usize,
-    /// One dispatch thread, which replays the register order: a cycle
-    /// visits the stages from \[Train\] back to \[Plan\], and a visit
-    /// steps the stage's lane up to another stage's `Exec` or past its
-    /// own batch — `Train(c−4), Insert(c−3), Exchange(c−2), Collect(c−1),
-    /// Plan(c)`. With company a thread scans the lanes from \[Plan\], the
-    /// critical lane, on (docs/perf.md, "One interpreter").
+    /// One dispatch thread, which takes the lowest cycle first and so
+    /// replays the register order. With company a thread takes the lowest
+    /// stage first: \[Plan\], the critical one (docs/perf.md, "One
+    /// interpreter").
     lone: bool,
-    /// The stage a lone thread visits, and whether its `Exec` ran yet.
-    visit: usize,
-    ran: bool,
 }
 
-impl Dispatch<'_, '_> {
-    /// Runs enabled ops in scan order until one is an `Exec`: that lane,
-    /// stage, batch and payload, or `None` once no op is enabled.
-    /// `observed` records the stalls and each hand-off's channel depth.
-    fn next(
+impl Dispatch<'_> {
+    /// Starts the ready node with the lowest key: its stage, batch and
+    /// payload, or `None` while no node is ready. `observed` records the
+    /// stalls.
+    fn next(&mut self, ctx: &StageCtx<'_>, observed: bool) -> Option<(usize, usize, Payload)> {
+        if let Some(o) = ctx.observer.filter(|_| observed) {
+            for s in 0..STAGES {
+                if let Some(watched) = self.graph.stalled_on(s) {
+                    self.stalled[s].get_or_insert_with(|| (o.now_ns(), watched));
+                }
+            }
+        }
+        let lone = self.lone;
+        let key = |&(s, i): &(usize, usize)| if lone { (i + s, STAGES - s) } else { (s, 0) };
+        let (s, _) = self.graph.ready().min_by_key(key)?;
+        let (i, payload) = self.graph.start(s);
+        if let (Some((start_ns, watched)), Some(o)) = (self.stalled[s].take(), ctx.observer) {
+            o.record(Event::Stall {
+                iteration: i,
+                stage: StageId::ALL[s].name(),
+                watched: StageId::ALL[watched].name(),
+                lane: Lane::Stage(s as u8),
+                start_ns,
+                dur_ns: o.now_ns().saturating_sub(start_ns),
+            });
+        }
+        Some((s, i, payload))
+    }
+
+    /// Takes back stage `s`'s payload; an observed `Threaded` run records
+    /// the backlog its completion leaves in front of the next stage.
+    fn executed(
         &mut self,
         ctx: &StageCtx<'_>,
         observed: bool,
-    ) -> Option<(usize, StageId, usize, Payload)> {
-        let observer = ctx.observer.filter(|_| observed);
-        // Lanes in a row that had no op to run, or visits in a row that
-        // stopped: a whole cycle of visits after the one that moved.
-        let mut idle = 0;
-        while idle < if self.lone { STAGES + 1 } else { LANES } {
-            let (lane, may) = if self.lone {
-                let stage = StageId::ALL[self.visit];
-                let lane = lane_of(stage);
-                let op = self.links.program[lane][self.links.lanes[lane].pc];
-                let stop =
-                    matches!(op, LaneOp::Exec(s) if s != stage) || self.ran && op == LaneOp::Recv;
-                (lane, !stop)
-            } else {
-                (idle, true)
-            };
-            let batch = self.links.lanes[lane].batch;
-            let records = &mut *self.records;
-            let step = if may {
-                self.links.step(lane, |p| retire(ctx, records, p))
-            } else {
-                Step::Done
-            };
-            let moved = match (step, observer) {
-                (Step::Exec(stage, batch, p), _) => {
-                    self.ran = true;
-                    return Some((lane, stage, batch, p));
-                }
-                (Step::Ran(LaneOp::Wait(b)), Some(o)) => {
-                    if let Some(start_ns) = self.stalled[lane].take() {
-                        o.record(Event::Stall {
-                            iteration: batch,
-                            stage: b.waiter.name(),
-                            watched: b.watched.name(),
-                            lane: Lane::Stage(b.waiter.index() as u8),
-                            start_ns,
-                            dur_ns: o.now_ns().saturating_sub(start_ns),
-                        });
-                    }
-                    true
-                }
-                (Step::Ran(LaneOp::Send), Some(o)) if lane + 1 < LANES => {
-                    o.record(Event::ChannelDepth {
-                        receiver: stages_of(lane + 1)[0].name(),
-                        depth: self.links.chans[lane + 1].len() as u64,
-                    });
-                    true
-                }
-                (Step::Ran(_), _) => true,
-                (Step::Blocked(LaneOp::Wait(_)), Some(o)) => {
-                    self.stalled[lane].get_or_insert_with(|| o.now_ns());
-                    false
-                }
-                (Step::Blocked(_) | Step::Done, _) => false,
-            };
-            if moved {
-                idle = 0;
-            } else if self.lone {
-                (idle, self.visit, self.ran) =
-                    (idle + 1, (self.visit + STAGES - 1) % STAGES, false);
-            } else {
-                idle += 1;
-            }
+        s: usize,
+        payload: Payload,
+        result: Result<(), ScratchError>,
+    ) {
+        let completed = result.is_ok();
+        let records = &mut *self.records;
+        (self.graph).executed(s, payload, result, |p| retire(ctx, records, p));
+        if let Some(o) = ctx.observer.filter(|_| observed && completed && s < TRAIN) {
+            o.record(Event::ChannelDepth {
+                receiver: StageId::ALL[s + 1].name(),
+                depth: self.graph.backlog(s + 1),
+            });
         }
-        None
     }
 }
 
-/// One dispatch thread, until every lane is done; `overlapped`
+/// One dispatch thread, until the graph is finished; `overlapped`
 /// (`Threaded`) records each stage on its own trace lane.
 fn dispatch(
-    shared: &Shared<'_, '_>,
+    shared: &Shared<'_>,
     bodies: &[Mutex<&mut Body<'_>>; STAGES],
     ctx: &StageCtx<'_>,
     overlapped: bool,
 ) {
-    let mut unwind = CloseOnUnwind { shared, lane: None };
+    let mut unwind = CloseOnUnwind {
+        shared,
+        stage: None,
+    };
     let mut state = shared.state.lock();
     loop {
-        let Some((lane, stage, batch, mut p)) = state.next(ctx, overlapped) else {
-            if state.links.done() {
+        let Some((s, batch, mut p)) = state.next(ctx, overlapped) else {
+            if state.graph.finished() {
                 break;
             }
-            let out = state.links.lanes.iter().any(|c| c.executing);
-            assert!(out, "the lane program stalled");
+            assert!(state.graph.running.contains(&true), "the graph stalled");
             state.sleepers += 1;
             state = (shared.wake.wait(state)).unwrap_or_else(PoisonError::into_inner);
             state.sleepers -= 1;
             continue;
         };
-        // The ops run before this `Exec` may have enabled another.
+        // The completion before this start may have readied another node.
         if state.sleepers > 0 {
             shared.wake.notify_one();
         }
         drop(state);
-        unwind.lane = Some(lane);
+        unwind.stage = Some(s);
+        let stage = StageId::ALL[s];
         let on = match overlapped {
-            true => Lane::Stage(stage.index() as u8),
+            true => Lane::Stage(s as u8),
             false => Lane::Main,
         };
-        let body = &mut **bodies[stage.index()].lock();
+        let body = &mut **bodies[s].lock();
         let result = timed_execute(stage, body, &ctx.at(batch, on), &mut p);
-        unwind.lane = None;
+        unwind.stage = None;
         state = shared.state.lock();
-        state.links.executed(lane, p, result);
+        state.executed(ctx, overlapped, s, p, result);
     }
     drop(state);
     shared.wake.notify_all();
 }
 
-/// Shuts the lanes down if its dispatch thread unwinds: the lane whose
-/// `Exec` it ran lost its payload with the unwind and counts as done, and
-/// the other threads wake to wind the rest down instead of waiting on it.
-struct CloseOnUnwind<'a, 'p, 'r> {
-    shared: &'a Shared<'p, 'r>,
-    lane: Option<usize>,
+/// Closes the graph if its dispatch thread unwinds: the stage whose body
+/// it ran lost its payload with the unwind and counts as back, and the
+/// other threads wake to wind the rest down instead of waiting on it.
+struct CloseOnUnwind<'a, 'r> {
+    shared: &'a Shared<'r>,
+    stage: Option<usize>,
 }
 
-impl Drop for CloseOnUnwind<'_, '_, '_> {
+impl Drop for CloseOnUnwind<'_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let mut state = self.shared.state.lock();
-            state.links.closed = true;
-            if let Some(lane) = self.lane {
-                let cur = &mut state.links.lanes[lane];
-                (cur.executing, cur.done) = (false, true);
+            state.graph.closed = true;
+            if let Some(s) = self.stage {
+                state.graph.running[s] = false;
             }
             drop(state);
             self.shared.wake.notify_all();
@@ -472,13 +372,13 @@ impl Drop for CloseOnUnwind<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     //! The exhaustive checker: a depth-first search over every order in
-    //! which the lanes can take their steps, driving the shipped
-    //! [`Links::step`] and [`Links::executed`] with stub stage bodies that
-    //! log which batch each stage completed. A lane's `Exec` is two steps,
-    //! as it is under the dispatch threads: taking the payload out, and
-    //! handing it back with the body's result. Every lane, the one whose
-    //! `Exec` is out included, is offered a step in between; [`Links`]
-    //! must refuse the latter. A step that panics is a counterexample.
+    //! which nodes can start and finish, driving the shipped
+    //! [`Graph::start`] and [`Graph::executed`] with stub stage bodies that
+    //! log which batch each stage completed. A node is two steps, as it is
+    //! under the dispatch threads: starting, which takes its payload out,
+    //! and finishing, which hands it back with the body's result. In every
+    //! state any ready node may start and any running node may finish. A
+    //! step that panics is a counterexample.
 
     use std::collections::hash_map::DefaultHasher;
     use std::collections::HashMap;
@@ -489,64 +389,69 @@ mod tests {
     use crate::config::WindowConfig;
     use crate::stage::barriers;
 
-    /// What is checked: the program enforcing `program`'s barriers, with
-    /// hand-offs of `depth` and `payloads` circulating, against the RAW
-    /// distances of `window` — the window the Hold mask plans with.
+    /// What is checked: the graph with `barriers`' lags and `payloads`
+    /// circulating, against the RAW distances of `window` — the window the
+    /// Hold mask plans with.
     #[derive(Debug, Clone, Copy)]
     struct Protocol {
-        program: WindowConfig,
-        depth: usize,
+        barriers: WindowConfig,
         payloads: usize,
         window: WindowConfig,
         busy: Busy,
     }
 
-    /// Whether [`Links`] keeps a lane whose `Exec` is out from stepping.
+    /// Whether [`Graph`] keeps a stage whose body is out from starting.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Busy {
         Honoured,
-        /// The lane's flag is cleared as soon as its `Exec` is taken.
+        /// The stage's `running` flag is cleared as soon as it starts.
         Ignored,
-        /// Every lane's flag is cleared once the lanes shut down.
+        /// Every `running` flag is cleared once the graph closes.
         IgnoredOnClose,
     }
 
     const SHIPPED: Protocol = Protocol {
-        program: WindowConfig::PAPER,
-        depth: 1,
+        barriers: WindowConfig::PAPER,
         payloads: STAGES + 1,
         window: WindowConfig::PAPER,
         busy: Busy::Honoured,
     };
 
+    impl Protocol {
+        fn edges(self) -> Vec<Edge> {
+            let mut edges = Edge::line(STAGES, self.payloads);
+            edges.extend(barriers(self.barriers));
+            edges
+        }
+    }
+
     /// A model payload is the batch \[Plan\] stamped on it.
     #[derive(Clone)]
-    struct State<'p> {
-        links: Links<'p, usize>,
-        /// Per lane, the `Exec` whose body has not handed its payload back.
-        bodies: [Option<(StageId, usize, usize)>; LANES],
+    struct State {
+        graph: Graph<usize>,
+        /// Per stage, the (batch, payload) its body has not handed back.
+        bodies: [Option<(usize, usize)>; STAGES],
         /// Per stage, the last batch it completed.
         completed: [i64; STAGES],
         retired: usize,
     }
 
-    impl State<'_> {
+    impl State {
         fn fingerprint(&self) -> u64 {
             let mut h = DefaultHasher::new();
-            let links = &self.links;
-            (&links.lanes, &links.chans, links.marks, links.closed).hash(&mut h);
-            links.error.as_ref().map(ToString::to_string).hash(&mut h);
+            let g = &self.graph;
+            (g.done, g.running, &g.recycle, &g.slots, g.closed).hash(&mut h);
+            g.error.as_ref().map(ToString::to_string).hash(&mut h);
             (self.bodies, self.completed, self.retired).hash(&mut h);
             h.finish()
         }
 
-        /// Payloads out of the recycle path, and all payloads.
+        /// Payloads off the recycle stack, and payloads where `drive`
+        /// collects them from.
         fn count(&self) -> (usize, usize) {
-            let held = self.links.lanes.iter().filter(|c| c.held.is_some()).count()
-                + self.bodies.iter().flatten().count();
-            let queued: Vec<usize> = self.links.chans.iter().map(VecDeque::len).collect();
-            let live = held + queued[1..].iter().sum::<usize>();
-            (live, live + queued[0])
+            let slotted = self.graph.slots.iter().flatten().count();
+            let live = slotted + self.bodies.iter().flatten().count();
+            (live, slotted + self.graph.recycle.len())
         }
     }
 
@@ -568,73 +473,66 @@ mod tests {
     }
 
     impl Search {
-        /// Takes one step of `lane` in `state` — the body of its `Exec`
-        /// handing the payload back if `hand_back`, else its next op: the
-        /// step's description, or `None` if the lane cannot move.
+        /// Takes one step of stage `s` in `state` — its body handing the
+        /// payload back if `finish`, else starting its next node: the
+        /// step's description, or `None` if the stage cannot move.
         fn advance(
             &self,
-            state: &mut State<'_>,
-            lane: usize,
-            hand_back: bool,
+            state: &mut State,
+            s: usize,
+            finish: bool,
         ) -> Result<Option<String>, String> {
-            let name = stages_of(lane)[0].name();
-            if hand_back {
-                let Some((stage, batch, p)) = state.bodies[lane].take() else {
+            let stage = StageId::ALL[s];
+            if finish {
+                let Some((batch, p)) = state.bodies[s].take() else {
                     return Ok(None);
                 };
                 if stage != StageId::Plan && p != batch {
                     return Err(format!("{stage:?}({batch}) got batch {p}'s payload"));
                 }
                 let result = self.body(state, stage, batch)?;
-                state.links.executed(lane, batch, result);
-                return Ok(Some(format!("{name}:Executed({stage:?})@{batch}")));
-            }
-            let (batch, start) = (state.links.lanes[lane].batch, self.range.start);
-            let op = state.links.program[lane][state.links.lanes[lane].pc];
-            let (links, retired) = (&mut state.links, &mut state.retired);
-            let mut out_of_order = None;
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                links.step(lane, |&p| {
+                let (graph, retired, start) =
+                    (&mut state.graph, &mut state.retired, self.range.start);
+                let mut out_of_order = None;
+                graph.executed(s, batch, result, |&p| {
                     if p != start + *retired {
                         out_of_order =
                             Some(format!("retired batch {p} before {}", start + *retired));
                     }
                     *retired += 1;
-                })
-            }))
-            .map_err(|panic| {
-                let what = (panic.downcast_ref::<&str>().copied())
-                    .or(panic.downcast_ref::<String>().map(String::as_str));
-                format!("{name}:{op:?}@{batch} panicked: {}", what.unwrap_or("?"))
-            })?;
-            if let Some(e) = out_of_order {
-                return Err(e);
+                });
+                return match out_of_order {
+                    Some(e) => Err(e),
+                    None => Ok(Some(format!("{stage:?}:Finish@{batch}"))),
+                };
             }
-            Ok(match step {
-                Step::Blocked(_) => None,
-                Step::Ran(LaneOp::Wait(b)) => {
-                    Some(format!("{name}:Wait({:?}-{})@{batch}", b.watched, b.lag))
-                }
-                Step::Ran(LaneOp::Signal(b)) => {
-                    Some(format!("{name}:Signal({:?})@{batch}", b.watched))
-                }
-                Step::Ran(op) => Some(format!("{name}:{op:?}@{batch}")),
-                Step::Done => Some(format!("{name}:done")),
-                Step::Exec(stage, batch, p) => {
-                    state.bodies[lane] = Some((stage, batch, p));
-                    if self.protocol.busy == Busy::Ignored {
-                        state.links.lanes[lane].executing = false;
-                    }
-                    Some(format!("{name}:Exec({stage:?})@{batch}"))
-                }
-            })
+            if !state.graph.ready().any(|(r, _)| r == s) {
+                return Ok(None);
+            }
+            let graph = &mut state.graph;
+            let (batch, p) =
+                catch_unwind(AssertUnwindSafe(|| graph.start(s))).map_err(|panic| {
+                    let what = (panic.downcast_ref::<&str>().copied())
+                        .or(panic.downcast_ref::<String>().map(String::as_str));
+                    format!("{stage:?}:Start panicked: {}", what.unwrap_or("?"))
+                })?;
+            if let Some((out, _)) = state.bodies[s] {
+                return Err(format!(
+                    "{stage:?}({batch}) started while {stage:?}({out}) runs"
+                ));
+            }
+            state.bodies[s] = Some((batch, p));
+            if self.protocol.busy == Busy::Ignored {
+                state.graph.running[s] = false;
+            }
+            Ok(Some(format!("{stage:?}:Start@{batch}")))
         }
 
         /// The stub body of `stage` on `batch`: checks batch order and the
         /// RAW distances, fails where the fault is injected.
         fn body(
             &self,
-            state: &mut State<'_>,
+            state: &mut State,
             stage: StageId,
             batch: usize,
         ) -> Result<Result<(), ScratchError>, String> {
@@ -672,29 +570,33 @@ mod tests {
     impl Search {
         /// Every interleaving from `state`, counted; the first property a
         /// step breaks, with the trace that got there.
-        fn explore(&mut self, state: &State<'_>) -> Result<f64, String> {
+        fn explore(&mut self, state: &State) -> Result<f64, String> {
             let mut interleavings = 0.0;
             let mut moved = false;
-            let moves = (0..LANES).flat_map(|lane| [(lane, false), (lane, true)]);
-            for (lane, hand_back) in moves {
-                if !hand_back && state.links.lanes[lane].done {
-                    continue;
-                }
+            let moves = (0..STAGES).flat_map(|s| [(s, false), (s, true)]);
+            for (s, finish) in moves {
                 let mut next = state.clone();
-                let step = self.advance(&mut next, lane, hand_back);
+                let step = self.advance(&mut next, s, finish);
                 let Some(step) = step.map_err(|e| self.counterexample(&e))? else {
                     continue;
                 };
-                if next.links.closed && self.protocol.busy == Busy::IgnoredOnClose {
-                    next.links
-                        .lanes
-                        .iter_mut()
-                        .for_each(|c| c.executing = false);
+                if next.graph.closed && self.protocol.busy == Busy::IgnoredOnClose {
+                    next.graph.running = [false; STAGES];
                 }
                 moved = true;
-                let (live, total) = next.count();
+                let (live, home) = next.count();
+                let total = home + next.bodies.iter().flatten().count();
                 if total != self.protocol.payloads {
                     return Err(self.counterexample(&format!("{total} payloads after {step}")));
+                }
+                // Where `drive` collects them, once its dispatchers are out.
+                if next.graph.finished() && home != self.protocol.payloads {
+                    self.trace.push(step);
+                    return Err(self.counterexample(&format!(
+                        "stranded: {} of {} payloads outside the graph",
+                        self.protocol.payloads - home,
+                        self.protocol.payloads
+                    )));
                 }
                 self.max_live = self.max_live.max(live);
                 let key = next.fingerprint();
@@ -716,15 +618,16 @@ mod tests {
             Ok(1.0)
         }
 
-        /// The properties of a state no lane can leave.
-        fn finished(&self, state: &State<'_>) -> Result<(), String> {
-            let links = &state.links;
-            if let Some(stuck) = links.lanes.iter().position(|c| !c.done) {
-                let c = &links.lanes[stuck];
-                let op = links.program[stuck][c.pc];
+        /// The properties of a state no stage can leave.
+        fn finished(&self, state: &State) -> Result<(), String> {
+            let graph = &state.graph;
+            if let Some((s, (i, waits))) = (0..STAGES).find_map(|s| Some((s, graph.next(s)?))) {
+                let e = waits.expect("a ready node would have moved");
                 return Err(format!(
-                    "deadlock: lane {stuck} blocked at {op:?}@{}",
-                    c.batch
+                    "deadlock: {:?}({i}) waits on {:?}({})",
+                    StageId::ALL[s],
+                    StageId::ALL[e.watched],
+                    i as i64 - e.lag as i64
                 ));
             }
             let expected = self
@@ -733,17 +636,8 @@ mod tests {
                     iteration,
                     stage: stage.name().to_owned(),
                 });
-            if links.error != expected {
-                return Err(format!("returned {:?}, expected {expected:?}", links.error));
-            }
-            // Where `drive` collects them from.
-            let home = links.chans.iter().map(VecDeque::len).sum::<usize>();
-            if home != self.protocol.payloads {
-                return Err(format!(
-                    "stranded: {} of {} payloads outside the channels",
-                    self.protocol.payloads - home,
-                    self.protocol.payloads
-                ));
+            if graph.error != expected {
+                return Err(format!("returned {:?}, expected {expected:?}", graph.error));
             }
             let all = [self.range.end as i64 - 1; STAGES];
             if expected.is_none() && (state.retired != self.range.len() || state.completed != all) {
@@ -764,11 +658,10 @@ mod tests {
         range: Range<usize>,
         inject: Option<(StageId, usize)>,
     ) -> Result<Stats, String> {
-        let program = program(&barriers(protocol.program));
         let payloads = vec![usize::MAX; protocol.payloads];
         let start = State {
-            links: Links::new(&program, range.clone(), payloads, protocol.depth),
-            bodies: [None; LANES],
+            graph: Graph::new(protocol.edges(), range.clone(), payloads),
+            bodies: [None; STAGES],
             completed: [range.start as i64 - 1; STAGES],
             retired: 0,
         };
@@ -791,12 +684,23 @@ mod tests {
     /// The longest trace checked.
     const BATCHES: usize = 8;
 
+    /// What is checked is the graph the runtime runs.
+    #[test]
+    fn the_checked_graph_is_the_schedules() {
+        assert_eq!(SHIPPED.edges(), Schedule::Sync.edges());
+        let one = Protocol {
+            payloads: 1,
+            ..SHIPPED
+        };
+        assert_eq!(one.edges(), Schedule::Sequential.edges());
+    }
+
     /// Every segment `start..end` of a trace of up to [`BATCHES`] batches
     /// (a segment's interleavings do not depend on the batches around
     /// it), fault-free and with every (stage, batch) failing in turn.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "millions of states: run with --release")]
-    fn the_lane_program_is_safe_in_every_interleaving() {
+    fn the_graph_is_safe_in_every_interleaving() {
         let mut total = Stats::default();
         let mut runs = 0;
         for end in 0..=BATCHES {
@@ -815,7 +719,7 @@ mod tests {
             }
         }
         println!(
-            "lane checker: {runs} segments × faults, {} states, {:.3e} interleavings, \
+            "graph checker: {runs} segments × faults, {} states, {:.3e} interleavings, \
              at most {} payloads live",
             total.states, total.interleavings, total.max_live
         );
@@ -856,39 +760,21 @@ mod tests {
     #[test]
     fn a_train_lag_off_by_one() {
         let err = counterexample(Protocol {
-            program: WindowConfig { past: 4, future: 2 },
+            barriers: WindowConfig { past: 4, future: 2 },
             ..SHIPPED
         });
         let raw23 = "before Train(0) completed (RAW-2/3, distance 4)";
         assert!(err.contains(raw23), "{err}");
         let stricter = Protocol {
-            program: WindowConfig { past: 2, future: 2 },
+            barriers: WindowConfig { past: 2, future: 2 },
             ..SHIPPED
         };
         check(stricter, 0..BATCHES, None).expect("lag 3 is safe");
     }
 
-    /// With nowhere to put a payload the pipeline stops at its first
-    /// hand-off.
-    #[test]
-    fn a_depth_zero_hand_off_deadlocks_at_the_first_send() {
-        let err = counterexample(Protocol {
-            depth: 0,
-            ..SHIPPED
-        });
-        assert!(
-            err.starts_with("deadlock: lane 0 blocked at Send@0"),
-            "{err}"
-        );
-        assert!(
-            err.ends_with("trace: Plan:Recv@0 Plan:Exec(Plan)@0 Plan:Executed(Plan)@0"),
-            "{err}"
-        );
-    }
-
     /// One payload fewer only bounds how far \[Plan\] runs ahead: every
     /// property holds, and no more than five payloads are ever live. One
-    /// payload is the program `Sequential` runs: safe, one batch live.
+    /// payload is the graph `Sequential` runs: safe, one batch live.
     #[test]
     fn five_payloads_are_safe_and_all_used() {
         let five = check(
@@ -913,19 +799,19 @@ mod tests {
         assert_eq!(one.max_live, 1);
     }
 
-    /// A lane whose `Exec` is out must not step. Were [`Links`] to let it,
-    /// a second dispatch thread would take the same `Exec` again, its
-    /// payload already gone; and were it to let a shutdown mark the lane
-    /// done, the payload the body hands back later would never reach the
-    /// recycle path, so the next run would mint a replacement.
+    /// A stage whose body is out must not start again. Were [`Graph`] to
+    /// let it, a second dispatch thread would start the same node again;
+    /// and were it to count every body back once the graph closes, the
+    /// dispatchers would finish while a body still held its payload, and
+    /// `drive` would collect the payloads without it.
     #[test]
-    fn a_lane_stepping_while_its_exec_is_out_is_a_counterexample() {
+    fn a_stage_starting_while_its_body_is_out_is_a_counterexample() {
         let err = counterexample(Protocol {
             busy: Busy::Ignored,
             ..SHIPPED
         });
         assert!(
-            err.starts_with("Plan:Exec(Plan)@0 panicked: received"),
+            err.starts_with("Plan(0) started while Plan(0) runs"),
             "{err}"
         );
         let on_close = Protocol {

@@ -41,7 +41,7 @@ use crate::backend::DenseBackend;
 use crate::config::{PipelineConfig, WindowConfig};
 use crate::error::ScratchError;
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::lanes::{self, Program};
+use crate::lanes;
 use crate::recovery::{Journaled, RecoveryPolicy, RecoveryStats, SupervisedRun};
 use crate::runtime::{IterationRecord, PipelineReport, StageId};
 use crate::scratchpad::ScratchpadManager;
@@ -105,13 +105,11 @@ impl Schedule {
     /// Lanes add no edge: they are the host's threads, not the simulated
     /// hardware.
     pub fn edges(self) -> Vec<Edge> {
-        let barriers = stage::barriers(WindowConfig::PAPER).map(|b| Edge {
-            waiter: b.waiter.index(),
-            watched: b.watched.index(),
-            lag: b.lag,
-        });
         let mut edges = Edge::line(STAGES, lanes::payloads(self));
-        edges.extend(barriers);
+        // The register distances, whatever the window: the register
+        // schedules imply them, a narrower window is a hazard the
+        // plan-time check reports, and a wider one waits for no more.
+        edges.extend(stage::barriers(WindowConfig::PAPER));
         edges
     }
 
@@ -380,10 +378,6 @@ impl<B: DenseBackend> PipelineBuilder<B> {
         Ok(Pipeline {
             name: self.name,
             plan: PlanStage::new(managers, config.window.future as usize),
-            // The register distances, whatever the window: the register
-            // schedules imply them, a narrower window is a hazard the
-            // plan-time check reports, and a wider one waits for no more.
-            program: lanes::program(&stage::barriers(WindowConfig::PAPER)),
             train: TrainStage::new(backend),
             shared,
             table_rows,
@@ -416,8 +410,6 @@ pub struct Pipeline<B> {
     plan: PlanStage,
     train: TrainStage<B>,
     pool: PayloadPool,
-    /// The lane program every schedule runs.
-    program: Program,
     sink: Option<Box<dyn AuditSink>>,
     faults: Option<FaultInjector>,
     telemetry: Option<Telemetry>,
@@ -685,16 +677,7 @@ impl<B: DenseBackend + Send> Pipeline<B> {
             &mut |ctx, payload| train.execute(ctx, payload),
         ];
         let (pool, records) = (&mut self.pool, &mut run.records[..]);
-        lanes::drive(
-            &self.program,
-            schedule,
-            self.workers,
-            bodies,
-            pool,
-            &ctx,
-            range,
-            records,
-        )
+        lanes::drive(schedule, self.workers, bodies, pool, &ctx, range, records)
     }
 
     /// Moves the injector's firing log into the run's event log; returns

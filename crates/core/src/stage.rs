@@ -18,6 +18,7 @@
 
 use embeddings::sparse::sort_ids;
 use embeddings::{ops, EmbeddingTable, SparseBatch};
+use memsim::Edge;
 use parking_lot::Mutex;
 
 use crate::backend::DenseBackend;
@@ -140,29 +141,22 @@ fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
     run_region(ctx, stage, pool, tasks)
 }
 
-/// A cross-batch ordering the overlapped schedule must enforce: before
+/// The pipeline's two barriers, as edges of
+/// [`Schedule::edges`](crate::Schedule::edges): before
 /// `waiter` runs batch `i`, `watched` must have completed batch
-/// `i - lag`. Every schedule's lane program waits on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Barrier {
-    pub waiter: StageId,
-    pub watched: StageId,
-    pub lag: usize,
-}
-
-/// Every [`Barrier`] of the pipeline — the only cross-batch orderings a
-/// stage needs beyond "payloads arrive in batch order"; everything they
-/// do not cover is made disjoint by the Hold-mask `window` itself. Both
-/// are \[Collect\]'s (see the paper's §IV-C hazard analysis):
+/// `i - lag`. They are the only cross-batch orderings a stage needs
+/// beyond "batches pass each stage in order"; everything they do not
+/// cover is made disjoint by the Hold-mask `window` itself. Both are
+/// \[Collect\]'s (see the paper's §IV-C hazard analysis):
 ///
 /// * a victim slot chosen at Plan(i) may belong to batch i-(past+1),
 ///   whose final Train update must land before the slot is read out;
 /// * a row missed by batch i may have been evicted by batch
 ///   i-(future+1), whose CPU write-back must land before the re-read.
-pub(crate) fn barriers(window: WindowConfig) -> [Barrier; 2] {
-    let collect_after = |watched, distance: u32| Barrier {
-        waiter: StageId::Collect,
-        watched,
+pub(crate) fn barriers(window: WindowConfig) -> [Edge; 2] {
+    let collect_after = |watched: StageId, distance: u32| Edge {
+        waiter: StageId::Collect.index(),
+        watched: watched.index(),
         lag: distance as usize + 1,
     };
     [
@@ -740,14 +734,14 @@ mod tests {
         assert_eq!(
             barriers(WindowConfig::PAPER),
             [
-                Barrier {
-                    waiter: Collect,
-                    watched: Train,
+                Edge {
+                    waiter: Collect.index(),
+                    watched: Train.index(),
                     lag: past + 1,
                 },
-                Barrier {
-                    waiter: Collect,
-                    watched: Insert,
+                Edge {
+                    waiter: Collect.index(),
+                    watched: Insert.index(),
                     lag: future + 1,
                 },
             ]
