@@ -151,13 +151,18 @@ fn degrading_plan() -> FaultPlan {
 /// `DataParallel` rows were re-recorded when the pool's workers began
 /// claiming tasks instead of being dealt them: the digest renders a pooled
 /// shard as the pool's first lane and its task index (`100:k`), not as the
-/// lane of the worker that ran it; no other line moved. The `Sync` and
-/// `Threaded` rows are the originals.
+/// lane of the worker that ran it; no other line moved. The telemetry
+/// halves of the `Threaded` row and the degrading row (whose `Threaded`
+/// rung is observed) were re-recorded when `sp_channel_queue_depth`
+/// became the backlog in front of each stage, recorded as the stage before
+/// it completes: each gained an Exchange series
+/// (`sp_channel_queue_depth{run=golden,stage=Exchange}`, count 8 and 2);
+/// no other line moved. The `Sync` row is the original.
 const GOLDEN: [[u64; 2]; 4] = [
     [0xc97349be712d3bf2, 0x5eafac82b58cded2],
     [0x364006e8da50b922, 0xd70ed4f4fcfd596e],
-    [0xdf31fb43727565ca, 0x116e2dedf74ed7c6],
-    [0x76d199afa0cd8bfa, 0x507231eecd7305ec],
+    [0xfb6a18c7e30cf7d4, 0x116e2dedf74ed7c6],
+    [0xdcc11936a80fcf76, 0x507231eecd7305ec],
 ];
 
 #[test]
