@@ -116,11 +116,11 @@ impl<P> Graph<P> {
         })
     }
 
-    /// The stage a ready-but-for-one-edge node of `s` waits on while its
-    /// payload is already there: a stall, to an observer.
+    /// The stage a node of `s` waits on although the stage before it has
+    /// completed its batch: a stall, to an observer.
     fn stalled_on(&self, s: usize) -> Option<usize> {
         let (i, waits) = self.next(s)?;
-        let arrived = s > 0 && self.slots[i % self.slots.len()].is_some();
+        let arrived = s > 0 && self.done[s - 1] >= i as i64;
         waits.filter(|_| arrived).map(|e| e.watched)
     }
 

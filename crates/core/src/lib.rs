@@ -44,7 +44,7 @@
 //! [`Pipeline`] owns. The stages are not an extension point: the single
 //! driver, [`Pipeline`], executes exactly these five under a
 //! [`Schedule`] — the synchronous register pipeline, each stage sharded
-//! over a [`WorkerPool`] ([`Schedule::Sync`]), the overlapped pipeline with lanes of stages on
+//! over a [`WorkerPool`] ([`Schedule::Sync`]), the overlapped pipeline with its stages on
 //! the pool's threads ([`Schedule::Threaded`]), the register pipeline
 //! under another name ([`Schedule::DataParallel`]), the
 //! unpipelined straw-man ([`Schedule::Sequential`]), or overlap wherever

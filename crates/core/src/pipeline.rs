@@ -3,15 +3,15 @@
 //! [`Pipeline`] owns the model state and the two stateful stages, and
 //! drives the five stage bodies (Plan / Collect / Exchange / Insert /
 //! Train, the rows of [`StageId`]) under a [`Schedule`]. Every schedule
-//! runs one protocol: four lanes of adjacent stages, each running a short
-//! program per mini-batch — receive a payload, wait on \[Collect\]'s two
-//! barriers, execute, signal, retire, send it on — with `stages + 1`
-//! payloads circulating ([`Schedule::edges`] is this program as a graph).
-//! One dispatch loop runs them: on up to four of the [`WorkerPool`]'s
-//! threads under `Threaded`; on the calling thread under the register
-//! schedules — pipelined, pipelined over a wider pool, or with one
-//! payload, \[Plan\] planning a big batch's tables side by side on the
-//! pool the other stages leave idle.
+//! runs one graph, [`Schedule::edges`] — the one [`memsim::PipelineSim`]
+//! schedules on: each stage after the one before it in the batch and
+//! after itself one batch back, \[Plan\] after \[Train\] as many
+//! batches back as payloads circulate (`stages + 1`), and \[Collect\]'s
+//! two barriers. One dispatch loop runs its nodes as they become ready:
+//! on up to five of the [`WorkerPool`]'s threads under `Threaded`; on the
+//! calling thread under the register schedules — pipelined, pipelined
+//! over a wider pool, or with one payload, \[Plan\] planning a big
+//! batch's tables side by side on the pool the other stages leave idle.
 //!
 //! Because every schedule drives the *same* five stage bodies, bit-exact
 //! training and per-stage traffic parity between schedules hold by
@@ -57,10 +57,10 @@ const STAGES: usize = StageId::COUNT;
 /// How the [`Pipeline`] overlaps (or serializes) its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Schedule {
-    /// The paper's Figure-10 register pipeline: the lane programs on one
-    /// dispatch thread, the calling one, which replays the register order:
-    /// one cycle executes every occupied stage in reverse register order,
-    /// so at steady state five mini-batches are in flight.
+    /// The paper's Figure-10 register pipeline: the graph's nodes on one
+    /// dispatch thread, the calling one, lowest cycle (batch + stage)
+    /// first, so one cycle executes every occupied stage in reverse
+    /// register order and at steady state five mini-batches are in flight.
     /// One stage runs at a time, so each hands its shard regions to the
     /// pipeline's [`WorkerPool`] ([`PipelineBuilder::parallelism`] wide):
     /// \[Plan\] and the batch's dedup by table from
@@ -71,19 +71,19 @@ pub enum Schedule {
     /// disjoint outputs and no floating-point reduction is ever split, so
     /// nothing a run produces depends on the pool's width.
     Sync,
-    /// The §IV-B straw-man: the same dispatch of the same program with one
+    /// The §IV-B straw-man: the same dispatch of the same graph with one
     /// payload, so one batch finishes all stages before the next starts.
     /// No overlap, so no hazards can arise.
     Sequential,
-    /// The overlapped pipeline (paper §IV-C): the lane programs —
-    /// `[Plan] [Collect, Exchange] [Insert] [Train]`, the software analogue
-    /// of CPU threads, DMA engines and GPU streams — on up to four threads
-    /// of the [`PipelineBuilder::parallelism`]-wide pool (stage regions
-    /// inline), depth-1 hand-offs, \[Collect\]'s two cross-batch barriers
-    /// as watermark waits, and exactly `stages + 1` payloads circulating.
-    /// An iteration costs the slowest lane, not the sum of the stages; at
-    /// width 1 the lanes take turns on the calling thread. Requires
-    /// functional mode.
+    /// The overlapped pipeline (paper §IV-C): the graph's nodes on up to
+    /// five interchangeable threads of the
+    /// [`PipelineBuilder::parallelism`]-wide pool (stage regions inline) —
+    /// the software analogue of CPU threads, DMA engines and GPU streams —
+    /// each stage running its batches in order, \[Collect\]'s two
+    /// cross-batch barriers, and exactly `stages + 1` payloads
+    /// circulating. An iteration costs the slowest stage, not the sum of
+    /// the stages; at width 1 the stages take turns on the calling thread,
+    /// as under [`Schedule::Sync`]. Requires functional mode.
     Threaded,
     /// [`Schedule::Sync`] under the name the benchmark harness and the
     /// top rung of [`Pipeline::run_supervised`]'s degradation ladder use:
@@ -98,12 +98,11 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// The lane program's dependency graph, per stage ([`StageId::index`]),
-    /// for [`memsim::PipelineSim`]: the five stages in a
-    /// [`memsim::Edge::line`] with as many payloads as circulate (one
-    /// under [`Schedule::Sequential`]), plus \[Collect\]'s two barriers.
-    /// Lanes add no edge: they are the host's threads, not the simulated
-    /// hardware.
+    /// The pipeline's dependency graph, per stage ([`StageId::index`]):
+    /// what the runtime runs, and what [`memsim::PipelineSim`] schedules
+    /// on. The five stages in a [`memsim::Edge::line`] with as many
+    /// payloads as circulate (one under [`Schedule::Sequential`]), plus
+    /// \[Collect\]'s two barriers.
     pub fn edges(self) -> Vec<Edge> {
         let mut edges = Edge::line(STAGES, lanes::payloads(self));
         // The register distances, whatever the window: the register
@@ -130,11 +129,11 @@ impl Schedule {
 ///
 /// From the calibration sweep (the `calibrate_schedule` bench bin,
 /// 2-CPU host, best of 5 runs of 200 iterations, µs per iteration; full
-/// table in docs/perf.md, "Schedule calibration"): the lanes' channel hops
-/// and barrier waits cost a fixed 20–30 µs per iteration (16 lookups:
+/// table in docs/perf.md, "Schedule calibration"): the overlapped
+/// schedule's hand-offs and barrier waits cost a fixed 20–30 µs per iteration (16 lookups:
 /// sync 8.6, threaded 26.7), which overlap wins back once Plan — whose
 /// cost follows the lookup count, not the embedding width — is long
-/// enough to hide the other lanes behind. At dim 8 / dim 64, sync vs
+/// enough to hide the other stages behind. At dim 8 / dim 64, sync vs
 /// threaded: 256 lookups 55 vs 72 / 80 vs 96 (sync ahead), 384 lookups
 /// 84 vs 78 / 122 vs 114 (a tie within run-to-run spread), 512 lookups
 /// 99 vs 93 / 153 vs 97, 4 096 lookups 700 vs 493 / 1 105 vs 724. 512 is
@@ -146,8 +145,8 @@ const AUTO_OVERLAP_MIN_LOOKUPS: u64 = 512;
 /// whether data moves at all, the CPUs this process may run on, the sparse
 /// lookups of one iteration and the iterations driven back to back (the
 /// whole trace for [`Pipeline::run`], one checkpointed segment for
-/// [`Pipeline::run_supervised`]). Lanes on one CPU only take turns, a
-/// small iteration is cheaper than its channel hops, and a run no longer
+/// [`Pipeline::run_supervised`]). Stages on one CPU only take turns, a
+/// small iteration is cheaper than its hand-offs, and a run no longer
 /// than the pipeline is deep drains before it has overlapped anything.
 fn auto_schedule(functional: bool, cpus: usize, lookups: u64, segment: usize) -> Schedule {
     if functional && cpus >= 2 && lookups >= AUTO_OVERLAP_MIN_LOOKUPS && segment > STAGES {
@@ -555,13 +554,13 @@ impl<B: DenseBackend + Send> Pipeline<B> {
     /// The schedule a run over `batches` would actually execute:
     /// [`Schedule::Auto`] resolves here, and [`Schedule::Threaded`] /
     /// [`Schedule::DataParallel`] are rejected in analytic mode (there is
-    /// no data for the lanes or worker shards to move, and the sync
+    /// no data for the dispatch threads or worker shards to move, and the sync
     /// schedule counts identical cache events).
     ///
     /// `Auto` overlaps ([`Schedule::Threaded`]) when the pipeline is
     /// functional, this process may run on at least two CPUs, the first
-    /// batch carries enough sparse lookups to outweigh the lanes' channel
-    /// hops, and the trace is longer than the pipeline is deep; otherwise
+    /// batch carries enough sparse lookups to outweigh the overlapped
+    /// schedule's hand-offs, and the trace is longer than the pipeline is deep; otherwise
     /// it is [`Schedule::Sync`].
     ///
     /// # Errors
@@ -1661,7 +1660,7 @@ mod tests {
 
     /// A failed supervised attempt hands back every payload whichever of
     /// the five stages failed, however many dispatch threads were out in
-    /// their stages' bodies when the lanes shut down.
+    /// their stages' bodies when the graph closed.
     #[test]
     fn a_stage_error_at_any_stage_strands_no_payload() {
         use crate::faults::{Fault, FaultKind};
@@ -1696,8 +1695,8 @@ mod tests {
         }
     }
 
-    /// An error on any lane — first, middle or last — stops every other
-    /// lane (the run returns instead of hanging) and is the error
+    /// An error at any stage — first, middle or last — stops every other
+    /// stage (the run returns instead of hanging) and is the error
     /// reported, not the disconnections it causes.
     #[test]
     fn a_stage_error_on_any_lane_shuts_the_overlapped_pipeline_down() {

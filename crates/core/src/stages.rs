@@ -172,7 +172,7 @@ impl StagePayload {
 /// A free list of retired [`StagePayload`]s, and the only place a
 /// pipeline mints one. Every schedule holds a bounded number of payloads
 /// in flight, so after warm-up every take is a reuse. Payloads are boxed:
-/// the lanes hand one on at every stage boundary, and a pointer is
+/// the stages hand one on at every stage boundary, and a pointer is
 /// cheaper to move than the payload's several hundred bytes.
 #[derive(Debug, Default)]
 pub(crate) struct PayloadPool {

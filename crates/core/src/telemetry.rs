@@ -5,8 +5,8 @@
 //! ([`PipelineBuilder::telemetry`]), or both — records **one** typed,
 //! append-only log of [`Event`]s through one handle, the run's
 //! [`RunTelemetry`]: what started, every stage execution and shard
-//! region with its clock readings, every barrier stall and channel
-//! depth, every retired iteration, every fault and recovery decision, and
+//! region with its clock readings, every barrier stall and stage
+//! backlog, every retired iteration, every fault and recovery decision, and
 //! one terminal [`Event::Completed`] or [`Event::Aborted`]. Nothing else
 //! is recorded anywhere. When the run closes, the log is handed to its
 //! consumers, each of which is a fold over it:
@@ -83,9 +83,7 @@ pub enum Lane {
     /// The driver thread (sync / sequential / data-parallel schedules).
     Main,
     /// Stage `s` (0 = Plan … 4 = Train) of the threaded schedule, on
-    /// whichever dispatch thread ran it. Stages that share a lane program
-    /// there (Collect and Exchange) keep their own lanes, so a trace reads
-    /// the same whatever the grouping.
+    /// whichever dispatch thread ran it.
     Stage(u8),
     /// Worker `w` of a recorded shard region that ran on the pool (0 =
     /// the thread that entered the region): a register schedule's
@@ -163,8 +161,8 @@ pub enum Event {
         /// inline, on `lane`.
         width: usize,
     },
-    /// One watermark-barrier wait that actually blocked (threaded
-    /// schedule).
+    /// One barrier wait that actually blocked (threaded schedule): the
+    /// stage's payload had arrived, but an edge still held its node.
     Stall {
         /// Mini-batch the waiter was about to process.
         iteration: usize,
@@ -179,12 +177,12 @@ pub enum Event {
         /// How long it lasted.
         dur_ns: u64,
     },
-    /// Depth of an inter-lane channel right after a send (threaded
-    /// schedule).
+    /// The backlog in front of a stage, as the stage before it completes
+    /// a batch (threaded schedule).
     ChannelDepth {
-        /// First stage of the receiving lane.
+        /// The stage the backlog waits for.
         receiver: &'static str,
-        /// Payloads queued.
+        /// Batches the stage before it completed that it has not taken.
         depth: u64,
     },
     /// An iteration left the last stage. A rolled-back iteration retires

@@ -1,8 +1,8 @@
 //! Persistent worker pool for intra-stage data parallelism.
 //!
 //! [`WorkerPool`] is the fork-join primitive behind the prewarm, behind
-//! `Threaded`'s lanes (one region of up to four dispatch threads for the
-//! whole run), and behind every stage under the register schedules (all
+//! `Threaded`'s dispatch (one region of up to five dispatch threads for
+//! the whole run), and behind every stage under the register schedules (all
 //! but `Threaded`), each region once its work clears its floor: \[Plan\] and
 //! the batch's dedup `stages::PLAN_FAN_OUT_MIN_UNIQUES`, Collect, Insert
 //! and the \[Train\] gather and scatter [`WorkerPool::MIN_SHARD_WORK`],
@@ -39,7 +39,7 @@
 //! What is structural is that worker `w` is the same OS thread in every
 //! region (0 is the caller), that one region runs at a time (a second
 //! caller waits for the pool — for the whole run, if the region is a
-//! `Threaded` pipeline's lanes), and that a region entered from inside a
+//! `Threaded` pipeline's dispatch), and that a region entered from inside a
 //! task runs inline on that task's thread.
 
 use std::cell::Cell;
