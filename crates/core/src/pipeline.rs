@@ -130,10 +130,11 @@ impl Schedule {
 /// From the calibration sweep (the `calibrate_schedule` bench bin,
 /// 2-CPU host, best of 5 runs of 200 iterations, µs per iteration; full
 /// table in docs/perf.md, "Schedule calibration"): the overlapped
-/// schedule's hand-offs and barrier waits cost a fixed 20–30 µs per iteration (16 lookups:
-/// sync 8.6, threaded 26.7), which overlap wins back once Plan — whose
-/// cost follows the lookup count, not the embedding width — is long
-/// enough to hide the other stages behind. At dim 8 / dim 64, sync vs
+/// schedule's hand-offs and barrier waits cost a fixed 20–30 µs per
+/// iteration (16 lookups: sync 8.6, threaded 26.7), which overlap wins
+/// back once Plan — whose cost follows the lookup count, not the
+/// embedding width — is long enough to hide the other stages behind.
+/// At dim 8 / dim 64, sync vs
 /// threaded: 256 lookups 55 vs 72 / 80 vs 96 (sync ahead), 384 lookups
 /// 84 vs 78 / 122 vs 114 (a tie within run-to-run spread), 512 lookups
 /// 99 vs 93 / 153 vs 97, 4 096 lookups 700 vs 493 / 1 105 vs 724. 512 is

@@ -142,9 +142,9 @@ fn run_table_shards<T: Send, F: FnOnce() -> T + Send>(
 }
 
 /// The pipeline's two barriers, as edges of
-/// [`Schedule::edges`](crate::Schedule::edges): before
-/// `waiter` runs batch `i`, `watched` must have completed batch
-/// `i - lag`. They are the only cross-batch orderings a stage needs
+/// [`Schedule::edges`](crate::Schedule::edges): before `waiter` runs
+/// batch `i`, `watched` must have completed batch `i - lag`. They are
+/// the only cross-batch orderings a stage needs
 /// beyond "batches pass each stage in order"; everything they do not
 /// cover is made disjoint by the Hold-mask `window` itself. Both are
 /// \[Collect\]'s (see the paper's §IV-C hazard analysis):
