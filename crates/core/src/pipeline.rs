@@ -1659,6 +1659,31 @@ mod tests {
         }
     }
 
+    /// Payloads in `pool` whose plan lists have grown.
+    fn holding_plans(pool: &PayloadPool) -> usize {
+        pool.footprints().iter().filter(|held| held[0] > 0).count()
+    }
+
+    /// The register order grows four payloads' plans, not the six it
+    /// circulates: \[Train\](c−4) runs first in cycle `c` and hands its
+    /// payload back before Plan(c) takes one, so batches c−4 … c−1 are
+    /// all that is ever in flight. `Sequential` grows its one.
+    #[test]
+    fn the_register_order_grows_four_payloads() {
+        let (_, batches) = trace(LocalityProfile::Medium, 16);
+        for (schedule, grown) in [(Schedule::Sync, 4), (Schedule::Sequential, 1)] {
+            let mut pipe = functional(
+                PipelineConfig::functional(8, 192),
+                make_tables(3, 400, 8),
+                schedule,
+            );
+            let _ = pipe.run(&batches).unwrap();
+            assert_eq!(holding_plans(&pipe.pool), grown, "{schedule:?}");
+            let _ = pipe.run(&batches[..12]).unwrap();
+            assert_eq!(holding_plans(&pipe.pool), grown, "{schedule:?} again");
+        }
+    }
+
     /// A failed supervised attempt hands back every payload whichever of
     /// the five stages failed, however many dispatch threads were out in
     /// their stages' bodies when the graph closed.

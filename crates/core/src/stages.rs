@@ -205,6 +205,35 @@ impl PayloadPool {
     pub(crate) fn release(&mut self, payload: Box<StagePayload>) {
         self.free.push(payload);
     }
+
+    /// Per payload on the free list, the bytes it holds in `[plan lists,
+    /// lookup index, staged rows]`: the capacity of its plans' unique IDs
+    /// and slots, fills and evictions; of \[Train\]'s lookup index and its
+    /// transpose; and the rows its last batch staged. A payload whose
+    /// plans never grew reads 0 first.
+    #[cfg(test)]
+    pub(crate) fn footprints(&self) -> Vec<[usize; 3]> {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let staged = |s: &StagedRows| std::mem::size_of_val(s.rows.as_flat());
+        (self.free.iter())
+            .map(|p| {
+                let mut held = [0; 3];
+                for plan in &p.plans {
+                    held[0] += bytes(&plan.unique_ids)
+                        + bytes(&plan.unique_slots)
+                        + bytes(&plan.fills)
+                        + bytes(&plan.evictions);
+                    held[1] += bytes(&plan.lookup_unique)
+                        + bytes(&plan.unique_offsets)
+                        + bytes(&plan.unique_samples);
+                }
+                held[2] = staged(&p.staged_miss) + staged(&p.staged_evict);
+                held
+            })
+            .collect()
+    }
 }
 
 /// The \[Train\] stage's flat pooled/gradient arenas, allocated once per
