@@ -985,17 +985,11 @@ impl Run {
     }
 }
 
-/// Records one finished iteration from its retiring payload.
+/// Records one finished iteration: the record its payload carried from
+/// \[Plan\] to \[Train\].
 pub(crate) fn retire(ctx: &StageCtx<'_>, records: &mut [IterationRecord], p: &StagePayload) {
-    let rec = &mut records[p.index];
-    rec.index = p.index;
-    rec.hits = p.plans.iter().map(|t| t.hits).sum();
-    rec.misses = p.plans.iter().map(|t| t.misses).sum();
-    rec.evictions = p.plans.iter().map(|t| t.evictions.len() as u64).sum();
-    rec.total_lookups = ctx.batches[p.index].total_lookups() as u64;
-    rec.unique_rows = p.plans.iter().map(|t| t.num_unique() as u64).sum();
-    rec.loss = p.loss;
-    rec.traffic = p.traffic;
+    let rec = &mut records[p.record.index];
+    *rec = p.record.clone();
     if let Some(observer) = ctx.observer {
         observer.record(Event::Retired(Box::new(rec.clone())));
     }
@@ -1681,6 +1675,29 @@ mod tests {
             assert_eq!(holding_plans(&pipe.pool), grown, "{schedule:?}");
             let _ = pipe.run(&batches[..12]).unwrap();
             assert_eq!(holding_plans(&pipe.pool), grown, "{schedule:?} again");
+        }
+    }
+
+    /// An analytic run moves no rows, so no stage after \[Plan\] reads a
+    /// plan: its payloads grow no plan lists, and \[Plan\] keeps one set
+    /// for the run.
+    #[test]
+    fn analytic_runs_keep_one_set_of_plans() {
+        let (tcfg, batches) = trace(LocalityProfile::Low, 16);
+        for schedule in [Schedule::Sync, Schedule::Sequential] {
+            let mut pipe = Pipeline::builder()
+                .config(PipelineConfig::analytic(8, 150))
+                .analytic_tables(tcfg.num_tables, tcfg.rows_per_table)
+                .backend(UnitBackend::new(0.01))
+                .schedule(schedule)
+                .build()
+                .unwrap();
+            let report = pipe.run(&batches).unwrap();
+            assert!(report.records.iter().all(|r| r.unique_rows > 0));
+            assert_eq!(holding_plans(&pipe.pool), 0, "{schedule:?}");
+            let plans = &pipe.plan.plans;
+            assert_eq!(plans.len(), tcfg.num_tables, "{schedule:?}");
+            assert!(plans.iter().all(|p| p.unique_ids.capacity() > 0));
         }
     }
 

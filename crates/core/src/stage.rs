@@ -11,6 +11,13 @@
 //! schedule runs different stages (of different mini-batches) at once;
 //! [`barriers`] lists the only orderings that schedule has to add.
 //!
+//! \[Plan\] counts a batch's whole record where its plans are made: cache
+//! events and every stage's embedding traffic, into the payload's
+//! [`IterationRecord`](crate::IterationRecord). The stages after it read
+//! the plans only to move rows, so in an analytic run they do nothing —
+//! \[Train\] adds the dense backend's traffic, and the \[Exchange\] body is
+//! empty in every run — and the plans stay with \[Plan\].
+//!
 //! The set of stages is fixed — this is not an extension point — and every
 //! schedule runs exactly these five bodies, which is what makes the
 //! schedules bit-identical by construction. The heavy lifting lives in the
@@ -246,6 +253,9 @@ pub(crate) struct PlanStage {
     /// sorted, and their sort's scratch.
     evicted: Vec<u64>,
     evicted_scratch: Vec<u64>,
+    /// An analytic run's plans: no stage after \[Plan\] reads them, so
+    /// one set serves the run instead of one per payload in flight.
+    pub plans: Vec<TablePlan>,
 }
 
 impl PlanStage {
@@ -257,6 +267,7 @@ impl PlanStage {
             max_dup: Vec::new(),
             evicted: Vec::new(),
             evicted_scratch: Vec::new(),
+            plans: Vec::new(),
         }
     }
 
@@ -280,12 +291,28 @@ impl PlanStage {
     /// [`stages::PLAN_FAN_OUT_MIN_UNIQUES`], one after another on this
     /// thread otherwise. Either way the plans, the error reported (the
     /// lowest failing table's) and everything downstream are the same.
+    /// The payload leaves with the batch's record ([`stages::plan_record`])
+    /// and, in a functional run, the plans; an analytic run plans into the
+    /// stage's own set, lent to the payload while it is filled.
     pub(crate) fn execute(
         &mut self,
         ctx: &StageCtx<'_>,
         payload: &mut StagePayload,
     ) -> Result<(), ScratchError> {
         payload.rearm(ctx.index);
+        let analytic = !ctx.shared.functional;
+        if analytic {
+            std::mem::swap(&mut self.plans, &mut payload.plans);
+        }
+        let planned = self.plan(ctx, payload);
+        if analytic {
+            std::mem::swap(&mut self.plans, &mut payload.plans);
+        }
+        planned
+    }
+
+    /// [`PlanStage::execute`] on the plans the payload holds.
+    fn plan(&mut self, ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
         // The one sort/dedup per (batch, table) of the whole run happens
         // here, as each batch enters the window — by table, over the same
         // pool and from the same floor as the plans below.
@@ -343,7 +370,8 @@ impl PlanStage {
         run_table_shards(&region, StageId::Plan, pool, tasks)?
             .into_iter()
             .collect::<Result<(), _>>()?;
-        payload.traffic.plan = stages::plan_traffic(ctx.batch(), current);
+        let dim = ctx.shared.dim;
+        payload.record = stages::plan_record(i, ctx.batch(), current, &payload.plans, dim);
         if ctx.shared.check_hazards && ctx.pipelined {
             self.check_victim_safety(ctx.index, &payload.plans)?;
         }
@@ -470,7 +498,6 @@ fn intersects_any(a: &[u64], others: [&[u64]; HAZARD_WINDOW]) -> bool {
 /// victim-residency (RAW-3) half of the hazard checker.
 pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
     let shared = ctx.shared;
-    payload.traffic.collect = stages::collect_traffic(&payload.plans, shared.row_bytes());
     if !shared.functional {
         return Ok(());
     }
@@ -486,7 +513,7 @@ pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<
                         detail: format!(
                             "collect {}: victim slot {} of table {t} holds {:?}, \
                              expected row {} (RAW-3)",
-                            payload.index, ev.slot, resident[ev.slot as usize], ev.row
+                            ctx.index, ev.slot, resident[ev.slot as usize], ev.row
                         ),
                     });
                 }
@@ -519,11 +546,12 @@ pub(crate) fn collect(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<
     Ok(())
 }
 
-/// \[Exchange\] — the duplex PCIe hop. The data movement itself is the
-/// staging arenas changing owner inside the payload, so this stage only
-/// accounts the transfer traffic.
-pub(crate) fn exchange(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
-    payload.traffic.exchange = stages::exchange_traffic(&payload.plans, ctx.shared.row_bytes());
+/// \[Exchange\] — the duplex PCIe hop. Its data movement is the staging
+/// arenas changing owner inside the payload, and \[Plan\] counts its
+/// traffic ([`stages::exchange_traffic`]), so the body is empty. The stage
+/// keeps its register: the window distances the hazard analysis derives
+/// come from a five-register pipeline (docs/runtime-api.md).
+pub(crate) fn exchange(_: &StageCtx<'_>, _: &mut StagePayload) -> Result<(), ScratchError> {
     Ok(())
 }
 
@@ -532,7 +560,6 @@ pub(crate) fn exchange(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result
 /// data-residency shadow (the hazard checker's ground truth).
 pub(crate) fn insert(ctx: &StageCtx<'_>, payload: &mut StagePayload) -> Result<(), ScratchError> {
     let shared = ctx.shared;
-    payload.traffic.insert = stages::insert_traffic(&payload.plans, shared.row_bytes());
     if !shared.functional {
         return Ok(());
     }
@@ -588,11 +615,10 @@ impl<B: DenseBackend> TrainStage<B> {
         payload: &mut StagePayload,
     ) -> Result<(), ScratchError> {
         let (shared, batch) = (ctx.shared, ctx.batch());
-        // Traffic: embedding forward + backward entirely on GPU memory,
-        // plus the dense backend's own contribution.
+        // \[Plan\] counted the embedding half's traffic; the dense
+        // backend's own is counted here.
         let dense = self.backend.traffic(batch.batch_size());
-        payload.traffic.train = stages::train_traffic(&payload.plans, batch, shared.dim) + dense;
-        payload.loss = 0.0;
+        payload.record.traffic.train += dense;
         if !shared.functional {
             return Ok(());
         }
@@ -608,7 +634,7 @@ impl<B: DenseBackend> TrainStage<B> {
                             detail: format!(
                                 "train {}: table {t} row {id} not resident in slot {slot} \
                                  (holds {:?}) — always-hit property violated",
-                                payload.index, resident[slot as usize]
+                                ctx.index, resident[slot as usize]
                             ),
                         });
                     }
@@ -668,7 +694,7 @@ impl<B: DenseBackend> TrainStage<B> {
         let (pooled, grads) = self.arena.split();
         let step = self
             .backend
-            .step_on(dense_pool, payload.index, batch, pooled, grads)?;
+            .step_on(dense_pool, ctx.index, batch, pooled, grads)?;
         let lr = self.backend.learning_rate();
 
         // Backward scatter, sharded per table: the duplicate → coalesce →
@@ -691,7 +717,7 @@ impl<B: DenseBackend> TrainStage<B> {
             .for_work((batch.total_lookups() * dim * 2) as u64);
         run_table_shards(ctx, StageId::Train, scatter_pool, tasks)?;
 
-        payload.loss = step.loss;
+        payload.record.loss = step.loss;
         Ok(())
     }
 }
@@ -853,7 +879,8 @@ mod tests {
                     lane: Lane::Main,
                 };
                 stage.execute(&ctx, &mut payload).expect("provisioned");
-                fold_plans(&mut staged, &payload.plans);
+                assert!(payload.plans.is_empty(), "an analytic payload carries none");
+                fold_plans(&mut staged, &stage.plans);
             }
             assert_eq!(staged, alone, "width {width}");
         }

@@ -23,7 +23,9 @@
 //!   to the dense backend as a [`PooledView`].
 //! * `StagePayload` / `PayloadPool` (crate-private) — the per-mini-batch
 //!   pipeline register; retired payloads are recycled, so a steady-state
-//!   run keeps exactly *pipeline-depth* payloads alive and allocates none.
+//!   run allocates none. The register order grows four payloads' buffers
+//!   (`Sequential` one, `Threaded` up to six), and an analytic run's
+//!   payloads carry no plan lists.
 //! * [`UniqueWindow`] — the sorted unique IDs of the few mini-batches
 //!   \[Plan\] can see (hazard past + current + look-ahead), deduplicated
 //!   once as each batch enters and held in recycled buffers, so dedup
@@ -36,7 +38,7 @@ use memsim::Traffic;
 
 use crate::backend::PooledView;
 use crate::error::ScratchError;
-use crate::runtime::StageTraffic;
+use crate::runtime::{IterationRecord, StageTraffic};
 use crate::scratchpad::{ScratchpadManager, TablePlan};
 use crate::workers::WorkerPool;
 
@@ -123,35 +125,37 @@ impl StagedRows {
     }
 }
 
-/// One mini-batch's pipeline register: the plans chosen at \[Plan\], the
-/// rows staged at \[Collect\], and the per-stage traffic accumulated as
-/// the payload flows through the pipeline.
+/// One mini-batch's pipeline register: its record, counted at \[Plan\],
+/// and in a functional run the plans \[Plan\] chose and the rows staged
+/// at \[Collect\].
+///
+/// The record is the batch's whole account: \[Plan\] counts its cache
+/// events and every stage's embedding traffic from the plans it just made
+/// ([`plan_record`]), and \[Train\] adds the dense backend's traffic and
+/// the loss. So a later stage reads the plans only to move rows, and an
+/// analytic run, which moves none, leaves them with \[Plan\]: its
+/// payloads carry no plan lists at all.
 #[derive(Debug)]
 pub(crate) struct StagePayload {
-    /// Mini-batch index.
-    pub index: usize,
-    /// Per-table \[Plan\] output.
+    /// Per-table \[Plan\] output, which \[Collect\], \[Insert\] and
+    /// \[Train\] read in a functional run; empty in an analytic one.
     pub plans: Vec<TablePlan>,
     /// Missed rows gathered from the CPU tables (CPU→GPU direction).
     pub staged_miss: StagedRows,
     /// Victim rows gathered from the scratchpad (GPU→CPU direction).
     pub staged_evict: StagedRows,
-    /// Per-stage traffic of this mini-batch, filled in stage by stage.
-    pub traffic: StageTraffic,
-    /// Training loss of this mini-batch, filled at \[Train\].
-    pub loss: f32,
+    /// The mini-batch's record: its index, cache events and traffic.
+    pub record: IterationRecord,
 }
 
 impl StagePayload {
     /// Creates a payload with empty arenas for `dim`-wide rows.
     fn new(dim: usize) -> Self {
         StagePayload {
-            index: 0,
             plans: Vec::new(),
             staged_miss: StagedRows::new(dim),
             staged_evict: StagedRows::new(dim),
-            traffic: StageTraffic::default(),
-            loss: 0.0,
+            record: IterationRecord::default(),
         }
     }
 
@@ -161,17 +165,21 @@ impl StagePayload {
     /// and \[Collect\] sizes the staging arenas from the new plans in one
     /// shot ([`StagedRows::prepare`]).
     pub(crate) fn rearm(&mut self, index: usize) {
-        self.index = index;
         self.staged_miss.reset();
         self.staged_evict.reset();
-        self.traffic = StageTraffic::default();
-        self.loss = 0.0;
+        self.record = IterationRecord {
+            index,
+            ..IterationRecord::default()
+        };
     }
 }
 
 /// A free list of retired [`StagePayload`]s, and the only place a
 /// pipeline mints one. Every schedule holds a bounded number of payloads
-/// in flight, so after warm-up every take is a reuse. Payloads are boxed:
+/// in flight, so after warm-up every take is a reuse. A run takes six
+/// (`Sequential` one), but the register order only ever has four batches
+/// in flight, so it grows four payloads' buffers and leaves two bare;
+/// `Threaded` may grow all six. Payloads are boxed:
 /// the stages hand one on at every stage boundary, and a pointer is
 /// cheaper to move than the payload's several hundred bytes.
 #[derive(Debug, Default)]
@@ -780,6 +788,36 @@ pub(crate) fn train_traffic(plans: &[TablePlan], batch: &SparseBatch, dim: usize
     traffic
 }
 
+/// The record of mini-batch `index`, whose sorted unique IDs per table
+/// are `current`, counted from the plans \[Plan\] just made for it: its
+/// cache events and each stage's traffic, the dense backend's excepted
+/// (\[Train\] adds that, and the loss).
+pub(crate) fn plan_record(
+    index: usize,
+    batch: &SparseBatch,
+    current: &[Vec<u64>],
+    plans: &[TablePlan],
+    dim: usize,
+) -> IterationRecord {
+    let row_bytes = dim as u64 * 4;
+    IterationRecord {
+        index,
+        hits: plans.iter().map(|t| t.hits).sum(),
+        misses: plans.iter().map(|t| t.misses).sum(),
+        evictions: plans.iter().map(|t| t.evictions.len() as u64).sum(),
+        total_lookups: batch.total_lookups() as u64,
+        unique_rows: plans.iter().map(|t| t.num_unique() as u64).sum(),
+        loss: 0.0,
+        traffic: StageTraffic {
+            plan: plan_traffic(batch, current),
+            collect: collect_traffic(plans, row_bytes),
+            exchange: exchange_traffic(plans, row_bytes),
+            insert: insert_traffic(plans, row_bytes),
+            train: train_traffic(plans, batch, dim),
+        },
+    }
+}
+
 /// \[Train\], forward half of one table: gather + sum-pool the batch's
 /// rows out of the scratchpad into the pooled arena slice, resolving each
 /// lookup through the plan's deduplicated `lookup_unique → unique_slots`
@@ -1175,12 +1213,16 @@ mod tests {
             unique_ids: Vec::with_capacity(64),
             ..TablePlan::default()
         });
+        p.record.hits = 3;
+        p.record.loss = 0.5;
+        p.record.traffic.train.gpu_ops = 1;
         pool.release(p);
         let mut p = pool.take(4);
         p.rearm(7);
-        assert_eq!(p.index, 7);
+        assert_eq!(p.record.index, 7);
         assert_eq!(p.staged_miss.total_rows(), 0, "re-arm must reset arenas");
-        assert_eq!(p.traffic, StageTraffic::default());
+        assert_eq!((p.record.hits, p.record.loss), (0, 0.0), "and the record");
+        assert_eq!(p.record.traffic, StageTraffic::default());
         assert!(
             p.plans[0].unique_ids.capacity() >= 64,
             "plans ride along for [Plan] to refill in place"
