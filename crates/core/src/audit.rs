@@ -460,7 +460,7 @@ pub(crate) fn write_run(sink: &mut dyn AuditSink, events: &[Event]) {
                     ],
                 );
             }
-            Event::RunStarted { .. } | Event::Stall { .. } | Event::ChannelDepth { .. } => {}
+            Event::RunStarted { .. } | Event::Stall { .. } | Event::Backlog { .. } => {}
         }
     }
     out.sink.flush();

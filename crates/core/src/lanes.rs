@@ -294,8 +294,8 @@ impl Dispatch<'_> {
         let records = &mut *self.records;
         (self.graph).executed(s, payload, result, |p| retire(ctx, records, p));
         if let Some(o) = ctx.observer.filter(|_| observed && completed && s < TRAIN) {
-            o.record(Event::ChannelDepth {
-                receiver: StageId::ALL[s + 1].name(),
+            o.record(Event::Backlog {
+                stage: StageId::ALL[s + 1].name(),
                 depth: self.graph.backlog(s + 1),
             });
         }

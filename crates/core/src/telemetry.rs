@@ -179,9 +179,9 @@ pub enum Event {
     },
     /// The backlog in front of a stage, as the stage before it completes
     /// a batch (threaded schedule).
-    ChannelDepth {
+    Backlog {
         /// The stage the backlog waits for.
-        receiver: &'static str,
+        stage: &'static str,
         /// Batches the stage before it completed that it has not taken.
         depth: u64,
     },
@@ -546,7 +546,7 @@ fn meta(name: &str) -> MetricMeta {
             ("counter", "ns", false)
         }
         "sp_barrier_stalls_total" => ("counter", "stalls", false),
-        "sp_channel_queue_depth" => ("histogram", "payloads", false),
+        "sp_stage_backlog" => ("histogram", "payloads", false),
         "sp_scratchpad_occupancy_rows" | "sp_scratchpad_slots" | "sp_scratchpad_peak_held_rows" => {
             ("gauge", "rows", true)
         }
@@ -644,8 +644,8 @@ fn registry(runs: &[Vec<Event>]) -> BTreeMap<MetricKey, MetricValue> {
                     reg.add(("sp_barrier_stalls_total", staged(stage)), 1);
                     reg.add(("sp_barrier_stall_ns_total", staged(stage)), *dur_ns);
                 }
-                Event::ChannelDepth { receiver, depth } => {
-                    reg.observe(("sp_channel_queue_depth", staged(receiver)), *depth);
+                Event::Backlog { stage, depth } => {
+                    reg.observe(("sp_stage_backlog", staged(stage)), *depth);
                 }
                 Event::Fault(_) => faults += 1,
                 Event::RolledBack { .. } => rollbacks += 1,
