@@ -153,16 +153,20 @@ fn degrading_plan() -> FaultPlan {
 /// shard as the pool's first lane and its task index (`100:k`), not as the
 /// lane of the worker that ran it; no other line moved. The telemetry
 /// halves of the `Threaded` row and the degrading row (whose `Threaded`
-/// rung is observed) were re-recorded when `sp_channel_queue_depth`
-/// became the backlog in front of each stage, recorded as the stage before
-/// it completes: each gained an Exchange series
-/// (`sp_channel_queue_depth{run=golden,stage=Exchange}`, count 8 and 2);
-/// no other line moved. The `Sync` row is the original.
+/// rung is observed) were re-recorded when the queue-depth metric became
+/// the backlog in front of each stage, recorded as the stage before it
+/// completes: each gained an Exchange series (count 8 and 2); no other
+/// line moved. They were re-recorded again when that metric was renamed
+/// `sp_stage_backlog` (and its event `Backlog`): only its lines changed,
+/// four `sp_stage_backlog{run=golden,stage=…} count=8` lines (Collect,
+/// Exchange, Insert, Train) and three `count=2` lines (Collect, Exchange,
+/// Insert), now listed before `sp_stage_latency_ns`. The `Sync` row is
+/// the original.
 const GOLDEN: [[u64; 2]; 4] = [
     [0xc97349be712d3bf2, 0x5eafac82b58cded2],
     [0x364006e8da50b922, 0xd70ed4f4fcfd596e],
-    [0xfb6a18c7e30cf7d4, 0x116e2dedf74ed7c6],
-    [0xdcc11936a80fcf76, 0x507231eecd7305ec],
+    [0xabc191c894a154e2, 0x116e2dedf74ed7c6],
+    [0x607bdcc418fb209d, 0x507231eecd7305ec],
 ];
 
 #[test]
